@@ -18,6 +18,7 @@ from .dynamics import (
     normalize_ns,
     saturate,
     simulate,
+    states_equal,
     step_di,
     step_ns,
 )

@@ -14,7 +14,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dynamics import AgentState, GainParams, NsModel, Trajectory, simulate
+from .dynamics import (
+    AgentState,
+    GainParams,
+    NsModel,
+    SimulationOverflowError,
+    Trajectory,
+    simulate,
+    states_equal,
+)
 from .graphs import (
     GraphFormatError,
     NotConnectedError,
@@ -68,10 +76,21 @@ class RunConfig:
         if self.mode not in ("exact", "float"):
             raise CliError(f"unknown mode {self.mode!r}")
         if self.model == "ns":
-            if self.a is None:
-                raise CliError("model=ns requires the rotation parameter a")
+            _ns_model(self.model, self.a)
         if self.alpha is None or self.beta is None:
             raise CliError("alpha and beta are required")
+
+
+def _ns_model(model: str, a: Optional[Scalar]) -> Optional[NsModel]:
+    """The ns agent model for `a`, None for di; a bad `a` is a usage error."""
+    if model == "di":
+        return None
+    if a is None:
+        raise CliError("model=ns requires the rotation parameter a")
+    try:
+        return NsModel(a)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_init_list(text: str, mode: str) -> list[tuple[Scalar, Scalar]]:
@@ -87,7 +106,7 @@ def _parse_init_list(text: str, mode: str) -> list[tuple[Scalar, Scalar]]:
     return pairs
 
 
-def load_config(path: str, mode_hint: str = "exact") -> dict[str, str]:
+def load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -192,13 +211,18 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
             continue
         if line.startswith("agent "):
             head, _, rest = line.partition(":")
-            idx = int(head.split()[1])
             fields = dict(
-                part.strip().split("=") for part in rest.split(",") if "=" in part
+                part.strip().split("=", 1) for part in rest.split(",") if "=" in part
             )
-            init[idx - 1] = AgentState(
-                parse_scalar(fields["x"], mode), parse_scalar(fields["v"], mode)
-            )
+            try:
+                idx = int(head.split()[1])
+                init[idx - 1] = AgentState(
+                    parse_scalar(fields["x"], mode), parse_scalar(fields["v"], mode)
+                )
+            except (IndexError, ValueError) as exc:
+                raise CliError(f"plan line {lineno}: cannot parse {line!r}") from exc
+            except KeyError as exc:
+                raise CliError(f"plan line {lineno}: missing field {exc}") from exc
         elif "=" in line:
             key, _, value = line.partition("=")
             meta[key.strip()] = value.strip()
@@ -210,11 +234,17 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
         root = int(meta.get("root", "1")) - 1
         m = int(meta["m"])
         period = int(meta["T"])
+        a = parse_scalar(meta["a"], mode) if "a" in meta else None
     except KeyError as exc:
         raise CliError(f"plan file missing field {exc}") from exc
-    a = parse_scalar(meta["a"], mode) if "a" in meta else None
+    except ValueError as exc:
+        raise CliError(f"bad plan value: {exc}") from exc
+    if model not in ("di", "ns"):
+        raise CliError(f"unknown model {model!r} in plan")
+    _ns_model(model, a)
     if sorted(init) != list(range(g.n)):
         raise CliError(f"plan does not cover all {g.n} agents")
+    _check_agent("root", root + 1, g)
     partition = make_partition(g, root)
     pattern = di_pattern(m) if model == "di" else ns_pattern()
     return OrbitPlan(
@@ -334,7 +364,15 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_agent(name: str, agent: int, g: WeightedGraph) -> None:
+    if not 1 <= agent <= g.n:
+        raise CliError(f"{name} {agent} out of range 1..{g.n}")
+
+
 def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
+    _check_agent("root", cfg.root, g)
+    if cfg.anchor is not None:
+        _check_agent("anchor", cfg.anchor, g)
     gains = GainParams(cfg.alpha, cfg.beta)
     try:
         if cfg.model == "di":
@@ -346,7 +384,7 @@ def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
                 base=cfg.base_position,
                 anchor=None if cfg.anchor is None else cfg.anchor - 1,
             )
-        return synthesize_ns(g, NsModel(cfg.a), gains, root=cfg.root - 1)
+        return synthesize_ns(g, _ns_model(cfg.model, cfg.a), gains, root=cfg.root - 1)
     except GainConditionError as exc:
         raise CliError(f"gain gate failed: {exc}", EXIT_GATE) from exc
     except InfeasibleConstraintsError as exc:
@@ -398,26 +436,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         model, a, gains = cfg.model, cfg.a, GainParams(cfg.alpha, cfg.beta)
         default_steps = cfg.steps or 0
     steps = cfg.steps if cfg.steps is not None else default_steps
-    ns = None if model == "di" else NsModel(a)
-    t = simulate(g, gains, init, steps, ns=ns)
+    if steps < 0:
+        raise CliError(f"steps must be >= 0, got {steps}")
+    t = simulate(g, gains, init, steps, ns=_ns_model(model, a))
     _write_output(trajectory_to_csv(t), args.output)
     return EXIT_OK
 
 
 def _trajectory_consistent(
     t: Trajectory, g: WeightedGraph, gains: GainParams, tol: float
-) -> Optional[dict]:
-    """Recompute the trajectory from its own first state; report first mismatch."""
-    ns = None if t.model == "di" else NsModel(t.a)
-    resim = simulate(g, gains, t.states[0], t.steps, ns=ns)
-    from .verify import _states_equal  # shared equality helper
+) -> tuple[Optional[dict], Trajectory]:
+    """Recompute the trajectory from its own first state; report first mismatch.
 
+    Returns the mismatch (None if there is none) and the recomputed trajectory.
+    """
+    resim = simulate(g, gains, t.states[0], t.steps, ns=_ns_model(t.model, t.a))
     for k in range(t.steps + 1):
-        if not _states_equal(resim.states[k], t.states[k], tol):
+        if not states_equal(resim.states[k], t.states[k], tol):
             for i in range(t.n):
-                if not _states_equal([resim.states[k][i]], [t.states[k][i]], tol):
-                    return {"step": k, "agent": i + 1}
-    return None
+                if not states_equal([resim.states[k][i]], [t.states[k][i]], tol):
+                    return {"step": k, "agent": i + 1}, resim
+    return None, resim
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -428,6 +467,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise CliError(f"cannot read plan {args.plan}: {exc}") from exc
     report: dict = {}
+    rollout = None
     if args.csv:
         try:
             t = trajectory_from_csv(
@@ -435,7 +475,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         except OSError as exc:
             raise CliError(f"cannot read trajectory {args.csv}: {exc}") from exc
-        mismatch = _trajectory_consistent(t, g, plan.gains, 1e-9)
+        mismatch, rollout = _trajectory_consistent(t, g, plan.gains, 1e-9)
         report["consistency"] = mismatch is None
         if mismatch is not None:
             report["consistency_first_mismatch"] = mismatch
@@ -444,10 +484,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"trajectory covers {t.steps} steps, need {plan.period}"
             )
     else:
-        ns = None if plan.model == "di" else NsModel(plan.a)
-        t = simulate(g, plan.gains, plan.init, 2 * plan.period, ns=ns)
+        t = simulate(
+            g, plan.gains, plan.init, 2 * plan.period, ns=_ns_model(plan.model, plan.a)
+        )
         report["consistency"] = True
-    report.update(verification_report(g, plan, t))
+        rollout = t
+    report.update(verification_report(g, plan, t, rollout=rollout))
     report["ok"] = report["ok"] and report["consistency"]
     print(json.dumps(report, indent=2, default=str))
     return EXIT_OK if report["ok"] else EXIT_VERIFY
@@ -511,6 +553,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except SimulationOverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -11,14 +11,15 @@ neighbor-relative positions and velocities, so it vanishes at consensus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .graphs import WeightedGraph
-from .scalars import FLOAT_TOL, Scalar, is_exact
+from .scalars import FLOAT_TOL, Scalar, is_exact, scalars_equal
 
 #: bit-length cap on exact numerators/denominators before a run is aborted
 MAX_EXACT_BITS = 1 << 20
@@ -39,6 +40,16 @@ class AgentState:
 
     def __neg__(self) -> "AgentState":
         return AgentState(-self.x, -self.v)
+
+
+def states_equal(
+    a: Sequence[AgentState], b: Sequence[AgentState], tol: float = FLOAT_TOL
+) -> bool:
+    """Agentwise equality of two states under the `scalars_equal` policy."""
+    return all(
+        scalars_equal(p.x, q.x, tol) and scalars_equal(p.v, q.v, tol)
+        for p, q in zip(a, b)
+    )
 
 
 @dataclass(frozen=True)
@@ -97,8 +108,7 @@ def control_inputs(
     for i in range(g.n):
         acc_x = 0
         acc_v = 0
-        for j in g.neighbors(i):
-            w = g.weights[i][j]
+        for j, w in g.adjacency[i]:
             acc_x = acc_x + w * (states[j].x - states[i].x)
             acc_v = acc_v + w * (states[j].v - states[i].v)
         out.append(gains.alpha * acc_x + gains.beta * acc_v)
@@ -136,6 +146,133 @@ def _check_magnitude(value: Scalar) -> None:
             )
 
 
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
+#: lattice coordinates of a network state: numerators X, V over denominator D
+LatticeState = tuple[list[int], list[int], int]
+
+
+def _reduced(X: list[int], V: list[int], D: int, widened_by: int) -> LatticeState:
+    """Divide out the common factor of a lattice state that was just widened."""
+    if widened_by == 1:
+        return X, V, D
+    c = math.gcd(D, *X, *V)
+    return [x // c for x in X], [v // c for v in V], D // c
+
+
+class Lattice:
+    """The exact closed loop on integers, shared by `simulate` and the inverted period.
+
+    Positions and velocities are numerators X, V over one common
+    denominator D.  Edge weights are scaled by q_w, the lcm of their
+    denominators, and the gains by G, the lcm of theirs, so the raw input
+    of agent i is U_i / E with integer U_i (`inputs`) and E = K*D, K = G*q_w;
+    saturation is an integer compare of U_i against +-E.  D widens only on
+    a step where some input is unsaturated (by K) and, on `ns`, by the
+    denominator R of 2a; after a widening the gcd of D and every numerator
+    is divided out, so D stays the lcm of the reduced denominators.
+    """
+
+    def __init__(self, g: WeightedGraph, gains: GainParams, ns: NsModel | None) -> None:
+        q_w = math.lcm(*(w.denominator for nbrs in g.adjacency for _, w in nbrs))
+        self.rows = tuple(
+            tuple((j, w.numerator * (q_w // w.denominator)) for j, w in nbrs)
+            for nbrs in g.adjacency
+        )
+        self.degrees = tuple(sum(w for _, w in row) for row in self.rows)
+        alpha, beta = gains.alpha, gains.beta
+        G = math.lcm(alpha.denominator, beta.denominator)
+        self.A = alpha.numerator * (G // alpha.denominator)
+        self.B = beta.numerator * (G // beta.denominator)
+        self.K = G * q_w
+        self.ns = ns
+        two_a = 2 * ns.a if ns is not None else 0
+        self.P, self.R = two_a.numerator, two_a.denominator
+
+    @staticmethod
+    def of(
+        g: WeightedGraph, gains: GainParams, ns: NsModel | None, values: Iterable[Scalar]
+    ) -> Optional["Lattice"]:
+        """The lattice of this loop, or None unless weights, gains, a and `values` are all exact."""
+        exact = (
+            is_exact(gains.alpha)
+            and is_exact(gains.beta)
+            and (ns is None or is_exact(ns.a))
+            and all(is_exact(w) for nbrs in g.adjacency for _, w in nbrs)
+            and all(is_exact(c) for c in values)
+        )
+        return Lattice(g, gains, ns) if exact else None
+
+    @staticmethod
+    def encode(states: Sequence[AgentState]) -> LatticeState:
+        D = math.lcm(*(c.denominator for s in states for c in (s.x, s.v)))
+        X = [s.x.numerator * (D // s.x.denominator) for s in states]
+        V = [s.v.numerator * (D // s.v.denominator) for s in states]
+        return X, V, D
+
+    @staticmethod
+    def decode(X: list[int], V: list[int], D: int) -> tuple[AgentState, ...]:
+        return tuple(AgentState(Fraction(x, D), Fraction(v, D)) for x, v in zip(X, V))
+
+    def inputs(self, X: list[int], V: list[int]) -> list[int]:
+        """Raw-input numerators U over E = K*D: sum_j w_ij (Y_j - Y_i), Y = A*X + B*V."""
+        A, B = self.A, self.B
+        Y = [A * x + B * v for x, v in zip(X, V)]
+        return [
+            sum([w * Y[j] for j, w in row]) - d * y
+            for row, d, y in zip(self.rows, self.degrees, Y)
+        ]
+
+    @staticmethod
+    def saturated(u: int, E: int) -> Fraction:
+        """sat(u/E) as a Fraction."""
+        if u >= E:
+            return _ONE
+        if u <= -E:
+            return _MINUS_ONE
+        return Fraction(u, E)
+
+    def step(
+        self, X: list[int], V: list[int], D: int
+    ) -> tuple[LatticeState, list[Fraction], list[Fraction]]:
+        """One forward step: the next lattice state, the raw and the saturated inputs."""
+        U = self.inputs(X, V)
+        E = self.K * D
+        raw = [Fraction(u, E) for u in U]
+        sat = [_ONE if u >= E else _MINUS_ONE if u <= -E else r for u, r in zip(U, raw)]
+        R = self.R
+        mult = R * self.K if any(-E < u < E for u in U) else R
+        DM = D * mult
+        # applied input times the new denominator D*mult
+        S = [DM if u >= E else -DM if u <= -E else u * R for u in U]
+        if self.ns is None:
+            Xn = [(x + v) * mult for x, v in zip(X, V)]
+            Vn = [v * mult + s for v, s in zip(V, S)]
+        else:
+            Ph = self.P * (mult // R)
+            Xn = [v * mult for v in V]
+            Vn = [Ph * v - x * mult + s for x, v, s in zip(X, V, S)]
+        return _reduced(Xn, Vn, DM, mult), raw, sat
+
+    def unstep(
+        self, X: list[int], V: list[int], D: int, sat: Sequence[Scalar]
+    ) -> LatticeState:
+        """Inverse of one step, given the saturated inputs it applied."""
+        R = self.R
+        mult = R * math.lcm(*(s.denominator // math.gcd(s.denominator, D) for s in sat))
+        DM = D * mult
+        S = [s.numerator * (DM // s.denominator) for s in sat]
+        if self.ns is None:
+            Vp = [v * mult - s for v, s in zip(V, S)]
+            Xp = [x * mult - v for x, v in zip(X, Vp)]
+        else:
+            Ph = self.P * (mult // R)
+            Vp = [x * mult for x in X]
+            Xp = [Ph * x + s - v * mult for x, v, s in zip(X, V, S)]
+        return _reduced(Xp, Vp, DM, mult)
+
+
 def simulate(
     g: WeightedGraph,
     gains: GainParams,
@@ -143,20 +280,33 @@ def simulate(
     steps: int,
     ns: NsModel | None = None,
 ) -> Trajectory:
-    """Roll the closed-loop network forward, recording raw and saturated inputs."""
+    """Roll the closed-loop network forward, recording raw and saturated inputs.
+
+    A wholly exact run steps on the integer `Lattice`; any float input
+    sends it through the per-agent `control_inputs`/`step_*` path.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    states = [tuple(init)]
+    current = tuple(init)
+    if steps and len(current) != g.n:
+        raise ValueError(f"expected {g.n} agent states, got {len(current)}")
+    states = [current]
     raw_hist: list[tuple[Scalar, ...]] = []
     sat_hist: list[tuple[Scalar, ...]] = []
-    current = tuple(init)
+    lattice = Lattice.of(g, gains, ns, (c for s in current for c in (s.x, s.v)))
+    if lattice is not None:
+        X, V, D = lattice.encode(current)
     for _ in range(steps):
-        raw = control_inputs(g, gains, current)
-        sat = [saturate(u) for u in raw]
-        if ns is None:
-            nxt = tuple(step_di(s, u) for s, u in zip(current, sat))
+        if lattice is not None:
+            (X, V, D), raw, sat = lattice.step(X, V, D)
+            nxt = lattice.decode(X, V, D)
         else:
-            nxt = tuple(step_ns(s, u, ns) for s, u in zip(current, sat))
+            raw = control_inputs(g, gains, current)
+            sat = [saturate(u) for u in raw]
+            if ns is None:
+                nxt = tuple(step_di(s, u) for s, u in zip(current, sat))
+            else:
+                nxt = tuple(step_ns(s, u, ns) for s, u in zip(current, sat))
         for s in nxt:
             _check_magnitude(s.x)
             _check_magnitude(s.v)

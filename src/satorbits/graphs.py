@@ -9,7 +9,7 @@ format is 1-based.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import Scalar, format_scalar, parse_scalar
@@ -25,24 +25,40 @@ class NotConnectedError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Symmetric nonnegative adjacency with zero diagonal."""
+    """Symmetric nonnegative adjacency with zero diagonal.
+
+    `adjacency[i]` lists agent i's (neighbor, weight) pairs with positive
+    weight in index order; it is built once, while the matrix is validated.
+    """
 
     n: int
     weights: tuple[tuple[Scalar, ...], ...]
+    adjacency: tuple[tuple[tuple[int, Scalar], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise GraphFormatError("graph needs at least one agent")
-        if len(self.weights) != self.n or any(len(r) != self.n for r in self.weights):
+        w = self.weights
+        if len(w) != self.n or any(len(r) != self.n for r in w):
             raise GraphFormatError("weight matrix shape mismatch")
-        for i in range(self.n):
-            if self.weights[i][i] != 0:
+        adjacency = []
+        for i, row in enumerate(w):
+            if row[i] != 0:
                 raise GraphFormatError(f"self-loop on agent {i + 1}")
-            for j in range(self.n):
-                if self.weights[i][j] < 0:
-                    raise GraphFormatError("negative edge weight")
-                if self.weights[i][j] != self.weights[j][i]:
+            nbrs = []
+            for j, wij in enumerate(row):
+                if wij:
+                    if wij < 0:
+                        raise GraphFormatError("negative edge weight")
+                    if wij != w[j][i]:
+                        raise GraphFormatError("adjacency not symmetric")
+                    nbrs.append((j, wij))
+                elif w[j][i]:
                     raise GraphFormatError("adjacency not symmetric")
+            adjacency.append(tuple(nbrs))
+        object.__setattr__(self, "adjacency", tuple(adjacency))
 
     @classmethod
     def from_edges(cls, n: int, edges: list[tuple[int, int, Scalar]]) -> "WeightedGraph":
@@ -53,15 +69,12 @@ class WeightedGraph:
         return cls(n, tuple(tuple(row) for row in w))
 
     def neighbors(self, i: int) -> list[int]:
-        return [j for j in range(self.n) if self.weights[i][j] > 0]
+        return [j for j, _ in self.adjacency[i]]
 
     def edges(self) -> list[tuple[int, int, Scalar]]:
         """Edges as (i, j, weight) with i < j, sorted."""
         return [
-            (i, j, self.weights[i][j])
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.weights[i][j] > 0
+            (i, j, w) for i, nbrs in enumerate(self.adjacency) for j, w in nbrs if j > i
         ]
 
 

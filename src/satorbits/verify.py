@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 from .dynamics import (
     AgentState,
     GainParams,
+    Lattice,
     NsModel,
     Trajectory,
     control_inputs,
@@ -21,9 +22,10 @@ from .dynamics import (
     inverse_step_ns,
     saturate,
     simulate,
+    states_equal,
 )
 from .graphs import Partition, WeightedGraph
-from .scalars import FLOAT_TOL, Scalar, is_exact
+from .scalars import FLOAT_TOL, Scalar, is_exact, scalars_equal
 from .synthesis import OrbitPlan, PatternSpec
 
 
@@ -36,19 +38,6 @@ class PatternReport:
     @property
     def first_violation(self) -> Optional[tuple[int, int, Scalar]]:
         return self.violations[0] if self.violations else None
-
-
-def _states_equal(
-    a: Sequence[AgentState], b: Sequence[AgentState], tol: float
-) -> bool:
-    for sa, sb in zip(a, b):
-        exact = is_exact(sa.x) and is_exact(sb.x) and is_exact(sa.v) and is_exact(sb.v)
-        if exact:
-            if sa.x != sb.x or sa.v != sb.v:
-                return False
-        elif abs(sa.x - sb.x) > tol or abs(sa.v - sb.v) > tol:
-            return False
-    return True
 
 
 def _trajectory_is_exact(t: Trajectory) -> bool:
@@ -72,25 +61,36 @@ def backward_states(
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     ns = None if t.model == "di" else NsModel(t.a)
-    current = list(t.states[0])
+    start = t.states[0]
+    applied = t.sat_u[:T]
+    lattice = Lattice.of(
+        g,
+        gains,
+        ns,
+        [c for s in start for c in (s.x, s.v)] + [u for row in applied for u in row],
+    )
+    if lattice is not None:
+        X, V, D = lattice.encode(start)
+    current = list(start)
     for back in range(1, T + 1):
-        sat = t.sat_u[T - back]
-        if ns is None:
-            current = [inverse_step_di(s, u) for s, u in zip(current, sat)]
+        sat = applied[T - back]
+        if lattice is not None:
+            X, V, D = lattice.unstep(X, V, D, sat)
+            E = lattice.K * D
+            recomputed = [lattice.saturated(u, E) for u in lattice.inputs(X, V)]
         else:
-            current = [inverse_step_ns(s, u, ns) for s, u in zip(current, sat)]
-        recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
-        for i, (u_used, u_new) in enumerate(zip(sat, recomputed)):
-            if is_exact(u_used) and is_exact(u_new):
-                consistent = u_used == u_new
+            if ns is None:
+                current = [inverse_step_di(s, u) for s, u in zip(current, sat)]
             else:
-                consistent = abs(u_used - u_new) <= tol
-            if not consistent:
+                current = [inverse_step_ns(s, u, ns) for s, u in zip(current, sat)]
+            recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
+        for i, (u_used, u_new) in enumerate(zip(sat, recomputed)):
+            if not scalars_equal(u_used, u_new, tol):
                 raise ValueError(
                     f"backward extension inconsistent at time {-back}, agent "
                     f"{i + 1}: input {u_new} vs recorded {u_used}"
                 )
-    return current
+    return list(lattice.decode(X, V, D)) if lattice is not None else current
 
 
 def check_periodicity(
@@ -107,11 +107,11 @@ def check_periodicity(
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
-    if not _states_equal(t.states[T], t.states[0], tol):
+    if not states_equal(t.states[T], t.states[0], tol):
         return False
     if graph is not None and gains is not None and _trajectory_is_exact(t):
         before = backward_states(t, graph, gains, T, tol)
-        if not _states_equal(before, t.states[0], tol):
+        if not states_equal(before, t.states[0], tol):
             return False
     return True
 
@@ -168,7 +168,7 @@ def oracle_check_di(t: Trajectory, plan: OrbitPlan, tol: float = FLOAT_TOL) -> b
         x0, v0 = plan.init[i].x, plan.init[i].v
         for k in range(2 * m + 1):
             expected = closed_form_di(x0, v0, cls, m, k)
-            if not _states_equal([t.states[k][i]], [expected], tol):
+            if not states_equal([t.states[k][i]], [expected], tol):
                 return False
     return True
 
@@ -180,13 +180,20 @@ def minimal_period(
     T_max: int,
     ns: NsModel | None = None,
     tol: float = FLOAT_TOL,
+    rollout: Trajectory | None = None,
 ) -> Optional[int]:
-    """Smallest t in [1, T_max] with state(t) == state(0), by enumeration."""
+    """Smallest t in [1, T_max] with state(t) == state(0), by enumeration.
+
+    `rollout`, a trajectory from `init` of at least T_max steps, is scanned
+    instead of simulating again; any other trajectory is ignored.
+    """
     if T_max < 1:
         raise ValueError("T_max must be >= 1")
-    t = simulate(g, gains, init, T_max, ns=ns)
+    t = rollout
+    if t is None or t.steps < T_max or not states_equal(t.states[0], init, tol):
+        t = simulate(g, gains, init, T_max, ns=ns)
     for period in range(1, T_max + 1):
-        if _states_equal(t.states[period], t.states[0], tol):
+        if states_equal(t.states[period], t.states[0], tol):
             return period
     return None
 
@@ -196,8 +203,13 @@ def verification_report(
     plan: OrbitPlan,
     t: Trajectory,
     tol: float = FLOAT_TOL,
+    rollout: Trajectory | None = None,
 ) -> dict:
-    """Run every applicable check and collect a machine-readable summary."""
+    """Run every applicable check and collect a machine-readable summary.
+
+    `rollout` is passed on to `minimal_period`: a simulation from
+    t.states[0] that covers 2T steps saves rolling them out again.
+    """
     report: dict = {"model": plan.model, "period": plan.period}
     report["periodicity"] = check_periodicity(
         t, plan.period, graph=g, gains=plan.gains, tol=tol
@@ -214,7 +226,9 @@ def verification_report(
     if plan.model == "di":
         report["closed_form"] = oracle_check_di(t, plan, tol)
     ns = None if plan.model == "di" else NsModel(plan.a)
-    found = minimal_period(g, plan.gains, t.states[0], 2 * plan.period, ns=ns, tol=tol)
+    found = minimal_period(
+        g, plan.gains, t.states[0], 2 * plan.period, ns=ns, tol=tol, rollout=rollout
+    )
     report["minimal_period"] = found
     report["ok"] = bool(
         report["periodicity"]

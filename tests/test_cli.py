@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import satorbits.cli as cli
+import satorbits.dynamics as dynamics
+import satorbits.verify as verify
 from satorbits import AgentState, GainParams, fixture_path, simulate
 from satorbits.cli import (
     EXIT_GATE,
@@ -201,6 +204,95 @@ class TestVerifyCmd:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] and report["minimal_period"] == 4
+
+
+    def test_csv_verify_rolls_out_once(self, artifacts, capsys, monkeypatch):
+        plan_file, csv_file = artifacts
+        calls = []
+
+        def counting(module):
+            real = module.simulate
+
+            def wrapped(*args, **kwargs):
+                t = real(*args, **kwargs)
+                calls.append((module.__name__, t.steps))
+                return t
+
+            monkeypatch.setattr(module, "simulate", wrapped)
+
+        counting(cli)
+        counting(verify)
+        code = main(["verify", GRAPH, "--plan", str(plan_file), "--csv", str(csv_file)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["minimal_period"] == 22
+        # the consistency re-simulation covers 2T steps and serves the period search
+        assert calls == [("satorbits.cli", 44)]
+
+
+def _off_orbit_plan(tmp_path):
+    """The di fixture plan with every initial state halved."""
+    plan_file = tmp_path / "plan.txt"
+    main(["synthesize", GRAPH, "--config", DI_CFG, "-o", str(plan_file)])
+    lines = []
+    for line in plan_file.read_text().splitlines():
+        if line.startswith("agent "):
+            head, _, rest = line.partition(":")
+            x, v = (Fraction(p.split("=")[1]) / 2 for p in rest.split(","))
+            line = f"{head}: x={x}, v={v}"
+        lines.append(line)
+    plan_file.write_text("\n".join(lines) + "\n")
+    return str(plan_file)
+
+
+def _renamed_field_plan(tmp_path):
+    plan_file = tmp_path / "plan.txt"
+    main(["synthesize", GRAPH, "--config", DI_CFG, "-o", str(plan_file)])
+    text = plan_file.read_text().replace("agent 3: x=", "agent 3: y=")
+    plan_file.write_text(text)
+    return str(plan_file)
+
+
+def _simulate_plan(make_plan):
+    return lambda tmp: ["simulate", GRAPH, "--config", DI_CFG, "--plan", make_plan(tmp)]
+
+
+@pytest.mark.parametrize(
+    "argv,low_cap",
+    [
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--config", DI_CFG, "--root", "9"],
+            False,
+            id="root-out-of-range",
+        ),
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--config", NS_CFG, "--a", "2"],
+            False,
+            id="ns-a-out-of-range",
+        ),
+        pytest.param(_simulate_plan(_renamed_field_plan), False, id="plan-missing-x"),
+        pytest.param(
+            lambda tmp: ["simulate", GRAPH, "--config", DI_CFG, "--steps", "-3"],
+            False,
+            id="negative-steps",
+        ),
+        pytest.param(_simulate_plan(_off_orbit_plan), True, id="overflow-simulate"),
+        pytest.param(
+            lambda tmp: ["verify", GRAPH, "--plan", _off_orbit_plan(tmp)],
+            True,
+            id="overflow-verify",
+        ),
+    ],
+)
+def test_bad_input_is_one_error_line(argv, low_cap, tmp_path, capsys, monkeypatch):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    if low_cap:
+        monkeypatch.setattr(dynamics, "MAX_EXACT_BITS", 8)
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out
 
 
 class TestRoundTrips:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -21,11 +22,15 @@ from satorbits import (
     step_ns,
 )
 from satorbits.dynamics import (
+    Lattice,
     NormalizationError,
     SimulationOverflowError,
     inverse_step_di,
     inverse_step_ns,
+    states_equal,
 )
+from satorbits.verify import backward_states
+from test_graphs import random_connected_graph
 
 
 def F(text):
@@ -158,6 +163,163 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "MAX_EXACT_BITS", 8)
         with pytest.raises(SimulationOverflowError):
             simulate(graph7, gains_di, reference_init_di, 40)
+
+
+def reference_rollout(g, gains, init, steps, ns=None):
+    """The per-agent Fraction stepper: control_inputs, saturate, step_di/step_ns."""
+    states, raw_hist, sat_hist = [tuple(init)], [], []
+    for _ in range(steps):
+        raw = control_inputs(g, gains, states[-1])
+        sat = [saturate(u) for u in raw]
+        if ns is None:
+            nxt = tuple(step_di(s, u) for s, u in zip(states[-1], sat))
+        else:
+            nxt = tuple(step_ns(s, u, ns) for s, u in zip(states[-1], sat))
+        states.append(nxt)
+        raw_hist.append(tuple(raw))
+        sat_hist.append(tuple(sat))
+    return tuple(states), tuple(raw_hist), tuple(sat_hist)
+
+
+def reference_backward(t, g, gains, T):
+    """Per-agent inversion of one period: the state at -T, or the mismatch message."""
+    ns = None if t.model == "di" else NsModel(t.a)
+    current = list(t.states[0])
+    for back in range(1, T + 1):
+        sat = t.sat_u[T - back]
+        if ns is None:
+            current = [inverse_step_di(s, u) for s, u in zip(current, sat)]
+        else:
+            current = [inverse_step_ns(s, u, ns) for s, u in zip(current, sat)]
+        recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
+        for i, (used, new) in enumerate(zip(sat, recomputed)):
+            if used != new:
+                return (
+                    f"backward extension inconsistent at time {-back}, agent "
+                    f"{i + 1}: input {new} vs recorded {used}"
+                )
+    return current
+
+
+def kernel_backward(t, g, gains, T):
+    try:
+        return backward_states(t, g, gains, T)
+    except ValueError as exc:
+        return str(exc)
+
+
+def end_anchored(t):
+    """The trajectory restarted at its last state with the same inputs.
+
+    Inverting its period walks t back from states[-1] to states[0], so the
+    backward check passes and exercises every recorded input.
+    """
+    return dataclasses.replace(t, states=(t.states[-1],) + t.states[1:])
+
+
+class TestLatticeKernel:
+    """The integer-lattice kernel against the per-agent Fraction stepper."""
+
+    def assert_same_orbit(self, g, gains, init, steps, ns=None):
+        t = simulate(g, gains, init, steps, ns=ns)
+        states, raw, sat = reference_rollout(g, gains, init, steps, ns)
+        assert t.states == states
+        assert t.raw_u == raw
+        assert t.sat_u == sat
+        values = [c for row in t.states[1:] for s in row for c in (s.x, s.v)]
+        values += [u for rows in (t.raw_u, t.sat_u) for row in rows for u in row]
+        assert all(type(c) is Fraction for c in values)
+        return t
+
+    def assert_same_inversion(self, t, g, gains, T):
+        expected = reference_backward(t, g, gains, T)
+        assert kernel_backward(t, g, gains, T) == expected
+        return expected
+
+    def test_random_graphs(self):
+        rng = random.Random(20140207)
+        models = [None, NsModel(F("1/3")), NsModel(F("-0.4")), NsModel(F("-5/7"))]
+        unsat = inverted = 0
+        for trial in range(60):
+            g = random_connected_graph(rng, rng.randint(2, 9))
+            gains = GainParams(
+                Fraction(rng.randint(-30, 30), rng.choice([1, 7, 30, 70])),
+                Fraction(rng.randint(-30, 30), rng.choice([2, 9, 50])),
+            )
+            init = [
+                AgentState(
+                    Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
+                    Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
+                )
+                for _ in range(g.n)
+            ]
+            ns = models[trial % len(models)]
+            t = self.assert_same_orbit(g, gains, init, 12, ns)
+            unsat += sum(1 for row in t.raw_u for u in row if abs(u) < 1)
+            T = rng.randint(1, 12)
+            self.assert_same_inversion(t, g, gains, T)
+            before = self.assert_same_inversion(end_anchored(t), g, gains, 12)
+            assert tuple(before) == t.states[0]
+            inverted += 1
+        assert unsat > 100  # the lattice widened on many steps
+        assert inverted == 60
+
+    def test_seven_agent_fixture(self, graph7, gains_di, reference_init_di):
+        t = self.assert_same_orbit(graph7, gains_di, reference_init_di, 44)
+        assert self.assert_same_inversion(t, graph7, gains_di, 22) == list(t.states[0])
+        halved = [AgentState(s.x / 2, s.v / 2) for s in reference_init_di]
+        off = self.assert_same_orbit(graph7, gains_di, halved, 60)
+        assert any(abs(u) < 1 for row in off.raw_u for u in row)
+        self.assert_same_inversion(off, graph7, gains_di, 22)
+        self.assert_same_inversion(end_anchored(off), graph7, gains_di, 60)
+
+    def test_seven_agent_ns(self, graph7, gains_ns):
+        for a in (F("1/3"), F("-1/3"), F("0.5")):
+            init = [
+                AgentState(Fraction(k % 3 - 1), Fraction(1 - k % 2)) for k in range(7)
+            ]
+            t = self.assert_same_orbit(graph7, gains_ns, init, 16, NsModel(a))
+            self.assert_same_inversion(end_anchored(t), graph7, gains_ns, 16)
+
+    def test_float_mode_uses_reference_path(self):
+        g = parse_graph("1 2 1", mode="float")
+        gains = GainParams(0.4, 0.42)
+        init = [AgentState(0.0, 0.0), AgentState(5.0, 0.0)]
+        assert Lattice.of(g, gains, None, [0.0, 0.0, 5.0, 0.0]) is None
+        t = simulate(g, gains, init, 6)
+        assert t.states == reference_rollout(g, gains, init, 6)[0]
+        assert isinstance(t.states[6][0].x, float)
+
+    def test_lattice_denominator_is_reduced(self, graph7, gains_di, gains_ns, reference_init_di):
+        halved = [AgentState(s.x / 2, s.v / 2) for s in reference_init_di]
+        for gains, ns in ((gains_di, None), (gains_ns, NsModel(F("1/3")))):
+            lattice = Lattice(graph7, gains, ns)
+            X, V, D = lattice.encode(halved)
+            widened = 0
+            for _ in range(30):
+                (X, V, D), raw, _ = lattice.step(X, V, D)
+                widened += any(abs(u) < 1 for u in raw) or ns is not None
+                assert math.gcd(D, *X, *V) == 1
+            assert widened
+
+    def test_overflow_cap_read_at_call(self, graph7, gains_di, reference_init_di, monkeypatch):
+        assert simulate(graph7, gains_di, reference_init_di, 3).steps == 3
+        monkeypatch.setattr(dynamics, "MAX_EXACT_BITS", 9)
+        with pytest.raises(SimulationOverflowError):
+            simulate(graph7, gains_di, reference_init_di, 3)
+
+
+class TestStatesEqual:
+    def test_exact_is_bit_exact(self):
+        a = [AgentState(F("1/3"), F(0))]
+        assert states_equal(a, [AgentState(F("1/3"), F(0))])
+        assert not states_equal(a, [AgentState(F("1/3") + Fraction(1, 10**12), F(0))])
+
+    def test_float_within_tolerance(self):
+        a = [AgentState(1.0, 2.0)]
+        assert states_equal(a, [AgentState(1.0 + 1e-12, 2.0)])
+        assert not states_equal(a, [AgentState(1.0 + 1e-6, 2.0)])
+        assert states_equal(a, [AgentState(1.0 + 1e-6, 2.0)], tol=1e-5)
 
 
 class TestNormalizeNs:

@@ -122,6 +122,37 @@ class TestParse:
             assert parse_graph(serialize_graph(g)) == g
 
 
+class TestWeightedGraph:
+    def test_adjacency_lists_positive_weights(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            g = random_connected_graph(rng, rng.randint(1, 9))
+            assert g.adjacency == tuple(
+                tuple((j, w) for j, w in enumerate(row) if w > 0) for row in g.weights
+            )
+            assert g.edges() == [
+                (i, j, g.weights[i][j])
+                for i in range(g.n)
+                for j in range(i + 1, g.n)
+                if g.weights[i][j] > 0
+            ]
+
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            (((0, 1), (0, 0)), "not symmetric"),
+            (((0, 0), (1, 0)), "not symmetric"),
+            (((0, -1), (-1, 0)), "negative"),
+            (((1, 0), (0, 0)), "self-loop"),
+            (((0, 1), (2, 0)), "not symmetric"),
+        ],
+    )
+    def test_validation(self, weights, message):
+        w = tuple(tuple(Fraction(c) for c in row) for row in weights)
+        with pytest.raises(GraphFormatError, match=message):
+            WeightedGraph(2, w)
+
+
 class TestConnectivity:
     def test_reference_graph_connected(self, graph7):
         assert is_connected(graph7)

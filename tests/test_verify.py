@@ -158,6 +158,14 @@ class TestMinimalPeriod:
     def test_absent(self, graph7, gains_di, reference_init_di):
         assert minimal_period(graph7, gains_di, reference_init_di, 21) is None
 
+    def test_rollout_used_only_when_it_fits(self, graph7, gains_di, reference_init_di, di_orbit):
+        init = reference_init_di
+        assert minimal_period(graph7, gains_di, init, 44, rollout=di_orbit) == 22
+        short = simulate(graph7, gains_di, init, 10)
+        assert minimal_period(graph7, gains_di, init, 44, rollout=short) == 22
+        elsewhere = simulate(graph7, gains_di, [AgentState(0, 0)] * graph7.n, 44)
+        assert minimal_period(graph7, gains_di, init, 44, rollout=elsewhere) == 22
+
 
 class TestOrbitInvariants:
     def test_velocity_antisymmetry_di(self, di_orbit, partition7):
