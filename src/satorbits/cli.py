@@ -30,7 +30,7 @@ from .graphs import (
     make_partition,
     parse_graph,
 )
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, format_scalar, parse_scalar, scalars_equal
 from .synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
@@ -281,44 +281,70 @@ def trajectory_to_csv(t: Trajectory) -> str:
 
 
 def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -> Trajectory:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0].strip() != CSV_HEADER:
+    """Read a CSV written by `trajectory_to_csv`.
+
+    Each (step, agent) pair appears once, agents are numbered 1..n and steps
+    run from 0; inputs are required on every step but the last.
+    """
+    lines = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines or lines[0][1].strip() != CSV_HEADER:
         raise CliError(f"CSV must start with header {CSV_HEADER!r}")
     states: dict[int, dict[int, AgentState]] = {}
     raw_u: dict[int, dict[int, Scalar]] = {}
     sat_u: dict[int, dict[int, Scalar]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    first_line: dict[int, int] = {}
+    # a periodic orbit and its saturated inputs repeat the same few texts
+    parsed: dict[str, Scalar] = {}
+
+    def parse(field: str) -> Scalar:
+        value = parsed.get(field)
+        if value is None:
+            value = parsed[field] = parse_scalar(field, mode)
+        return value
+
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 6:
             raise CliError(f"CSV line {lineno}: expected 6 fields")
         try:
             k, agent = int(parts[0]), int(parts[1]) - 1
-            s = AgentState(parse_scalar(parts[2], mode), parse_scalar(parts[3], mode))
+            s = AgentState(parse(parts[2]), parse(parts[3]))
+            u = (parse(parts[4]), parse(parts[5])) if parts[4].strip() else None
         except ValueError as exc:
             raise CliError(f"CSV line {lineno}: {exc}") from exc
-        states.setdefault(k, {})[agent] = s
-        if parts[4].strip():
-            raw_u.setdefault(k, {})[agent] = parse_scalar(parts[4], mode)
-            sat_u.setdefault(k, {})[agent] = parse_scalar(parts[5], mode)
+        tick = states.setdefault(k, {})
+        if agent in tick:
+            raise CliError(f"CSV line {lineno}: duplicate row for step {k}, agent {agent + 1}")
+        tick[agent] = s
+        first_line.setdefault(agent, lineno)
+        if u is not None:
+            raw_u.setdefault(k, {})[agent] = u[0]
+            sat_u.setdefault(k, {})[agent] = u[1]
     if not states:
         raise CliError("CSV contains no rows")
+    # n distinct labels are exactly 1..n unless one of them lies outside it
+    n = len(first_line)
+    outside = [(no, agent) for agent, no in first_line.items() if not 0 <= agent < n]
+    if outside:
+        lineno, agent = min(outside)
+        raise CliError(
+            f"CSV line {lineno}: agent {agent + 1} outside 1..{n} "
+            f"(the CSV names {n} agents)"
+        )
     ticks = sorted(states)
-    n = len(states[ticks[0]])
     if ticks != list(range(len(ticks))):
         raise CliError("CSV steps are not contiguous from 0")
     steps = len(ticks) - 1
 
     def row(src: dict[int, dict[int, Scalar]], k: int) -> tuple:
-        if sorted(src.get(k, {})) != list(range(n)):
+        if len(src.get(k, ())) != n:
             raise CliError(f"CSV step {k}: missing agents")
         return tuple(src[k][i] for i in range(n))
 
     return Trajectory(
         model=model,
         a=a,
-        states=tuple(
-            tuple(states[k][i] for i in range(n)) for k in ticks
-        ),
+        states=tuple(row(states, k) for k in ticks),
         raw_u=tuple(row(raw_u, k) for k in range(steps)),
         sat_u=tuple(row(sat_u, k) for k in range(steps)),
     )
@@ -448,14 +474,23 @@ def _trajectory_consistent(
 ) -> tuple[Optional[dict], Trajectory]:
     """Recompute the trajectory from its own first state; report first mismatch.
 
-    Returns the mismatch (None if there is none) and the recomputed trajectory.
+    States, raw inputs and saturated inputs are all compared.  Returns the
+    mismatch (None if there is none) and the recomputed trajectory.
     """
     resim = simulate(g, gains, t.states[0], t.steps, ns=_ns_model(t.model, t.a))
     for k in range(t.steps + 1):
-        if not states_equal(resim.states[k], t.states[k], tol):
-            for i in range(t.n):
-                if not states_equal([resim.states[k][i]], [t.states[k][i]], tol):
-                    return {"step": k, "agent": i + 1}, resim
+        rows = [(resim.states, t.states)]
+        if k < t.steps:
+            rows += [(resim.raw_u, t.raw_u), (resim.sat_u, t.sat_u)]
+        # equal rows agree under any tolerance; only a differing row is searched
+        if all(ours[k] == theirs[k] for ours, theirs in rows):
+            continue
+        for i in range(t.n):
+            if not (
+                states_equal([resim.states[k][i]], [t.states[k][i]], tol)
+                and all(scalars_equal(ours[k][i], theirs[k][i], tol) for ours, theirs in rows[1:])
+            ):
+                return {"step": k, "agent": i + 1}, resim
     return None, resim
 
 
@@ -475,6 +510,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         except OSError as exc:
             raise CliError(f"cannot read trajectory {args.csv}: {exc}") from exc
+        if t.n != g.n:
+            raise CliError(f"CSV has {t.n} agents, graph has {g.n}")
         mismatch, rollout = _trajectory_consistent(t, g, plan.gains, 1e-9)
         report["consistency"] = mismatch is None
         if mismatch is not None:

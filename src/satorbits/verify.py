@@ -7,6 +7,7 @@ weaker check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -40,6 +41,10 @@ class PatternReport:
         return self.violations[0] if self.violations else None
 
 
+class BackwardExtensionError(ValueError):
+    """The recorded inputs do not extend the trajectory one period backward."""
+
+
 def _trajectory_is_exact(t: Trajectory) -> bool:
     return all(is_exact(s.x) and is_exact(s.v) for s in t.states[0])
 
@@ -56,7 +61,8 @@ def backward_states(
     Starting from states[0], each backward step applies the exact inverse of
     the one-step map with the saturated input recorded one period later, then
     confirms the controller at the reconstructed state reproduces that input.
-    Returns the state at time -T.
+    Returns the state at time -T; raises `BackwardExtensionError` at the first
+    input the controller does not reproduce.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
@@ -86,7 +92,7 @@ def backward_states(
             recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
         for i, (u_used, u_new) in enumerate(zip(sat, recomputed)):
             if not scalars_equal(u_used, u_new, tol):
-                raise ValueError(
+                raise BackwardExtensionError(
                     f"backward extension inconsistent at time {-back}, agent "
                     f"{i + 1}: input {u_new} vs recorded {u_used}"
                 )
@@ -103,14 +109,18 @@ def check_periodicity(
     """states[T] == states[0]; in exact mode, also one inverted period.
 
     The backward check (two-sided periodicity) runs when `graph` and `gains`
-    are supplied and the trajectory is exact.
+    are supplied and the trajectory is exact; recorded inputs that do not
+    extend backward fail it.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     if not states_equal(t.states[T], t.states[0], tol):
         return False
     if graph is not None and gains is not None and _trajectory_is_exact(t):
-        before = backward_states(t, graph, gains, T, tol)
+        try:
+            before = backward_states(t, graph, gains, T, tol)
+        except BackwardExtensionError:
+            return False
         if not states_equal(before, t.states[0], tol):
             return False
     return True
@@ -159,16 +169,41 @@ def closed_form_di(
 
 
 def oracle_check_di(t: Trajectory, plan: OrbitPlan, tol: float = FLOAT_TOL) -> bool:
-    """Every recorded state matches the closed form (independent of the stepper)."""
+    """Every recorded state matches the closed form (independent of the stepper).
+
+    For an exact plan and trajectory the closed form of agent i is computed on
+    integers over q = lcm of the denominators of x_i(0), v_i(0), and compared
+    with each recorded p/r by cross-multiplying; otherwise `closed_form_di`
+    and `states_equal` do it with tolerance.
+    """
     m = plan.half_period
     if t.steps < 2 * m:
         raise ValueError(f"trajectory covers {t.steps} steps, need {2 * m}")
+    exact = _trajectory_is_exact(t) and all(
+        is_exact(s.x) and is_exact(s.v) for s in plan.init
+    )
     for i in range(t.n):
-        cls = "even" if i in plan.partition.s_even else "odd"
+        even = i in plan.partition.s_even
         x0, v0 = plan.init[i].x, plan.init[i].v
+        if not exact:
+            cls = "even" if even else "odd"
+            for k in range(2 * m + 1):
+                expected = closed_form_di(x0, v0, cls, m, k)
+                if not states_equal([t.states[k][i]], [expected], tol):
+                    return False
+            continue
+        q = math.lcm(x0.denominator, v0.denominator)
+        X0, V0 = x0.numerator * (q // x0.denominator), v0.numerator * (q // v0.denominator)
+        sq = q if even else -q
         for k in range(2 * m + 1):
-            expected = closed_form_di(x0, v0, cls, m, k)
-            if not states_equal([t.states[k][i]], [expected], tol):
+            # up = steps driven by the first sign, down = steps since it flipped:
+            # x = x0 + k v0 + sign (up(up-1)/2 + down up - down(down-1)/2)
+            up = min(k, m)
+            down = k - up
+            X = X0 + k * V0 + sq * (up * (up - 1) // 2 + down * up - down * (down - 1) // 2)
+            V = V0 + sq * (up - down)
+            x, v = t.states[k][i].x, t.states[k][i].v
+            if X * x.denominator != x.numerator * q or V * v.denominator != v.numerator * q:
                 return False
     return True
 

@@ -229,6 +229,44 @@ class TestVerifyCmd:
         assert calls == [("satorbits.cli", 44)]
 
 
+@pytest.mark.parametrize(
+    "row_41,code",
+    [
+        pytest.param("5,5,3.5,-0.5,7,1", EXIT_VERIFY, id="u_raw"),
+        pytest.param("5,5,3.5,-0.5,0.5,0.5", EXIT_VERIFY, id="u_sat"),
+        pytest.param("5,4,3.5,-0.5,28.106,1", EXIT_USAGE, id="duplicate-row"),
+        pytest.param("5,0,3.5,-0.5,28.106,1", EXIT_USAGE, id="agent-0"),
+        pytest.param(None, EXIT_USAGE, id="agent-7-dropped"),
+    ],
+)
+def test_tampered_or_malformed_csv(row_41, code, tmp_path, capsys):
+    """Replace line 41 of the di fixture CSV (step 5, agent 5), or drop agent 7."""
+    plan_file, csv_file = tmp_path / "plan.txt", tmp_path / "traj.csv"
+    main(["synthesize", GRAPH, "--config", DI_CFG, "-o", str(plan_file)])
+    main(["simulate", GRAPH, "--config", DI_CFG, "--plan", str(plan_file), "-o", str(csv_file)])
+    lines = csv_file.read_text().splitlines()
+    assert lines[40] == "5,5,3.5,-0.5,28.106,1"
+    if row_41 is None:
+        lines = [line for line in lines if line.split(",")[1] != "7"]
+    else:
+        lines[40] = row_41
+    csv_file.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", GRAPH, "--plan", str(plan_file), "--csv", str(csv_file)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    if code == EXIT_VERIFY:
+        report = json.loads(captured.out)
+        assert not report["consistency"] and not report["ok"]
+        assert report["consistency_first_mismatch"] == {"step": 5, "agent": 5}
+    else:
+        [line] = captured.err.splitlines()
+        if row_41 is None:
+            assert line == "error: CSV has 6 agents, graph has 7"
+        else:
+            assert line.startswith("error: CSV line 41: ")
+
+
 def _off_orbit_plan(tmp_path):
     """The di fixture plan with every initial state halved."""
     plan_file = tmp_path / "plan.txt"

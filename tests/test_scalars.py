@@ -1,0 +1,79 @@
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from satorbits.scalars import ScalarFormatError, format_scalar, parse_scalar
+
+
+def reference_format(value) -> str:
+    """Reference formatter: strips each factor of 2 and 5 with its own division."""
+    if isinstance(value, int):
+        return str(value)
+    n, d = value.numerator, value.denominator
+    if d == 1:
+        return str(n)
+    twos = fives = 0
+    rest = d
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{n}/{d}"
+    digits = max(twos, fives)
+    scaled = n * 10**digits // d
+    sign = "-" if scaled < 0 else ""
+    body = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{sign}{body[:-digits]}.{body[-digits:]}"
+
+
+EXPONENTS = [0, 1, 2, 7, 50, 399, 2000]
+FACTORS = [1, 3, 7, 3**40]
+NUMERATORS = [1, -7, 2**70 + 1, -(10**30) - 3]
+
+
+def _values():
+    for a in EXPONENTS:
+        for b in EXPONENTS:
+            for c in FACTORS:
+                for p in NUMERATORS:
+                    yield Fraction(p, 2**a * 5**b * c)
+    yield from [Fraction(0), Fraction(-12), Fraction(10**40), 0, 17, -5, 10**25]
+
+
+VALUES = list(_values())
+
+
+def test_format_matches_division_loop():
+    for value in VALUES:
+        assert format_scalar(value) == reference_format(value), value
+
+
+def test_parse_inverts_format():
+    for value in VALUES:
+        assert parse_scalar(format_scalar(value)) == value, value
+
+
+@pytest.mark.parametrize("text", ["0.5", "-12.250", "007", "-0", "3/4", "-10/4"])
+def test_canonical_forms_parse_like_fraction(text):
+    value = parse_scalar(text)
+    assert value == Fraction(text) and type(value) is Fraction
+    assert parse_scalar(text, "float") == float(Fraction(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+3", " 2 ", ".5", "5.", "1e3", "1_0", "٣", "²", "1/0", "-", "", "1.2.3"],
+)
+def test_other_text_parses_like_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ScalarFormatError):
+            parse_scalar(text)
+    else:
+        assert parse_scalar(text) == expected

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from satorbits import (
     AgentState,
     GainParams,
+    Trajectory,
     check_pattern,
     check_periodicity,
     closed_form_di,
@@ -20,7 +22,7 @@ from satorbits import (
     verification_report,
 )
 from satorbits.synthesis import di_pattern, ns_pattern
-from satorbits.verify import backward_states
+from satorbits.verify import BackwardExtensionError, backward_states
 
 
 def F(text):
@@ -75,6 +77,15 @@ class TestBackward:
     def test_ns_inverted_period(self, ns_orbit, graph7, gains_ns):
         before = backward_states(ns_orbit, graph7, gains_ns, 4)
         assert tuple(before) == ns_orbit.states[0]
+
+
+    def test_inconsistent_inputs_fail_periodicity(self, di_orbit, graph7, gains_di):
+        sat = [list(row) for row in di_orbit.sat_u]
+        sat[5][4] = Fraction(1, 2)
+        t = dataclasses.replace(di_orbit, sat_u=tuple(map(tuple, sat)))
+        with pytest.raises(BackwardExtensionError, match="agent 5"):
+            backward_states(t, graph7, gains_di, 22)
+        assert check_periodicity(t, 22, graph=graph7, gains=gains_di) is False
 
 
 class TestPattern:
@@ -142,6 +153,50 @@ class TestOracleDi:
         t = simulate(graph7, gains_di, broken_init, plan.period)
         broken_plan = plan.__class__(**{**plan.__dict__, "init": tuple(broken_init)})
         assert not oracle_check_di(t, broken_plan)
+
+
+    @staticmethod
+    def _with_state(t, k, i, state):
+        states = [list(row) for row in t.states]
+        states[k][i] = state
+        return dataclasses.replace(t, states=tuple(map(tuple, states)))
+
+    def test_perturbed_recorded_state_fails(self, graph7, gains_di):
+        plan = synthesize_di(graph7, gains_di)
+        t = simulate(graph7, gains_di, plan.init, plan.period)
+        assert oracle_check_di(t, plan)
+        for k, i, dx, dv in [(13, 2, Fraction(1, 2**80), 0), (22, 6, 0, Fraction(1, 3))]:
+            s = t.states[k][i]
+            broken = self._with_state(t, k, i, AgentState(s.x + dx, s.v + dv))
+            assert not oracle_check_di(broken, plan)
+
+    def test_integer_form_matches_closed_form(self, graph7, gains_di):
+        """Initial states with unrelated denominators; floats take the tolerance path."""
+        plan = synthesize_di(graph7, gains_di)
+        m = plan.half_period
+        init = tuple(
+            AgentState(Fraction(7 * i - 10, 3 + i), Fraction(i - 3, 2 ** (i + 1)))
+            for i in range(graph7.n)
+        )
+        plan = dataclasses.replace(plan, init=init)
+        cls = ["even" if i in plan.partition.s_even else "odd" for i in range(graph7.n)]
+        rows = tuple(
+            tuple(closed_form_di(s.x, s.v, c, m, k) for s, c in zip(init, cls))
+            for k in range(2 * m + 1)
+        )
+        t = Trajectory("di", None, rows, (), ())
+        assert oracle_check_di(t, plan)
+        assert not oracle_check_di(self._with_state(t, m, 3, AgentState(0, 0)), plan)
+
+        def floats(states):
+            return tuple(AgentState(float(s.x), float(s.v)) for s in states)
+
+        float_plan = dataclasses.replace(plan, init=floats(init))
+        float_t = dataclasses.replace(t, states=tuple(floats(row) for row in rows))
+        assert oracle_check_di(float_t, float_plan)
+        assert not oracle_check_di(
+            self._with_state(float_t, m, 3, AgentState(0.0, 0.0)), float_plan
+        )
 
 
 class TestMinimalPeriod:
