@@ -12,15 +12,20 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dynamics import (
     AgentState,
     GainParams,
+    Lattice,
+    LatticeColumn,
     NsModel,
     SimulationOverflowError,
     Trajectory,
+    ratio_row,
+    ratios,
     simulate,
+    state_tick,
     states_equal,
 )
 from .graphs import (
@@ -30,7 +35,14 @@ from .graphs import (
     make_partition,
     parse_graph,
 )
-from .scalars import Scalar, format_scalar, parse_scalar, scalars_equal
+from .scalars import (
+    Scalar,
+    format_scalar,
+    parse_ratio,
+    parse_scalar,
+    ratio_texts,
+    scalars_equal,
+)
 from .synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
@@ -216,13 +228,16 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
             )
             try:
                 idx = int(head.split()[1])
-                init[idx - 1] = AgentState(
+                state = AgentState(
                     parse_scalar(fields["x"], mode), parse_scalar(fields["v"], mode)
                 )
             except (IndexError, ValueError) as exc:
                 raise CliError(f"plan line {lineno}: cannot parse {line!r}") from exc
             except KeyError as exc:
                 raise CliError(f"plan line {lineno}: missing field {exc}") from exc
+            if idx - 1 in init:
+                raise CliError(f"plan line {lineno}: duplicate agent {idx}")
+            init[idx - 1] = state
         elif "=" in line:
             key, _, value = line.partition("=")
             meta[key.strip()] = value.strip()
@@ -242,6 +257,11 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
     if model not in ("di", "ns"):
         raise CliError(f"unknown model {model!r} in plan")
     _ns_model(model, a)
+    # the orbit of di has period T = 2m, that of ns T = 4 with m = 2
+    if model == "di" and (m < 1 or period != 2 * m):
+        raise CliError(f"plan has m={m}, T={period}; di needs T = 2m with m >= 1")
+    if model == "ns" and (m, period) != (2, 4):
+        raise CliError(f"plan has m={m}, T={period}; ns needs m = 2, T = 4")
     if sorted(init) != list(range(g.n)):
         raise CliError(f"plan does not cover all {g.n} agents")
     _check_agent("root", root + 1, g)
@@ -265,8 +285,46 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
 CSV_HEADER = "k,agent,x,v,u_raw,u_sat"
 
 
+def _lattice_csv(t: Trajectory) -> list[str]:
+    """The CSV rows of an all-lattice trajectory, formatted from its integers."""
+    # a periodic orbit repeats its rows, so each distinct row is formatted once
+    known: dict[tuple, list[str]] = {}
+
+    def texts(N: list[int], D: int) -> list[str]:
+        key = (D, *N)
+        out = known.get(key)
+        if out is None:
+            out = known[key] = ratio_texts(N, D)
+        return out
+
+    lines = []
+    for k, (X, V, D) in enumerate(t.states.data):
+        xs, vs = texts(X, D), texts(V, D)
+        if k < t.steps:
+            (U, E), (S, Es) = t.raw_u.data[k], t.sat_u.data[k]
+            raw = texts(U, E)
+            # a saturated input is +-1; an unsaturated one repeats its raw text
+            sat = [
+                "1" if s == Es
+                else "-1" if s == -Es
+                else r if (s, Es) == (u, E)
+                else ratio_texts([s], Es)[0]
+                for s, u, r in zip(S, U, raw)
+            ]
+        else:
+            raw = sat = [""] * len(X)
+        lines += [
+            f"{k},{i},{x},{v},{r},{s}"
+            for i, (x, v, r, s) in enumerate(zip(xs, vs, raw, sat), 1)
+        ]
+    return lines
+
+
 def trajectory_to_csv(t: Trajectory) -> str:
     lines = [CSV_HEADER]
+    if all(isinstance(c, LatticeColumn) for c in (t.states, t.raw_u, t.sat_u)):
+        lines += _lattice_csv(t)
+        return "\n".join(lines) + "\n"
     for k, row in enumerate(t.states):
         for i, s in enumerate(row):
             if k < t.steps:
@@ -280,36 +338,42 @@ def trajectory_to_csv(t: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Memo(dict):
+    """fn(key) for each key looked up, computed once per distinct key."""
+
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -> Trajectory:
     """Read a CSV written by `trajectory_to_csv`.
 
     Each (step, agent) pair appears once, agents are numbered 1..n and steps
-    run from 0; inputs are required on every step but the last.
+    run from 0; inputs are required on every step but the last.  In exact
+    mode each field is read as an integer pair (p, q) and the columns are
+    `LatticeColumn`s, the states as the same reduced ticks `simulate` makes.
     """
     lines = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines or lines[0][1].strip() != CSV_HEADER:
         raise CliError(f"CSV must start with header {CSV_HEADER!r}")
-    states: dict[int, dict[int, AgentState]] = {}
-    raw_u: dict[int, dict[int, Scalar]] = {}
-    sat_u: dict[int, dict[int, Scalar]] = {}
+    states: dict[int, dict[int, tuple]] = {}
+    inputs: dict[int, dict[int, tuple]] = {}
     first_line: dict[int, int] = {}
     # a periodic orbit and its saturated inputs repeat the same few texts
-    parsed: dict[str, Scalar] = {}
-
-    def parse(field: str) -> Scalar:
-        value = parsed.get(field)
-        if value is None:
-            value = parsed[field] = parse_scalar(field, mode)
-        return value
-
+    parse = _Memo(parse_ratio if mode == "exact" else lambda text: parse_scalar(text, mode))
     for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 6:
             raise CliError(f"CSV line {lineno}: expected 6 fields")
         try:
             k, agent = int(parts[0]), int(parts[1]) - 1
-            s = AgentState(parse(parts[2]), parse(parts[3]))
-            u = (parse(parts[4]), parse(parts[5])) if parts[4].strip() else None
+            s = (parse[parts[2]], parse[parts[3]])
+            u = (parse[parts[4]], parse[parts[5]]) if parts[4].strip() else None
         except ValueError as exc:
             raise CliError(f"CSV line {lineno}: {exc}") from exc
         tick = states.setdefault(k, {})
@@ -318,8 +382,7 @@ def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -
         tick[agent] = s
         first_line.setdefault(agent, lineno)
         if u is not None:
-            raw_u.setdefault(k, {})[agent] = u[0]
-            sat_u.setdefault(k, {})[agent] = u[1]
+            inputs.setdefault(k, {})[agent] = u
     if not states:
         raise CliError("CSV contains no rows")
     # n distinct labels are exactly 1..n unless one of them lies outside it
@@ -334,19 +397,33 @@ def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -
     ticks = sorted(states)
     if ticks != list(range(len(ticks))):
         raise CliError("CSV steps are not contiguous from 0")
-    steps = len(ticks) - 1
 
-    def row(src: dict[int, dict[int, Scalar]], k: int) -> tuple:
+    def row(src: dict[int, dict[int, tuple]], k: int) -> tuple:
         if len(src.get(k, ())) != n:
             raise CliError(f"CSV step {k}: missing agents")
         return tuple(src[k][i] for i in range(n))
 
+    state_rows = [row(states, k) for k in ticks]
+    input_rows = [row(inputs, k) for k in ticks[:-1]]
+    raw_rows = [[u for u, _ in r] for r in input_rows]
+    sat_rows = [[u for _, u in r] for r in input_rows]
+    if mode != "exact":
+        return Trajectory(
+            model,
+            a,
+            tuple(tuple(AgentState(x, v) for x, v in r) for r in state_rows),
+            tuple(map(tuple, raw_rows)),
+            tuple(map(tuple, sat_rows)),
+        )
     return Trajectory(
-        model=model,
-        a=a,
-        states=tuple(row(states, k) for k in ticks),
-        raw_u=tuple(row(raw_u, k) for k in range(steps)),
-        sat_u=tuple(row(sat_u, k) for k in range(steps)),
+        model,
+        a,
+        LatticeColumn(
+            [state_tick([x for x, _ in r], [v for _, v in r]) for r in state_rows],
+            Lattice.decode,
+        ),
+        LatticeColumn([ratio_row(r) for r in raw_rows], ratios),
+        LatticeColumn([ratio_row(r) for r in sat_rows], ratios),
     )
 
 
@@ -399,6 +476,8 @@ def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
     _check_agent("root", cfg.root, g)
     if cfg.anchor is not None:
         _check_agent("anchor", cfg.anchor, g)
+    if cfg.model == "di" and cfg.m_override is not None and cfg.m_override <= 2:
+        raise CliError(f"half-period m must exceed 2, got {cfg.m_override}")
     gains = GainParams(cfg.alpha, cfg.beta)
     try:
         if cfg.model == "di":
@@ -469,6 +548,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _same_ratios(a: tuple[list[int], int], b: tuple[list[int], int]) -> bool:
+    """Whether the rows U/E and U'/E' hold the same values: U*E' == U'*E."""
+    (U, E), (U2, E2) = a, b
+    return U == U2 if E == E2 else [u * E2 for u in U] == [w * E for w in U2]
+
+
+def _lattice_mismatch(ours: Trajectory, theirs: Trajectory) -> Optional[dict]:
+    """First (step, agent) where two all-lattice trajectories differ, compared on integers.
+
+    Reduced ticks are equal exactly when the states are; a value x/D is
+    compared with x'/D' as x*D' == x'*D, and likewise for the inputs.
+    """
+    for k in range(theirs.steps + 1):
+        (X, V, D), (X2, V2, D2) = ours.states.data[k], theirs.states.data[k]
+        rows = [((X, D), (X2, D2)), ((V, D), (V2, D2))]
+        if k < theirs.steps:
+            rows += [
+                (ours.raw_u.data[k], theirs.raw_u.data[k]),
+                (ours.sat_u.data[k], theirs.sat_u.data[k]),
+            ]
+        if (X, V, D) == (X2, V2, D2) and all(_same_ratios(a, b) for a, b in rows[2:]):
+            continue
+        for i in range(theirs.n):
+            if any(U[i] * E2 != U2[i] * E for (U, E), (U2, E2) in rows):
+                return {"step": k, "agent": i + 1}
+    return None
+
+
 def _trajectory_consistent(
     t: Trajectory, g: WeightedGraph, gains: GainParams, tol: float
 ) -> tuple[Optional[dict], Trajectory]:
@@ -478,6 +585,9 @@ def _trajectory_consistent(
     mismatch (None if there is none) and the recomputed trajectory.
     """
     resim = simulate(g, gains, t.states[0], t.steps, ns=_ns_model(t.model, t.a))
+    columns = (resim.states, resim.raw_u, resim.sat_u, t.states, t.raw_u, t.sat_u)
+    if all(isinstance(c, LatticeColumn) for c in columns):
+        return _lattice_mismatch(resim, t), resim
     for k in range(t.steps + 1):
         rows = [(resim.states, t.states)]
         if k < t.steps:

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .graphs import WeightedGraph
-from .scalars import FLOAT_TOL, Scalar, is_exact, scalars_equal
+from .scalars import FLOAT_TOL, Scalar, decimal_scale, is_exact, scalars_equal
 
 #: bit-length cap on exact numerators/denominators before a run is aborted
 MAX_EXACT_BITS = 1 << 20
@@ -71,13 +71,17 @@ class NsModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States over steps+1 ticks plus raw and saturated inputs per step."""
+    """States over steps+1 ticks plus raw and saturated inputs per step.
+
+    Each column is a tuple of rows or, for an exact run or CSV, a
+    `LatticeColumn` that holds the rows as integers.
+    """
 
     model: str  # "di" or "ns"
     a: Optional[Scalar]
-    states: tuple[tuple[AgentState, ...], ...]
-    raw_u: tuple[tuple[Scalar, ...], ...]
-    sat_u: tuple[tuple[Scalar, ...], ...]
+    states: Sequence[tuple[AgentState, ...]]
+    raw_u: Sequence[tuple[Scalar, ...]]
+    sat_u: Sequence[tuple[Scalar, ...]]
 
     @property
     def steps(self) -> int:
@@ -153,12 +157,103 @@ _MINUS_ONE = Fraction(-1)
 LatticeState = tuple[list[int], list[int], int]
 
 
+def _common_factor(D: int, N: list[int]) -> int:
+    """gcd(D, *N), for D > 0.
+
+    When D = 2^a 5^b, as on a decimal CSV row, and some numerator is not a
+    multiple of 5, the gcd is the power of two they all share, which bit
+    operations find without a gcd of big integers.
+    """
+    low = D
+    for n in N:
+        low |= n
+    twos = (low & -low).bit_length() - 1
+    if any(n % 5 for n in N) and decimal_scale(D >> twos) is not None:
+        return 1 << twos
+    return math.gcd(D, *N)
+
+
+def _lowest_terms(X: list[int], V: list[int], D: int) -> LatticeState:
+    """The lattice state with the common factor of D and every numerator divided out."""
+    c = _common_factor(D, X + V)
+    if c == 1:
+        return X, V, D
+    if c & (c - 1) == 0:
+        t = c.bit_length() - 1
+        return [x >> t for x in X], [v >> t for v in V], D >> t
+    return [x // c for x in X], [v // c for v in V], D // c
+
+
 def _reduced(X: list[int], V: list[int], D: int, widened_by: int) -> LatticeState:
     """Divide out the common factor of a lattice state that was just widened."""
-    if widened_by == 1:
-        return X, V, D
-    c = math.gcd(D, *X, *V)
-    return [x // c for x in X], [v // c for v in V], D // c
+    return (X, V, D) if widened_by == 1 else _lowest_terms(X, V, D)
+
+
+def ratio_row(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators over one common denominator E, the lcm of the q, of the ratios p/q."""
+    # a CSV row repeats a few denominators, so each is divided into E once
+    scale = dict.fromkeys(q for _, q in pairs)
+    E = math.lcm(*scale)
+    for q in scale:
+        scale[q] = E // q
+    return [p * scale[q] for p, q in pairs], E
+
+
+def state_tick(xs: Sequence[tuple[int, int]], vs: Sequence[tuple[int, int]]) -> LatticeState:
+    """The reduced lattice state of positions p/q in `xs` and velocities in `vs`.
+
+    D is the lcm of the denominators with the gcd of D and every numerator
+    divided out, so equal states give equal ticks whatever terms the pairs are in.
+    """
+    N, D = ratio_row([*xs, *vs])
+    return _lowest_terms(N[: len(xs)], N[len(xs) :], D)
+
+
+def ratios(U: list[int], E: int) -> tuple[Fraction, ...]:
+    """The row U/E as Fractions."""
+    return tuple(_ONE if u == E else _MINUS_ONE if u == -E else Fraction(u, E) for u in U)
+
+
+class LatticeColumn(Sequence):
+    """A read-only column of a `Trajectory` whose rows are kept as integers.
+
+    `data[k]` is a lattice state (X, V, D) or an input row (U, E) with U a
+    list of numerators over E > 0; `decode` turns it into row k, a tuple of
+    `AgentState`s or of Fractions, on first access, and the row is cached.
+    Slices return tuples, and a column equals the tuple of its rows.
+    """
+
+    __slots__ = ("data", "decode", "_rows")
+
+    def __init__(self, data: list[tuple], decode: Callable[..., tuple]) -> None:
+        self.data = data
+        self.decode = decode
+        self._rows: list[Optional[tuple]] = [None] * len(data)
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self.data))))
+        row = self._rows[k]
+        if row is None:
+            row = self._rows[k] = self.decode(*self.data[k])
+        return row
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self.data)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, LatticeColumn)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class Lattice:
@@ -206,10 +301,10 @@ class Lattice:
 
     @staticmethod
     def encode(states: Sequence[AgentState]) -> LatticeState:
-        D = math.lcm(*(c.denominator for s in states for c in (s.x, s.v)))
-        X = [s.x.numerator * (D // s.x.denominator) for s in states]
-        V = [s.v.numerator * (D // s.v.denominator) for s in states]
-        return X, V, D
+        return state_tick(
+            [(s.x.numerator, s.x.denominator) for s in states],
+            [(s.v.numerator, s.v.denominator) for s in states],
+        )
 
     @staticmethod
     def decode(X: list[int], V: list[int], D: int) -> tuple[AgentState, ...]:
@@ -233,14 +328,10 @@ class Lattice:
             return _MINUS_ONE
         return Fraction(u, E)
 
-    def step(
-        self, X: list[int], V: list[int], D: int
-    ) -> tuple[LatticeState, list[Fraction], list[Fraction]]:
-        """One forward step: the next lattice state, the raw and the saturated inputs."""
+    def step(self, X: list[int], V: list[int], D: int) -> tuple[LatticeState, list[int], int]:
+        """One forward step: the next lattice state and the raw inputs U over E = K*D."""
         U = self.inputs(X, V)
         E = self.K * D
-        raw = [Fraction(u, E) for u in U]
-        sat = [_ONE if u >= E else _MINUS_ONE if u <= -E else r for u, r in zip(U, raw)]
         R = self.R
         mult = R * self.K if any(-E < u < E for u in U) else R
         DM = D * mult
@@ -253,7 +344,7 @@ class Lattice:
             Ph = self.P * (mult // R)
             Xn = [v * mult for v in V]
             Vn = [Ph * v - x * mult + s for x, v, s in zip(X, V, S)]
-        return _reduced(Xn, Vn, DM, mult), raw, sat
+        return _reduced(Xn, Vn, DM, mult), U, E
 
     def unstep(
         self, X: list[int], V: list[int], D: int, sat: Sequence[Scalar]
@@ -282,31 +373,29 @@ def simulate(
 ) -> Trajectory:
     """Roll the closed-loop network forward, recording raw and saturated inputs.
 
-    A wholly exact run steps on the integer `Lattice`; any float input
-    sends it through the per-agent `control_inputs`/`step_*` path.
+    A wholly exact run steps on the integer `Lattice` and returns
+    `LatticeColumn`s; any float input sends it through the per-agent
+    `control_inputs`/`step_*` path, which returns tuples.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     current = tuple(init)
     if steps and len(current) != g.n:
         raise ValueError(f"expected {g.n} agent states, got {len(current)}")
+    model, a = ("di", None) if ns is None else ("ns", ns.a)
+    lattice = Lattice.of(g, gains, ns, (c for s in current for c in (s.x, s.v)))
+    if lattice is not None:
+        return _simulate_lattice(lattice, current, steps, model, a)
     states = [current]
     raw_hist: list[tuple[Scalar, ...]] = []
     sat_hist: list[tuple[Scalar, ...]] = []
-    lattice = Lattice.of(g, gains, ns, (c for s in current for c in (s.x, s.v)))
-    if lattice is not None:
-        X, V, D = lattice.encode(current)
     for _ in range(steps):
-        if lattice is not None:
-            (X, V, D), raw, sat = lattice.step(X, V, D)
-            nxt = lattice.decode(X, V, D)
+        raw = control_inputs(g, gains, current)
+        sat = [saturate(u) for u in raw]
+        if ns is None:
+            nxt = tuple(step_di(s, u) for s, u in zip(current, sat))
         else:
-            raw = control_inputs(g, gains, current)
-            sat = [saturate(u) for u in raw]
-            if ns is None:
-                nxt = tuple(step_di(s, u) for s, u in zip(current, sat))
-            else:
-                nxt = tuple(step_ns(s, u, ns) for s, u in zip(current, sat))
+            nxt = tuple(step_ns(s, u, ns) for s, u in zip(current, sat))
         for s in nxt:
             _check_magnitude(s.x)
             _check_magnitude(s.v)
@@ -314,13 +403,32 @@ def simulate(
         sat_hist.append(tuple(sat))
         states.append(nxt)
         current = nxt
-    return Trajectory(
-        model="di" if ns is None else "ns",
-        a=None if ns is None else ns.a,
-        states=tuple(states),
-        raw_u=tuple(raw_hist),
-        sat_u=tuple(sat_hist),
-    )
+    return Trajectory(model, a, tuple(states), tuple(raw_hist), tuple(sat_hist))
+
+
+def _simulate_lattice(
+    lattice: Lattice, init: tuple[AgentState, ...], steps: int, model: str, a: Optional[Scalar]
+) -> Trajectory:
+    """The exact run: ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E)."""
+    tick = lattice.encode(init)
+    ticks = [tick]
+    raw: list[tuple[list[int], int]] = []
+    sat: list[tuple[list[int], int]] = []
+    for _ in range(steps):
+        tick, U, E = lattice.step(*tick)
+        X, V, D = tick
+        # a reduced value x/D has no more bits than x and D, so the cap is
+        # read on the state's values only when this bound exceeds it
+        if max(D, max(X), -min(X), max(V), -min(V)).bit_length() > MAX_EXACT_BITS:
+            for s in lattice.decode(X, V, D):
+                _check_magnitude(s.x)
+                _check_magnitude(s.v)
+        ticks.append(tick)
+        raw.append((U, E))
+        sat.append(([E if u >= E else -E if u <= -E else u for u in U], E))
+    states = LatticeColumn(ticks, Lattice.decode)
+    states._rows[0] = init
+    return Trajectory(model, a, states, LatticeColumn(raw, ratios), LatticeColumn(sat, ratios))
 
 
 def normalize_ns(

@@ -9,8 +9,10 @@ decided without rounding.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from functools import lru_cache
+from typing import Optional, Union
 
 Scalar = Union[Fraction, float]
 
@@ -21,61 +23,128 @@ FLOAT_TOL = 1e-9
 _LOG2_5 = 2.321928094887362
 
 
+@lru_cache(maxsize=256)
+def _ten_to(k: int) -> int:
+    """10**k; the decimals of one CSV have a few lengths, so most are cached."""
+    return 10**k
+
+
 class ScalarFormatError(ValueError):
     """A scalar string could not be parsed."""
 
 
-def parse_scalar(text: str, mode: str = "exact") -> Scalar:
-    """Parse a decimal or "p/q" string into a Scalar for the given mode.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse a decimal or "p/q" string into integers (p, q), q > 0.
 
     Accepts exactly what `Fraction(str)` accepts.  The two forms that
     `format_scalar` writes, ASCII `-?[0-9]+(.[0-9]+)?` and `-?[0-9]+/[0-9]+`,
-    are built straight from `int()`; any other text goes through `Fraction`.
+    are read straight with `int()` and need not be in lowest terms ("0.50"
+    gives (50, 100)); so are "5." and ".5", which `Fraction` reads alike.
+    Any other text goes through `Fraction`.
     """
     text = text.strip()
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    unsigned = text[1:] if text[:1] == "-" else text
-    whole, dot, decimals = unsigned.partition(".")
-    top, _, bottom = unsigned.partition("/")
-    canonical = unsigned.isascii()
+    digits = text.replace(".", "", 1)
+    unsigned = digits[1:] if digits[:1] == "-" else digits
     try:
-        if canonical and whole.isdigit() and (not dot or decimals.isdigit()):
-            value = Fraction(int(text.replace(".", "")), 10 ** len(decimals))
-        elif canonical and top.isdigit() and bottom.isdigit():
-            value = Fraction(int(text.partition("/")[0]), int(bottom))
-        else:
-            value = Fraction(text)
+        # bytes.isdigit reads only 0-9 and is much faster than str.isdigit
+        if unsigned.isascii() and unsigned.encode().isdigit():
+            dot = text.find(".")
+            return int(digits), _ten_to(len(text) - dot - 1 if dot >= 0 else 0)
+        top, _, bottom = text.partition("/")
+        if (
+            text.isascii()
+            and (top[1:] if top[:1] == "-" else top).isdigit()
+            and bottom.isdigit()
+            and int(bottom)
+        ):
+            return int(top), int(bottom)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarFormatError(f"cannot parse scalar {text!r}") from exc
+    return value.numerator, value.denominator
+
+
+def parse_scalar(text: str, mode: str = "exact") -> Scalar:
+    """Parse a decimal or "p/q" string into a Scalar for the given mode (see `parse_ratio`)."""
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
+    value = Fraction(*parse_ratio(text))
     return value if mode == "exact" else float(value)
 
 
-def format_scalar(value: Scalar) -> str:
-    """Render a scalar exactly.
+def decimal_scale(d: int) -> Optional[tuple[int, int]]:
+    """(digits, c) with 1/d == c / 10**digits, or None unless d = 2^a 5^b > 0.
 
-    Fractions with a terminating decimal expansion are printed as the
-    shortest exact decimal; non-terminating ones as "p/q".  Floats use repr.
+    c is one power of 2 or of 5, so scaling a numerator needs no division.
     """
+    twos = (d & -d).bit_length() - 1
+    rest = d >> twos
+    if rest % 5 and rest != 1:
+        return None
+    # 5**k has bit length floor(k*log2(5)) + 1, so bit_length/log2(5)
+    # lies in (k, k + 0.431] and truncates to the only k that can match
+    fives = int(rest.bit_length() / _LOG2_5)
+    if rest != 5**fives:
+        return None
+    if twos >= fives:
+        return twos, 5 ** (twos - fives)
+    return fives, 1 << (fives - twos)
+
+
+def _format_decimal(n: int, digits: int) -> str:
+    """n / 10**digits as the shortest exact decimal (trailing zeros dropped)."""
+    if not digits:
+        return str(n)
+    body = str(abs(n)).rjust(digits + 1, "0")
+    head, tail = body[:-digits], body[-digits:].rstrip("0")
+    sign = "-" if n < 0 else ""
+    return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
+
+
+def format_ratio(n: int, d: int) -> str:
+    """Render n/d, given in lowest terms with d > 0, exactly.
+
+    A terminating decimal expansion is printed as the shortest exact
+    decimal, any other ratio as "p/q".
+    """
+    scale = decimal_scale(d)
+    if scale is None:
+        return f"{n}/{d}"
+    digits, c = scale
+    return _format_decimal(n * c, digits)
+
+
+def format_scalar(value: Scalar) -> str:
+    """Render a scalar exactly: `format_ratio` for rationals, repr for floats."""
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
-        n, d = value.numerator, value.denominator
-        if d == 1:
-            return str(n)
-        twos = (d & -d).bit_length() - 1
-        rest = d >> twos
-        # 5**k has bit length floor(k*log2(5)) + 1, so bit_length/log2(5)
-        # lies in (k, k + 0.431] and truncates to the only k that can match
-        fives = int(rest.bit_length() / _LOG2_5)
-        if rest != 5**fives:
-            return f"{n}/{d}"
-        digits = max(twos, fives)
-        scaled = n * 5 ** (twos - fives) if twos >= fives else n << (fives - twos)
-        sign = "-" if scaled < 0 else ""
-        body = str(abs(scaled)).rjust(digits + 1, "0")
-        return f"{sign}{body[:-digits]}.{body[-digits:]}"
+        return format_ratio(value.numerator, value.denominator)
     return repr(float(value))
+
+
+def ratio_texts(N: list[int], D: int) -> list[str]:
+    """The `format_scalar` text of each n/D, for D > 0 and n/D in any terms.
+
+    When D = 2^a 5^b every value is n times one fixed power of 2 or 5 over
+    10**digits, and dropping trailing zeros reduces it, so no gcd is taken.
+    Otherwise each value is reduced by its gcd with D.
+    """
+    scale = decimal_scale(D)
+    if scale is not None:
+        digits, c = scale
+        return [_format_decimal(n * c, digits) for n in N]
+    texts = []
+    # the values of a row share a few reduced denominators
+    scales: dict[int, Optional[tuple[int, int]]] = {}
+    for n in N:
+        g = math.gcd(n, D)
+        p, q = n // g, D // g
+        if q not in scales:
+            scales[q] = decimal_scale(q)
+        scale = scales[q]
+        texts.append(f"{p}/{q}" if scale is None else _format_decimal(p * scale[1], scale[0]))
+    return texts
 
 
 def is_exact(value: Scalar) -> bool:

@@ -305,9 +305,10 @@ def synthesize_di(
             raise ValueError("half-period override must exceed 2")
         ok, edge = _m_admissible_per_edge(p, gains, m_override)
         if not ok:
-            raise ValueError(
+            raise InfeasibleConstraintsError(
                 f"half-period {m_override} leaves an empty interval on edge "
-                f"({edge[0] + 1}, {edge[1] + 1}); minimum is {m_min}"
+                f"({edge[0] + 1}, {edge[1] + 1}); minimum is {m_min}",
+                list(edge),
             )
         m = m_override
     else:

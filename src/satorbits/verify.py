@@ -16,6 +16,7 @@ from .dynamics import (
     AgentState,
     GainParams,
     Lattice,
+    LatticeColumn,
     NsModel,
     Trajectory,
     control_inputs,
@@ -114,7 +115,11 @@ def check_periodicity(
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
-    if not states_equal(t.states[T], t.states[0], tol):
+    if isinstance(t.states, LatticeColumn):
+        # reduced ticks are equal exactly when the states are
+        if t.states.data[T] != t.states.data[0]:
+            return False
+    elif not states_equal(t.states[T], t.states[0], tol):
         return False
     if graph is not None and gains is not None and _trajectory_is_exact(t):
         try:
@@ -134,6 +139,14 @@ def check_pattern(
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     violations: list[tuple[int, int, Scalar]] = []
+    if tol == 0 and isinstance(t.raw_u, LatticeColumn):
+        # u = U/E with E > 0: u >= 1 is U >= E and u <= -1 is U <= -E
+        for k in range(T):
+            U, E = t.raw_u.data[k]
+            for i, u in enumerate(U):
+                if not (u >= E if pattern.sign_at(k, i in p.s_even) > 0 else u <= -E):
+                    violations.append((k, i, Fraction(u, E)))
+        return PatternReport(not violations, tuple(violations))
     for k in range(T):
         for i in range(t.n):
             u = t.raw_u[k][i]
@@ -173,8 +186,8 @@ def oracle_check_di(t: Trajectory, plan: OrbitPlan, tol: float = FLOAT_TOL) -> b
 
     For an exact plan and trajectory the closed form of agent i is computed on
     integers over q = lcm of the denominators of x_i(0), v_i(0), and compared
-    with each recorded p/r by cross-multiplying; otherwise `closed_form_di`
-    and `states_equal` do it with tolerance.
+    with each recorded p/r (or lattice numerator over D) by cross-multiplying;
+    otherwise `closed_form_di` and `states_equal` do it with tolerance.
     """
     m = plan.half_period
     if t.steps < 2 * m:
@@ -182,6 +195,7 @@ def oracle_check_di(t: Trajectory, plan: OrbitPlan, tol: float = FLOAT_TOL) -> b
     exact = _trajectory_is_exact(t) and all(
         is_exact(s.x) and is_exact(s.v) for s in plan.init
     )
+    ticks = t.states.data if isinstance(t.states, LatticeColumn) else None
     for i in range(t.n):
         even = i in plan.partition.s_even
         x0, v0 = plan.init[i].x, plan.init[i].v
@@ -202,6 +216,11 @@ def oracle_check_di(t: Trajectory, plan: OrbitPlan, tol: float = FLOAT_TOL) -> b
             down = k - up
             X = X0 + k * V0 + sq * (up * (up - 1) // 2 + down * up - down * (down - 1) // 2)
             V = V0 + sq * (up - down)
+            if ticks is not None:
+                Xk, Vk, D = ticks[k]
+                if X * D != Xk[i] * q or V * D != Vk[i] * q:
+                    return False
+                continue
             x, v = t.states[k][i].x, t.states[k][i].v
             if X * x.denominator != x.numerator * q or V * v.denominator != v.numerator * q:
                 return False
@@ -227,6 +246,9 @@ def minimal_period(
     t = rollout
     if t is None or t.steps < T_max or not states_equal(t.states[0], init, tol):
         t = simulate(g, gains, init, T_max, ns=ns)
+    if isinstance(t.states, LatticeColumn):
+        ticks = t.states.data
+        return next((k for k in range(1, T_max + 1) if ticks[k] == ticks[0]), None)
     for period in range(1, T_max + 1):
         if states_equal(t.states[period], t.states[0], tol):
             return period

@@ -11,6 +11,7 @@ import satorbits.verify as verify
 from satorbits import AgentState, GainParams, fixture_path, simulate
 from satorbits.cli import (
     EXIT_GATE,
+    EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
@@ -331,6 +332,86 @@ def test_bad_input_is_one_error_line(argv, low_cap, tmp_path, capsys, monkeypatc
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err + captured.out
+
+
+def _edited_plan(cfg, old, new):
+    """argv factory: verify a fixture plan with its line `old` replaced by `new`."""
+
+    def argv(tmp_path):
+        plan_file = tmp_path / "plan.txt"
+        main(["synthesize", GRAPH, "--config", cfg, "-o", str(plan_file)])
+        lines = plan_file.read_text().splitlines()
+        if old is None:
+            lines.append(new)
+        else:
+            lines[lines.index(old)] = new
+        plan_file.write_text("\n".join(lines) + "\n")
+        return ["verify", GRAPH, "--plan", str(plan_file)]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        pytest.param(
+            _edited_plan(DI_CFG, "m=11", "m=0"),
+            EXIT_USAGE,
+            "error: plan has m=0, T=22; di needs T = 2m with m >= 1",
+            id="di-m-0",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, "T=22", "T=0"),
+            EXIT_USAGE,
+            "error: plan has m=11, T=0; di needs T = 2m with m >= 1",
+            id="di-T-0",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, "T=22", "T=20"),
+            EXIT_USAGE,
+            "error: plan has m=11, T=20; di needs T = 2m with m >= 1",
+            id="di-T-20",
+        ),
+        pytest.param(
+            _edited_plan(NS_CFG, "m=2", "m=3"),
+            EXIT_USAGE,
+            "error: plan has m=3, T=4; ns needs m = 2, T = 4",
+            id="ns-m-3",
+        ),
+        pytest.param(
+            _edited_plan(NS_CFG, "T=4", "T=8"),
+            EXIT_USAGE,
+            "error: plan has m=2, T=8; ns needs m = 2, T = 4",
+            id="ns-T-8",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, None, "agent 3: x=0, v=0"),
+            EXIT_USAGE,
+            "error: plan line 14: duplicate agent 3",
+            id="duplicate-agent",
+        ),
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--config", DI_CFG, "--m", "2"],
+            EXIT_USAGE,
+            "error: half-period m must exceed 2, got 2",
+            id="synthesize-m-2",
+        ),
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--config", DI_CFG, "--m", "5"],
+            EXIT_INFEASIBLE,
+            "error: infeasible position system: half-period 5 leaves an empty "
+            "interval on edge (1, 3); minimum is 11",
+            id="synthesize-m-5",
+        ),
+    ],
+)
+def test_plan_and_half_period_errors(argv, code, message, tmp_path, capsys):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
 
 
 class TestRoundTrips:

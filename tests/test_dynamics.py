@@ -297,8 +297,8 @@ class TestLatticeKernel:
             X, V, D = lattice.encode(halved)
             widened = 0
             for _ in range(30):
-                (X, V, D), raw, _ = lattice.step(X, V, D)
-                widened += any(abs(u) < 1 for u in raw) or ns is not None
+                (X, V, D), U, E = lattice.step(X, V, D)
+                widened += any(-E < u < E for u in U) or ns is not None
                 assert math.gcd(D, *X, *V) == 1
             assert widened
 

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from satorbits.scalars import ScalarFormatError, format_scalar, parse_scalar
+from satorbits.scalars import (
+    ScalarFormatError,
+    format_ratio,
+    format_scalar,
+    parse_ratio,
+    parse_scalar,
+    ratio_texts,
+)
 
 
 def reference_format(value) -> str:
@@ -77,3 +84,37 @@ def test_other_text_parses_like_fraction(text):
             parse_scalar(text)
     else:
         assert parse_scalar(text) == expected
+
+
+@pytest.mark.parametrize(
+    "D", [1, 10, 2**7 * 5**3, 2**300 * 5**2, 5**466 * 2**321, 3 * 2**5, 7**20, 10**50 * 3]
+)
+def test_ratio_texts_match_format_scalar(D):
+    """Numerators in any terms over one denominator, as `format_scalar` writes them."""
+    N = [0, 1, -1, D, -D, 3 * D, -7 * D + 1, 2**70 + 1, -(10**30) - 3]
+    N += [n * f for n in (1, -3, 11) for f in (2, 5, 10, 2**9, 5**7, D // 2 or 1, D // 5 or 1)]
+    assert ratio_texts(N, D) == [format_scalar(Fraction(n, D)) for n in N]
+
+
+def test_format_ratio_is_format_scalar():
+    for value in VALUES:
+        q = Fraction(value)
+        assert format_ratio(q.numerator, q.denominator) == format_scalar(value)
+
+
+@pytest.mark.parametrize(
+    "text,pair",
+    [
+        ("0.50", (50, 100)),
+        ("-3/4", (-3, 4)),
+        ("-10/4", (-10, 4)),
+        ("+3", (3, 1)),
+        (" 2 ", (2, 1)),
+        ("5.", (5, 1)),
+        (".5", (5, 10)),
+        ("-0", (0, 1)),
+        ("1e3", (1000, 1)),
+    ],
+)
+def test_parse_ratio_pairs(text, pair):
+    assert parse_ratio(text) == pair
