@@ -77,7 +77,7 @@ class RunConfig:
     root: int = 1  # 1-based
     m_override: Optional[int] = None
     steps: Optional[int] = None
-    base_position: Scalar = Fraction(0)
+    base_position: Optional[Scalar] = None
     anchor: Optional[int] = None  # 1-based
     mode: str = "exact"
     init_override: Optional[list[tuple[Scalar, Scalar]]] = None
@@ -473,10 +473,19 @@ def _check_agent(name: str, agent: int, g: WeightedGraph) -> None:
 
 
 def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
+    if cfg.model == "ns":
+        # the ns orbit and its initial states are fixed by a and the partition
+        keys = {"m": cfg.m_override, "base": cfg.base_position, "anchor": cfg.anchor}
+        given = [key for key, value in keys.items() if value is not None]
+        if given:
+            raise CliError(
+                f"{', '.join(given)} not accepted for model=ns, whose orbit is fixed "
+                "(m = 2, T = 4)"
+            )
     _check_agent("root", cfg.root, g)
     if cfg.anchor is not None:
         _check_agent("anchor", cfg.anchor, g)
-    if cfg.model == "di" and cfg.m_override is not None and cfg.m_override <= 2:
+    if cfg.m_override is not None and cfg.m_override <= 2:
         raise CliError(f"half-period m must exceed 2, got {cfg.m_override}")
     gains = GainParams(cfg.alpha, cfg.beta)
     try:
@@ -486,7 +495,7 @@ def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
                 gains,
                 m_override=cfg.m_override,
                 root=cfg.root - 1,
-                base=cfg.base_position,
+                base=Fraction(0) if cfg.base_position is None else cfg.base_position,
                 anchor=None if cfg.anchor is None else cfg.anchor - 1,
             )
         return synthesize_ns(g, _ns_model(cfg.model, cfg.a), gains, root=cfg.root - 1)

@@ -347,18 +347,22 @@ class Lattice:
         return _reduced(Xn, Vn, DM, mult), U, E
 
     def unstep(
-        self, X: list[int], V: list[int], D: int, sat: Sequence[Scalar]
+        self, X: list[int], V: list[int], D: int, S: list[int], Es: int
     ) -> LatticeState:
-        """Inverse of one step, given the saturated inputs it applied."""
-        R = self.R
-        mult = R * math.lcm(*(s.denominator // math.gcd(s.denominator, D) for s in sat))
+        """Inverse of one step, given the saturated inputs S/Es (Es > 0) it applied."""
+        # S/Es in lowest common terms is (S/c)/q; D*mult is the least multiple
+        # of D that q divides, times R on ns
+        c = math.gcd(Es, *S)
+        q = Es // c
+        mult = self.R * (q // math.gcd(q, D))
         DM = D * mult
-        S = [s.numerator * (DM // s.denominator) for s in sat]
+        f = DM // q
+        S = [s // c * f for s in S]
         if self.ns is None:
             Vp = [v * mult - s for v, s in zip(V, S)]
             Xp = [x * mult - v for x, v in zip(X, Vp)]
         else:
-            Ph = self.P * (mult // R)
+            Ph = self.P * (mult // self.R)
             Vp = [x * mult for x in X]
             Xp = [Ph * x + s - v * mult for x, v, s in zip(X, V, S)]
         return _reduced(Xp, Vp, DM, mult)

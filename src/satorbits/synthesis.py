@@ -1,9 +1,13 @@
 """Constructive synthesis of periodic orbits for both agent models.
 
 Double integrator: gate 0 < alpha < beta < 3/2 alpha, half-period m from the
-worst cross edge, velocities +-m/2 by parity class, and initial positions
-from a difference-constraint system (intra-edge equalities plus one interval
-per cross edge), solved by Bellman-Ford with a slack-centering post-pass.
+worst cross edge, velocities -+m/2 by parity class, and initial positions in
+closed form.  Each cross edge bounds x_i(0) - x_j(0) to an interval centred
+at m/2, so x = m/2 on the even class and 0 on the odd class sits at every
+midpoint, with the most slack; intra edges join agents of one class and get
+equal positions.  `position_constraints` gives the interval table and
+`solve_positions`, a Bellman-Ford solver for general difference-constraint
+systems, is kept as a standalone tool; synthesis calls neither.
 
 Neutrally stable: gate |alpha| <= sgn(a)(beta - a/a_bar), fixed period 4,
 closed-form initial states +-(1/(2a), -1/(2a)) by class.
@@ -18,7 +22,7 @@ from typing import Optional, Sequence
 
 from .dynamics import AgentState, GainParams, NsModel
 from .graphs import Partition, WeightedGraph, make_partition
-from .scalars import Scalar
+from .scalars import Scalar, is_exact
 
 
 class GainConditionError(ValueError):
@@ -290,9 +294,14 @@ def synthesize_di(
     root: int = 0,
     base: Scalar = Fraction(0),
     anchor: int | None = None,
-    max_doublings: int = 10,
 ) -> OrbitPlan:
-    """Build a verified period-2m orbit plan for the double-integrator network."""
+    """Build a verified period-2m orbit plan for the double-integrator network.
+
+    Positions are m/2 on the even class and 0 on the odd class, shifted so
+    that `anchor` (by default the odd class, the minimum) sits at `base`.
+    They are Fractions when the gains and cross-edge weights are exact, and
+    floats otherwise.
+    """
     if not check_gains_di(gains):
         raise GainConditionError(
             f"gains (alpha={gains.alpha}, beta={gains.beta}) violate "
@@ -312,29 +321,20 @@ def synthesize_di(
             )
         m = m_override
     else:
+        # a_bar is the least cross weight, so m_min leaves every interval nonempty
         m = m_min
 
-    # Joint feasibility: after contraction the constraint graph is bipartite
-    # (constraints always join an even rep to an odd rep) and every interval
-    # is centered at m/2, so nonempty per-edge intervals admit the uniform
-    # solution x_even = m/2, x_odd = 0.  The doubling retry below is a safety
-    # net; it is skipped when the caller pinned m explicitly.
-    last_error: InfeasibleConstraintsError | None = None
-    attempt_m = m
-    attempts = 1 if m_override is not None else max_doublings + 1
-    for _ in range(attempts):
-        equalities, intervals = position_constraints(g, p, gains, attempt_m)
-        try:
-            x0 = solve_positions(g.n, equalities, intervals, base=base, anchor=anchor)
-        except InfeasibleConstraintsError as exc:
-            last_error = exc
-            attempt_m *= 2
-            continue
-        m = attempt_m
-        break
+    if anchor is not None and not 0 <= anchor < g.n:
+        raise ValueError(f"anchor {anchor} outside 0..{g.n - 1}")
+    weights = (w for _, _, w in p.cross_edges)
+    exact = all(is_exact(c) for c in (gains.alpha, gains.beta, *weights))
+    half = Fraction(m, 2) if exact else m / 2
+    base = base if exact else float(base)
+    if anchor is not None and anchor in p.s_even:
+        even, odd = base, base - half
     else:
-        raise last_error
-
+        even, odd = base + half, base
+    x0 = [even if i in p.s_even else odd for i in range(g.n)]
     v0 = velocity_init(m, p)
     init = tuple(AgentState(x0[i], v0[i]) for i in range(g.n))
     return OrbitPlan(

@@ -22,6 +22,8 @@ from .dynamics import (
     control_inputs,
     inverse_step_di,
     inverse_step_ns,
+    ratio_row,
+    ratios,
     saturate,
     simulate,
     states_equal,
@@ -63,34 +65,48 @@ def backward_states(
     the one-step map with the saturated input recorded one period later, then
     confirms the controller at the reconstructed state reproduces that input.
     Returns the state at time -T; raises `BackwardExtensionError` at the first
-    input the controller does not reproduce.
+    input the controller does not reproduce.  The integer rows S/Es of a
+    `LatticeColumn` of saturated inputs are used as they are, and decoded
+    only to name a mismatch.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     ns = None if t.model == "di" else NsModel(t.a)
     start = t.states[0]
-    applied = t.sat_u[:T]
-    lattice = Lattice.of(
-        g,
-        gains,
-        ns,
-        [c for s in start for c in (s.x, s.v)] + [u for row in applied for u in row],
-    )
+    integer_rows = isinstance(t.sat_u, LatticeColumn)
+    applied = t.sat_u.data[:T] if integer_rows else t.sat_u[:T]
+    values = [c for s in start for c in (s.x, s.v)]
+    if not integer_rows:
+        values += [u for row in applied for u in row]
+    lattice = Lattice.of(g, gains, ns, values)
     if lattice is not None:
         X, V, D = lattice.encode(start)
     current = list(start)
     for back in range(1, T + 1):
         sat = applied[T - back]
-        if lattice is not None:
-            X, V, D = lattice.unstep(X, V, D, sat)
-            E = lattice.K * D
-            recomputed = [lattice.saturated(u, E) for u in lattice.inputs(X, V)]
-        else:
+        if lattice is None:
             if ns is None:
                 current = [inverse_step_di(s, u) for s, u in zip(current, sat)]
             else:
                 current = [inverse_step_ns(s, u, ns) for s, u in zip(current, sat)]
             recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
+        else:
+            if integer_rows:
+                S, Es = sat
+            else:
+                S, Es = ratio_row([(u.numerator, u.denominator) for u in sat])
+            X, V, D = lattice.unstep(X, V, D, S, Es)
+            E = lattice.K * D
+            U = lattice.inputs(X, V)
+            if integer_rows:
+                # sat(u/E) == s/Es: s == +-Es where u saturates, else u*Es == s*E
+                if all(
+                    s == Es if u >= E else s == -Es if u <= -E else u * Es == s * E
+                    for u, s in zip(U, S)
+                ):
+                    continue
+                sat = ratios(S, Es)
+            recomputed = [lattice.saturated(u, E) for u in U]
         for i, (u_used, u_new) in enumerate(zip(sat, recomputed)):
             if not scalars_equal(u_used, u_new, tol):
                 raise BackwardExtensionError(

@@ -151,7 +151,7 @@ def test_criterion_6_property_fuzzing():
         beta = alpha * (1 + u / 2)
         gains = GainParams(alpha, beta)
         try:
-            plan = synthesize_di(g, gains, max_doublings=0)
+            plan = synthesize_di(g, gains)
         except InfeasibleConstraintsError as exc:
             infeasible += 1
             ok = ok and len(exc.cycle) >= 2

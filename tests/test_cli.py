@@ -414,6 +414,58 @@ def test_plan_and_half_period_errors(argv, code, message, tmp_path, capsys):
     assert captured.out == ""
 
 
+
+def _ns_config(extra):
+    """argv factory: synthesize with the ns fixture config plus the lines `extra`."""
+
+    def argv(tmp_path):
+        cfg = tmp_path / "ns.cfg"
+        cfg.write_text(fixture_path("ns.cfg").read_text() + "".join(f"{x}\n" for x in extra))
+        return ["synthesize", GRAPH, "--config", str(cfg)]
+
+    return argv
+
+
+NS_FIXED = "not accepted for model=ns, whose orbit is fixed (m = 2, T = 4)"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--config", NS_CFG, "--m", "7"],
+            f"error: m {NS_FIXED}",
+            id="flag-m",
+        ),
+        pytest.param(_ns_config(["m=7"]), f"error: m {NS_FIXED}", id="config-m"),
+        pytest.param(_ns_config(["base=3"]), f"error: base {NS_FIXED}", id="config-base"),
+        pytest.param(
+            _ns_config(["anchor=2"]), f"error: anchor {NS_FIXED}", id="config-anchor"
+        ),
+        pytest.param(
+            # the anchor is out of range too, but the ns check comes first
+            lambda tmp: ["synthesize", GRAPH, "--config", NS_CFG]
+            + ["--base", "3", "--anchor", "9"],
+            f"error: base, anchor {NS_FIXED}",
+            id="flags-base-anchor",
+        ),
+        pytest.param(
+            # di.cfg sets base=21 and anchor=1
+            lambda tmp: ["synthesize", GRAPH, "--config", DI_CFG, "--model", "ns"]
+            + ["--a", "0.5", "--alpha", "-0.5", "--beta", "2"],
+            f"error: base, anchor {NS_FIXED}",
+            id="di-config-as-ns",
+        ),
+    ],
+)
+def test_ns_synthesize_rejects_di_settings(argv, message, tmp_path, capsys):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
 class TestRoundTrips:
     def test_plan_text_round_trip(self, graph7, gains_di):
         from satorbits import synthesize_di

@@ -17,12 +17,15 @@ from satorbits import (
     min_half_period,
     parse_graph,
     position_constraints,
+    serialize_graph,
     simulate,
     solve_positions,
     synthesize_di,
     synthesize_ns,
     velocity_init,
+    verification_report,
 )
+from satorbits.cli import plan_to_text
 from satorbits.synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
@@ -31,6 +34,7 @@ from satorbits.synthesis import (
 )
 
 from conftest import REFERENCE_X0
+from test_graphs import random_connected_graph
 
 
 def F(text):
@@ -209,6 +213,71 @@ class TestSynthesizeDi:
         assert plan.init[0].x == 21
 
 
+class TestClosedFormDi:
+    #: the plan of the shipped di.cfg run (base=21 at agent 1) as the
+    #: Bellman-Ford solver with slack centering wrote it
+    GRAPH7_PLAN = (
+        "model=di\nalpha=0.4\nbeta=0.42\nroot=1\nm=11\nT=22\n"
+        "agent 1: x=21, v=-5.5\n"
+        "agent 2: x=15.5, v=5.5\n"
+        "agent 3: x=15.5, v=5.5\n"
+        "agent 4: x=15.5, v=5.5\n"
+        "agent 5: x=21, v=-5.5\n"
+        "agent 6: x=21, v=-5.5\n"
+        "agent 7: x=21, v=-5.5\n"
+    )
+
+    def test_graph7_plan_text_unchanged(self, graph7, gains_di):
+        plan = synthesize_di(graph7, gains_di, base=F(21), anchor=0)
+        assert plan_to_text(plan) == self.GRAPH7_PLAN
+
+    def test_random_graphs(self):
+        rng = random.Random(5150)
+        for _ in range(40):
+            g = random_connected_graph(rng, rng.randint(2, 10))
+            alpha = Fraction(rng.randint(11, 99), 100)
+            gains = GainParams(alpha, alpha * (1 + Fraction(rng.randint(1, 80), 200)))
+            assert check_gains_di(gains)
+            root = rng.randrange(g.n)
+            plan = synthesize_di(g, gains, root=root)
+            p, m = plan.partition, plan.half_period
+            x = [s.x for s in plan.init]
+            assert all(isinstance(v, Fraction) for v in x)
+            assert {x[i] for i in p.s_even} == {F(m) / 2}
+            assert {x[i] for i in p.s_odd} == {0}
+            equalities, intervals = position_constraints(g, p, gains, m)
+            for c in intervals:
+                assert x[c.i] - x[c.j] == (c.lower + c.upper) / 2
+            for i, j in equalities:
+                assert x[i] == x[j]
+            t = simulate(g, gains, plan.init, 2 * plan.period)
+            assert verification_report(g, plan, t, rollout=t)["ok"]
+
+            anchor = rng.randrange(g.n)
+            base = Fraction(rng.randint(-90, 90), rng.randint(1, 9))
+            anchored = synthesize_di(g, gains, root=root, base=base, anchor=anchor)
+            assert anchored.init[anchor].x == base
+            assert {s.x - r.x for s, r in zip(anchored.init, plan.init)} == {base - x[anchor]}
+
+            g_float = parse_graph(serialize_graph(g), "float")
+            gains_float = GainParams(float(gains.alpha), float(gains.beta))
+            floated = synthesize_di(
+                g_float, gains_float, root=root, base=float(base), anchor=anchor
+            )
+            assert all(isinstance(s.x, float) for s in floated.init)
+            assert floated.init[anchor].x == float(base)
+
+    def test_float_positions_without_base(self, graph7):
+        g = parse_graph(serialize_graph(graph7), "float")
+        plan = synthesize_di(g, GainParams(0.4, 0.42))
+        assert [s.x for s in plan.init] == [5.5, 0.0, 0.0, 0.0, 5.5, 5.5, 5.5]
+        assert all(isinstance(s.x, float) for s in plan.init)
+
+    def test_anchor_out_of_range(self, graph7, gains_di):
+        with pytest.raises(ValueError, match="anchor 7 outside"):
+            synthesize_di(graph7, gains_di, anchor=7)
+
+
 class TestGateNs:
     def test_reference_gains(self, ns_model, gains_ns):
         assert check_gains_ns(ns_model, gains_ns, F("0.5"))
@@ -273,8 +342,6 @@ class TestKeyInequalitiesNs:
         assert all(not first and not second for _, first, second in checks)
 
     def test_gate_implies_key_inequalities(self):
-        from test_graphs import random_connected_graph
-
         rng = random.Random(31)
         for _ in range(50):
             g = random_connected_graph(rng, rng.randint(2, 8))
