@@ -265,7 +265,10 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
     if sorted(init) != list(range(g.n)):
         raise CliError(f"plan does not cover all {g.n} agents")
     _check_agent("root", root + 1, g)
-    partition = make_partition(g, root)
+    try:
+        partition = make_partition(g, root)
+    except NotConnectedError as exc:
+        raise CliError(str(exc)) from exc
     pattern = di_pattern(m) if model == "di" else ns_pattern()
     return OrbitPlan(
         model=model,

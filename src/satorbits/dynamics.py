@@ -12,14 +12,20 @@ neighbor-relative positions and velocities, so it vanishes at consensus.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .graphs import WeightedGraph
-from .scalars import FLOAT_TOL, Scalar, decimal_scale, is_exact, scalars_equal
+from .scalars import (
+    FLOAT_TOL,
+    Scalar,
+    decimal_scale,
+    format_scalar,
+    is_exact,
+    scalars_equal,
+)
 
 #: bit-length cap on exact numerators/denominators before a run is aborted
 MAX_EXACT_BITS = 1 << 20
@@ -435,34 +441,66 @@ def _simulate_lattice(
     return Trajectory(model, a, states, LatticeColumn(raw, ratios), LatticeColumn(sat, ratios))
 
 
+def _flat(value: object) -> list:
+    """The entries of a scalar or of a nested sequence of scalars, in row order."""
+    if isinstance(value, (numbers.Real, str)):
+        return [value]
+    return [x for item in value for x in _flat(item)]
+
+
 def normalize_ns(
-    A0: np.ndarray, B0: np.ndarray, tol: float = FLOAT_TOL
-) -> tuple[NsModel, np.ndarray]:
+    A0: Sequence[Sequence[Scalar]], B0: Sequence, tol: float = FLOAT_TOL
+) -> tuple[NsModel, tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]]:
     """Bring a controllable planar pair to the canonical form ([[0,1],[-1,2a]], [0,1]^T).
 
     Requires complex-conjugate eigenvalues on the unit circle, excluding
     +-1 and +-j.  Returns (model, T) with T^-1 A0 T and T^-1 B0 in canonical
-    form; T is built from the controllability matrix, which pins the sign so
-    that T^-1 B0 = [0,1]^T exactly.
+    form; T, a tuple of two row tuples, is built from the controllability
+    matrix, which pins the sign so that T^-1 B0 = [0,1]^T exactly.
+
+    `A0` is a 2x2 nested sequence; `B0` has two entries, flat, 2x1 or 1x2.
+    When every entry is exact (int or Fraction), `a = trace/2`, `T` and the
+    gates are exact: a nonzero controllability determinant, det(A0) == 1
+    and 0 < |trace| < 2.  Otherwise every entry is read with `float()`; the
+    controllability determinant must exceed tol * scale^2, and det and trace
+    are allowed 1e-6.
     """
-    A0 = np.asarray(A0, dtype=float)
-    B0 = np.asarray(B0, dtype=float).reshape(2)
-    if A0.shape != (2, 2):
+    try:
+        rows = [_flat(row) for row in A0]
+    except TypeError:
+        rows = []
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
         raise NormalizationError("system matrix must be 2x2")
-    ctrb = np.column_stack([B0, A0 @ B0])
-    scale = max(np.abs(ctrb).max(), 1.0)
-    if abs(np.linalg.det(ctrb)) <= tol * scale**2:
+    b = _flat(B0)
+    if len(b) != 2:
+        raise NormalizationError(f"input matrix must have 2 entries, got {len(b)}")
+    entries = rows[0] + rows[1] + b
+    exact = all(is_exact(v) for v in entries)
+    a00, a01, a10, a11, b0, b1 = map(Fraction if exact else float, entries)
+    # the controllability matrix has columns B0 and A0 B0
+    c0, c1 = a00 * b0 + a01 * b1, a10 * b0 + a11 * b1
+    det_ctrb = b0 * c1 - b1 * c0
+    det = a00 * a11 - a01 * a10
+    trace = a00 + a11
+    if exact:
+        show = format_scalar
+        uncontrollable = det_ctrb == 0
+        off_circle, at_one, at_j = det != 1, abs(trace) >= 2, trace == 0
+    else:
+        show = "{:.6g}".format
+        scale = max(abs(b0), abs(b1), abs(c0), abs(c1), 1.0)
+        uncontrollable = abs(det_ctrb) <= tol * scale**2
+        off_circle = abs(det - 1.0) > 1e-6
+        at_one, at_j = abs(trace) >= 2.0 - 1e-6, abs(trace) <= 1e-6
+    if uncontrollable:
         raise NormalizationError("pair is not controllable")
-    det = float(np.linalg.det(A0))
-    trace = float(np.trace(A0))
-    if abs(det - 1.0) > 1e-6:
-        raise NormalizationError(f"eigenvalues off the unit circle (det={det:.6g})")
-    if abs(trace) >= 2.0 - 1e-6:
-        raise NormalizationError(f"real eigenvalues at +-1 excluded (trace={trace:.6g})")
-    if abs(trace) <= 1e-6:
+    if off_circle:
+        raise NormalizationError(f"eigenvalues off the unit circle (det={show(det)})")
+    if at_one:
+        raise NormalizationError(f"real eigenvalues at +-1 excluded (trace={show(trace)})")
+    if at_j:
         raise NormalizationError("eigenvalues at +-j excluded (trace ~ 0)")
-    a = trace / 2.0
-    # canonical controllability matrix of ([[0,1],[-1,2a]], [0,1]^T)
-    ctrb_c = np.array([[0.0, 1.0], [1.0, 2.0 * a]])
-    T = ctrb @ np.linalg.inv(ctrb_c)
-    return NsModel(a), T
+    # T = ctrb . ctrb_c^-1, where the canonical controllability matrix
+    # ctrb_c = [[0,1],[1,2a]] has inverse [[-2a,1],[1,0]] and 2a = trace
+    T = ((c0 - trace * b0, b0), (c1 - trace * b1, b1))
+    return NsModel(trace / 2), T

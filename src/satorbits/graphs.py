@@ -127,7 +127,7 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
         try:
             w = parse_scalar(parts[2], mode)
         except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: bad weight {parts[2]!r}") from exc
+            raise GraphFormatError(f"line {lineno}: bad weight: {exc}") from exc
         if w <= 0:
             raise GraphFormatError(f"line {lineno}: nonpositive weight")
         key = (min(i, j) - 1, max(i, j) - 1)

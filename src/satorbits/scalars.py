@@ -65,11 +65,19 @@ def parse_ratio(text: str) -> tuple[int, int]:
 
 
 def parse_scalar(text: str, mode: str = "exact") -> Scalar:
-    """Parse a decimal or "p/q" string into a Scalar for the given mode (see `parse_ratio`)."""
+    """Parse a decimal or "p/q" string into a Scalar for the given mode (see `parse_ratio`).
+
+    In float mode a value beyond the float range raises `ScalarFormatError`.
+    """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     value = Fraction(*parse_ratio(text))
-    return value if mode == "exact" else float(value)
+    if mode == "exact":
+        return value
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ScalarFormatError(f"scalar {text.strip()!r} outside the float range") from exc
 
 
 def decimal_scale(d: int) -> Optional[tuple[int, int]]:

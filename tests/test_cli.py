@@ -295,6 +295,20 @@ def _simulate_plan(make_plan):
     return lambda tmp: ["simulate", GRAPH, "--config", DI_CFG, "--plan", make_plan(tmp)]
 
 
+def _disconnected(command):
+    """argv factory: `command` with the di fixture plan on graph7 minus the edge 3-7."""
+
+    def argv(tmp_path):
+        plan_file = tmp_path / "plan.txt"
+        main(["synthesize", GRAPH, "--config", DI_CFG, "-o", str(plan_file)])
+        graph = tmp_path / "graph.txt"
+        lines = fixture_path("graph7.txt").read_text().splitlines()
+        graph.write_text("\n".join(line for line in lines if line != "3 7 3.4") + "\n")
+        return [command, str(graph), "--config", DI_CFG, "--plan", str(plan_file)]
+
+    return argv
+
+
 @pytest.mark.parametrize(
     "argv,low_cap",
     [
@@ -320,6 +334,8 @@ def _simulate_plan(make_plan):
             True,
             id="overflow-verify",
         ),
+        pytest.param(_disconnected("simulate"), False, id="disconnected-simulate"),
+        pytest.param(_disconnected("verify"), False, id="disconnected-verify"),
     ],
 )
 def test_bad_input_is_one_error_line(argv, low_cap, tmp_path, capsys, monkeypatch):
@@ -332,6 +348,62 @@ def test_bad_input_is_one_error_line(argv, low_cap, tmp_path, capsys, monkeypatc
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err + captured.out
+
+
+def _float_overflow(kind):
+    """argv factory: a float-mode command with one value of 1e400 in its input."""
+
+    def argv(tmp_path):
+        graph = tmp_path / "graph.txt"
+        graph.write_text(fixture_path("graph7.txt").read_text())
+        cfg = tmp_path / "di.cfg"
+        cfg.write_text(fixture_path("di.cfg").read_text() + "mode=float\n")
+        if kind == "weight":
+            graph.write_text(graph.read_text().replace("3 7 3.4", "3 7 1e400"))
+            return ["synthesize", str(graph), "--config", str(cfg)]
+        if kind == "alpha":
+            cfg.write_text(cfg.read_text() + "alpha=1e400\n")
+            return ["synthesize", str(graph), "--config", str(cfg)]
+        plan, csv_file = ["--plan", str(tmp_path / "plan.txt")], tmp_path / "traj.csv"
+        main(["synthesize", str(graph), "--config", str(cfg), "-o", plan[1]])
+        main(["simulate", str(graph), "--config", str(cfg), *plan, "-o", str(csv_file)])
+        lines = csv_file.read_text().splitlines()
+        k, agent, _, *rest = lines[3].split(",")
+        lines[3] = ",".join([k, agent, "1e400", *rest])
+        csv_file.write_text("\n".join(lines) + "\n")
+        return ["verify", str(graph), "--config", str(cfg), *plan, "--csv", str(csv_file)]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(
+            _float_overflow("weight"),
+            "graph.txt: line 8: bad weight: scalar '1e400' outside the float range",
+            id="graph-weight",
+        ),
+        pytest.param(
+            _float_overflow("alpha"),
+            "error: bad config value: scalar '1e400' outside the float range",
+            id="config-alpha",
+        ),
+        pytest.param(
+            _float_overflow("csv"),
+            "error: CSV line 4: scalar '1e400' outside the float range",
+            id="csv-x",
+        ),
+    ],
+)
+def test_float_overflow_is_one_error_line(argv, message, tmp_path, capsys):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and line.endswith(message)
+    assert captured.out == ""
 
 
 def _edited_plan(cfg, old, new):

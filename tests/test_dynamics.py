@@ -23,13 +23,15 @@ from satorbits import (
 )
 from satorbits.dynamics import (
     Lattice,
+    LatticeColumn,
     NormalizationError,
     SimulationOverflowError,
     inverse_step_di,
     inverse_step_ns,
     states_equal,
 )
-from satorbits.verify import backward_states
+from satorbits.synthesis import synthesize_ns
+from satorbits.verify import backward_states, verification_report
 from test_graphs import random_connected_graph
 
 
@@ -359,3 +361,136 @@ class TestNormalizeNs:
     def test_rejects_off_circle(self):
         with pytest.raises(NormalizationError, match="unit circle"):
             normalize_ns(np.array([[0.0, 1.0], [-0.5, 1.0]]), np.array([0.0, 1.0]))
+
+
+def _mul(X, Y):
+    return tuple(
+        tuple(sum(X[i][k] * Y[k][j] for k in range(len(Y))) for j in range(len(Y[0])))
+        for i in range(len(X))
+    )
+
+
+def _inv(X):
+    (p, q), (r, s) = X
+    det = Fraction(p * s - q * r)
+    return ((s / det, -q / det), (-r / det, p / det))
+
+
+def _rational(rng, nonzero=False):
+    while True:
+        value = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        if value or not nonzero:
+            return value
+
+
+def _rational_pair(rng, trace):
+    """A0 = P R P^-1 with rational P and R, det R = 1 and trace R = `trace`,
+    and a rational B0 that makes the pair controllable."""
+    while True:
+        r00, r01 = _rational(rng), _rational(rng, nonzero=True)
+        r11 = trace - r00
+        R = ((r00, r01), ((r00 * r11 - 1) / r01, r11))
+        P = ((_rational(rng), _rational(rng)), (_rational(rng), _rational(rng)))
+        if P[0][0] * P[1][1] == P[0][1] * P[1][0]:
+            continue
+        A0 = _mul(_mul(P, R), _inv(P))
+        B0 = (_rational(rng), _rational(rng))
+        AB = _mul(A0, tuple((b,) for b in B0))
+        if B0[0] * AB[1][0] != B0[1] * AB[0][0]:
+            return A0, B0
+
+
+def _reference_ns(A0, B0):
+    """Float reference for normalize_ns in numpy: (a, T = ctrb @ inv(ctrb_c))."""
+    A0 = np.asarray(A0, dtype=float)
+    B0 = np.asarray(B0, dtype=float).reshape(2)
+    ctrb = np.column_stack([B0, A0 @ B0])
+    a = float(np.trace(A0)) / 2.0
+    return a, ctrb @ np.linalg.inv(np.array([[0.0, 1.0], [1.0, 2.0 * a]]))
+
+
+class TestNormalizeNsExact:
+    @pytest.mark.parametrize("trace", [F("1"), F("3/5"), F("-7/4"), F("1/3"), F("-1/100")])
+    def test_rational_pair_is_exact(self, trace):
+        rng = random.Random(str(trace))
+        for _ in range(8):
+            A0, B0 = _rational_pair(rng, trace)
+            model, T = normalize_ns(A0, B0)
+            assert isinstance(model.a, Fraction) and model.a == trace / 2
+            assert all(isinstance(v, Fraction) for row in T for v in row)
+            Tinv = _inv(T)
+            assert _mul(_mul(Tinv, A0), T) == ((0, 1), (-1, 2 * model.a))
+            assert _mul(Tinv, tuple((b,) for b in B0)) == ((0,), (1,))
+
+    def test_exact_det_just_off_circle_is_rejected(self):
+        A0 = [[0, 1], [-(1 + Fraction(1, 10**30)), 1]]
+        with pytest.raises(NormalizationError, match="unit circle"):
+            normalize_ns(A0, [0, 1])
+        # the float gates allow det 1e-6 off the circle
+        model, _ = normalize_ns([[float(v) for v in row] for row in A0], [0.0, 1.0])
+        assert model.a == 0.5
+
+    def test_exact_gates(self):
+        with pytest.raises(NormalizationError, match="controllable"):
+            normalize_ns([[0, 1], [-1, 1]], [0, 0])
+        with pytest.raises(NormalizationError, match=r"\+-1"):
+            normalize_ns([[1, 1], [0, 1]], [0, 1])
+        with pytest.raises(NormalizationError, match="j"):
+            normalize_ns([[0, 1], [-1, 0]], [0, 1])
+        # exact gates pass a trace within 1e-6 of 2 or of 0; float gates do not
+        for trace, message in [(F("1.9999999"), r"\+-1"), (F("1e-9"), "j")]:
+            model, _ = normalize_ns([[0, 1], [-1, trace]], [0, 1])
+            assert model.a == trace / 2
+            with pytest.raises(NormalizationError, match=message):
+                normalize_ns([[0.0, 1.0], [-1.0, float(trace)]], [0.0, 1.0])
+
+    def test_exact_model_runs_on_the_lattice(self, graph7, gains_ns):
+        A0, B0 = _rational_pair(random.Random(3), F("3/5"))
+        model, _ = normalize_ns(A0, B0)
+        plan = synthesize_ns(graph7, model, gains_ns)
+        t = simulate(graph7, plan.gains, plan.init, 2 * plan.period, ns=model)
+        assert isinstance(t.states, LatticeColumn)
+        assert t.states[plan.period] == t.states[0]
+        assert verification_report(graph7, plan, t)["ok"]
+
+    def test_float_matches_numpy_reference(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 200:
+            A0 = rng.uniform(-2.0, 2.0, size=(2, 2))
+            A0 /= math.sqrt(abs(np.linalg.det(A0)))
+            B0 = rng.uniform(-1.0, 1.0, size=2)
+            if np.linalg.det(A0) < 0 or not 1e-3 < abs(np.trace(A0)) < 2 - 1e-3:
+                continue
+            if abs(np.linalg.det(np.column_stack([B0, A0 @ B0]))) < 0.05:
+                continue
+            a, T_ref = _reference_ns(A0, B0)
+            model, T = normalize_ns(A0, B0)
+            assert type(model.a) is float and abs(model.a - a) <= 1e-12
+            assert np.abs(np.array(T) - T_ref).max() <= 1e-12
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "B0",
+        [
+            [2.0, 1.0],
+            [[2.0], [1.0]],
+            [[2.0, 1.0]],
+            np.array([[2.0], [1.0]]),
+            (F(2), 1.0),
+        ],
+        ids=["flat", "2x1", "1x2", "array-2x1", "mixed"],
+    )
+    def test_input_shapes(self, B0):
+        A0 = np.array([[0.0, 1.0], [-1.0, 1.0]])
+        model, T = normalize_ns(A0, B0)
+        a, T_ref = _reference_ns(A0, B0)
+        assert model.a == a and np.allclose(T, T_ref, atol=1e-15)
+
+    def test_shape_errors(self):
+        with pytest.raises(NormalizationError, match="2x2"):
+            normalize_ns([[0, 1, 0], [-1, 1, 0], [0, 0, 1]], [0, 1, 0])
+        with pytest.raises(NormalizationError, match="2x2"):
+            normalize_ns([0, 1, -1, 1], [0, 1])
+        with pytest.raises(NormalizationError, match="2 entries"):
+            normalize_ns([[0, 1], [-1, 1]], [0, 1, 0])
