@@ -37,6 +37,7 @@ from .graphs import (
 )
 from .scalars import (
     Scalar,
+    ScalarFormatError,
     format_scalar,
     parse_ratio,
     parse_scalar,
@@ -231,6 +232,8 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
                 state = AgentState(
                     parse_scalar(fields["x"], mode), parse_scalar(fields["v"], mode)
                 )
+            except ScalarFormatError as exc:
+                raise CliError(f"plan line {lineno}: {exc}") from exc
             except (IndexError, ValueError) as exc:
                 raise CliError(f"plan line {lineno}: cannot parse {line!r}") from exc
             except KeyError as exc:
@@ -506,7 +509,8 @@ def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
         raise CliError(f"gain gate failed: {exc}", EXIT_GATE) from exc
     except InfeasibleConstraintsError as exc:
         raise CliError(f"infeasible position system: {exc}", EXIT_INFEASIBLE) from exc
-    except NotConnectedError as exc:
+    except ValueError as exc:
+        # a disconnected graph, or ns start states outside the float range
         raise CliError(str(exc)) from exc
 
 

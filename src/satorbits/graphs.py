@@ -8,8 +8,10 @@ format is 1-based.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Scalar, format_scalar, parse_scalar
@@ -25,48 +27,76 @@ class NotConnectedError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Symmetric nonnegative adjacency with zero diagonal.
+    """Symmetric positive-weight adjacency lists with no self-loops.
 
-    `adjacency[i]` lists agent i's (neighbor, weight) pairs with positive
-    weight in index order; it is built once, while the matrix is validated.
+    `adjacency[i]` lists agent i's (neighbor, weight) pairs sorted by
+    neighbor index.  Validation costs O(n + |E|); no n×n structure is built.
     """
 
     n: int
-    weights: tuple[tuple[Scalar, ...], ...]
-    adjacency: tuple[tuple[tuple[int, Scalar], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    adjacency: tuple[tuple[tuple[int, Scalar], ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise GraphFormatError("graph needs at least one agent")
-        w = self.weights
-        if len(w) != self.n or any(len(r) != self.n for r in w):
-            raise GraphFormatError("weight matrix shape mismatch")
-        adjacency = []
-        for i, row in enumerate(w):
-            if row[i] != 0:
-                raise GraphFormatError(f"self-loop on agent {i + 1}")
-            nbrs = []
-            for j, wij in enumerate(row):
-                if wij:
-                    if wij < 0:
-                        raise GraphFormatError("negative edge weight")
-                    if wij != w[j][i]:
-                        raise GraphFormatError("adjacency not symmetric")
-                    nbrs.append((j, wij))
-                elif w[j][i]:
-                    raise GraphFormatError("adjacency not symmetric")
-            adjacency.append(tuple(nbrs))
-        object.__setattr__(self, "adjacency", tuple(adjacency))
+        adjacency = tuple(map(tuple, self.adjacency))
+        if len(adjacency) != n:
+            raise GraphFormatError(f"adjacency has {len(adjacency)} rows for {n} agents")
+        # row j of `lower` collects the entries (i, w) of rows i < j that name
+        # j, in increasing i: the transpose of the upper half, with no sort
+        lower: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+        for i, nbrs in enumerate(adjacency):
+            prev = -1
+            for entry in nbrs:
+                if type(entry) is not tuple or len(entry) != 2 or type(entry[0]) is not int:
+                    raise GraphFormatError(
+                        f"agent {i + 1}: entry {entry!r} is not a (neighbor, weight) pair"
+                    )
+                j, w = entry
+                if not 0 <= j < n:
+                    raise GraphFormatError(f"agent {i + 1}: neighbor {j + 1} out of range 1..{n}")
+                if j <= prev:
+                    raise GraphFormatError(
+                        f"agent {i + 1}: neighbors not strictly increasing at {j + 1}"
+                    )
+                if j == i:
+                    raise GraphFormatError(f"self-loop on agent {i + 1}")
+                if j > i:
+                    # the symmetry check below makes each lower entry equal to
+                    # an upper one, so checking the upper half suffices
+                    if not w > 0:
+                        raise GraphFormatError(
+                            f"edge weight on ({i + 1}, {j + 1}) is negative or zero"
+                        )
+                    lower[j].append((i, w))
+                prev = j
+        # symmetric iff every row's entries below the diagonal are that transpose
+        for i, nbrs in enumerate(adjacency):
+            if list(nbrs[: bisect_left(nbrs, (i,))]) != lower[i]:
+                raise GraphFormatError(f"adjacency not symmetric at agent {i + 1}")
+        object.__setattr__(self, "adjacency", adjacency)
 
     @classmethod
-    def from_edges(cls, n: int, edges: list[tuple[int, int, Scalar]]) -> "WeightedGraph":
-        w: list[list[Scalar]] = [[Fraction(0)] * n for _ in range(n)]
-        for i, j, weight in edges:
-            w[i][j] = weight
-            w[j][i] = weight
-        return cls(n, tuple(tuple(row) for row in w))
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int, Scalar]]) -> "WeightedGraph":
+        """The graph on agents 0..n-1 with each (i, j, w) an undirected edge."""
+        rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+        for i, j, w in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise GraphFormatError(f"edge ({i + 1}, {j + 1}) outside agents 1..{n}")
+            rows[i].append((j, w))
+            rows[j].append((i, w))
+        for row in rows:
+            row.sort()  # by neighbor; a repeated neighbor fails validation
+        return cls(n, tuple(map(tuple, rows)))
+
+    def weight(self, i: int, j: int) -> Scalar:
+        """The weight of edge (i, j), or 0 when i and j are not neighbors."""
+        nbrs = self.adjacency[i]
+        k = bisect_left(nbrs, (j,))
+        if k < len(nbrs) and nbrs[k][0] == j:
+            return nbrs[k][1]
+        return Fraction(0)
 
     def neighbors(self, i: int) -> list[int]:
         return [j for j, _ in self.adjacency[i]]
@@ -101,6 +131,8 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
     """
     declared_n: int | None = None
     edges: dict[tuple[int, int], Scalar] = {}
+    # graphs repeat a few weight texts, so each distinct text is parsed once
+    values: dict[str, Scalar] = {}
     max_seen = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -124,12 +156,15 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
             raise GraphFormatError(f"line {lineno}: agent indices are 1-based")
         if i == j:
             raise GraphFormatError(f"line {lineno}: self-loop on agent {i}")
-        try:
-            w = parse_scalar(parts[2], mode)
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: bad weight: {exc}") from exc
-        if w <= 0:
-            raise GraphFormatError(f"line {lineno}: nonpositive weight")
+        w = values.get(parts[2])
+        if w is None:
+            try:
+                w = parse_scalar(parts[2], mode)
+            except ValueError as exc:
+                raise GraphFormatError(f"line {lineno}: bad weight: {exc}") from exc
+            if w <= 0:
+                raise GraphFormatError(f"line {lineno}: nonpositive weight")
+            values[parts[2]] = w
         key = (min(i, j) - 1, max(i, j) - 1)
         if key in edges and edges[key] != w:
             raise GraphFormatError(f"line {lineno}: conflicting duplicate edge")
@@ -202,13 +237,12 @@ def make_partition(g: WeightedGraph, root: int = 0) -> Partition:
 
 def laplacian(g: WeightedGraph) -> list[list[Scalar]]:
     """L = D - A; rows sum to zero exactly in exact mode."""
-    zero = g.weights[0][0] * 0  # same numeric type as the weights
+    zero = Fraction(0)  # a non-edge, as `weight` returns it
     lap = [[zero] * g.n for _ in range(g.n)]
-    for i in range(g.n):
+    for i, nbrs in enumerate(g.adjacency):
         degree = zero
-        for j in range(g.n):
-            if j != i:
-                lap[i][j] = -g.weights[i][j]
-                degree = degree + g.weights[i][j]
+        for j, w in nbrs:
+            lap[i][j] = -w
+            degree = degree + w
         lap[i][i] = degree
     return lap

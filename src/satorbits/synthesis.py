@@ -365,8 +365,16 @@ def check_gains_ns(model: NsModel, gains: GainParams, a_bar: Scalar) -> bool:
 
 
 def init_states_ns(model: NsModel, p: Partition) -> list[AgentState]:
-    """(1/(2a), -1/(2a)) on the even class, negated on the odd class."""
-    even = AgentState(1 / (2 * model.a), -1 / (2 * model.a))
+    """(1/(2a), -1/(2a)) on the even class, negated on the odd class.
+
+    A float `a` so small that 1/(2a) leaves the float range raises ValueError.
+    """
+    half = 1 / (2 * model.a)
+    if isinstance(half, float) and not math.isfinite(half):
+        raise ValueError(
+            f"a={model.a} puts the initial states +-1/(2a) outside the float range"
+        )
+    even = AgentState(half, -half)
     return [even if i in p.s_even else -even for i in range(len(p.dist))]
 
 

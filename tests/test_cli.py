@@ -351,7 +351,8 @@ def test_bad_input_is_one_error_line(argv, low_cap, tmp_path, capsys, monkeypatc
 
 
 def _float_overflow(kind):
-    """argv factory: a float-mode command with one value of 1e400 in its input."""
+    """argv factory: a float-mode command with one value of 1e400 in its input,
+    or (`ns-a`) an ns synthesis whose start states 1/(2a) overflow."""
 
     def argv(tmp_path):
         graph = tmp_path / "graph.txt"
@@ -364,8 +365,18 @@ def _float_overflow(kind):
         if kind == "alpha":
             cfg.write_text(cfg.read_text() + "alpha=1e400\n")
             return ["synthesize", str(graph), "--config", str(cfg)]
+        if kind == "ns-a":
+            # 1/(2a) overflows, though a itself is a (subnormal) float
+            ns = ["--config", NS_CFG, "--mode", "float", "--a", "1e-320"]
+            return ["synthesize", str(graph), *ns]
         plan, csv_file = ["--plan", str(tmp_path / "plan.txt")], tmp_path / "traj.csv"
         main(["synthesize", str(graph), "--config", str(cfg), "-o", plan[1]])
+        if kind == "plan-x":
+            plan_file = tmp_path / "plan.txt"
+            lines = plan_file.read_text().splitlines()
+            lines[8] = "agent 3: x=1e400, v=0"
+            plan_file.write_text("\n".join(lines) + "\n")
+            return ["simulate", str(graph), "--config", str(cfg), *plan]
         main(["simulate", str(graph), "--config", str(cfg), *plan, "-o", str(csv_file)])
         lines = csv_file.read_text().splitlines()
         k, agent, _, *rest = lines[3].split(",")
@@ -393,6 +404,16 @@ def _float_overflow(kind):
             _float_overflow("csv"),
             "error: CSV line 4: scalar '1e400' outside the float range",
             id="csv-x",
+        ),
+        pytest.param(
+            _float_overflow("plan-x"),
+            "error: plan line 9: scalar '1e400' outside the float range",
+            id="plan-x",
+        ),
+        pytest.param(
+            _float_overflow("ns-a"),
+            "error: a=1e-320 puts the initial states +-1/(2a) outside the float range",
+            id="ns-a-start-states",
         ),
     ],
 )

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from satorbits import (
     bfs_distances,
+    fixture_path,
     is_connected,
     laplacian,
     make_partition,
@@ -14,6 +16,7 @@ from satorbits import (
     serialize_graph,
 )
 from satorbits.graphs import GraphFormatError, NotConnectedError, WeightedGraph
+from satorbits.scalars import Scalar, parse_scalar
 
 
 def brute_force_distance(g: WeightedGraph, root: int) -> list[int]:
@@ -33,26 +36,63 @@ def brute_force_distance(g: WeightedGraph, root: int) -> list[int]:
     return best
 
 
-def random_connected_graph(rng: random.Random, n: int) -> WeightedGraph:
+def exact_weight(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(2, 30), 10)
+
+
+def float_weight(rng: random.Random) -> float:
+    return rng.uniform(0.5, 3.0)
+
+
+def random_connected_edges(
+    rng: random.Random, n: int, weight=exact_weight
+) -> list[tuple[int, int, Scalar]]:
+    """A random spanning tree plus each other pair with probability 0.3."""
     edges = []
     nodes = list(range(n))
     rng.shuffle(nodes)
     for k in range(1, n):
         partner = rng.choice(nodes[:k])
-        edges.append((nodes[k], partner, Fraction(rng.randint(2, 30), 10)))
+        edges.append((nodes[k], partner, weight(rng)))
     present = {(min(i, j), max(i, j)) for i, j, _ in edges}
     for i in range(n):
         for j in range(i + 1, n):
             if (i, j) not in present and rng.random() < 0.3:
-                edges.append((i, j, Fraction(rng.randint(2, 30), 10)))
-    return WeightedGraph.from_edges(n, edges)
+                edges.append((i, j, weight(rng)))
+    return edges
+
+
+def random_connected_graph(rng: random.Random, n: int) -> WeightedGraph:
+    return WeightedGraph.from_edges(n, random_connected_edges(rng, n))
+
+
+def dense_matrix(n: int, edges) -> list[list[Scalar]]:
+    """Reference n×n weight matrix, zero-filled with Fraction(0)."""
+    w: list[list[Scalar]] = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, weight in edges:
+        w[i][j] = w[j][i] = weight
+    return w
+
+
+def dense_laplacian(w: list[list[Scalar]]) -> list[list[Scalar]]:
+    """Reference L = D - A, summed over the full row in index order."""
+    n = len(w)
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        degree = Fraction(0)
+        for j in range(n):
+            if j != i:
+                lap[i][j] = -w[i][j]
+                degree = degree + w[i][j]
+        lap[i][i] = degree
+    return lap
 
 
 class TestParse:
     def test_single_edge(self):
         g = parse_graph("n 2\n1 2 1.5")
         assert g.n == 2
-        assert g.weights[0][1] == g.weights[1][0] == Fraction("1.5")
+        assert g.weight(0, 1) == g.weight(1, 0) == Fraction("1.5")
 
     def test_reference_graph_weights(self, graph7):
         expected = {
@@ -85,7 +125,7 @@ class TestParse:
                 gains_di.beta - gains_di.alpha
             ) * (m - 2)
             recovered = 1 / inv
-            assert abs(recovered - graph7.weights[i][j]) < Fraction("0.001")
+            assert abs(recovered - graph7.weight(i, j)) < Fraction("0.001")
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError, match="self-loop"):
@@ -105,7 +145,7 @@ class TestParse:
 
     def test_consistent_duplicate_allowed(self):
         g = parse_graph("1 2 1.0\n2 1 1.0")
-        assert g.weights[0][1] == 1
+        assert g.weight(0, 1) == 1
 
     def test_unmentioned_agents_are_isolated(self):
         g = parse_graph("n 4\n1 2 1.0")
@@ -126,31 +166,105 @@ class TestWeightedGraph:
     def test_adjacency_lists_positive_weights(self):
         rng = random.Random(11)
         for _ in range(20):
-            g = random_connected_graph(rng, rng.randint(1, 9))
+            n = rng.randint(1, 9)
+            edges = random_connected_edges(rng, n)
+            g = WeightedGraph.from_edges(n, edges)
+            w = dense_matrix(n, edges)
             assert g.adjacency == tuple(
-                tuple((j, w) for j, w in enumerate(row) if w > 0) for row in g.weights
+                tuple((j, wij) for j, wij in enumerate(row) if wij > 0) for row in w
             )
             assert g.edges() == [
-                (i, j, g.weights[i][j])
-                for i in range(g.n)
-                for j in range(i + 1, g.n)
-                if g.weights[i][j] > 0
+                (i, j, w[i][j]) for i in range(n) for j in range(i + 1, n) if w[i][j] > 0
             ]
 
     @pytest.mark.parametrize(
         "weights,message",
         [
-            (((0, 1), (0, 0)), "not symmetric"),
-            (((0, 0), (1, 0)), "not symmetric"),
-            (((0, -1), (-1, 0)), "negative"),
-            (((1, 0), (0, 0)), "self-loop"),
-            (((0, 1), (2, 0)), "not symmetric"),
+            # rows of (neighbor, weight) pairs, 0-based
+            ((((1, 1),), ()), "not symmetric"),
+            (((), ((0, 1),)), "not symmetric"),
+            ((((1, -1),), ((0, -1),)), "negative"),
+            ((((0, 1),), ()), "self-loop"),
+            ((((1, 1),), ((0, 2),)), "not symmetric"),
+            # a missing reverse entry on a 3-agent graph
+            ((((1, 1), (2, 1)), ((0, 1),), ()), "not symmetric"),
+            ((((1, 0),), ((0, 0),)), "zero"),
+            ((((2, 1),), ((0, 1),)), "out of range"),
+            ((((-1, 1),), ((0, 1),)), "out of range"),
+            ((((2, 1), (1, 1)), ((0, 1),), ((0, 1),)), "strictly increasing"),
+            ((((1, 1), (1, 1)), ((0, 1),)), "strictly increasing"),
+            ((((1,),), ((0, 1),)), "pair"),
+            ((((1.0, 1),), ((0, 1),)), "pair"),
         ],
     )
     def test_validation(self, weights, message):
-        w = tuple(tuple(Fraction(c) for c in row) for row in weights)
+        adjacency = tuple(
+            tuple(entry if len(entry) != 2 else (entry[0], Fraction(entry[1])) for entry in row)
+            for row in weights
+        )
         with pytest.raises(GraphFormatError, match=message):
-            WeightedGraph(2, w)
+            WeightedGraph(len(adjacency), adjacency)
+
+    def test_row_count_must_match_n(self):
+        with pytest.raises(GraphFormatError, match="3 rows for 2 agents"):
+            WeightedGraph(2, (((1, Fraction(1)),), ((0, Fraction(1)),), ()))
+        with pytest.raises(GraphFormatError, match="at least one agent"):
+            WeightedGraph(0, ())
+
+    def test_from_edges_rejects_bad_edges(self):
+        with pytest.raises(GraphFormatError, match="outside agents"):
+            WeightedGraph.from_edges(2, [(0, 2, Fraction(1))])
+        with pytest.raises(GraphFormatError, match="strictly increasing"):
+            WeightedGraph.from_edges(2, [(0, 1, Fraction(1)), (1, 0, Fraction(1))])
+        with pytest.raises(GraphFormatError, match="self-loop"):
+            WeightedGraph.from_edges(2, [(1, 1, Fraction(1))])
+
+    def test_rows_become_tuples(self):
+        g = WeightedGraph(2, [[(1, Fraction(1))], [(0, Fraction(1))]])
+        assert g == WeightedGraph.from_edges(2, [(1, 0, Fraction(1))])
+        assert g.adjacency == (((1, 1),), ((0, 1),))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_sparse_matches_dense_reference(self, mode):
+        rng = random.Random(41 if mode == "exact" else 43)
+        weight = exact_weight if mode == "exact" else float_weight
+        lines = fixture_path("graph7.txt").read_text().split("\n")[1:]
+        fixture = [
+            (int(i) - 1, int(j) - 1, parse_scalar(w, mode))
+            for i, j, w in (line.split() for line in lines if line)
+        ]
+        cases = [(7, fixture)]
+        for n in rng.choices(range(2, 13), k=50):
+            cases.append((n, random_connected_edges(rng, n, weight)))
+        for n, edges in cases:
+            g = WeightedGraph.from_edges(n, edges)
+            w = dense_matrix(n, edges)
+            assert g.edges() == [
+                (i, j, w[i][j]) for i in range(n) for j in range(i + 1, n) if w[i][j] != 0
+            ]
+            for i in range(n):
+                assert g.neighbors(i) == [j for j in range(n) if w[i][j] != 0]
+                for j in range(n):
+                    assert g.weight(i, j) == w[i][j]
+                    assert type(g.weight(i, j)) is type(w[i][j])
+            lap, ref = laplacian(g), dense_laplacian(w)
+            assert lap == ref
+            assert [list(map(type, row)) for row in lap] == [list(map(type, row)) for row in ref]
+            text = serialize_graph(g)
+            assert parse_graph(text, mode) == g
+            assert serialize_graph(parse_graph(text, mode)) == text
+
+    def test_scale_n20000_path(self):
+        # a dense n×n design would need 4·10^8 cells here
+        n = 20000
+        start = time.perf_counter()
+        g = WeightedGraph.from_edges(n, [(i, i + 1, Fraction(1)) for i in range(n - 1)])
+        p = make_partition(g, 0)
+        elapsed = time.perf_counter() - start
+        assert p.dist[-1] == n - 1
+        assert len(p.cross_edges) == n - 1 and p.intra_edges == ()
+        assert len(p.s_even) == n // 2 and p.a_bar == 1
+        assert elapsed < 1.0
 
 
 class TestConnectivity:

@@ -303,6 +303,12 @@ class TestInitStatesNs:
         states = init_states_ns(NsModel(F("0.25")), partition7)
         assert states[0] == AgentState(2, -2)
 
+    def test_non_finite_float_start_rejected(self, partition7):
+        with pytest.raises(ValueError, match="a=1e-320 .* outside the float range"):
+            init_states_ns(NsModel(1e-320), partition7)
+        # an exact a that small is fine: 1/(2a) is a Fraction
+        assert init_states_ns(NsModel(F("1e-320")), partition7)[0].x == F("5e319")
+
     def test_matches_linear_system_oracle(self, partition7):
         # independent check: s solves (I - A^4) s = (A^3 + A^2 - A - I) B
         import numpy as np
