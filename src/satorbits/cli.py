@@ -7,12 +7,13 @@ Exit codes: 0 success, 1 usage or I/O error, 2 gain gate failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .dynamics import (
     AgentState,
@@ -195,6 +196,18 @@ def _load_graph(path: str, mode: str) -> WeightedGraph:
         raise CliError(f"{path}: {exc}") from exc
 
 
+class _Memo(dict):
+    """fn(key) for each key looked up, computed once per distinct key."""
+
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # plan files
 
@@ -218,6 +231,8 @@ def plan_to_text(plan: OrbitPlan) -> str:
 def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPlan:
     meta: dict[str, str] = {}
     init: dict[int, AgentState] = {}
+    # a synthesized plan repeats a few values, so each distinct text is parsed once
+    parse = _Memo(lambda text: parse_scalar(text, mode))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -229,9 +244,7 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
             )
             try:
                 idx = int(head.split()[1])
-                state = AgentState(
-                    parse_scalar(fields["x"], mode), parse_scalar(fields["v"], mode)
-                )
+                state = AgentState(parse[fields["x"]], parse[fields["v"]])
             except ScalarFormatError as exc:
                 raise CliError(f"plan line {lineno}: {exc}") from exc
             except (IndexError, ValueError) as exc:
@@ -291,7 +304,7 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
 CSV_HEADER = "k,agent,x,v,u_raw,u_sat"
 
 
-def _lattice_csv(t: Trajectory) -> list[str]:
+def _lattice_lines(t: Trajectory) -> Iterator[str]:
     """The CSV rows of an all-lattice trajectory, formatted from its integers."""
     # a periodic orbit repeats its rows, so each distinct row is formatted once
     known: dict[tuple, list[str]] = {}
@@ -303,7 +316,6 @@ def _lattice_csv(t: Trajectory) -> list[str]:
             out = known[key] = ratio_texts(N, D)
         return out
 
-    lines = []
     for k, (X, V, D) in enumerate(t.states.data):
         xs, vs = texts(X, D), texts(V, D)
         if k < t.steps:
@@ -319,18 +331,18 @@ def _lattice_csv(t: Trajectory) -> list[str]:
             ]
         else:
             raw = sat = [""] * len(X)
-        lines += [
+        yield from [
             f"{k},{i},{x},{v},{r},{s}"
             for i, (x, v, r, s) in enumerate(zip(xs, vs, raw, sat), 1)
         ]
-    return lines
 
 
-def trajectory_to_csv(t: Trajectory) -> str:
-    lines = [CSV_HEADER]
+def _csv_lines(t: Trajectory) -> Iterator[str]:
+    """The lines of `trajectory_to_csv(t)`, header first, without their newlines."""
+    yield CSV_HEADER
     if all(isinstance(c, LatticeColumn) for c in (t.states, t.raw_u, t.sat_u)):
-        lines += _lattice_csv(t)
-        return "\n".join(lines) + "\n"
+        yield from _lattice_lines(t)
+        return
     for k, row in enumerate(t.states):
         for i, s in enumerate(row):
             if k < t.steps:
@@ -338,22 +350,22 @@ def trajectory_to_csv(t: Trajectory) -> str:
                 u_sat = format_scalar(t.sat_u[k][i])
             else:
                 u_raw = u_sat = ""
-            lines.append(
-                f"{k},{i + 1},{format_scalar(s.x)},{format_scalar(s.v)},{u_raw},{u_sat}"
-            )
-    return "\n".join(lines) + "\n"
+            yield f"{k},{i + 1},{format_scalar(s.x)},{format_scalar(s.v)},{u_raw},{u_sat}"
 
 
-class _Memo(dict):
-    """fn(key) for each key looked up, computed once per distinct key."""
+def trajectory_to_csv(t: Trajectory) -> str:
+    return "\n".join(_csv_lines(t)) + "\n"
 
-    def __init__(self, fn: Callable) -> None:
-        super().__init__()
-        self.fn = fn
 
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+def _is_csv_of(t: Trajectory, text: str) -> bool:
+    """Whether `text` is `trajectory_to_csv(t)`, compared line by line as it is written."""
+    pos = 0
+    for line in _csv_lines(t):
+        end = pos + len(line)
+        if not (text.startswith(line, pos) and text.startswith("\n", end)):
+            return False
+        pos = end + 1
+    return pos == len(text)
 
 
 def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -> Trajectory:
@@ -593,14 +605,20 @@ def _lattice_mismatch(ours: Trajectory, theirs: Trajectory) -> Optional[dict]:
 
 
 def _trajectory_consistent(
-    t: Trajectory, g: WeightedGraph, gains: GainParams, tol: float
+    t: Trajectory,
+    g: WeightedGraph,
+    gains: GainParams,
+    tol: float,
+    resim: Optional[Trajectory] = None,
 ) -> tuple[Optional[dict], Trajectory]:
     """Recompute the trajectory from its own first state; report first mismatch.
 
     States, raw inputs and saturated inputs are all compared.  Returns the
-    mismatch (None if there is none) and the recomputed trajectory.
+    mismatch (None if there is none) and the recomputed trajectory; `resim`,
+    a run from t.states[0] of t.steps steps, is used instead of simulating.
     """
-    resim = simulate(g, gains, t.states[0], t.steps, ns=_ns_model(t.model, t.a))
+    if resim is None:
+        resim = simulate(g, gains, t.states[0], t.steps, ns=_ns_model(t.model, t.a))
     columns = (resim.states, resim.raw_u, resim.sat_u, t.states, t.raw_u, t.sat_u)
     if all(isinstance(c, LatticeColumn) for c in columns):
         return _lattice_mismatch(resim, t), resim
@@ -620,6 +638,73 @@ def _trajectory_consistent(
     return None, resim
 
 
+def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional[Trajectory]:
+    """The re-simulation of an exact CSV from its step-0 rows, or None.
+
+    Only the header, the n rows of step 0 (`0,1` to `0,n`, in order) and the
+    step of the last line are read.  The text must end in a newline and hold
+    (steps + 1) * n rows, so a forged last step cannot start a long rollout.
+    None when the text does not fit that layout, in float mode (whose `repr`
+    and `float` do not round-trip -0.0, inf or nan) and when the run
+    overflows, so that the full reader reports what is wrong first.
+    """
+    header = CSV_HEADER + "\n"
+    if mode != "exact" or not text.startswith(header) or not text.endswith("\n"):
+        return None
+    init = []
+    # an orbit's start states repeat a few texts, so each is parsed once
+    parse = _Memo(parse_scalar)
+    pos = len(header)
+    for i in range(1, g.n + 1):
+        end = text.find("\n", pos)
+        fields = text[pos:end].split(",")
+        if len(fields) != 6 or fields[:2] != ["0", str(i)]:
+            return None
+        try:
+            init.append(AgentState(parse[fields[2]], parse[fields[3]]))
+        except ValueError:
+            return None
+        pos = end + 1
+    last = text[text.rfind("\n", 0, -1) + 1 :]
+    try:
+        steps = int(last.partition(",")[0])
+    except ValueError:
+        return None
+    if steps < 0 or text.count("\n") != (steps + 1) * g.n + 1:
+        return None
+    try:
+        return simulate(g, plan.gains, init, steps, ns=_ns_model(plan.model, plan.a))
+    except SimulationOverflowError:
+        return None
+
+
+def _checked_csv(
+    path: str, g: WeightedGraph, plan: OrbitPlan, mode: str
+) -> tuple[Trajectory, Optional[dict], Trajectory]:
+    """(trajectory, first mismatch, re-simulation) of the CSV at `path`.
+
+    A CSV whose bytes are what `simulate` writes for its `_replay` holds the
+    replay's values, since format and parse are exact, so it is not parsed.
+    Any other CSV is read by `trajectory_from_csv` and compared by
+    `_trajectory_consistent`, which reuses the replay when its start state
+    and step count are the CSV's.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read trajectory {path}: {exc}") from exc
+    resim = _replay(text, g, plan, mode)
+    if resim is not None and _is_csv_of(resim, text):
+        return resim, None, resim
+    t = trajectory_from_csv(text, plan.model, plan.a, mode)
+    if t.n != g.n:
+        raise CliError(f"CSV has {t.n} agents, graph has {g.n}")
+    if resim is not None and (resim.steps, resim.states[0]) != (t.steps, t.states[0]):
+        resim = None
+    mismatch, rollout = _trajectory_consistent(t, g, plan.gains, 1e-9, resim)
+    return t, mismatch, rollout
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     g = _load_graph(args.graph, cfg.mode)
@@ -628,17 +713,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise CliError(f"cannot read plan {args.plan}: {exc}") from exc
     report: dict = {}
-    rollout = None
     if args.csv:
-        try:
-            t = trajectory_from_csv(
-                Path(args.csv).read_text(), plan.model, plan.a, cfg.mode
-            )
-        except OSError as exc:
-            raise CliError(f"cannot read trajectory {args.csv}: {exc}") from exc
-        if t.n != g.n:
-            raise CliError(f"CSV has {t.n} agents, graph has {g.n}")
-        mismatch, rollout = _trajectory_consistent(t, g, plan.gains, 1e-9)
+        t, mismatch, rollout = _checked_csv(args.csv, g, plan, cfg.mode)
         report["consistency"] = mismatch is None
         if mismatch is not None:
             report["consistency_first_mismatch"] = mismatch
@@ -708,9 +784,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each build leaves objects in reference cycles."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -419,12 +419,17 @@ def simulate(
 def _simulate_lattice(
     lattice: Lattice, init: tuple[AgentState, ...], steps: int, model: str, a: Optional[Scalar]
 ) -> Trajectory:
-    """The exact run: ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E)."""
+    """The exact run: ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E).
+
+    Ticks are reduced, so a tick equal to the first is the start state again:
+    from there on the deterministic loop repeats its rows, which are shared
+    by reference instead of stepped.
+    """
     tick = lattice.encode(init)
     ticks = [tick]
     raw: list[tuple[list[int], int]] = []
     sat: list[tuple[list[int], int]] = []
-    for _ in range(steps):
+    for p in range(1, steps + 1):
         tick, U, E = lattice.step(*tick)
         X, V, D = tick
         # a reduced value x/D has no more bits than x and D, so the cap is
@@ -436,6 +441,12 @@ def _simulate_lattice(
         ticks.append(tick)
         raw.append((U, E))
         sat.append(([E if u >= E else -E if u <= -E else u for u in U], E))
+        if tick == ticks[0]:
+            # row j of every column is row j mod p
+            ticks += [ticks[j % p] for j in range(p + 1, steps + 1)]
+            raw += [raw[j % p] for j in range(p, steps)]
+            sat += [sat[j % p] for j in range(p, steps)]
+            break
     states = LatticeColumn(ticks, Lattice.decode)
     states._rows[0] = init
     return Trajectory(model, a, states, LatticeColumn(raw, ratios), LatticeColumn(sat, ratios))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -576,3 +578,220 @@ class TestRoundTrips:
         assert back.states == t.states
         assert back.raw_u == t.raw_u
         assert back.sat_u == t.sat_u
+
+
+def test_parser_is_built_once_and_survives_a_bad_argv(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", GRAPH, "--steps", "many"])
+    assert exc.value.code == 2
+    assert main(["partition", GRAPH]) == EXIT_OK
+    assert cli._parser() is cli._parser()
+    # every parse starts from the defaults, not from the previous one
+    first = cli._parser().parse_args(["verify", GRAPH, "--plan", "p", "--csv", "c"])
+    second = cli._parser().parse_args(["verify", GRAPH, "--plan", "p"])
+    assert first.csv == "c" and second.csv is None
+
+
+def test_plan_values_are_parsed_once_per_text(graph7, gains_ns, ns_model, monkeypatch):
+    text = plan_to_text(cli.synthesize_ns(graph7, ns_model, gains_ns))
+    parsed = []
+    parse_scalar = cli.parse_scalar
+
+    def counting(value, mode="exact"):
+        parsed.append(value)
+        return parse_scalar(value, mode)
+
+    monkeypatch.setattr(cli, "parse_scalar", counting)
+    plan = plan_from_text(text, graph7)
+    # the two texts the seven agents share, then alpha, beta and a
+    assert parsed == ["1", "-1", "-0.5", "2", "0.5"]
+    assert plan_to_text(plan) == text
+
+
+@pytest.mark.parametrize("mode,bad", [("exact", "1/0"), ("float", "1e400")])
+def test_repeated_bad_plan_value_is_reported_at_its_first_line(mode, bad, tmp_path, capsys):
+    plan_file = tmp_path / "plan.txt"
+    main(["synthesize", GRAPH, "--config", NS_CFG, "--mode", mode, "-o", str(plan_file)])
+    one = "1.0" if mode == "float" else "1"
+    text = plan_file.read_text()
+    assert text.count(f"x={one},") == 4
+    plan_file.write_text(text.replace(f"x={one},", f"x={bad},"))
+    capsys.readouterr()
+    code = main(["verify", GRAPH, "--config", NS_CFG, "--mode", mode, "--plan", str(plan_file)])
+    assert code == EXIT_USAGE
+    reason = (
+        f"scalar {bad!r} outside the float range" if mode == "float"
+        else f"cannot parse scalar {bad!r}"
+    )
+    # agent 1 (line 8) is the first with x=1
+    assert capsys.readouterr().err.splitlines() == [f"error: plan line 8: {reason}"]
+
+
+# ---------------------------------------------------------------------------
+# verify --csv: the replay of a canonical CSV and the full reader
+
+
+def _artifacts(directory, cfg, mode, steps=None, halved=False):
+    """verify --csv argv for a fixture plan and the CSV `simulate` writes for it."""
+    directory.mkdir()
+    plan = _off_orbit_plan(directory) if halved else str(directory / "plan.txt")
+    common = [GRAPH, "--config", cfg, "--mode", mode, "--plan", plan]
+    if not halved:
+        assert main(["synthesize", GRAPH, "--config", cfg, "--mode", mode, "-o", plan]) == EXIT_OK
+    csv_file = directory / "traj.csv"
+    more = [] if steps is None else ["--steps", str(steps)]
+    assert main(["simulate", *common, *more, "-o", str(csv_file)]) == EXIT_OK
+    return ["verify", *common, "--csv", str(csv_file)], csv_file.read_text()
+
+
+@pytest.fixture(scope="module")
+def csv_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("replay")
+    return {
+        "di": _artifacts(root / "di", DI_CFG, "exact"),
+        "ns": _artifacts(root / "ns", NS_CFG, "exact"),
+        "di-float": _artifacts(root / "di-float", DI_CFG, "float"),
+        "ns-float": _artifacts(root / "ns-float", NS_CFG, "float"),
+        "halved": _artifacts(root / "halved", DI_CFG, "exact", steps=60, halved=True),
+    }
+
+
+def _edit_fields(edit):
+    """A CSV edit that rewrites the fields of each data row through edit(n, fields)."""
+
+    def apply(text):
+        lines = text.splitlines()
+        for n in range(1, len(lines)):
+            lines[n] = ",".join(edit(n, lines[n].split(",")))
+        return "\n".join(lines) + "\n"
+
+    return apply
+
+
+def _respelled(n, fields):
+    """Equal values in other spellings: 1.0 for a saturated 1, 0.50, 2p/2q."""
+    k, agent, x, v, u_raw, u_sat = fields
+    if u_sat in ("1", "-1"):
+        u_sat += ".0"
+    if n % 7 == 3 and "." in x and "e" not in x:
+        x += "0"
+    if n % 11 == 5:
+        value = F(v)
+        v = f"{2 * value.numerator}/{2 * value.denominator}"
+    return [k, agent, x, v, u_raw, u_sat]
+
+
+def _row(line_no, edit):
+    """A CSV edit of the fields of line `line_no` (1 is the header)."""
+    return _edit_fields(lambda n, f: edit(f) if n == line_no - 1 else f)
+
+
+def _shuffled(text):
+    header, *rows = text.splitlines()
+    random.Random(8).shuffle(rows)
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _forged_last_step(text, k=100000):
+    """The CSV with step k claimed on its last line."""
+    *lines, last = text.splitlines()
+    return "\n".join([*lines, f"{k}{last[last.index(','):]}"]) + "\n"
+
+
+def _last_step_inputs(text):
+    """Inputs on the last step, which has none: the reader ignores them."""
+    return text[:-2] + "1,1\n"
+
+
+#: edits of any fixture CSV, by name
+EDITS = {
+    "canonical": lambda text: text,
+    "respelled": _edit_fields(_respelled),
+    "shuffled": _shuffled,
+    "no-final-newline": lambda text: text[:-1],
+    "step-0-x": _row(2, lambda f: [f[0], f[1], str(F(f[2]) + 1), *f[3:]]),
+    "step-1-v": _row(9, lambda f: [*f[:3], str(F(f[3]) - 1), *f[4:]]),
+    "last-step-inputs": _last_step_inputs,
+    "blank-line": lambda text: text.replace("\n", "\n\n", 3),
+    "forged-last-step": _forged_last_step,
+}
+
+#: line 41 (step 5, agent 5) of the di CSV, as `test_tampered_or_malformed_csv` sets it
+TAMPERED = {
+    "u_raw": "5,5,3.5,-0.5,7,1",
+    "u_sat": "5,5,3.5,-0.5,0.5,0.5",
+    "duplicate-row": "5,4,3.5,-0.5,28.106,1",
+    "agent-0": "5,0,3.5,-0.5,28.106,1",
+}
+
+
+def _tampered(row_41):
+    def edit(text):
+        lines = text.splitlines()
+        assert lines[40] == "5,5,3.5,-0.5,28.106,1"
+        if row_41 is None:
+            lines = [line for line in lines if line.split(",")[1] != "7"]
+        else:
+            lines[40] = row_41
+        return "\n".join(lines) + "\n"
+
+    return edit
+
+
+DIFFERENTIAL_CASES = [
+    pytest.param(base, edit, id=f"{base}-{name}")
+    for base in ("di", "ns", "di-float", "ns-float", "halved")
+    for name, edit in EDITS.items()
+] + [
+    pytest.param("di", _tampered(row), id=f"di-tampered-{name}")
+    for name, row in [*TAMPERED.items(), ("agent-7-dropped", None)]
+]
+
+
+def _verify_outcome(argv, capsys):
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("base,edit", DIFFERENTIAL_CASES)
+def test_replay_and_full_reader_agree(base, edit, csv_artifacts, tmp_path, capsys, monkeypatch):
+    argv, text = csv_artifacts[base]
+    csv_file = tmp_path / "traj.csv"
+    csv_file.write_text(edit(text))
+    argv = [*argv[:-1], str(csv_file)]
+    replayed = _verify_outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_replay", lambda *args: None)
+    full = _verify_outcome(argv, capsys)
+    assert replayed == full
+    assert "Traceback" not in replayed[1] + replayed[2]
+
+
+@pytest.mark.parametrize("base", ["di", "ns", "halved"])
+def test_canonical_csv_is_replayed_not_parsed(base, csv_artifacts, capsys, monkeypatch):
+    argv, _ = csv_artifacts[base]
+
+    def unexpected(*args):
+        raise AssertionError("trajectory_from_csv called on a canonical CSV")
+
+    monkeypatch.setattr(cli, "trajectory_from_csv", unexpected)
+    code, out, _ = _verify_outcome(argv, capsys)
+    assert code == (EXIT_VERIFY if base == "halved" else EXIT_OK)
+    assert json.loads(out)["consistency"] is True
+
+
+def test_forged_step_count_is_rejected_without_simulating(csv_artifacts, tmp_path, capsys, monkeypatch):
+    argv, text = csv_artifacts["di"]
+    csv_file = tmp_path / "traj.csv"
+    csv_file.write_text(_forged_last_step(text, 10**9))
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("simulate called on a forged CSV")
+
+    monkeypatch.setattr(cli, "simulate", unexpected)
+    start = time.perf_counter()
+    code, out, err = _verify_outcome([*argv[:-1], str(csv_file)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.splitlines() == ["error: CSV steps are not contiguous from 0"]

@@ -397,3 +397,53 @@ def test_overflow_cap_trips_at_reference_step(
     assert simulate(graph7, gains_di, init, k - 1).steps == k - 1
     with pytest.raises(SimulationOverflowError):
         simulate(graph7, gains_di, init, k)
+
+
+@pytest.mark.parametrize("name", ["di", "ns", "halved"])
+def test_closed_orbit_is_stepped_once(
+    name, graph7, gains_di, gains_ns, ns_model, reference_init_di, monkeypatch
+):
+    """Once the state returns to its start, the rows repeat without stepping."""
+    if name == "ns":
+        gains, init, ns, T = gains_ns, synthesize_ns(graph7, ns_model, gains_ns).init, ns_model, 4
+    else:
+        gains, init, ns, T = gains_di, reference_init_di, None, 22
+    if name == "halved":
+        init = INITS["halved"](init)
+    steps_taken = []
+    step = Lattice.step
+
+    def counting(self, *tick):
+        steps_taken.append(1)
+        return step(self, *tick)
+
+    monkeypatch.setattr(Lattice, "step", counting)
+    for steps in (2 * T, 3 * T + 5):
+        steps_taken.clear()
+        t = simulate(graph7, gains, init, steps, ns=ns)
+        # off the orbit every step is taken
+        assert len(steps_taken) == (steps if name == "halved" else T)
+        expected = reference_rollout(graph7, gains, init, steps, ns=ns)
+        assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == expected
+
+
+def test_cap_trips_on_the_state_that_closes_the_orbit(
+    graph7, gains_di, reference_init_di, monkeypatch
+):
+    # the di orbit from its step 6, every position shifted by -12 (a common
+    # shift leaves every input alone): only the start state needs 11 bits
+    init = [
+        AgentState(s.x - 12, s.v)
+        for s in reference_rollout(graph7, gains_di, reference_init_di, 6)[0][6]
+    ]
+    states = reference_rollout(graph7, gains_di, init, 22)[0]
+    bits = [
+        max(max(c.numerator.bit_length(), c.denominator.bit_length()) for s in row for c in (s.x, s.v))
+        for row in states
+    ]
+    assert states[22] == states[0] and bits[0] == 11 and max(bits[1:22]) == 10
+    monkeypatch.setattr(dynamics, "MAX_EXACT_BITS", 10)
+    assert simulate(graph7, gains_di, init, 21).steps == 21
+    for steps in (22, 71):
+        with pytest.raises(SimulationOverflowError):
+            simulate(graph7, gains_di, init, steps)
