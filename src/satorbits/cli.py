@@ -120,12 +120,17 @@ def _parse_init_list(text: str, mode: str) -> list[tuple[Scalar, Scalar]]:
     return pairs
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of the file at `path`; one that cannot be read or decoded is a usage error."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
+    text = _read_text(path, "config")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -186,10 +191,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_graph(path: str, mode: str) -> WeightedGraph:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read graph {path}: {exc}") from exc
+    text = _read_text(path, "graph")
     try:
         return parse_graph(text, mode)
     except GraphFormatError as exc:
@@ -550,10 +552,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     g = _load_graph(args.graph, cfg.mode)
     if args.plan:
-        try:
-            plan = plan_from_text(Path(args.plan).read_text(), g, cfg.mode)
-        except OSError as exc:
-            raise CliError(f"cannot read plan {args.plan}: {exc}") from exc
+        plan = plan_from_text(_read_text(args.plan, "plan"), g, cfg.mode)
         init = plan.init
         model, a, gains = plan.model, plan.a, plan.gains
         default_steps = 2 * plan.period
@@ -608,7 +607,6 @@ def _trajectory_consistent(
     t: Trajectory,
     g: WeightedGraph,
     gains: GainParams,
-    tol: float,
     resim: Optional[Trajectory] = None,
 ) -> tuple[Optional[dict], Trajectory]:
     """Recompute the trajectory from its own first state; report first mismatch.
@@ -626,13 +624,13 @@ def _trajectory_consistent(
         rows = [(resim.states, t.states)]
         if k < t.steps:
             rows += [(resim.raw_u, t.raw_u), (resim.sat_u, t.sat_u)]
-        # equal rows agree under any tolerance; only a differing row is searched
+        # equal rows agree under `scalars_equal`; only a differing row is searched
         if all(ours[k] == theirs[k] for ours, theirs in rows):
             continue
         for i in range(t.n):
             if not (
-                states_equal([resim.states[k][i]], [t.states[k][i]], tol)
-                and all(scalars_equal(ours[k][i], theirs[k][i], tol) for ours, theirs in rows[1:])
+                states_equal([resim.states[k][i]], [t.states[k][i]])
+                and all(scalars_equal(ours[k][i], theirs[k][i]) for ours, theirs in rows[1:])
             ):
                 return {"step": k, "agent": i + 1}, resim
     return None, resim
@@ -689,10 +687,7 @@ def _checked_csv(
     `_trajectory_consistent`, which reuses the replay when its start state
     and step count are the CSV's.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read trajectory {path}: {exc}") from exc
+    text = _read_text(path, "trajectory")
     resim = _replay(text, g, plan, mode)
     if resim is not None and _is_csv_of(resim, text):
         return resim, None, resim
@@ -701,17 +696,14 @@ def _checked_csv(
         raise CliError(f"CSV has {t.n} agents, graph has {g.n}")
     if resim is not None and (resim.steps, resim.states[0]) != (t.steps, t.states[0]):
         resim = None
-    mismatch, rollout = _trajectory_consistent(t, g, plan.gains, 1e-9, resim)
+    mismatch, rollout = _trajectory_consistent(t, g, plan.gains, resim)
     return t, mismatch, rollout
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     g = _load_graph(args.graph, cfg.mode)
-    try:
-        plan = plan_from_text(Path(args.plan).read_text(), g, cfg.mode)
-    except OSError as exc:
-        raise CliError(f"cannot read plan {args.plan}: {exc}") from exc
+    plan = plan_from_text(_read_text(args.plan, "plan"), g, cfg.mode)
     report: dict = {}
     if args.csv:
         t, mismatch, rollout = _checked_csv(args.csv, g, plan, cfg.mode)

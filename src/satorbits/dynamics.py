@@ -48,14 +48,9 @@ class AgentState:
         return AgentState(-self.x, -self.v)
 
 
-def states_equal(
-    a: Sequence[AgentState], b: Sequence[AgentState], tol: float = FLOAT_TOL
-) -> bool:
-    """Agentwise equality of two states under the `scalars_equal` policy."""
-    return all(
-        scalars_equal(p.x, q.x, tol) and scalars_equal(p.v, q.v, tol)
-        for p, q in zip(a, b)
-    )
+def states_equal(a: Sequence[AgentState], b: Sequence[AgentState]) -> bool:
+    """Agentwise `scalars_equal`: bit-exact for rationals, within `FLOAT_TOL` for floats."""
+    return all(scalars_equal(p.x, q.x) and scalars_equal(p.v, q.v) for p, q in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -460,7 +455,7 @@ def _flat(value: object) -> list:
 
 
 def normalize_ns(
-    A0: Sequence[Sequence[Scalar]], B0: Sequence, tol: float = FLOAT_TOL
+    A0: Sequence[Sequence[Scalar]], B0: Sequence
 ) -> tuple[NsModel, tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]]:
     """Bring a controllable planar pair to the canonical form ([[0,1],[-1,2a]], [0,1]^T).
 
@@ -472,9 +467,10 @@ def normalize_ns(
     `A0` is a 2x2 nested sequence; `B0` has two entries, flat, 2x1 or 1x2.
     When every entry is exact (int or Fraction), `a = trace/2`, `T` and the
     gates are exact: a nonzero controllability determinant, det(A0) == 1
-    and 0 < |trace| < 2.  Otherwise every entry is read with `float()`; the
-    controllability determinant must exceed tol * scale^2, and det and trace
-    are allowed 1e-6.
+    and 0 < |trace| < 2.  Otherwise every entry is read with `float()`, and
+    the gates are limits on the input matrix, not an equality policy: the
+    controllability determinant must exceed `FLOAT_TOL` * scale^2, and det
+    and trace may miss their bounds by 1e-6.
     """
     try:
         rows = [_flat(row) for row in A0]
@@ -500,7 +496,7 @@ def normalize_ns(
     else:
         show = "{:.6g}".format
         scale = max(abs(b0), abs(b1), abs(c0), abs(c1), 1.0)
-        uncontrollable = abs(det_ctrb) <= tol * scale**2
+        uncontrollable = abs(det_ctrb) <= FLOAT_TOL * scale**2
         off_circle = abs(det - 1.0) > 1e-6
         at_one, at_j = abs(trace) >= 2.0 - 1e-6, abs(trace) <= 1e-6
     if uncontrollable:

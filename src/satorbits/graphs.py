@@ -142,7 +142,8 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
         if parts[0] == "n":
             if declared_n is not None or edges:
                 raise GraphFormatError(f"line {lineno}: stray agent-count line")
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            # str.isdigit admits digits such as "²" that int() rejects
+            if len(parts) != 2 or not parts[1].encode().isdigit() or int(parts[1]) < 1:
                 raise GraphFormatError(f"line {lineno}: bad agent count")
             declared_n = int(parts[1])
             continue

@@ -5,6 +5,10 @@ the default) or `float` (float mode, used when the rotation parameter of the
 neutrally stable model is irrational).  Decimal strings parse exactly in
 exact mode, so "0.42" becomes 21/50 and every downstream inequality is
 decided without rounding.
+
+Tolerance policy: `scalars_equal` is the one equality test.  Rationals are
+compared bit-exactly; a pair with a float in it is equal when it differs by
+at most `FLOAT_TOL`, an absolute bound.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from typing import Optional, Union
 
 Scalar = Union[Fraction, float]
 
-#: default absolute tolerance for float-mode comparisons
+#: the one float tolerance: absolute, applied to float equality by
+#: `scalars_equal` only (and by `normalize_ns` to its controllability gate)
 FLOAT_TOL = 1e-9
 
 #: log2(5), to guess the power of five in a denominator from its bit length
@@ -159,8 +164,8 @@ def is_exact(value: Scalar) -> bool:
     return isinstance(value, (Fraction, int))
 
 
-def scalars_equal(x: Scalar, y: Scalar, tol: float = FLOAT_TOL) -> bool:
-    """Equality test: bit-exact for rationals, absolute tolerance for floats."""
+def scalars_equal(x: Scalar, y: Scalar) -> bool:
+    """Equality test: bit-exact for rationals, within `FLOAT_TOL` when either is a float."""
     if is_exact(x) and is_exact(y):
         return x == y
-    return abs(x - y) <= tol
+    return abs(x - y) <= FLOAT_TOL

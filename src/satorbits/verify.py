@@ -3,6 +3,13 @@
 Pattern checks operate on the raw (unsaturated) inputs: the synthesis
 arguments bound u_i(k) itself, and sat(u) = +-1 alone would be a strictly
 weaker check.
+
+Every check has two paths, chosen by column type.  On a `LatticeColumn`, the
+columns of an exact run or CSV, it decides on the integers of the rows.  On a
+tuple column it works per agent on the scalars (`inverse_step_*` with
+`control_inputs`, or `closed_form_di`) and compares through `states_equal`,
+which is bit-exact on rationals and allows `FLOAT_TOL` on floats.  The tuple
+path is the reference that the integer path is tested against.
 """
 
 from __future__ import annotations
@@ -22,14 +29,13 @@ from .dynamics import (
     control_inputs,
     inverse_step_di,
     inverse_step_ns,
-    ratio_row,
     ratios,
     saturate,
     simulate,
     states_equal,
 )
 from .graphs import Partition, WeightedGraph
-from .scalars import FLOAT_TOL, Scalar, is_exact, scalars_equal
+from .scalars import Scalar, is_exact, scalars_equal
 from .synthesis import OrbitPlan, PatternSpec
 
 
@@ -57,7 +63,6 @@ def backward_states(
     g: WeightedGraph,
     gains: GainParams,
     T: int,
-    tol: float = FLOAT_TOL,
 ) -> list[AgentState]:
     """Invert one period, extending the input sequence T-periodically.
 
@@ -65,50 +70,43 @@ def backward_states(
     the one-step map with the saturated input recorded one period later, then
     confirms the controller at the reconstructed state reproduces that input.
     Returns the state at time -T; raises `BackwardExtensionError` at the first
-    input the controller does not reproduce.  The integer rows S/Es of a
-    `LatticeColumn` of saturated inputs are used as they are, and decoded
-    only to name a mismatch.
+    input the controller does not reproduce.  A `LatticeColumn` of saturated
+    inputs is inverted on the `Lattice` with its integer rows S/Es as they
+    are, decoded only to name a mismatch; a tuple column is inverted per
+    agent with `inverse_step_*` and `control_inputs`.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     ns = None if t.model == "di" else NsModel(t.a)
     start = t.states[0]
-    integer_rows = isinstance(t.sat_u, LatticeColumn)
-    applied = t.sat_u.data[:T] if integer_rows else t.sat_u[:T]
-    values = [c for s in start for c in (s.x, s.v)]
-    if not integer_rows:
-        values += [u for row in applied for u in row]
-    lattice = Lattice.of(g, gains, ns, values)
+    lattice = None
+    if isinstance(t.sat_u, LatticeColumn):
+        lattice = Lattice.of(g, gains, ns, [c for s in start for c in (s.x, s.v)])
     if lattice is not None:
         X, V, D = lattice.encode(start)
     current = list(start)
     for back in range(1, T + 1):
-        sat = applied[T - back]
         if lattice is None:
+            sat = t.sat_u[T - back]
             if ns is None:
                 current = [inverse_step_di(s, u) for s, u in zip(current, sat)]
             else:
                 current = [inverse_step_ns(s, u, ns) for s, u in zip(current, sat)]
             recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
         else:
-            if integer_rows:
-                S, Es = sat
-            else:
-                S, Es = ratio_row([(u.numerator, u.denominator) for u in sat])
+            S, Es = t.sat_u.data[T - back]
             X, V, D = lattice.unstep(X, V, D, S, Es)
             E = lattice.K * D
             U = lattice.inputs(X, V)
-            if integer_rows:
-                # sat(u/E) == s/Es: s == +-Es where u saturates, else u*Es == s*E
-                if all(
-                    s == Es if u >= E else s == -Es if u <= -E else u * Es == s * E
-                    for u, s in zip(U, S)
-                ):
-                    continue
-                sat = ratios(S, Es)
-            recomputed = [lattice.saturated(u, E) for u in U]
+            # sat(u/E) == s/Es: s == +-Es where u saturates, else u*Es == s*E
+            if all(
+                s == Es if u >= E else s == -Es if u <= -E else u * Es == s * E
+                for u, s in zip(U, S)
+            ):
+                continue
+            sat, recomputed = ratios(S, Es), [lattice.saturated(u, E) for u in U]
         for i, (u_used, u_new) in enumerate(zip(sat, recomputed)):
-            if not scalars_equal(u_used, u_new, tol):
+            if not scalars_equal(u_used, u_new):
                 raise BackwardExtensionError(
                     f"backward extension inconsistent at time {-back}, agent "
                     f"{i + 1}: input {u_new} vs recorded {u_used}"
@@ -121,13 +119,12 @@ def check_periodicity(
     T: int,
     graph: WeightedGraph | None = None,
     gains: GainParams | None = None,
-    tol: float = FLOAT_TOL,
 ) -> bool:
     """states[T] == states[0]; in exact mode, also one inverted period.
 
     The backward check (two-sided periodicity) runs when `graph` and `gains`
     are supplied and the trajectory is exact; recorded inputs that do not
-    extend backward fail it.
+    extend backward fail it.  Exact states are compared with `==`.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
@@ -135,27 +132,28 @@ def check_periodicity(
         # reduced ticks are equal exactly when the states are
         if t.states.data[T] != t.states.data[0]:
             return False
-    elif not states_equal(t.states[T], t.states[0], tol):
+    elif not states_equal(t.states[T], t.states[0]):
         return False
     if graph is not None and gains is not None and _trajectory_is_exact(t):
         try:
-            before = backward_states(t, graph, gains, T, tol)
+            before = backward_states(t, graph, gains, T)
         except BackwardExtensionError:
             return False
-        if not states_equal(before, t.states[0], tol):
-            return False
+        return tuple(before) == tuple(t.states[0])
     return True
 
 
-def check_pattern(
-    t: Trajectory, p: Partition, pattern: PatternSpec, tol: float = 0.0
-) -> PatternReport:
-    """Verify raw u_i(k) >= 1 / <= -1 per class and phase over one period."""
+def check_pattern(t: Trajectory, p: Partition, pattern: PatternSpec) -> PatternReport:
+    """Verify raw u_i(k) >= 1 / <= -1 per class and phase over one period.
+
+    The bounds admit no tolerance, on the integers of a `LatticeColumn` and
+    on the scalars of a tuple column alike.
+    """
     T = pattern.period
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     violations: list[tuple[int, int, Scalar]] = []
-    if tol == 0 and isinstance(t.raw_u, LatticeColumn):
+    if isinstance(t.raw_u, LatticeColumn):
         # u = U/E with E > 0: u >= 1 is U >= E and u <= -1 is U <= -E
         for k in range(T):
             U, E = t.raw_u.data[k]
@@ -167,8 +165,7 @@ def check_pattern(
         for i in range(t.n):
             u = t.raw_u[k][i]
             sign = pattern.sign_at(k, i in p.s_even)
-            ok = u >= 1 - tol if sign > 0 else u <= -1 + tol
-            if not ok:
+            if not (u >= 1 if sign > 0 else u <= -1):
                 violations.append((k, i, u))
     return PatternReport(not violations, tuple(violations))
 
@@ -197,34 +194,34 @@ def closed_form_di(
     return AgentState(x, v)
 
 
-def oracle_check_di(t: Trajectory, plan: OrbitPlan, tol: float = FLOAT_TOL) -> bool:
+def oracle_check_di(t: Trajectory, plan: OrbitPlan) -> bool:
     """Every recorded state matches the closed form (independent of the stepper).
 
-    For an exact plan and trajectory the closed form of agent i is computed on
-    integers over q = lcm of the denominators of x_i(0), v_i(0), and compared
-    with each recorded p/r (or lattice numerator over D) by cross-multiplying;
-    otherwise `closed_form_di` and `states_equal` do it with tolerance.
+    On a `LatticeColumn`, for an exact plan, the closed form of agent i is
+    computed on integers over q = lcm of the denominators of x_i(0), v_i(0),
+    and compared with each lattice numerator over D by cross-multiplying; on a
+    tuple column `closed_form_di` and `states_equal` do it.
     """
     m = plan.half_period
     if t.steps < 2 * m:
         raise ValueError(f"trajectory covers {t.steps} steps, need {2 * m}")
-    exact = _trajectory_is_exact(t) and all(
-        is_exact(s.x) and is_exact(s.v) for s in plan.init
-    )
-    ticks = t.states.data if isinstance(t.states, LatticeColumn) else None
-    for i in range(t.n):
-        even = i in plan.partition.s_even
-        x0, v0 = plan.init[i].x, plan.init[i].v
-        if not exact:
-            cls = "even" if even else "odd"
+    if not (
+        isinstance(t.states, LatticeColumn)
+        and all(is_exact(s.x) and is_exact(s.v) for s in plan.init)
+    ):
+        for i in range(t.n):
+            cls = "even" if i in plan.partition.s_even else "odd"
+            x0, v0 = plan.init[i].x, plan.init[i].v
             for k in range(2 * m + 1):
-                expected = closed_form_di(x0, v0, cls, m, k)
-                if not states_equal([t.states[k][i]], [expected], tol):
+                if not states_equal([t.states[k][i]], [closed_form_di(x0, v0, cls, m, k)]):
                     return False
-            continue
+        return True
+    ticks = t.states.data
+    for i in range(t.n):
+        x0, v0 = plan.init[i].x, plan.init[i].v
         q = math.lcm(x0.denominator, v0.denominator)
         X0, V0 = x0.numerator * (q // x0.denominator), v0.numerator * (q // v0.denominator)
-        sq = q if even else -q
+        sq = q if i in plan.partition.s_even else -q
         for k in range(2 * m + 1):
             # up = steps driven by the first sign, down = steps since it flipped:
             # x = x0 + k v0 + sign (up(up-1)/2 + down up - down(down-1)/2)
@@ -232,13 +229,8 @@ def oracle_check_di(t: Trajectory, plan: OrbitPlan, tol: float = FLOAT_TOL) -> b
             down = k - up
             X = X0 + k * V0 + sq * (up * (up - 1) // 2 + down * up - down * (down - 1) // 2)
             V = V0 + sq * (up - down)
-            if ticks is not None:
-                Xk, Vk, D = ticks[k]
-                if X * D != Xk[i] * q or V * D != Vk[i] * q:
-                    return False
-                continue
-            x, v = t.states[k][i].x, t.states[k][i].v
-            if X * x.denominator != x.numerator * q or V * v.denominator != v.numerator * q:
+            Xk, Vk, D = ticks[k]
+            if X * D != Xk[i] * q or V * D != Vk[i] * q:
                 return False
     return True
 
@@ -249,33 +241,30 @@ def minimal_period(
     init: Sequence[AgentState],
     T_max: int,
     ns: NsModel | None = None,
-    tol: float = FLOAT_TOL,
     rollout: Trajectory | None = None,
 ) -> Optional[int]:
     """Smallest t in [1, T_max] with state(t) == state(0), by enumeration.
 
-    `rollout`, a trajectory from `init` of at least T_max steps, is scanned
-    instead of simulating again; any other trajectory is ignored.
+    `rollout`, a trajectory from exactly `init` of at least T_max steps, is
+    scanned instead of simulating again; any other trajectory is ignored.
     """
     if T_max < 1:
         raise ValueError("T_max must be >= 1")
     t = rollout
-    if t is None or t.steps < T_max or not states_equal(t.states[0], init, tol):
+    if t is None or t.steps < T_max or tuple(t.states[0]) != tuple(init):
         t = simulate(g, gains, init, T_max, ns=ns)
     if isinstance(t.states, LatticeColumn):
         ticks = t.states.data
         return next((k for k in range(1, T_max + 1) if ticks[k] == ticks[0]), None)
-    for period in range(1, T_max + 1):
-        if states_equal(t.states[period], t.states[0], tol):
-            return period
-    return None
+    return next(
+        (k for k in range(1, T_max + 1) if states_equal(t.states[k], t.states[0])), None
+    )
 
 
 def verification_report(
     g: WeightedGraph,
     plan: OrbitPlan,
     t: Trajectory,
-    tol: float = FLOAT_TOL,
     rollout: Trajectory | None = None,
 ) -> dict:
     """Run every applicable check and collect a machine-readable summary.
@@ -284,9 +273,7 @@ def verification_report(
     t.states[0] that covers 2T steps saves rolling them out again.
     """
     report: dict = {"model": plan.model, "period": plan.period}
-    report["periodicity"] = check_periodicity(
-        t, plan.period, graph=g, gains=plan.gains, tol=tol
-    )
+    report["periodicity"] = check_periodicity(t, plan.period, graph=g, gains=plan.gains)
     pattern = check_pattern(t, plan.partition, plan.pattern)
     report["pattern"] = pattern.ok
     if pattern.first_violation is not None:
@@ -297,11 +284,9 @@ def verification_report(
             "raw_input": str(value),
         }
     if plan.model == "di":
-        report["closed_form"] = oracle_check_di(t, plan, tol)
+        report["closed_form"] = oracle_check_di(t, plan)
     ns = None if plan.model == "di" else NsModel(plan.a)
-    found = minimal_period(
-        g, plan.gains, t.states[0], 2 * plan.period, ns=ns, tol=tol, rollout=rollout
-    )
+    found = minimal_period(g, plan.gains, t.states[0], 2 * plan.period, ns=ns, rollout=rollout)
     report["minimal_period"] = found
     report["ok"] = bool(
         report["periodicity"]

@@ -4,6 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +298,38 @@ def _simulate_plan(make_plan):
     return lambda tmp: ["simulate", GRAPH, "--config", DI_CFG, "--plan", make_plan(tmp)]
 
 
+def _non_utf8(command, kind):
+    """argv factory: `command` on the di fixture with a 0xff byte in its
+    graph, config, plan or trajectory CSV, which is written to `bad-<kind>`."""
+
+    def argv(tmp_path):
+        plan, csv = tmp_path / "plan.txt", tmp_path / "traj.csv"
+        main(["synthesize", GRAPH, "--config", DI_CFG, "-o", str(plan)])
+        main(["simulate", GRAPH, "--config", DI_CFG, "--plan", str(plan), "-o", str(csv)])
+        files = {"graph": Path(GRAPH), "config": Path(DI_CFG), "plan": plan, "trajectory": csv}
+        bad = files[kind] = tmp_path / f"bad-{kind}"
+        bad.write_bytes(b"# \xff\n")
+        args = [command, str(files["graph"]), "--config", str(files["config"])]
+        args += ["--plan", str(files["plan"])]
+        return args + (["--csv", str(files["trajectory"])] if command == "verify" else [])
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command,kind",
+    [("verify", kind) for kind in ("graph", "config", "plan", "trajectory")]
+    + [("simulate", "plan")],
+)
+def test_non_utf8_file_is_named(command, kind, tmp_path, capsys):
+    args = _non_utf8(command, kind)(tmp_path)
+    capsys.readouterr()
+    assert main(args) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot read {kind} {tmp_path / f'bad-{kind}'}: ")
+    assert "can't decode byte 0xff" in line
+
+
 def _disconnected(command):
     """argv factory: `command` with the di fixture plan on graph7 minus the edge 3-7."""
 
@@ -338,6 +371,10 @@ def _disconnected(command):
         ),
         pytest.param(_disconnected("simulate"), False, id="disconnected-simulate"),
         pytest.param(_disconnected("verify"), False, id="disconnected-verify"),
+        *(
+            pytest.param(_non_utf8("verify", kind), False, id=f"non-utf8-{kind}")
+            for kind in ("graph", "config", "plan", "trajectory")
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(argv, low_cap, tmp_path, capsys, monkeypatch):

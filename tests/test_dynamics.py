@@ -321,7 +321,6 @@ class TestStatesEqual:
         a = [AgentState(1.0, 2.0)]
         assert states_equal(a, [AgentState(1.0 + 1e-12, 2.0)])
         assert not states_equal(a, [AgentState(1.0 + 1e-6, 2.0)])
-        assert states_equal(a, [AgentState(1.0 + 1e-6, 2.0)], tol=1e-5)
 
 
 class TestNormalizeNs:

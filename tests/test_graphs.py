@@ -135,6 +135,12 @@ class TestParse:
         with pytest.raises(GraphFormatError):
             parse_graph("1 2")
 
+    # "²" and "٣" pass str.isdigit, and int() rejects the first and reads the second
+    @pytest.mark.parametrize("count", ["²", "٣", "0", "-2", "3 4", ""])
+    def test_bad_agent_count(self, count):
+        with pytest.raises(GraphFormatError, match="^line 2: bad agent count$"):
+            parse_graph(f"# header\nn {count}\n1 2 1.0")
+
     def test_nonpositive_weight(self):
         with pytest.raises(GraphFormatError, match="nonpositive"):
             parse_graph("1 2 0")

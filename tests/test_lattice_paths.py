@@ -1,8 +1,8 @@
 """Lattice-backed trajectories against their tuple copies.
 
 An exact `simulate` or CSV read returns `LatticeColumn`s, and the checks
-take an integer path on them; a tuple column takes the Fraction path.  Both
-must give the same results and raise the same errors.
+take an integer path on them; a tuple column takes the per-agent scalar
+path.  Both must give the same results and raise the same errors.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def all_checks(t, g, gains, plan, T, ns):
             minimal_period, g, gains, t.states[0], T, ns=ns, rollout=t
         ),
         "csv": outcome(trajectory_to_csv, t),
-        "consistent": outcome(lambda: _trajectory_consistent(t, g, gains, 1e-9)[0]),
+        "consistent": outcome(lambda: _trajectory_consistent(t, g, gains)[0]),
     }
 
 
@@ -219,6 +219,45 @@ def test_fixture_runs_agree(name, fixture_runs, graph7):
     assert_paths_agree(read, graph7, plan.gains, plan, plan.period, ns)
 
 
+@pytest.mark.parametrize("name", ["di", "ns", "halved"])
+def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypatch):
+    """Tuple columns are checked per agent, lattice columns invert on the lattice."""
+    t, plan, _ = fixture_runs[name]
+    T = plan.period
+    calls = []
+    unstep = Lattice.unstep
+
+    def counting(self, *args):
+        calls.append(args)
+        return unstep(self, *args)
+
+    def checks(traj):
+        return (
+            outcome(check_periodicity, traj, T, graph=graph7, gains=plan.gains),
+            outcome(backward_states, traj, graph7, plan.gains, T),
+            outcome(oracle_check_di, traj, plan),
+        )
+
+    monkeypatch.setattr(Lattice, "unstep", counting)
+    expected = checks(t)
+    if name == "halved":
+        # off the orbit the forward check fails, and the inversion stops at once
+        assert expected[1][1].startswith("backward extension inconsistent at time -1,")
+        assert len(calls) == 1
+    else:
+        # check_periodicity and backward_states each invert T steps
+        assert expected[0] is True and expected[1] == list(t.states[0])
+        assert len(calls) == 2 * T
+
+    def refuse(self, *args):
+        calls.append(args)
+        raise AssertionError("a tuple column reached Lattice.unstep")
+
+    calls.clear()
+    monkeypatch.setattr(Lattice, "unstep", refuse)
+    assert checks(tuple_copy(t)) == expected and not calls
+
+
 def test_on_orbit_checks_pass_on_both_paths(fixture_runs, graph7):
     t, plan, ns = fixture_runs["di"]
     checks = all_checks(t, graph7, plan.gains, plan, plan.period, ns)
@@ -266,7 +305,7 @@ class TestLatticeColumn:
         assert isinstance(mixed.states, LatticeColumn)
         report = check_pattern(mixed, partition7, di_pattern(2))
         assert (1, 2, t.raw_u[1][2] + 40) in report.violations
-        assert _trajectory_consistent(mixed, graph7, gains_di, 1e-9)[0] == {"step": 1, "agent": 3}
+        assert _trajectory_consistent(mixed, graph7, gains_di)[0] == {"step": 1, "agent": 3}
         assert trajectory_to_csv(mixed) == trajectory_to_csv(bad)
 
     def test_writer_reads_each_input_over_its_own_denominator(self):

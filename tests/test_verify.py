@@ -257,7 +257,7 @@ class TestFloatMode:
         t = simulate(g, gains, plan.init, 8, ns=model)
         assert check_periodicity(t, 4)
         assert minimal_period(g, gains, plan.init, 8, ns=model) == 4
-        assert check_pattern(t, plan.partition, ns_pattern(), tol=1e-9).ok
+        assert check_pattern(t, plan.partition, ns_pattern()).ok
 
 
 class TestReport:
