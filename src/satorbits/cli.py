@@ -10,8 +10,10 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -40,6 +42,7 @@ from .scalars import (
     Scalar,
     ScalarFormatError,
     format_scalar,
+    parse_int,
     parse_ratio,
     parse_scalar,
     ratio_texts,
@@ -174,15 +177,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if "beta" in raw:
             cfg.beta = parse_scalar(raw["beta"], cfg.mode)
         if "root" in raw:
-            cfg.root = int(raw["root"])
+            cfg.root = parse_int(raw["root"])
         if "m" in raw:
-            cfg.m_override = int(raw["m"])
+            cfg.m_override = parse_int(raw["m"])
         if "steps" in raw:
-            cfg.steps = int(raw["steps"])
+            cfg.steps = parse_int(raw["steps"])
         if "base" in raw:
             cfg.base_position = parse_scalar(raw["base"], cfg.mode)
         if "anchor" in raw:
-            cfg.anchor = int(raw["anchor"])
+            cfg.anchor = parse_int(raw["anchor"])
         if "init" in raw:
             cfg.init_override = _parse_init_list(raw["init"], cfg.mode)
     except ValueError as exc:
@@ -306,44 +309,55 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
 CSV_HEADER = "k,agent,x,v,u_raw,u_sat"
 
 
-def _lattice_lines(t: Trajectory) -> Iterator[str]:
-    """The CSV rows of an all-lattice trajectory, formatted from its integers."""
-    # a periodic orbit repeats its rows, so each distinct row is formatted once
+def _row_tails(
+    tick: tuple[list[int], list[int], int],
+    raw: Optional[tuple[list[int], int]],
+    sat: Optional[tuple[list[int], int]],
+) -> list[str]:
+    """The CSV lines of one lattice row without their step, `i,x,v,u_raw,u_sat` per agent."""
+    X, V, D = tick
+    xs, vs = ratio_texts(X, D), ratio_texts(V, D)
+    if raw is None:
+        return [f"{i},{x},{v},," for i, x, v in zip(count(1), xs, vs)]
+    (U, E), (S, Es) = raw, sat
+    rs = ratio_texts(U, E)
+    # a saturated input is +-1; an unsaturated one repeats its raw text
+    ss = [
+        "1" if s == Es
+        else "-1" if s == -Es
+        else r if (s, Es) == (u, E)
+        else ratio_texts([s], Es)[0]
+        for s, u, r in zip(S, U, rs)
+    ]
+    return [f"{i},{x},{v},{r},{s}" for i, x, v, r, s in zip(count(1), xs, vs, rs, ss)]
+
+
+def _lattice_steps(t: Trajectory) -> Iterator[str]:
+    """The CSV text of each step of an all-lattice trajectory, formatted from its integers.
+
+    A closed orbit shares its repeated rows by reference (see `simulate`), so
+    the tails of a (tick, raw, sat) row whose objects recur are formatted
+    once and kept; step k stamps `k,` before each of its row's n tails.
+    """
+    # the last tick has no inputs
+    rows = [*zip(t.states.data, t.raw_u.data, t.sat_u.data), (t.states.data[-1], None, None)]
+    keys = [tuple(map(id, row)) for row in rows]
+    recurring = {key for key, uses in Counter(keys).items() if uses > 1}
     known: dict[tuple, list[str]] = {}
-
-    def texts(N: list[int], D: int) -> list[str]:
-        key = (D, *N)
-        out = known.get(key)
-        if out is None:
-            out = known[key] = ratio_texts(N, D)
-        return out
-
-    for k, (X, V, D) in enumerate(t.states.data):
-        xs, vs = texts(X, D), texts(V, D)
-        if k < t.steps:
-            (U, E), (S, Es) = t.raw_u.data[k], t.sat_u.data[k]
-            raw = texts(U, E)
-            # a saturated input is +-1; an unsaturated one repeats its raw text
-            sat = [
-                "1" if s == Es
-                else "-1" if s == -Es
-                else r if (s, Es) == (u, E)
-                else ratio_texts([s], Es)[0]
-                for s, u, r in zip(S, U, raw)
-            ]
-        else:
-            raw = sat = [""] * len(X)
-        yield from [
-            f"{k},{i},{x},{v},{r},{s}"
-            for i, (x, v, r, s) in enumerate(zip(xs, vs, raw, sat), 1)
-        ]
+    for k, (row, key) in enumerate(zip(rows, keys)):
+        tails = known.get(key)
+        if tails is None:
+            tails = _row_tails(*row)
+            if key in recurring:
+                known[key] = tails
+        yield f"{k}," + f"\n{k},".join(tails) + "\n"
 
 
-def _csv_lines(t: Trajectory) -> Iterator[str]:
-    """The lines of `trajectory_to_csv(t)`, header first, without their newlines."""
-    yield CSV_HEADER
+def _csv_pieces(t: Trajectory) -> Iterator[str]:
+    """The text of `trajectory_to_csv(t)` after its header, one piece per step of
+    an all-lattice trajectory and one per line of any other."""
     if all(isinstance(c, LatticeColumn) for c in (t.states, t.raw_u, t.sat_u)):
-        yield from _lattice_lines(t)
+        yield from _lattice_steps(t)
         return
     for k, row in enumerate(t.states):
         for i, s in enumerate(row):
@@ -352,21 +366,23 @@ def _csv_lines(t: Trajectory) -> Iterator[str]:
                 u_sat = format_scalar(t.sat_u[k][i])
             else:
                 u_raw = u_sat = ""
-            yield f"{k},{i + 1},{format_scalar(s.x)},{format_scalar(s.v)},{u_raw},{u_sat}"
+            yield f"{k},{i + 1},{format_scalar(s.x)},{format_scalar(s.v)},{u_raw},{u_sat}\n"
 
 
 def trajectory_to_csv(t: Trajectory) -> str:
-    return "\n".join(_csv_lines(t)) + "\n"
+    return "".join([CSV_HEADER + "\n", *_csv_pieces(t)])
 
 
 def _is_csv_of(t: Trajectory, text: str) -> bool:
-    """Whether `text` is `trajectory_to_csv(t)`, compared line by line as it is written."""
-    pos = 0
-    for line in _csv_lines(t):
-        end = pos + len(line)
-        if not (text.startswith(line, pos) and text.startswith("\n", end)):
+    """Whether `text` is `trajectory_to_csv(t)`, compared one piece (a lattice step) at a
+    time as it is written, up to the first that differs."""
+    if not text.startswith(CSV_HEADER + "\n"):
+        return False
+    pos = len(CSV_HEADER) + 1
+    for piece in _csv_pieces(t):
+        if not text.startswith(piece, pos):
             return False
-        pos = end + 1
+        pos += len(piece)
     return pos == len(text)
 
 
@@ -729,6 +745,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_arg(text: str) -> int:
+    """An integer flag value in ASCII digits; any other text is reported as argparse
+    reports it for `type=int`."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satorbits",
@@ -740,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, config: bool = True) -> None:
         p.add_argument("graph", help="edge-list graph file")
         p.add_argument("--mode", choices=["exact", "float"], default=None)
-        p.add_argument("--root", type=int, default=None, help="root agent (1-based)")
+        p.add_argument("--root", type=_int_arg, default=None, help="root agent (1-based)")
         if config:
             p.add_argument("--config", help="key=value run configuration file")
             p.add_argument("--model", choices=["di", "ns"], default=None)
@@ -754,9 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="construct a periodic orbit plan")
     common(p)
-    p.add_argument("--m", type=int, default=None, help="half-period override (di)")
+    p.add_argument("--m", type=_int_arg, default=None, help="half-period override (di)")
     p.add_argument("--base", default=None, help="anchored base position")
-    p.add_argument("--anchor", type=int, default=None, help="anchored agent (1-based)")
+    p.add_argument("--anchor", type=_int_arg, default=None, help="anchored agent (1-based)")
     p.add_argument("-o", "--output", default=None, help="plan file (default stdout)")
     p.set_defaults(func=cmd_synthesize)
 
@@ -764,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--plan", default=None, help="plan file from 'synthesize'")
     p.add_argument("--init", default=None, help="init override 'x1,v1; x2,v2; ...'")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_int_arg, default=None)
     p.add_argument("-o", "--output", default=None, help="CSV file (default stdout)")
     p.set_defaults(func=cmd_simulate)
 

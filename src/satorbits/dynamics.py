@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import WeightedGraph
@@ -75,7 +77,9 @@ class Trajectory:
     """States over steps+1 ticks plus raw and saturated inputs per step.
 
     Each column is a tuple of rows or, for an exact run or CSV, a
-    `LatticeColumn` that holds the rows as integers.
+    `LatticeColumn` that holds the rows as integers.  `lattice` is the
+    `Lattice` an exact `simulate` stepped on, kept so that checks of the
+    same loop need not build it again.
     """
 
     model: str  # "di" or "ns"
@@ -83,6 +87,7 @@ class Trajectory:
     states: Sequence[tuple[AgentState, ...]]
     raw_u: Sequence[tuple[Scalar, ...]]
     sat_u: Sequence[tuple[Scalar, ...]]
+    lattice: Optional["Lattice"] = field(default=None, repr=False, compare=False)
 
     @property
     def steps(self) -> int:
@@ -264,25 +269,28 @@ class Lattice:
     denominator D.  Edge weights are scaled by q_w, the lcm of their
     denominators, and the gains by G, the lcm of theirs, so the raw input
     of agent i is U_i / E with integer U_i (`inputs`) and E = K*D, K = G*q_w;
-    saturation is an integer compare of U_i against +-E.  D widens only on
-    a step where some input is unsaturated (by K) and, on `ns`, by the
-    denominator R of 2a; after a widening the gcd of D and every numerator
-    is divided out, so D stays the lcm of the reduced denominators.
+    saturation is an integer compare of U_i against +-E.  The scaled weights
+    are stored in CSR form: flat neighbour indices `J` and weights `W`, agent
+    i's entries at `starts[i]:ends[i]`, and its integer weighted degree in
+    `degrees[i]`.  D widens only on a step where some input is unsaturated
+    (by K) and, on `ns`, by the denominator R of 2a; after a widening the gcd
+    of D and every numerator is divided out, so D stays the lcm of the
+    reduced denominators.  `graph`, `gains` and `ns` are the loop it was built for.
     """
 
     def __init__(self, g: WeightedGraph, gains: GainParams, ns: NsModel | None) -> None:
         q_w = math.lcm(*(w.denominator for nbrs in g.adjacency for _, w in nbrs))
-        self.rows = tuple(
-            tuple((j, w.numerator * (q_w // w.denominator)) for j, w in nbrs)
-            for nbrs in g.adjacency
-        )
-        self.degrees = tuple(sum(w for _, w in row) for row in self.rows)
+        self.J = [j for nbrs in g.adjacency for j, _ in nbrs]
+        self.W = [w.numerator * (q_w // w.denominator) for nbrs in g.adjacency for _, w in nbrs]
+        offsets = list(accumulate(map(len, g.adjacency), initial=0))
+        self.starts, self.ends = offsets[:-1], offsets[1:]
+        self.degrees = [sum(self.W[s:e]) for s, e in zip(self.starts, self.ends)]
         alpha, beta = gains.alpha, gains.beta
         G = math.lcm(alpha.denominator, beta.denominator)
         self.A = alpha.numerator * (G // alpha.denominator)
         self.B = beta.numerator * (G // beta.denominator)
         self.K = G * q_w
-        self.ns = ns
+        self.graph, self.gains, self.ns = g, gains, ns
         two_a = 2 * ns.a if ns is not None else 0
         self.P, self.R = two_a.numerator, two_a.denominator
 
@@ -312,12 +320,17 @@ class Lattice:
         return tuple(AgentState(Fraction(x, D), Fraction(v, D)) for x, v in zip(X, V))
 
     def inputs(self, X: list[int], V: list[int]) -> list[int]:
-        """Raw-input numerators U over E = K*D: sum_j w_ij (Y_j - Y_i), Y = A*X + B*V."""
+        """Raw-input numerators U over E = K*D: sum_j w_ij (Y_j - Y_i), Y = A*X + B*V.
+
+        `acc` holds the prefix sums of w_ij Y_j over the CSR edges, built by
+        `accumulate` in C, so agent i's neighbour sum is acc[ends[i]] - acc[starts[i]].
+        """
         A, B = self.A, self.B
         Y = [A * x + B * v for x, v in zip(X, V)]
+        acc = list(accumulate(map(mul, self.W, map(Y.__getitem__, self.J)), initial=0))
         return [
-            sum([w * Y[j] for j, w in row]) - d * y
-            for row, d, y in zip(self.rows, self.degrees, Y)
+            acc[e] - acc[s] - d * y
+            for s, e, d, y in zip(self.starts, self.ends, self.degrees, Y)
         ]
 
     @staticmethod
@@ -433,18 +446,21 @@ def _simulate_lattice(
             for s in lattice.decode(X, V, D):
                 _check_magnitude(s.x)
                 _check_magnitude(s.v)
-        ticks.append(tick)
         raw.append((U, E))
         sat.append(([E if u >= E else -E if u <= -E else u for u in U], E))
         if tick == ticks[0]:
-            # row j of every column is row j mod p
-            ticks += [ticks[j % p] for j in range(p + 1, steps + 1)]
+            # row j of every column is row j mod p, the same object, so the
+            # CSV writer formats each repeated row once
+            ticks += [ticks[j % p] for j in range(p, steps + 1)]
             raw += [raw[j % p] for j in range(p, steps)]
             sat += [sat[j % p] for j in range(p, steps)]
             break
+        ticks.append(tick)
     states = LatticeColumn(ticks, Lattice.decode)
     states._rows[0] = init
-    return Trajectory(model, a, states, LatticeColumn(raw, ratios), LatticeColumn(sat, ratios))
+    return Trajectory(
+        model, a, states, LatticeColumn(raw, ratios), LatticeColumn(sat, ratios), lattice
+    )
 
 
 def _flat(value: object) -> list:

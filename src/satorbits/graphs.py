@@ -149,10 +149,11 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
             continue
         if len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'i j w'")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: bad agent index") from exc
+        # ASCII digits only, as for the agent count: int() reads any Unicode digit
+        a, b = parts[0], parts[1]
+        if not (a.isascii() and b.isascii() and a.isdigit() and b.isdigit()):
+            raise GraphFormatError(f"line {lineno}: bad agent index")
+        i, j = int(a), int(b)
         if i < 1 or j < 1:
             raise GraphFormatError(f"line {lineno}: agent indices are 1-based")
         if i == j:

@@ -69,6 +69,18 @@ def parse_ratio(text: str) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
+def parse_int(text: str) -> int:
+    """An optionally signed integer of ASCII digits 0-9, around which blanks are allowed.
+
+    `int()` alone also reads any Unicode decimal digit ("\u0663" is 3) and underscores.
+    """
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(body)
+
+
 def parse_scalar(text: str, mode: str = "exact") -> Scalar:
     """Parse a decimal or "p/q" string into a Scalar for the given mode (see `parse_ratio`).
 

@@ -55,6 +55,9 @@ class BackwardExtensionError(ValueError):
 
 
 def _trajectory_is_exact(t: Trajectory) -> bool:
+    # a `LatticeColumn` of states holds integer ticks
+    if isinstance(t.states, LatticeColumn):
+        return True
     return all(is_exact(s.x) and is_exact(s.v) for s in t.states[0])
 
 
@@ -70,21 +73,35 @@ def backward_states(
     the one-step map with the saturated input recorded one period later, then
     confirms the controller at the reconstructed state reproduces that input.
     Returns the state at time -T; raises `BackwardExtensionError` at the first
-    input the controller does not reproduce.  A `LatticeColumn` of saturated
-    inputs is inverted on the `Lattice` with its integer rows S/Es as they
-    are, decoded only to name a mismatch; a tuple column is inverted per
-    agent with `inverse_step_*` and `control_inputs`.
+    input the controller does not reproduce.  A `LatticeColumn` trajectory is
+    inverted on the `Lattice` from its tick `states.data[0]`, with its integer
+    rows S/Es as they are, decoded only to name a mismatch; the lattice is
+    `t.lattice` when that was built from these graph and gains objects and
+    this model.  A tick at -T equal to the start tick gives the start row
+    `t.states[0]` itself, since reduced ticks are equal exactly when the
+    states are.  A tuple column is inverted per agent with `inverse_step_*`
+    and `control_inputs`.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     ns = None if t.model == "di" else NsModel(t.a)
-    start = t.states[0]
     lattice = None
-    if isinstance(t.sat_u, LatticeColumn):
-        lattice = Lattice.of(g, gains, ns, [c for s in start for c in (s.x, s.v)])
+    if isinstance(t.states, LatticeColumn) and isinstance(t.sat_u, LatticeColumn):
+        lattice = t.lattice
+        # reused only for the graph and gains objects it was built from; ns,
+        # rebuilt from t.a above, is compared by value
+        if not (
+            lattice is not None
+            and lattice.graph is g
+            and lattice.gains is gains
+            and lattice.ns == ns
+        ):
+            # the states are integer ticks, so only the loop's exactness is open
+            lattice = Lattice.of(g, gains, ns, ())
     if lattice is not None:
-        X, V, D = lattice.encode(start)
-    current = list(start)
+        X, V, D = t.states.data[0]
+    else:
+        current = list(t.states[0])
     for back in range(1, T + 1):
         if lattice is None:
             sat = t.sat_u[T - back]
@@ -111,7 +128,11 @@ def backward_states(
                     f"backward extension inconsistent at time {-back}, agent "
                     f"{i + 1}: input {u_new} vs recorded {u_used}"
                 )
-    return list(lattice.decode(X, V, D)) if lattice is not None else current
+    if lattice is None:
+        return current
+    if (X, V, D) == t.states.data[0]:
+        return list(t.states[0])
+    return list(lattice.decode(X, V, D))
 
 
 def check_periodicity(
@@ -139,6 +160,9 @@ def check_periodicity(
             before = backward_states(t, graph, gains, T)
         except BackwardExtensionError:
             return False
+        # on a `LatticeColumn` `backward_states` has compared the tick at -T
+        # with the start tick and, when they are equal, returned the start
+        # row's own states, so this compares them by identity
         return tuple(before) == tuple(t.states[0])
     return True
 

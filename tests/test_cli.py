@@ -330,6 +330,22 @@ def test_non_utf8_file_is_named(command, kind, tmp_path, capsys):
     assert "can't decode byte 0xff" in line
 
 
+def _non_ascii_digit(key):
+    """argv factory: a command whose graph edge index (`key` "edge") or config
+    `key=` value is the Arabic-Indic digit three, which int() reads as 3."""
+
+    def argv(tmp_path):
+        if key == "edge":
+            graph = tmp_path / "graph.txt"
+            graph.write_text("n 3\n\u0663 1 1.0\n2 3 1\n")
+            return ["partition", str(graph)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(fixture_path("di.cfg").read_text() + f"{key}=\u0663\n")
+        return ["simulate" if key == "steps" else "synthesize", GRAPH, "--config", str(cfg)]
+
+    return argv
+
+
 def _disconnected(command):
     """argv factory: `command` with the di fixture plan on graph7 minus the edge 3-7."""
 
@@ -375,6 +391,10 @@ def _disconnected(command):
             pytest.param(_non_utf8("verify", kind), False, id=f"non-utf8-{kind}")
             for kind in ("graph", "config", "plan", "trajectory")
         ),
+        *(
+            pytest.param(_non_ascii_digit(key), False, id=f"non-ascii-digit-{key}")
+            for key in ("edge", "root", "m", "steps", "anchor")
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(argv, low_cap, tmp_path, capsys, monkeypatch):
@@ -387,6 +407,27 @@ def test_bad_input_is_one_error_line(argv, low_cap, tmp_path, capsys, monkeypatc
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("synthesize", "--root"),
+        ("synthesize", "--m"),
+        ("synthesize", "--anchor"),
+        ("simulate", "--steps"),
+    ],
+)
+def test_non_ascii_digit_flag_is_rejected_like_text(command, flag, capsys):
+    """argparse turns `٣` down with the usage error it gives `abc`, exit 2."""
+    errors = []
+    for value in ("abc", "\u0663"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, GRAPH, "--config", DI_CFG, flag, value])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert f"argument {flag}: invalid int value: 'abc'" in errors[0]
+    assert errors[1] == errors[0].replace("'abc'", "'\u0663'")
 
 
 def _float_overflow(kind):
@@ -832,3 +873,77 @@ def test_forged_step_count_is_rejected_without_simulating(csv_artifacts, tmp_pat
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE and out == ""
     assert err.splitlines() == ["error: CSV steps are not contiguous from 0"]
+
+
+def _second_period_row(edit):
+    """A CSV edit of step T+1, agent 1 of the di fixture CSV (T = 22), a row
+    that the 2T run shares by reference with step 1."""
+
+    def apply(text):
+        lines = text.splitlines(keepends=True)
+        line = 1 + 23 * 7
+        assert lines[line].startswith("23,1,")
+        lines[line] = ",".join(edit(lines[line].split(",")))
+        return "".join(lines)
+
+    return apply
+
+
+def _last_line(text):
+    """Where the last line of `text`, which ends in a newline, starts."""
+    return text.rindex("\n", 0, -1) + 1
+
+
+#: edits that make a canonical di CSV no longer what `simulate` writes, with
+#: the exit code, consistency verdict and first mismatch of `verify --csv`
+NOT_CANONICAL = {
+    "shared-row-x": (
+        _second_period_row(lambda f: [f[0], f[1], str(F(f[2]) + 1), *f[3:]]),
+        EXIT_VERIFY,
+        {"consistency": False, "consistency_first_mismatch": {"step": 23, "agent": 1}},
+    ),
+    "shared-row-step": (_second_period_row(lambda f: ["24", *f[1:]]), EXIT_USAGE, None),
+    "missing-final-row": (lambda text: text[: _last_line(text)], EXIT_USAGE, None),
+    "extra-final-row": (lambda text: text + text[_last_line(text) :], EXIT_USAGE, None),
+    # the full reader takes a last line with no newline, so this one passes
+    "no-final-newline": (lambda text: text[:-1], EXIT_OK, {"consistency": True}),
+}
+
+
+@pytest.mark.parametrize("name", NOT_CANONICAL)
+def test_per_step_compare_rejects_non_canonical_csv(name, csv_artifacts, tmp_path, capsys):
+    edit, code, report = NOT_CANONICAL[name]
+    argv, text = csv_artifacts["di"]
+    g = cli._load_graph(GRAPH, "exact")
+    plan = plan_from_text(Path(argv[-3]).read_text(), g)
+    t = simulate(g, plan.gains, plan.init, 2 * plan.period)
+    assert cli._is_csv_of(t, text)
+    edited = edit(text)
+    assert edited != text and not cli._is_csv_of(t, edited)
+    csv_file = tmp_path / "traj.csv"
+    csv_file.write_text(edited)
+    outcome, out, err = _verify_outcome([*argv[:-1], str(csv_file)], capsys)
+    assert outcome == code
+    if report is None:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert json.loads(out).items() >= report.items()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("base", ["di", "ns"])
+def test_lattice_is_built_once_per_command(command, base, csv_artifacts, tmp_path, monkeypatch):
+    """`verify --csv` reuses the replay's lattice for the inverted period."""
+    argv, _ = csv_artifacts[base]
+    if command == "simulate":
+        argv = ["simulate", *argv[1:-2], "-o", str(tmp_path / "traj.csv")]
+    built = []
+    init = dynamics.Lattice.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(dynamics.Lattice, "__init__", counting)
+    assert main(argv) == EXIT_OK
+    assert len(built) == 1

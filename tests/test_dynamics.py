@@ -32,7 +32,8 @@ from satorbits.dynamics import (
 )
 from satorbits.synthesis import synthesize_ns
 from satorbits.verify import backward_states, verification_report
-from test_graphs import random_connected_graph
+from satorbits.graphs import WeightedGraph
+from test_graphs import random_connected_edges, random_connected_graph
 
 
 def F(text):
@@ -214,8 +215,13 @@ def end_anchored(t):
     """The trajectory restarted at its last state with the same inputs.
 
     Inverting its period walks t back from states[-1] to states[0], so the
-    backward check passes and exercises every recorded input.
+    backward check passes and exercises every recorded input.  A lattice
+    column stays one, so that `backward_states` inverts it on the lattice.
     """
+    if isinstance(t.states, LatticeColumn):
+        ticks = t.states.data
+        states = LatticeColumn([ticks[-1], *ticks[1:]], Lattice.decode)
+        return dataclasses.replace(t, states=states)
     return dataclasses.replace(t, states=(t.states[-1],) + t.states[1:])
 
 
@@ -265,6 +271,40 @@ class TestLatticeKernel:
             inverted += 1
         assert unsat > 100  # the lattice widened on many steps
         assert inverted == 60
+
+    def test_inputs_match_control_inputs(self):
+        """`Lattice.inputs` (CSR prefix sums) against `control_inputs` times E = K*D."""
+        rng = random.Random(51)
+
+        def mixed_weight(rng):
+            return Fraction(rng.randint(1, 40), rng.choice([1, 3, 7, 10, 12, 25]))
+
+        graphs = [WeightedGraph(1, ((),))]
+        graphs += [
+            WeightedGraph.from_edges(n, random_connected_edges(rng, n, mixed_weight))
+            for n in (2, 3, 5, 8, 13)
+        ]
+        # a star: agent 0 has degree 39
+        graphs.append(
+            WeightedGraph.from_edges(40, [(0, j, mixed_weight(rng)) for j in range(1, 40)])
+        )
+        checked = 0
+        for g in graphs:
+            for bits in (8, 1000):
+                gains = GainParams(
+                    Fraction(rng.randint(-30, 30), rng.choice([1, 7, 50])),
+                    Fraction(rng.randint(-30, 30), rng.choice([2, 9, 50])),
+                )
+                lattice = Lattice(g, gains, None)
+                D = rng.getrandbits(bits) | 1
+                X = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(g.n)]
+                V = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(g.n)]
+                states = Lattice.decode(X, V, D)
+                E = lattice.K * D
+                expected = [u * E for u in control_inputs(g, gains, states)]
+                assert lattice.inputs(X, V) == expected
+                checked += 1
+        assert checked == 2 * len(graphs)
 
     def test_seven_agent_fixture(self, graph7, gains_di, reference_init_di):
         t = self.assert_same_orbit(graph7, gains_di, reference_init_di, 44)

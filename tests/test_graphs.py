@@ -141,6 +141,12 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="^line 2: bad agent count$"):
             parse_graph(f"# header\nn {count}\n1 2 1.0")
 
+    # "٣" passes str.isdigit and int() reads it as 3; only ASCII digits are indices
+    @pytest.mark.parametrize("line", ["٣ 1 1.0", "1 ٣ 1.0", "² 1 1.0", "-1 2 1.0", "+1 2 1.0"])
+    def test_bad_agent_index(self, line):
+        with pytest.raises(GraphFormatError, match="^line 2: bad agent index$"):
+            parse_graph(f"n 3\n{line}\n2 3 1")
+
     def test_nonpositive_weight(self):
         with pytest.raises(GraphFormatError, match="nonpositive"):
             parse_graph("1 2 0")

@@ -258,6 +258,22 @@ def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypa
     assert checks(tuple_copy(t)) == expected and not calls
 
 
+@pytest.mark.parametrize("name", ["di", "ns"])
+def test_inverted_period_compares_ticks(name, fixture_runs, graph7, monkeypatch):
+    """On a lattice run no state is encoded, decoded or compared as `AgentState`s."""
+    t, plan, _ = fixture_runs[name]
+
+    def refuse(*args):
+        raise AssertionError("a state was encoded, decoded or compared")
+
+    monkeypatch.setattr(Lattice, "encode", staticmethod(refuse))
+    monkeypatch.setattr(Lattice, "decode", staticmethod(refuse))
+    monkeypatch.setattr(AgentState, "__eq__", refuse)
+    assert check_periodicity(t, plan.period, graph=graph7, gains=plan.gains) is True
+    before = backward_states(t, graph7, plan.gains, plan.period)
+    assert all(p is q for p, q in zip(before, t.states[0], strict=True))
+
+
 def test_on_orbit_checks_pass_on_both_paths(fixture_runs, graph7):
     t, plan, ns = fixture_runs["di"]
     checks = all_checks(t, graph7, plan.gains, plan, plan.period, ns)
