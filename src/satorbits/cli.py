@@ -20,15 +20,11 @@ from typing import Callable, Iterator, Optional, Sequence
 from .dynamics import (
     AgentState,
     GainParams,
-    Lattice,
     LatticeColumn,
     NsModel,
     SimulationOverflowError,
     Trajectory,
-    ratio_row,
-    ratios,
     simulate,
-    state_tick,
     states_equal,
 )
 from .graphs import (
@@ -43,7 +39,6 @@ from .scalars import (
     ScalarFormatError,
     format_scalar,
     parse_int,
-    parse_ratio,
     parse_scalar,
     ratio_texts,
     scalars_equal,
@@ -248,7 +243,7 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
                 part.strip().split("=", 1) for part in rest.split(",") if "=" in part
             )
             try:
-                idx = int(head.split()[1])
+                idx = parse_int(head.split()[1])
                 state = AgentState(parse[fields["x"]], parse[fields["v"]])
             except ScalarFormatError as exc:
                 raise CliError(f"plan line {lineno}: {exc}") from exc
@@ -267,9 +262,9 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
     try:
         model = meta["model"]
         gains = GainParams(parse_scalar(meta["alpha"], mode), parse_scalar(meta["beta"], mode))
-        root = int(meta.get("root", "1")) - 1
-        m = int(meta["m"])
-        period = int(meta["T"])
+        root = parse_int(meta.get("root", "1")) - 1
+        m = parse_int(meta["m"])
+        period = parse_int(meta["T"])
         a = parse_scalar(meta["a"], mode) if "a" in meta else None
     except KeyError as exc:
         raise CliError(f"plan file missing field {exc}") from exc
@@ -387,12 +382,12 @@ def _is_csv_of(t: Trajectory, text: str) -> bool:
 
 
 def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -> Trajectory:
-    """Read a CSV written by `trajectory_to_csv`.
+    """Read a CSV written by `trajectory_to_csv` into tuple columns.
 
     Each (step, agent) pair appears once, agents are numbered 1..n and steps
-    run from 0; inputs are required on every step but the last.  In exact
-    mode each field is read as an integer pair (p, q) and the columns are
-    `LatticeColumn`s, the states as the same reduced ticks `simulate` makes.
+    run from 0; inputs are required on every step but the last.  Step and
+    agent are ASCII integers (`parse_int`), and each value is a `parse_scalar`
+    of its text in `mode`: a `Fraction` in exact mode, a float in float mode.
     """
     lines = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines or lines[0][1].strip() != CSV_HEADER:
@@ -401,13 +396,13 @@ def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -
     inputs: dict[int, dict[int, tuple]] = {}
     first_line: dict[int, int] = {}
     # a periodic orbit and its saturated inputs repeat the same few texts
-    parse = _Memo(parse_ratio if mode == "exact" else lambda text: parse_scalar(text, mode))
+    parse = _Memo(lambda text: parse_scalar(text, mode))
     for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 6:
             raise CliError(f"CSV line {lineno}: expected 6 fields")
         try:
-            k, agent = int(parts[0]), int(parts[1]) - 1
+            k, agent = parse_int(parts[0]), parse_int(parts[1]) - 1
             s = (parse[parts[2]], parse[parts[3]])
             u = (parse[parts[4]], parse[parts[5]]) if parts[4].strip() else None
         except ValueError as exc:
@@ -441,25 +436,12 @@ def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -
 
     state_rows = [row(states, k) for k in ticks]
     input_rows = [row(inputs, k) for k in ticks[:-1]]
-    raw_rows = [[u for u, _ in r] for r in input_rows]
-    sat_rows = [[u for _, u in r] for r in input_rows]
-    if mode != "exact":
-        return Trajectory(
-            model,
-            a,
-            tuple(tuple(AgentState(x, v) for x, v in r) for r in state_rows),
-            tuple(map(tuple, raw_rows)),
-            tuple(map(tuple, sat_rows)),
-        )
     return Trajectory(
         model,
         a,
-        LatticeColumn(
-            [state_tick([x for x, _ in r], [v for _, v in r]) for r in state_rows],
-            Lattice.decode,
-        ),
-        LatticeColumn([ratio_row(r) for r in raw_rows], ratios),
-        LatticeColumn([ratio_row(r) for r in sat_rows], ratios),
+        tuple(tuple(AgentState(x, v) for x, v in r) for r in state_rows),
+        tuple(tuple(u for u, _ in r) for r in input_rows),
+        tuple(tuple(u for _, u in r) for r in input_rows),
     )
 
 
@@ -591,34 +573,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _same_ratios(a: tuple[list[int], int], b: tuple[list[int], int]) -> bool:
-    """Whether the rows U/E and U'/E' hold the same values: U*E' == U'*E."""
-    (U, E), (U2, E2) = a, b
-    return U == U2 if E == E2 else [u * E2 for u in U] == [w * E for w in U2]
-
-
-def _lattice_mismatch(ours: Trajectory, theirs: Trajectory) -> Optional[dict]:
-    """First (step, agent) where two all-lattice trajectories differ, compared on integers.
-
-    Reduced ticks are equal exactly when the states are; a value x/D is
-    compared with x'/D' as x*D' == x'*D, and likewise for the inputs.
-    """
-    for k in range(theirs.steps + 1):
-        (X, V, D), (X2, V2, D2) = ours.states.data[k], theirs.states.data[k]
-        rows = [((X, D), (X2, D2)), ((V, D), (V2, D2))]
-        if k < theirs.steps:
-            rows += [
-                (ours.raw_u.data[k], theirs.raw_u.data[k]),
-                (ours.sat_u.data[k], theirs.sat_u.data[k]),
-            ]
-        if (X, V, D) == (X2, V2, D2) and all(_same_ratios(a, b) for a, b in rows[2:]):
-            continue
-        for i in range(theirs.n):
-            if any(U[i] * E2 != U2[i] * E for (U, E), (U2, E2) in rows):
-                return {"step": k, "agent": i + 1}
-    return None
-
-
 def _trajectory_consistent(
     t: Trajectory,
     g: WeightedGraph,
@@ -627,15 +581,14 @@ def _trajectory_consistent(
 ) -> tuple[Optional[dict], Trajectory]:
     """Recompute the trajectory from its own first state; report first mismatch.
 
-    States, raw inputs and saturated inputs are all compared.  Returns the
-    mismatch (None if there is none) and the recomputed trajectory; `resim`,
-    a run from t.states[0] of t.steps steps, is used instead of simulating.
+    States, raw inputs and saturated inputs are all compared, row by row and
+    within a differing row agent by agent through `scalars_equal` (bit-exact
+    on rationals, `FLOAT_TOL` on floats).  Returns the mismatch (None if there
+    is none) and the recomputed trajectory; `resim`, a run from t.states[0]
+    of t.steps steps, is used instead of simulating.
     """
     if resim is None:
         resim = simulate(g, gains, t.states[0], t.steps, ns=_ns_model(t.model, t.a))
-    columns = (resim.states, resim.raw_u, resim.sat_u, t.states, t.raw_u, t.sat_u)
-    if all(isinstance(c, LatticeColumn) for c in columns):
-        return _lattice_mismatch(resim, t), resim
     for k in range(t.steps + 1):
         rows = [(resim.states, t.states)]
         if k < t.steps:
@@ -681,7 +634,7 @@ def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional
         pos = end + 1
     last = text[text.rfind("\n", 0, -1) + 1 :]
     try:
-        steps = int(last.partition(",")[0])
+        steps = parse_int(last.partition(",")[0])
     except ValueError:
         return None
     if steps < 0 or text.count("\n") != (steps + 1) * g.n + 1:
@@ -695,13 +648,16 @@ def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional
 def _checked_csv(
     path: str, g: WeightedGraph, plan: OrbitPlan, mode: str
 ) -> tuple[Trajectory, Optional[dict], Trajectory]:
-    """(trajectory, first mismatch, re-simulation) of the CSV at `path`.
+    """(trajectory to check, first mismatch, re-simulation) of the CSV at `path`.
 
     A CSV whose bytes are what `simulate` writes for its `_replay` holds the
     replay's values, since format and parse are exact, so it is not parsed.
     Any other CSV is read by `trajectory_from_csv` and compared by
     `_trajectory_consistent`, which reuses the replay when its start state
-    and step count are the CSV's.
+    and step count are the CSV's.  An exact CSV that equals its
+    re-simulation holds the same values, so the checks read the
+    re-simulation's lattice columns; any other CSV is checked on its own
+    tuple columns, per agent.
     """
     text = _read_text(path, "trajectory")
     resim = _replay(text, g, plan, mode)
@@ -713,6 +669,8 @@ def _checked_csv(
     if resim is not None and (resim.steps, resim.states[0]) != (t.steps, t.states[0]):
         resim = None
     mismatch, rollout = _trajectory_consistent(t, g, plan.gains, resim)
+    if mismatch is None and mode == "exact":
+        return rollout, None, rollout
     return t, mismatch, rollout
 
 

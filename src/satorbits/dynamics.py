@@ -76,7 +76,7 @@ class NsModel:
 class Trajectory:
     """States over steps+1 ticks plus raw and saturated inputs per step.
 
-    Each column is a tuple of rows or, for an exact run or CSV, a
+    Each column is a tuple of rows or, for an exact run, a
     `LatticeColumn` that holds the rows as integers.  `lattice` is the
     `Lattice` an exact `simulate` stepped on, kept so that checks of the
     same loop need not build it again.
@@ -166,9 +166,9 @@ LatticeState = tuple[list[int], list[int], int]
 def _common_factor(D: int, N: list[int]) -> int:
     """gcd(D, *N), for D > 0.
 
-    When D = 2^a 5^b, as on a decimal CSV row, and some numerator is not a
-    multiple of 5, the gcd is the power of two they all share, which bit
-    operations find without a gcd of big integers.
+    When D = 2^a 5^b, as on a run whose data are decimals, and some
+    numerator is not a multiple of 5, the gcd is the power of two they all
+    share, which bit operations find without a gcd of big integers.
     """
     low = D
     for n in N:
@@ -179,8 +179,11 @@ def _common_factor(D: int, N: list[int]) -> int:
     return math.gcd(D, *N)
 
 
-def _lowest_terms(X: list[int], V: list[int], D: int) -> LatticeState:
-    """The lattice state with the common factor of D and every numerator divided out."""
+def _reduced(X: list[int], V: list[int], D: int, widened_by: int) -> LatticeState:
+    """Divide out the common factor of D and every numerator of a lattice state
+    that was just widened."""
+    if widened_by == 1:
+        return X, V, D
     c = _common_factor(D, X + V)
     if c == 1:
         return X, V, D
@@ -190,29 +193,14 @@ def _lowest_terms(X: list[int], V: list[int], D: int) -> LatticeState:
     return [x // c for x in X], [v // c for v in V], D // c
 
 
-def _reduced(X: list[int], V: list[int], D: int, widened_by: int) -> LatticeState:
-    """Divide out the common factor of a lattice state that was just widened."""
-    return (X, V, D) if widened_by == 1 else _lowest_terms(X, V, D)
-
-
 def ratio_row(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """Numerators over one common denominator E, the lcm of the q, of the ratios p/q."""
-    # a CSV row repeats a few denominators, so each is divided into E once
+    # a state repeats a few denominators, so each is divided into E once
     scale = dict.fromkeys(q for _, q in pairs)
     E = math.lcm(*scale)
     for q in scale:
         scale[q] = E // q
     return [p * scale[q] for p, q in pairs], E
-
-
-def state_tick(xs: Sequence[tuple[int, int]], vs: Sequence[tuple[int, int]]) -> LatticeState:
-    """The reduced lattice state of positions p/q in `xs` and velocities in `vs`.
-
-    D is the lcm of the denominators with the gcd of D and every numerator
-    divided out, so equal states give equal ticks whatever terms the pairs are in.
-    """
-    N, D = ratio_row([*xs, *vs])
-    return _lowest_terms(N[: len(xs)], N[len(xs) :], D)
 
 
 def ratios(U: list[int], E: int) -> tuple[Fraction, ...]:
@@ -310,10 +298,15 @@ class Lattice:
 
     @staticmethod
     def encode(states: Sequence[AgentState]) -> LatticeState:
-        return state_tick(
-            [(s.x.numerator, s.x.denominator) for s in states],
-            [(s.v.numerator, s.v.denominator) for s in states],
-        )
+        """The reduced tick of exact states: D is the lcm of the denominators.
+
+        The values are in lowest terms, so for each prime of D some numerator
+        over D is not a multiple of it: no factor is common to D and every
+        numerator, and equal states give equal ticks.
+        """
+        values = [s.x for s in states] + [s.v for s in states]
+        N, D = ratio_row([(c.numerator, c.denominator) for c in values])
+        return N[: len(states)], N[len(states) :], D
 
     @staticmethod
     def decode(X: list[int], V: list[int], D: int) -> tuple[AgentState, ...]:

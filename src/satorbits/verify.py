@@ -5,8 +5,9 @@ arguments bound u_i(k) itself, and sat(u) = +-1 alone would be a strictly
 weaker check.
 
 Every check has two paths, chosen by column type.  On a `LatticeColumn`, the
-columns of an exact run or CSV, it decides on the integers of the rows.  On a
-tuple column it works per agent on the scalars (`inverse_step_*` with
+columns of an exact run, it decides on the integers of the rows.  On a tuple
+column, the columns of a float run or of a CSV that differs from its
+re-simulation, it works per agent on the scalars (`inverse_step_*` with
 `control_inputs`, or `closed_form_di`) and compares through `states_equal`,
 which is bit-exact on rationals and allows `FLOAT_TOL` on floats.  The tuple
 path is the reference that the integer path is tested against.

@@ -346,6 +346,27 @@ def _non_ascii_digit(key):
     return argv
 
 
+#: Arabic-Indic digits, which int() reads as ASCII ones
+_INDIC = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
+
+
+def _non_ascii_digit_file(kind, old):
+    """argv factory: verify --csv on the di fixture with the text `old` of its
+    plan or CSV (`kind`) written with Arabic-Indic digits."""
+
+    def argv(tmp_path):
+        plan, csv = tmp_path / "plan.txt", tmp_path / "traj.csv"
+        main(["synthesize", GRAPH, "--config", DI_CFG, "-o", str(plan)])
+        main(["simulate", GRAPH, "--config", DI_CFG, "--plan", str(plan), "-o", str(csv)])
+        path = {"plan": plan, "csv": csv}[kind]
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, old.translate(_INDIC), 1))
+        return ["verify", GRAPH, "--plan", str(plan), "--csv", str(csv)]
+
+    return argv
+
+
 def _disconnected(command):
     """argv factory: `command` with the di fixture plan on graph7 minus the edge 3-7."""
 
@@ -394,6 +415,19 @@ def _disconnected(command):
         *(
             pytest.param(_non_ascii_digit(key), False, id=f"non-ascii-digit-{key}")
             for key in ("edge", "root", "m", "steps", "anchor")
+        ),
+        *(
+            pytest.param(_non_ascii_digit_file(kind, old), False, id=f"non-ascii-digit-{name}")
+            for name, kind, old in [
+                ("plan-m", "plan", "\nm=11\n"),
+                ("plan-T", "plan", "\nT=22\n"),
+                ("plan-root", "plan", "\nroot=1\n"),
+                ("plan-agent", "plan", "\nagent 3:"),
+                # step and agent of the first data row: the replay rejects
+                # them, and so must the full reader
+                ("csv-step", "csv", "\n0,"),
+                ("csv-agent", "csv", ",1,"),
+            ]
         ),
     ],
 )
@@ -933,10 +967,16 @@ def test_per_step_compare_rejects_non_canonical_csv(name, csv_artifacts, tmp_pat
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("base", ["di", "ns"])
 def test_lattice_is_built_once_per_command(command, base, csv_artifacts, tmp_path, monkeypatch):
-    """`verify --csv` reuses the replay's lattice for the inverted period."""
-    argv, _ = csv_artifacts[base]
+    """`verify --csv` reuses the replay's lattice for the inverted period, also
+    when a re-spelled CSV is read in full and checked on that re-simulation."""
+    argv, text = csv_artifacts[base]
+    runs = [argv]
     if command == "simulate":
-        argv = ["simulate", *argv[1:-2], "-o", str(tmp_path / "traj.csv")]
+        runs = [["simulate", *argv[1:-2], "-o", str(tmp_path / "traj.csv")]]
+    else:
+        respelled = tmp_path / "respelled.csv"
+        respelled.write_text(EDITS["respelled"](text))
+        runs.append([*argv[:-1], str(respelled)])
     built = []
     init = dynamics.Lattice.__init__
 
@@ -945,5 +985,75 @@ def test_lattice_is_built_once_per_command(command, base, csv_artifacts, tmp_pat
         init(self, *args)
 
     monkeypatch.setattr(dynamics.Lattice, "__init__", counting)
-    assert main(argv) == EXIT_OK
-    assert len(built) == 1
+    for args in runs:
+        built.clear()
+        assert main(args) == EXIT_OK
+        assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "base,edit,consistent",
+    [
+        ("di", "respelled", True),
+        ("ns", "respelled", True),
+        ("di", "step-1-v", False),
+        ("ns", "step-1-v", False),
+    ],
+)
+def test_only_a_csv_unlike_its_resimulation_is_checked_per_agent(
+    base, edit, consistent, csv_artifacts, tmp_path, capsys, monkeypatch
+):
+    """An exact CSV equal to its re-simulation is checked on the re-simulation's
+    lattice; one that differs is checked on its own tuples, whose inverted
+    period steps back per agent through `inverse_step_*`."""
+    argv, text = csv_artifacts[base]
+    csv_file = tmp_path / "traj.csv"
+    csv_file.write_text(EDITS[edit](text))
+    calls = []
+    for name in ("inverse_step_di", "inverse_step_ns"):
+
+        def counting(*args, real=getattr(verify, name)):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counting)
+    code, out, _ = _verify_outcome([*argv[:-1], str(csv_file)], capsys)
+    report = json.loads(out)
+    assert report["consistency"] is consistent
+    # the edited step 1 leaves step T equal to step 0, so the inversion runs
+    assert report["periodicity"] is True
+    if consistent:
+        assert code == EXIT_OK and not calls
+    else:
+        assert code == EXIT_VERIFY and calls
+
+
+@pytest.mark.parametrize("base,mode", [("di", "exact"), ("di-float", "float")])
+def test_only_an_exact_csv_is_checked_on_its_resimulation(base, mode, csv_artifacts, tmp_path):
+    """Float values equal within `FLOAT_TOL` need not be the re-simulation's
+    values, so a consistent float CSV is still checked on its own."""
+    argv, text = csv_artifacts[base]
+    csv_file = tmp_path / "traj.csv"
+    csv_file.write_text(EDITS["respelled"](text))
+    g = cli._load_graph(GRAPH, mode)
+    plan = plan_from_text(Path(argv[-3]).read_text(), g, mode)
+    t, mismatch, rollout = cli._checked_csv(str(csv_file), g, plan, mode)
+    assert mismatch is None
+    assert (t is rollout) is (mode == "exact")
+
+
+@pytest.mark.parametrize("a", ["0.3", "0.7071067811865476"])
+def test_float_ns_orbit_whose_start_states_are_rounded(a, tmp_path, capsys):
+    """1/(2a) is not a binary fraction, so the float start states +-1/(2a) are
+    rounded; the float checks, within `FLOAT_TOL`, still find the T = 4 orbit.
+    On the exact binary values of these floats the orbit does not close."""
+    plan, csv_file = tmp_path / "plan.txt", tmp_path / "traj.csv"
+    common = [GRAPH, "--config", NS_CFG, "--mode", "float", "--a", a]
+    assert main(["synthesize", *common, "-o", str(plan)]) == EXIT_OK
+    assert main(["simulate", *common, "--plan", str(plan), "-o", str(csv_file)]) == EXIT_OK
+    x = plan.read_text().split("agent 1: x=")[1].split(",")[0]
+    assert Fraction(float(x)) != 1 / (2 * Fraction(float(a)))
+    capsys.readouterr()
+    assert main(["verify", *common, "--plan", str(plan), "--csv", str(csv_file)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["periodicity"] and report["minimal_period"] == 4

@@ -1,8 +1,9 @@
 """Lattice-backed trajectories against their tuple copies.
 
-An exact `simulate` or CSV read returns `LatticeColumn`s, and the checks
-take an integer path on them; a tuple column takes the per-agent scalar
-path.  Both must give the same results and raise the same errors.
+An exact `simulate` returns `LatticeColumn`s, and the checks take an integer
+path on them; a tuple column, such as a CSV read returns, takes the
+per-agent scalar path.  Both must give the same results and raise the same
+errors.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from satorbits.cli import (
     EXIT_OK,
     _trajectory_consistent,
     main,
+    plan_from_text,
     trajectory_from_csv,
     trajectory_to_csv,
 )
@@ -39,8 +41,8 @@ from satorbits.dynamics import (
     LatticeColumn,
     SimulationOverflowError,
     Trajectory,
+    ratio_row,
     ratios,
-    state_tick,
 )
 from satorbits.synthesis import OrbitPlan, di_pattern
 from satorbits.verify import (
@@ -129,6 +131,24 @@ def assert_paths_agree(t, g, gains, plan, T, ns):
     )
 
 
+def lattice_copy(t):
+    """The exact trajectory t with its rows rebuilt as lattice columns: each
+    state row by `Lattice.encode`, each input row by `ratio_row` over the lcm
+    of its denominators, and no lattice kept for the checks to reuse."""
+
+    def inputs(rows):
+        pairs = ([(u.numerator, u.denominator) for u in row] for row in rows)
+        return LatticeColumn([ratio_row(row) for row in pairs], ratios)
+
+    return dataclasses.replace(
+        t,
+        states=LatticeColumn([Lattice.encode(row) for row in t.states], Lattice.decode),
+        raw_u=inputs(t.raw_u),
+        sat_u=inputs(t.sat_u),
+        lattice=None,
+    )
+
+
 def edited(t, column, k, edit):
     """A tuple copy of t whose row k of `column` is replaced by edit(row)."""
     copy = tuple_copy(t)
@@ -165,10 +185,10 @@ def one_value_edits(t, T, rng):
 
 
 def assert_edits_agree(t, g, gains, plan, T, ns, rng):
-    """Each edit, read back from CSV as lattice columns, agrees with its tuple form."""
+    """Each edit, rebuilt as lattice columns, agrees with its tuple form."""
     for column, k, edit in one_value_edits(t, T, rng):
         bad = edited(t, column, k, edit)
-        lattice = trajectory_from_csv(trajectory_to_csv(bad), t.model, t.a, "exact")
+        lattice = lattice_copy(bad)
         assert tuple_copy(lattice) == bad
         assert_paths_agree(lattice, g, gains, plan, T, ns)
 
@@ -215,8 +235,7 @@ def test_fixture_runs_agree(name, fixture_runs, graph7):
     t, plan, ns = fixture_runs[name]
     assert_paths_agree(t, graph7, plan.gains, plan, plan.period, ns)
     assert_edits_agree(t, graph7, plan.gains, plan, plan.period, ns, random.Random(name))
-    read = trajectory_from_csv(trajectory_to_csv(t), t.model, t.a, "exact")
-    assert_paths_agree(read, graph7, plan.gains, plan, plan.period, ns)
+    assert_paths_agree(lattice_copy(t), graph7, plan.gains, plan, plan.period, ns)
 
 
 @pytest.mark.parametrize("name", ["di", "ns", "halved"])
@@ -344,8 +363,8 @@ class TestLatticeColumn:
 
 
 class TestCanonicalReader:
-    def test_state_tick_is_the_reduced_tick(self):
-        """Any terms in, the lcm of the reduced denominators out."""
+    def test_encode_is_the_reduced_tick(self):
+        """Values given in any terms, the lcm of the reduced denominators out."""
         rng = random.Random(5)
         for trial in range(400):
             n = rng.randint(1, 6)
@@ -355,23 +374,26 @@ class TestCanonicalReader:
                 q = base * rng.choice([1, 2, 5, 10, 25, 10**rng.randint(0, 60)])
                 p = rng.choice([0, 1, -1, 5, 2, 10]) * rng.randint(-(10**50), 10**50)
                 pairs.append((p, q))
-            X, V, D = state_tick(pairs[:n], pairs[n:])
             values = [Fraction(p, q) for p, q in pairs]
+            X, V, D = Lattice.encode([AgentState(*s) for s in zip(values[:n], values[n:])])
             expected = math.lcm(*(v.denominator for v in values))
             assert D == expected, (trial, pairs)
             assert X + V == [v.numerator * (D // v.denominator) for v in values]
+            # the tick is reduced: no factor is common to D and every numerator
+            assert math.gcd(D, *X, *V) == 1
 
     def test_reader_ticks_equal_simulate_ticks(self, fixture_runs):
+        """The reader returns the tuple copy of the run that wrote the CSV."""
         for t, _, _ in fixture_runs.values():
             read = trajectory_from_csv(trajectory_to_csv(t), t.model, t.a, "exact")
-            assert read.states.data == t.states.data
-            assert read.raw_u == t.raw_u and read.sat_u == t.sat_u
+            assert read == tuple_copy(t)
+            assert all(type(c) is tuple for c in (read.states, read.raw_u, read.sat_u))
 
     def test_reader_ticks_on_random_loops(self):
         for g, gains, init, ns, _ in random_cases():
             t = simulate(g, gains, init, 12, ns=ns)
             read = trajectory_from_csv(trajectory_to_csv(t), t.model, t.a, "exact")
-            assert read.states.data == t.states.data
+            assert read == tuple_copy(t)
 
     @staticmethod
     def respell(text: str, k: int) -> str:
@@ -385,11 +407,14 @@ class TestCanonicalReader:
         ]
         return spellings[k % len(spellings)]
 
-    def test_other_spellings_read_alike_and_verify(self, tmp_path, capsys):
+    def test_other_spellings_read_alike_and_verify(self, tmp_path, capsys, graph7):
         plan, csv = tmp_path / "plan.txt", tmp_path / "traj.csv"
         main(["synthesize", GRAPH, "--config", DI_CFG, "-o", str(plan)])
         main(["simulate", GRAPH, "--config", DI_CFG, "--plan", str(plan), "-o", str(csv)])
         text = csv.read_text()
+        read_plan = plan_from_text(plan.read_text(), graph7)
+        t = simulate(graph7, read_plan.gains, read_plan.init, 2 * read_plan.period)
+        assert trajectory_to_csv(t) == text
         lines = text.splitlines()
         for n, line in enumerate(lines[1:], 1):
             k, agent, *values = line.split(",")
@@ -397,10 +422,7 @@ class TestCanonicalReader:
             lines[n] = ",".join([k, agent, *values])
         respelled = "\n".join(lines) + "\n"
         assert "/" not in text and all(c in respelled for c in ("0,", "/", "+", " "))
-        original = trajectory_from_csv(text, "di", None, "exact")
-        read = trajectory_from_csv(respelled, "di", None, "exact")
-        assert read.states.data == original.states.data
-        assert read.raw_u == original.raw_u and read.sat_u == original.sat_u
+        assert trajectory_from_csv(respelled, "di", None, "exact") == tuple_copy(t)
         csv.write_text(respelled)
         capsys.readouterr()
         assert main(["verify", GRAPH, "--plan", str(plan), "--csv", str(csv)]) == EXIT_OK
