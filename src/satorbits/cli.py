@@ -40,6 +40,7 @@ from .scalars import (
     format_scalar,
     parse_int,
     parse_scalar,
+    per_object,
     ratio_texts,
     scalars_equal,
 )
@@ -213,6 +214,8 @@ class _Memo(dict):
 
 
 def plan_to_text(plan: OrbitPlan) -> str:
+    """The plan file; a synthesized plan shares one start state per class, and
+    each distinct state object is formatted once."""
     lines = [
         f"model={plan.model}",
         f"alpha={format_scalar(plan.gains.alpha)}",
@@ -223,8 +226,8 @@ def plan_to_text(plan: OrbitPlan) -> str:
     ]
     if plan.model == "ns":
         lines.append(f"a={format_scalar(plan.a)}")
-    for i, s in enumerate(plan.init):
-        lines.append(f"agent {i + 1}: x={format_scalar(s.x)}, v={format_scalar(s.v)}")
+    states = per_object(lambda s: f"x={format_scalar(s.x)}, v={format_scalar(s.v)}", plan.init)
+    lines += [f"agent {i}: {state}" for i, state in zip(count(1), states)]
     return "\n".join(lines) + "\n"
 
 
@@ -462,11 +465,10 @@ def _fmt_set(agents) -> str:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.mode or "exact")
-    root = (args.root or 1) - 1
-    if not 0 <= root < g.n:
-        raise CliError(f"root {root + 1} out of range 1..{g.n}")
+    root = 1 if args.root is None else args.root
+    _check_agent("root", root, g)
     try:
-        p = make_partition(g, root)
+        p = make_partition(g, root - 1)
     except NotConnectedError as exc:
         raise CliError(str(exc)) from exc
     print(f"S_e = {_fmt_set(p.s_even)}")
@@ -526,24 +528,52 @@ def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
         raise CliError(str(exc)) from exc
 
 
+def interval_table(g: WeightedGraph, plan: OrbitPlan) -> str:
+    """The text `synthesize` writes to stderr for a di plan: m and T, then the
+    interval of x_i(0) - x_j(0) on each cross edge.
+
+    Edges of one weight object share their bound objects (see
+    `position_constraints`), so each distinct bound is formatted once.
+    """
+    _, intervals = position_constraints(g, plan.partition, plan.gains, plan.half_period)
+    lowers = per_object(format_scalar, [c.lower for c in intervals])
+    uppers = per_object(format_scalar, [c.upper for c in intervals])
+    lines = [f"# m={plan.half_period} T={plan.period}\n"]
+    lines += [
+        f"# {lower} <= x_{c.i + 1}(0)-x_{c.j + 1}(0) <= {upper}\n"
+        for c, lower, upper in zip(intervals, lowers, uppers)
+    ]
+    return "".join(lines)
+
+
 def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     cfg.validate()
     g = _load_graph(args.graph, cfg.mode)
     plan = _synthesize(g, cfg)
     if plan.model == "di":
-        _, intervals = position_constraints(
-            g, plan.partition, plan.gains, plan.half_period
-        )
-        print(f"# m={plan.half_period} T={plan.period}", file=sys.stderr)
-        for c in intervals:
-            print(
-                f"# {format_scalar(c.lower)} <= x_{c.i + 1}(0)-x_{c.j + 1}(0) "
-                f"<= {format_scalar(c.upper)}",
-                file=sys.stderr,
-            )
+        sys.stderr.write(interval_table(g, plan))
     _write_output(plan_to_text(plan), args.output)
     return EXIT_OK
+
+
+def _check_plan_flags(args: argparse.Namespace, cfg: RunConfig, plan: OrbitPlan) -> None:
+    """Reject an `--a`, `--alpha` or `--beta` flag that differs from the plan.
+
+    The plan fixes `a` and the gains of the orbit it describes, so the
+    config file's entries for them are superseded by the plan; a flag is
+    named explicitly, so it must repeat the plan's value (`scalars_equal`).
+    """
+    given = {"a": cfg.a, "alpha": cfg.alpha, "beta": cfg.beta}
+    planned = {"a": plan.a, "alpha": plan.gains.alpha, "beta": plan.gains.beta}
+    for key, value in planned.items():
+        flag = getattr(args, key)
+        if flag is None:
+            continue
+        if value is None:
+            raise CliError(f"--{key} {flag} given, but a {plan.model} plan has no {key}")
+        if not scalars_equal(given[key], value):
+            raise CliError(f"--{key} {flag} differs from the plan's {key}={format_scalar(value)}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -551,6 +581,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, cfg.mode)
     if args.plan:
         plan = plan_from_text(_read_text(args.plan, "plan"), g, cfg.mode)
+        _check_plan_flags(args, cfg, plan)
         init = plan.init
         model, a, gains = plan.model, plan.a, plan.gains
         default_steps = 2 * plan.period
@@ -678,6 +709,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     g = _load_graph(args.graph, cfg.mode)
     plan = plan_from_text(_read_text(args.plan, "plan"), g, cfg.mode)
+    _check_plan_flags(args, cfg, plan)
     report: dict = {}
     if args.csv:
         t, mismatch, rollout = _checked_csv(args.csv, g, plan, cfg.mode)

@@ -24,8 +24,10 @@ from .scalars import (
     FLOAT_TOL,
     Scalar,
     decimal_scale,
+    distinct,
     format_scalar,
     is_exact,
+    per_object,
     scalars_equal,
 )
 
@@ -267,9 +269,10 @@ class Lattice:
     """
 
     def __init__(self, g: WeightedGraph, gains: GainParams, ns: NsModel | None) -> None:
-        q_w = math.lcm(*(w.denominator for nbrs in g.adjacency for _, w in nbrs))
+        weights = [w for nbrs in g.adjacency for _, w in nbrs]
+        q_w = math.lcm(*(w.denominator for w in distinct(weights)))
         self.J = [j for nbrs in g.adjacency for j, _ in nbrs]
-        self.W = [w.numerator * (q_w // w.denominator) for nbrs in g.adjacency for _, w in nbrs]
+        self.W = per_object(lambda w: w.numerator * (q_w // w.denominator), weights)
         offsets = list(accumulate(map(len, g.adjacency), initial=0))
         self.starts, self.ends = offsets[:-1], offsets[1:]
         self.degrees = [sum(self.W[s:e]) for s, e in zip(self.starts, self.ends)]
@@ -291,7 +294,7 @@ class Lattice:
             is_exact(gains.alpha)
             and is_exact(gains.beta)
             and (ns is None or is_exact(ns.a))
-            and all(is_exact(w) for nbrs in g.adjacency for _, w in nbrs)
+            and all(map(is_exact, distinct(w for nbrs in g.adjacency for _, w in nbrs)))
             and all(is_exact(c) for c in values)
         )
         return Lattice(g, gains, ns) if exact else None
@@ -305,7 +308,7 @@ class Lattice:
         numerator, and equal states give equal ticks.
         """
         values = [s.x for s in states] + [s.v for s in states]
-        N, D = ratio_row([(c.numerator, c.denominator) for c in values])
+        N, D = ratio_row(per_object(lambda c: (c.numerator, c.denominator), values))
         return N[: len(states)], N[len(states) :], D
 
     @staticmethod

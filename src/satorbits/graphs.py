@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, distinct, format_scalar, parse_scalar
 
 
 class GraphFormatError(ValueError):
@@ -46,6 +46,9 @@ class WeightedGraph:
         # row j of `lower` collects the entries (i, w) of rows i < j that name
         # j, in increasing i: the transpose of the upper half, with no sort
         lower: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+        # ids of the weight objects found positive: a parsed graph shares one
+        # object per distinct weight text, so each is compared with 0 once
+        positive: set[int] = set()
         for i, nbrs in enumerate(adjacency):
             prev = -1
             for entry in nbrs:
@@ -65,10 +68,12 @@ class WeightedGraph:
                 if j > i:
                     # the symmetry check below makes each lower entry equal to
                     # an upper one, so checking the upper half suffices
-                    if not w > 0:
-                        raise GraphFormatError(
-                            f"edge weight on ({i + 1}, {j + 1}) is negative or zero"
-                        )
+                    if id(w) not in positive:
+                        if not w > 0:
+                            raise GraphFormatError(
+                                f"edge weight on ({i + 1}, {j + 1}) is negative or zero"
+                            )
+                        positive.add(id(w))
                     lower[j].append((i, w))
                 prev = j
         # symmetric iff every row's entries below the diagonal are that transpose
@@ -233,7 +238,8 @@ def make_partition(g: WeightedGraph, root: int = 0) -> Partition:
     if not cross:
         # only possible for the single-agent graph; there is no orbit to build
         raise NotConnectedError("graph has no cross edges (need at least 2 agents)")
-    a_bar = min(w for _, _, w in cross)
+    # the first least of the distinct weight objects is the first least weight
+    a_bar = min(distinct(w for _, _, w in cross))
     return Partition(root, dist, s_even, s_odd, tuple(cross), tuple(intra), a_bar)
 
 

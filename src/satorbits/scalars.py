@@ -16,9 +16,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 Scalar = Union[Fraction, float]
+T = TypeVar("T")
+R = TypeVar("R")
 
 #: the one float tolerance: absolute, applied to float equality by
 #: `scalars_equal` only (and by `normalize_ns` to its controllability gate)
@@ -170,6 +172,26 @@ def ratio_texts(N: list[int], D: int) -> list[str]:
         scale = scales[q]
         texts.append(f"{p}/{q}" if scale is None else _format_decimal(p * scale[1], scale[0]))
     return texts
+
+
+def distinct(values: Iterable[T]) -> Iterable[T]:
+    """The distinct objects of `values`, in first-occurrence order, told apart
+    by identity as in `per_object`."""
+    return {id(v): v for v in values}.values()
+
+
+def per_object(fn: Callable[[T], R], values: Sequence[T]) -> list[R]:
+    """[fn(v) for v in values], calling fn once per distinct object of `values`.
+
+    A parsed graph shares one weight object per distinct text and a
+    synthesized plan one start state per class, so this does a per-edge or
+    per-agent computation once per distinct value.  Objects are told apart
+    by `id`, never by value: hashing a `Fraction` costs more than most of
+    the work it would save.  `values` holds its objects while this runs, so
+    no id is reused.
+    """
+    done = {key: fn(v) for key, v in {id(v): v for v in values}.items()}
+    return list(map(done.__getitem__, map(id, values)))
 
 
 def is_exact(value: Scalar) -> bool:

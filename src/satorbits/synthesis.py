@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .dynamics import AgentState, GainParams, NsModel
 from .graphs import Partition, WeightedGraph, make_partition
-from .scalars import Scalar, is_exact
+from .scalars import Scalar, distinct, is_exact, per_object
 
 
 class GainConditionError(ValueError):
@@ -122,7 +122,8 @@ def velocity_init(m: int, p: Partition) -> list[Scalar]:
     if m < 1:
         raise ValueError("half-period must be >= 1")
     half = Fraction(m, 2)
-    return [-half if i in p.s_even else half for i in range(len(p.dist))]
+    neg = -half  # one object per class
+    return [neg if i in p.s_even else half for i in range(len(p.dist))]
 
 
 def _interval_bounds(w: Scalar, gains: GainParams, m: int) -> tuple[Scalar, Scalar]:
@@ -136,14 +137,21 @@ def _interval_bounds(w: Scalar, gains: GainParams, m: int) -> tuple[Scalar, Scal
 def position_constraints(
     g: WeightedGraph, p: Partition, gains: GainParams, m: int
 ) -> tuple[list[tuple[int, int]], list[IntervalConstraint]]:
-    """Intra-edge equalities and one interval per cross edge for x(0)."""
+    """Intra-edge equalities and one interval per cross edge for x(0).
+
+    The bounds depend on an edge only through its weight, so they are
+    computed once per distinct weight object and shared by its edges.
+    """
     if m <= 2:
         raise ValueError("half-period must exceed 2")
     equalities = [(i, j) for i, j, _ in p.intra_edges]
-    intervals = []
-    for i, j, w in p.cross_edges:
-        lower, upper = _interval_bounds(w, gains, m)
-        intervals.append(IntervalConstraint(i, j, lower, upper))
+    bounds = per_object(
+        lambda w: _interval_bounds(w, gains, m), [w for _, _, w in p.cross_edges]
+    )
+    intervals = [
+        IntervalConstraint(i, j, lower, upper)
+        for (i, j, _), (lower, upper) in zip(p.cross_edges, bounds)
+    ]
     return equalities, intervals
 
 
@@ -276,17 +284,6 @@ def solve_positions(
     return [x[index[uf.find(i)]] + shift for i in range(n)]
 
 
-def _m_admissible_per_edge(
-    p: Partition, gains: GainParams, m: int
-) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Check the per-edge interval nonemptiness condition for this m."""
-    for i, j, w in p.cross_edges:
-        lower, upper = _interval_bounds(w, gains, m)
-        if lower > upper:
-            return False, (i, j)
-    return True, None
-
-
 def synthesize_di(
     g: WeightedGraph,
     gains: GainParams,
@@ -312,12 +309,13 @@ def synthesize_di(
     if m_override is not None:
         if m_override <= 2:
             raise ValueError("half-period override must exceed 2")
-        ok, edge = _m_admissible_per_edge(p, gains, m_override)
-        if not ok:
+        _, intervals = position_constraints(g, p, gains, m_override)
+        empty = next((c for c in intervals if c.lower > c.upper), None)
+        if empty is not None:
             raise InfeasibleConstraintsError(
                 f"half-period {m_override} leaves an empty interval on edge "
-                f"({edge[0] + 1}, {edge[1] + 1}); minimum is {m_min}",
-                list(edge),
+                f"({empty.i + 1}, {empty.j + 1}); minimum is {m_min}",
+                [empty.i, empty.j],
             )
         m = m_override
     else:
@@ -326,7 +324,7 @@ def synthesize_di(
 
     if anchor is not None and not 0 <= anchor < g.n:
         raise ValueError(f"anchor {anchor} outside 0..{g.n - 1}")
-    weights = (w for _, _, w in p.cross_edges)
+    weights = distinct(w for _, _, w in p.cross_edges)
     exact = all(is_exact(c) for c in (gains.alpha, gains.beta, *weights))
     half = Fraction(m, 2) if exact else m / 2
     base = base if exact else float(base)
@@ -334,9 +332,10 @@ def synthesize_di(
         even, odd = base, base - half
     else:
         even, odd = base + half, base
-    x0 = [even if i in p.s_even else odd for i in range(g.n)]
-    v0 = velocity_init(m, p)
-    init = tuple(AgentState(x0[i], v0[i]) for i in range(g.n))
+    # one start state per class, shared by its agents, with v(0) = -+m/2 as in velocity_init
+    speed = Fraction(m, 2)
+    states = {True: AgentState(even, -speed), False: AgentState(odd, speed)}
+    init = tuple(states[i in p.s_even] for i in range(g.n))
     return OrbitPlan(
         model="di",
         a=None,
@@ -375,19 +374,23 @@ def init_states_ns(model: NsModel, p: Partition) -> list[AgentState]:
             f"a={model.a} puts the initial states +-1/(2a) outside the float range"
         )
     even = AgentState(half, -half)
-    return [even if i in p.s_even else -even for i in range(len(p.dist))]
+    odd = -even  # one object per class
+    return [even if i in p.s_even else odd for i in range(len(p.dist))]
 
 
 def key_inequalities_ns(
     g: WeightedGraph, p: Partition, model: NsModel, gains: GainParams
 ) -> list[tuple[tuple[int, int], bool, bool]]:
-    """Per cross edge: a_ij(alpha-beta)/a <= -1 and a_ij(-alpha-beta)/a <= -1."""
-    out = []
-    for i, j, w in p.cross_edges:
-        first = w * (gains.alpha - gains.beta) / model.a <= -1
-        second = w * (-gains.alpha - gains.beta) / model.a <= -1
-        out.append(((i, j), first, second))
-    return out
+    """Per cross edge: a_ij(alpha-beta)/a <= -1 and a_ij(-alpha-beta)/a <= -1.
+
+    Both depend on an edge only through its weight, so they are decided once
+    per distinct weight object.
+    """
+    a, first, second = model.a, gains.alpha - gains.beta, -gains.alpha - gains.beta
+    checks = per_object(
+        lambda w: (w * first / a <= -1, w * second / a <= -1), [w for _, _, w in p.cross_edges]
+    )
+    return [((i, j), *check) for (i, j, _), check in zip(p.cross_edges, checks)]
 
 
 def synthesize_ns(

@@ -171,27 +171,29 @@ def check_periodicity(
 def check_pattern(t: Trajectory, p: Partition, pattern: PatternSpec) -> PatternReport:
     """Verify raw u_i(k) >= 1 / <= -1 per class and phase over one period.
 
-    The bounds admit no tolerance, on the integers of a `LatticeColumn` and
-    on the scalars of a tuple column alike.
+    The sign is read once per step and class.  The bounds admit no
+    tolerance, on the integers of a `LatticeColumn` and on the scalars of a
+    tuple column alike.
     """
     T = pattern.period
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     violations: list[tuple[int, int, Scalar]] = []
-    if isinstance(t.raw_u, LatticeColumn):
-        # u = U/E with E > 0: u >= 1 is U >= E and u <= -1 is U <= -E
-        for k in range(T):
+    even = [i in p.s_even for i in range(t.n)]
+    lattice = isinstance(t.raw_u, LatticeColumn)
+    for k in range(T):
+        # an agent is driven up (+1) when its class is the one the phase drives up
+        up = pattern.sign_at(k, True) > 0
+        if lattice:
+            # u = U/E with E > 0: u >= 1 is U >= E and u <= -1 is U <= -E
             U, E = t.raw_u.data[k]
             for i, u in enumerate(U):
-                if not (u >= E if pattern.sign_at(k, i in p.s_even) > 0 else u <= -E):
+                if not (u >= E if even[i] == up else u <= -E):
                     violations.append((k, i, Fraction(u, E)))
-        return PatternReport(not violations, tuple(violations))
-    for k in range(T):
-        for i in range(t.n):
-            u = t.raw_u[k][i]
-            sign = pattern.sign_at(k, i in p.s_even)
-            if not (u >= 1 if sign > 0 else u <= -1):
-                violations.append((k, i, u))
+        else:
+            for i, u in enumerate(t.raw_u[k]):
+                if not (u >= 1 if even[i] == up else u <= -1):
+                    violations.append((k, i, u))
     return PatternReport(not violations, tuple(violations))
 
 
@@ -219,44 +221,77 @@ def closed_form_di(
     return AgentState(x, v)
 
 
+def _closed_form_start(x0: Fraction, v0: Fraction, even: bool) -> tuple[int, int, int, int]:
+    """(q, X0, V0, sq): x0 and v0 as numerators over q, the lcm of their
+    denominators, and sq = q signed by the class's first drive."""
+    q = math.lcm(x0.denominator, v0.denominator)
+    X0, V0 = x0.numerator * (q // x0.denominator), v0.numerator * (q // v0.denominator)
+    return q, X0, V0, q if even else -q
+
+
+def _closed_form_states(x0: Scalar, v0: Scalar, even: bool, m: int) -> list[AgentState]:
+    """The closed-form states at steps 0..2m."""
+    cls = "even" if even else "odd"
+    return [closed_form_di(x0, v0, cls, m, k) for k in range(2 * m + 1)]
+
+
 def oracle_check_di(t: Trajectory, plan: OrbitPlan) -> bool:
     """Every recorded state matches the closed form (independent of the stepper).
 
-    On a `LatticeColumn`, for an exact plan, the closed form of agent i is
-    computed on integers over q = lcm of the denominators of x_i(0), v_i(0),
-    and compared with each lattice numerator over D by cross-multiplying; on a
-    tuple column `closed_form_di` and `states_equal` do it.
+    The closed form is built once per distinct `(x0, v0, class)`, keyed by
+    the identity of the start values: agents that share their start state
+    objects but not their class get a form each.  On a `LatticeColumn`, for
+    an exact plan, it is computed on integers over q, the lcm of the
+    denominators of x0 and v0; a numerator x over the tick's D matches X
+    over q exactly when x = X*D/q, so each form is scaled to D once per step
+    and the tick's numerators are compared with those integers.  On a tuple
+    column `closed_form_di` and `states_equal` do it per agent.
     """
     m = plan.half_period
     if t.steps < 2 * m:
         raise ValueError(f"trajectory covers {t.steps} steps, need {2 * m}")
-    if not (
-        isinstance(t.states, LatticeColumn)
-        and all(is_exact(s.x) and is_exact(s.v) for s in plan.init)
-    ):
-        for i in range(t.n):
-            cls = "even" if i in plan.partition.s_even else "odd"
-            x0, v0 = plan.init[i].x, plan.init[i].v
-            for k in range(2 * m + 1):
-                if not states_equal([t.states[k][i]], [closed_form_di(x0, v0, cls, m, k)]):
-                    return False
-        return True
-    ticks = t.states.data
-    for i in range(t.n):
-        x0, v0 = plan.init[i].x, plan.init[i].v
-        q = math.lcm(x0.denominator, v0.denominator)
-        X0, V0 = x0.numerator * (q // x0.denominator), v0.numerator * (q // v0.denominator)
-        sq = q if i in plan.partition.s_even else -q
-        for k in range(2 * m + 1):
-            # up = steps driven by the first sign, down = steps since it flipped:
-            # x = x0 + k v0 + sign (up(up-1)/2 + down up - down(down-1)/2)
-            up = min(k, m)
-            down = k - up
-            X = X0 + k * V0 + sq * (up * (up - 1) // 2 + down * up - down * (down - 1) // 2)
-            V = V0 + sq * (up - down)
-            Xk, Vk, D = ticks[k]
-            if X * D != Xk[i] * q or V * D != Vk[i] * q:
-                return False
+    lattice = isinstance(t.states, LatticeColumn) and all(
+        is_exact(s.x) and is_exact(s.v) for s in plan.init
+    )
+    even = plan.partition.s_even
+    slots: dict[tuple[int, int, bool], int] = {}
+    forms = []
+    agent_form = []  # the slot in `forms` of each agent
+    for i, s in enumerate(plan.init):
+        key = (id(s.x), id(s.v), i in even)
+        if key not in slots:
+            slots[key] = len(forms)
+            forms.append(
+                _closed_form_start(s.x, s.v, key[2])
+                if lattice
+                else _closed_form_states(s.x, s.v, key[2], m)
+            )
+        agent_form.append(slots[key])
+    if not lattice:
+        return all(
+            states_equal([t.states[k][i]], [forms[f][k]])
+            for i, f in enumerate(agent_form)
+            for k in range(2 * m + 1)
+        )
+    for k in range(2 * m + 1):
+        # up = steps driven by the first sign, down = steps since it flipped:
+        # x = x0 + k v0 + sign (up(up-1)/2 + down up - down(down-1)/2)
+        up = min(k, m)
+        down = k - up
+        drift = up * (up - 1) // 2 + down * up - down * (down - 1) // 2
+        Xk, Vk, D = t.states.data[k]
+        want_x, want_v = [], []
+        for q, X0, V0, sq in forms:
+            x, x_rest = divmod((X0 + k * V0 + sq * drift) * D, q)
+            v, v_rest = divmod((V0 + sq * (up - down)) * D, q)
+            if x_rest or v_rest:
+                return False  # no numerator over D is X/q or V/q
+            want_x.append(x)
+            want_v.append(v)
+        if list(map(want_x.__getitem__, agent_form)) != Xk:
+            return False
+        if list(map(want_v.__getitem__, agent_form)) != Vk:
+            return False
     return True
 
 

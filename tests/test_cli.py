@@ -60,6 +60,13 @@ class TestPartitionCmd:
         assert main(["partition", str(p)]) == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("root", ["0", "8"])
+    def test_root_out_of_range(self, root, capsys):
+        assert main(["partition", GRAPH, "--root", root]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: root {root} out of range 1..7"]
+        assert captured.out == ""
+
 
 class TestSynthesizeCmd:
     def test_di_fixture(self, tmp_path, capsys):
@@ -620,6 +627,79 @@ def test_plan_and_half_period_errors(argv, code, message, tmp_path, capsys):
     assert captured.err.splitlines() == [message]
     assert captured.out == ""
 
+
+
+@pytest.fixture(scope="module")
+def plans(tmp_path_factory):
+    """Exact and float plans of both models on the fixture, by (model, mode)."""
+    out = tmp_path_factory.mktemp("plans")
+    paths = {}
+    for model, cfg in (("di", DI_CFG), ("ns", NS_CFG)):
+        for mode in ("exact", "float"):
+            paths[model, mode] = path = str(out / f"plan-{model}-{mode}.txt")
+            assert main(["synthesize", GRAPH, "--config", cfg, "--mode", mode, "-o", path]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "model,mode,flags,message",
+    [
+        ("ns", "exact", ["--a", "0.9", "--alpha", "7"], "--a 0.9 differs from the plan's a=0.5"),
+        ("ns", "exact", ["--alpha", "7"], "--alpha 7 differs from the plan's alpha=-0.5"),
+        ("ns", "float", ["--beta", "2.5"], "--beta 2.5 differs from the plan's beta=2.0"),
+        ("di", "exact", ["--alpha", "0.41"], "--alpha 0.41 differs from the plan's alpha=0.4"),
+        ("di", "exact", ["--beta", "1/2"], "--beta 1/2 differs from the plan's beta=0.42"),
+        ("di", "exact", ["--a", "0.5"], "--a 0.5 given, but a di plan has no a"),
+    ],
+)
+def test_plan_flag_that_differs_from_the_plan_is_rejected(
+    command, model, mode, flags, message, plans, tmp_path, capsys
+):
+    """The plan fixes a and the gains; a flag naming another value is an error,
+    not silently ignored."""
+    cfg = DI_CFG if model == "di" else NS_CFG
+    argv = [command, GRAPH, "--config", cfg, "--mode", mode, "--plan", plans[model, mode]]
+    if command == "simulate":
+        argv += ["-o", str(tmp_path / "traj.csv")]
+    capsys.readouterr()
+    assert main(argv + flags) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "model,mode,flags",
+    [
+        ("ns", "exact", ["--a", "0.50", "--alpha=-1/2", "--beta", "2.0"]),
+        ("ns", "float", ["--a", "0.5", "--alpha", "-0.5", "--beta", "2"]),
+        ("di", "exact", ["--alpha", "0.40", "--beta", "0.420"]),
+        ("di", "float", ["--alpha", "0.4"]),
+    ],
+)
+def test_plan_flag_equal_to_the_plan_passes(model, mode, flags, plans, tmp_path, capsys):
+    cfg = DI_CFG if model == "di" else NS_CFG
+    common = [GRAPH, "--config", cfg, "--mode", mode, "--plan", plans[model, mode]]
+    csv_file = str(tmp_path / "traj.csv")
+    assert main(["simulate", *common, *flags, "-o", csv_file]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", *common, *flags, "--csv", csv_file]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_plan_supersedes_the_config(plans, tmp_path, capsys):
+    """Config entries for a and the gains give way to the plan's, as CI's float
+    a = 0.3 pipeline relies on (ns.cfg says a = 0.5)."""
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text("model=ns\na=0.9\nalpha=7\nbeta=3\n")
+    common = [GRAPH, "--config", str(cfg), "--plan", plans["ns", "exact"]]
+    csv_file = str(tmp_path / "traj.csv")
+    assert main(["simulate", *common, "-o", csv_file]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", *common, "--csv", csv_file]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def _ns_config(extra):
