@@ -47,7 +47,6 @@ from .synthesis import (
     solve_positions,
     synthesize_di,
     synthesize_ns,
-    velocity_init,
 )
 from .verify import (
     check_pattern,

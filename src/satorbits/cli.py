@@ -48,8 +48,6 @@ from .synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
     OrbitPlan,
-    di_pattern,
-    ns_pattern,
     position_constraints,
     synthesize_di,
     synthesize_ns,
@@ -84,10 +82,6 @@ class RunConfig:
     init_override: Optional[list[tuple[Scalar, Scalar]]] = None
 
     def validate(self) -> None:
-        if self.model not in ("di", "ns"):
-            raise CliError(f"unknown model {self.model!r}")
-        if self.mode not in ("exact", "float"):
-            raise CliError(f"unknown mode {self.mode!r}")
         if self.model == "ns":
             _ns_model(self.model, self.a)
         if self.alpha is None or self.beta is None:
@@ -165,6 +159,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raw[key] = str(flag)
     cfg.model = raw.get("model", cfg.model)
     cfg.mode = raw.get("mode", cfg.mode)
+    # a config file's choices are checked here, as argparse checks the flags'
+    if cfg.model not in ("di", "ns"):
+        raise CliError(f"unknown model {cfg.model!r}")
+    if cfg.mode not in ("exact", "float"):
+        raise CliError(f"unknown mode {cfg.mode!r}")
     try:
         if "a" in raw:
             cfg.a = parse_scalar(raw["a"], cfg.mode)
@@ -288,16 +287,9 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
         partition = make_partition(g, root)
     except NotConnectedError as exc:
         raise CliError(str(exc)) from exc
-    pattern = di_pattern(m) if model == "di" else ns_pattern()
+    states = tuple(init[i] for i in range(g.n))
     return OrbitPlan(
-        model=model,
-        a=a,
-        gains=gains,
-        partition=partition,
-        half_period=m,
-        period=period,
-        init=tuple(init[i] for i in range(g.n)),
-        pattern=pattern,
+        model=model, a=a, gains=gains, partition=partition, half_period=m, init=states
     )
 
 
@@ -558,22 +550,35 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _check_plan_flags(args: argparse.Namespace, cfg: RunConfig, plan: OrbitPlan) -> None:
-    """Reject an `--a`, `--alpha` or `--beta` flag that differs from the plan.
+    """Reject a flag that contradicts the plan.
 
-    The plan fixes `a` and the gains of the orbit it describes, so the
-    config file's entries for them are superseded by the plan; a flag is
-    named explicitly, so it must repeat the plan's value (`scalars_equal`).
+    The plan fixes its model, `a`, gains, root and start states, so the
+    config file's entries for them are superseded by the plan.  A flag is
+    named explicitly, so `--model`, `--a`, `--alpha`, `--beta` and `--root`
+    must repeat the plan's value (scalars through `scalars_equal`), and
+    `--init` is not accepted.
     """
-    given = {"a": cfg.a, "alpha": cfg.alpha, "beta": cfg.beta}
-    planned = {"a": plan.a, "alpha": plan.gains.alpha, "beta": plan.gains.beta}
-    for key, value in planned.items():
+    if getattr(args, "init", None) is not None:
+        raise CliError("--init not accepted with --plan, which fixes the start states")
+    planned = {
+        "model": (cfg.model, plan.model),
+        "a": (cfg.a, plan.a),
+        "alpha": (cfg.alpha, plan.gains.alpha),
+        "beta": (cfg.beta, plan.gains.beta),
+        "root": (cfg.root, plan.partition.root + 1),
+    }
+    for key, (given, value) in planned.items():
         flag = getattr(args, key)
         if flag is None:
             continue
         if value is None:
             raise CliError(f"--{key} {flag} given, but a {plan.model} plan has no {key}")
-        if not scalars_equal(given[key], value):
-            raise CliError(f"--{key} {flag} differs from the plan's {key}={format_scalar(value)}")
+        if key in ("model", "root"):
+            same, shown = given == value, value
+        else:
+            same, shown = scalars_equal(given, value), format_scalar(value)
+        if not same:
+            raise CliError(f"--{key} {flag} differs from the plan's {key}={shown}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -637,32 +642,18 @@ def _trajectory_consistent(
 
 
 def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional[Trajectory]:
-    """The re-simulation of an exact CSV from its step-0 rows, or None.
+    """The run of the plan for as many steps as an exact CSV claims, or None.
 
-    Only the header, the n rows of step 0 (`0,1` to `0,n`, in order) and the
-    step of the last line are read.  The text must end in a newline and hold
-    (steps + 1) * n rows, so a forged last step cannot start a long rollout.
-    None when the text does not fit that layout, in float mode (whose `repr`
-    and `float` do not round-trip -0.0, inf or nan) and when the run
-    overflows, so that the full reader reports what is wrong first.
+    The run starts from the plan's start states, so of the CSV only the
+    header and the step of the last line are read.  The text must end in a
+    newline and hold (steps + 1) * n rows, so a forged last step cannot start
+    a long rollout.  None when the text does not fit that layout, in float
+    mode (whose `repr` and `float` do not round-trip -0.0, inf or nan) and
+    when the run overflows, so that the full reader reports what is wrong
+    first.
     """
-    header = CSV_HEADER + "\n"
-    if mode != "exact" or not text.startswith(header) or not text.endswith("\n"):
+    if mode != "exact" or not text.startswith(CSV_HEADER + "\n") or not text.endswith("\n"):
         return None
-    init = []
-    # an orbit's start states repeat a few texts, so each is parsed once
-    parse = _Memo(parse_scalar)
-    pos = len(header)
-    for i in range(1, g.n + 1):
-        end = text.find("\n", pos)
-        fields = text[pos:end].split(",")
-        if len(fields) != 6 or fields[:2] != ["0", str(i)]:
-            return None
-        try:
-            init.append(AgentState(parse[fields[2]], parse[fields[3]]))
-        except ValueError:
-            return None
-        pos = end + 1
     last = text[text.rfind("\n", 0, -1) + 1 :]
     try:
         steps = parse_int(last.partition(",")[0])
@@ -671,7 +662,7 @@ def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional
     if steps < 0 or text.count("\n") != (steps + 1) * g.n + 1:
         return None
     try:
-        return simulate(g, plan.gains, init, steps, ns=_ns_model(plan.model, plan.a))
+        return simulate(g, plan.gains, plan.init, steps, ns=_ns_model(plan.model, plan.a))
     except SimulationOverflowError:
         return None
 
@@ -681,14 +672,14 @@ def _checked_csv(
 ) -> tuple[Trajectory, Optional[dict], Trajectory]:
     """(trajectory to check, first mismatch, re-simulation) of the CSV at `path`.
 
-    A CSV whose bytes are what `simulate` writes for its `_replay` holds the
-    replay's values, since format and parse are exact, so it is not parsed.
-    Any other CSV is read by `trajectory_from_csv` and compared by
-    `_trajectory_consistent`, which reuses the replay when its start state
-    and step count are the CSV's.  An exact CSV that equals its
-    re-simulation holds the same values, so the checks read the
-    re-simulation's lattice columns; any other CSV is checked on its own
-    tuple columns, per agent.
+    A CSV whose bytes are what `simulate` writes for the plan (`_replay`)
+    holds the replay's values, since format and parse are exact, so it is not
+    parsed.  Any other CSV, such as one that starts elsewhere, is read by
+    `trajectory_from_csv` and compared by `_trajectory_consistent`, which
+    reuses the replay when its start state and step count are the CSV's.  An
+    exact CSV that equals its re-simulation holds the same values, so the
+    checks read the re-simulation's lattice columns; any other CSV is checked
+    on its own tuple columns, per agent.
     """
     text = _read_text(path, "trajectory")
     resim = _replay(text, g, plan, mode)

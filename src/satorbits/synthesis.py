@@ -53,45 +53,40 @@ class IntervalConstraint:
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """Expected sign of the raw input per phase for the even class.
+    """Expected sign of the raw input at each step of the period, per class.
 
-    phases: (length, sign) pairs; the odd class mirrors each sign.  Phase
-    lengths sum to the period.
+    Both models share one bang-bang orbit: the even class is driven at +1 for
+    `half` steps and then at -1 for `half` steps, and the odd class mirrors it.
     """
 
-    phases: tuple[tuple[int, int], ...]
+    half: int
 
     @property
     def period(self) -> int:
-        return sum(length for length, _ in self.phases)
+        return 2 * self.half
 
     def sign_at(self, k: int, even: bool) -> int:
-        offset = 0
-        for length, sign in self.phases:
-            if k < offset + length:
-                return sign if even else -sign
-            offset += length
-        raise ValueError(f"step {k} outside period {self.period}")
-
-
-def di_pattern(m: int) -> PatternSpec:
-    return PatternSpec(((m, 1), (m, -1)))
-
-
-def ns_pattern() -> PatternSpec:
-    return PatternSpec(((2, 1), (2, -1)))
+        return 1 if (k < self.half) == even else -1
 
 
 @dataclass(frozen=True)
 class OrbitPlan:
+    """An orbit of period 2 * half_period (4 for ns) and its start states."""
+
     model: str  # "di" or "ns"
     a: Optional[Scalar]
     gains: GainParams
     partition: Partition
     half_period: int
-    period: int
     init: tuple[AgentState, ...]
-    pattern: PatternSpec
+
+    @property
+    def period(self) -> int:
+        return 2 * self.half_period
+
+    @property
+    def pattern(self) -> PatternSpec:
+        return PatternSpec(self.half_period)
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +110,6 @@ def min_half_period(gains: GainParams, a_bar: Scalar) -> int:
         raise ValueError("a_bar must be positive")
     bound = (4 * (gains.alpha - gains.beta) + 2 / a_bar) / (3 * gains.alpha - 2 * gains.beta)
     return max(3, math.ceil(bound))
-
-
-def velocity_init(m: int, p: Partition) -> list[Scalar]:
-    """v_i(0) = -m/2 on the even class, +m/2 on the odd class."""
-    if m < 1:
-        raise ValueError("half-period must be >= 1")
-    half = Fraction(m, 2)
-    neg = -half  # one object per class
-    return [neg if i in p.s_even else half for i in range(len(p.dist))]
 
 
 def _interval_bounds(w: Scalar, gains: GainParams, m: int) -> tuple[Scalar, Scalar]:
@@ -332,20 +318,11 @@ def synthesize_di(
         even, odd = base, base - half
     else:
         even, odd = base + half, base
-    # one start state per class, shared by its agents, with v(0) = -+m/2 as in velocity_init
+    # one start state per class, shared by its agents: v(0) = -m/2 on S_e, +m/2 on S_o
     speed = Fraction(m, 2)
     states = {True: AgentState(even, -speed), False: AgentState(odd, speed)}
     init = tuple(states[i in p.s_even] for i in range(g.n))
-    return OrbitPlan(
-        model="di",
-        a=None,
-        gains=gains,
-        partition=p,
-        half_period=m,
-        period=2 * m,
-        init=init,
-        pattern=di_pattern(m),
-    )
+    return OrbitPlan(model="di", a=None, gains=gains, partition=p, half_period=m, init=init)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +385,4 @@ def synthesize_ns(
     if bad:
         raise GainConditionError(f"cross-edge key inequalities fail on {bad}")
     init = tuple(init_states_ns(model, p))
-    return OrbitPlan(
-        model="ns",
-        a=model.a,
-        gains=gains,
-        partition=p,
-        half_period=2,
-        period=4,
-        init=init,
-        pattern=ns_pattern(),
-    )
+    return OrbitPlan(model="ns", a=model.a, gains=gains, partition=p, half_period=2, init=init)

@@ -30,7 +30,7 @@ from satorbits import (
     synthesize_ns,
 )
 from satorbits.graphs import WeightedGraph
-from satorbits.synthesis import InfeasibleConstraintsError, di_pattern, ns_pattern
+from satorbits.synthesis import InfeasibleConstraintsError, PatternSpec
 from satorbits.verify import backward_states
 
 from test_graphs import random_connected_graph
@@ -90,7 +90,7 @@ def test_criterion_3_di_orbit(graph7, gains_di, partition7, reference_init_di):
     t0 = time.perf_counter()
     t = simulate(graph7, gains_di, reference_init_di, 44)
     periodic = t.states[22] == t.states[0]
-    pattern = check_pattern(t, partition7, di_pattern(11))
+    pattern = check_pattern(t, partition7, PatternSpec(11))
     count = 22 * 7
     inequalities = pattern.ok and count == 154
     period = minimal_period(graph7, gains_di, reference_init_di, 44) == 22
@@ -113,7 +113,7 @@ def test_criterion_4_ns_orbit(graph7, ns_model, gains_ns, partition7):
     )
     t = simulate(graph7, gains_ns, init, 8, ns=ns_model)
     periodic = t.states[4] == t.states[0]
-    pattern = check_pattern(t, partition7, ns_pattern())
+    pattern = check_pattern(t, partition7, PatternSpec(2))
     inequalities = pattern.ok and 4 * 7 == 28
     antisym = all(
         t.states[k + 2][i] == -t.states[k][i] for k in range(2) for i in range(7)

@@ -651,13 +651,20 @@ def plans(tmp_path_factory):
         ("di", "exact", ["--alpha", "0.41"], "--alpha 0.41 differs from the plan's alpha=0.4"),
         ("di", "exact", ["--beta", "1/2"], "--beta 1/2 differs from the plan's beta=0.42"),
         ("di", "exact", ["--a", "0.5"], "--a 0.5 given, but a di plan has no a"),
+        (
+            "ns",
+            "exact",
+            ["--model", "di", "--a", "0.9"],
+            "--model di differs from the plan's model=ns",
+        ),
+        ("di", "float", ["--root", "3"], "--root 3 differs from the plan's root=1"),
     ],
 )
 def test_plan_flag_that_differs_from_the_plan_is_rejected(
     command, model, mode, flags, message, plans, tmp_path, capsys
 ):
-    """The plan fixes a and the gains; a flag naming another value is an error,
-    not silently ignored."""
+    """The plan fixes its model, a, gains and root; a flag naming another value
+    is an error, not silently ignored."""
     cfg = DI_CFG if model == "di" else NS_CFG
     argv = [command, GRAPH, "--config", cfg, "--mode", mode, "--plan", plans[model, mode]]
     if command == "simulate":
@@ -677,6 +684,8 @@ def test_plan_flag_that_differs_from_the_plan_is_rejected(
         ("ns", "float", ["--a", "0.5", "--alpha", "-0.5", "--beta", "2"]),
         ("di", "exact", ["--alpha", "0.40", "--beta", "0.420"]),
         ("di", "float", ["--alpha", "0.4"]),
+        ("ns", "exact", ["--model", "ns", "--root", "1"]),
+        ("di", "float", ["--model", "di", "--root", "01"]),
     ],
 )
 def test_plan_flag_equal_to_the_plan_passes(model, mode, flags, plans, tmp_path, capsys):
@@ -700,6 +709,53 @@ def test_plan_supersedes_the_config(plans, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", *common, "--csv", csv_file]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_simulate_rejects_init_with_a_plan(plans, tmp_path, capsys):
+    """The plan fixes the start states, so `--init` cannot replace them."""
+    csv_file = tmp_path / "traj.csv"
+    argv = ["simulate", GRAPH, "--config", DI_CFG, "--plan", plans["di", "exact"]]
+    capsys.readouterr()
+    assert main([*argv, "--init", "1,1;" * 7, "-o", str(csv_file)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: --init not accepted with --plan, which fixes the start states"
+    ]
+    assert captured.out == "" and not csv_file.exists()
+
+
+def test_plan_supersedes_config_init_and_root(plans, tmp_path, capsys):
+    """di.cfg's `init=` entry and a config `root=` other than the plan's give
+    way to the plan, as a and the gains do."""
+    cfg = tmp_path / "di.cfg"
+    cfg.write_text(fixture_path("di.cfg").read_text() + "root=3\n")
+    assert "init=" in cfg.read_text()
+    plan = ["--plan", plans["di", "exact"]]
+    common = [GRAPH, "--config", str(cfg), *plan]
+    csv_file, plan_csv = tmp_path / "traj.csv", tmp_path / "plan.csv"
+    assert main(["simulate", *common, "-o", str(csv_file)]) == EXIT_OK
+    assert main(["simulate", GRAPH, "--config", DI_CFG, *plan, "-o", str(plan_csv)]) == EXIT_OK
+    assert csv_file.read_text() == plan_csv.read_text()
+    capsys.readouterr()
+    assert main(["verify", *common, "--csv", str(csv_file)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("key", ["mode", "model"])
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+def test_bad_config_choice_is_rejected_on_every_command(command, key, plans, tmp_path, capsys):
+    """A config `mode=` or `model=` is checked before anything is read with it,
+    so a bad mode is not reported as a bad graph weight."""
+    cfg = tmp_path / "bogus.cfg"
+    cfg.write_text(f"{key}=bogus\n")
+    argv = [command, GRAPH, "--config", str(cfg)]
+    if command != "synthesize":
+        argv += ["--plan", plans["di", "exact"]]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: unknown {key} 'bogus'"]
+    assert captured.out == ""
 
 
 def _ns_config(extra):
@@ -960,17 +1016,50 @@ def test_replay_and_full_reader_agree(base, edit, csv_artifacts, tmp_path, capsy
     assert "Traceback" not in replayed[1] + replayed[2]
 
 
+def _count_full_reads(monkeypatch):
+    """The list of `trajectory_from_csv` calls that `verify --csv` makes from now on."""
+    calls = []
+    read = cli.trajectory_from_csv
+
+    def counting(*args):
+        calls.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(cli, "trajectory_from_csv", counting)
+    return calls
+
+
 @pytest.mark.parametrize("base", ["di", "ns", "halved"])
 def test_canonical_csv_is_replayed_not_parsed(base, csv_artifacts, capsys, monkeypatch):
     argv, _ = csv_artifacts[base]
-
-    def unexpected(*args):
-        raise AssertionError("trajectory_from_csv called on a canonical CSV")
-
-    monkeypatch.setattr(cli, "trajectory_from_csv", unexpected)
+    calls = _count_full_reads(monkeypatch)
     code, out, _ = _verify_outcome(argv, capsys)
     assert code == (EXIT_VERIFY if base == "halved" else EXIT_OK)
     assert json.loads(out)["consistency"] is True
+    assert calls == []
+
+
+def test_csv_from_another_start_is_read_in_full(plans, tmp_path, capsys, monkeypatch):
+    """The replay runs the plan from its own start states, so a `simulate --init`
+    CSV (di.cfg's `init=`) is not its bytes and is read in full.  The verdict
+    is unchanged: the CSV is its own consistent run, and the checks find that
+    it is periodic but not the plan's closed form."""
+    csv_file = tmp_path / "init.csv"
+    assert main(["simulate", GRAPH, "--config", DI_CFG, "-o", str(csv_file)]) == EXIT_OK
+    argv = ["verify", GRAPH, "--config", DI_CFG, "--plan", plans["di", "exact"]]
+    calls = _count_full_reads(monkeypatch)
+    code, out, err = _verify_outcome([*argv, "--csv", str(csv_file)], capsys)
+    assert (code, err, len(calls)) == (EXIT_VERIFY, "", 1)
+    assert json.loads(out) == {
+        "consistency": True,
+        "model": "di",
+        "period": 22,
+        "periodicity": True,
+        "pattern": True,
+        "closed_form": False,
+        "minimal_period": 22,
+        "ok": False,
+    }
 
 
 def test_forged_step_count_is_rejected_without_simulating(csv_artifacts, tmp_path, capsys, monkeypatch):

@@ -44,7 +44,7 @@ from satorbits.dynamics import (
     ratio_row,
     ratios,
 )
-from satorbits.synthesis import OrbitPlan, di_pattern
+from satorbits.synthesis import OrbitPlan, PatternSpec
 from satorbits.verify import (
     backward_states,
     check_pattern,
@@ -200,9 +200,7 @@ def plan_for(g, gains, t, half_period):
         gains=gains,
         partition=make_partition(g, 0),
         half_period=half_period,
-        period=2 * half_period,
         init=tuple(t.states[0]),
-        pattern=di_pattern(half_period),
     )
 
 
@@ -338,7 +336,7 @@ class TestLatticeColumn:
         bad = edited(t, "raw_u", 1, at(2, lambda u: u + 40))
         mixed = dataclasses.replace(t, raw_u=bad.raw_u)
         assert isinstance(mixed.states, LatticeColumn)
-        report = check_pattern(mixed, partition7, di_pattern(2))
+        report = check_pattern(mixed, partition7, PatternSpec(2))
         assert (1, 2, t.raw_u[1][2] + 40) in report.violations
         assert _trajectory_consistent(mixed, graph7, gains_di)[0] == {"step": 1, "agent": 3}
         assert trajectory_to_csv(mixed) == trajectory_to_csv(bad)

@@ -9,6 +9,7 @@ from satorbits import (
     AgentState,
     GainParams,
     NsModel,
+    PatternSpec,
     check_gains_di,
     check_gains_ns,
     init_states_ns,
@@ -20,9 +21,11 @@ from satorbits import (
     serialize_graph,
     simulate,
     solve_positions,
+    step_di,
+    step_ns,
     synthesize_di,
     synthesize_ns,
-    velocity_init,
+    closed_form_di,
     verification_report,
 )
 from satorbits.cli import plan_to_text
@@ -69,21 +72,59 @@ class TestHalfPeriod:
 
 
 class TestVelocityInit:
-    def test_reference_partition(self, partition7):
-        v = velocity_init(11, partition7)
+    """v(0) of a synthesized di plan: -m/2 on S_e and +m/2 on S_o."""
+
+    #: m = 3 on `1 2 1` (the floor of `min_half_period`), and m = 4 fits too
+    GAINS = GainParams(F("1"), F("1.2"))
+
+    def test_reference_partition(self, graph7, gains_di):
+        v = [s.v for s in synthesize_di(graph7, gains_di).init]
         for i in (0, 4, 5, 6):
             assert v[i] == F("-5.5")
         for i in (1, 2, 3):
             assert v[i] == F("5.5")
 
-    def test_two_node_m2(self):
-        p = make_partition(parse_graph("1 2 1"), 0)
-        assert velocity_init(2, p) == [-1, 1]
+    def test_two_node_m3(self):
+        plan = synthesize_di(parse_graph("1 2 1"), self.GAINS)
+        assert plan.half_period == 3
+        assert [s.v for s in plan.init] == [F("-1.5"), F("1.5")]
 
     def test_signs_flip_with_root(self):
         g = parse_graph("1 2 1")
-        assert velocity_init(4, make_partition(g, 0)) == [-2, 2]
-        assert velocity_init(4, make_partition(g, 1)) == [2, -2]
+        for root, v in ((0, [-2, 2]), (1, [2, -2])):
+            plan = synthesize_di(g, self.GAINS, m_override=4, root=root)
+            assert [s.v for s in plan.init] == v
+
+
+class TestPatternSpec:
+    """One pattern, PatternSpec(m), drives the orbits of both models."""
+
+    def test_drives_the_di_closed_form(self):
+        rng = random.Random(2014)
+        for m in range(1, 21):
+            x0 = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
+            v0 = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
+            cls = rng.choice(["even", "odd"])
+            pattern = PatternSpec(m)
+            assert pattern.period == 2 * m
+            s = AgentState(x0, v0)
+            for k in range(2 * m + 1):
+                assert s == closed_form_di(x0, v0, cls, m, k)
+                if k < 2 * m:
+                    s = step_di(s, pattern.sign_at(k, cls == "even"))
+
+    def test_returns_the_ns_start_after_four_steps(self):
+        rng = random.Random(4)
+        pattern = PatternSpec(2)
+        for _ in range(40):
+            a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 999), 1000)
+            model = NsModel(a)
+            half = 1 / (2 * a)
+            for even, start in ((True, AgentState(half, -half)), (False, AgentState(-half, half))):
+                s = start
+                for k in range(pattern.period):
+                    s = step_ns(s, pattern.sign_at(k, even), model)
+                assert s == start
 
 
 class TestPositionConstraints:

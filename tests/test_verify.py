@@ -21,7 +21,7 @@ from satorbits import (
     synthesize_ns,
     verification_report,
 )
-from satorbits.synthesis import di_pattern, ns_pattern
+from satorbits.synthesis import PatternSpec
 from satorbits.verify import BackwardExtensionError, backward_states
 
 
@@ -90,17 +90,17 @@ class TestBackward:
 
 class TestPattern:
     def test_reference_di_all_inequalities(self, di_orbit, partition7):
-        report = check_pattern(di_orbit, partition7, di_pattern(11))
+        report = check_pattern(di_orbit, partition7, PatternSpec(11))
         assert report.ok and report.first_violation is None
 
     def test_reference_ns_all_inequalities(self, ns_orbit, partition7):
-        assert check_pattern(ns_orbit, partition7, ns_pattern()).ok
+        assert check_pattern(ns_orbit, partition7, PatternSpec(2)).ok
 
     def test_perturbed_state_reported(self, graph7, gains_di, partition7, reference_init_di):
         broken = list(reference_init_di)
         broken[0] = AgentState(broken[0].x + 10**6, broken[0].v)
         t = simulate(graph7, gains_di, broken, 22)
-        report = check_pattern(t, partition7, di_pattern(11))
+        report = check_pattern(t, partition7, PatternSpec(11))
         assert not report.ok
         k, agent, value = report.first_violation
         assert k == 0
@@ -109,7 +109,7 @@ class TestPattern:
         # inputs inside (-1,1) saturate to themselves; pattern must reject
         init = [AgentState(0, 0)] * graph7.n
         t = simulate(graph7, gains_di, init, 22)
-        assert not check_pattern(t, partition7, di_pattern(11)).ok
+        assert not check_pattern(t, partition7, PatternSpec(11)).ok
 
 
 class TestClosedForm:
@@ -257,7 +257,7 @@ class TestFloatMode:
         t = simulate(g, gains, plan.init, 8, ns=model)
         assert check_periodicity(t, 4)
         assert minimal_period(g, gains, plan.init, 8, ns=model) == 4
-        assert check_pattern(t, plan.partition, ns_pattern()).ok
+        assert check_pattern(t, plan.partition, PatternSpec(2)).ok
 
 
 class TestReport:
