@@ -10,8 +10,7 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
@@ -34,6 +33,7 @@ from .graphs import (
     make_partition,
     parse_graph,
 )
+from .records import Record
 from .scalars import (
     Scalar,
     ScalarFormatError,
@@ -67,19 +67,22 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    model: str = "di"
-    a: Optional[Scalar] = None
-    alpha: Optional[Scalar] = None
-    beta: Optional[Scalar] = None
-    root: int = 1  # 1-based
-    m_override: Optional[int] = None
-    steps: Optional[int] = None
-    base_position: Optional[Scalar] = None
-    anchor: Optional[int] = None  # 1-based
-    mode: str = "exact"
-    init_override: Optional[list[tuple[Scalar, Scalar]]] = None
+class RunConfig(
+    Record,
+    namedtuple(
+        "RunConfig",
+        "model a alpha beta root m_override steps base_position anchor mode init_override",
+        defaults=("di", None, None, None, 1, None, None, None, None, "exact", None),
+    ),
+):
+    """A command's settings from its config file and flags (see `build_config`).
+
+    `root` and `anchor` are 1-based agents, and `init_override` a tuple of
+    (x, v) pairs.  Every field but `model`, `root` and `mode` is None when
+    neither the file nor a flag gives it.
+    """
+
+    __slots__ = ()
 
     def validate(self) -> None:
         if self.model == "ns":
@@ -100,7 +103,7 @@ def _ns_model(model: str, a: Optional[Scalar]) -> Optional[NsModel]:
         raise CliError(str(exc)) from exc
 
 
-def _parse_init_list(text: str, mode: str) -> list[tuple[Scalar, Scalar]]:
+def _parse_init_list(text: str, mode: str) -> tuple[tuple[Scalar, Scalar], ...]:
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -110,7 +113,7 @@ def _parse_init_list(text: str, mode: str) -> list[tuple[Scalar, Scalar]]:
         if len(parts) != 2:
             raise CliError(f"bad init pair {chunk!r} (want 'x,v')")
         pairs.append((parse_scalar(parts[0], mode), parse_scalar(parts[1], mode)))
-    return pairs
+    return tuple(pairs)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -136,7 +139,6 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
     raw: dict[str, str] = {}
     if getattr(args, "config", None):
         raw = load_config(args.config)
@@ -157,35 +159,36 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             raw[key] = str(flag)
-    cfg.model = raw.get("model", cfg.model)
-    cfg.mode = raw.get("mode", cfg.mode)
+    model = raw.get("model", "di")
+    mode = raw.get("mode", "exact")
     # a config file's choices are checked here, as argparse checks the flags'
-    if cfg.model not in ("di", "ns"):
-        raise CliError(f"unknown model {cfg.model!r}")
-    if cfg.mode not in ("exact", "float"):
-        raise CliError(f"unknown mode {cfg.mode!r}")
+    if model not in ("di", "ns"):
+        raise CliError(f"unknown model {model!r}")
+    if mode not in ("exact", "float"):
+        raise CliError(f"unknown mode {mode!r}")
+    values: dict[str, object] = {}
     try:
         if "a" in raw:
-            cfg.a = parse_scalar(raw["a"], cfg.mode)
+            values["a"] = parse_scalar(raw["a"], mode)
         if "alpha" in raw:
-            cfg.alpha = parse_scalar(raw["alpha"], cfg.mode)
+            values["alpha"] = parse_scalar(raw["alpha"], mode)
         if "beta" in raw:
-            cfg.beta = parse_scalar(raw["beta"], cfg.mode)
+            values["beta"] = parse_scalar(raw["beta"], mode)
         if "root" in raw:
-            cfg.root = parse_int(raw["root"])
+            values["root"] = parse_int(raw["root"])
         if "m" in raw:
-            cfg.m_override = parse_int(raw["m"])
+            values["m_override"] = parse_int(raw["m"])
         if "steps" in raw:
-            cfg.steps = parse_int(raw["steps"])
+            values["steps"] = parse_int(raw["steps"])
         if "base" in raw:
-            cfg.base_position = parse_scalar(raw["base"], cfg.mode)
+            values["base_position"] = parse_scalar(raw["base"], mode)
         if "anchor" in raw:
-            cfg.anchor = parse_int(raw["anchor"])
+            values["anchor"] = parse_int(raw["anchor"])
         if "init" in raw:
-            cfg.init_override = _parse_init_list(raw["init"], cfg.mode)
+            values["init_override"] = _parse_init_list(raw["init"], mode)
     except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
-    return cfg
+    return RunConfig(model=model, mode=mode, **values)
 
 
 def _load_graph(path: str, mode: str) -> WeightedGraph:
@@ -345,18 +348,30 @@ def _lattice_steps(t: Trajectory) -> Iterator[str]:
 
 def _csv_pieces(t: Trajectory) -> Iterator[str]:
     """The text of `trajectory_to_csv(t)` after its header, one piece per step of
-    an all-lattice trajectory and one per line of any other."""
-    if all(isinstance(c, LatticeColumn) for c in (t.states, t.raw_u, t.sat_u)):
-        yield from _lattice_steps(t)
-        return
-    for k, row in enumerate(t.states):
-        for i, s in enumerate(row):
-            if k < t.steps:
-                u_raw = format_scalar(t.raw_u[k][i])
-                u_sat = format_scalar(t.sat_u[k][i])
-            else:
-                u_raw = u_sat = ""
-            yield f"{k},{i + 1},{format_scalar(s.x)},{format_scalar(s.v)},{u_raw},{u_sat}\n"
+    an all-lattice trajectory and one per line of any other.
+
+    An exact value whose digits exceed Python's limit on converting an
+    integer to text (`sys.get_int_max_str_digits()`, 4300 by default) is a
+    usage error, raised before the first piece past it.
+    """
+    try:
+        if all(isinstance(c, LatticeColumn) for c in (t.states, t.raw_u, t.sat_u)):
+            yield from _lattice_steps(t)
+            return
+        for k, row in enumerate(t.states):
+            for i, s in enumerate(row):
+                if k < t.steps:
+                    u_raw = format_scalar(t.raw_u[k][i])
+                    u_sat = format_scalar(t.sat_u[k][i])
+                else:
+                    u_raw = u_sat = ""
+                yield f"{k},{i + 1},{format_scalar(s.x)},{format_scalar(s.v)},{u_raw},{u_sat}\n"
+    except ValueError as exc:  # only str() of a too-long int raises it here
+        raise CliError(
+            f"the trajectory holds a value of more than {sys.get_int_max_str_digits()} "
+            "digits, beyond Python's limit on converting an integer to text; "
+            "use fewer steps or --mode float"
+        ) from exc
 
 
 def trajectory_to_csv(t: Trajectory) -> str:
@@ -645,12 +660,14 @@ def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional
     """The run of the plan for as many steps as an exact CSV claims, or None.
 
     The run starts from the plan's start states, so of the CSV only the
-    header and the step of the last line are read.  The text must end in a
-    newline and hold (steps + 1) * n rows, so a forged last step cannot start
-    a long rollout.  None when the text does not fit that layout, in float
-    mode (whose `repr` and `float` do not round-trip -0.0, inf or nan) and
-    when the run overflows, so that the full reader reports what is wrong
-    first.
+    header, the `x,v` texts of step 0 and the step of the last line are
+    read.  The text must end in a newline and hold (steps + 1) * n rows, so
+    a forged last step cannot start a long rollout.  None when the text does
+    not fit that layout, when step 0 is not the plan's start in the writer's
+    spelling (such a CSV is not the writer's text of this run, so nothing is
+    simulated for it here), in float mode (whose `repr` and `float` do not
+    round-trip -0.0, inf or nan) and when the run overflows, so that the
+    full reader reports what is wrong first.
     """
     if mode != "exact" or not text.startswith(CSV_HEADER + "\n") or not text.endswith("\n"):
         return None
@@ -661,6 +678,18 @@ def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional
         return None
     if steps < 0 or text.count("\n") != (steps + 1) * g.n + 1:
         return None
+    # a plan read from text shares one value object per distinct text, so
+    # each distinct start state is formatted once
+    start: dict[tuple[int, int], str] = {}
+    pos = len(CSV_HEADER) + 1
+    for i, s in zip(count(1), plan.init):
+        key = (id(s.x), id(s.v))
+        xv = start.get(key)
+        if xv is None:
+            xv = start[key] = f"{format_scalar(s.x)},{format_scalar(s.v)},"
+        if not text.startswith(f"0,{i},{xv}", pos):
+            return None
+        pos = text.index("\n", pos) + 1
     try:
         return simulate(g, plan.gains, plan.init, steps, ns=_ns_model(plan.model, plan.a))
     except SimulationOverflowError:

@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import WeightedGraph
+from .records import Record
 from .scalars import (
     FLOAT_TOL,
     Scalar,
-    decimal_scale,
     distinct,
     format_scalar,
     is_exact,
@@ -43,10 +43,10 @@ class NormalizationError(ValueError):
     """Pair cannot be brought to the canonical neutrally stable form."""
 
 
-@dataclass(frozen=True)
-class AgentState:
-    x: Scalar
-    v: Scalar
+class AgentState(Record, namedtuple("AgentState", "x v")):
+    """Position `x` and velocity `v` of one agent."""
+
+    __slots__ = ()
 
     def __neg__(self) -> "AgentState":
         return AgentState(-self.x, -self.v)
@@ -57,39 +57,47 @@ def states_equal(a: Sequence[AgentState], b: Sequence[AgentState]) -> bool:
     return all(scalars_equal(p.x, q.x) and scalars_equal(p.v, q.v) for p, q in zip(a, b))
 
 
-@dataclass(frozen=True)
-class GainParams:
-    alpha: Scalar
-    beta: Scalar
+class GainParams(Record, namedtuple("GainParams", "alpha beta")):
+    """Feedback gains on the relative positions (`alpha`) and velocities (`beta`)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NsModel:
+class NsModel(Record, namedtuple("NsModel", "a")):
     """Rotation parameter a with A = [[0,1],[-1,2a]], B = [0,1]^T."""
 
-    a: Scalar
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (-1 < self.a < 1) or self.a == 0:
-            raise ValueError(f"rotation parameter must be in (-1,1)\\{{0}}, got {self.a}")
+    def __new__(cls, a: Scalar) -> "NsModel":
+        if not (-1 < a < 1) or a == 0:
+            raise ValueError(f"rotation parameter must be in (-1,1)\\{{0}}, got {a}")
+        return super().__new__(cls, a)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(
+    Record,
+    namedtuple("Trajectory", "model a states raw_u sat_u lattice", defaults=(None,)),
+):
     """States over steps+1 ticks plus raw and saturated inputs per step.
 
-    Each column is a tuple of rows or, for an exact run, a
-    `LatticeColumn` that holds the rows as integers.  `lattice` is the
-    `Lattice` an exact `simulate` stepped on, kept so that checks of the
-    same loop need not build it again.
+    `model` is "di" or "ns" and `a` the ns rotation parameter (None on di).
+    Each column (`states`, `raw_u`, `sat_u`) is a tuple of rows or, for an
+    exact run, a `LatticeColumn` that holds the rows as integers.
+    `lattice` is the `Lattice` an exact `simulate` stepped on, kept so that
+    checks of the same loop need not build it again; it takes no part in
+    `==`, `hash` or `repr`.
     """
 
-    model: str  # "di" or "ns"
-    a: Optional[Scalar]
-    states: Sequence[tuple[AgentState, ...]]
-    raw_u: Sequence[tuple[Scalar, ...]]
-    sat_u: Sequence[tuple[Scalar, ...]]
-    lattice: Optional["Lattice"] = field(default=None, repr=False, compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self[:5] == other[:5]
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
+
+    def __repr__(self) -> str:
+        return "Trajectory(model=%r, a=%r, states=%r, raw_u=%r, sat_u=%r)" % self[:5]
 
     @property
     def steps(self) -> int:
@@ -165,28 +173,12 @@ _MINUS_ONE = Fraction(-1)
 LatticeState = tuple[list[int], list[int], int]
 
 
-def _common_factor(D: int, N: list[int]) -> int:
-    """gcd(D, *N), for D > 0.
-
-    When D = 2^a 5^b, as on a run whose data are decimals, and some
-    numerator is not a multiple of 5, the gcd is the power of two they all
-    share, which bit operations find without a gcd of big integers.
-    """
-    low = D
-    for n in N:
-        low |= n
-    twos = (low & -low).bit_length() - 1
-    if any(n % 5 for n in N) and decimal_scale(D >> twos) is not None:
-        return 1 << twos
-    return math.gcd(D, *N)
-
-
 def _reduced(X: list[int], V: list[int], D: int, widened_by: int) -> LatticeState:
     """Divide out the common factor of D and every numerator of a lattice state
     that was just widened."""
     if widened_by == 1:
         return X, V, D
-    c = _common_factor(D, X + V)
+    c = math.gcd(D, *X, *V)
     if c == 1:
         return X, V, D
     if c & (c - 1) == 0:

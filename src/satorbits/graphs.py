@@ -9,11 +9,11 @@ format is 1-based.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .records import Record
 from .scalars import Scalar, distinct, format_scalar, parse_scalar
 
 
@@ -25,22 +25,22 @@ class NotConnectedError(ValueError):
     """Operation requires a connected graph."""
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(Record, namedtuple("WeightedGraph", "n adjacency")):
     """Symmetric positive-weight adjacency lists with no self-loops.
 
     `adjacency[i]` lists agent i's (neighbor, weight) pairs sorted by
-    neighbor index.  Validation costs O(n + |E|); no n×n structure is built.
+    neighbor index; it is stored as a tuple of tuples.  Validation costs
+    O(n + |E|); no n×n structure is built.
     """
 
-    n: int
-    adjacency: tuple[tuple[tuple[int, Scalar], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __new__(
+        cls, n: int, adjacency: Iterable[Iterable[tuple[int, Scalar]]]
+    ) -> "WeightedGraph":
         if n < 1:
             raise GraphFormatError("graph needs at least one agent")
-        adjacency = tuple(map(tuple, self.adjacency))
+        adjacency = tuple(map(tuple, adjacency))
         if len(adjacency) != n:
             raise GraphFormatError(f"adjacency has {len(adjacency)} rows for {n} agents")
         # row j of `lower` collects the entries (i, w) of rows i < j that name
@@ -80,7 +80,7 @@ class WeightedGraph:
         for i, nbrs in enumerate(adjacency):
             if list(nbrs[: bisect_left(nbrs, (i,))]) != lower[i]:
                 raise GraphFormatError(f"adjacency not symmetric at agent {i + 1}")
-        object.__setattr__(self, "adjacency", adjacency)
+        return super().__new__(cls, n, adjacency)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, Scalar]]) -> "WeightedGraph":
@@ -113,18 +113,19 @@ class WeightedGraph:
         ]
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Even/odd BFS-distance split from the root, with cross-edge data."""
+class Partition(
+    Record,
+    namedtuple("Partition", "root dist s_even s_odd cross_edges intra_edges a_bar"),
+):
+    """Even/odd BFS-distance split from the root, with cross-edge data.
 
-    root: int
-    dist: tuple[int, ...]
-    s_even: frozenset[int]
-    s_odd: frozenset[int]
-    #: (even endpoint, odd endpoint, weight)
-    cross_edges: tuple[tuple[int, int, Scalar], ...]
-    intra_edges: tuple[tuple[int, int, Scalar], ...]
-    a_bar: Scalar
+    `dist` is the tuple of distances from `root`, and `s_even`, `s_odd` the
+    frozensets of agents at even and odd distance.  `cross_edges` are
+    (even endpoint, odd endpoint, weight) triples, `intra_edges` (i, j,
+    weight) triples within a class, and `a_bar` the least cross-edge weight.
+    """
+
+    __slots__ = ()
 
 
 def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:

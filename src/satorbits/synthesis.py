@@ -16,12 +16,13 @@ closed-form initial states +-(1/(2a), -1/(2a)) by class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .dynamics import AgentState, GainParams, NsModel
 from .graphs import Partition, WeightedGraph, make_partition
+from .records import Record
 from .scalars import Scalar, distinct, is_exact, per_object
 
 
@@ -41,25 +42,20 @@ class InfeasibleConstraintsError(ValueError):
         self.cycle = cycle
 
 
-@dataclass(frozen=True)
-class IntervalConstraint:
-    """Bounds on x_i(0) - x_j(0) across one cross edge (i even, j odd)."""
+class IntervalConstraint(Record, namedtuple("IntervalConstraint", "i j lower upper")):
+    """Bounds `lower` <= x_i(0) - x_j(0) <= `upper` across one cross edge (i even, j odd)."""
 
-    i: int
-    j: int
-    lower: Scalar
-    upper: Scalar
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PatternSpec:
+class PatternSpec(Record, namedtuple("PatternSpec", "half")):
     """Expected sign of the raw input at each step of the period, per class.
 
     Both models share one bang-bang orbit: the even class is driven at +1 for
     `half` steps and then at -1 for `half` steps, and the odd class mirrors it.
     """
 
-    half: int
+    __slots__ = ()
 
     @property
     def period(self) -> int:
@@ -69,16 +65,16 @@ class PatternSpec:
         return 1 if (k < self.half) == even else -1
 
 
-@dataclass(frozen=True)
-class OrbitPlan:
-    """An orbit of period 2 * half_period (4 for ns) and its start states."""
+class OrbitPlan(
+    Record, namedtuple("OrbitPlan", "model a gains partition half_period init")
+):
+    """An orbit of period 2 * half_period (4 for ns) and its start states.
 
-    model: str  # "di" or "ns"
-    a: Optional[Scalar]
-    gains: GainParams
-    partition: Partition
-    half_period: int
-    init: tuple[AgentState, ...]
+    `model` is "di" or "ns", `a` the ns rotation parameter (None on di), and
+    `init` the tuple of the agents' start `AgentState`s.
+    """
+
+    __slots__ = ()
 
     @property
     def period(self) -> int:

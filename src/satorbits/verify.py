@@ -16,7 +16,7 @@ path is the reference that the integer path is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,15 +36,16 @@ from .dynamics import (
     states_equal,
 )
 from .graphs import Partition, WeightedGraph
+from .records import Record
 from .scalars import Scalar, is_exact, scalars_equal
 from .synthesis import OrbitPlan, PatternSpec
 
 
-@dataclass(frozen=True)
-class PatternReport:
-    ok: bool
-    #: (step, agent, raw input) for every failed inequality
-    violations: tuple[tuple[int, int, Scalar], ...]
+class PatternReport(Record, namedtuple("PatternReport", "ok violations")):
+    """Whether the input pattern held, and `violations`: a (step, agent, raw
+    input) triple for every failed inequality."""
+
+    __slots__ = ()
 
     @property
     def first_violation(self) -> Optional[tuple[int, int, Scalar]]:

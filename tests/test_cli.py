@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -1041,15 +1042,26 @@ def test_canonical_csv_is_replayed_not_parsed(base, csv_artifacts, capsys, monke
 
 def test_csv_from_another_start_is_read_in_full(plans, tmp_path, capsys, monkeypatch):
     """The replay runs the plan from its own start states, so a `simulate --init`
-    CSV (di.cfg's `init=`) is not its bytes and is read in full.  The verdict
-    is unchanged: the CSV is its own consistent run, and the checks find that
-    it is periodic but not the plan's closed form."""
+    CSV (di.cfg's `init=`) is not its bytes and is read in full.  Its step 0
+    is not the plan's start, so the replay simulates nothing, and the one
+    run is the CSV's own re-simulation.  The verdict is unchanged: the CSV is
+    its own consistent run, and the checks find that it is periodic but not
+    the plan's closed form."""
     csv_file = tmp_path / "init.csv"
     assert main(["simulate", GRAPH, "--config", DI_CFG, "-o", str(csv_file)]) == EXIT_OK
     argv = ["verify", GRAPH, "--config", DI_CFG, "--plan", plans["di", "exact"]]
     calls = _count_full_reads(monkeypatch)
+    runs = []
+    real_simulate = cli.simulate
+
+    def counting(*args, **kwargs):
+        t = real_simulate(*args, **kwargs)
+        runs.append(t.steps)
+        return t
+
+    monkeypatch.setattr(cli, "simulate", counting)
     code, out, err = _verify_outcome([*argv, "--csv", str(csv_file)], capsys)
-    assert (code, err, len(calls)) == (EXIT_VERIFY, "", 1)
+    assert (code, err, len(calls), runs) == (EXIT_VERIFY, "", 1, [44])
     assert json.loads(out) == {
         "consistency": True,
         "model": "di",
@@ -1060,6 +1072,34 @@ def test_csv_from_another_start_is_read_in_full(plans, tmp_path, capsys, monkeyp
         "minimal_period": 22,
         "ok": False,
     }
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_value_beyond_the_digit_limit_is_one_error_line(tmp_path, capsys):
+    """An exact value with more digits than Python converts an int to text is
+    one error line: `simulate` writes no CSV, and the `verify --csv` replay,
+    which formats the same text, reports it alike.  The limit is set to 640,
+    its least value, so the off-orbit run stays short (about 760 digits by
+    step 600)."""
+    common = [GRAPH, "--config", DI_CFG, "--plan", _off_orbit_plan(tmp_path)]
+    csv_file = tmp_path / "traj.csv"
+    argv = ["simulate", *common, "--steps", "600", "-o", str(csv_file)]
+    assert main(argv) == EXIT_OK
+    message = (
+        "error: the trajectory holds a value of more than 640 digits, beyond Python's "
+        "limit on converting an integer to text; use fewer steps or --mode float"
+    )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        unwritten = tmp_path / "unwritten.csv"
+        outcome = _verify_outcome([*argv[:-1], str(unwritten)], capsys)
+        assert outcome == (EXIT_USAGE, "", message + "\n")
+        assert not unwritten.exists()
+        outcome = _verify_outcome(["verify", *common, "--csv", str(csv_file)], capsys)
+        assert outcome == (EXIT_USAGE, "", message + "\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_forged_step_count_is_rejected_without_simulating(csv_artifacts, tmp_path, capsys, monkeypatch):

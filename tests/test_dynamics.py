@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -221,8 +220,8 @@ def end_anchored(t):
     if isinstance(t.states, LatticeColumn):
         ticks = t.states.data
         states = LatticeColumn([ticks[-1], *ticks[1:]], Lattice.decode)
-        return dataclasses.replace(t, states=states)
-    return dataclasses.replace(t, states=(t.states[-1],) + t.states[1:])
+        return t._replace(states=states)
+    return t._replace(states=(t.states[-1],) + t.states[1:])
 
 
 class TestLatticeKernel:

@@ -8,7 +8,6 @@ errors.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -92,9 +91,7 @@ def random_cases():
 
 
 def tuple_copy(t):
-    return dataclasses.replace(
-        t, states=tuple(t.states), raw_u=tuple(t.raw_u), sat_u=tuple(t.sat_u)
-    )
+    return t._replace(states=tuple(t.states), raw_u=tuple(t.raw_u), sat_u=tuple(t.sat_u))
 
 
 def outcome(fn, *args, **kwargs):
@@ -140,8 +137,7 @@ def lattice_copy(t):
         pairs = ([(u.numerator, u.denominator) for u in row] for row in rows)
         return LatticeColumn([ratio_row(row) for row in pairs], ratios)
 
-    return dataclasses.replace(
-        t,
+    return t._replace(
         states=LatticeColumn([Lattice.encode(row) for row in t.states], Lattice.decode),
         raw_u=inputs(t.raw_u),
         sat_u=inputs(t.sat_u),
@@ -154,7 +150,7 @@ def edited(t, column, k, edit):
     copy = tuple_copy(t)
     rows = list(getattr(copy, column))
     rows[k] = tuple(edit(list(rows[k])))
-    return dataclasses.replace(copy, **{column: tuple(rows)})
+    return copy._replace(**{column: tuple(rows)})
 
 
 def at(i, change):
@@ -216,11 +212,9 @@ def test_random_loops_agree():
 @pytest.fixture(scope="module")
 def fixture_runs(graph7, gains_di, gains_ns, ns_model, reference_init_di):
     """(trajectory, plan, ns) for the di.cfg orbit, its halving and the ns orbit."""
-    di = dataclasses.replace(synthesize_di(graph7, gains_di), init=reference_init_di)
+    di = synthesize_di(graph7, gains_di)._replace(init=reference_init_di)
     ns = synthesize_ns(graph7, ns_model, gains_ns)
-    halved = dataclasses.replace(
-        di, init=tuple(AgentState(s.x / 2, s.v / 2) for s in di.init)
-    )
+    halved = di._replace(init=tuple(AgentState(s.x / 2, s.v / 2) for s in di.init))
     return {
         "di": (simulate(graph7, gains_di, di.init, 44), di, None),
         "ns": (simulate(graph7, gains_ns, ns.init, 8, ns=ns_model), ns, ns_model),
@@ -334,7 +328,7 @@ class TestLatticeColumn:
     def test_replaced_column_is_read_as_tuples(self, t, graph7, gains_di, partition7):
         # a tuple column put in place of a lattice one is what every check reads
         bad = edited(t, "raw_u", 1, at(2, lambda u: u + 40))
-        mixed = dataclasses.replace(t, raw_u=bad.raw_u)
+        mixed = t._replace(raw_u=bad.raw_u)
         assert isinstance(mixed.states, LatticeColumn)
         report = check_pattern(mixed, partition7, PatternSpec(2))
         assert (1, 2, t.raw_u[1][2] + 40) in report.violations

@@ -58,3 +58,14 @@ def test_pipeline_runs_without_numpy(tmp_path):
     result = _run(PIPELINE, tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == str([("di", 0, 0, 0), ("ns", 0, 0, 0)])
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out(tmp_path):
+    """The records are namedtuples, so a command's cold start imports neither."""
+    result = _run(
+        "import sys, satorbits.cli\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])",
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

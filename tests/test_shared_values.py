@@ -8,7 +8,6 @@ its own weight object (no sharing) must give the same results.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -170,7 +169,7 @@ class TestOracleKeepsTheClass:
         odd = min(plan.partition.s_odd)
         init = list(plan.init)
         init[odd] = init[0]  # agent 1, the root, is even
-        return dataclasses.replace(plan, init=tuple(init)), odd
+        return plan._replace(init=tuple(init)), odd
 
     @staticmethod
     def rows(plan, odd: int, odd_follows: str) -> list[tuple[AgentState, ...]]:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -82,7 +81,7 @@ class TestBackward:
     def test_inconsistent_inputs_fail_periodicity(self, di_orbit, graph7, gains_di):
         sat = [list(row) for row in di_orbit.sat_u]
         sat[5][4] = Fraction(1, 2)
-        t = dataclasses.replace(di_orbit, sat_u=tuple(map(tuple, sat)))
+        t = di_orbit._replace(sat_u=tuple(map(tuple, sat)))
         with pytest.raises(BackwardExtensionError, match="agent 5"):
             backward_states(t, graph7, gains_di, 22)
         assert check_periodicity(t, 22, graph=graph7, gains=gains_di) is False
@@ -151,7 +150,7 @@ class TestOracleDi:
         broken_init = list(plan.init)
         broken_init[0] = AgentState(plan.init[0].x, plan.init[0].v + 1)
         t = simulate(graph7, gains_di, broken_init, plan.period)
-        broken_plan = plan.__class__(**{**plan.__dict__, "init": tuple(broken_init)})
+        broken_plan = plan._replace(init=tuple(broken_init))
         assert not oracle_check_di(t, broken_plan)
 
 
@@ -159,7 +158,7 @@ class TestOracleDi:
     def _with_state(t, k, i, state):
         states = [list(row) for row in t.states]
         states[k][i] = state
-        return dataclasses.replace(t, states=tuple(map(tuple, states)))
+        return t._replace(states=tuple(map(tuple, states)))
 
     def test_perturbed_recorded_state_fails(self, graph7, gains_di):
         plan = synthesize_di(graph7, gains_di)
@@ -178,7 +177,7 @@ class TestOracleDi:
             AgentState(Fraction(7 * i - 10, 3 + i), Fraction(i - 3, 2 ** (i + 1)))
             for i in range(graph7.n)
         )
-        plan = dataclasses.replace(plan, init=init)
+        plan = plan._replace(init=init)
         cls = ["even" if i in plan.partition.s_even else "odd" for i in range(graph7.n)]
         rows = tuple(
             tuple(closed_form_di(s.x, s.v, c, m, k) for s, c in zip(init, cls))
@@ -191,8 +190,8 @@ class TestOracleDi:
         def floats(states):
             return tuple(AgentState(float(s.x), float(s.v)) for s in states)
 
-        float_plan = dataclasses.replace(plan, init=floats(init))
-        float_t = dataclasses.replace(t, states=tuple(floats(row) for row in rows))
+        float_plan = plan._replace(init=floats(init))
+        float_t = t._replace(states=tuple(floats(row) for row in rows))
         assert oracle_check_di(float_t, float_plan)
         assert not oracle_check_di(
             self._with_state(float_t, m, 3, AgentState(0.0, 0.0)), float_plan
