@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .dynamics import (
     AgentState,
@@ -124,7 +125,14 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
 
+#: the keys of a config file; a flag of the same name overrides each
+CONFIG_KEYS = (
+    "model", "a", "alpha", "beta", "root", "m", "steps", "base", "anchor", "mode", "init"
+)
+
+
 def load_config(path: str) -> dict[str, str]:
+    """The key=value entries of the config file at `path`; an unknown key is a usage error."""
     values: dict[str, str] = {}
     text = _read_text(path, "config")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -134,7 +142,10 @@ def load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -143,19 +154,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         raw = load_config(args.config)
     # flags win over config file entries
-    for key in (
-        "model",
-        "a",
-        "alpha",
-        "beta",
-        "root",
-        "m",
-        "steps",
-        "base",
-        "anchor",
-        "mode",
-        "init",
-    ):
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             raw[key] = str(flag)
@@ -199,18 +198,6 @@ def _load_graph(path: str, mode: str) -> WeightedGraph:
         raise CliError(f"{path}: {exc}") from exc
 
 
-class _Memo(dict):
-    """fn(key) for each key looked up, computed once per distinct key."""
-
-    def __init__(self, fn: Callable) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 # ---------------------------------------------------------------------------
 # plan files
 
@@ -237,7 +224,7 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
     meta: dict[str, str] = {}
     init: dict[int, AgentState] = {}
     # a synthesized plan repeats a few values, so each distinct text is parsed once
-    parse = _Memo(lambda text: parse_scalar(text, mode))
+    parse = functools.cache(lambda text: parse_scalar(text, mode))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -249,7 +236,7 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
             )
             try:
                 idx = parse_int(head.split()[1])
-                state = AgentState(parse[fields["x"]], parse[fields["v"]])
+                state = AgentState(parse(fields["x"]), parse(fields["v"]))
             except ScalarFormatError as exc:
                 raise CliError(f"plan line {lineno}: {exc}") from exc
             except (IndexError, ValueError) as exc:
@@ -406,15 +393,15 @@ def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -
     inputs: dict[int, dict[int, tuple]] = {}
     first_line: dict[int, int] = {}
     # a periodic orbit and its saturated inputs repeat the same few texts
-    parse = _Memo(lambda text: parse_scalar(text, mode))
+    parse = functools.cache(lambda text: parse_scalar(text, mode))
     for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 6:
             raise CliError(f"CSV line {lineno}: expected 6 fields")
         try:
             k, agent = parse_int(parts[0]), parse_int(parts[1]) - 1
-            s = (parse[parts[2]], parse[parts[3]])
-            u = (parse[parts[4]], parse[parts[5]]) if parts[4].strip() else None
+            s = (parse(parts[2]), parse(parts[3]))
+            u = (parse(parts[4]), parse(parts[5])) if parts[4].strip() else None
         except ValueError as exc:
             raise CliError(f"CSV line {lineno}: {exc}") from exc
         tick = states.setdefault(k, {})
@@ -820,7 +807,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a closed stdout raises inside this try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the
+        # flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

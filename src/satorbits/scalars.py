@@ -2,9 +2,13 @@
 
 All quantities in the library are either `fractions.Fraction` (exact mode,
 the default) or `float` (float mode, used when the rotation parameter of the
-neutrally stable model is irrational).  Decimal strings parse exactly in
-exact mode, so "0.42" becomes 21/50 and every downstream inequality is
-decided without rounding.
+neutrally stable model is irrational).  Text crosses this module through
+one reader and one writer.  `parse_scalar` reads every text through
+`Fraction`, so "0.42" becomes 21/50 in exact mode and every downstream
+inequality is decided without rounding.  `ratio_texts` writes rationals, a
+terminating decimal as the shortest exact decimal and any other value as
+"p/q"; `format_scalar` writes one scalar through it.  Every rational written
+reads back to its value.
 
 Tolerance policy: `scalars_equal` is the one equality test.  Rationals are
 compared bit-exactly; a pair with a float in it is equal when it differs by
@@ -14,8 +18,8 @@ at most `FLOAT_TOL`, an absolute bound.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 Scalar = Union[Fraction, float]
@@ -30,45 +34,13 @@ FLOAT_TOL = 1e-9
 _LOG2_5 = 2.321928094887362
 
 
-@lru_cache(maxsize=256)
-def _ten_to(k: int) -> int:
-    """10**k; the decimals of one CSV have a few lengths, so most are cached."""
-    return 10**k
-
-
 class ScalarFormatError(ValueError):
     """A scalar string could not be parsed."""
 
 
-def parse_ratio(text: str) -> tuple[int, int]:
-    """Parse a decimal or "p/q" string into integers (p, q), q > 0.
-
-    Accepts exactly what `Fraction(str)` accepts.  The two forms that
-    `format_scalar` writes, ASCII `-?[0-9]+(.[0-9]+)?` and `-?[0-9]+/[0-9]+`,
-    are read straight with `int()` and need not be in lowest terms ("0.50"
-    gives (50, 100)); so are "5." and ".5", which `Fraction` reads alike.
-    Any other text goes through `Fraction`.
-    """
-    text = text.strip()
-    digits = text.replace(".", "", 1)
-    unsigned = digits[1:] if digits[:1] == "-" else digits
-    try:
-        # bytes.isdigit reads only 0-9 and is much faster than str.isdigit
-        if unsigned.isascii() and unsigned.encode().isdigit():
-            dot = text.find(".")
-            return int(digits), _ten_to(len(text) - dot - 1 if dot >= 0 else 0)
-        top, _, bottom = text.partition("/")
-        if (
-            text.isascii()
-            and (top[1:] if top[:1] == "-" else top).isdigit()
-            and bottom.isdigit()
-            and int(bottom)
-        ):
-            return int(top), int(bottom)
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScalarFormatError(f"cannot parse scalar {text!r}") from exc
-    return value.numerator, value.denominator
+def _quoted(text: str) -> str:
+    """repr(text), cut to 37 characters and "..." when longer than 40."""
+    return repr(text if len(text) <= 40 else text[:37] + "...")
 
 
 def parse_int(text: str) -> int:
@@ -84,19 +56,32 @@ def parse_int(text: str) -> int:
 
 
 def parse_scalar(text: str, mode: str = "exact") -> Scalar:
-    """Parse a decimal or "p/q" string into a Scalar for the given mode (see `parse_ratio`).
+    """Parse a decimal or "p/q" string into a Scalar for the given mode.
 
-    In float mode a value beyond the float range raises `ScalarFormatError`.
+    Reads exactly what `Fraction(str)` reads, blanks around it allowed.  A
+    text that cannot be read, a number with more digits than Python converts
+    from text to an integer (`sys.get_int_max_str_digits()`) and, in float
+    mode, a value beyond the float range raise `ScalarFormatError`.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    value = Fraction(*parse_ratio(text))
+    text = text.strip()
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        # int() raises the digit limit; Fraction's own error is "Invalid literal ..."
+        if str(exc).startswith("Exceeds the limit"):
+            raise ScalarFormatError(
+                f"scalar {_quoted(text)} has more than {sys.get_int_max_str_digits()} "
+                "digits, beyond Python's limit on converting text to an integer"
+            ) from exc
+        raise ScalarFormatError(f"cannot parse scalar {_quoted(text)}") from exc
     if mode == "exact":
         return value
     try:
         return float(value)
     except OverflowError as exc:
-        raise ScalarFormatError(f"scalar {text.strip()!r} outside the float range") from exc
+        raise ScalarFormatError(f"scalar {_quoted(text)} outside the float range") from exc
 
 
 def decimal_scale(d: int) -> Optional[tuple[int, int]]:
@@ -128,25 +113,12 @@ def _format_decimal(n: int, digits: int) -> str:
     return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
 
 
-def format_ratio(n: int, d: int) -> str:
-    """Render n/d, given in lowest terms with d > 0, exactly.
-
-    A terminating decimal expansion is printed as the shortest exact
-    decimal, any other ratio as "p/q".
-    """
-    scale = decimal_scale(d)
-    if scale is None:
-        return f"{n}/{d}"
-    digits, c = scale
-    return _format_decimal(n * c, digits)
-
-
 def format_scalar(value: Scalar) -> str:
-    """Render a scalar exactly: `format_ratio` for rationals, repr for floats."""
+    """Render a scalar exactly: `ratio_texts` for rationals, repr for floats."""
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
-        return format_ratio(value.numerator, value.denominator)
+        return ratio_texts([value.numerator], value.denominator)[0]
     return repr(float(value))
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -759,6 +761,24 @@ def test_bad_config_choice_is_rejected_on_every_command(command, key, plans, tmp
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key", ["rot", "bta", "Model", "T", "m_override"])
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+def test_unknown_config_key_is_rejected(command, key, plans, tmp_path, capsys):
+    """A key that `build_config` does not read, such as a misspelt `root`, is
+    named with its line instead of being ignored."""
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(fixture_path("di.cfg").read_text() + f"{key}=3\nbeta=0.42\n")
+    lineno = cfg.read_text().splitlines().index(f"{key}=3") + 1
+    argv = [command, GRAPH, "--config", str(cfg)]
+    if command != "synthesize":
+        argv += ["--plan", plans["di", "exact"]]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {cfg}:{lineno}: unknown key {key!r}"]
+    assert captured.out == ""
+
+
 def _ns_config(extra):
     """argv factory: synthesize with the ns fixture config plus the lines `extra`."""
 
@@ -902,6 +922,7 @@ def csv_artifacts(tmp_path_factory):
         "di-float": _artifacts(root / "di-float", DI_CFG, "float"),
         "ns-float": _artifacts(root / "ns-float", NS_CFG, "float"),
         "halved": _artifacts(root / "halved", DI_CFG, "exact", steps=60, halved=True),
+        "di-45": _artifacts(root / "di-45", DI_CFG, "exact", steps=45),
     }
 
 
@@ -952,6 +973,18 @@ def _last_step_inputs(text):
     return text[:-2] + "1,1\n"
 
 
+def _joined_by_line_separator(text):
+    """The 45-step di CSV with each step-44 row joined to its step-45 row by
+    U+2028.  The text holds the newlines of 44 steps and its last line starts
+    with step 44, so the replay runs 44 steps; `str.splitlines` also breaks
+    at U+2028, so the full reader reads 45."""
+    lines = text.splitlines(keepends=True)
+    rows_44, rows_45 = lines[-14:-7], lines[-7:]
+    assert rows_44[0].startswith("44,1,") and rows_45[0].startswith("45,1,")
+    joined = [a[:-1] + "\u2028" + b for a, b in zip(rows_44, rows_45)]
+    return "".join(lines[:-14] + joined)
+
+
 #: edits of any fixture CSV, by name
 EDITS = {
     "canonical": lambda text: text,
@@ -994,6 +1027,9 @@ DIFFERENTIAL_CASES = [
 ] + [
     pytest.param("di", _tampered(row), id=f"di-tampered-{name}")
     for name, row in [*TAMPERED.items(), ("agent-7-dropped", None)]
+] + [
+    # the replay's step count is not the full reader's, so its run is not reused
+    pytest.param("di-45", _joined_by_line_separator, id="di-45-line-separator")
 ]
 
 
@@ -1100,6 +1136,93 @@ def test_value_beyond_the_digit_limit_is_one_error_line(tmp_path, capsys):
         assert outcome == (EXIT_USAGE, "", message + "\n")
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _digits_in_csv(argv, text, tmp_path, big):
+    """verify --csv argv for the CSV with x of line 41 set to `big`, and that line."""
+    lines = text.splitlines(keepends=True)
+    fields = lines[40].split(",")
+    lines[40] = ",".join([*fields[:2], big, *fields[3:]])
+    csv_file = tmp_path / "big.csv"
+    csv_file.write_text("".join(lines))
+    return [*argv[:-1], str(csv_file)], "CSV line 41"
+
+
+def _digits_in_plan(argv, text, tmp_path, big):
+    """verify --csv argv for the plan with x of agent 3 set to `big`, and that line."""
+    at = argv.index("--plan") + 1
+    lines = Path(argv[at]).read_text().splitlines(keepends=True)
+    lineno = next(no for no, line in enumerate(lines, 1) if line.startswith("agent 3:"))
+    lines[lineno - 1] = f"agent 3: x={big}, {lines[lineno - 1].split(', ', 1)[1]}"
+    plan_file = tmp_path / "big-plan.txt"
+    plan_file.write_text("".join(lines))
+    return [*argv[:at], str(plan_file), *argv[at + 1 :]], f"plan line {lineno}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize("place", [_digits_in_csv, _digits_in_plan], ids=["csv", "plan"])
+def test_text_beyond_the_digit_limit_is_one_short_error_line(place, csv_artifacts, tmp_path, capsys):
+    """A 700-digit value is a valid number that Python will not read under a
+    limit of 640 digits: the error names the limit and quotes 37 digits."""
+    argv, where = place(*csv_artifacts["di"], tmp_path, "7" * 700)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = _verify_outcome(argv, capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: {where}: scalar '{'7' * 37}...' has more than 640 digits, "
+        "beyond Python's limit on converting text to an integer\n"
+    )
+
+
+def test_csv_shorter_than_the_period_is_rejected(tmp_path, capsys):
+    argv, _ = _artifacts(tmp_path / "short", DI_CFG, "exact", steps=3)
+    assert _verify_outcome(argv, capsys) == (
+        EXIT_USAGE, "", "error: trajectory covers 3 steps, need 22\n"
+    )
+
+
+def test_last_line_without_an_integer_step_is_read_in_full(csv_artifacts, tmp_path, capsys, monkeypatch):
+    """The replay takes its step count from the last line; one it cannot read
+    leaves the CSV to the full reader, which names the line."""
+    argv, text = csv_artifacts["di"]
+    start = _last_line(text)
+    csv_file = tmp_path / "traj.csv"
+    csv_file.write_text(text[:start] + "4x" + text[text.index(",", start) :])
+    calls = _count_full_reads(monkeypatch)
+    code, out, err = _verify_outcome([*argv[:-1], str(csv_file)], capsys)
+    assert (code, out, len(calls)) == (EXIT_USAGE, "", 1)
+    lineno = text.count("\n")
+    assert err == f"error: CSV line {lineno}: invalid integer '4x'\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_closed_stdout_exits_1_without_a_traceback(command, csv_artifacts):
+    """A reader that has gone before the command writes (`... | true`): the
+    report or CSV is dropped with exit 1, and nothing is printed about it."""
+    argv, _ = csv_artifacts["di"]
+    if command == "simulate":
+        argv = ["simulate", *argv[1:-2]]
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "satorbits.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert (done.returncode, done.stderr) == (EXIT_USAGE, "")
 
 
 def test_forged_step_count_is_rejected_without_simulating(csv_artifacts, tmp_path, capsys, monkeypatch):

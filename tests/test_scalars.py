@@ -1,14 +1,13 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from satorbits.scalars import (
     ScalarFormatError,
-    format_ratio,
     format_scalar,
-    parse_ratio,
     parse_scalar,
     ratio_texts,
 )
@@ -96,25 +95,44 @@ def test_ratio_texts_match_format_scalar(D):
     assert ratio_texts(N, D) == [format_scalar(Fraction(n, D)) for n in N]
 
 
-def test_format_ratio_is_format_scalar():
-    for value in VALUES:
-        q = Fraction(value)
-        assert format_ratio(q.numerator, q.denominator) == format_scalar(value)
-
-
 @pytest.mark.parametrize(
-    "text,pair",
+    "text,message",
     [
-        ("0.50", (50, 100)),
-        ("-3/4", (-3, 4)),
-        ("-10/4", (-10, 4)),
-        ("+3", (3, 1)),
-        (" 2 ", (2, 1)),
-        ("5.", (5, 1)),
-        (".5", (5, 10)),
-        ("-0", (0, 1)),
-        ("1e3", (1000, 1)),
+        (" 1/0 ", "cannot parse scalar '1/0'"),
+        ("x" * 40, f"cannot parse scalar {'x' * 40!r}"),
+        ("x" * 41, f"cannot parse scalar '{'x' * 37}...'"),
+        ("1" * 50 + "x", f"cannot parse scalar '{'1' * 37}...'"),
     ],
 )
-def test_parse_ratio_pairs(text, pair):
-    assert parse_ratio(text) == pair
+def test_unparsable_text_is_quoted_up_to_40_characters(text, message):
+    with pytest.raises(ScalarFormatError) as exc:
+        parse_scalar(text)
+    assert str(exc.value) == message
+
+
+def test_float_range_message_is_quoted_up_to_40_characters():
+    with pytest.raises(ScalarFormatError) as exc:
+        parse_scalar("9" * 400, "float")
+    assert str(exc.value) == f"scalar '{'9' * 37}...' outside the float range"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize(
+    "text",
+    ["7" * 700, "-0." + "7" * 700, "7" * 700 + "/3", "1/" + "3" * 700],
+    ids=["integer", "decimal", "numerator", "denominator"],
+)
+def test_number_beyond_the_digit_limit_names_the_limit(text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ScalarFormatError) as exc:
+            parse_scalar(text)
+        # 640 digits are within the limit
+        assert parse_scalar("7" * 640) == 7 * (10**640 - 1) // 9
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(exc.value) == (
+        f"scalar '{text[:37]}...' has more than 640 digits, "
+        "beyond Python's limit on converting text to an integer"
+    )
