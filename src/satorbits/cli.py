@@ -86,8 +86,7 @@ class RunConfig(
     __slots__ = ()
 
     def validate(self) -> None:
-        if self.model == "ns":
-            _ns_model(self.model, self.a)
+        _ns_model(self.model, self.a)
         if self.alpha is None or self.beta is None:
             raise CliError("alpha and beta are required")
 
@@ -132,7 +131,8 @@ CONFIG_KEYS = (
 
 
 def load_config(path: str) -> dict[str, str]:
-    """The key=value entries of the config file at `path`; an unknown key is a usage error."""
+    """The key=value entries of the config file at `path`; an unknown or repeated
+    key is a usage error."""
     values: dict[str, str] = {}
     text = _read_text(path, "config")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,6 +145,8 @@ def load_config(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise CliError(f"{path}:{lineno}: repeated key {key!r}")
         values[key] = value.strip()
     return values
 
@@ -201,6 +203,9 @@ def _load_graph(path: str, mode: str) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 # plan files
 
+#: the key=value lines of a plan file, in the order `plan_to_text` writes them
+PLAN_KEYS = ("model", "alpha", "beta", "root", "m", "T", "a")
+
 
 def plan_to_text(plan: OrbitPlan) -> str:
     """The plan file; a synthesized plan shares one start state per class, and
@@ -221,7 +226,10 @@ def plan_to_text(plan: OrbitPlan) -> str:
 
 
 def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPlan:
+    """The plan of a plan file; an unknown or repeated key, and `a` on a di plan,
+    is a usage error."""
     meta: dict[str, str] = {}
+    a_line = 0
     init: dict[int, AgentState] = {}
     # a synthesized plan repeats a few values, so each distinct text is parsed once
     parse = functools.cache(lambda text: parse_scalar(text, mode))
@@ -248,7 +256,14 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
             init[idx - 1] = state
         elif "=" in line:
             key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in PLAN_KEYS:
+                raise CliError(f"plan line {lineno}: unknown key {key!r}")
+            if key in meta:
+                raise CliError(f"plan line {lineno}: repeated key {key!r}")
+            meta[key] = value.strip()
+            if key == "a":
+                a_line = lineno
         else:
             raise CliError(f"plan line {lineno}: cannot parse {line!r}")
     try:
@@ -264,7 +279,9 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
         raise CliError(f"bad plan value: {exc}") from exc
     if model not in ("di", "ns"):
         raise CliError(f"unknown model {model!r} in plan")
-    _ns_model(model, a)
+    if model == "di" and a is not None:
+        raise CliError(f"plan line {a_line}: a di plan has no a")
+    ns = _ns_model(model, a)
     # the orbit of di has period T = 2m, that of ns T = 4 with m = 2
     if model == "di" and (m < 1 or period != 2 * m):
         raise CliError(f"plan has m={m}, T={period}; di needs T = 2m with m >= 1")
@@ -278,9 +295,7 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
     except NotConnectedError as exc:
         raise CliError(str(exc)) from exc
     states = tuple(init[i] for i in range(g.n))
-    return OrbitPlan(
-        model=model, a=a, gains=gains, partition=partition, half_period=m, init=states
-    )
+    return OrbitPlan(ns=ns, gains=gains, partition=partition, half_period=m, init=states)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +393,7 @@ def _is_csv_of(t: Trajectory, text: str) -> bool:
     return pos == len(text)
 
 
-def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -> Trajectory:
+def trajectory_from_csv(text: str, ns: Optional[NsModel], mode: str) -> Trajectory:
     """Read a CSV written by `trajectory_to_csv` into tuple columns.
 
     Each (step, agent) pair appears once, agents are numbered 1..n and steps
@@ -434,8 +449,7 @@ def trajectory_from_csv(text: str, model: str, a: Optional[Scalar], mode: str) -
     state_rows = [row(states, k) for k in ticks]
     input_rows = [row(inputs, k) for k in ticks[:-1]]
     return Trajectory(
-        model,
-        a,
+        ns,
         tuple(tuple(AgentState(x, v) for x, v in r) for r in state_rows),
         tuple(tuple(u for u, _ in r) for r in input_rows),
         tuple(tuple(u for _, u in r) for r in input_rows),
@@ -589,8 +603,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.plan:
         plan = plan_from_text(_read_text(args.plan, "plan"), g, cfg.mode)
         _check_plan_flags(args, cfg, plan)
-        init = plan.init
-        model, a, gains = plan.model, plan.a, plan.gains
+        init, ns, gains = plan.init, plan.ns, plan.gains
         default_steps = 2 * plan.period
     else:
         cfg.validate()
@@ -601,12 +614,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"init override has {len(cfg.init_override)} agents, graph has {g.n}"
             )
         init = tuple(AgentState(x, v) for x, v in cfg.init_override)
-        model, a, gains = cfg.model, cfg.a, GainParams(cfg.alpha, cfg.beta)
+        ns, gains = _ns_model(cfg.model, cfg.a), GainParams(cfg.alpha, cfg.beta)
         default_steps = cfg.steps or 0
     steps = cfg.steps if cfg.steps is not None else default_steps
     if steps < 0:
         raise CliError(f"steps must be >= 0, got {steps}")
-    t = simulate(g, gains, init, steps, ns=_ns_model(model, a))
+    t = simulate(g, gains, init, steps, ns=ns)
     _write_output(trajectory_to_csv(t), args.output)
     return EXIT_OK
 
@@ -626,7 +639,7 @@ def _trajectory_consistent(
     of t.steps steps, is used instead of simulating.
     """
     if resim is None:
-        resim = simulate(g, gains, t.states[0], t.steps, ns=_ns_model(t.model, t.a))
+        resim = simulate(g, gains, t.states[0], t.steps, ns=t.ns)
     for k in range(t.steps + 1):
         rows = [(resim.states, t.states)]
         if k < t.steps:
@@ -678,7 +691,7 @@ def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional
             return None
         pos = text.index("\n", pos) + 1
     try:
-        return simulate(g, plan.gains, plan.init, steps, ns=_ns_model(plan.model, plan.a))
+        return simulate(g, plan.gains, plan.init, steps, ns=plan.ns)
     except SimulationOverflowError:
         return None
 
@@ -701,7 +714,7 @@ def _checked_csv(
     resim = _replay(text, g, plan, mode)
     if resim is not None and _is_csv_of(resim, text):
         return resim, None, resim
-    t = trajectory_from_csv(text, plan.model, plan.a, mode)
+    t = trajectory_from_csv(text, plan.ns, mode)
     if t.n != g.n:
         raise CliError(f"CSV has {t.n} agents, graph has {g.n}")
     if resim is not None and (resim.steps, resim.states[0]) != (t.steps, t.states[0]):
@@ -728,9 +741,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"trajectory covers {t.steps} steps, need {plan.period}"
             )
     else:
-        t = simulate(
-            g, plan.gains, plan.init, 2 * plan.period, ns=_ns_model(plan.model, plan.a)
-        )
+        t = simulate(g, plan.gains, plan.init, 2 * plan.period, ns=plan.ns)
         report["consistency"] = True
         rollout = t
     report.update(verification_report(g, plan, t, rollout=rollout))

@@ -5,6 +5,9 @@ Two agent models share the scalar saturated input channel:
 * double integrator:    x' = x + v,  v' = v + sat(u)
 * neutrally stable:     x' = v,      v' = -x + 2a v + sat(u),  -1 < a < 1, a != 0
 
+The model is one value: an `NsModel(a)`, or None for the double integrator,
+which `simulate`, `Lattice` and `Trajectory` take and keep as `ns`.
+
 The controller is diffusive: each agent feeds back weighted sums of
 neighbor-relative positions and velocities, so it vanishes at consensus.
 """
@@ -74,30 +77,15 @@ class NsModel(Record, namedtuple("NsModel", "a")):
         return super().__new__(cls, a)
 
 
-class Trajectory(
-    Record,
-    namedtuple("Trajectory", "model a states raw_u sat_u lattice", defaults=(None,)),
-):
+class Trajectory(Record, namedtuple("Trajectory", "ns states raw_u sat_u")):
     """States over steps+1 ticks plus raw and saturated inputs per step.
 
-    `model` is "di" or "ns" and `a` the ns rotation parameter (None on di).
+    `ns` is the `NsModel` the run stepped, None on the double integrator.
     Each column (`states`, `raw_u`, `sat_u`) is a tuple of rows or, for an
     exact run, a `LatticeColumn` that holds the rows as integers.
-    `lattice` is the `Lattice` an exact `simulate` stepped on, kept so that
-    checks of the same loop need not build it again; it takes no part in
-    `==`, `hash` or `repr`.
     """
 
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and self[:5] == other[:5]
-
-    def __hash__(self) -> int:
-        return hash(self[:5])
-
-    def __repr__(self) -> str:
-        return "Trajectory(model=%r, a=%r, states=%r, raw_u=%r, sat_u=%r)" % self[:5]
 
     @property
     def steps(self) -> int:
@@ -208,15 +196,18 @@ class LatticeColumn(Sequence):
     `data[k]` is a lattice state (X, V, D) or an input row (U, E) with U a
     list of numerators over E > 0; `decode` turns it into row k, a tuple of
     `AgentState`s or of Fractions, on first access, and the row is cached.
-    Slices return tuples, and a column equals the tuple of its rows.
+    Slices return tuples, and a column equals the tuple of its rows.  On the
+    states of an exact `simulate`, `lattice` is the `Lattice` it stepped on,
+    for checks of that loop to reuse; it takes no part in `==` or `hash`.
     """
 
-    __slots__ = ("data", "decode", "_rows")
+    __slots__ = ("data", "decode", "_rows", "lattice")
 
     def __init__(self, data: list[tuple], decode: Callable[..., tuple]) -> None:
         self.data = data
         self.decode = decode
         self._rows: list[Optional[tuple]] = [None] * len(data)
+        self.lattice: Optional[Lattice] = None
 
     def __len__(self) -> int:
         return len(self.data)
@@ -388,10 +379,9 @@ def simulate(
     current = tuple(init)
     if steps and len(current) != g.n:
         raise ValueError(f"expected {g.n} agent states, got {len(current)}")
-    model, a = ("di", None) if ns is None else ("ns", ns.a)
     lattice = Lattice.of(g, gains, ns, (c for s in current for c in (s.x, s.v)))
     if lattice is not None:
-        return _simulate_lattice(lattice, current, steps, model, a)
+        return _simulate_lattice(lattice, current, steps)
     states = [current]
     raw_hist: list[tuple[Scalar, ...]] = []
     sat_hist: list[tuple[Scalar, ...]] = []
@@ -409,12 +399,10 @@ def simulate(
         sat_hist.append(tuple(sat))
         states.append(nxt)
         current = nxt
-    return Trajectory(model, a, tuple(states), tuple(raw_hist), tuple(sat_hist))
+    return Trajectory(ns, tuple(states), tuple(raw_hist), tuple(sat_hist))
 
 
-def _simulate_lattice(
-    lattice: Lattice, init: tuple[AgentState, ...], steps: int, model: str, a: Optional[Scalar]
-) -> Trajectory:
+def _simulate_lattice(lattice: Lattice, init: tuple[AgentState, ...], steps: int) -> Trajectory:
     """The exact run: ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E).
 
     Ticks are reduced, so a tick equal to the first is the start state again:
@@ -446,9 +434,8 @@ def _simulate_lattice(
         ticks.append(tick)
     states = LatticeColumn(ticks, Lattice.decode)
     states._rows[0] = init
-    return Trajectory(
-        model, a, states, LatticeColumn(raw, ratios), LatticeColumn(sat, ratios), lattice
-    )
+    states.lattice = lattice
+    return Trajectory(lattice.ns, states, LatticeColumn(raw, ratios), LatticeColumn(sat, ratios))
 
 
 def _flat(value: object) -> list:

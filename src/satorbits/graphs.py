@@ -195,15 +195,11 @@ def serialize_graph(g: WeightedGraph) -> str:
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in g.neighbors(i):
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == g.n
+    try:
+        bfs_distances(g, 0)
+    except NotConnectedError:
+        return False
+    return True
 
 
 def bfs_distances(g: WeightedGraph, root: int) -> tuple[int, ...]:

@@ -51,7 +51,7 @@ def parse_int(text: str) -> int:
     body = text.strip()
     digits = body[1:] if body[:1] in ("+", "-") else body
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid integer {text!r}")
+        raise ValueError(f"invalid integer {_quoted(text)}")
     return int(body)
 
 

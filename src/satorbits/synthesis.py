@@ -11,6 +11,9 @@ systems, is kept as a standalone tool; synthesis calls neither.
 
 Neutrally stable: gate |alpha| <= sgn(a)(beta - a/a_bar), fixed period 4,
 closed-form initial states +-(1/(2a), -1/(2a)) by class.
+
+A plan carries its model as `ns`, the `NsModel` or None on di, as a
+`Trajectory` does.
 """
 
 from __future__ import annotations
@@ -65,16 +68,23 @@ class PatternSpec(Record, namedtuple("PatternSpec", "half")):
         return 1 if (k < self.half) == even else -1
 
 
-class OrbitPlan(
-    Record, namedtuple("OrbitPlan", "model a gains partition half_period init")
-):
+class OrbitPlan(Record, namedtuple("OrbitPlan", "ns gains partition half_period init")):
     """An orbit of period 2 * half_period (4 for ns) and its start states.
 
-    `model` is "di" or "ns", `a` the ns rotation parameter (None on di), and
-    `init` the tuple of the agents' start `AgentState`s.
+    `ns` is the neutrally stable `NsModel`, None on the double integrator;
+    `model` ("di" or "ns") and `a` (None on di) are read from it.  `init` is
+    the tuple of the agents' start `AgentState`s.
     """
 
     __slots__ = ()
+
+    @property
+    def model(self) -> str:
+        return "di" if self.ns is None else "ns"
+
+    @property
+    def a(self) -> Scalar | None:
+        return None if self.ns is None else self.ns.a
 
     @property
     def period(self) -> int:
@@ -318,7 +328,7 @@ def synthesize_di(
     speed = Fraction(m, 2)
     states = {True: AgentState(even, -speed), False: AgentState(odd, speed)}
     init = tuple(states[i in p.s_even] for i in range(g.n))
-    return OrbitPlan(model="di", a=None, gains=gains, partition=p, half_period=m, init=init)
+    return OrbitPlan(ns=None, gains=gains, partition=p, half_period=m, init=init)
 
 
 # ---------------------------------------------------------------------------
@@ -381,4 +391,4 @@ def synthesize_ns(
     if bad:
         raise GainConditionError(f"cross-edge key inequalities fail on {bad}")
     init = tuple(init_states_ns(model, p))
-    return OrbitPlan(model="ns", a=model.a, gains=gains, partition=p, half_period=2, init=init)
+    return OrbitPlan(ns=model, gains=gains, partition=p, half_period=2, init=init)

@@ -10,7 +10,8 @@ column, the columns of a float run or of a CSV that differs from its
 re-simulation, it works per agent on the scalars (`inverse_step_*` with
 `control_inputs`, or `closed_form_di`) and compares through `states_equal`,
 which is bit-exact on rationals and allows `FLOAT_TOL` on floats.  The tuple
-path is the reference that the integer path is tested against.
+path is the reference that the integer path is tested against.  The agent
+model is the trajectory's or plan's own `ns`.
 """
 
 from __future__ import annotations
@@ -78,28 +79,26 @@ def backward_states(
     input the controller does not reproduce.  A `LatticeColumn` trajectory is
     inverted on the `Lattice` from its tick `states.data[0]`, with its integer
     rows S/Es as they are, decoded only to name a mismatch; the lattice is
-    `t.lattice` when that was built from these graph and gains objects and
-    this model.  A tick at -T equal to the start tick gives the start row
+    `t.states.lattice` when that was built from these graph and gains objects
+    and `t.ns`.  A tick at -T equal to the start tick gives the start row
     `t.states[0]` itself, since reduced ticks are equal exactly when the
     states are.  A tuple column is inverted per agent with `inverse_step_*`
     and `control_inputs`.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
-    ns = None if t.model == "di" else NsModel(t.a)
     lattice = None
     if isinstance(t.states, LatticeColumn) and isinstance(t.sat_u, LatticeColumn):
-        lattice = t.lattice
-        # reused only for the graph and gains objects it was built from; ns,
-        # rebuilt from t.a above, is compared by value
+        lattice = t.states.lattice
+        # reused only for the graph and gains objects and the model it was built for
         if not (
             lattice is not None
             and lattice.graph is g
             and lattice.gains is gains
-            and lattice.ns == ns
+            and lattice.ns == t.ns
         ):
             # the states are integer ticks, so only the loop's exactness is open
-            lattice = Lattice.of(g, gains, ns, ())
+            lattice = Lattice.of(g, gains, t.ns, ())
     if lattice is not None:
         X, V, D = t.states.data[0]
     else:
@@ -107,10 +106,10 @@ def backward_states(
     for back in range(1, T + 1):
         if lattice is None:
             sat = t.sat_u[T - back]
-            if ns is None:
+            if t.ns is None:
                 current = [inverse_step_di(s, u) for s, u in zip(current, sat)]
             else:
-                current = [inverse_step_ns(s, u, ns) for s, u in zip(current, sat)]
+                current = [inverse_step_ns(s, u, t.ns) for s, u in zip(current, sat)]
             recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
         else:
             S, Es = t.sat_u.data[T - back]
@@ -198,18 +197,15 @@ def check_pattern(t: Trajectory, p: Partition, pattern: PatternSpec) -> PatternR
     return PatternReport(not violations, tuple(violations))
 
 
-def closed_form_di(
-    x0: Scalar, v0: Scalar, cls: str, m: int, k: int
-) -> AgentState:
+def closed_form_di(x0: Scalar, v0: Scalar, m: int, k: int, *, even: bool) -> AgentState:
     """Piecewise closed form of the saturated double-integrator orbit.
 
-    cls "even" drives with +1 for m steps then -1; "odd" is mirrored.
+    The even class drives with +1 for m steps then -1; the odd class is mirrored.
+    `even` is keyword-only: an older `(x0, v0, "odd", m, k)` call fails loudly.
     """
-    if cls not in ("even", "odd"):
-        raise ValueError(f"class must be 'even' or 'odd', got {cls!r}")
     if not 0 <= k <= 2 * m:
         raise ValueError(f"step {k} outside [0, {2 * m}]")
-    sign = 1 if cls == "even" else -1
+    sign = 1 if even else -1
     if k <= m:
         x = x0 + k * v0 + sign * Fraction(k * (k - 1), 2)
         v = v0 + sign * k
@@ -228,12 +224,6 @@ def _closed_form_start(x0: Fraction, v0: Fraction, even: bool) -> tuple[int, int
     q = math.lcm(x0.denominator, v0.denominator)
     X0, V0 = x0.numerator * (q // x0.denominator), v0.numerator * (q // v0.denominator)
     return q, X0, V0, q if even else -q
-
-
-def _closed_form_states(x0: Scalar, v0: Scalar, even: bool, m: int) -> list[AgentState]:
-    """The closed-form states at steps 0..2m."""
-    cls = "even" if even else "odd"
-    return [closed_form_di(x0, v0, cls, m, k) for k in range(2 * m + 1)]
 
 
 def oracle_check_di(t: Trajectory, plan: OrbitPlan) -> bool:
@@ -265,7 +255,7 @@ def oracle_check_di(t: Trajectory, plan: OrbitPlan) -> bool:
             forms.append(
                 _closed_form_start(s.x, s.v, key[2])
                 if lattice
-                else _closed_form_states(s.x, s.v, key[2], m)
+                else [closed_form_di(s.x, s.v, m, k, even=key[2]) for k in range(2 * m + 1)]
             )
         agent_form.append(slots[key])
     if not lattice:
@@ -346,8 +336,7 @@ def verification_report(
         }
     if plan.model == "di":
         report["closed_form"] = oracle_check_di(t, plan)
-    ns = None if plan.model == "di" else NsModel(plan.a)
-    found = minimal_period(g, plan.gains, t.states[0], 2 * plan.period, ns=ns, rollout=rollout)
+    found = minimal_period(g, plan.gains, t.states[0], 2 * plan.period, plan.ns, rollout)
     report["minimal_period"] = found
     report["ok"] = bool(
         report["periodicity"]

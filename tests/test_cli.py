@@ -342,7 +342,8 @@ def test_non_utf8_file_is_named(command, kind, tmp_path, capsys):
 
 def _non_ascii_digit(key):
     """argv factory: a command whose graph edge index (`key` "edge") or config
-    `key=` value is the Arabic-Indic digit three, which int() reads as 3."""
+    `key=` value is the Arabic-Indic digit three, which int() reads as 3.  The
+    value replaces the fixture's own `key=` line, so no repeated key hides it."""
 
     def argv(tmp_path):
         if key == "edge":
@@ -350,7 +351,9 @@ def _non_ascii_digit(key):
             graph.write_text("n 3\n\u0663 1 1.0\n2 3 1\n")
             return ["partition", str(graph)]
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(fixture_path("di.cfg").read_text() + f"{key}=\u0663\n")
+        lines = fixture_path("di.cfg").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith(f"{key}=")]
+        cfg.write_text("\n".join([*kept, f"{key}=\u0663"]) + "\n")
         return ["simulate" if key == "steps" else "synthesize", GRAPH, "--config", str(cfg)]
 
     return argv
@@ -453,6 +456,15 @@ def test_bad_input_is_one_error_line(argv, low_cap, tmp_path, capsys, monkeypatc
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize("key", ["root", "m", "steps", "anchor"])
+def test_non_ascii_digit_config_value_is_an_invalid_integer(key, tmp_path, capsys):
+    """The config digit itself is what `parse_int` turns down, not some other check."""
+    args = _non_ascii_digit(key)(tmp_path)
+    capsys.readouterr()
+    assert main(args) == EXIT_USAGE
+    assert "invalid integer '٣'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [
@@ -487,7 +499,7 @@ def _float_overflow(kind):
             graph.write_text(graph.read_text().replace("3 7 3.4", "3 7 1e400"))
             return ["synthesize", str(graph), "--config", str(cfg)]
         if kind == "alpha":
-            cfg.write_text(cfg.read_text() + "alpha=1e400\n")
+            cfg.write_text(cfg.read_text().replace("alpha=0.4\n", "alpha=1e400\n"))
             return ["synthesize", str(graph), "--config", str(cfg)]
         if kind == "ns-a":
             # 1/(2a) overflows, though a itself is a (subnormal) float
@@ -606,6 +618,48 @@ def _edited_plan(cfg, old, new):
             EXIT_USAGE,
             "error: plan line 14: duplicate agent 3",
             id="duplicate-agent",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, None, "alpha=0.41"),
+            EXIT_USAGE,
+            "error: plan line 14: repeated key 'alpha'",
+            id="repeated-alpha",
+        ),
+        pytest.param(
+            _edited_plan(NS_CFG, None, "a=0.5"),
+            EXIT_USAGE,
+            "error: plan line 15: repeated key 'a'",
+            id="repeated-a",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, "model=di", "m=11"),
+            EXIT_USAGE,
+            "error: plan line 5: repeated key 'm'",
+            id="repeated-m",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, None, "foo=1"),
+            EXIT_USAGE,
+            "error: plan line 14: unknown key 'foo'",
+            id="unknown-key",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, "T=22", "t=22"),
+            EXIT_USAGE,
+            "error: plan line 6: unknown key 't'",
+            id="unknown-key-t",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, None, "a=0.5"),
+            EXIT_USAGE,
+            "error: plan line 14: a di plan has no a",
+            id="di-a",
+        ),
+        pytest.param(
+            lambda tmp: [*_edited_plan(DI_CFG, None, "a=0.5")(tmp), "--a", "0.5"],
+            EXIT_USAGE,
+            "error: plan line 14: a di plan has no a",
+            id="di-a-with-flag",
         ),
         pytest.param(
             lambda tmp: ["synthesize", GRAPH, "--config", DI_CFG, "--m", "2"],
@@ -731,8 +785,8 @@ def test_plan_supersedes_config_init_and_root(plans, tmp_path, capsys):
     """di.cfg's `init=` entry and a config `root=` other than the plan's give
     way to the plan, as a and the gains do."""
     cfg = tmp_path / "di.cfg"
-    cfg.write_text(fixture_path("di.cfg").read_text() + "root=3\n")
-    assert "init=" in cfg.read_text()
+    cfg.write_text(fixture_path("di.cfg").read_text().replace("root=1\n", "root=3\n"))
+    assert "init=" in cfg.read_text() and "root=3" in cfg.read_text()
     plan = ["--plan", plans["di", "exact"]]
     common = [GRAPH, "--config", str(cfg), *plan]
     csv_file, plan_csv = tmp_path / "traj.csv", tmp_path / "plan.csv"
@@ -777,6 +831,22 @@ def test_unknown_config_key_is_rejected(command, key, plans, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {cfg}:{lineno}: unknown key {key!r}"]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key,value", [("alpha", "0.41"), ("root", "1"), ("model", "di")])
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+def test_repeated_config_key_is_rejected(command, key, value, plans, tmp_path, capsys):
+    """A key given twice is named with its second line, even with the same
+    value, instead of the last line silently winning."""
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(fixture_path("di.cfg").read_text() + f"{key}={value}\n")
+    lineno = len(cfg.read_text().splitlines())
+    argv = [command, GRAPH, "--config", str(cfg)]
+    if command != "synthesize":
+        argv += ["--plan", plans["di", "exact"]]
+    assert _verify_outcome(argv, capsys) == (
+        EXIT_USAGE, "", f"error: {cfg}:{lineno}: repeated key {key!r}\n"
+    )
 
 
 def _ns_config(extra):
@@ -843,7 +913,7 @@ class TestRoundTrips:
 
     def test_csv_exact_round_trip(self, graph7, gains_di, reference_init_di):
         t = simulate(graph7, gains_di, reference_init_di, 7)
-        back = trajectory_from_csv(trajectory_to_csv(t), t.model, t.a, "exact")
+        back = trajectory_from_csv(trajectory_to_csv(t), t.ns, "exact")
         assert back.states == t.states
         assert back.raw_u == t.raw_u
         assert back.sat_u == t.sat_u
@@ -1176,6 +1246,32 @@ def test_text_beyond_the_digit_limit_is_one_short_error_line(place, csv_artifact
         f"error: {where}: scalar '{'7' * 37}...' has more than 640 digits, "
         "beyond Python's limit on converting text to an integer\n"
     )
+
+
+@pytest.mark.parametrize("place", ["csv-step", "plan-m", "config-root"])
+def test_long_bad_integer_is_one_short_error_line(place, csv_artifacts, tmp_path, capsys):
+    """A 700-character integer field is quoted cut to 40 characters."""
+    argv, text = csv_artifacts["di"]
+    bad = "x" * 700
+    if place == "csv-step":
+        lines = text.splitlines(keepends=True)
+        lines[40] = bad + lines[40][lines[40].index(",") :]
+        edited, where = tmp_path / "bad.csv", "CSV line 41: "
+        argv = [*argv[:-1], str(edited)]
+    elif place == "plan-m":
+        at = argv.index("--plan") + 1
+        lines = [Path(argv[at]).read_text().replace("m=11\n", f"m={bad}\n")]
+        edited, where = tmp_path / "bad-plan.txt", "bad plan value: "
+        argv = [*argv[:at], str(edited), *argv[at + 1 :]]
+    else:
+        lines = [fixture_path("di.cfg").read_text().replace("root=1\n", f"root={bad}\n")]
+        edited, where = tmp_path / "bad.cfg", "bad config value: "
+        argv = [*argv[:3], str(edited), *argv[4:]]
+    edited.write_text("".join(lines))
+    code, out, err = _verify_outcome(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {where}invalid integer '{'x' * 37}...'\n"
+    assert len(err) < 200
 
 
 def test_csv_shorter_than_the_period_is_rejected(tmp_path, capsys):

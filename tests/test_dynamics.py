@@ -185,7 +185,7 @@ def reference_rollout(g, gains, init, steps, ns=None):
 
 def reference_backward(t, g, gains, T):
     """Per-agent inversion of one period: the state at -T, or the mismatch message."""
-    ns = None if t.model == "di" else NsModel(t.a)
+    ns = t.ns
     current = list(t.states[0])
     for back in range(1, T + 1):
         sat = t.sat_u[T - back]

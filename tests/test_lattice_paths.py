@@ -141,7 +141,6 @@ def lattice_copy(t):
         states=LatticeColumn([Lattice.encode(row) for row in t.states], Lattice.decode),
         raw_u=inputs(t.raw_u),
         sat_u=inputs(t.sat_u),
-        lattice=None,
     )
 
 
@@ -191,8 +190,7 @@ def assert_edits_agree(t, g, gains, plan, T, ns, rng):
 
 def plan_for(g, gains, t, half_period):
     return OrbitPlan(
-        model=t.model,
-        a=t.a,
+        ns=t.ns,
         gains=gains,
         partition=make_partition(g, 0),
         half_period=half_period,
@@ -228,6 +226,17 @@ def test_fixture_runs_agree(name, fixture_runs, graph7):
     assert_paths_agree(t, graph7, plan.gains, plan, plan.period, ns)
     assert_edits_agree(t, graph7, plan.gains, plan, plan.period, ns, random.Random(name))
     assert_paths_agree(lattice_copy(t), graph7, plan.gains, plan, plan.period, ns)
+
+
+def test_stepped_lattice_serves_only_its_own_model(fixture_runs, graph7):
+    """An ns run given another rotation parameter is inverted on a lattice of
+    that model, as its tuple copy is, not on the lattice the run stepped."""
+    t, plan, ns = fixture_runs["ns"]
+    other = t._replace(ns=NsModel(Fraction(1, 3)))
+    assert other.states.lattice.ns == ns != other.ns
+    assert outcome(backward_states, other, graph7, plan.gains, 4) == outcome(
+        backward_states, tuple_copy(other), graph7, plan.gains, 4
+    )
 
 
 @pytest.mark.parametrize("name", ["di", "ns", "halved"])
@@ -338,7 +347,6 @@ class TestLatticeColumn:
     def test_writer_reads_each_input_over_its_own_denominator(self):
         states = LatticeColumn([([1, 2], [0, 0], 1)] * 2, Lattice.decode)
         t = Trajectory(
-            "di",
             None,
             states,
             LatticeColumn([([5, 20], 10)], ratios),
@@ -377,14 +385,14 @@ class TestCanonicalReader:
     def test_reader_ticks_equal_simulate_ticks(self, fixture_runs):
         """The reader returns the tuple copy of the run that wrote the CSV."""
         for t, _, _ in fixture_runs.values():
-            read = trajectory_from_csv(trajectory_to_csv(t), t.model, t.a, "exact")
+            read = trajectory_from_csv(trajectory_to_csv(t), t.ns, "exact")
             assert read == tuple_copy(t)
             assert all(type(c) is tuple for c in (read.states, read.raw_u, read.sat_u))
 
     def test_reader_ticks_on_random_loops(self):
         for g, gains, init, ns, _ in random_cases():
             t = simulate(g, gains, init, 12, ns=ns)
-            read = trajectory_from_csv(trajectory_to_csv(t), t.model, t.a, "exact")
+            read = trajectory_from_csv(trajectory_to_csv(t), t.ns, "exact")
             assert read == tuple_copy(t)
 
     @staticmethod
@@ -414,7 +422,7 @@ class TestCanonicalReader:
             lines[n] = ",".join([k, agent, *values])
         respelled = "\n".join(lines) + "\n"
         assert "/" not in text and all(c in respelled for c in ("0,", "/", "+", " "))
-        assert trajectory_from_csv(respelled, "di", None, "exact") == tuple_copy(t)
+        assert trajectory_from_csv(respelled, None, "exact") == tuple_copy(t)
         csv.write_text(respelled)
         capsys.readouterr()
         assert main(["verify", GRAPH, "--plan", str(plan), "--csv", str(csv)]) == EXIT_OK

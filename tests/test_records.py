@@ -19,6 +19,7 @@ from satorbits import (
     simulate,
 )
 from satorbits.cli import RunConfig
+from satorbits.dynamics import LatticeColumn
 from satorbits.graphs import GraphFormatError
 from satorbits.verify import PatternReport
 
@@ -34,10 +35,10 @@ VALUES = {
     Partition: tuple(PARTITION),
     IntervalConstraint: (0, 1, F(1, 4), F(3, 4)),
     PatternSpec: (11,),
-    OrbitPlan: ("di", None, GainParams(F(2, 5), F(21, 50)), PARTITION, 3, STATES),
+    OrbitPlan: (None, GainParams(F(2, 5), F(21, 50)), PARTITION, 3, STATES),
     PatternReport: (False, ((1, 0, F(1, 2)),)),
     RunConfig: ("ns", F(1, 2), F(-1, 2), F(2), 2, None, 8, None, None, "exact", None),
-    Trajectory: ("di", None, (STATES,), (), (), None),
+    Trajectory: (NsModel(F(1, 2)), (STATES,), (), ()),
 }
 RECORDS = pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
 
@@ -67,8 +68,7 @@ def test_a_changed_field_or_another_class_is_unequal():
 @RECORDS
 def test_repr_names_every_field(cls):
     record = cls(*VALUES[cls])
-    fields = [name for name in cls._fields if name != "lattice"]
-    values = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+    values = ", ".join(f"{name}={getattr(record, name)!r}" for name in cls._fields)
     assert repr(record) == f"{cls.__name__}({values})"
 
 
@@ -99,17 +99,30 @@ def test_replace_changes_only_the_given_fields():
 def test_defaults():
     defaults = ("di", None, None, None, 1, None, None, None, None, "exact", None)
     assert RunConfig() == RunConfig(*defaults)
-    assert Trajectory("di", None, (STATES,), (), ()).lattice is None
+    assert Trajectory._field_defaults == OrbitPlan._field_defaults == {}
+
+
+def test_agent_model_is_the_ns_field():
+    assert Trajectory._fields == ("ns", "states", "raw_u", "sat_u")
+    assert OrbitPlan._fields == ("ns", "gains", "partition", "half_period", "init")
+    assert not {"__eq__", "__hash__", "__repr__"} & set(vars(Trajectory))
+    plan = OrbitPlan(*VALUES[OrbitPlan])
+    assert (plan.model, plan.a) == ("di", None)
+    plan = plan._replace(ns=NsModel(F(1, 2)))
+    assert (plan.model, plan.a) == ("ns", F(1, 2))
 
 
 def test_trajectory_lattice_takes_no_part_in_eq_hash_or_repr(graph7, gains_di):
     init = [AgentState(F(0), F(0))] * graph7.n
     t = simulate(graph7, gains_di, init, 3)
-    assert t.lattice is not None
-    bare = t._replace(lattice=None)
-    assert t == bare and hash(t) == hash(bare) and repr(t) == repr(bare)
-    assert "lattice" not in repr(t)
-    assert t != t._replace(model="ns")
+    assert t.states.lattice is not None and t.raw_u.lattice is None
+    bare = LatticeColumn(t.states.data, t.states.decode)
+    assert bare.lattice is None
+    assert t.states == bare and hash(t.states) == hash(bare) and repr(t.states) == repr(bare)
+    copy = t._replace(states=bare)
+    assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
+    assert "Lattice" not in repr(t)
+    assert t != t._replace(ns=NsModel(F(1, 2)))
 
 
 @pytest.mark.parametrize("a", [F(1), F(-1), F(0), F(3, 2), 0.0])

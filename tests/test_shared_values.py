@@ -176,10 +176,10 @@ class TestOracleKeepsTheClass:
         """Closed-form rows of `plan`, each agent by its class but agent `odd`,
         which follows the class `odd_follows`."""
         m = plan.half_period
-        cls = ["even" if i in plan.partition.s_even else "odd" for i in range(len(plan.init))]
-        cls[odd] = odd_follows
+        even = [i in plan.partition.s_even for i in range(len(plan.init))]
+        even[odd] = odd_follows == "even"
         return [
-            tuple(closed_form_di(s.x, s.v, c, m, k) for s, c in zip(plan.init, cls))
+            tuple(closed_form_di(s.x, s.v, m, k, even=e) for s, e in zip(plan.init, even))
             for k in range(2 * m + 1)
         ]
 
@@ -192,7 +192,7 @@ class TestOracleKeepsTheClass:
             states = LatticeColumn([Lattice.encode(row) for row in rows], Lattice.decode)
         else:
             states = tuple(rows)
-        t = Trajectory("di", None, states, (), ())
+        t = Trajectory(None, states, (), ())
         assert oracle_check_di(t, plan) is ok
 
     @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -104,14 +104,14 @@ class TestPatternSpec:
         for m in range(1, 21):
             x0 = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
             v0 = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
-            cls = rng.choice(["even", "odd"])
+            even = rng.choice([True, False])
             pattern = PatternSpec(m)
             assert pattern.period == 2 * m
             s = AgentState(x0, v0)
             for k in range(2 * m + 1):
-                assert s == closed_form_di(x0, v0, cls, m, k)
+                assert s == closed_form_di(x0, v0, m, k, even=even)
                 if k < 2 * m:
-                    s = step_di(s, pattern.sign_at(k, cls == "even"))
+                    s = step_di(s, pattern.sign_at(k, even))
 
     def test_returns_the_ns_start_after_four_steps(self):
         rng = random.Random(4)

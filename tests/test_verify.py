@@ -113,23 +113,28 @@ class TestPattern:
 
 class TestClosedForm:
     def test_identity_at_zero(self):
-        assert closed_form_di(F(3), F(-2), "even", 5, 0) == AgentState(3, -2)
+        assert closed_form_di(F(3), F(-2), 5, 0, even=True) == AgentState(3, -2)
 
     def test_midpoint_even(self):
         m = 8
-        got = closed_form_di(F(0), -Fraction(m, 2), "even", m, m)
+        got = closed_form_di(F(0), -Fraction(m, 2), m, m, even=True)
         assert got == AgentState(-Fraction(m, 2), Fraction(m, 2))
 
     def test_full_period_odd(self):
         m = 9
         x0 = F("4.25")
-        got = closed_form_di(x0, Fraction(m, 2), "odd", m, 2 * m)
+        got = closed_form_di(x0, Fraction(m, 2), m, 2 * m, even=False)
         # x(2m) = x0 + 2m v0 - m^2 = x0
         assert got == AgentState(x0, Fraction(m, 2))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            closed_form_di(F(0), F(0), "even", 4, 9)
+            closed_form_di(F(0), F(0), 4, 9, even=True)
+
+    def test_string_class_is_refused(self):
+        # the class was once the string "even"/"odd"; no string may pass as a bool
+        with pytest.raises(TypeError):
+            closed_form_di(F(0), F(0), "odd", 4, 2)
 
 
 class TestOracleDi:
@@ -178,12 +183,12 @@ class TestOracleDi:
             for i in range(graph7.n)
         )
         plan = plan._replace(init=init)
-        cls = ["even" if i in plan.partition.s_even else "odd" for i in range(graph7.n)]
+        even = [i in plan.partition.s_even for i in range(graph7.n)]
         rows = tuple(
-            tuple(closed_form_di(s.x, s.v, c, m, k) for s, c in zip(init, cls))
+            tuple(closed_form_di(s.x, s.v, m, k, even=e) for s, e in zip(init, even))
             for k in range(2 * m + 1)
         )
-        t = Trajectory("di", None, rows, (), ())
+        t = Trajectory(None, rows, (), ())
         assert oracle_check_di(t, plan)
         assert not oracle_check_di(self._with_state(t, m, 3, AgentState(0, 0)), plan)
 
