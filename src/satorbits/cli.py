@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -105,11 +106,8 @@ def _ns_model(model: str, a: Optional[Scalar]) -> Optional[NsModel]:
 
 def _parse_init_list(text: str, mode: str) -> tuple[tuple[Scalar, Scalar], ...]:
     pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
+    for chunk in filter(None, map(str.strip, text.split(";"))):
+        parts = chunk.split(",")  # parse_scalar strips each part
         if len(parts) != 2:
             raise CliError(f"bad init pair {chunk!r} (want 'x,v')")
         pairs.append((parse_scalar(parts[0], mode), parse_scalar(parts[1], mode)))
@@ -167,26 +165,21 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise CliError(f"unknown model {model!r}")
     if mode not in ("exact", "float"):
         raise CliError(f"unknown mode {mode!r}")
-    values: dict[str, object] = {}
+    scalar = functools.partial(parse_scalar, mode=mode)
+    # each key's RunConfig field and reader, in the order the values are read
+    readers = {
+        "a": ("a", scalar),
+        "alpha": ("alpha", scalar),
+        "beta": ("beta", scalar),
+        "root": ("root", parse_int),
+        "m": ("m_override", parse_int),
+        "steps": ("steps", parse_int),
+        "base": ("base_position", scalar),
+        "anchor": ("anchor", parse_int),
+        "init": ("init_override", functools.partial(_parse_init_list, mode=mode)),
+    }
     try:
-        if "a" in raw:
-            values["a"] = parse_scalar(raw["a"], mode)
-        if "alpha" in raw:
-            values["alpha"] = parse_scalar(raw["alpha"], mode)
-        if "beta" in raw:
-            values["beta"] = parse_scalar(raw["beta"], mode)
-        if "root" in raw:
-            values["root"] = parse_int(raw["root"])
-        if "m" in raw:
-            values["m_override"] = parse_int(raw["m"])
-        if "steps" in raw:
-            values["steps"] = parse_int(raw["steps"])
-        if "base" in raw:
-            values["base_position"] = parse_scalar(raw["base"], mode)
-        if "anchor" in raw:
-            values["anchor"] = parse_int(raw["anchor"])
-        if "init" in raw:
-            values["init_override"] = _parse_init_list(raw["init"], mode)
+        values = {field: read(raw[key]) for key, (field, read) in readers.items() if key in raw}
     except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
     return RunConfig(model=model, mode=mode, **values)
@@ -205,6 +198,10 @@ def _load_graph(path: str, mode: str) -> WeightedGraph:
 
 #: the key=value lines of a plan file, in the order `plan_to_text` writes them
 PLAN_KEYS = ("model", "alpha", "beta", "root", "m", "T", "a")
+
+#: an agent line of a plan file: blanks may stand around the index, the
+#: colon and each field, and each field is `key=value` with no blank before "="
+_AGENT_LINE = re.compile(r"agent\s+([0-9]+)\s*:\s*x=([^,]*),\s*v=([^,]*)")
 
 
 def plan_to_text(plan: OrbitPlan) -> str:
@@ -238,13 +235,15 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
         if not line or line.startswith("#"):
             continue
         if line.startswith("agent "):
-            head, _, rest = line.partition(":")
-            fields = dict(
-                part.strip().split("=", 1) for part in rest.split(",") if "=" in part
-            )
+            match = _AGENT_LINE.fullmatch(line)
             try:
-                idx = parse_int(head.split()[1])
-                state = AgentState(parse(fields["x"]), parse(fields["v"]))
+                if match:
+                    idx, state = int(match[1]), AgentState(parse(match[2]), parse(match[3]))
+                else:  # off the grammar: the faults of its fields are reported first
+                    head, _, rest = line.partition(":")
+                    fields = dict(p.strip().split("=", 1) for p in rest.split(",") if "=" in p)
+                    idx = parse_int(head.split()[1])
+                    state = AgentState(parse(fields["x"]), parse(fields["v"]))
             except ScalarFormatError as exc:
                 raise CliError(f"plan line {lineno}: {exc}") from exc
             except (IndexError, ValueError) as exc:
@@ -253,6 +252,8 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
                 raise CliError(f"plan line {lineno}: missing field {exc}") from exc
             if idx - 1 in init:
                 raise CliError(f"plan line {lineno}: duplicate agent {idx}")
+            if match is None:
+                raise CliError(f"plan line {lineno}: {line!r} is not 'agent <i>: x=<x>, v=<v>'")
             init[idx - 1] = state
         elif "=" in line:
             key, _, value = line.partition("=")

@@ -9,9 +9,11 @@ format is 1-based.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque, namedtuple
-from collections.abc import Iterable
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from itertools import compress
+from operator import eq, itemgetter, not_
 
 from .records import Record
 from .scalars import Scalar, distinct, format_scalar, parse_scalar
@@ -46,9 +48,6 @@ class WeightedGraph(Record, namedtuple("WeightedGraph", "n adjacency")):
         # row j of `lower` collects the entries (i, w) of rows i < j that name
         # j, in increasing i: the transpose of the upper half, with no sort
         lower: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
-        # ids of the weight objects found positive: a parsed graph shares one
-        # object per distinct weight text, so each is compared with 0 once
-        positive: set[int] = set()
         for i, nbrs in enumerate(adjacency):
             prev = -1
             for entry in nbrs:
@@ -68,12 +67,10 @@ class WeightedGraph(Record, namedtuple("WeightedGraph", "n adjacency")):
                 if j > i:
                     # the symmetry check below makes each lower entry equal to
                     # an upper one, so checking the upper half suffices
-                    if id(w) not in positive:
-                        if not w > 0:
-                            raise GraphFormatError(
-                                f"edge weight on ({i + 1}, {j + 1}) is negative or zero"
-                            )
-                        positive.add(id(w))
+                    if not w > 0:
+                        raise GraphFormatError(
+                            f"edge weight on ({i + 1}, {j + 1}) is negative or zero"
+                        )
                     lower[j].append((i, w))
                 prev = j
         # symmetric iff every row's entries below the diagonal are that transpose
@@ -84,16 +81,24 @@ class WeightedGraph(Record, namedtuple("WeightedGraph", "n adjacency")):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, Scalar]]) -> "WeightedGraph":
-        """The graph on agents 0..n-1 with each (i, j, w) an undirected edge."""
+        """The graph on agents 0..n-1 with each (i, j, w) an undirected edge.
+
+        The rows are built symmetric and sorted, so only the range, repeated
+        neighbors (a repeated edge or a self-loop) and the sign of each weight
+        object are checked; `__new__` validates in full only to name a fault.
+        """
+        edges = list(edges)
         rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
         for i, j, w in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphFormatError(f"edge ({i + 1}, {j + 1}) outside agents 1..{n}")
             rows[i].append((j, w))
             rows[j].append((i, w))
-        for row in rows:
-            row.sort()  # by neighbor; a repeated neighbor fails validation
-        return cls(n, tuple(map(tuple, rows)))
+        adjacency = tuple(tuple(sorted(row)) for row in rows)
+        repeated = sum(map(len, map(dict, adjacency))) < 2 * len(edges)
+        if n < 1 or repeated or not all(w > 0 for w in distinct(map(itemgetter(2), edges))):
+            return cls(n, adjacency)
+        return tuple.__new__(cls, (n, adjacency))
 
     def weight(self, i: int, j: int) -> Scalar:
         """The weight of edge (i, j), or 0 when i and j are not neighbors."""
@@ -133,57 +138,78 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
 
     Lines are "i j w" with 1-based agent indices and positive weight; an
     optional first line "n <count>" declares the agent count.  Blank lines
-    and lines starting with '#' are ignored.
+    and lines starting with '#' are ignored.  Each check below runs once over
+    a whole column, and a fault is reported at the first line that has one.
     """
+    rows = list(map(str.split, text.splitlines()))
+    linenos: Sequence[int] = range(1, len(rows) + 1)
+    if "#" in text or not all(rows):
+        linenos = [no for no, parts in zip(linenos, rows) if parts and parts[0][0] != "#"]
+        rows = [rows[no - 1] for no in linenos]
     declared_n: int | None = None
-    edges: dict[tuple[int, int], Scalar] = {}
-    # graphs repeat a few weight texts, so each distinct text is parsed once
-    values: dict[str, Scalar] = {}
-    max_seen = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            if declared_n is not None or edges:
-                raise GraphFormatError(f"line {lineno}: stray agent-count line")
-            # str.isdigit admits digits such as "²" that int() rejects
-            if len(parts) != 2 or not parts[1].encode().isdigit() or int(parts[1]) < 1:
-                raise GraphFormatError(f"line {lineno}: bad agent count")
-            declared_n = int(parts[1])
-            continue
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'i j w'")
-        # ASCII digits only, as for the agent count: int() reads any Unicode digit
-        a, b = parts[0], parts[1]
-        if not (a.isascii() and b.isascii() and a.isdigit() and b.isdigit()):
-            raise GraphFormatError(f"line {lineno}: bad agent index")
-        i, j = int(a), int(b)
-        if i < 1 or j < 1:
-            raise GraphFormatError(f"line {lineno}: agent indices are 1-based")
-        if i == j:
-            raise GraphFormatError(f"line {lineno}: self-loop on agent {i}")
-        w = values.get(parts[2])
-        if w is None:
-            try:
-                w = parse_scalar(parts[2], mode)
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: bad weight: {exc}") from exc
-            if w <= 0:
-                raise GraphFormatError(f"line {lineno}: nonpositive weight")
-            values[parts[2]] = w
-        key = (min(i, j) - 1, max(i, j) - 1)
-        if key in edges and edges[key] != w:
-            raise GraphFormatError(f"line {lineno}: conflicting duplicate edge")
-        edges[key] = w
-        max_seen = max(max_seen, i, j)
+    if rows and rows[0][0] == "n":
+        # str.isdigit admits digits such as "²" that int() rejects
+        if len(rows[0]) != 2 or not rows[0][1].encode().isdigit() or int(rows[0][1]) < 1:
+            raise GraphFormatError(f"line {linenos[0]}: bad agent count")
+        declared_n = int(rows[0][1])
+        rows, linenos = rows[1:], linenos[1:]
+    # each check reads rows[:k], the rows that pass every check before it, and
+    # cuts k to its first fault: so the fault last found is the first line's
+    k, fault = len(rows), ""
+
+    def cut(flags: Iterable[object], message: Callable[[int], str]) -> None:
+        nonlocal k, fault
+        r = next(compress(range(k), flags), k)
+        if r < k:
+            k, fault = r, message(r)
+
+    if set(map(len, rows)) - {3} or "n" in map(itemgetter(0), rows):
+        cut(
+            (parts[0] == "n" or len(parts) != 3 for parts in rows),
+            lambda r: "stray agent-count line" if rows[r][0] == "n" else "expected 'i j w'",
+        )
+    I, J, W = map(list, zip(*rows[:k])) if k else ([], [], [])
+    # ASCII digits only, as for the agent count: int() reads any Unicode digit
+    digits = "".join(I) + "".join(J)
+    if not (digits.isascii() and digits.isdigit()):
+        cut((not (i + j).isascii() or not (i + j).isdigit() for i, j in zip(I, J)),
+            lambda r: "bad agent index")
+        del I[k:], J[k:]
+    # each index text is read once, as its 0-based agent
+    agents = {index: int(index) - 1 for index in {*I, *J}}
+    I, J = list(map(agents.__getitem__, I)), list(map(agents.__getitem__, J))
+    if -1 in agents.values():
+        cut((i < 0 or j < 0 for i, j in zip(I, J)), lambda r: "agent indices are 1-based")
+    cut(map(eq, I, J), lambda r: f"self-loop on agent {I[r] + 1}")
+    # each distinct weight text is parsed once, and its rows share the value
+    values: dict[str, Scalar] = dict.fromkeys(W[:k])
+    faults: dict[str, str] = {}
+    for weight in values:
+        try:
+            values[weight] = parse_scalar(weight, mode)
+            faults[weight] = "" if values[weight] > 0 else "nonpositive weight"
+        except ValueError as exc:
+            faults[weight] = f"bad weight: {exc}"
+    cut(map(faults.get, W), lambda r: faults[W[r]])
+    del I[k:], J[k:]
+    edges: Iterable[tuple[int, int, Scalar]] = zip(I, J, map(values.get, W))
+    pairs = set(zip(I, J))
+    if len(pairs) < k or not pairs.isdisjoint(zip(J, I)):
+        # an edge given more than once keeps its last weight, which must equal its first
+        keys, ws = list(zip(map(min, I, J), map(max, I, J))), list(map(values.get, W[:k]))
+        first: dict[tuple[int, int], Scalar] = {}
+        cut((first.setdefault(key, w) != w for key, w in zip(keys, ws)),
+            lambda r: "conflicting duplicate edge")
+        edges = [(i, j, w) for (i, j), w in dict(zip(keys, ws)).items()]
+    if fault:
+        raise GraphFormatError(f"line {linenos[k]}: {fault}")
+    max_seen = max(I + J, default=-1) + 1
     n = declared_n if declared_n is not None else max_seen
     if n < 1:
         raise GraphFormatError("empty graph document")
     if max_seen > n:
         raise GraphFormatError(f"agent {max_seen} exceeds declared count {n}")
-    return WeightedGraph.from_edges(n, [(i, j, w) for (i, j), w in edges.items()])
+    return WeightedGraph.from_edges(n, edges)
 
 
 def serialize_graph(g: WeightedGraph) -> str:
@@ -206,14 +232,15 @@ def bfs_distances(g: WeightedGraph, root: int) -> tuple[int, ...]:
     """Minimum edge count from root to every agent (unweighted)."""
     dist = [-1] * g.n
     dist[root] = 0
-    queue = deque([root])
-    while queue:
-        i = queue.popleft()
-        for j in g.neighbors(i):
+    adjacency = g.adjacency
+    order = [root]
+    for i in order:  # the agents in the order they are reached
+        d = dist[i] + 1
+        for j, _ in adjacency[i]:
             if dist[j] < 0:
-                dist[j] = dist[i] + 1
-                queue.append(j)
-    if any(d < 0 for d in dist):
+                dist[j] = d
+                order.append(j)
+    if len(order) < g.n:
         bad = dist.index(-1)
         raise NotConnectedError(f"agent {bad + 1} unreachable from agent {root + 1}")
     return tuple(dist)
@@ -221,17 +248,17 @@ def bfs_distances(g: WeightedGraph, root: int) -> tuple[int, ...]:
 
 def make_partition(g: WeightedGraph, root: int = 0) -> Partition:
     dist = bfs_distances(g, root)
-    s_even = frozenset(i for i in range(g.n) if dist[i] % 2 == 0)
-    s_odd = frozenset(i for i in range(g.n) if dist[i] % 2 == 1)
+    odd = [d & 1 for d in dist]
+    s_even = frozenset(compress(range(g.n), map(not_, odd)))
+    s_odd = frozenset(compress(range(g.n), odd))
     cross: list[tuple[int, int, Scalar]] = []
     intra: list[tuple[int, int, Scalar]] = []
-    for i, j, w in g.edges():
-        if (i in s_even) == (j in s_even):
-            intra.append((i, j, w))
-        elif i in s_even:
-            cross.append((i, j, w))
-        else:
-            cross.append((j, i, w))
+    for i, row in enumerate(g.adjacency):
+        for j, w in row:
+            if j > i:  # each edge once, in the order of edges()
+                # a cross edge runs from its even end to its odd one
+                edge = (j, i, w) if odd[i] > odd[j] else (i, j, w)
+                (intra if odd[i] == odd[j] else cross).append(edge)
     if not cross:
         # only possible for the single-agent graph; there is no orbit to build
         raise NotConnectedError("graph has no cross edges (need at least 2 agents)")

@@ -118,7 +118,10 @@ def format_scalar(value: Scalar) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
-        return ratio_texts([value.numerator], value.denominator)[0]
+        # a Fraction is reduced: no gcd, and one scale for its denominator
+        n, d = value.numerator, value.denominator
+        scale = decimal_scale(d)
+        return f"{n}/{d}" if scale is None else _format_decimal(n * scale[1], scale[0])
     return repr(float(value))
 
 

@@ -620,6 +620,56 @@ def _edited_plan(cfg, old, new):
             id="duplicate-agent",
         ),
         pytest.param(
+            _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent 1: x=21, v=-5.5, foo=3, junk"),
+            EXIT_USAGE,
+            "error: plan line 7: 'agent 1: x=21, v=-5.5, foo=3, junk' "
+            "is not 'agent <i>: x=<x>, v=<v>'",
+            id="agent-unknown-field",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent 1: x=999, x=21, v=-5.5"),
+            EXIT_USAGE,
+            "error: plan line 7: 'agent 1: x=999, x=21, v=-5.5' is not 'agent <i>: x=<x>, v=<v>'",
+            id="agent-repeated-field",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent +1: x=21, v=-5.5"),
+            EXIT_USAGE,
+            "error: plan line 7: 'agent +1: x=21, v=-5.5' is not 'agent <i>: x=<x>, v=<v>'",
+            id="agent-signed-index",
+        ),
+        # a line off the grammar still reports first what the reader always reported
+        pytest.param(
+            _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent 1: y=21, v=-5.5, foo=3"),
+            EXIT_USAGE,
+            "error: plan line 7: missing field 'x'",
+            id="agent-missing-field-first",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent 1: x=2/0, v=-5.5, foo=3"),
+            EXIT_USAGE,
+            "error: plan line 7: cannot parse scalar '2/0'",
+            id="agent-bad-value-first",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, None, "agent 3: x=0, v=0, foo=3"),
+            EXIT_USAGE,
+            "error: plan line 14: duplicate agent 3",
+            id="agent-duplicate-first",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent 1 x=21, v=-5.5"),
+            EXIT_USAGE,
+            "error: plan line 7: missing field 'x'",
+            id="agent-no-colon",
+        ),
+        pytest.param(
+            _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent : x=21, v=-5.5"),
+            EXIT_USAGE,
+            "error: plan line 7: cannot parse 'agent : x=21, v=-5.5'",
+            id="agent-no-index",
+        ),
+        pytest.param(
             _edited_plan(DI_CFG, None, "alpha=0.41"),
             EXIT_USAGE,
             "error: plan line 14: repeated key 'alpha'",
@@ -917,6 +967,68 @@ class TestRoundTrips:
         assert back.states == t.states
         assert back.raw_u == t.raw_u
         assert back.sat_u == t.sat_u
+
+
+def reference_agent_states(text: str, mode: str) -> dict[int, AgentState]:
+    """The start states of a plan's agent lines as the dict-of-fields reader read
+    them, the oracle for the strict agent-line grammar."""
+    init = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line.startswith("agent "):
+            head, _, rest = line.partition(":")
+            fields = dict(part.strip().split("=", 1) for part in rest.split(",") if "=" in part)
+            state = AgentState(*(cli.parse_scalar(fields[key], mode) for key in "xv"))
+            init[int(head.split()[1]) - 1] = state
+    return init
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_plan_reader_matches_the_field_reader(mode, graph7, gains_di, ns_model):
+    """Differential: random start states written by `plan_to_text` read back as the
+    dict-of-fields reader read them, one value object per distinct text."""
+    rng = random.Random(f"plan-reader-{mode}")
+    partition = cli.make_partition(graph7, 0)
+    pool = [F("21"), F("-5.5"), F("1/3"), F("-7/12"), F(10**30 + 1) / 2**40, F(0), F("-0.125")]
+    if mode == "float":
+        pool = [float(v) for v in pool] + [-0.0, 1e-300, 2.5e200]
+    for _ in range(60):
+        values = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        init = tuple(AgentState(rng.choice(values), rng.choice(values)) for _ in range(graph7.n))
+        ns = ns_model if rng.random() < 0.5 else None
+        m = 2 if ns else rng.randint(3, 30)
+        plan = cli.OrbitPlan(ns, gains_di, partition, m, init)
+        text = plan_to_text(plan)
+        parsed = plan_from_text(text, graph7, mode)
+        reference = reference_agent_states(text, mode)
+        expected = tuple(reference[i] for i in range(graph7.n))
+        assert parsed.init == expected
+        assert [tuple(map(type, s)) for s in parsed.init] == [
+            tuple(map(type, s)) for s in expected
+        ]
+        texts = [t for s in parsed.init for t in map(cli.format_scalar, s)]
+        objects = {id(v) for s in parsed.init for v in s}
+        assert len(objects) == len(set(texts))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "agent 3: x=15.5, v=5.5",
+        "agent   3 :x=15.5,v=5.5",
+        "agent 3\t:\tx= 15.5 ,\tv=  5.5",
+        "agent 03: x=15.5, v=5.5",
+        "  agent 3: x=15.5, v=5.5  ",
+    ],
+)
+def test_agent_line_blanks(line, graph7, gains_di):
+    """The strict grammar takes the blanks the dict-of-fields reader took."""
+    from satorbits import synthesize_di
+
+    lines = plan_to_text(synthesize_di(graph7, gains_di)).splitlines()
+    lines[8] = line
+    plan = plan_from_text("\n".join(lines), graph7)
+    assert plan.init[2] == AgentState(F("15.5"), F("5.5"))
 
 
 def test_parser_is_built_once_and_survives_a_bad_argv(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 import time
 from fractions import Fraction
@@ -15,7 +16,7 @@ from satorbits import (
     parse_graph,
     serialize_graph,
 )
-from satorbits.graphs import GraphFormatError, NotConnectedError, WeightedGraph
+from satorbits.graphs import GraphFormatError, NotConnectedError, Partition, WeightedGraph
 from satorbits.scalars import Scalar, parse_scalar
 
 
@@ -174,6 +175,150 @@ class TestParse:
             assert parse_graph(serialize_graph(g)) == g
 
 
+def reference_parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
+    """The line-by-line reader the columnar `parse_graph` replaced, as the oracle.
+
+    It checks each line in turn and builds the graph through the validating
+    constructor.
+    """
+    declared_n = None
+    edges: dict[tuple[int, int], Scalar] = {}
+    values: dict[str, Scalar] = {}
+    max_seen = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "n":
+            if declared_n is not None or edges:
+                raise GraphFormatError(f"line {lineno}: stray agent-count line")
+            if len(parts) != 2 or not parts[1].encode().isdigit() or int(parts[1]) < 1:
+                raise GraphFormatError(f"line {lineno}: bad agent count")
+            declared_n = int(parts[1])
+            continue
+        if len(parts) != 3:
+            raise GraphFormatError(f"line {lineno}: expected 'i j w'")
+        a, b = parts[0], parts[1]
+        if not (a.isascii() and b.isascii() and a.isdigit() and b.isdigit()):
+            raise GraphFormatError(f"line {lineno}: bad agent index")
+        i, j = int(a), int(b)
+        if i < 1 or j < 1:
+            raise GraphFormatError(f"line {lineno}: agent indices are 1-based")
+        if i == j:
+            raise GraphFormatError(f"line {lineno}: self-loop on agent {i}")
+        w = values.get(parts[2])
+        if w is None:
+            try:
+                w = parse_scalar(parts[2], mode)
+            except ValueError as exc:
+                raise GraphFormatError(f"line {lineno}: bad weight: {exc}") from exc
+            if w <= 0:
+                raise GraphFormatError(f"line {lineno}: nonpositive weight")
+            values[parts[2]] = w
+        key = (min(i, j) - 1, max(i, j) - 1)
+        if key in edges and edges[key] != w:
+            raise GraphFormatError(f"line {lineno}: conflicting duplicate edge")
+        edges[key] = w
+        max_seen = max(max_seen, i, j)
+    n = declared_n if declared_n is not None else max_seen
+    if n < 1:
+        raise GraphFormatError("empty graph document")
+    if max_seen > n:
+        raise GraphFormatError(f"agent {max_seen} exceeds declared count {n}")
+    rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+    for (i, j), w in edges.items():
+        rows[i].append((j, w))
+        rows[j].append((i, w))
+    return WeightedGraph(n, [sorted(row) for row in rows])
+
+
+# texts a document draws its tokens from: valid ones more often than not
+COUNTS = ["3", "4", "6", "1", "0", "-2", "²", "٣", "x", "3 4", ""]
+INDICES = ["1", "2", "3", "4", "5", "6", "01", "0", "٣", "²", "-1", "+1", "x"]
+WEIGHTS = ["1", "1.0", "0.5", "2/3", "3", "12.25", "0", "-1", "-0.5", "x", "1/0", "1e400", "٣"]
+BLANKS = ["", " ", "\t", "  \t "]
+
+
+def random_graph_document(rng: random.Random) -> str:
+    """A short edge-list document, valid or with faults anywhere in it."""
+    n = rng.randint(1, 6)
+    lines = []
+    if rng.random() < 0.7:
+        lines.append(f"n {rng.choice(COUNTS) if rng.random() < 0.2 else n}")
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.08:
+            lines.append(rng.choice(["# comment", "  # 1 2 3", "#", ""]))
+        elif roll < 0.12:
+            lines.append(f"n {rng.choice(COUNTS)}")  # repeated or late
+        elif roll < 0.16:
+            lines.append(" ".join(rng.choice(INDICES) for _ in range(rng.choice([1, 2, 4]))))
+        elif roll < 0.24 and lines:
+            # a duplicate of an earlier line, reversed, with the same or another weight
+            parts = rng.choice(lines).split()
+            if len(parts) == 3:
+                weight = parts[2] if rng.random() < 0.5 else rng.choice(WEIGHTS[:6])
+                lines.append(f"{parts[1]} {parts[0]} {weight}")
+        else:
+            bad = rng.random() < 0.15
+            i, j = (rng.randint(1, n + (rng.random() < 0.1)) for _ in range(2))
+            a = rng.choice(INDICES) if bad and rng.random() < 0.5 else str(i)
+            b = str(j) if i != j or rng.random() < 0.3 else str(i % n + 1)
+            weight = rng.choice(WEIGHTS if bad else WEIGHTS[:6])
+            blanks = [rng.choice(BLANKS) for _ in range(4)]
+            lines.append(f"{blanks[0]}{a} {blanks[1]}{b}\t{blanks[2]}{weight}{blanks[3]}")
+    return "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+GRAPH_FAULTS = [
+    "stray agent-count line",
+    "bad agent count",
+    "expected 'i j w'",
+    "bad agent index",
+    "1-based",
+    "self-loop",
+    "bad weight",
+    "nonpositive weight",
+    "conflicting duplicate edge",
+    "empty graph document",
+    "exceeds declared count",
+]
+
+
+def weight_objects(g: WeightedGraph) -> list[int]:
+    """Each adjacency entry's weight as the index of its object's first appearance."""
+    first: dict[int, int] = {}
+    entries = [w for row in g.adjacency for _, w in row]
+    return [first.setdefault(id(w), len(first)) for w in entries]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_parse_graph_matches_the_line_reader(mode):
+    """Differential: random valid and faulty documents give the line-by-line
+    reader's graph, weight objects and types, or its error message."""
+    rng = random.Random(f"graph-reader-{mode}")
+    outcomes = set()
+    for _ in range(1500):
+        text = random_graph_document(rng)
+        try:
+            expected = reference_parse_graph(text, mode)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                parse_graph(text, mode)
+            assert str(got.value) == str(exc), text
+            outcomes.update(kind for kind in GRAPH_FAULTS if kind in str(exc))
+            continue
+        g = parse_graph(text, mode)
+        assert g == expected, text
+        assert [type(w) for row in g.adjacency for _, w in row] == [
+            type(w) for row in expected.adjacency for _, w in row
+        ]
+        assert weight_objects(g) == weight_objects(expected), text
+        outcomes.add("ok")
+    assert outcomes == {"ok", *GRAPH_FAULTS}
+
+
 class TestWeightedGraph:
     def test_adjacency_lists_positive_weights(self):
         rng = random.Random(11)
@@ -230,6 +375,27 @@ class TestWeightedGraph:
             WeightedGraph.from_edges(2, [(0, 1, Fraction(1)), (1, 0, Fraction(1))])
         with pytest.raises(GraphFormatError, match="self-loop"):
             WeightedGraph.from_edges(2, [(1, 1, Fraction(1))])
+        nonpositive = r"^edge weight on \(1, 2\) is negative or zero$"
+        with pytest.raises(GraphFormatError, match=nonpositive):
+            WeightedGraph.from_edges(3, [(1, 2, Fraction(1)), (1, 0, Fraction(0))])
+        with pytest.raises(GraphFormatError, match="at least one agent"):
+            WeightedGraph.from_edges(0, [])
+
+    def test_from_edges_equals_the_validated_rows(self):
+        """`from_edges` skips the validation of `__new__`, and builds what it accepts."""
+        rng = random.Random(13)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            edges = random_connected_edges(rng, n, rng.choice([exact_weight, float_weight]))
+            rng.shuffle(edges)
+            g = WeightedGraph.from_edges(n, iter(edges))
+            rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+            for i, j, w in edges:
+                rows[i].append((j, w))
+                rows[j].append((i, w))
+            expected = WeightedGraph(n, [sorted(row) for row in rows])
+            assert g == expected and type(g.adjacency) is tuple
+            assert all(type(row) is tuple for row in g.adjacency)
 
     def test_rows_become_tuples(self):
         g = WeightedGraph(2, [[(1, Fraction(1))], [(0, Fraction(1))]])
@@ -356,6 +522,38 @@ class TestPartition:
                 touched |= {i, j}
             assert touched == set(range(g.n))
             assert p.a_bar == min(w for _, _, w in p.cross_edges) > 0
+
+
+def reference_partition(g: WeightedGraph, root: int) -> Partition:
+    """The partition through `edges()` and set lookups, as the oracle for
+    `make_partition`'s walk over the rows."""
+    dist = bfs_distances(g, root)
+    s_even = frozenset(i for i in range(g.n) if dist[i] % 2 == 0)
+    s_odd = frozenset(i for i in range(g.n) if dist[i] % 2 == 1)
+    cross, intra = [], []
+    for i, j, w in g.edges():
+        if (i in s_even) == (j in s_even):
+            intra.append((i, j, w))
+        else:
+            cross.append((i, j, w) if i in s_even else (j, i, w))
+    a_bar = min(w for _, _, w in cross)
+    return Partition(root, dist, s_even, s_odd, tuple(cross), tuple(intra), a_bar)
+
+
+def test_partition_matches_the_edge_list_reference():
+    """Same classes, edge order, orientation and the first least a_bar object,
+    on graphs whose equal weights are distinct objects."""
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        edges = random_connected_edges(rng, n, lambda rng: Fraction(rng.randint(1, 3), 2))
+        g = WeightedGraph.from_edges(n, edges)
+        root = rng.randrange(n)
+        p, ref = make_partition(g, root), reference_partition(g, root)
+        assert p == ref
+        assert p.a_bar is ref.a_bar
+        weights = [w for *_, w in p.cross_edges + p.intra_edges]
+        assert all(map(operator.is_, weights, [w for *_, w in ref.cross_edges + ref.intra_edges]))
 
 
 class TestLaplacian:

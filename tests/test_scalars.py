@@ -59,6 +59,21 @@ def test_format_matches_division_loop():
         assert format_scalar(value) == reference_format(value), value
 
 
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (Fraction(1, 3), "1/3"),
+        (Fraction(-7, 12), "-7/12"),
+        (Fraction(1, 8), "0.125"),
+        (Fraction(5), "5"),
+    ],
+)
+def test_format_pins(value, text):
+    """A reduced Fraction and the same value over a common multiple read alike."""
+    assert format_scalar(value) == text
+    assert ratio_texts([value.numerator * 6], value.denominator * 6) == [text]
+
+
 def test_parse_inverts_format():
     for value in VALUES:
         assert parse_scalar(format_scalar(value)) == value, value
