@@ -31,6 +31,7 @@ from .dynamics import (
 from .graphs import (
     GraphFormatError,
     NotConnectedError,
+    Partition,
     WeightedGraph,
     make_partition,
     parse_graph,
@@ -38,7 +39,6 @@ from .graphs import (
 from .records import Record
 from .scalars import (
     Scalar,
-    ScalarFormatError,
     format_scalar,
     parse_int,
     parse_scalar,
@@ -73,15 +73,17 @@ class RunConfig(
     Record,
     namedtuple(
         "RunConfig",
-        "model a alpha beta root m_override steps base_position anchor mode init_override",
+        "model a alpha beta root m steps base anchor mode init",
         defaults=("di", None, None, None, 1, None, None, None, None, "exact", None),
     ),
 ):
     """A command's settings from its config file and flags (see `build_config`).
 
-    `root` and `anchor` are 1-based agents, and `init_override` a tuple of
-    (x, v) pairs.  Every field but `model`, `root` and `mode` is None when
-    neither the file nor a flag gives it.
+    Each field is named after its config key and its flag.  `m` is the
+    half-period override, `base` the anchored base position, `root` and
+    `anchor` 1-based agents, and `init` a tuple of (x, v) pairs.  Every field
+    but `model`, `root` and `mode` is None when neither the file nor a flag
+    gives it.
     """
 
     __slots__ = ()
@@ -122,30 +124,35 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
 
-#: the keys of a config file; a flag of the same name overrides each
-CONFIG_KEYS = (
-    "model", "a", "alpha", "beta", "root", "m", "steps", "base", "anchor", "mode", "init"
-)
+def _entries(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line of `text` but blanks and `#` comments."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _read_entry(line: str, keys: Sequence[str], values: dict[str, str], where: str) -> str:
+    """Add the `key=value` line to `values` and return its key; a line without
+    "=", a key outside `keys` and a repeated key are usage errors after `where`."""
+    if "=" not in line:
+        raise CliError(f"{where} expected key=value")
+    key, _, value = line.partition("=")
+    key = key.strip()
+    if key not in keys:
+        raise CliError(f"{where} unknown key {key!r}")
+    if key in values:
+        raise CliError(f"{where} repeated key {key!r}")
+    values[key] = value.strip()
+    return key
 
 
 def load_config(path: str) -> dict[str, str]:
-    """The key=value entries of the config file at `path`; an unknown or repeated
-    key is a usage error."""
+    """The key=value entries of the config file at `path`, whose keys are the
+    `RunConfig` fields; an unknown or repeated key is a usage error."""
     values: dict[str, str] = {}
-    text = _read_text(path, "config")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise CliError(f"{path}:{lineno}: repeated key {key!r}")
-        values[key] = value.strip()
+    for lineno, line in _entries(_read_text(path, "config")):
+        _read_entry(line, RunConfig._fields, values, f"{path}:{lineno}:")
     return values
 
 
@@ -154,7 +161,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         raw = load_config(args.config)
     # flags win over config file entries
-    for key in CONFIG_KEYS:
+    for key in RunConfig._fields:
         flag = getattr(args, key, None)
         if flag is not None:
             raw[key] = str(flag)
@@ -166,20 +173,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if mode not in ("exact", "float"):
         raise CliError(f"unknown mode {mode!r}")
     scalar = functools.partial(parse_scalar, mode=mode)
-    # each key's RunConfig field and reader, in the order the values are read
+    # each key's reader, in the order the values are read
     readers = {
-        "a": ("a", scalar),
-        "alpha": ("alpha", scalar),
-        "beta": ("beta", scalar),
-        "root": ("root", parse_int),
-        "m": ("m_override", parse_int),
-        "steps": ("steps", parse_int),
-        "base": ("base_position", scalar),
-        "anchor": ("anchor", parse_int),
-        "init": ("init_override", functools.partial(_parse_init_list, mode=mode)),
+        "a": scalar, "alpha": scalar, "beta": scalar, "root": parse_int, "m": parse_int,
+        "steps": parse_int, "base": scalar, "anchor": parse_int,
+        "init": functools.partial(_parse_init_list, mode=mode),
     }
     try:
-        values = {field: read(raw[key]) for key, (field, read) in readers.items() if key in raw}
+        values = {key: read(raw[key]) for key, read in readers.items() if key in raw}
     except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
     return RunConfig(model=model, mode=mode, **values)
@@ -223,54 +224,34 @@ def plan_to_text(plan: OrbitPlan) -> str:
 
 
 def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPlan:
-    """The plan of a plan file; an unknown or repeated key, and `a` on a di plan,
-    is a usage error."""
+    """The plan of a plan file; an unknown or repeated key, an agent line off
+    `_AGENT_LINE` and `a` on a di plan are usage errors.  Each distinct value
+    text is parsed once, and the agents of one `(x, v)` text pair share one
+    state, as a synthesized plan shares one per class."""
     meta: dict[str, str] = {}
     a_line = 0
     init: dict[int, AgentState] = {}
-    # a synthesized plan repeats a few values, so each distinct text is parsed once
     parse = functools.cache(lambda text: parse_scalar(text, mode))
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("agent "):
-            match = _AGENT_LINE.fullmatch(line)
-            try:
-                if match:
-                    idx, state = int(match[1]), AgentState(parse(match[2]), parse(match[3]))
-                else:  # off the grammar: the faults of its fields are reported first
-                    head, _, rest = line.partition(":")
-                    fields = dict(p.strip().split("=", 1) for p in rest.split(",") if "=" in p)
-                    idx = parse_int(head.split()[1])
-                    state = AgentState(parse(fields["x"]), parse(fields["v"]))
-            except ScalarFormatError as exc:
-                raise CliError(f"plan line {lineno}: {exc}") from exc
-            except (IndexError, ValueError) as exc:
-                raise CliError(f"plan line {lineno}: cannot parse {line!r}") from exc
-            except KeyError as exc:
-                raise CliError(f"plan line {lineno}: missing field {exc}") from exc
-            if idx - 1 in init:
-                raise CliError(f"plan line {lineno}: duplicate agent {idx}")
-            if match is None:
-                raise CliError(f"plan line {lineno}: {line!r} is not 'agent <i>: x=<x>, v=<v>'")
-            init[idx - 1] = state
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in PLAN_KEYS:
-                raise CliError(f"plan line {lineno}: unknown key {key!r}")
-            if key in meta:
-                raise CliError(f"plan line {lineno}: repeated key {key!r}")
-            meta[key] = value.strip()
-            if key == "a":
+    state_of = functools.cache(lambda x, v: AgentState(parse(x), parse(v)))
+    for lineno, line in _entries(text):
+        if not line.startswith("agent "):
+            if _read_entry(line, PLAN_KEYS, meta, f"plan line {lineno}:") == "a":
                 a_line = lineno
-        else:
-            raise CliError(f"plan line {lineno}: cannot parse {line!r}")
+            continue
+        match = _AGENT_LINE.fullmatch(line)
+        if match is None:
+            raise CliError(f"plan line {lineno}: {line!r} is not 'agent <i>: x=<x>, v=<v>'")
+        try:
+            idx, state = int(match[1]), state_of(match[2], match[3])
+        except ValueError as exc:  # a bad value, or an index past int()'s digit limit
+            raise CliError(f"plan line {lineno}: {exc}") from exc
+        if idx - 1 in init:
+            raise CliError(f"plan line {lineno}: duplicate agent {idx}")
+        init[idx - 1] = state
     try:
         model = meta["model"]
         gains = GainParams(parse_scalar(meta["alpha"], mode), parse_scalar(meta["beta"], mode))
-        root = parse_int(meta.get("root", "1")) - 1
+        root = parse_int(meta.get("root", "1"))
         m = parse_int(meta["m"])
         period = parse_int(meta["T"])
         a = parse_scalar(meta["a"], mode) if "a" in meta else None
@@ -290,13 +271,8 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
         raise CliError(f"plan has m={m}, T={period}; ns needs m = 2, T = 4")
     if sorted(init) != list(range(g.n)):
         raise CliError(f"plan does not cover all {g.n} agents")
-    _check_agent("root", root + 1, g)
-    try:
-        partition = make_partition(g, root)
-    except NotConnectedError as exc:
-        raise CliError(str(exc)) from exc
     states = tuple(init[i] for i in range(g.n))
-    return OrbitPlan(ns=ns, gains=gains, partition=partition, half_period=m, init=states)
+    return OrbitPlan(ns=ns, gains=gains, partition=_partition(g, root), half_period=m, init=states)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +433,15 @@ def trajectory_from_csv(text: str, ns: Optional[NsModel], mode: str) -> Trajecto
     )
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
+def _write_output(text: str, path: Optional[str], what: str) -> None:
+    """Write `text` to the file at `path`, or to stdout; an unwritable file is a usage error."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {what} {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +454,7 @@ def _fmt_set(agents) -> str:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.mode or "exact")
-    root = 1 if args.root is None else args.root
-    _check_agent("root", root, g)
-    try:
-        p = make_partition(g, root - 1)
-    except NotConnectedError as exc:
-        raise CliError(str(exc)) from exc
+    p = _partition(g, 1 if args.root is None else args.root)
     print(f"S_e = {_fmt_set(p.s_even)}")
     print(f"S_o = {_fmt_set(p.s_odd)}")
     print("distances:", " ".join(f"{i + 1}:{d}" for i, d in enumerate(p.dist)))
@@ -501,11 +476,20 @@ def _check_agent(name: str, agent: int, g: WeightedGraph) -> None:
         raise CliError(f"{name} {agent} out of range 1..{g.n}")
 
 
+def _partition(g: WeightedGraph, root: int) -> Partition:
+    """The partition of `g` from the 1-based `root`; a root out of range and a
+    disconnected graph are usage errors."""
+    _check_agent("root", root, g)
+    try:
+        return make_partition(g, root - 1)
+    except NotConnectedError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
     if cfg.model == "ns":
         # the ns orbit and its initial states are fixed by a and the partition
-        keys = {"m": cfg.m_override, "base": cfg.base_position, "anchor": cfg.anchor}
-        given = [key for key, value in keys.items() if value is not None]
+        given = [key for key in ("m", "base", "anchor") if getattr(cfg, key) is not None]
         if given:
             raise CliError(
                 f"{', '.join(given)} not accepted for model=ns, whose orbit is fixed "
@@ -514,17 +498,17 @@ def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
     _check_agent("root", cfg.root, g)
     if cfg.anchor is not None:
         _check_agent("anchor", cfg.anchor, g)
-    if cfg.m_override is not None and cfg.m_override <= 2:
-        raise CliError(f"half-period m must exceed 2, got {cfg.m_override}")
+    if cfg.m is not None and cfg.m <= 2:
+        raise CliError(f"half-period m must exceed 2, got {cfg.m}")
     gains = GainParams(cfg.alpha, cfg.beta)
     try:
         if cfg.model == "di":
             return synthesize_di(
                 g,
                 gains,
-                m_override=cfg.m_override,
+                m_override=cfg.m,
                 root=cfg.root - 1,
-                base=Fraction(0) if cfg.base_position is None else cfg.base_position,
+                base=Fraction(0) if cfg.base is None else cfg.base,
                 anchor=None if cfg.anchor is None else cfg.anchor - 1,
             )
         return synthesize_ns(g, _ns_model(cfg.model, cfg.a), gains, root=cfg.root - 1)
@@ -562,7 +546,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     plan = _synthesize(g, cfg)
     if plan.model == "di":
         sys.stderr.write(interval_table(g, plan))
-    _write_output(plan_to_text(plan), args.output)
+    _write_output(plan_to_text(plan), args.output, "plan")
     return EXIT_OK
 
 
@@ -608,20 +592,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         default_steps = 2 * plan.period
     else:
         cfg.validate()
-        if cfg.init_override is None:
+        if cfg.init is None:
             raise CliError("simulate needs --plan or an init override")
-        if len(cfg.init_override) != g.n:
-            raise CliError(
-                f"init override has {len(cfg.init_override)} agents, graph has {g.n}"
-            )
-        init = tuple(AgentState(x, v) for x, v in cfg.init_override)
+        if len(cfg.init) != g.n:
+            raise CliError(f"init override has {len(cfg.init)} agents, graph has {g.n}")
+        init = tuple(AgentState(x, v) for x, v in cfg.init)
         ns, gains = _ns_model(cfg.model, cfg.a), GainParams(cfg.alpha, cfg.beta)
         default_steps = cfg.steps or 0
     steps = cfg.steps if cfg.steps is not None else default_steps
     if steps < 0:
         raise CliError(f"steps must be >= 0, got {steps}")
     t = simulate(g, gains, init, steps, ns=ns)
-    _write_output(trajectory_to_csv(t), args.output)
+    _write_output(trajectory_to_csv(t), args.output, "trajectory")
     return EXIT_OK
 
 
@@ -679,15 +661,11 @@ def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional
         return None
     if steps < 0 or text.count("\n") != (steps + 1) * g.n + 1:
         return None
-    # a plan read from text shares one value object per distinct text, so
+    # a plan read from text shares one state per distinct text pair, so
     # each distinct start state is formatted once
-    start: dict[tuple[int, int], str] = {}
+    starts = per_object(lambda s: f"{format_scalar(s.x)},{format_scalar(s.v)},", plan.init)
     pos = len(CSV_HEADER) + 1
-    for i, s in zip(count(1), plan.init):
-        key = (id(s.x), id(s.v))
-        xv = start.get(key)
-        if xv is None:
-            xv = start[key] = f"{format_scalar(s.x)},{format_scalar(s.v)},"
+    for i, xv in zip(count(1), starts):
         if not text.startswith(f"0,{i},{xv}", pos):
             return None
         pos = text.index("\n", pos) + 1

@@ -8,6 +8,7 @@ format is 1-based.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
@@ -16,7 +17,7 @@ from itertools import compress
 from operator import eq, itemgetter, not_
 
 from .records import Record
-from .scalars import Scalar, distinct, format_scalar, parse_scalar
+from .scalars import Scalar, distinct, format_scalar, over_digit_limit, parse_scalar
 
 
 class GraphFormatError(ValueError):
@@ -149,9 +150,14 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
     declared_n: int | None = None
     if rows and rows[0][0] == "n":
         # str.isdigit admits digits such as "²" that int() rejects
-        if len(rows[0]) != 2 or not rows[0][1].encode().isdigit() or int(rows[0][1]) < 1:
+        count = rows[0][1] if len(rows[0]) == 2 and rows[0][1].encode().isdigit() else "0"
+        try:
+            declared_n = int(count)
+        except ValueError:  # more digits than int() reads
+            fault = over_digit_limit("agent count")
+            raise GraphFormatError(f"line {linenos[0]}: {fault}") from None
+        if declared_n < 1:
             raise GraphFormatError(f"line {linenos[0]}: bad agent count")
-        declared_n = int(rows[0][1])
         rows, linenos = rows[1:], linenos[1:]
     # each check reads rows[:k], the rows that pass every check before it, and
     # cuts k to its first fault: so the fault last found is the first line's
@@ -175,8 +181,14 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
         cut((not (i + j).isascii() or not (i + j).isdigit() for i, j in zip(I, J)),
             lambda r: "bad agent index")
         del I[k:], J[k:]
-    # each index text is read once, as its 0-based agent
-    agents = {index: int(index) - 1 for index in {*I, *J}}
+    try:  # each index text is read once, as its 0-based agent
+        agents = {index: int(index) - 1 for index in {*I, *J}}
+    except ValueError:  # an index with more digits than int() reads
+        limit = sys.get_int_max_str_digits()
+        cut((max(len(i), len(j)) > limit for i, j in zip(I, J)),
+            lambda r: over_digit_limit("agent index"))
+        del I[k:], J[k:]
+        agents = {index: int(index) - 1 for index in {*I, *J}}
     I, J = list(map(agents.__getitem__, I)), list(map(agents.__getitem__, J))
     if -1 in agents.values():
         cut((i < 0 or j < 0 for i, j in zip(I, J)), lambda r: "agent indices are 1-based")

@@ -43,6 +43,14 @@ def _quoted(text: str) -> str:
     return repr(text if len(text) <= 40 else text[:37] + "...")
 
 
+def over_digit_limit(what: str) -> str:
+    """The message for `what`, a text of more digits than Python reads into an integer."""
+    return (
+        f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+        "beyond Python's limit on converting text to an integer"
+    )
+
+
 def parse_int(text: str) -> int:
     """An optionally signed integer of ASCII digits 0-9, around which blanks are allowed.
 
@@ -71,10 +79,7 @@ def parse_scalar(text: str, mode: str = "exact") -> Scalar:
     except (ValueError, ZeroDivisionError) as exc:
         # int() raises the digit limit; Fraction's own error is "Invalid literal ..."
         if str(exc).startswith("Exceeds the limit"):
-            raise ScalarFormatError(
-                f"scalar {_quoted(text)} has more than {sys.get_int_max_str_digits()} "
-                "digits, beyond Python's limit on converting text to an integer"
-            ) from exc
+            raise ScalarFormatError(over_digit_limit(f"scalar {_quoted(text)}")) from exc
         raise ScalarFormatError(f"cannot parse scalar {_quoted(text)}") from exc
     if mode == "exact":
         return value

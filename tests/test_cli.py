@@ -638,35 +638,35 @@ def _edited_plan(cfg, old, new):
             "error: plan line 7: 'agent +1: x=21, v=-5.5' is not 'agent <i>: x=<x>, v=<v>'",
             id="agent-signed-index",
         ),
-        # a line off the grammar still reports first what the reader always reported
+        # a line off the grammar is reported as such, before its fields are read
         pytest.param(
             _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent 1: y=21, v=-5.5, foo=3"),
             EXIT_USAGE,
-            "error: plan line 7: missing field 'x'",
+            "error: plan line 7: 'agent 1: y=21, v=-5.5, foo=3' is not 'agent <i>: x=<x>, v=<v>'",
             id="agent-missing-field-first",
         ),
         pytest.param(
             _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent 1: x=2/0, v=-5.5, foo=3"),
             EXIT_USAGE,
-            "error: plan line 7: cannot parse scalar '2/0'",
+            "error: plan line 7: 'agent 1: x=2/0, v=-5.5, foo=3' is not 'agent <i>: x=<x>, v=<v>'",
             id="agent-bad-value-first",
         ),
         pytest.param(
             _edited_plan(DI_CFG, None, "agent 3: x=0, v=0, foo=3"),
             EXIT_USAGE,
-            "error: plan line 14: duplicate agent 3",
+            "error: plan line 14: 'agent 3: x=0, v=0, foo=3' is not 'agent <i>: x=<x>, v=<v>'",
             id="agent-duplicate-first",
         ),
         pytest.param(
             _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent 1 x=21, v=-5.5"),
             EXIT_USAGE,
-            "error: plan line 7: missing field 'x'",
+            "error: plan line 7: 'agent 1 x=21, v=-5.5' is not 'agent <i>: x=<x>, v=<v>'",
             id="agent-no-colon",
         ),
         pytest.param(
             _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent : x=21, v=-5.5"),
             EXIT_USAGE,
-            "error: plan line 7: cannot parse 'agent : x=21, v=-5.5'",
+            "error: plan line 7: 'agent : x=21, v=-5.5' is not 'agent <i>: x=<x>, v=<v>'",
             id="agent-no-index",
         ),
         pytest.param(
@@ -883,6 +883,39 @@ def test_unknown_config_key_is_rejected(command, key, plans, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+@pytest.mark.parametrize("command,what", [("synthesize", "plan"), ("simulate", "trajectory")])
+def test_unwritable_output_is_a_usage_error(command, what, target, plans, tmp_path, capsys):
+    """An `-o` path in a missing directory, or a directory, is one error line
+    naming what was to be written, as an unreadable input is."""
+    path = str(tmp_path / target)
+    argv = [command, GRAPH, "--config", DI_CFG, "-o", path]
+    if command == "simulate":
+        argv += ["--plan", plans["di", "exact"]]
+    code, out, err = _verify_outcome(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    # synthesize writes its interval table to stderr before the plan
+    last = err.splitlines()[-1]
+    assert last.startswith(f"error: cannot write {what} {path}: [Errno ")
+    assert err.count("error:") == 1
+
+
+def test_plan_and_config_lines_without_equals_share_a_message(plans, tmp_path, capsys):
+    """Config and plan key lines go through one reader, so a line without "="
+    gets one message after each file's location."""
+    cfg = tmp_path / "junk.cfg"
+    cfg.write_text(fixture_path("di.cfg").read_text() + "junk\n")
+    plan = tmp_path / "junk-plan.txt"
+    plan.write_text(Path(plans["di", "exact"]).read_text() + "junk\n")
+    cfg_line, plan_line = (len(f.read_text().splitlines()) for f in (cfg, plan))
+    assert _verify_outcome(["synthesize", GRAPH, "--config", str(cfg)], capsys) == (
+        EXIT_USAGE, "", f"error: {cfg}:{cfg_line}: expected key=value\n"
+    )
+    assert _verify_outcome(["verify", GRAPH, "--plan", str(plan)], capsys) == (
+        EXIT_USAGE, "", f"error: plan line {plan_line}: expected key=value\n"
+    )
+
+
 @pytest.mark.parametrize("key,value", [("alpha", "0.41"), ("root", "1"), ("model", "di")])
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
 def test_repeated_config_key_is_rejected(command, key, value, plans, tmp_path, capsys):
@@ -1057,6 +1090,35 @@ def test_plan_values_are_parsed_once_per_text(graph7, gains_ns, ns_model, monkey
     # the two texts the seven agents share, then alpha, beta and a
     assert parsed == ["1", "-1", "-0.5", "2", "0.5"]
     assert plan_to_text(plan) == text
+
+
+def test_read_plan_shares_one_state_per_text_pair(graph7, gains_ns, ns_model):
+    lines = plan_to_text(cli.synthesize_ns(graph7, ns_model, gains_ns)).splitlines()
+    # agent 7 spells its class's x with a blank, so its text pair is its own
+    lines[-1] = lines[-1].replace("x=", "x= ")
+    plan = plan_from_text("\n".join(lines), graph7)
+    pairs = [line.partition(":")[2] for line in lines if line.startswith("agent ")]
+    first: dict[str, AgentState] = {}
+    assert [first.setdefault(pair, s) is s for pair, s in zip(pairs, plan.init)] == [True] * 7
+    assert len(first) == len({id(s) for s in plan.init}) == 3
+
+
+def test_replay_formats_each_start_state_once(plans, graph7, monkeypatch, tmp_path):
+    csv = tmp_path / "traj.csv"
+    assert main(["simulate", GRAPH, "--plan", plans["di", "exact"], "-o", str(csv)]) == EXIT_OK
+    plan = plan_from_text(Path(plans["di", "exact"]).read_text(), graph7)
+    formatted = []
+    format_scalar = cli.format_scalar
+
+    def counting(value):
+        formatted.append(value)
+        return format_scalar(value)
+
+    monkeypatch.setattr(cli, "format_scalar", counting)
+    assert cli._replay(csv.read_text(), graph7, plan, "exact") is not None
+    # x and v of the two class states
+    assert len({id(s) for s in plan.init}) == 2
+    assert len(formatted) == 2 * 2
 
 
 @pytest.mark.parametrize("mode,bad", [("exact", "1/0"), ("float", "1e400")])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -147,6 +148,21 @@ class TestParse:
     def test_bad_agent_index(self, line):
         with pytest.raises(GraphFormatError, match="^line 2: bad agent index$"):
             parse_graph(f"n 3\n{line}\n2 3 1")
+
+    def test_agent_count_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(
+            GraphFormatError, match=f"^line 2: agent count has more than {limit} digits, "
+        ):
+            parse_graph(f"# header\nn {'1' * (limit + 1)}\n1 2 1.0")
+
+    def test_agent_index_past_the_digit_limit(self):
+        # reported at its line, before a bad index and a self-loop after it
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(
+            GraphFormatError, match=f"^line 3: agent index has more than {limit} digits, "
+        ):
+            parse_graph(f"n 2\n1 2 1\n2 {'0' * limit}1 1\n٣ 1 1.0\n2 2 1")
 
     def test_nonpositive_weight(self):
         with pytest.raises(GraphFormatError, match="nonpositive"):
