@@ -16,7 +16,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NoReturn, Optional, Sequence
 
 from .dynamics import (
     AgentState,
@@ -733,16 +733,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _int_arg(text: str) -> int:
-    """An integer flag value in ASCII digits; any other text is reported as argparse
-    reports it for `type=int`."""
+    """An integer flag value through `parse_int`, whose message argparse reports
+    after the flag's name."""
     try:
         return parse_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors: a malformed flag, a
+    bad choice or a missing subcommand is one `error:` line with exit 1, not
+    argparse's usage text and exit 2, the gain gate's code.  `--help` still
+    prints and exits 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="satorbits",
         description="Synthesize, simulate, and verify periodic orbits of "
         "saturated multi-agent networks.",
@@ -795,8 +805,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         code = args.func(args)
         # flushed here, so that a closed stdout raises inside this try
         sys.stdout.flush()

@@ -27,7 +27,6 @@ from .records import Record
 from .scalars import (
     FLOAT_TOL,
     Scalar,
-    distinct,
     format_scalar,
     is_exact,
     per_object,
@@ -197,8 +196,9 @@ class LatticeColumn(Sequence):
     list of numerators over E > 0; `decode` turns it into row k, a tuple of
     `AgentState`s or of Fractions, on first access, and the row is cached.
     Slices return tuples, and a column equals the tuple of its rows.  On the
-    states of an exact `simulate`, `lattice` is the `Lattice` it stepped on,
-    for checks of that loop to reuse; it takes no part in `==` or `hash`.
+    states and raw inputs of an exact `simulate`, `lattice` is the `Lattice`
+    it stepped on, for checks of that loop to reuse; it takes no part in
+    `==` or `hash`.
     """
 
     __slots__ = ("data", "decode", "_rows", "lattice")
@@ -235,6 +235,11 @@ class LatticeColumn(Sequence):
         return repr(tuple(self))
 
 
+def _weight_objects(g: WeightedGraph) -> dict[int, Scalar]:
+    """The distinct weight objects of `g`, keyed by `id` (see `scalars.per_object`)."""
+    return {id(w): w for nbrs in g.adjacency for _, w in nbrs}
+
+
 class Lattice:
     """The exact closed loop on integers, shared by `simulate` and the inverted period.
 
@@ -249,13 +254,23 @@ class Lattice:
     (by K) and, on `ns`, by the denominator R of 2a; after a widening the gcd
     of D and every numerator is divided out, so D stays the lcm of the
     reduced denominators.  `graph`, `gains` and `ns` are the loop it was built for.
+    `weights`, when given, is `_weight_objects(g)`.
     """
 
-    def __init__(self, g: WeightedGraph, gains: GainParams, ns: NsModel | None) -> None:
-        weights = [w for nbrs in g.adjacency for _, w in nbrs]
-        q_w = math.lcm(*(w.denominator for w in distinct(weights)))
+    def __init__(
+        self,
+        g: WeightedGraph,
+        gains: GainParams,
+        ns: NsModel | None,
+        weights: Optional[dict[int, Fraction]] = None,
+    ) -> None:
+        if weights is None:
+            weights = _weight_objects(g)
+        q_w = math.lcm(*(w.denominator for w in weights.values()))
+        # a parsed graph shares one object per distinct weight, scaled once
+        scaled = {key: w.numerator * (q_w // w.denominator) for key, w in weights.items()}
         self.J = [j for nbrs in g.adjacency for j, _ in nbrs]
-        self.W = per_object(lambda w: w.numerator * (q_w // w.denominator), weights)
+        self.W = [scaled[id(w)] for nbrs in g.adjacency for _, w in nbrs]
         offsets = list(accumulate(map(len, g.adjacency), initial=0))
         self.starts, self.ends = offsets[:-1], offsets[1:]
         self.degrees = [sum(self.W[s:e]) for s, e in zip(self.starts, self.ends)]
@@ -273,14 +288,15 @@ class Lattice:
         g: WeightedGraph, gains: GainParams, ns: NsModel | None, values: Iterable[Scalar]
     ) -> Optional["Lattice"]:
         """The lattice of this loop, or None unless weights, gains, a and `values` are all exact."""
+        weights = _weight_objects(g)
         exact = (
             is_exact(gains.alpha)
             and is_exact(gains.beta)
             and (ns is None or is_exact(ns.a))
-            and all(map(is_exact, distinct(w for nbrs in g.adjacency for _, w in nbrs)))
+            and all(map(is_exact, weights.values()))
             and all(is_exact(c) for c in values)
         )
-        return Lattice(g, gains, ns) if exact else None
+        return Lattice(g, gains, ns, weights) if exact else None
 
     @staticmethod
     def encode(states: Sequence[AgentState]) -> LatticeState:
@@ -434,8 +450,10 @@ def _simulate_lattice(lattice: Lattice, init: tuple[AgentState, ...], steps: int
         ticks.append(tick)
     states = LatticeColumn(ticks, Lattice.decode)
     states._rows[0] = init
-    states.lattice = lattice
-    return Trajectory(lattice.ns, states, LatticeColumn(raw, ratios), LatticeColumn(sat, ratios))
+    raw_u = LatticeColumn(raw, ratios)
+    # raw row k holds the inputs this lattice computed at tick k
+    states.lattice = raw_u.lattice = lattice
+    return Trajectory(lattice.ns, states, raw_u, LatticeColumn(sat, ratios))
 
 
 def _flat(value: object) -> list:

@@ -8,6 +8,7 @@ format is 1-based.
 
 from __future__ import annotations
 
+import gc
 import sys
 from bisect import bisect_left
 from collections import namedtuple
@@ -139,9 +140,22 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
 
     Lines are "i j w" with 1-based agent indices and positive weight; an
     optional first line "n <count>" declares the agent count.  Blank lines
-    and lines starting with '#' are ignored.  Each check below runs once over
-    a whole column, and a fault is reported at the first line that has one.
+    and lines starting with '#' are ignored.  Each check runs once over a
+    whole column, and a fault is reported at the first line that has one.
     """
+    # the columns and adjacency rows are many small containers that form no
+    # cycle, so the cyclic collector, run as they are allocated, would only
+    # walk them again and again; it is paused and left as it was found
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_graph(text, mode)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_graph(text: str, mode: str) -> WeightedGraph:
     rows = list(map(str.split, text.splitlines()))
     linenos: Sequence[int] = range(1, len(rows) + 1)
     if "#" in text or not all(rows):

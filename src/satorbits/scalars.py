@@ -33,6 +33,10 @@ FLOAT_TOL = 1e-9
 #: log2(5), to guess the power of five in a denominator from its bit length
 _LOG2_5 = 2.321928094887362
 
+#: the widest denominator of a decimal row whose distinct numerators
+#: `ratio_texts` formats once each
+_MEMO_BITS = 64
+
 
 class ScalarFormatError(ValueError):
     """A scalar string could not be parsed."""
@@ -54,13 +58,19 @@ def over_digit_limit(what: str) -> str:
 def parse_int(text: str) -> int:
     """An optionally signed integer of ASCII digits 0-9, around which blanks are allowed.
 
-    `int()` alone also reads any Unicode decimal digit ("\u0663" is 3) and underscores.
+    `int()` alone also reads any Unicode decimal digit ("\u0663" is 3) and
+    underscores.  A text that is not such an integer, or has more digits than
+    Python converts from text (`sys.get_int_max_str_digits()`), raises
+    `ValueError` quoting at most 40 characters of it.
     """
     body = text.strip()
     digits = body[1:] if body[:1] in ("+", "-") else body
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid integer {_quoted(text)}")
-    return int(body)
+    try:
+        return int(body)
+    except ValueError:
+        raise ValueError(over_digit_limit(f"integer {_quoted(text)}")) from None
 
 
 def parse_scalar(text: str, mode: str = "exact") -> Scalar:
@@ -135,12 +145,22 @@ def ratio_texts(N: list[int], D: int) -> list[str]:
 
     When D = 2^a 5^b every value is n times one fixed power of 2 or 5 over
     10**digits, and dropping trailing zeros reduces it, so no gcd is taken.
-    Otherwise each value is reduced by its gcd with D.
+    A row over a small D (at most `_MEMO_BITS` bits) whose distinct
+    numerators are at most half its values formats each of them once, as
+    on an orbit's state rows, which hold a value or two per class.  Hashing
+    an int is not free, so a row of mostly distinct values, such as the raw
+    inputs of a small graph or any row over a wide D off the orbit, formats
+    every value.  Otherwise each value is reduced by its gcd with D.
     """
     scale = decimal_scale(D)
     if scale is not None:
         digits, c = scale
-        return [_format_decimal(n * c, digits) for n in N]
+        memo = dict.fromkeys(N) if D.bit_length() <= _MEMO_BITS else None
+        if memo is None or 2 * len(memo) > len(N):
+            return [_format_decimal(n * c, digits) for n in N]
+        for n in memo:
+            memo[n] = _format_decimal(n * c, digits)
+        return list(map(memo.__getitem__, N))
     texts = []
     # the values of a row share a few reduced denominators
     scales: dict[int, Optional[tuple[int, int]]] = {}

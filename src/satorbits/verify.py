@@ -80,10 +80,13 @@ def backward_states(
     inverted on the `Lattice` from its tick `states.data[0]`, with its integer
     rows S/Es as they are, decoded only to name a mismatch; the lattice is
     `t.states.lattice` when that was built from these graph and gains objects
-    and `t.ns`.  A tick at -T equal to the start tick gives the start row
-    `t.states[0]` itself, since reduced ticks are equal exactly when the
-    states are.  A tuple column is inverted per agent with `inverse_step_*`
-    and `control_inputs`.
+    and `t.ns`.  Reduced ticks are equal exactly when the states are, so on
+    the run's own lattice (`t.raw_u.lattice` too) an unstepped tick equal to
+    the recorded tick `t.states.data[T - back]` takes its inputs from the raw
+    row the run computed there, not from `Lattice.inputs`; and a tick at -T
+    equal to the start tick gives the start row `t.states[0]` itself.  A
+    tuple column is inverted per agent with `inverse_step_*` and
+    `control_inputs`.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
@@ -101,6 +104,8 @@ def backward_states(
             lattice = Lattice.of(g, gains, t.ns, ())
     if lattice is not None:
         X, V, D = t.states.data[0]
+        # the run's own lattice recorded its inputs at each of its ticks
+        own = isinstance(t.raw_u, LatticeColumn) and t.raw_u.lattice is lattice is t.states.lattice
     else:
         current = list(t.states[0])
     for back in range(1, T + 1):
@@ -113,9 +118,12 @@ def backward_states(
             recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
         else:
             S, Es = t.sat_u.data[T - back]
-            X, V, D = lattice.unstep(X, V, D, S, Es)
-            E = lattice.K * D
-            U = lattice.inputs(X, V)
+            tick = X, V, D = lattice.unstep(X, V, D, S, Es)
+            if own and tick == t.states.data[T - back]:
+                U, E = t.raw_u.data[T - back]
+            else:
+                E = lattice.K * D
+                U = lattice.inputs(X, V)
             # sat(u/E) == s/Es: s == +-Es where u saturates, else u*Es == s*E
             if all(
                 s == Es if u >= E else s == -Es if u <= -E else u * Es == s * E

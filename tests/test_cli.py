@@ -475,15 +475,44 @@ def test_non_ascii_digit_config_value_is_an_invalid_integer(key, tmp_path, capsy
     ],
 )
 def test_non_ascii_digit_flag_is_rejected_like_text(command, flag, capsys):
-    """argparse turns `٣` down with the usage error it gives `abc`, exit 2."""
+    """A flag's `٣` is turned down with the usage error `abc` gets, exit 1."""
     errors = []
     for value in ("abc", "\u0663"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, GRAPH, "--config", DI_CFG, flag, value])
-        assert exc.value.code == 2
+        assert main([command, GRAPH, "--config", DI_CFG, flag, value]) == EXIT_USAGE
         errors.append(capsys.readouterr().err)
-    assert f"argument {flag}: invalid int value: 'abc'" in errors[0]
+    assert errors[0] == f"error: argument {flag}: invalid integer 'abc'\n"
     assert errors[1] == errors[0].replace("'abc'", "'\u0663'")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (
+            ["simulate", GRAPH, "--mode", "fast"],
+            "argument --mode: invalid choice: 'fast' (choose from 'exact', 'float')",
+        ),
+        (
+            ["verify", GRAPH, "--plan", "p", "--model", "dd"],
+            "argument --model: invalid choice: 'dd' (choose from 'di', 'ns')",
+        ),
+        ([], "the following arguments are required: command"),
+        (["partition"], "the following arguments are required: graph"),
+        (["partition", GRAPH, "--steps", "3"], "unrecognized arguments: --steps 3"),
+    ],
+    ids=["bad-mode", "bad-model", "no-command", "no-graph", "unknown-flag"],
+)
+def test_malformed_flags_are_one_error_line(args, message, capsys):
+    """argparse's usage text and exit 2, the gain gate's code, become one
+    `error:` line with exit 1, as every other usage error is (a bad integer
+    flag: `test_non_ascii_digit_flag_is_rejected_like_text`)."""
+    assert _verify_outcome(args, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: satorbits simulate")
 
 
 def _float_overflow(kind):
@@ -1065,9 +1094,7 @@ def test_agent_line_blanks(line, graph7, gains_di):
 
 
 def test_parser_is_built_once_and_survives_a_bad_argv(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", GRAPH, "--steps", "many"])
-    assert exc.value.code == 2
+    assert main(["simulate", GRAPH, "--steps", "many"]) == EXIT_USAGE
     assert main(["partition", GRAPH]) == EXIT_OK
     assert cli._parser() is cli._parser()
     # every parse starts from the defaults, not from the previous one
@@ -1422,11 +1449,10 @@ def test_text_beyond_the_digit_limit_is_one_short_error_line(place, csv_artifact
     )
 
 
-@pytest.mark.parametrize("place", ["csv-step", "plan-m", "config-root"])
-def test_long_bad_integer_is_one_short_error_line(place, csv_artifacts, tmp_path, capsys):
-    """A 700-character integer field is quoted cut to 40 characters."""
-    argv, text = csv_artifacts["di"]
-    bad = "x" * 700
+def _bad_integer(place, bad, argv, text, tmp_path):
+    """verify --csv argv with the integer text `bad` in `place`, and the prefix of its error."""
+    if place == "flag-root":
+        return [*argv, "--root", bad], "argument --root: "
     if place == "csv-step":
         lines = text.splitlines(keepends=True)
         lines[40] = bad + lines[40][lines[40].index(",") :]
@@ -1442,10 +1468,40 @@ def test_long_bad_integer_is_one_short_error_line(place, csv_artifacts, tmp_path
         edited, where = tmp_path / "bad.cfg", "bad config value: "
         argv = [*argv[:3], str(edited), *argv[4:]]
     edited.write_text("".join(lines))
+    return argv, where
+
+
+INTEGER_PLACES = ["csv-step", "plan-m", "config-root", "flag-root"]
+
+
+@pytest.mark.parametrize("place", INTEGER_PLACES)
+def test_long_bad_integer_is_one_short_error_line(place, csv_artifacts, tmp_path, capsys):
+    """A 700-character integer field is quoted cut to 40 characters."""
+    argv, where = _bad_integer(place, "x" * 700, *csv_artifacts["di"], tmp_path)
     code, out, err = _verify_outcome(argv, capsys)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: {where}invalid integer '{'x' * 37}...'\n"
     assert len(err) < 200
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize("place", INTEGER_PLACES)
+def test_integer_beyond_the_digit_limit_names_the_limit(place, csv_artifacts, tmp_path, capsys):
+    """A 700-digit integer under a limit of 640 digits: every reader of an
+    integer names the limit and quotes 37 digits, where int() would say
+    "Exceeds the limit" and argparse would echo all 700."""
+    argv, where = _bad_integer(place, "1" * 700, *csv_artifacts["di"], tmp_path)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = _verify_outcome(argv, capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: {where}integer '{'1' * 37}...' has more than 640 digits, "
+        "beyond Python's limit on converting text to an integer\n"
+    )
 
 
 def test_csv_shorter_than_the_period_is_rejected(tmp_path, capsys):

@@ -180,12 +180,17 @@ def one_value_edits(t, T, rng):
 
 
 def assert_edits_agree(t, g, gains, plan, T, ns, rng):
-    """Each edit, rebuilt as lattice columns, agrees with its tuple form."""
+    """Each edit, rebuilt as lattice columns, agrees with its tuple form, both
+    alone and as the one column replaced in the run t itself, whose other
+    columns keep the lattice it stepped on."""
     for column, k, edit in one_value_edits(t, T, rng):
         bad = edited(t, column, k, edit)
         lattice = lattice_copy(bad)
         assert tuple_copy(lattice) == bad
         assert_paths_agree(lattice, g, gains, plan, T, ns)
+        own = t._replace(**{column: getattr(lattice, column)})
+        assert tuple_copy(own) == bad
+        assert_paths_agree(own, g, gains, plan, T, ns)
 
 
 def plan_for(g, gains, t, half_period):
@@ -276,6 +281,33 @@ def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypa
     calls.clear()
     monkeypatch.setattr(Lattice, "unstep", refuse)
     assert checks(tuple_copy(t)) == expected and not calls
+
+
+@pytest.mark.parametrize("name", ["di", "ns"])
+def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, monkeypatch):
+    """On its own on-orbit run the inverted period takes each input row the
+    run recorded and computes none; without the run's lattice on both the
+    states and the raw inputs it computes all T, with the same result."""
+    t, plan, _ = fixture_runs[name]
+    T = plan.period
+    calls = []
+    inputs = Lattice.inputs
+
+    def counting(self, X, V):
+        calls.append(X)
+        return inputs(self, X, V)
+
+    monkeypatch.setattr(Lattice, "inputs", counting)
+    runs = {
+        "own": (t, 0),
+        "copy": (lattice_copy(t), T),
+        "raw-tuples": (t._replace(raw_u=tuple(t.raw_u)), T),
+        "raw-bare": (t._replace(raw_u=LatticeColumn(t.raw_u.data, ratios)), T),
+    }
+    for run, expected in runs.values():
+        calls.clear()
+        assert backward_states(run, graph7, plan.gains, T) == list(t.states[0])
+        assert len(calls) == expected
 
 
 @pytest.mark.parametrize("name", ["di", "ns"])

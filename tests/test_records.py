@@ -115,11 +115,15 @@ def test_agent_model_is_the_ns_field():
 def test_trajectory_lattice_takes_no_part_in_eq_hash_or_repr(graph7, gains_di):
     init = [AgentState(F(0), F(0))] * graph7.n
     t = simulate(graph7, gains_di, init, 3)
-    assert t.states.lattice is not None and t.raw_u.lattice is None
+    # the states and the raw inputs, which the inverted period reuses, keep it
+    assert t.states.lattice is not None and t.raw_u.lattice is t.states.lattice
+    assert t.sat_u.lattice is None
     bare = LatticeColumn(t.states.data, t.states.decode)
-    assert bare.lattice is None
+    bare_raw = LatticeColumn(t.raw_u.data, t.raw_u.decode)
+    assert bare.lattice is None and bare_raw.lattice is None
     assert t.states == bare and hash(t.states) == hash(bare) and repr(t.states) == repr(bare)
-    copy = t._replace(states=bare)
+    assert t.raw_u == bare_raw and hash(t.raw_u) == hash(bare_raw)
+    copy = t._replace(states=bare, raw_u=bare_raw)
     assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
     assert "Lattice" not in repr(t)
     assert t != t._replace(ns=NsModel(F(1, 2)))

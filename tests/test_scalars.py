@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+import satorbits.scalars as scalars
 from satorbits.scalars import (
     ScalarFormatError,
+    decimal_scale,
     format_scalar,
     parse_scalar,
     ratio_texts,
@@ -108,6 +111,36 @@ def test_ratio_texts_match_format_scalar(D):
     N = [0, 1, -1, D, -D, 3 * D, -7 * D + 1, 2**70 + 1, -(10**30) - 3]
     N += [n * f for n in (1, -3, 11) for f in (2, 5, 10, 2**9, 5**7, D // 2 or 1, D // 5 or 1)]
     assert ratio_texts(N, D) == [format_scalar(Fraction(n, D)) for n in N]
+
+
+@pytest.mark.parametrize("D", [10, 2**5 * 5**9, 2**63, 2**64, 2**64 * 5, 10**40])
+def test_row_memo_gives_each_value_its_own_text(D, monkeypatch):
+    """On random rows, the distinct numerators of a row over a D of at most 64
+    bits are formatted once each when they are at most half the row; every
+    other row formats each value.  The texts are those of formatting each
+    value alone, for negative, zero, trailing-zero and over-64-bit numerators."""
+    digits, c = decimal_scale(D)
+    calls = []
+    format_decimal = scalars._format_decimal
+
+    def counting(n, digits):
+        calls.append(n)
+        return format_decimal(n, digits)
+
+    monkeypatch.setattr(scalars, "_format_decimal", counting)
+    rng = random.Random(D)
+    for _ in range(40):
+        pool = [0, rng.randint(-D, D), -rng.randint(1, 10**25), 10 ** rng.randint(1, 30)]
+        pool += [rng.randint(-(2**90), 2**90) * 10 ** rng.randint(0, 5) for _ in range(3)]
+        size = rng.randint(1, 30)
+        wide = [rng.randint(-(2**90), 2**90) for _ in range(size)]
+        for N in ([rng.choice(pool) for _ in range(size)], wide):
+            calls.clear()
+            texts = ratio_texts(N, D)
+            assert texts == [format_decimal(n * c, digits) for n in N]
+            assert texts == [reference_format(Fraction(n, D)) for n in N]
+            memo = D.bit_length() <= 64 and 2 * len(set(N)) <= len(N)
+            assert len(calls) == (len(set(N)) if memo else len(N))
 
 
 @pytest.mark.parametrize(
