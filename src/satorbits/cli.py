@@ -14,7 +14,7 @@ import re
 import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from pathlib import Path
 from typing import Iterator, NoReturn, Optional, Sequence
 
@@ -40,9 +40,12 @@ from .records import Record
 from .scalars import (
     Scalar,
     format_scalar,
+    negated_texts,
+    over_digit_limit,
     parse_int,
     parse_scalar,
     per_object,
+    quoted,
     ratio_texts,
     scalars_equal,
 )
@@ -242,8 +245,13 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
         if match is None:
             raise CliError(f"plan line {lineno}: {line!r} is not 'agent <i>: x=<x>, v=<v>'")
         try:
-            idx, state = int(match[1]), state_of(match[2], match[3])
-        except ValueError as exc:  # a bad value, or an index past int()'s digit limit
+            idx = int(match[1])
+        except ValueError:  # the pattern admits ASCII digits only, so past the digit limit
+            what = f"agent index {quoted(match[1])}"
+            raise CliError(f"plan line {lineno}: {over_digit_limit(what)}") from None
+        try:
+            state = state_of(match[2], match[3])
+        except ValueError as exc:
             raise CliError(f"plan line {lineno}: {exc}") from exc
         if idx - 1 in init:
             raise CliError(f"plan line {lineno}: duplicate agent {idx}")
@@ -285,14 +293,15 @@ def _row_tails(
     tick: tuple[list[int], list[int], int],
     raw: Optional[tuple[list[int], int]],
     sat: Optional[tuple[list[int], int]],
+    rs: Optional[list[str]],
 ) -> list[str]:
-    """The CSV lines of one lattice row without their step, `i,x,v,u_raw,u_sat` per agent."""
+    """The CSV lines of one lattice row without their step, `i,x,v,u_raw,u_sat` per
+    agent; `rs` holds the `u_raw` texts."""
     X, V, D = tick
     xs, vs = ratio_texts(X, D), ratio_texts(V, D)
     if raw is None:
         return [f"{i},{x},{v},," for i, x, v in zip(count(1), xs, vs)]
     (U, E), (S, Es) = raw, sat
-    rs = ratio_texts(U, E)
     # a saturated input is +-1; an unsaturated one repeats its raw text
     ss = [
         "1" if s == Es
@@ -309,17 +318,27 @@ def _lattice_steps(t: Trajectory) -> Iterator[str]:
 
     A closed orbit shares its repeated rows by reference (see `simulate`), so
     the tails of a (tick, raw, sat) row whose objects recur are formatted
-    once and kept; step k stamps `k,` before each of its row's n tails.
+    once and kept; step k stamps `k,` before each of its row's n tails.  The
+    raw inputs of a mirrored run's rows p..2p-1 (`t.raw_u.mirror` = p) negate
+    those of rows 0..p-1, so their texts are row k-p's with the sign toggled.
     """
     # the last tick has no inputs
     rows = [*zip(t.states.data, t.raw_u.data, t.sat_u.data), (t.states.data[-1], None, None)]
     keys = [tuple(map(id, row)) for row in rows]
     recurring = {key for key, uses in Counter(keys).items() if uses > 1}
     known: dict[tuple, list[str]] = {}
+    p = t.raw_u.mirror
+    first_half: list[list[str]] = []  # the u_raw texts of rows 0..p-1
     for k, (row, key) in enumerate(zip(rows, keys)):
         tails = known.get(key)
         if tails is None:
-            tails = _row_tails(*row)
+            tick, raw, sat = row
+            rs = None
+            if raw is not None:
+                rs = negated_texts(first_half[k - p]) if p <= k < 2 * p else ratio_texts(*raw)
+                if k < p:
+                    first_half.append(rs)
+            tails = _row_tails(tick, raw, sat, rs)
             if key in recurring:
                 known[key] = tails
         yield f"{k}," + f"\n{k},".join(tails) + "\n"
@@ -337,14 +356,14 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
         if all(isinstance(c, LatticeColumn) for c in (t.states, t.raw_u, t.sat_u)):
             yield from _lattice_steps(t)
             return
+        steps = t.steps
         for k, row in enumerate(t.states):
-            for i, s in enumerate(row):
-                if k < t.steps:
-                    u_raw = format_scalar(t.raw_u[k][i])
-                    u_sat = format_scalar(t.sat_u[k][i])
-                else:
-                    u_raw = u_sat = ""
-                yield f"{k},{i + 1},{format_scalar(s.x)},{format_scalar(s.v)},{u_raw},{u_sat}\n"
+            if k < steps:
+                inputs = zip(map(format_scalar, t.raw_u[k]), map(format_scalar, t.sat_u[k]))
+            else:
+                inputs = repeat(("", ""))
+            for i, s, (u_raw, u_sat) in zip(count(1), row, inputs):
+                yield f"{k},{i},{format_scalar(s.x)},{format_scalar(s.v)},{u_raw},{u_sat}\n"
     except ValueError as exc:  # only str() of a too-long int raises it here
         raise CliError(
             f"the trajectory holds a value of more than {sys.get_int_max_str_digits()} "

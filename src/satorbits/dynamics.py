@@ -197,17 +197,20 @@ class LatticeColumn(Sequence):
     `AgentState`s or of Fractions, on first access, and the row is cached.
     Slices return tuples, and a column equals the tuple of its rows.  On the
     states and raw inputs of an exact `simulate`, `lattice` is the `Lattice`
-    it stepped on, for checks of that loop to reuse; it takes no part in
-    `==` or `hash`.
+    it stepped on, for checks of that loop to reuse.  `mirror` is p > 0 when
+    rows p..2p-1 are the negations of rows 0..p-1, as the raw inputs of a
+    mirrored run are (see `_simulate_lattice`), for the CSV writer, and 0
+    otherwise.  Neither takes part in `==` or `hash`.
     """
 
-    __slots__ = ("data", "decode", "_rows", "lattice")
+    __slots__ = ("data", "decode", "_rows", "lattice", "mirror")
 
     def __init__(self, data: list[tuple], decode: Callable[..., tuple]) -> None:
         self.data = data
         self.decode = decode
         self._rows: list[Optional[tuple]] = [None] * len(data)
         self.lattice: Optional[Lattice] = None
+        self.mirror = 0
 
     def __len__(self) -> int:
         return len(self.data)
@@ -418,41 +421,109 @@ def simulate(
     return Trajectory(ns, tuple(states), tuple(raw_hist), tuple(sat_hist))
 
 
+def _clamped(U: list[int], E: int) -> list[int]:
+    """The saturated numerators over E of the raw inputs U/E: each U_i clamped to
+    +-E, the saturated ones sharing the objects E and -E."""
+    low = -E
+    return [E if u >= E else low if u <= low else u for u in U]
+
+
+def _check_tick(X: list[int], V: list[int], D: int) -> None:
+    """Raise `SimulationOverflowError` if a value of the tick is over `MAX_EXACT_BITS`."""
+    # a reduced value x/D has no more bits than x and D, so the cap is read
+    # on the state's values only when this bound exceeds it
+    if max(D, max(X), -min(X), max(V), -min(V)).bit_length() > MAX_EXACT_BITS:
+        for s in Lattice.decode(X, V, D):
+            _check_magnitude(s.x)
+            _check_magnitude(s.v)
+
+
+def _mirrored(
+    ticks: list[LatticeState], tick: LatticeState, ns: NsModel | None, steps: int
+) -> Optional[list[LatticeState]]:
+    """Ticks p+1..min(2p, steps) when tick p = len(ticks) is R_c of tick 0, or None.
+
+    R_c(x, v) = (c - x, -v), one c for every agent, negates each input,
+    since the controller reads only differences, and saturation is odd: so
+    R_c commutes with the di loop for every c, and with the ns loop for
+    c = 0 only.  Tick p is R_c of tick 0 when D_p = D_0, V_p = -V_0 and
+    X_p + X_0 is one constant C = c*D_0 (0 on ns); then tick p+j is R_c of
+    tick j and tick 2p is tick 0.  Each tick R_c(tick j), numerators
+    c*D_j - X_j and -V_j over D_j, must be reduced as a stepped tick is;
+    None if one is not, or not over D_j.  The cap runs on each tick returned.
+    """
+    X0, V0, D0 = ticks[0]
+    X, V, D = tick
+    C = X[0] + X0[0]
+    if (
+        (ns is not None and C)
+        or not all(v == -w for v, w in zip(V, V0))
+        or not all(x + y == C for x, y in zip(X, X0))
+    ):
+        return None
+    p = len(ticks)
+    out = []
+    for Xj, Vj, Dj in ticks[1 : steps - p + 1]:
+        cD, rest = divmod(C * Dj, D0)
+        Xr, Vr = [cD - x for x in Xj], [-v for v in Vj]
+        if rest or math.gcd(Dj, *Xr, *Vr) != 1:
+            return None
+        _check_tick(Xr, Vr, Dj)
+        out.append((Xr, Vr, Dj))
+    if 2 * p <= steps:
+        # the start tick, not read by the cap before
+        _check_tick(*ticks[0])
+        out.append(ticks[0])
+    return out
+
+
 def _simulate_lattice(lattice: Lattice, init: tuple[AgentState, ...], steps: int) -> Trajectory:
     """The exact run: ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E).
 
-    Ticks are reduced, so a tick equal to the first is the start state again:
-    from there on the deterministic loop repeats its rows, which are shared
-    by reference instead of stepped.
+    Ticks are reduced, so equal ticks are equal states.  A tick equal to the
+    first is the start state again: from there on the deterministic loop
+    repeats its rows, which are shared by reference instead of stepped.  A
+    tick p that reflects the first (`_mirrored`) starts a second half that
+    mirrors the first: ticks p+j are R_c(tick j), raw rows p+j are
+    (-U_j, E_j) and saturated rows (-S_j, E_j), and the run repeats from
+    tick 2p; the raw-input column's `mirror` is then p.  Tick p is matched
+    on its D first, so a run off the orbit pays one int compare per step.
     """
     tick = lattice.encode(init)
     ticks = [tick]
     raw: list[tuple[list[int], int]] = []
     sat: list[tuple[list[int], int]] = []
+    period = mirror = 0
     for p in range(1, steps + 1):
         tick, U, E = lattice.step(*tick)
-        X, V, D = tick
-        # a reduced value x/D has no more bits than x and D, so the cap is
-        # read on the state's values only when this bound exceeds it
-        if max(D, max(X), -min(X), max(V), -min(V)).bit_length() > MAX_EXACT_BITS:
-            for s in lattice.decode(X, V, D):
-                _check_magnitude(s.x)
-                _check_magnitude(s.v)
+        _check_tick(*tick)
         raw.append((U, E))
-        sat.append(([E if u >= E else -E if u <= -E else u for u in U], E))
-        if tick == ticks[0]:
-            # row j of every column is row j mod p, the same object, so the
-            # CSV writer formats each repeated row once
-            ticks += [ticks[j % p] for j in range(p, steps + 1)]
-            raw += [raw[j % p] for j in range(p, steps)]
-            sat += [sat[j % p] for j in range(p, steps)]
-            break
+        sat.append((_clamped(U, E), E))
+        if tick[2] == ticks[0][2]:
+            if tick == ticks[0]:
+                period = p
+                break
+            mirrored = _mirrored(ticks, tick, lattice.ns, steps)
+            if mirrored is not None:
+                ticks += [tick, *mirrored]
+                half = min(p, steps - p)
+                raw += [([-u for u in U], E) for U, E in raw[:half]]
+                sat += [(_clamped(U, E), E) for U, E in raw[p:]]
+                period, mirror = 2 * p, p
+                break
         ticks.append(tick)
+    if period:
+        # row j of every column is row j mod the period, the same object, so
+        # the CSV writer formats each repeated row once
+        ticks += [ticks[j % period] for j in range(len(ticks), steps + 1)]
+        raw += [raw[j % period] for j in range(len(raw), steps)]
+        sat += [sat[j % period] for j in range(len(sat), steps)]
     states = LatticeColumn(ticks, Lattice.decode)
     states._rows[0] = init
     raw_u = LatticeColumn(raw, ratios)
     # raw row k holds the inputs this lattice computed at tick k
     states.lattice = raw_u.lattice = lattice
+    raw_u.mirror = mirror
     return Trajectory(lattice.ns, states, raw_u, LatticeColumn(sat, ratios))
 
 

@@ -42,7 +42,7 @@ class ScalarFormatError(ValueError):
     """A scalar string could not be parsed."""
 
 
-def _quoted(text: str) -> str:
+def quoted(text: str) -> str:
     """repr(text), cut to 37 characters and "..." when longer than 40."""
     return repr(text if len(text) <= 40 else text[:37] + "...")
 
@@ -66,11 +66,11 @@ def parse_int(text: str) -> int:
     body = text.strip()
     digits = body[1:] if body[:1] in ("+", "-") else body
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid integer {_quoted(text)}")
+        raise ValueError(f"invalid integer {quoted(text)}")
     try:
         return int(body)
     except ValueError:
-        raise ValueError(over_digit_limit(f"integer {_quoted(text)}")) from None
+        raise ValueError(over_digit_limit(f"integer {quoted(text)}")) from None
 
 
 def parse_scalar(text: str, mode: str = "exact") -> Scalar:
@@ -89,14 +89,14 @@ def parse_scalar(text: str, mode: str = "exact") -> Scalar:
     except (ValueError, ZeroDivisionError) as exc:
         # int() raises the digit limit; Fraction's own error is "Invalid literal ..."
         if str(exc).startswith("Exceeds the limit"):
-            raise ScalarFormatError(over_digit_limit(f"scalar {_quoted(text)}")) from exc
-        raise ScalarFormatError(f"cannot parse scalar {_quoted(text)}") from exc
+            raise ScalarFormatError(over_digit_limit(f"scalar {quoted(text)}")) from exc
+        raise ScalarFormatError(f"cannot parse scalar {quoted(text)}") from exc
     if mode == "exact":
         return value
     try:
         return float(value)
     except OverflowError as exc:
-        raise ScalarFormatError(f"scalar {_quoted(text)} outside the float range") from exc
+        raise ScalarFormatError(f"scalar {quoted(text)} outside the float range") from exc
 
 
 def decimal_scale(d: int) -> Optional[tuple[int, int]]:
@@ -172,6 +172,12 @@ def ratio_texts(N: list[int], D: int) -> list[str]:
         scale = scales[q]
         texts.append(f"{p}/{q}" if scale is None else _format_decimal(p * scale[1], scale[0]))
     return texts
+
+
+def negated_texts(texts: Iterable[str]) -> list[str]:
+    """The `ratio_texts` text of each value negated, from the value's own text:
+    `ratio_texts` writes -q as "-" and the text of q, and 0 as "0"."""
+    return [t[1:] if t[0] == "-" else t if t == "0" else "-" + t for t in texts]
 
 
 def distinct(values: Iterable[T]) -> Iterable[T]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -1502,6 +1503,62 @@ def test_integer_beyond_the_digit_limit_names_the_limit(place, csv_artifacts, tm
         f"error: {where}integer '{'1' * 37}...' has more than 640 digits, "
         "beyond Python's limit on converting text to an integer\n"
     )
+
+
+def test_plan_agent_index_beyond_the_digit_limit(csv_artifacts, tmp_path, capsys):
+    """An agent index of 5000 digits is one short line that names the limit,
+    where int() would say "Exceeds the limit"."""
+    argv, _ = csv_artifacts["di"]
+    at = argv.index("--plan") + 1
+    plan = tmp_path / "plan.txt"
+    plan.write_text(Path(argv[at]).read_text().replace("agent 3:", f"agent {'3' * 5000}:"))
+    code, out, err = _verify_outcome([*argv[:at], str(plan), *argv[at + 1 :]], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: plan line 9: agent index '{'3' * 37}...' has more than "
+        f"{sys.get_int_max_str_digits()} digits, beyond Python's limit on converting "
+        "text to an integer\n"
+    )
+
+
+@pytest.mark.parametrize("step", [1, 12, 21, 23])
+def test_changed_input_in_either_half_is_named(step, csv_artifacts, tmp_path, capsys):
+    """The di CSV (m = 11) writes the raw inputs of steps 11-21 as the
+    sign-toggled texts of steps 0-10: a raw input changed in either half, or
+    in the repeat from step 22, is the first mismatch."""
+    argv, text = csv_artifacts["di"]
+    lines = text.splitlines()
+    fields = lines[1 + 7 * step].split(",")
+    assert fields[:2] == [str(step), "1"]
+    fields[4] = "7"
+    lines[1 + 7 * step] = ",".join(fields)
+    csv_file = tmp_path / "traj.csv"
+    csv_file.write_text("\n".join(lines) + "\n")
+    code, out, _ = _verify_outcome([*argv[:-1], str(csv_file)], capsys)
+    report = json.loads(out)
+    assert code == EXIT_VERIFY and report["consistency"] is False
+    assert report["consistency_first_mismatch"] == {"step": step, "agent": 1}
+
+
+#: sha256 of the float CSVs `simulate` writes for the fixture's float plans,
+#: pinned from the writer that formatted each line's values one by one
+FLOAT_CSV_SHA256 = {
+    "di": "53111d15c68959e0ea9032f61258797d64808efa538de4efedcb11b56d99e627",
+    "ns": "5cf951700caad78ac619c5c96bad2af4991a6f3d9f9bff463abd7c4d6c2b4815",
+    "ns-a03": "b9e3dd0ee127631ac0f3032b7401d8a8413901a88b77e9504e8eebc473997824",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CSV_SHA256))
+def test_float_csv_bytes_unchanged(name, tmp_path, capsys):
+    cfg = ["--config", DI_CFG if name == "di" else NS_CFG, "--mode", "float"]
+    if name == "ns-a03":
+        cfg += ["--a", "0.3"]
+    plan, csv_file = str(tmp_path / "plan.txt"), tmp_path / "traj.csv"
+    assert main(["synthesize", GRAPH, *cfg, "-o", plan]) == EXIT_OK
+    assert main(["simulate", GRAPH, *cfg, "--plan", plan, "-o", str(csv_file)]) == EXIT_OK
+    digest = hashlib.sha256(csv_file.read_bytes()).hexdigest()
+    assert digest == FLOAT_CSV_SHA256[name]
 
 
 def test_csv_shorter_than_the_period_is_rejected(tmp_path, capsys):

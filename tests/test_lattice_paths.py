@@ -64,6 +64,8 @@ CSV_SHA256 = {
     "di": "43ba1b9b8b45d36d3ffd2918359251039b15ae2617a0507cd5fd6b6b9b866b9c",
     "ns": "21693bb2dff5ae350b2446e1683af8d4d6a61c53d81ef97311d2c7add201dc2e",
     "halved": "2d8f04c27b11155239b029ffc50da4a827ba7c132dd9421c592848ed9fbabc31",
+    # the synthesized di orbit (44 steps), whose second half mirrors its first
+    "mirrored": "0fe1e8e2b8d4b410ce5c863996a8688ede0a9df8a28b6dd3c20ed8c8ddc9df2b",
 }
 
 
@@ -214,18 +216,21 @@ def test_random_loops_agree():
 
 @pytest.fixture(scope="module")
 def fixture_runs(graph7, gains_di, gains_ns, ns_model, reference_init_di):
-    """(trajectory, plan, ns) for the di.cfg orbit, its halving and the ns orbit."""
-    di = synthesize_di(graph7, gains_di)._replace(init=reference_init_di)
+    """(trajectory, plan, ns) for the di.cfg orbit from the paper's positions,
+    its halving, the synthesized di orbit and the ns orbit."""
+    mirrored = synthesize_di(graph7, gains_di)
+    di = mirrored._replace(init=reference_init_di)
     ns = synthesize_ns(graph7, ns_model, gains_ns)
     halved = di._replace(init=tuple(AgentState(s.x / 2, s.v / 2) for s in di.init))
     return {
         "di": (simulate(graph7, gains_di, di.init, 44), di, None),
         "ns": (simulate(graph7, gains_ns, ns.init, 8, ns=ns_model), ns, ns_model),
         "halved": (simulate(graph7, gains_di, halved.init, 250), halved, None),
+        "mirrored": (simulate(graph7, gains_di, mirrored.init, 44), mirrored, None),
     }
 
 
-@pytest.mark.parametrize("name", ["di", "ns", "halved"])
+@pytest.mark.parametrize("name", ["di", "ns", "halved", "mirrored"])
 def test_fixture_runs_agree(name, fixture_runs, graph7):
     t, plan, ns = fixture_runs[name]
     assert_paths_agree(t, graph7, plan.gains, plan, plan.period, ns)
@@ -283,7 +288,7 @@ def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypa
     assert checks(tuple_copy(t)) == expected and not calls
 
 
-@pytest.mark.parametrize("name", ["di", "ns"])
+@pytest.mark.parametrize("name", ["di", "ns", "mirrored"])
 def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, monkeypatch):
     """On its own on-orbit run the inverted period takes each input row the
     run recorded and computes none; without the run's lattice on both the
@@ -334,7 +339,7 @@ def test_on_orbit_checks_pass_on_both_paths(fixture_runs, graph7):
     assert checks["consistent"] is None
 
 
-@pytest.mark.parametrize("name", ["di", "ns", "halved"])
+@pytest.mark.parametrize("name", ["di", "ns", "halved", "mirrored"])
 def test_csv_bytes_unchanged(name, fixture_runs):
     text = trajectory_to_csv(fixture_runs[name][0])
     assert hashlib.sha256(text.encode()).hexdigest() == CSV_SHA256[name]
@@ -508,17 +513,22 @@ def test_overflow_cap_trips_at_reference_step(
         simulate(graph7, gains_di, init, k)
 
 
-@pytest.mark.parametrize("name", ["di", "ns", "halved"])
+@pytest.mark.parametrize("name", ["di", "ns", "halved", "mirrored"])
 def test_closed_orbit_is_stepped_once(
     name, graph7, gains_di, gains_ns, ns_model, reference_init_di, monkeypatch
 ):
-    """Once the state returns to its start, the rows repeat without stepping."""
+    """Once the state returns to its start, the rows repeat without stepping;
+    once it reflects its start, the second half mirrors the first, so a
+    synthesized orbit takes T/2 steps (the ns orbit 2 of 4, the di orbit 11
+    of 22).  The paper's di positions return to their start at T = 22."""
     if name == "ns":
         gains, init, ns, T = gains_ns, synthesize_ns(graph7, ns_model, gains_ns).init, ns_model, 4
     else:
         gains, init, ns, T = gains_di, reference_init_di, None, 22
     if name == "halved":
         init = INITS["halved"](init)
+    if name == "mirrored":
+        init = synthesize_di(graph7, gains_di).init
     steps_taken = []
     step = Lattice.step
 
@@ -531,9 +541,158 @@ def test_closed_orbit_is_stepped_once(
         steps_taken.clear()
         t = simulate(graph7, gains, init, steps, ns=ns)
         # off the orbit every step is taken
-        assert len(steps_taken) == (steps if name == "halved" else T)
+        expected_steps = {"di": T, "halved": steps}.get(name, T // 2)
+        assert len(steps_taken) == expected_steps
+        assert t.raw_u.mirror == (T // 2 if name in ("ns", "mirrored") else 0)
         expected = reference_rollout(graph7, gains, init, steps, ns=ns)
         assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == expected
+
+
+#: the complete graph on three agents, unit weights
+K3 = "n 3\n1 2 1\n2 3 1\n1 3 1"
+
+
+@pytest.fixture(scope="module")
+def mirrored_cases(graph7, gains_di, gains_ns):
+    """(graph, gains, init, ns, p) of loops whose tick p is R_c of tick 0.
+
+    The synthesized orbits mirror at T/2; `base` puts the di centre c at a
+    non-integer.  On K3 with alpha = beta = 1/3 (2/3) an unsaturated loop turns
+    each disagreement mode by 60 (90) degrees a step, so tick 3 (2) is R_c of
+    tick 0 with c twice the mean position; these two starts are off centre,
+    so a reflected tick can hold more bits than the tick it reflects.
+    """
+    k3 = parse_graph(K3)
+
+    def on_k3(a, pairs):
+        return k3, GainParams(a, a), [AgentState(Fraction(x), Fraction(v)) for x, v in pairs]
+
+    ns_neg = NsModel(Fraction(-2, 7))
+    gains_neg = GainParams(Fraction(1, 2), Fraction(-2))
+    cases = {
+        "di": (graph7, gains_di, synthesize_di(graph7, gains_di).init, None, 11),
+        "di-m12": (graph7, gains_di, synthesize_di(graph7, gains_di, m_override=12).init, None, 12),
+        "di-base": (
+            graph7,
+            gains_di,
+            synthesize_di(graph7, gains_di, base=Fraction(1, 3), anchor=2).init,
+            None,
+            11,
+        ),
+        "k3-60": (*on_k3(Fraction(1, 3), [("3", "0"), ("4/3", "1/2"), ("5/3", "-1/2")]), None, 3),
+        "k3-90": (
+            *on_k3(Fraction(2, 3), [("107/6", "1/3"), ("217/12", "-1/4"), ("223/12", "-1/12")]),
+            None,
+            2,
+        ),
+        "ns-neg": (graph7, gains_neg, synthesize_ns(graph7, ns_neg, gains_neg).init, ns_neg, 2),
+    }
+    for a in ("1/2", "3/10"):
+        ns = NsModel(Fraction(a))
+        cases[f"ns-{a}"] = (graph7, gains_ns, synthesize_ns(graph7, ns, gains_ns).init, ns, 2)
+    return cases
+
+
+MIRRORED = ["di", "di-m12", "di-base", "k3-60", "k3-90", "ns-1/2", "ns-3/10", "ns-neg"]
+
+
+@pytest.mark.parametrize("name", MIRRORED)
+def test_mirrored_runs_equal_the_reference(name, mirrored_cases):
+    """Every step count from 0 to 2p + 3, odd and even, below, at and past
+    2p: each row equals the per-agent stepper's, every tick is reduced, and
+    the CSV text is the one the per-value writer gives."""
+    g, gains, init, ns, p = mirrored_cases[name]
+    for steps in range(2 * p + 4):
+        t = simulate(g, gains, init, steps, ns=ns)
+        assert t.raw_u.mirror == (p if steps >= p else 0)
+        assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == reference_rollout(
+            g, gains, init, steps, ns=ns
+        )
+        assert all(math.gcd(D, *X, *V) == 1 for X, V, D in t.states.data)
+        assert trajectory_to_csv(t) == trajectory_to_csv(tuple_copy(t))
+
+
+def test_reflections_the_kernel_cannot_take_are_stepped(
+    graph7, gains_di, reference_init_di, monkeypatch
+):
+    """Reflections the shortcut must not take:
+    - tick 11 of the paper's di positions has V = -V_0, but X + X_0 is not
+      one constant;
+    - on K3, tick 3 of the first start is R_c of tick 0 (c = 1/3), but R_c of
+      tick 2 over its D = 6 is not reduced (the stepped tick 5 is over 2);
+    - on K3, tick 3 of the second start is R_c of tick 0 with c = 2/3, which
+      is no numerator over the D = 1 of tick 1;
+    - a lone ns agent (a = 1/2) from (2, 1) reaches (1, -1), R_3 of its
+      start, at tick 1, but R_c commutes with the ns loop only for c = 0.
+    The di and K3 runs step until they close at their start; the lone agent
+    mirrors at tick 3, the negation of tick 0."""
+    k3 = parse_graph(K3)
+    k3_gains = GainParams(Fraction(1, 3), Fraction(1, 3))
+    unreduced, off_lattice = (
+        [AgentState(Fraction(x), Fraction(v)) for x, v in pairs]
+        for pairs in (
+            [("-1/2", "-1/3"), ("1/2", "-1/3"), ("1/2", "2/3")],
+            [("1/3", "-1/3"), ("1/3", "-1/3"), ("1/3", "2/3")],
+        )
+    )
+    lone_ns = NsModel(Fraction(1, 2))
+    lone = (parse_graph("n 1"), GainParams(Fraction(0), Fraction(0)), [AgentState(2, 1)])
+    steps_taken = []
+    step = Lattice.step
+
+    def counting(self, *tick):
+        steps_taken.append(1)
+        return step(self, *tick)
+
+    monkeypatch.setattr(Lattice, "step", counting)
+    for g, gains, init, ns, p, T, centred, stepped, mirror in [
+        (graph7, gains_di, reference_init_di, None, 11, 22, False, 22, 0),
+        (k3, k3_gains, unreduced, None, 3, 6, True, 6, 0),
+        (k3, k3_gains, off_lattice, None, 3, 6, True, 6, 0),
+        (*lone, lone_ns, 1, 6, True, 3, 3),
+    ]:
+        steps_taken.clear()
+        t = simulate(g, gains, init, 2 * T + 1, ns=ns)
+        (X0, V0, D0), (X, V, D) = t.states.data[0], t.states.data[p]
+        assert D == D0 and V == [-v for v in V0]
+        assert (len({x + y for x, y in zip(X, X0)}) == 1) == centred
+        assert len(steps_taken) == stepped and t.raw_u.mirror == mirror
+        assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == reference_rollout(
+            g, gains, init, 2 * T + 1, ns=ns
+        )
+        if init is unreduced:
+            assert t.states.data[2][2] == 6 and t.states.data[5][2] == 2
+        if init is off_lattice:
+            assert D0 == 3 and t.states.data[1][2] == 1
+
+
+@pytest.mark.parametrize("name", MIRRORED)
+def test_cap_trips_at_the_reference_step_on_mirrored_runs(name, mirrored_cases, monkeypatch):
+    """For every cap below the run's widest value, a 2p-step run raises at the
+    first step whose reduced state exceeds it, as stepping every tick does:
+    in the reflected half, at tick 2p (the start tick) or before."""
+    g, gains, init, ns, p = mirrored_cases[name]
+    states = reference_rollout(g, gains, init, 2 * p, ns=ns)[0]
+    bits = [
+        max(max(c.numerator.bit_length(), c.denominator.bit_length()) for s in row for c in (s.x, s.v))
+        for row in states
+    ]
+    tripped = set()
+    for cap in range(1, max(bits)):
+        k = next((k for k in range(1, 2 * p + 1) if bits[k] > cap), None)
+        monkeypatch.setattr(dynamics, "MAX_EXACT_BITS", cap)
+        if k is None:
+            assert simulate(g, gains, init, 2 * p, ns=ns).steps == 2 * p
+            continue
+        tripped.add(k)
+        assert simulate(g, gains, init, k - 1, ns=ns).steps == k - 1
+        with pytest.raises(SimulationOverflowError):
+            simulate(g, gains, init, k, ns=ns)
+    # the off-centre K3 starts trip inside the reflected half
+    if name == "k3-60":
+        assert p < max(tripped) < 2 * p
+    if name == "k3-90":
+        assert 2 * p in tripped
 
 
 def test_cap_trips_on_the_state_that_closes_the_orbit(

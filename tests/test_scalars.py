@@ -5,12 +5,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import satorbits.scalars as scalars
 from satorbits.scalars import (
     ScalarFormatError,
     decimal_scale,
     format_scalar,
+    negated_texts,
     parse_scalar,
     ratio_texts,
 )
@@ -141,6 +144,24 @@ def test_row_memo_gives_each_value_its_own_text(D, monkeypatch):
             assert texts == [reference_format(Fraction(n, D)) for n in N]
             memo = D.bit_length() <= 64 and 2 * len(set(N)) <= len(N)
             assert len(calls) == (len(set(N)) if memo else len(N))
+
+
+@given(
+    values=st.lists(
+        st.one_of(st.integers(-1000, 1000), st.integers(-(2**130), 2**130)), min_size=1, max_size=12
+    ),
+    copies=st.integers(1, 3),
+    twos=st.integers(0, 90),
+    fives=st.integers(0, 40),
+    other=st.sampled_from([1, 1, 3, 7, 21, 2**61 - 1]),
+)
+def test_negated_texts_are_the_texts_of_the_negated_values(values, copies, twos, fives, other):
+    """Toggling the sign of each text gives the texts of the negated row: on
+    decimal rows with the memo on (repeats over a D of at most 64 bits) and
+    off (distinct values or a wider D), and on rows over any other D."""
+    N = values * copies
+    D = 2**twos * 5**fives * other
+    assert negated_texts(ratio_texts(N, D)) == ratio_texts([-n for n in N], D)
 
 
 @pytest.mark.parametrize(
