@@ -243,7 +243,7 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
             continue
         match = _AGENT_LINE.fullmatch(line)
         if match is None:
-            raise CliError(f"plan line {lineno}: {line!r} is not 'agent <i>: x=<x>, v=<v>'")
+            raise CliError(f"plan line {lineno}: {quoted(line)} is not 'agent <i>: x=<x>, v=<v>'")
         try:
             idx = int(match[1])
         except ValueError:  # the pattern admits ASCII digits only, so past the digit limit
@@ -290,17 +290,18 @@ CSV_HEADER = "k,agent,x,v,u_raw,u_sat"
 
 
 def _row_tails(
+    index: list[str],
     tick: tuple[list[int], list[int], int],
     raw: Optional[tuple[list[int], int]],
     sat: Optional[tuple[list[int], int]],
     rs: Optional[list[str]],
 ) -> list[str]:
     """The CSV lines of one lattice row without their step, `i,x,v,u_raw,u_sat` per
-    agent; `rs` holds the `u_raw` texts."""
+    agent; `index` holds the agent texts and `rs` the `u_raw` texts."""
     X, V, D = tick
     xs, vs = ratio_texts(X, D), ratio_texts(V, D)
     if raw is None:
-        return [f"{i},{x},{v},," for i, x, v in zip(count(1), xs, vs)]
+        return list(map(",".join, zip(index, xs, vs, repeat(""), repeat(""))))
     (U, E), (S, Es) = raw, sat
     # a saturated input is +-1; an unsaturated one repeats its raw text
     ss = [
@@ -310,7 +311,7 @@ def _row_tails(
         else ratio_texts([s], Es)[0]
         for s, u, r in zip(S, U, rs)
     ]
-    return [f"{i},{x},{v},{r},{s}" for i, x, v, r, s in zip(count(1), xs, vs, rs, ss)]
+    return list(map(",".join, zip(index, xs, vs, rs, ss)))
 
 
 def _lattice_steps(t: Trajectory) -> Iterator[str]:
@@ -329,6 +330,7 @@ def _lattice_steps(t: Trajectory) -> Iterator[str]:
     known: dict[tuple, list[str]] = {}
     p = t.raw_u.mirror
     first_half: list[list[str]] = []  # the u_raw texts of rows 0..p-1
+    index = [str(i) for i in range(1, t.n + 1)]
     for k, (row, key) in enumerate(zip(rows, keys)):
         tails = known.get(key)
         if tails is None:
@@ -338,7 +340,7 @@ def _lattice_steps(t: Trajectory) -> Iterator[str]:
                 rs = negated_texts(first_half[k - p]) if p <= k < 2 * p else ratio_texts(*raw)
                 if k < p:
                     first_half.append(rs)
-            tails = _row_tails(tick, raw, sat, rs)
+            tails = _row_tails(index, tick, raw, sat, rs)
             if key in recurring:
                 known[key] = tails
         yield f"{k}," + f"\n{k},".join(tails) + "\n"

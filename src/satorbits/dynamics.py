@@ -159,6 +159,17 @@ _MINUS_ONE = Fraction(-1)
 #: lattice coordinates of a network state: numerators X, V over denominator D
 LatticeState = tuple[list[int], list[int], int]
 
+#: the two groups of a run's start tick, as `Lattice.two_classes` returns them
+Classes = tuple[list[int], list[int], int, int]
+
+
+def _on_groups(X: list[int], V: list[int], group: list[int], j: int) -> bool:
+    """Whether X and V are constant on each group, agent 0's values on 0 and agent j's on 1."""
+    xs, vs = [X[0], X[j]], [V[0], V[j]]
+    if X[-1] != xs[group[-1]]:  # off the groups, this most often tells in O(1)
+        return False
+    return X == list(map(xs.__getitem__, group)) and V == list(map(vs.__getitem__, group))
+
 
 def _reduced(X: list[int], V: list[int], D: int, widened_by: int) -> LatticeState:
     """Divide out the common factor of D and every numerator of a lattice state
@@ -256,8 +267,9 @@ class Lattice:
     `degrees[i]`.  D widens only on a step where some input is unsaturated
     (by K) and, on `ns`, by the denominator R of 2a; after a widening the gcd
     of D and every numerator is divided out, so D stays the lcm of the
-    reduced denominators.  `graph`, `gains` and `ns` are the loop it was built for.
-    `weights`, when given, is `_weight_objects(g)`.
+    reduced denominators.  A tick of the paper's orbit, one state per class,
+    `step` steps as its `two_classes`.  `graph`, `gains` and `ns` are the loop
+    it was built for.  `weights`, when given, is `_weight_objects(g)`.
     """
 
     def __init__(
@@ -340,23 +352,56 @@ class Lattice:
             return _MINUS_ONE
         return Fraction(u, E)
 
-    def step(self, X: list[int], V: list[int], D: int) -> tuple[LatticeState, list[int], int]:
-        """One forward step: the next lattice state and the raw inputs U over E = K*D."""
-        U = self.inputs(X, V)
+    def two_classes(self, X: list[int], V: list[int]) -> Optional[Classes]:
+        """The groups of a tick of exactly two distinct states, or None: each agent's
+        group (agent 0's is 0), its scaled weight c_i to the other group by prefix
+        sums as in `inputs`, negated in group 1, the least c_i, and agent j, group 1's first."""
+        # no tuple per agent: a few thousand new containers set off the cyclic collector
+        group = [int(x != X[0] or v != V[0]) for x, v in zip(X, V)]
+        if 1 not in group or not _on_groups(X, V, group, group.index(1)):
+            return None
+        acc = list(accumulate(map(mul, self.W, map(group.__getitem__, self.J)), initial=0))
+        agents = zip(self.starts, self.ends, self.degrees, group)
+        signed = [acc[e] - acc[s] - k * d for s, e, d, k in agents]
+        return group, signed, min(map(abs, signed)), group.index(1)
+
+    def step(
+        self, X: list[int], V: list[int], D: int, classes: Optional[Classes] = None
+    ) -> tuple[LatticeState, list[int], int]:
+        """One forward step: the next lattice state and the raw inputs U over E = K*D.
+
+        Given the `two_classes` of the run's start tick, a tick constant on each
+        group whose inputs all saturate steps its two class states: intra terms
+        vanish, so U_i = c_i * dY, dY = Y_j - Y_0 signed by group, and all
+        saturate when the least c_i times |dY| reaches E.  Other ticks take `inputs`."""
         E = self.K * D
         R = self.R
+        if classes is not None:
+            group, signed, least, j = classes
+            if _on_groups(X, V, group, j):
+                dY = self.A * (X[j] - X[0]) + self.B * (V[j] - V[0])
+                if least * abs(dY) >= E:
+                    s = D * R if dY > 0 else -D * R
+                    Xn, Vn, DM = self._advance([X[0], X[j]], [V[0], V[j]], [s, -s], D, R)
+                    tick = list(map(Xn.__getitem__, group)), list(map(Vn.__getitem__, group)), DM
+                    return tick, list(map(dY.__mul__, signed)), E
+        U = self.inputs(X, V)
         mult = R * self.K if any(-E < u < E for u in U) else R
         DM = D * mult
         # applied input times the new denominator D*mult
         S = [DM if u >= E else -DM if u <= -E else u * R for u in U]
+        return self._advance(X, V, S, D, mult), U, E
+
+    def _advance(self, X: list[int], V: list[int], S: list[int], D: int, mult: int) -> LatticeState:
+        """The reduced tick over D*mult from X, V over D and applied inputs S over D*mult."""
         if self.ns is None:
             Xn = [(x + v) * mult for x, v in zip(X, V)]
             Vn = [v * mult + s for v, s in zip(V, S)]
         else:
-            Ph = self.P * (mult // R)
+            Ph = self.P * (mult // self.R)
             Xn = [v * mult for v in V]
             Vn = [Ph * v - x * mult + s for x, v, s in zip(X, V, S)]
-        return _reduced(Xn, Vn, DM, mult), U, E
+        return _reduced(Xn, Vn, D * mult, mult)
 
     def unstep(
         self, X: list[int], V: list[int], D: int, S: list[int], Es: int
@@ -421,7 +466,7 @@ def simulate(
     return Trajectory(ns, tuple(states), tuple(raw_hist), tuple(sat_hist))
 
 
-def _clamped(U: list[int], E: int) -> list[int]:
+def clamped(U: list[int], E: int) -> list[int]:
     """The saturated numerators over E of the raw inputs U/E: each U_i clamped to
     +-E, the saturated ones sharing the objects E and -E."""
     low = -E
@@ -490,15 +535,16 @@ def _simulate_lattice(lattice: Lattice, init: tuple[AgentState, ...], steps: int
     on its D first, so a run off the orbit pays one int compare per step.
     """
     tick = lattice.encode(init)
+    classes = lattice.two_classes(tick[0], tick[1]) if steps else None
     ticks = [tick]
     raw: list[tuple[list[int], int]] = []
     sat: list[tuple[list[int], int]] = []
     period = mirror = 0
     for p in range(1, steps + 1):
-        tick, U, E = lattice.step(*tick)
+        tick, U, E = lattice.step(*tick, classes)
         _check_tick(*tick)
         raw.append((U, E))
-        sat.append((_clamped(U, E), E))
+        sat.append((clamped(U, E), E))
         if tick[2] == ticks[0][2]:
             if tick == ticks[0]:
                 period = p
@@ -508,7 +554,7 @@ def _simulate_lattice(lattice: Lattice, init: tuple[AgentState, ...], steps: int
                 ticks += [tick, *mirrored]
                 half = min(p, steps - p)
                 raw += [([-u for u in U], E) for U, E in raw[:half]]
-                sat += [(_clamped(U, E), E) for U, E in raw[p:]]
+                sat += [(clamped(U, E), E) for U, E in raw[p:]]
                 period, mirror = 2 * p, p
                 break
         ticks.append(tick)

@@ -28,6 +28,7 @@ from .dynamics import (
     LatticeColumn,
     NsModel,
     Trajectory,
+    clamped,
     control_inputs,
     inverse_step_di,
     inverse_step_ns,
@@ -124,8 +125,8 @@ def backward_states(
             else:
                 E = lattice.K * D
                 U = lattice.inputs(X, V)
-            # sat(u/E) == s/Es: s == +-Es where u saturates, else u*Es == s*E
-            if all(
+            # sat(u/E) == s/Es; over Es == E (an own run's rows) that is S == clamped(U, E)
+            if (S == clamped(U, E)) if Es == E else all(
                 s == Es if u >= E else s == -Es if u <= -E else u * Es == s * E
                 for u, s in zip(U, S)
             ):

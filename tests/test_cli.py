@@ -1521,6 +1521,21 @@ def test_plan_agent_index_beyond_the_digit_limit(csv_artifacts, tmp_path, capsys
     )
 
 
+def test_long_plan_line_off_the_grammar_is_quoted_cut(csv_artifacts, tmp_path, capsys):
+    """An agent line off the grammar is quoted cut to 40 characters, as every
+    other bad value is, not whole: its 700-character index gives one short line."""
+    argv, _ = csv_artifacts["di"]
+    at = argv.index("--plan") + 1
+    plan = tmp_path / "plan.txt"
+    plan.write_text(Path(argv[at]).read_text().replace("agent 3:", f"agent {'x' * 700}:"))
+    code, out, err = _verify_outcome([*argv[:at], str(plan), *argv[at + 1 :]], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: plan line 9: 'agent {'x' * 31}...' is not 'agent <i>: x=<x>, v=<v>'\n"
+    )
+    assert len(err) < 300
+
+
 @pytest.mark.parametrize("step", [1, 12, 21, 23])
 def test_changed_input_in_either_half_is_named(step, csv_artifacts, tmp_path, capsys):
     """The di CSV (m = 11) writes the raw inputs of steps 11-21 as the

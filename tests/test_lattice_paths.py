@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from satorbits.dynamics import (
     LatticeColumn,
     SimulationOverflowError,
     Trajectory,
+    control_inputs,
     ratio_row,
     ratios,
 )
@@ -715,3 +717,205 @@ def test_cap_trips_on_the_state_that_closes_the_orbit(
     for steps in (22, 71):
         with pytest.raises(SimulationOverflowError):
             simulate(graph7, gains_di, init, steps)
+
+
+# ---------------------------------------------------------------------------
+# Two-class ticks: `Lattice.step` given the `two_classes` of a run's start tick
+
+#: di, and ns with 2a = 1, 3/5 and -4/7 (R = 1, 5 and 7)
+CLASS_MODELS = [None, NsModel(Fraction(1, 2)), NsModel(Fraction(3, 10)), NsModel(Fraction(-2, 7))]
+
+
+def counted_inputs(monkeypatch):
+    """A list that gains an entry at each `Lattice.inputs` call, the CSR path."""
+    calls = []
+    inputs = Lattice.inputs
+
+    def counting(self, X, V):
+        calls.append(1)
+        return inputs(self, X, V)
+
+    monkeypatch.setattr(Lattice, "inputs", counting)
+    return calls
+
+
+def cross_weights(g, group):
+    """Each agent's weight to the other group, summed from the adjacency lists."""
+    return [
+        sum((w for j, w in g.adjacency[i] if group[j] != group[i]), Fraction(0))
+        for i in range(g.n)
+    ]
+
+
+def class_cases(rng, trials):
+    """(kind, graph, gains, ns, group, start, ticks) on random connected graphs of
+    3-9 agents split into two random groups, most of them with intra edges.
+
+    `start` is a two-class state, agent 0's group in one state and the other
+    group in another, and `ticks` are states to step with the classes of its
+    tick.  The kind names how the difference dy of alpha*x + beta*v between the
+    two states was drawn: "saturated" drives every agent to |u| >= 1, the least
+    cross weight of each group exactly to 1 at r = 1; "one-unsaturated" gives
+    the group with the larger least weight |u| >= 1 and leaves an input of the
+    other inside (-1, 1); "dy-zero" gives u = 0 to every agent; "small" draws
+    dy at random.  Each case also steps the state with one agent moved off its
+    group's x, and one moved off its v.
+    """
+    for trial in range(trials):
+        n = rng.randint(3, 9)
+        g = random_connected_graph(rng, n)
+        group = [0] + [rng.randint(0, 1) for _ in range(n - 1)]
+        group[rng.randrange(1, n)] = 1
+        gains = GainParams(
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.choice([1, 7, 30])),
+            Fraction(rng.randint(-30, 30), rng.choice([2, 9, 50])),
+        )
+        cw = cross_weights(g, group)
+        least = [min(c for c, k in zip(cw, group) if k == side) for side in (0, 1)]
+        sign = rng.choice([-1, 1])
+        draws = [("small", Fraction(rng.randint(-9, 9), rng.randint(1, 40))), ("dy-zero", 0)]
+        if min(least) > 0:
+            r = rng.choice([1, Fraction(3, 2), 4])
+            draws.append(("saturated", sign * r / min(least)))
+            if least[0] != least[1]:
+                draws.append(("one-unsaturated", sign / max(least)))
+        for kind, dy in draws:
+            xa, va = (Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in "xv")
+            dv = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            dx = (dy - gains.beta * dv) / gains.alpha
+            states = (AgentState(xa, va), AgentState(xa + dx, va + dv))
+            start = [states[k] for k in group]
+            i = rng.randrange(n)
+            off_x, off_v = list(start), list(start)
+            off_x[i] = AgentState(start[i].x + Fraction(1, 7), start[i].v)
+            off_v[i] = AgentState(start[i].x, start[i].v - Fraction(2, 3))
+            ns = CLASS_MODELS[trial % len(CLASS_MODELS)]
+            yield kind, g, gains, ns, group, start, (start, off_x, off_v)
+
+
+def test_class_branch_equals_the_csr_step(monkeypatch):
+    """The class branch gives the CSR step's ((X, V, D), U, E) bit for bit, and
+    is taken exactly on a tick constant on each group whose inputs all
+    saturate, as the per-agent `control_inputs` decide it."""
+    calls = counted_inputs(monkeypatch)
+    taken = Counter()
+    for kind, g, gains, ns, group, start, ticks in class_cases(random.Random(21), 120):
+        lattice = Lattice(g, gains, ns)
+        X0, V0, _ = lattice.encode(start)
+        classes = lattice.two_classes(X0, V0)
+        assert classes is not None and classes[0] == group
+        for states in ticks:
+            tick = lattice.encode(states)
+            calls.clear()
+            assert lattice.step(*tick, classes) == lattice.step(*tick)
+            # the CSR step calls `inputs` once; a branch taken by the first does not
+            branch = len(calls) == 1
+            two_class = len(set(zip(group, states))) == 2
+            saturated = all(abs(u) >= 1 for u in control_inputs(g, gains, states))
+            assert branch == (two_class and saturated), kind
+            taken[kind if states is start else "off", ns, two_class, branch] += 1
+    for ns in CLASS_MODELS:
+        assert taken["saturated", ns, True, True] and taken["off", ns, False, False]
+        assert taken["one-unsaturated", ns, True, False] and taken["dy-zero", ns, True, False]
+
+
+def test_two_classes_needs_exactly_two_states(graph7, gains_di):
+    """A start tick with one or three distinct states has no classes."""
+    lattice = Lattice(graph7, gains_di, None)
+    one = [AgentState(Fraction(1, 3), Fraction(2))] * 7
+    three = [*one[:6], AgentState(Fraction(1, 3), Fraction(3))]
+    three[2] = AgentState(Fraction(0), Fraction(2))
+    two = [*one[:6], AgentState(Fraction(1, 3), Fraction(3))]
+    assert lattice.two_classes(*lattice.encode(one)[:2]) is None
+    assert lattice.two_classes(*lattice.encode(three)[:2]) is None
+    assert lattice.two_classes(*lattice.encode(two)[:2])[0] == [0] * 6 + [1]
+
+
+def test_class_runs_equal_the_reference(monkeypatch):
+    """Whole runs from two-class starts, and from starts of one and of three
+    distinct states, equal the per-agent stepper's.  A start of one or three
+    states takes the CSR sums on every tick it steps; some two-class starts
+    take the class branch on some ticks and the CSR sums on others."""
+    calls = counted_inputs(monkeypatch)
+    steps_taken = []
+    step = Lattice.step
+
+    def counting(self, *tick):
+        steps_taken.append(1)
+        return step(self, *tick)
+
+    monkeypatch.setattr(Lattice, "step", counting)
+    mixed = 0
+    for kind, g, gains, ns, _, start, (_, off, _) in class_cases(random.Random(22), 24):
+        for init in (start, off, [start[0]] * g.n):
+            calls.clear()
+            steps_taken.clear()
+            t = simulate(g, gains, init, 12, ns=ns)
+            assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == reference_rollout(
+                g, gains, init, 12, ns=ns
+            )
+            if len(set(init)) != 2:
+                assert len(calls) == len(steps_taken)
+            mixed += 0 < len(calls) < len(steps_taken)
+    assert mixed
+
+
+@pytest.fixture(scope="module")
+def class_runs(graph7, gains_di):
+    """(gains, init, ns) of two-class runs off the orbit on the fixture: the
+    synthesized start scaled by 5/4 steps every tick as two classes, on ns
+    with a = 3/10 and -2/7 as D widens by 5 or 7 a step, and by 3/2 on di
+    the first 16 ticks, after which an input unsaturates."""
+    out = {}
+    gains_ns, gains_neg = GainParams(Fraction(-1, 2), Fraction(2)), GainParams(Fraction(1, 2), Fraction(-2))
+    for name, gains, ns, scale in [
+        ("ns-3/10", gains_ns, NsModel(Fraction(3, 10)), Fraction(5, 4)),
+        ("ns-neg", gains_neg, NsModel(Fraction(-2, 7)), Fraction(5, 4)),
+        ("di", gains_di, None, Fraction(3, 2)),
+    ]:
+        plan = synthesize_di(graph7, gains) if ns is None else synthesize_ns(graph7, ns, gains)
+        out[name] = gains, [AgentState(s.x * scale, s.v * scale) for s in plan.init], ns
+    return out
+
+
+@pytest.mark.parametrize("name", ["ns-3/10", "ns-neg", "di"])
+def test_cap_trips_at_the_reference_step_on_class_runs(name, class_runs, graph7, monkeypatch):
+    """For every cap below the widest value of a 30-step two-class run, the run
+    raises at the first step whose reduced state exceeds it, as stepping each
+    agent does."""
+    gains, init, ns = class_runs[name]
+    calls = counted_inputs(monkeypatch)
+    states = reference_rollout(graph7, gains, init, 30, ns=ns)[0]
+    assert tuple(simulate(graph7, gains, init, 30, ns=ns).states) == states
+    assert len(calls) == (0 if ns else 14)
+    bits = [
+        max(max(c.numerator.bit_length(), c.denominator.bit_length()) for s in row for c in (s.x, s.v))
+        for row in states
+    ]
+    for cap in range(1, max(bits)):
+        k = next((k for k in range(1, 31) if bits[k] > cap), None)
+        monkeypatch.setattr(dynamics, "MAX_EXACT_BITS", cap)
+        if k is None:
+            assert simulate(graph7, gains, init, 30, ns=ns).steps == 30
+            continue
+        assert simulate(graph7, gains, init, k - 1, ns=ns).steps == k - 1
+        with pytest.raises(SimulationOverflowError):
+            simulate(graph7, gains, init, k, ns=ns)
+
+
+@pytest.mark.parametrize("name", ["mirrored", "ns", "halved"])
+def test_class_branch_is_taken_on_the_orbit_only(name, fixture_runs, graph7, monkeypatch):
+    """A synthesized orbit steps every tick as its two classes and never takes
+    the CSR sums.  The synthesized di start halved is two-class too, but one
+    of its inputs is inside (-1, 1): it takes them on every tick of 250."""
+    t, plan, ns = fixture_runs["mirrored" if name == "halved" else name]
+    init, steps = plan.init, t.steps
+    if name == "halved":
+        init, steps = INITS["halved"](init), 250
+    assert len(set(init)) == 2
+    calls = counted_inputs(monkeypatch)
+    again = simulate(graph7, plan.gains, init, steps, ns=ns)
+    assert len(calls) == (steps if name == "halved" else 0)
+    assert (tuple(again.states), tuple(again.raw_u), tuple(again.sat_u)) == reference_rollout(
+        graph7, plan.gains, init, steps, ns=ns
+    )
