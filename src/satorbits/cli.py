@@ -25,6 +25,7 @@ from .dynamics import (
     NsModel,
     SimulationOverflowError,
     Trajectory,
+    reflects,
     simulate,
     states_equal,
 )
@@ -303,15 +304,24 @@ def _row_tails(
     if raw is None:
         return list(map(",".join, zip(index, xs, vs, repeat(""), repeat(""))))
     (U, E), (S, Es) = raw, sat
-    # a saturated input is +-1; an unsaturated one repeats its raw text
-    ss = [
-        "1" if s == Es
-        else "-1" if s == -Es
-        else r if (s, Es) == (u, E)
-        else ratio_texts([s], Es)[0]
-        for s, u, r in zip(S, U, rs)
-    ]
+    # a saturated input is +-1; an unsaturated one, left None by the map (no
+    # text is empty), repeats its raw text
+    ss = list(map({Es: "1", -Es: "-1"}.get, S))
+    if not all(ss):
+        for i, text in enumerate(ss):
+            if text is None:
+                ss[i] = rs[i] if (S[i], Es) == (U[i], E) else ratio_texts([S[i]], Es)[0]
     return list(map(",".join, zip(index, xs, vs, rs, ss)))
+
+
+def _reflected_half(t: Trajectory) -> int:
+    """The first tick p < t.steps of an exact run's own columns that `reflects` its
+    start, or 0: raw rows p..2p-1 then hold the inputs of rows 0..p-1 negated."""
+    lattice = t.states.lattice
+    if lattice is None or t.raw_u.lattice is not lattice:
+        return 0
+    ticks = t.states.data
+    return next((p for p in range(1, t.steps) if reflects(ticks[0], ticks[p], t.ns)), 0)
 
 
 def _lattice_steps(t: Trajectory) -> Iterator[str]:
@@ -319,16 +329,16 @@ def _lattice_steps(t: Trajectory) -> Iterator[str]:
 
     A closed orbit shares its repeated rows by reference (see `simulate`), so
     the tails of a (tick, raw, sat) row whose objects recur are formatted
-    once and kept; step k stamps `k,` before each of its row's n tails.  The
-    raw inputs of a mirrored run's rows p..2p-1 (`t.raw_u.mirror` = p) negate
-    those of rows 0..p-1, so their texts are row k-p's with the sign toggled.
+    once and kept; step k stamps `k,` before each of its row's n tails.  On
+    a run whose tick p reflects its start (`_reflected_half`), the `u_raw`
+    texts of rows p..2p-1 are row k-p's with the sign toggled.
     """
     # the last tick has no inputs
     rows = [*zip(t.states.data, t.raw_u.data, t.sat_u.data), (t.states.data[-1], None, None)]
     keys = [tuple(map(id, row)) for row in rows]
     recurring = {key for key, uses in Counter(keys).items() if uses > 1}
     known: dict[tuple, list[str]] = {}
-    p = t.raw_u.mirror
+    p = _reflected_half(t)
     first_half: list[list[str]] = []  # the u_raw texts of rows 0..p-1
     index = [str(i) for i in range(1, t.n + 1)]
     for k, (row, key) in enumerate(zip(rows, keys)):

@@ -208,20 +208,17 @@ class LatticeColumn(Sequence):
     `AgentState`s or of Fractions, on first access, and the row is cached.
     Slices return tuples, and a column equals the tuple of its rows.  On the
     states and raw inputs of an exact `simulate`, `lattice` is the `Lattice`
-    it stepped on, for checks of that loop to reuse.  `mirror` is p > 0 when
-    rows p..2p-1 are the negations of rows 0..p-1, as the raw inputs of a
-    mirrored run are (see `_simulate_lattice`), for the CSV writer, and 0
-    otherwise.  Neither takes part in `==` or `hash`.
+    it stepped on, for checks of that loop and the CSV writer to reuse; it
+    takes no part in `==` or `hash`.
     """
 
-    __slots__ = ("data", "decode", "_rows", "lattice", "mirror")
+    __slots__ = ("data", "decode", "_rows", "lattice")
 
     def __init__(self, data: list[tuple], decode: Callable[..., tuple]) -> None:
         self.data = data
         self.decode = decode
         self._rows: list[Optional[tuple]] = [None] * len(data)
         self.lattice: Optional[Lattice] = None
-        self.mirror = 0
 
     def __len__(self) -> int:
         return len(self.data)
@@ -483,43 +480,24 @@ def _check_tick(X: list[int], V: list[int], D: int) -> None:
             _check_magnitude(s.v)
 
 
-def _mirrored(
-    ticks: list[LatticeState], tick: LatticeState, ns: NsModel | None, steps: int
-) -> Optional[list[LatticeState]]:
-    """Ticks p+1..min(2p, steps) when tick p = len(ticks) is R_c of tick 0, or None.
+def reflects(first: LatticeState, tick: LatticeState, ns: NsModel | None) -> bool:
+    """Whether `tick` is R_c of the tick `first`, R_c(x, v) = (c - x, -v) with one c
+    for every agent, and R_c commutes with the loop.
 
-    R_c(x, v) = (c - x, -v), one c for every agent, negates each input,
-    since the controller reads only differences, and saturation is odd: so
-    R_c commutes with the di loop for every c, and with the ns loop for
-    c = 0 only.  Tick p is R_c of tick 0 when D_p = D_0, V_p = -V_0 and
-    X_p + X_0 is one constant C = c*D_0 (0 on ns); then tick p+j is R_c of
-    tick j and tick 2p is tick 0.  Each tick R_c(tick j), numerators
-    c*D_j - X_j and -V_j over D_j, must be reduced as a stepped tick is;
-    None if one is not, or not over D_j.  The cap runs on each tick returned.
+    R_c negates each input, since the controller reads only differences, and
+    saturation is odd: so it commutes with the di loop for every c, and with
+    the ns loop for c = 0 only.  If tick p of a run is R_c of tick 0, then
+    tick p+j is R_c of tick j and its inputs are those of tick j negated.
+    Tick p is R_c of tick 0 when D_p = D_0, V_p = -V_0 and X_p + X_0 is one
+    constant c*D_0; one agent's V is tested first, so most ticks of an orbit
+    are told apart in O(1).
     """
-    X0, V0, D0 = ticks[0]
+    X0, V0, D0 = first
     X, V, D = tick
+    if D != D0 or V[0] != -V0[0]:
+        return False
     C = X[0] + X0[0]
-    if (
-        (ns is not None and C)
-        or not all(v == -w for v, w in zip(V, V0))
-        or not all(x + y == C for x, y in zip(X, X0))
-    ):
-        return None
-    p = len(ticks)
-    out = []
-    for Xj, Vj, Dj in ticks[1 : steps - p + 1]:
-        cD, rest = divmod(C * Dj, D0)
-        Xr, Vr = [cD - x for x in Xj], [-v for v in Vj]
-        if rest or math.gcd(Dj, *Xr, *Vr) != 1:
-            return None
-        _check_tick(Xr, Vr, Dj)
-        out.append((Xr, Vr, Dj))
-    if 2 * p <= steps:
-        # the start tick, not read by the cap before
-        _check_tick(*ticks[0])
-        out.append(ticks[0])
-    return out
+    return (ns is None or C == 0) and V == [-v for v in V0] and X == [C - x for x in X0]
 
 
 def _simulate_lattice(lattice: Lattice, init: tuple[AgentState, ...], steps: int) -> Trajectory:
@@ -527,36 +505,24 @@ def _simulate_lattice(lattice: Lattice, init: tuple[AgentState, ...], steps: int
 
     Ticks are reduced, so equal ticks are equal states.  A tick equal to the
     first is the start state again: from there on the deterministic loop
-    repeats its rows, which are shared by reference instead of stepped.  A
-    tick p that reflects the first (`_mirrored`) starts a second half that
-    mirrors the first: ticks p+j are R_c(tick j), raw rows p+j are
-    (-U_j, E_j) and saturated rows (-S_j, E_j), and the run repeats from
-    tick 2p; the raw-input column's `mirror` is then p.  Tick p is matched
-    on its D first, so a run off the orbit pays one int compare per step.
+    repeats its rows, which are shared by reference instead of stepped.  The
+    match compares D first, so a run off the orbit pays one int compare per
+    step.  A run whose tick p `reflects` its start closes at tick 2p.
     """
     tick = lattice.encode(init)
     classes = lattice.two_classes(tick[0], tick[1]) if steps else None
     ticks = [tick]
     raw: list[tuple[list[int], int]] = []
     sat: list[tuple[list[int], int]] = []
-    period = mirror = 0
+    period = 0
     for p in range(1, steps + 1):
         tick, U, E = lattice.step(*tick, classes)
         _check_tick(*tick)
         raw.append((U, E))
         sat.append((clamped(U, E), E))
-        if tick[2] == ticks[0][2]:
-            if tick == ticks[0]:
-                period = p
-                break
-            mirrored = _mirrored(ticks, tick, lattice.ns, steps)
-            if mirrored is not None:
-                ticks += [tick, *mirrored]
-                half = min(p, steps - p)
-                raw += [([-u for u in U], E) for U, E in raw[:half]]
-                sat += [(clamped(U, E), E) for U, E in raw[p:]]
-                period, mirror = 2 * p, p
-                break
+        if tick[2] == ticks[0][2] and tick == ticks[0]:
+            period = p
+            break
         ticks.append(tick)
     if period:
         # row j of every column is row j mod the period, the same object, so
@@ -569,7 +535,6 @@ def _simulate_lattice(lattice: Lattice, init: tuple[AgentState, ...], steps: int
     raw_u = LatticeColumn(raw, ratios)
     # raw row k holds the inputs this lattice computed at tick k
     states.lattice = raw_u.lattice = lattice
-    raw_u.mirror = mirror
     return Trajectory(lattice.ns, states, raw_u, LatticeColumn(sat, ratios))
 
 

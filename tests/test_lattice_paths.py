@@ -30,6 +30,7 @@ from satorbits import (
 )
 from satorbits.cli import (
     EXIT_OK,
+    _reflected_half,
     _trajectory_consistent,
     main,
     plan_from_text,
@@ -519,10 +520,10 @@ def test_overflow_cap_trips_at_reference_step(
 def test_closed_orbit_is_stepped_once(
     name, graph7, gains_di, gains_ns, ns_model, reference_init_di, monkeypatch
 ):
-    """Once the state returns to its start, the rows repeat without stepping;
-    once it reflects its start, the second half mirrors the first, so a
-    synthesized orbit takes T/2 steps (the ns orbit 2 of 4, the di orbit 11
-    of 22).  The paper's di positions return to their start at T = 22."""
+    """Once the state returns to its start, the rows repeat without stepping, so
+    a closed orbit takes T steps (the ns orbit 4, the di orbits 22).  The
+    synthesized orbits reflect their start at T/2, the paper's di positions
+    never; off the orbit every step is taken."""
     if name == "ns":
         gains, init, ns, T = gains_ns, synthesize_ns(graph7, ns_model, gains_ns).init, ns_model, 4
     else:
@@ -542,16 +543,19 @@ def test_closed_orbit_is_stepped_once(
     for steps in (2 * T, 3 * T + 5):
         steps_taken.clear()
         t = simulate(graph7, gains, init, steps, ns=ns)
-        # off the orbit every step is taken
-        expected_steps = {"di": T, "halved": steps}.get(name, T // 2)
-        assert len(steps_taken) == expected_steps
-        assert t.raw_u.mirror == (T // 2 if name in ("ns", "mirrored") else 0)
+        assert len(steps_taken) == (steps if name == "halved" else T)
+        assert _reflected_half(t) == (T // 2 if name in ("ns", "mirrored") else 0)
         expected = reference_rollout(graph7, gains, init, steps, ns=ns)
         assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == expected
 
 
 #: the complete graph on three agents, unit weights
 K3 = "n 3\n1 2 1\n2 3 1\n1 3 1"
+
+#: two K3 starts under alpha = beta = 1/3 whose tick 3 is R_c of tick 0 (see
+#: `mirrored_cases`), as (x, v) texts
+K3_UNREDUCED = [("-1/2", "-1/3"), ("1/2", "-1/3"), ("1/2", "2/3")]
+K3_OFF_LATTICE = [("1/3", "-1/3"), ("1/3", "-1/3"), ("1/3", "2/3")]
 
 
 @pytest.fixture(scope="module")
@@ -561,8 +565,11 @@ def mirrored_cases(graph7, gains_di, gains_ns):
     The synthesized orbits mirror at T/2; `base` puts the di centre c at a
     non-integer.  On K3 with alpha = beta = 1/3 (2/3) an unsaturated loop turns
     each disagreement mode by 60 (90) degrees a step, so tick 3 (2) is R_c of
-    tick 0 with c twice the mean position; these two starts are off centre,
-    so a reflected tick can hold more bits than the tick it reflects.
+    tick 0 with c twice the mean position; the first two starts are off
+    centre, so a reflected tick can hold more bits than the tick it reflects.
+    The last two K3 starts reflect at tick 3 too, but R_c of tick 2 of the
+    first is not reduced over its D = 6 (tick 5 is over 2), and the c = 2/3
+    of the second is no numerator over the D = 1 of its tick 1.
     """
     k3 = parse_graph(K3)
 
@@ -587,6 +594,8 @@ def mirrored_cases(graph7, gains_di, gains_ns):
             None,
             2,
         ),
+        "k3-unreduced": (*on_k3(Fraction(1, 3), K3_UNREDUCED), None, 3),
+        "k3-off-lattice": (*on_k3(Fraction(1, 3), K3_OFF_LATTICE), None, 3),
         "ns-neg": (graph7, gains_neg, synthesize_ns(graph7, ns_neg, gains_neg).init, ns_neg, 2),
     }
     for a in ("1/2", "3/10"):
@@ -595,18 +604,30 @@ def mirrored_cases(graph7, gains_di, gains_ns):
     return cases
 
 
-MIRRORED = ["di", "di-m12", "di-base", "k3-60", "k3-90", "ns-1/2", "ns-3/10", "ns-neg"]
+MIRRORED = [
+    "di",
+    "di-m12",
+    "di-base",
+    "k3-60",
+    "k3-90",
+    "k3-unreduced",
+    "k3-off-lattice",
+    "ns-1/2",
+    "ns-3/10",
+    "ns-neg",
+]
 
 
 @pytest.mark.parametrize("name", MIRRORED)
 def test_mirrored_runs_equal_the_reference(name, mirrored_cases):
     """Every step count from 0 to 2p + 3, odd and even, below, at and past
     2p: each row equals the per-agent stepper's, every tick is reduced, and
-    the CSV text is the one the per-value writer gives."""
+    the CSV text is the one the per-value writer gives, which toggles the
+    signs of rows p..2p-1 once row p is written."""
     g, gains, init, ns, p = mirrored_cases[name]
     for steps in range(2 * p + 4):
         t = simulate(g, gains, init, steps, ns=ns)
-        assert t.raw_u.mirror == (p if steps >= p else 0)
+        assert _reflected_half(t) == (p if steps > p else 0)
         assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == reference_rollout(
             g, gains, init, steps, ns=ns
         )
@@ -614,58 +635,72 @@ def test_mirrored_runs_equal_the_reference(name, mirrored_cases):
         assert trajectory_to_csv(t) == trajectory_to_csv(tuple_copy(t))
 
 
-def test_reflections_the_kernel_cannot_take_are_stepped(
-    graph7, gains_di, reference_init_di, monkeypatch
-):
-    """Reflections the shortcut must not take:
+def test_reflections_the_writer_takes(graph7, gains_di, reference_init_di):
+    """The tick p at which the writer toggles signs, 0 for none:
     - tick 11 of the paper's di positions has V = -V_0, but X + X_0 is not
-      one constant;
-    - on K3, tick 3 of the first start is R_c of tick 0 (c = 1/3), but R_c of
-      tick 2 over its D = 6 is not reduced (the stepped tick 5 is over 2);
-    - on K3, tick 3 of the second start is R_c of tick 0 with c = 2/3, which
-      is no numerator over the D = 1 of tick 1;
+      one constant: none;
+    - both K3 starts whose R_c ticks are unreduced or off the lattice: tick 3,
+      as the inputs are negated by value whatever the ticks' terms;
     - a lone ns agent (a = 1/2) from (2, 1) reaches (1, -1), R_3 of its
-      start, at tick 1, but R_c commutes with the ns loop only for c = 0.
-    The di and K3 runs step until they close at their start; the lone agent
-    mirrors at tick 3, the negation of tick 0."""
+      start, at tick 1, but R_c commutes with the ns loop only for c = 0: it
+      is taken at tick 3, the negation of tick 0."""
     k3 = parse_graph(K3)
     k3_gains = GainParams(Fraction(1, 3), Fraction(1, 3))
     unreduced, off_lattice = (
         [AgentState(Fraction(x), Fraction(v)) for x, v in pairs]
-        for pairs in (
-            [("-1/2", "-1/3"), ("1/2", "-1/3"), ("1/2", "2/3")],
-            [("1/3", "-1/3"), ("1/3", "-1/3"), ("1/3", "2/3")],
-        )
+        for pairs in (K3_UNREDUCED, K3_OFF_LATTICE)
     )
     lone_ns = NsModel(Fraction(1, 2))
     lone = (parse_graph("n 1"), GainParams(Fraction(0), Fraction(0)), [AgentState(2, 1)])
-    steps_taken = []
-    step = Lattice.step
-
-    def counting(self, *tick):
-        steps_taken.append(1)
-        return step(self, *tick)
-
-    monkeypatch.setattr(Lattice, "step", counting)
-    for g, gains, init, ns, p, T, centred, stepped, mirror in [
-        (graph7, gains_di, reference_init_di, None, 11, 22, False, 22, 0),
-        (k3, k3_gains, unreduced, None, 3, 6, True, 6, 0),
-        (k3, k3_gains, off_lattice, None, 3, 6, True, 6, 0),
-        (*lone, lone_ns, 1, 6, True, 3, 3),
+    for g, gains, init, ns, p, T, centred, taken in [
+        (graph7, gains_di, reference_init_di, None, 11, 22, False, 0),
+        (k3, k3_gains, unreduced, None, 3, 6, True, 3),
+        (k3, k3_gains, off_lattice, None, 3, 6, True, 3),
+        (*lone, lone_ns, 1, 6, True, 3),
     ]:
-        steps_taken.clear()
         t = simulate(g, gains, init, 2 * T + 1, ns=ns)
         (X0, V0, D0), (X, V, D) = t.states.data[0], t.states.data[p]
         assert D == D0 and V == [-v for v in V0]
         assert (len({x + y for x, y in zip(X, X0)}) == 1) == centred
-        assert len(steps_taken) == stepped and t.raw_u.mirror == mirror
+        assert _reflected_half(t) == taken
         assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == reference_rollout(
             g, gains, init, 2 * T + 1, ns=ns
         )
+        assert trajectory_to_csv(t) == trajectory_to_csv(tuple_copy(t))
         if init is unreduced:
             assert t.states.data[2][2] == 6 and t.states.data[5][2] == 2
         if init is off_lattice:
             assert D0 == 3 and t.states.data[1][2] == 1
+
+
+def test_reflects_needs_every_condition():
+    """R_1 of ([0, 1], [1, 2], 1) on di; each tick that breaks one condition:
+    another D, one velocity off, no one constant X + X_0, c != 0 on ns."""
+    first = ([0, 1], [1, 2], 1)
+    assert dynamics.reflects(first, ([1, 0], [-1, -2], 1), None)
+    for tick in [([1, 0], [-1, -2], 2), ([1, 0], [-1, 2], 1), ([1, 1], [-1, -2], 1)]:
+        assert not dynamics.reflects(first, tick, None)
+    ns = NsModel(Fraction(1, 2))
+    assert not dynamics.reflects(first, ([1, 0], [-1, -2], 1), ns)
+    assert dynamics.reflects(([1, -1], [1, 2], 1), ([-1, 1], [-1, -2], 1), ns)
+
+
+def test_reflection_off_the_run_is_written_by_value():
+    """A hand-built trajectory whose tick 1 reflects tick 0 but whose raw rows
+    are not the loop's (its columns carry no `Lattice`) is written value by
+    value: row 1's raw inputs are not row 0's negated."""
+    ticks = [([0, 1], [1, 2], 1), ([1, 0], [-1, -2], 1), ([0, 1], [1, 2], 1)]
+    raw = [([1, 3], 2), ([5, 7], 2)]
+    t = Trajectory(
+        None,
+        LatticeColumn(ticks, Lattice.decode),
+        LatticeColumn(raw, ratios),
+        LatticeColumn([(dynamics.clamped(U, E), E) for U, E in raw], ratios),
+    )
+    assert dynamics.reflects(ticks[0], ticks[1], None)
+    assert _reflected_half(t) == 0
+    assert trajectory_to_csv(t) == trajectory_to_csv(tuple_copy(t))
+    assert "\n1,1,1,-1,2.5,1\n" in trajectory_to_csv(t)
 
 
 @pytest.mark.parametrize("name", MIRRORED)
