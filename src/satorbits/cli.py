@@ -300,7 +300,9 @@ def _row_tails(
     """The CSV lines of one lattice row without their step, `i,x,v,u_raw,u_sat` per
     agent; `index` holds the agent texts and `rs` the `u_raw` texts."""
     X, V, D = tick
-    xs, vs = ratio_texts(X, D), ratio_texts(V, D)
+    # X and V share D, so it is scaled once
+    texts = ratio_texts(X + V, D)
+    xs, vs = texts[: len(X)], texts[len(X) :]
     if raw is None:
         return list(map(",".join, zip(index, xs, vs, repeat(""), repeat(""))))
     (U, E), (S, Es) = raw, sat

@@ -27,6 +27,7 @@ from .records import Record
 from .scalars import (
     FLOAT_TOL,
     Scalar,
+    distinct,
     format_scalar,
     is_exact,
     per_object,
@@ -63,6 +64,14 @@ class GainParams(Record, namedtuple("GainParams", "alpha beta")):
     """Feedback gains on the relative positions (`alpha`) and velocities (`beta`)."""
 
     __slots__ = ()
+
+    def integers(self) -> tuple[int, int, int]:
+        """(A, B, G) with alpha = A/G and beta = B/G, G the lcm of their
+        denominators; for exact gains only."""
+        alpha, beta = self.alpha, self.beta
+        G = math.lcm(alpha.denominator, beta.denominator)
+        A, B = alpha.numerator * (G // alpha.denominator), beta.numerator * (G // beta.denominator)
+        return A, B, G
 
 
 class NsModel(Record, namedtuple("NsModel", "a")):
@@ -286,10 +295,7 @@ class Lattice:
         offsets = list(accumulate(map(len, g.adjacency), initial=0))
         self.starts, self.ends = offsets[:-1], offsets[1:]
         self.degrees = [sum(self.W[s:e]) for s, e in zip(self.starts, self.ends)]
-        alpha, beta = gains.alpha, gains.beta
-        G = math.lcm(alpha.denominator, beta.denominator)
-        self.A = alpha.numerator * (G // alpha.denominator)
-        self.B = beta.numerator * (G // beta.denominator)
+        self.A, self.B, G = gains.integers()
         self.K = G * q_w
         self.graph, self.gains, self.ns = g, gains, ns
         two_a = 2 * ns.a if ns is not None else 0
@@ -306,7 +312,7 @@ class Lattice:
             and is_exact(gains.beta)
             and (ns is None or is_exact(ns.a))
             and all(map(is_exact, weights.values()))
-            and all(is_exact(c) for c in values)
+            and all(map(is_exact, distinct(values)))
         )
         return Lattice(g, gains, ns, weights) if exact else None
 
@@ -404,14 +410,20 @@ class Lattice:
         self, X: list[int], V: list[int], D: int, S: list[int], Es: int
     ) -> LatticeState:
         """Inverse of one step, given the saturated inputs S/Es (Es > 0) it applied."""
-        # S/Es in lowest common terms is (S/c)/q; D*mult is the least multiple
-        # of D that q divides, times R on ns
-        c = math.gcd(Es, *S)
-        q = Es // c
-        mult = self.R * (q // math.gcd(q, D))
-        DM = D * mult
-        f = DM // q
-        S = [s // c * f for s in S]
+        if S.count(Es) + S.count(-Es) == len(S):
+            # every input is +-1: q = 1, so mult = R and each input is +-D*R
+            mult = self.R
+            DM = D * mult
+            S = list(map({Es: DM, -Es: -DM}.__getitem__, S))
+        else:
+            # S/Es in lowest common terms is (S/c)/q; D*mult is the least
+            # multiple of D that q divides, times R on ns
+            c = math.gcd(Es, *S)
+            q = Es // c
+            mult = self.R * (q // math.gcd(q, D))
+            DM = D * mult
+            f = DM // q
+            S = [s // c * f for s in S]
         if self.ns is None:
             Vp = [v * mult - s for v, s in zip(V, S)]
             Xp = [x * mult - v for x, v in zip(X, Vp)]

@@ -5,12 +5,19 @@ worst cross edge, velocities -+m/2 by parity class, and initial positions in
 closed form.  Each cross edge bounds x_i(0) - x_j(0) to an interval centred
 at m/2, so x = m/2 on the even class and 0 on the odd class sits at every
 midpoint, with the most slack; intra edges join agents of one class and get
-equal positions.  `position_constraints` gives the interval table and
-`solve_positions`, a Bellman-Ford solver for general difference-constraint
-systems, is kept as a standalone tool; synthesis calls neither.
+equal positions.  `position_constraints` gives the interval table, which
+`synthesize` prints and a chosen m is checked against, and `solve_positions`,
+a Bellman-Ford solver for general difference-constraint systems, is kept as
+a standalone tool; synthesis does not call it.
 
-Neutrally stable: gate |alpha| <= sgn(a)(beta - a/a_bar), fixed period 4,
-closed-form initial states +-(1/(2a), -1/(2a)) by class.
+Neutrally stable: gate |alpha| <= sgn(a)(beta - a/a_bar), two key
+inequalities per cross edge, fixed period 4, closed-form initial states
++-(1/(2a), -1/(2a)) by class.
+
+Both closed forms are evaluated once per distinct weight object, on integers
+when weight, gains and a are exact: one `Fraction` per bound (`_bounds_of`),
+one integer compare per inequality (`_keys_of`); a float keeps the scalar
+formulas.
 
 A plan carries its model as `ns`, the `NsModel` or None on di, as a
 `Trajectory` does.
@@ -21,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dynamics import AgentState, GainParams, NsModel
 from .graphs import Partition, WeightedGraph, make_partition
@@ -126,20 +133,44 @@ def _interval_bounds(w: Scalar, gains: GainParams, m: int) -> tuple[Scalar, Scal
     return lower, upper
 
 
+def _bounds_of(gains: GainParams, m: int) -> Callable[[Scalar], tuple[Scalar, Scalar]]:
+    """w -> `_interval_bounds(w, gains, m)`, on integers for exact w and gains.
+
+    With w = P/q and the gains over one denominator, alpha = A/G and
+    beta = B/G, the bounds are
+    lower = (q*G + (B-A)(m-2)*P) / (A*P) and
+    upper = ((2A(m-1) - B(m-2))*P - q*G) / (A*P),
+    one `Fraction` each; the two m terms are formed once.  A float weight or
+    gain takes `_interval_bounds`, so float bounds keep its rounding.
+    """
+    if not (is_exact(gains.alpha) and is_exact(gains.beta)):
+        return lambda w: _interval_bounds(w, gains, m)
+    A, B, G = gains.integers()
+    lower_m, upper_m = (B - A) * (m - 2), 2 * A * (m - 1) - B * (m - 2)
+
+    def bounds(w: Scalar) -> tuple[Scalar, Scalar]:
+        if not is_exact(w):
+            return _interval_bounds(w, gains, m)
+        P, qG = w.numerator, w.denominator * G
+        AP = A * P
+        return Fraction(qG + lower_m * P, AP), Fraction(upper_m * P - qG, AP)
+
+    return bounds
+
+
 def position_constraints(
     g: WeightedGraph, p: Partition, gains: GainParams, m: int
 ) -> tuple[list[tuple[int, int]], list[IntervalConstraint]]:
     """Intra-edge equalities and one interval per cross edge for x(0).
 
     The bounds depend on an edge only through its weight, so they are
-    computed once per distinct weight object and shared by its edges.
+    computed once per distinct weight object (`_bounds_of`) and shared by
+    its edges.
     """
     if m <= 2:
         raise ValueError("half-period must exceed 2")
     equalities = [(i, j) for i, j, _ in p.intra_edges]
-    bounds = per_object(
-        lambda w: _interval_bounds(w, gains, m), [w for _, _, w in p.cross_edges]
-    )
+    bounds = per_object(_bounds_of(gains, m), [w for _, _, w in p.cross_edges])
     intervals = [
         IntervalConstraint(i, j, lower, upper)
         for (i, j, _), (lower, upper) in zip(p.cross_edges, bounds)
@@ -361,18 +392,44 @@ def init_states_ns(model: NsModel, p: Partition) -> list[AgentState]:
     return [even if i in p.s_even else odd for i in range(len(p.dist))]
 
 
+def _keys_of(a: Scalar, gains: GainParams) -> Callable[[Scalar], tuple[bool, bool]]:
+    """w -> (w*f/a <= -1 for f = alpha-beta, then for f = -alpha-beta).
+
+    With a = a_n/a_d, the gains over one denominator G and f = F/G, an exact
+    weight w = P/q gives w*f/a <= -1 as the integer compare
+    P*F*a_d*sgn(a_n) <= -q*G*|a_n|.  A float weight, gain or a takes
+    `w*f/a` as it stands.
+    """
+    alpha, beta = gains.alpha, gains.beta
+    first, second = alpha - beta, -alpha - beta
+
+    def scalar(w: Scalar) -> tuple[bool, bool]:
+        return w * first / a <= -1, w * second / a <= -1
+
+    if not (is_exact(a) and is_exact(alpha) and is_exact(beta)):
+        return scalar
+    A, B, G = gains.integers()
+    scale = a.denominator * _sgn(a)
+    F1, F2, K = (A - B) * scale, (-A - B) * scale, G * abs(a.numerator)
+
+    def keys(w: Scalar) -> tuple[bool, bool]:
+        if not is_exact(w):
+            return scalar(w)
+        P, bound = w.numerator, -w.denominator * K
+        return P * F1 <= bound, P * F2 <= bound
+
+    return keys
+
+
 def key_inequalities_ns(
     g: WeightedGraph, p: Partition, model: NsModel, gains: GainParams
 ) -> list[tuple[tuple[int, int], bool, bool]]:
     """Per cross edge: a_ij(alpha-beta)/a <= -1 and a_ij(-alpha-beta)/a <= -1.
 
     Both depend on an edge only through its weight, so they are decided once
-    per distinct weight object.
+    per distinct weight object (`_keys_of`).
     """
-    a, first, second = model.a, gains.alpha - gains.beta, -gains.alpha - gains.beta
-    checks = per_object(
-        lambda w: (w * first / a <= -1, w * second / a <= -1), [w for _, _, w in p.cross_edges]
-    )
+    checks = per_object(_keys_of(model.a, gains), [w for _, _, w in p.cross_edges])
     return [((i, j), *check) for (i, j, _), check in zip(p.cross_edges, checks)]
 
 

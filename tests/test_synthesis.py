@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from satorbits import (
     AgentState,
@@ -29,11 +33,14 @@ from satorbits import (
     verification_report,
 )
 from satorbits.cli import plan_to_text
+from satorbits.dynamics import Lattice, _reduced, inverse_step_di, inverse_step_ns
 from satorbits.synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
     IntervalConstraint,
+    _bounds_of,
     _interval_bounds,
+    _keys_of,
 )
 
 from conftest import REFERENCE_X0
@@ -424,3 +431,96 @@ class TestSynthesizeNs:
     def test_zero_beta_rejected(self, graph7, ns_model):
         with pytest.raises(GainConditionError):
             synthesize_ns(graph7, ns_model, GainParams(F("0.1"), F(0)))
+
+
+# ---------------------------------------------------------------------------
+# Closed forms on integers against the scalar expressions they replace
+
+#: rationals with small or large (up to 40-digit) terms
+SMALL = st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000))
+WIDE = st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40))
+POSITIVE = st.one_of(SMALL, WIDE)
+SIGNED = st.builds(operator.mul, st.sampled_from((1, -1)), POSITIVE)
+NUMERATOR = st.integers(-(10**30), 10**30)
+
+
+@given(
+    w=POSITIVE,
+    alpha=SIGNED,
+    beta=st.one_of(SIGNED, st.just(Fraction(0))),
+    m=st.integers(3, 10**6),
+)
+def test_exact_bounds_are_the_scalar_bounds(w, alpha, beta, m):
+    gains = GainParams(alpha, beta)
+    bounds = _bounds_of(gains, m)(w)
+    assert bounds == _interval_bounds(w, gains, m)
+    assert all(type(b) is Fraction for b in bounds)
+
+
+@given(w=POSITIVE, alpha=SIGNED, beta=SIGNED, a=SIGNED, tight=st.booleans())
+def test_exact_key_inequalities_are_the_scalar_ones(w, alpha, beta, a, tight):
+    """`_keys_of` on integers against w*f/a <= -1, for a of either sign and,
+    when `tight`, an `a` that puts the first key exactly at -1."""
+    first, second = alpha - beta, -alpha - beta
+    if tight and first:
+        a = -w * first
+    assert _keys_of(a, GainParams(alpha, beta))(w) == (w * first / a <= -1, w * second / a <= -1)
+
+
+def test_float_weights_keep_the_scalar_formulas(graph7):
+    """Float weights, with float or exact gains, give `_interval_bounds` and
+    `w*f/a` bit for bit."""
+    g = parse_graph(serialize_graph(graph7), mode="float")
+    p = make_partition(g, 0)
+    cross = [w for _, _, w in p.cross_edges]
+    for gains in (GainParams(0.4, 0.42), GainParams(F("0.4"), F("0.42"))):
+        _, intervals = position_constraints(g, p, gains, 11)
+        got = [(c.lower, c.upper) for c in intervals]
+        assert got == [_interval_bounds(w, gains, 11) for w in cross]
+        assert all(type(b) is float for bounds in got for b in bounds)
+    for a, gains in ((0.5, GainParams(-0.5, 2.0)), (F("0.5"), GainParams(F("-0.5"), F(2)))):
+        first, second = gains.alpha - gains.beta, -gains.alpha - gains.beta
+        checks = key_inequalities_ns(g, p, NsModel(a), gains)
+        expected = [(w * first / a <= -1, w * second / a <= -1) for w in cross]
+        assert [c[1:] for c in checks] == expected
+
+
+def general_unstep(lattice, X, V, D, S, Es):
+    """`Lattice.unstep` by the lowest common terms of S/Es, for any row."""
+    c = math.gcd(Es, *S)
+    q = Es // c
+    mult = lattice.R * (q // math.gcd(q, D))
+    DM = D * mult
+    S = [s // c * (DM // q) for s in S]
+    if lattice.ns is None:
+        Vp = [v * mult - s for v, s in zip(V, S)]
+        Xp = [x * mult - v for x, v in zip(X, Vp)]
+    else:
+        Ph = lattice.P * (mult // lattice.R)
+        Vp = [x * mult for x in X]
+        Xp = [Ph * x + s - v * mult for x, v, s in zip(X, V, S)]
+    return _reduced(Xp, Vp, DM, mult)
+
+
+@pytest.mark.parametrize("a", [None, "1/2", "3/10", "-2/7"])
+@given(
+    values=st.lists(st.tuples(NUMERATOR, NUMERATOR), min_size=1, max_size=7),
+    signs=st.lists(st.sampled_from((1, -1)), min_size=7, max_size=7),
+    D=st.one_of(st.integers(1, 1000), st.integers(1, 10**30)),
+    Es=st.one_of(st.integers(1, 1000), st.integers(1, 10**30)),
+)
+def test_saturated_unstep_is_the_general_one(graph7, gains_di, a, values, signs, D, Es):
+    """A fully saturated row takes `unstep`'s fast path; it gives the tick of
+    the general path, whose values are the per-agent inverse step's."""
+    ns = None if a is None else NsModel(F(a))
+    lattice = Lattice(graph7, gains_di, ns)
+    X, V = [x for x, _ in values], [v for _, v in values]
+    S = [s * Es for s in signs[: len(X)]]
+    tick = lattice.unstep(X, V, D, S, Es)
+    assert tick == general_unstep(lattice, X, V, D, S, Es)
+    states = [AgentState(F(x) / D, F(v) / D) for x, v in zip(X, V)]
+    if ns is None:
+        states = [inverse_step_di(s, u // Es) for s, u in zip(states, S)]
+    else:
+        states = [inverse_step_ns(s, u // Es, ns) for s, u in zip(states, S)]
+    assert Lattice.decode(*tick) == tuple(states)
