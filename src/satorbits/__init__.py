@@ -14,13 +14,8 @@ from .dynamics import (
     GainParams,
     NsModel,
     Trajectory,
-    control_inputs,
     normalize_ns,
-    saturate,
     simulate,
-    states_equal,
-    step_di,
-    step_ns,
 )
 from .graphs import (
     Partition,
@@ -51,7 +46,6 @@ from .synthesis import (
 from .verify import (
     check_pattern,
     check_periodicity,
-    closed_form_di,
     minimal_period,
     oracle_check_di,
     verification_report,

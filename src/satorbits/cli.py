@@ -20,14 +20,15 @@ from typing import Iterator, NoReturn, Optional, Sequence
 
 from .dynamics import (
     AgentState,
+    FloatLattice,
     GainParams,
+    Lattice,
     LatticeColumn,
     NsModel,
     SimulationOverflowError,
     Trajectory,
     reflects,
     simulate,
-    states_equal,
 )
 from .graphs import (
     GraphFormatError,
@@ -47,7 +48,6 @@ from .scalars import (
     parse_scalar,
     per_object,
     quoted,
-    ratio_texts,
     scalars_equal,
 )
 from .synthesis import (
@@ -292,48 +292,56 @@ CSV_HEADER = "k,agent,x,v,u_raw,u_sat"
 
 def _row_tails(
     index: list[str],
-    tick: tuple[list[int], list[int], int],
-    raw: Optional[tuple[list[int], int]],
-    sat: Optional[tuple[list[int], int]],
+    kind: type[Lattice],
+    tick: tuple[list, list, Scalar],
+    raw: Optional[tuple[list, Scalar]],
+    sat: Optional[tuple[list, Scalar]],
     rs: Optional[list[str]],
 ) -> list[str]:
-    """The CSV lines of one lattice row without their step, `i,x,v,u_raw,u_sat` per
-    agent; `index` holds the agent texts and `rs` the `u_raw` texts."""
+    """The CSV lines of one row without their step, `i,x,v,u_raw,u_sat` per
+    agent, in the texts of the row's `kind`; `index` holds the agent texts
+    and `rs` the `u_raw` texts."""
     X, V, D = tick
     # X and V share D, so it is scaled once
-    texts = ratio_texts(X + V, D)
+    texts = kind.texts(X + V, D)
     xs, vs = texts[: len(X)], texts[len(X) :]
     if raw is None:
         return list(map(",".join, zip(index, xs, vs, repeat(""), repeat(""))))
     (U, E), (S, Es) = raw, sat
     # a saturated input is +-1; an unsaturated one, left None by the map (no
-    # text is empty), repeats its raw text
-    ss = list(map({Es: "1", -Es: "-1"}.get, S))
+    # text is empty), repeats the raw text when it is the raw input's object
+    ss = list(map(dict(zip((Es, -Es), kind.UNIT_TEXTS)).get, S))
     if not all(ss):
         for i, text in enumerate(ss):
             if text is None:
-                ss[i] = rs[i] if (S[i], Es) == (U[i], E) else ratio_texts([S[i]], Es)[0]
+                ss[i] = rs[i] if S[i] is U[i] and Es is E else kind.texts([S[i]], Es)[0]
     return list(map(",".join, zip(index, xs, vs, rs, ss)))
 
 
 def _reflected_half(t: Trajectory) -> int:
     """The first tick p < t.steps of an exact run's own columns that `reflects` its
-    start, or 0: raw rows p..2p-1 then hold the inputs of rows 0..p-1 negated."""
+    start, or 0: raw rows p..2p-1 then hold the inputs of rows 0..p-1 negated.
+    A float run is never taken: in floats (c - x_j) - (c - x_i) need not be
+    -(x_j - x_i) bit for bit."""
     lattice = t.states.lattice
-    if lattice is None or t.raw_u.lattice is not lattice:
+    if lattice is None or not lattice.exact or t.raw_u.lattice is not lattice:
         return 0
     ticks = t.states.data
     return next((p for p in range(1, t.steps) if reflects(ticks[0], ticks[p], t.ns)), 0)
 
 
-def _lattice_steps(t: Trajectory) -> Iterator[str]:
-    """The CSV text of each step of an all-lattice trajectory, formatted from its integers.
+def _csv_pieces(t: Trajectory) -> Iterator[str]:
+    """The text of `trajectory_to_csv(t)` after its header, one piece per step,
+    formatted from the rows of its columns.
 
     A closed orbit shares its repeated rows by reference (see `simulate`), so
     the tails of a (tick, raw, sat) row whose objects recur are formatted
     once and kept; step k stamps `k,` before each of its row's n tails.  On
     a run whose tick p reflects its start (`_reflected_half`), the `u_raw`
-    texts of rows p..2p-1 are row k-p's with the sign toggled.
+    texts of rows p..2p-1 are row k-p's with the sign toggled.  An exact
+    value whose digits exceed Python's limit on converting an integer to
+    text (`sys.get_int_max_str_digits()`, 4300 by default) is a usage error,
+    raised before the first piece past it.
     """
     # the last tick has no inputs
     rows = [*zip(t.states.data, t.raw_u.data, t.sat_u.data), (t.states.data[-1], None, None)]
@@ -343,41 +351,21 @@ def _lattice_steps(t: Trajectory) -> Iterator[str]:
     p = _reflected_half(t)
     first_half: list[list[str]] = []  # the u_raw texts of rows 0..p-1
     index = [str(i) for i in range(1, t.n + 1)]
-    for k, (row, key) in enumerate(zip(rows, keys)):
-        tails = known.get(key)
-        if tails is None:
-            tick, raw, sat = row
-            rs = None
-            if raw is not None:
-                rs = negated_texts(first_half[k - p]) if p <= k < 2 * p else ratio_texts(*raw)
-                if k < p:
-                    first_half.append(rs)
-            tails = _row_tails(index, tick, raw, sat, rs)
-            if key in recurring:
-                known[key] = tails
-        yield f"{k}," + f"\n{k},".join(tails) + "\n"
-
-
-def _csv_pieces(t: Trajectory) -> Iterator[str]:
-    """The text of `trajectory_to_csv(t)` after its header, one piece per step of
-    an all-lattice trajectory and one per line of any other.
-
-    An exact value whose digits exceed Python's limit on converting an
-    integer to text (`sys.get_int_max_str_digits()`, 4300 by default) is a
-    usage error, raised before the first piece past it.
-    """
+    kind = t.states.kind
     try:
-        if all(isinstance(c, LatticeColumn) for c in (t.states, t.raw_u, t.sat_u)):
-            yield from _lattice_steps(t)
-            return
-        steps = t.steps
-        for k, row in enumerate(t.states):
-            if k < steps:
-                inputs = zip(map(format_scalar, t.raw_u[k]), map(format_scalar, t.sat_u[k]))
-            else:
-                inputs = repeat(("", ""))
-            for i, s, (u_raw, u_sat) in zip(count(1), row, inputs):
-                yield f"{k},{i},{format_scalar(s.x)},{format_scalar(s.v)},{u_raw},{u_sat}\n"
+        for k, (row, key) in enumerate(zip(rows, keys)):
+            tails = known.get(key)
+            if tails is None:
+                tick, raw, sat = row
+                rs = None
+                if raw is not None:
+                    rs = negated_texts(first_half[k - p]) if p <= k < 2 * p else kind.texts(*raw)
+                    if k < p:
+                        first_half.append(rs)
+                tails = _row_tails(index, kind, tick, raw, sat, rs)
+                if key in recurring:
+                    known[key] = tails
+            yield f"{k}," + f"\n{k},".join(tails) + "\n"
     except ValueError as exc:  # only str() of a too-long int raises it here
         raise CliError(
             f"the trajectory holds a value of more than {sys.get_int_max_str_digits()} "
@@ -404,12 +392,14 @@ def _is_csv_of(t: Trajectory, text: str) -> bool:
 
 
 def trajectory_from_csv(text: str, ns: Optional[NsModel], mode: str) -> Trajectory:
-    """Read a CSV written by `trajectory_to_csv` into tuple columns.
+    """Read a CSV written by `trajectory_to_csv` into columns of `mode`'s row layout.
 
     Each (step, agent) pair appears once, agents are numbered 1..n and steps
     run from 0; inputs are required on every step but the last.  Step and
     agent are ASCII integers (`parse_int`), and each value is a `parse_scalar`
-    of its text in `mode`: a `Fraction` in exact mode, a float in float mode.
+    of its text in `mode`: a `Fraction` in exact mode, whose rows are
+    encoded as `Lattice` rows (`encode`, `encode_inputs`), and a float in
+    float mode, whose rows are lists over 1.0.
     """
     lines = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines or lines[0][1].strip() != CSV_HEADER:
@@ -417,14 +407,16 @@ def trajectory_from_csv(text: str, ns: Optional[NsModel], mode: str) -> Trajecto
     states: dict[int, dict[int, tuple]] = {}
     inputs: dict[int, dict[int, tuple]] = {}
     first_line: dict[int, int] = {}
-    # a periodic orbit and its saturated inputs repeat the same few texts
+    # a periodic orbit and its saturated inputs repeat the same few texts, and
+    # every step and agent text recurs
     parse = functools.cache(lambda text: parse_scalar(text, mode))
+    integer = functools.cache(parse_int)
     for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 6:
             raise CliError(f"CSV line {lineno}: expected 6 fields")
         try:
-            k, agent = parse_int(parts[0]), parse_int(parts[1]) - 1
+            k, agent = integer(parts[0]), integer(parts[1]) - 1
             s = (parse(parts[2]), parse(parts[3]))
             u = (parse(parts[4]), parse(parts[5])) if parts[4].strip() else None
         except ValueError as exc:
@@ -447,8 +439,8 @@ def trajectory_from_csv(text: str, ns: Optional[NsModel], mode: str) -> Trajecto
             f"CSV line {lineno}: agent {agent + 1} outside 1..{n} "
             f"(the CSV names {n} agents)"
         )
-    ticks = sorted(states)
-    if ticks != list(range(len(ticks))):
+    steps = sorted(states)
+    if steps != list(range(len(steps))):
         raise CliError("CSV steps are not contiguous from 0")
 
     def row(src: dict[int, dict[int, tuple]], k: int) -> tuple:
@@ -456,13 +448,16 @@ def trajectory_from_csv(text: str, ns: Optional[NsModel], mode: str) -> Trajecto
             raise CliError(f"CSV step {k}: missing agents")
         return tuple(src[k][i] for i in range(n))
 
-    state_rows = [row(states, k) for k in ticks]
-    input_rows = [row(inputs, k) for k in ticks[:-1]]
+    kind = Lattice if mode == "exact" else FloatLattice
+    ticks = [kind.encode(row(states, k)) for k in steps]
+    input_rows = [row(inputs, k) for k in steps[:-1]]
+    raw = [kind.encode_inputs([u for u, _ in r]) for r in input_rows]
+    sat = [kind.encode_inputs([u for _, u in r]) for r in input_rows]
     return Trajectory(
         ns,
-        tuple(tuple(AgentState(x, v) for x, v in r) for r in state_rows),
-        tuple(tuple(u for u, _ in r) for r in input_rows),
-        tuple(tuple(u for _, u in r) for r in input_rows),
+        LatticeColumn(ticks, kind.decode),
+        LatticeColumn(raw, kind.ratios),
+        LatticeColumn(sat, kind.ratios),
     )
 
 
@@ -660,12 +655,15 @@ def _trajectory_consistent(
         rows = [(resim.states, t.states)]
         if k < t.steps:
             rows += [(resim.raw_u, t.raw_u), (resim.sat_u, t.sat_u)]
-        # equal rows agree under `scalars_equal`; only a differing row is searched
-        if all(ours[k] == theirs[k] for ours, theirs in rows):
+        # equal ticks hold equal states and equal rows agree under
+        # `scalars_equal`; only a differing row is searched
+        if resim.states.data[k] == t.states.data[k] and all(
+            ours[k] == theirs[k] for ours, theirs in rows[1:]
+        ):
             continue
         for i in range(t.n):
             if not (
-                states_equal([resim.states[k][i]], [t.states[k][i]])
+                all(map(scalars_equal, resim.states[k][i], t.states[k][i]))
                 and all(scalars_equal(ours[k][i], theirs[k][i]) for ours, theirs in rows[1:])
             ):
                 return {"step": k, "agent": i + 1}, resim
@@ -719,8 +717,8 @@ def _checked_csv(
     `trajectory_from_csv` and compared by `_trajectory_consistent`, which
     reuses the replay when its start state and step count are the CSV's.  An
     exact CSV that equals its re-simulation holds the same values, so the
-    checks read the re-simulation's lattice columns; any other CSV is checked
-    on its own tuple columns, per agent.
+    checks read the re-simulation's columns and its lattice; any other CSV is
+    checked on the columns the reader built.
     """
     text = _read_text(path, "trajectory")
     resim = _replay(text, g, plan, mode)

@@ -10,6 +10,12 @@ which `simulate`, `Lattice` and `Trajectory` take and keep as `ns`.
 
 The controller is diffusive: each agent feeds back weighted sums of
 neighbor-relative positions and velocities, so it vanishes at consensus.
+
+One row layout serves both number kinds: a tick is (X, V, D), numerators
+over one denominator, and an input row (U, E).  An exact run steps on the
+integer `Lattice`; a run with a float in it steps on the `FloatLattice`,
+whose rows hold the values themselves over D = E = 1.0.  `Lattice.of`
+picks the kind, and a `LatticeColumn` holds the rows of either.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 import numbers
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -31,6 +37,7 @@ from .scalars import (
     format_scalar,
     is_exact,
     per_object,
+    ratio_texts,
     scalars_equal,
 )
 
@@ -53,11 +60,6 @@ class AgentState(Record, namedtuple("AgentState", "x v")):
 
     def __neg__(self) -> "AgentState":
         return AgentState(-self.x, -self.v)
-
-
-def states_equal(a: Sequence[AgentState], b: Sequence[AgentState]) -> bool:
-    """Agentwise `scalars_equal`: bit-exact for rationals, within `FLOAT_TOL` for floats."""
-    return all(scalars_equal(p.x, q.x) and scalars_equal(p.v, q.v) for p, q in zip(a, b))
 
 
 class GainParams(Record, namedtuple("GainParams", "alpha beta")):
@@ -89,8 +91,8 @@ class Trajectory(Record, namedtuple("Trajectory", "ns states raw_u sat_u")):
     """States over steps+1 ticks plus raw and saturated inputs per step.
 
     `ns` is the `NsModel` the run stepped, None on the double integrator.
-    Each column (`states`, `raw_u`, `sat_u`) is a tuple of rows or, for an
-    exact run, a `LatticeColumn` that holds the rows as integers.
+    Each column (`states`, `raw_u`, `sat_u`) is a `LatticeColumn`: integer
+    rows on an exact run, rows of floats over 1.0 on a float run.
     """
 
     __slots__ = ()
@@ -102,64 +104,6 @@ class Trajectory(Record, namedtuple("Trajectory", "ns states raw_u sat_u")):
     @property
     def n(self) -> int:
         return len(self.states[0])
-
-
-def saturate(u: Scalar) -> Scalar:
-    """sgn(u) * min(1, |u|)."""
-    one = 1 if is_exact(u) else 1.0
-    if u > one:
-        return one
-    if u < -one:
-        return -one
-    return u
-
-
-def control_inputs(
-    g: WeightedGraph, gains: GainParams, states: Sequence[AgentState]
-) -> list[Scalar]:
-    """u_i = alpha * sum a_ij (x_j - x_i) + beta * sum a_ij (v_j - v_i)."""
-    if len(states) != g.n:
-        raise ValueError(f"expected {g.n} agent states, got {len(states)}")
-    out: list[Scalar] = []
-    for i in range(g.n):
-        acc_x = 0
-        acc_v = 0
-        for j, w in g.adjacency[i]:
-            acc_x = acc_x + w * (states[j].x - states[i].x)
-            acc_v = acc_v + w * (states[j].v - states[i].v)
-        out.append(gains.alpha * acc_x + gains.beta * acc_v)
-    return out
-
-
-def step_di(s: AgentState, u_sat: Scalar) -> AgentState:
-    return AgentState(s.x + s.v, s.v + u_sat)
-
-
-def step_ns(s: AgentState, u_sat: Scalar, m: NsModel) -> AgentState:
-    return AgentState(s.v, -s.x + 2 * m.a * s.v + u_sat)
-
-
-def inverse_step_di(s: AgentState, u_sat: Scalar) -> AgentState:
-    """Exact inverse of step_di given the applied saturated input."""
-    v = s.v - u_sat
-    return AgentState(s.x - v, v)
-
-
-def inverse_step_ns(s: AgentState, u_sat: Scalar, m: NsModel) -> AgentState:
-    v_prev = s.x
-    return AgentState(2 * m.a * v_prev + u_sat - s.v, v_prev)
-
-
-def _check_magnitude(value: Scalar) -> None:
-    if isinstance(value, Fraction):
-        if (
-            value.numerator.bit_length() > MAX_EXACT_BITS
-            or value.denominator.bit_length() > MAX_EXACT_BITS
-        ):
-            raise SimulationOverflowError(
-                "exact state exceeded the resource cap "
-                f"({MAX_EXACT_BITS} bits); rerun in float mode or fewer steps"
-            )
 
 
 _ONE = Fraction(1)
@@ -210,15 +154,16 @@ def ratios(U: list[int], E: int) -> tuple[Fraction, ...]:
 
 
 class LatticeColumn(Sequence):
-    """A read-only column of a `Trajectory` whose rows are kept as integers.
+    """A read-only column of a `Trajectory`, its rows kept in the lattice row layout.
 
-    `data[k]` is a lattice state (X, V, D) or an input row (U, E) with U a
-    list of numerators over E > 0; `decode` turns it into row k, a tuple of
-    `AgentState`s or of Fractions, on first access, and the row is cached.
-    Slices return tuples, and a column equals the tuple of its rows.  On the
-    states and raw inputs of an exact `simulate`, `lattice` is the `Lattice`
-    it stepped on, for checks of that loop and the CSV writer to reuse; it
-    takes no part in `==` or `hash`.
+    `data[k]` is a tick (X, V, D) or an input row (U, E): U a list of
+    numerators over E > 0, or on a float run the values themselves over
+    E = 1.0.  `decode` turns it into row k, a tuple of `AgentState`s or of
+    scalars, on first access, and the row is cached.  Slices return tuples,
+    and a column equals the tuple of its rows.  `kind` is the loop class
+    whose rows these are.  On the states and raw inputs of a `simulate`,
+    `lattice` is the loop it stepped on, for checks of that loop and the CSV
+    writer to reuse; it takes no part in `==` or `hash`.
     """
 
     __slots__ = ("data", "decode", "_rows", "lattice")
@@ -231,6 +176,11 @@ class LatticeColumn(Sequence):
 
     def __len__(self) -> int:
         return len(self.data)
+
+    @property
+    def kind(self) -> type[Lattice]:
+        """`Lattice` on rows over an integer denominator, `FloatLattice` on rows over 1.0."""
+        return Lattice if is_exact(self.data[0][-1]) else FloatLattice
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -260,6 +210,20 @@ def _weight_objects(g: WeightedGraph) -> dict[int, Scalar]:
     return {id(w): w for nbrs in g.adjacency for _, w in nbrs}
 
 
+def _check_tick(X: list[int], V: list[int], D: int) -> None:
+    """Raise `SimulationOverflowError` if a value of the tick, reduced, has a
+    numerator or denominator of more than `MAX_EXACT_BITS` bits."""
+    # a reduced value x/D has no more bits than x and D, so the values are
+    # reduced only when this bound exceeds the cap
+    if max(D, max(X), -min(X), max(V), -min(V)).bit_length() > MAX_EXACT_BITS:
+        for c in map(Fraction, chain(X, V), repeat(D)):
+            if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_EXACT_BITS:
+                raise SimulationOverflowError(
+                    "exact state exceeded the resource cap "
+                    f"({MAX_EXACT_BITS} bits); rerun in float mode or fewer steps"
+                )
+
+
 class Lattice:
     """The exact closed loop on integers, shared by `simulate` and the inverted period.
 
@@ -276,7 +240,18 @@ class Lattice:
     reduced denominators.  A tick of the paper's orbit, one state per class,
     `step` steps as its `two_classes`.  `graph`, `gains` and `ns` are the loop
     it was built for.  `weights`, when given, is `_weight_objects(g)`.
+
+    The static methods are the row layout's number kind, which
+    `FloatLattice` overrides: `encode`/`decode` a tick, `encode_inputs` and
+    `ratios` an input row, `texts` a row's CSV texts (`UNIT_TEXTS` those of
+    +-1), `over` a value as a numerator over a tick's D, `equal` the checks'
+    tick compare and `same` the compare that closes a run.
     """
+
+    #: rows of this kind hold integers, which the inverted period and the
+    #: mirrored CSV texts need
+    exact = True
+    UNIT_TEXTS = ("1", "-1")
 
     def __init__(
         self,
@@ -304,8 +279,9 @@ class Lattice:
     @staticmethod
     def of(
         g: WeightedGraph, gains: GainParams, ns: NsModel | None, values: Iterable[Scalar]
-    ) -> Optional["Lattice"]:
-        """The lattice of this loop, or None unless weights, gains, a and `values` are all exact."""
+    ) -> Lattice:
+        """This loop in its number kind: a `Lattice` when weights, gains, a and
+        `values` are all exact, else a `FloatLattice`."""
         weights = _weight_objects(g)
         exact = (
             is_exact(gains.alpha)
@@ -314,23 +290,46 @@ class Lattice:
             and all(map(is_exact, weights.values()))
             and all(map(is_exact, distinct(values)))
         )
-        return Lattice(g, gains, ns, weights) if exact else None
+        return Lattice(g, gains, ns, weights) if exact else FloatLattice(g, gains, ns)
 
-    @staticmethod
-    def encode(states: Sequence[AgentState]) -> LatticeState:
-        """The reduced tick of exact states: D is the lcm of the denominators.
+    @classmethod
+    def encode(cls, states: Sequence[tuple[Scalar, Scalar]]) -> LatticeState:
+        """The tick of (x, v) states, by `encode_inputs`.
 
-        The values are in lowest terms, so for each prime of D some numerator
-        over D is not a multiple of it: no factor is common to D and every
-        numerator, and equal states give equal ticks.
+        On exact states D is the lcm of the denominators.  The values are in
+        lowest terms, so for each prime of D some numerator over D is not a
+        multiple of it: no factor is common to D and every numerator, and
+        equal states give equal ticks.
         """
-        values = [s.x for s in states] + [s.v for s in states]
-        N, D = ratio_row(per_object(lambda c: (c.numerator, c.denominator), values))
+        N, D = cls.encode_inputs([x for x, _ in states] + [v for _, v in states])
         return N[: len(states)], N[len(states) :], D
 
     @staticmethod
     def decode(X: list[int], V: list[int], D: int) -> tuple[AgentState, ...]:
         return tuple(AgentState(Fraction(x, D), Fraction(v, D)) for x, v in zip(X, V))
+
+    @staticmethod
+    def encode_inputs(values: Sequence[Scalar]) -> tuple[list[int], int]:
+        """The exact values as numerators over the lcm of their denominators."""
+        return ratio_row(per_object(lambda c: (c.numerator, c.denominator), values))
+
+    ratios = staticmethod(ratios)
+    texts = staticmethod(ratio_texts)
+
+    @staticmethod
+    def over(N: int, q: int, D: int) -> Optional[int]:
+        """N/q as a numerator over D, or None when it is none."""
+        x, rest = divmod(N * D, q)
+        return None if rest else x
+
+    @staticmethod
+    def equal(a: tuple, b: tuple) -> bool:
+        """Whether two rows are equal; reduced ticks are equal exactly when their
+        states are.  D is compared first, which tells most ticks apart."""
+        return a[-1] == b[-1] and a == b
+
+    same = equal
+    check = staticmethod(_check_tick)
 
     def inputs(self, X: list[int], V: list[int]) -> list[int]:
         """Raw-input numerators U over E = K*D: sum_j w_ij (Y_j - Y_i), Y = A*X + B*V.
@@ -345,15 +344,6 @@ class Lattice:
             acc[e] - acc[s] - d * y
             for s, e, d, y in zip(self.starts, self.ends, self.degrees, Y)
         ]
-
-    @staticmethod
-    def saturated(u: int, E: int) -> Fraction:
-        """sat(u/E) as a Fraction."""
-        if u >= E:
-            return _ONE
-        if u <= -E:
-            return _MINUS_ONE
-        return Fraction(u, E)
 
     def two_classes(self, X: list[int], V: list[int]) -> Optional[Classes]:
         """The groups of a tick of exactly two distinct states, or None: each agent's
@@ -434,6 +424,82 @@ class Lattice:
         return _reduced(Xp, Vp, DM, mult)
 
 
+class FloatLattice(Lattice):
+    """The closed loop of a run with a float in it, in the lattice row layout.
+
+    A tick is (X, V, 1.0) and an input row (U, 1.0): the values themselves
+    over 1.0.  `inputs` sums u_i = alpha * sum w (x_j - x_i) + beta * sum w (v_j - v_i)
+    per agent in adjacency order, from the int 0, one `w*(x_j - x_i)` term
+    at a time, so every value is the per-agent stepper's bit for bit.
+    `step` and `_advance` are the `Lattice`'s with K = R = 1: E = D = 1.0,
+    mult = 1 and P = 2a.  The exact-only parts stay off: no two-class step,
+    whose prefix sums would reorder the float sums, and no inverted period.
+    """
+
+    exact = False
+    UNIT_TEXTS = ("1.0", "-1.0")
+
+    def __init__(self, g: WeightedGraph, gains: GainParams, ns: NsModel | None) -> None:
+        self.graph, self.gains, self.ns = g, gains, ns
+        self.K = self.R = 1
+        self.P = 2 * ns.a if ns is not None else 0
+
+    @staticmethod
+    def decode(X: list, V: list, D: float) -> tuple[AgentState, ...]:
+        return tuple(map(AgentState, X, V))
+
+    @staticmethod
+    def encode_inputs(values: Sequence[Scalar]) -> tuple[list, float]:
+        return list(values), 1.0
+
+    @staticmethod
+    def ratios(U: list, E: float) -> tuple:
+        return tuple(U)
+
+    @staticmethod
+    def texts(N: list, D: float) -> list[str]:
+        return list(map(format_scalar, N))
+
+    @staticmethod
+    def over(N: Scalar, q: float, D: float) -> Scalar:
+        """N itself: q and D are 1.0."""
+        return N
+
+    @staticmethod
+    def equal(a: tuple, b: tuple) -> bool:
+        """Whether two rows hold values equal under `scalars_equal`; rows of
+        equal finite values, the common case, are told by one list compare."""
+        if a[:-1] == b[:-1] and all(map(math.isfinite, chain(*a[:-1]))):
+            return True
+        return len(a[0]) == len(b[0]) and all(
+            map(scalars_equal, chain(*a[:-1]), chain(*b[:-1]))
+        )
+
+    @staticmethod
+    def same(a: tuple, b: tuple) -> bool:
+        """Whether two ticks are one state bit for bit: `==` alone would take
+        -0.0 for 0.0, and 0 for 0.0."""
+        return a == b and list(map(repr, chain(*a[:-1]))) == list(map(repr, chain(*b[:-1])))
+
+    @staticmethod
+    def check(X: list, V: list, D: float) -> None:
+        """Floats have no resource cap."""
+
+    def two_classes(self, X: list, V: list) -> None:
+        return None
+
+    def inputs(self, X: list, V: list) -> list:
+        alpha, beta = self.gains
+        U = []
+        for x, v, nbrs in zip(X, V, self.graph.adjacency):
+            acc_x = acc_v = 0
+            for j, w in nbrs:
+                acc_x = acc_x + w * (X[j] - x)
+                acc_v = acc_v + w * (V[j] - v)
+            U.append(alpha * acc_x + beta * acc_v)
+        return U
+
+
 def simulate(
     g: WeightedGraph,
     gains: GainParams,
@@ -443,36 +509,49 @@ def simulate(
 ) -> Trajectory:
     """Roll the closed-loop network forward, recording raw and saturated inputs.
 
-    A wholly exact run steps on the integer `Lattice` and returns
-    `LatticeColumn`s; any float input sends it through the per-agent
-    `control_inputs`/`step_*` path, which returns tuples.
+    The run steps on `Lattice.of` the loop and `init`: a wholly exact run on
+    the integer `Lattice`, any other on the `FloatLattice`.  Its rows are
+    ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E), each
+    S_i the raw U_i clamped to +-E.  A tick the loop finds the `same` as the
+    first is the start state again: from there on the deterministic loop
+    repeats its rows, which are shared by reference instead of stepped.  On
+    exact ticks the match compares D first, so a run off the orbit pays one
+    int compare per step; a run whose tick p `reflects` its start closes at
+    tick 2p.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    current = tuple(init)
-    if steps and len(current) != g.n:
-        raise ValueError(f"expected {g.n} agent states, got {len(current)}")
-    lattice = Lattice.of(g, gains, ns, (c for s in current for c in (s.x, s.v)))
-    if lattice is not None:
-        return _simulate_lattice(lattice, current, steps)
-    states = [current]
-    raw_hist: list[tuple[Scalar, ...]] = []
-    sat_hist: list[tuple[Scalar, ...]] = []
-    for _ in range(steps):
-        raw = control_inputs(g, gains, current)
-        sat = [saturate(u) for u in raw]
-        if ns is None:
-            nxt = tuple(step_di(s, u) for s, u in zip(current, sat))
-        else:
-            nxt = tuple(step_ns(s, u, ns) for s, u in zip(current, sat))
-        for s in nxt:
-            _check_magnitude(s.x)
-            _check_magnitude(s.v)
-        raw_hist.append(tuple(raw))
-        sat_hist.append(tuple(sat))
-        states.append(nxt)
-        current = nxt
-    return Trajectory(ns, tuple(states), tuple(raw_hist), tuple(sat_hist))
+    init = tuple(init)
+    if steps and len(init) != g.n:
+        raise ValueError(f"expected {g.n} agent states, got {len(init)}")
+    lattice = Lattice.of(g, gains, ns, (c for s in init for c in (s.x, s.v)))
+    tick = lattice.encode(init)
+    classes = lattice.two_classes(tick[0], tick[1]) if steps else None
+    ticks = [tick]
+    raw: list[tuple[list, Scalar]] = []
+    sat: list[tuple[list, Scalar]] = []
+    period = 0
+    for p in range(1, steps + 1):
+        tick, U, E = lattice.step(*tick, classes)
+        lattice.check(*tick)
+        raw.append((U, E))
+        sat.append((clamped(U, E), E))
+        if lattice.same(tick, ticks[0]):
+            period = p
+            break
+        ticks.append(tick)
+    if period:
+        # row j of every column is row j mod the period, the same object, so
+        # the CSV writer formats each repeated row once
+        ticks += [ticks[j % period] for j in range(len(ticks), steps + 1)]
+        raw += [raw[j % period] for j in range(len(raw), steps)]
+        sat += [sat[j % period] for j in range(len(sat), steps)]
+    states = LatticeColumn(ticks, lattice.decode)
+    states._rows[0] = init
+    raw_u = LatticeColumn(raw, lattice.ratios)
+    # raw row k holds the inputs this lattice computed at tick k
+    states.lattice = raw_u.lattice = lattice
+    return Trajectory(lattice.ns, states, raw_u, LatticeColumn(sat, lattice.ratios))
 
 
 def clamped(U: list[int], E: int) -> list[int]:
@@ -480,16 +559,6 @@ def clamped(U: list[int], E: int) -> list[int]:
     +-E, the saturated ones sharing the objects E and -E."""
     low = -E
     return [E if u >= E else low if u <= low else u for u in U]
-
-
-def _check_tick(X: list[int], V: list[int], D: int) -> None:
-    """Raise `SimulationOverflowError` if a value of the tick is over `MAX_EXACT_BITS`."""
-    # a reduced value x/D has no more bits than x and D, so the cap is read
-    # on the state's values only when this bound exceeds it
-    if max(D, max(X), -min(X), max(V), -min(V)).bit_length() > MAX_EXACT_BITS:
-        for s in Lattice.decode(X, V, D):
-            _check_magnitude(s.x)
-            _check_magnitude(s.v)
 
 
 def reflects(first: LatticeState, tick: LatticeState, ns: NsModel | None) -> bool:
@@ -510,44 +579,6 @@ def reflects(first: LatticeState, tick: LatticeState, ns: NsModel | None) -> boo
         return False
     C = X[0] + X0[0]
     return (ns is None or C == 0) and V == [-v for v in V0] and X == [C - x for x in X0]
-
-
-def _simulate_lattice(lattice: Lattice, init: tuple[AgentState, ...], steps: int) -> Trajectory:
-    """The exact run: ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E).
-
-    Ticks are reduced, so equal ticks are equal states.  A tick equal to the
-    first is the start state again: from there on the deterministic loop
-    repeats its rows, which are shared by reference instead of stepped.  The
-    match compares D first, so a run off the orbit pays one int compare per
-    step.  A run whose tick p `reflects` its start closes at tick 2p.
-    """
-    tick = lattice.encode(init)
-    classes = lattice.two_classes(tick[0], tick[1]) if steps else None
-    ticks = [tick]
-    raw: list[tuple[list[int], int]] = []
-    sat: list[tuple[list[int], int]] = []
-    period = 0
-    for p in range(1, steps + 1):
-        tick, U, E = lattice.step(*tick, classes)
-        _check_tick(*tick)
-        raw.append((U, E))
-        sat.append((clamped(U, E), E))
-        if tick[2] == ticks[0][2] and tick == ticks[0]:
-            period = p
-            break
-        ticks.append(tick)
-    if period:
-        # row j of every column is row j mod the period, the same object, so
-        # the CSV writer formats each repeated row once
-        ticks += [ticks[j % period] for j in range(len(ticks), steps + 1)]
-        raw += [raw[j % period] for j in range(len(raw), steps)]
-        sat += [sat[j % period] for j in range(len(sat), steps)]
-    states = LatticeColumn(ticks, Lattice.decode)
-    states._rows[0] = init
-    raw_u = LatticeColumn(raw, ratios)
-    # raw row k holds the inputs this lattice computed at tick k
-    states.lattice = raw_u.lattice = lattice
-    return Trajectory(lattice.ns, states, raw_u, LatticeColumn(sat, ratios))
 
 
 def _flat(value: object) -> list:

@@ -319,8 +319,8 @@ def synthesize_di(
 
     Positions are m/2 on the even class and 0 on the odd class, shifted so
     that `anchor` (by default the odd class, the minimum) sits at `base`.
-    They are Fractions when the gains and cross-edge weights are exact, and
-    floats otherwise.
+    Positions and velocities are Fractions when the gains and cross-edge
+    weights are exact, and floats otherwise.
     """
     if not check_gains_di(gains):
         raise GainConditionError(
@@ -356,8 +356,7 @@ def synthesize_di(
     else:
         even, odd = base + half, base
     # one start state per class, shared by its agents: v(0) = -m/2 on S_e, +m/2 on S_o
-    speed = Fraction(m, 2)
-    states = {True: AgentState(even, -speed), False: AgentState(odd, speed)}
+    states = {True: AgentState(even, -half), False: AgentState(odd, half)}
     init = tuple(states[i in p.s_even] for i in range(g.n))
     return OrbitPlan(ns=None, gains=gains, partition=p, half_period=m, init=init)
 
@@ -446,6 +445,10 @@ def synthesize_ns(
     checks = key_inequalities_ns(g, p, model, gains)
     bad = [edge for edge, first, second in checks if not (first and second)]
     if bad:
-        raise GainConditionError(f"cross-edge key inequalities fail on {bad}")
+        i, j = bad[0]
+        raise GainConditionError(
+            f"cross-edge key inequalities fail on {len(bad)} of {len(checks)} cross "
+            f"edges, first on edge ({i + 1}, {j + 1})"
+        )
     init = tuple(init_states_ns(model, p))
     return OrbitPlan(ns=model, gains=gains, partition=p, half_period=2, init=init)

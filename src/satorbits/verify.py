@@ -4,42 +4,32 @@ Pattern checks operate on the raw (unsaturated) inputs: the synthesis
 arguments bound u_i(k) itself, and sat(u) = +-1 alone would be a strictly
 weaker check.
 
-Every check has two paths, chosen by column type.  On a `LatticeColumn`, the
-columns of an exact run, it decides on the integers of the rows.  On a tuple
-column, the columns of a float run or of a CSV that differs from its
-re-simulation, it works per agent on the scalars (`inverse_step_*` with
-`control_inputs`, or `closed_form_di`) and compares through `states_equal`,
-which is bit-exact on rationals and allows `FLOAT_TOL` on floats.  The tuple
-path is the reference that the integer path is tested against.  The agent
-model is the trajectory's or plan's own `ns`.
+Every check reads a trajectory's `LatticeColumn`s in their row layout and
+has one body.  What depends on the number kind it takes from the column's
+`kind`: on the integers of an exact run, ticks compare with `==`, and on the
+values of a float run, through `scalars_equal`, within `FLOAT_TOL`.  The
+inverted period is exact-only, and the pattern bounds take no tolerance in
+either kind.  The agent model is the trajectory's or plan's own `ns`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .dynamics import (
     AgentState,
     GainParams,
     Lattice,
-    LatticeColumn,
     NsModel,
     Trajectory,
     clamped,
-    control_inputs,
-    inverse_step_di,
-    inverse_step_ns,
     ratios,
-    saturate,
     simulate,
-    states_equal,
 )
 from .graphs import Partition, WeightedGraph
 from .records import Record
-from .scalars import Scalar, is_exact, scalars_equal
+from .scalars import Scalar
 from .synthesis import OrbitPlan, PatternSpec
 
 
@@ -58,88 +48,62 @@ class BackwardExtensionError(ValueError):
     """The recorded inputs do not extend the trajectory one period backward."""
 
 
-def _trajectory_is_exact(t: Trajectory) -> bool:
-    # a `LatticeColumn` of states holds integer ticks
-    if isinstance(t.states, LatticeColumn):
-        return True
-    return all(is_exact(s.x) and is_exact(s.v) for s in t.states[0])
-
-
 def backward_states(
     t: Trajectory,
     g: WeightedGraph,
     gains: GainParams,
     T: int,
-) -> list[AgentState]:
+) -> Optional[list[AgentState]]:
     """Invert one period, extending the input sequence T-periodically.
 
     Starting from states[0], each backward step applies the exact inverse of
     the one-step map with the saturated input recorded one period later, then
     confirms the controller at the reconstructed state reproduces that input.
-    Returns the state at time -T; raises `BackwardExtensionError` at the first
-    input the controller does not reproduce.  A `LatticeColumn` trajectory is
-    inverted on the `Lattice` from its tick `states.data[0]`, with its integer
-    rows S/Es as they are, decoded only to name a mismatch; the lattice is
-    `t.states.lattice` when that was built from these graph and gains objects
-    and `t.ns`.  Reduced ticks are equal exactly when the states are, so on
-    the run's own lattice (`t.raw_u.lattice` too) an unstepped tick equal to
-    the recorded tick `t.states.data[T - back]` takes its inputs from the raw
-    row the run computed there, not from `Lattice.inputs`; and a tick at -T
-    equal to the start tick gives the start row `t.states[0]` itself.  A
-    tuple column is inverted per agent with `inverse_step_*` and
-    `control_inputs`.
+    Returns the state at time -T, or None unless the ticks and the loop are
+    exact; raises `BackwardExtensionError` at the first input the controller
+    does not reproduce.  The trajectory is inverted on the `Lattice` from its
+    tick `states.data[0]`, with its integer rows S/Es as they are, decoded
+    only to name a mismatch; the lattice is `t.states.lattice` when that was
+    built from these graph and gains objects and `t.ns`.  Reduced ticks are
+    equal exactly when the states are, so on the run's own lattice
+    (`t.raw_u.lattice` too) an unstepped tick equal to the recorded tick
+    `t.states.data[T - back]` takes its inputs from the raw row the run
+    computed there, not from `Lattice.inputs`; and a tick at -T equal to the
+    start tick gives the start row `t.states[0]` itself.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
-    lattice = None
-    if isinstance(t.states, LatticeColumn) and isinstance(t.sat_u, LatticeColumn):
-        lattice = t.states.lattice
-        # reused only for the graph and gains objects and the model it was built for
-        if not (
-            lattice is not None
-            and lattice.graph is g
-            and lattice.gains is gains
-            and lattice.ns == t.ns
-        ):
-            # the states are integer ticks, so only the loop's exactness is open
-            lattice = Lattice.of(g, gains, t.ns, ())
-    if lattice is not None:
-        X, V, D = t.states.data[0]
-        # the run's own lattice recorded its inputs at each of its ticks
-        own = isinstance(t.raw_u, LatticeColumn) and t.raw_u.lattice is lattice is t.states.lattice
-    else:
-        current = list(t.states[0])
+    X, V, D = t.states.data[0]
+    lattice = t.states.lattice
+    # reused only for the graph and gains objects and the model it was built for
+    if not (
+        lattice is not None and lattice.graph is g and lattice.gains is gains and lattice.ns == t.ns
+    ):
+        lattice = Lattice.of(g, gains, t.ns, (D,))
+    if not lattice.exact:
+        return None
+    # the run's own lattice recorded its inputs at each of its ticks
+    own = t.raw_u.lattice is lattice is t.states.lattice
     for back in range(1, T + 1):
-        if lattice is None:
-            sat = t.sat_u[T - back]
-            if t.ns is None:
-                current = [inverse_step_di(s, u) for s, u in zip(current, sat)]
-            else:
-                current = [inverse_step_ns(s, u, t.ns) for s, u in zip(current, sat)]
-            recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
+        S, Es = t.sat_u.data[T - back]
+        tick = X, V, D = lattice.unstep(X, V, D, S, Es)
+        if own and tick == t.states.data[T - back]:
+            U, E = t.raw_u.data[T - back]
         else:
-            S, Es = t.sat_u.data[T - back]
-            tick = X, V, D = lattice.unstep(X, V, D, S, Es)
-            if own and tick == t.states.data[T - back]:
-                U, E = t.raw_u.data[T - back]
-            else:
-                E = lattice.K * D
-                U = lattice.inputs(X, V)
-            # sat(u/E) == s/Es; over Es == E (an own run's rows) that is S == clamped(U, E)
-            if (S == clamped(U, E)) if Es == E else all(
-                s == Es if u >= E else s == -Es if u <= -E else u * Es == s * E
-                for u, s in zip(U, S)
-            ):
-                continue
-            sat, recomputed = ratios(S, Es), [lattice.saturated(u, E) for u in U]
-        for i, (u_used, u_new) in enumerate(zip(sat, recomputed)):
-            if not scalars_equal(u_used, u_new):
-                raise BackwardExtensionError(
-                    f"backward extension inconsistent at time {-back}, agent "
-                    f"{i + 1}: input {u_new} vs recorded {u_used}"
-                )
-    if lattice is None:
-        return current
+            E = lattice.K * D
+            U = lattice.inputs(X, V)
+        # sat(u/E) == s/Es; over Es == E (an own run's rows) that is S == clamped(U, E)
+        if (S == clamped(U, E)) if Es == E else all(
+            s == Es if u >= E else s == -Es if u <= -E else u * Es == s * E
+            for u, s in zip(U, S)
+        ):
+            continue
+        sat, recomputed = ratios(S, Es), ratios(clamped(U, E), E)
+        i = next(i for i, (used, new) in enumerate(zip(sat, recomputed)) if used != new)
+        raise BackwardExtensionError(
+            f"backward extension inconsistent at time {-back}, agent "
+            f"{i + 1}: input {recomputed[i]} vs recorded {sat[i]}"
+        )
     if (X, V, D) == t.states.data[0]:
         return list(t.states[0])
     return list(lattice.decode(X, V, D))
@@ -154,105 +118,66 @@ def check_periodicity(
     """states[T] == states[0]; in exact mode, also one inverted period.
 
     The backward check (two-sided periodicity) runs when `graph` and `gains`
-    are supplied and the trajectory is exact; recorded inputs that do not
-    extend backward fail it.  Exact states are compared with `==`.
+    are supplied and the ticks and the loop are exact; recorded inputs that
+    do not extend backward fail it.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
-    if isinstance(t.states, LatticeColumn):
-        # reduced ticks are equal exactly when the states are
-        if t.states.data[T] != t.states.data[0]:
-            return False
-    elif not states_equal(t.states[T], t.states[0]):
+    if not t.states.kind.equal(t.states.data[T], t.states.data[0]):
         return False
-    if graph is not None and gains is not None and _trajectory_is_exact(t):
-        try:
-            before = backward_states(t, graph, gains, T)
-        except BackwardExtensionError:
-            return False
-        # on a `LatticeColumn` `backward_states` has compared the tick at -T
-        # with the start tick and, when they are equal, returned the start
-        # row's own states, so this compares them by identity
-        return tuple(before) == tuple(t.states[0])
-    return True
+    if graph is None or gains is None:
+        return True
+    try:
+        before = backward_states(t, graph, gains, T)
+    except BackwardExtensionError:
+        return False
+    # `backward_states` has compared the tick at -T with the start tick and,
+    # when they are equal, returned the start row's own states, so this
+    # compares them by identity
+    return before is None or tuple(before) == tuple(t.states[0])
 
 
 def check_pattern(t: Trajectory, p: Partition, pattern: PatternSpec) -> PatternReport:
     """Verify raw u_i(k) >= 1 / <= -1 per class and phase over one period.
 
-    The sign is read once per step and class.  The bounds admit no
-    tolerance, on the integers of a `LatticeColumn` and on the scalars of a
-    tuple column alike.
+    The sign is read once per step and class.  A raw row is U over E > 0,
+    so u >= 1 is U >= E and u <= -1 is U <= -E: the bounds admit no
+    tolerance, on integers and on floats (E = 1.0) alike.
     """
     T = pattern.period
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     violations: list[tuple[int, int, Scalar]] = []
     even = [i in p.s_even for i in range(t.n)]
-    lattice = isinstance(t.raw_u, LatticeColumn)
+    decode = t.raw_u.decode
     for k in range(T):
         # an agent is driven up (+1) when its class is the one the phase drives up
         up = pattern.sign_at(k, True) > 0
-        if lattice:
-            # u = U/E with E > 0: u >= 1 is U >= E and u <= -1 is U <= -E
-            U, E = t.raw_u.data[k]
-            for i, u in enumerate(U):
-                if not (u >= E if even[i] == up else u <= -E):
-                    violations.append((k, i, Fraction(u, E)))
-        else:
-            for i, u in enumerate(t.raw_u[k]):
-                if not (u >= 1 if even[i] == up else u <= -1):
-                    violations.append((k, i, u))
+        U, E = t.raw_u.data[k]
+        for i, u in enumerate(U):
+            if not (u >= E if even[i] == up else u <= -E):
+                violations.append((k, i, decode([u], E)[0]))
     return PatternReport(not violations, tuple(violations))
-
-
-def closed_form_di(x0: Scalar, v0: Scalar, m: int, k: int, *, even: bool) -> AgentState:
-    """Piecewise closed form of the saturated double-integrator orbit.
-
-    The even class drives with +1 for m steps then -1; the odd class is mirrored.
-    `even` is keyword-only: an older `(x0, v0, "odd", m, k)` call fails loudly.
-    """
-    if not 0 <= k <= 2 * m:
-        raise ValueError(f"step {k} outside [0, {2 * m}]")
-    sign = 1 if even else -1
-    if k <= m:
-        x = x0 + k * v0 + sign * Fraction(k * (k - 1), 2)
-        v = v0 + sign * k
-        return AgentState(x, v)
-    xm = x0 + m * v0 + sign * Fraction(m * (m - 1), 2)
-    vm = v0 + sign * m
-    d = k - m
-    x = xm + d * vm - sign * Fraction(d * (d - 1), 2)
-    v = vm - sign * d
-    return AgentState(x, v)
-
-
-def _closed_form_start(x0: Fraction, v0: Fraction, even: bool) -> tuple[int, int, int, int]:
-    """(q, X0, V0, sq): x0 and v0 as numerators over q, the lcm of their
-    denominators, and sq = q signed by the class's first drive."""
-    q = math.lcm(x0.denominator, v0.denominator)
-    X0, V0 = x0.numerator * (q // x0.denominator), v0.numerator * (q // v0.denominator)
-    return q, X0, V0, q if even else -q
 
 
 def oracle_check_di(t: Trajectory, plan: OrbitPlan) -> bool:
     """Every recorded state matches the closed form (independent of the stepper).
 
-    The closed form is built once per distinct `(x0, v0, class)`, keyed by
-    the identity of the start values: agents that share their start state
-    objects but not their class get a form each.  On a `LatticeColumn`, for
-    an exact plan, it is computed on integers over q, the lcm of the
-    denominators of x0 and v0; a numerator x over the tick's D matches X
-    over q exactly when x = X*D/q, so each form is scaled to D once per step
-    and the tick's numerators are compared with those integers.  On a tuple
-    column `closed_form_di` and `states_equal` do it per agent.
+    The even class drives with +1 for m steps then -1; the odd class is
+    mirrored, so with up = steps driven by the first sign and down = steps
+    since it flipped, x = x0 + k v0 + sign (up(up-1)/2 + down up - down(down-1)/2)
+    and v = v0 + sign (up - down).  The form is built once per distinct
+    `(x0, v0, class)`, keyed by the identity of the start values: agents that
+    share their start state objects but not their class get a form each.
+    Each form holds x0 and v0 as numerators over q (`encode_inputs`: the lcm
+    of their denominators on an exact plan, 1.0 on floats), is scaled to the
+    tick's D once per step (`over`), and the tick is compared with those
+    numerators (`equal`).
     """
     m = plan.half_period
     if t.steps < 2 * m:
         raise ValueError(f"trajectory covers {t.steps} steps, need {2 * m}")
-    lattice = isinstance(t.states, LatticeColumn) and all(
-        is_exact(s.x) and is_exact(s.v) for s in plan.init
-    )
+    kind = t.states.kind
     even = plan.partition.s_even
     slots: dict[tuple[int, int, bool], int] = {}
     forms = []
@@ -261,36 +186,25 @@ def oracle_check_di(t: Trajectory, plan: OrbitPlan) -> bool:
         key = (id(s.x), id(s.v), i in even)
         if key not in slots:
             slots[key] = len(forms)
-            forms.append(
-                _closed_form_start(s.x, s.v, key[2])
-                if lattice
-                else [closed_form_di(s.x, s.v, m, k, even=key[2]) for k in range(2 * m + 1)]
-            )
+            (X0, V0), q = kind.encode_inputs([s.x, s.v])
+            forms.append((q, X0, V0, q if key[2] else -q))
         agent_form.append(slots[key])
-    if not lattice:
-        return all(
-            states_equal([t.states[k][i]], [forms[f][k]])
-            for i, f in enumerate(agent_form)
-            for k in range(2 * m + 1)
-        )
     for k in range(2 * m + 1):
-        # up = steps driven by the first sign, down = steps since it flipped:
-        # x = x0 + k v0 + sign (up(up-1)/2 + down up - down(down-1)/2)
         up = min(k, m)
         down = k - up
         drift = up * (up - 1) // 2 + down * up - down * (down - 1) // 2
-        Xk, Vk, D = t.states.data[k]
+        tick = t.states.data[k]
+        D = tick[2]
         want_x, want_v = [], []
         for q, X0, V0, sq in forms:
-            x, x_rest = divmod((X0 + k * V0 + sq * drift) * D, q)
-            v, v_rest = divmod((V0 + sq * (up - down)) * D, q)
-            if x_rest or v_rest:
-                return False  # no numerator over D is X/q or V/q
+            x = kind.over(X0 + k * V0 + sq * drift, q, D)
+            v = kind.over(V0 + sq * (up - down), q, D)
+            if x is None or v is None:
+                return False  # no numerator over D is x or v
             want_x.append(x)
             want_v.append(v)
-        if list(map(want_x.__getitem__, agent_form)) != Xk:
-            return False
-        if list(map(want_v.__getitem__, agent_form)) != Vk:
+        want = list(map(want_x.__getitem__, agent_form)), list(map(want_v.__getitem__, agent_form))
+        if not kind.equal((*want, D), tick):
             return False
     return True
 
@@ -313,12 +227,8 @@ def minimal_period(
     t = rollout
     if t is None or t.steps < T_max or tuple(t.states[0]) != tuple(init):
         t = simulate(g, gains, init, T_max, ns=ns)
-    if isinstance(t.states, LatticeColumn):
-        ticks = t.states.data
-        return next((k for k in range(1, T_max + 1) if ticks[k] == ticks[0]), None)
-    return next(
-        (k for k in range(1, T_max + 1) if states_equal(t.states[k], t.states[0])), None
-    )
+    ticks, equal = t.states.data, t.states.kind.equal
+    return next((k for k in range(1, T_max + 1) if equal(ticks[k], ticks[0])), None)
 
 
 def verification_report(

@@ -1,0 +1,263 @@
+"""The per-agent reference: the controller, the steppers and the scalar
+bodies of the checks, on trajectories whose columns are tuples of rows.
+
+`satorbits` steps and checks every run in the lattice row layout (`Lattice`
+on integers, `FloatLattice` on floats).  These functions do the same agent
+by agent on the scalars themselves, and the differential tests compare the
+two: the kernels bit for bit, and each check's one body with its body here
+on a `tuple_copy` (`test_lattice_paths.assert_paths_agree`).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import count, repeat
+from typing import Optional, Sequence
+
+from satorbits.cli import CSV_HEADER
+from satorbits.dynamics import (
+    AgentState,
+    FloatLattice,
+    GainParams,
+    Lattice,
+    LatticeColumn,
+    NsModel,
+    Trajectory,
+)
+from satorbits.graphs import Partition, WeightedGraph
+from satorbits.scalars import Scalar, format_scalar, is_exact, scalars_equal
+from satorbits.synthesis import OrbitPlan, PatternSpec
+from satorbits.verify import BackwardExtensionError, PatternReport
+
+# ---------------------------------------------------------------------------
+# the loop, agent by agent
+
+
+def saturate(u: Scalar) -> Scalar:
+    """sgn(u) * min(1, |u|)."""
+    one = 1 if is_exact(u) else 1.0
+    if u > one:
+        return one
+    if u < -one:
+        return -one
+    return u
+
+
+def control_inputs(
+    g: WeightedGraph, gains: GainParams, states: Sequence[AgentState]
+) -> list[Scalar]:
+    """u_i = alpha * sum a_ij (x_j - x_i) + beta * sum a_ij (v_j - v_i)."""
+    if len(states) != g.n:
+        raise ValueError(f"expected {g.n} agent states, got {len(states)}")
+    out: list[Scalar] = []
+    for i in range(g.n):
+        acc_x = 0
+        acc_v = 0
+        for j, w in g.adjacency[i]:
+            acc_x = acc_x + w * (states[j].x - states[i].x)
+            acc_v = acc_v + w * (states[j].v - states[i].v)
+        out.append(gains.alpha * acc_x + gains.beta * acc_v)
+    return out
+
+
+def step_di(s: AgentState, u_sat: Scalar) -> AgentState:
+    return AgentState(s.x + s.v, s.v + u_sat)
+
+
+def step_ns(s: AgentState, u_sat: Scalar, m: NsModel) -> AgentState:
+    return AgentState(s.v, -s.x + 2 * m.a * s.v + u_sat)
+
+
+def inverse_step_di(s: AgentState, u_sat: Scalar) -> AgentState:
+    """Exact inverse of step_di given the applied saturated input."""
+    v = s.v - u_sat
+    return AgentState(s.x - v, v)
+
+
+def inverse_step_ns(s: AgentState, u_sat: Scalar, m: NsModel) -> AgentState:
+    v_prev = s.x
+    return AgentState(2 * m.a * v_prev + u_sat - s.v, v_prev)
+
+
+def closed_form_di(x0: Scalar, v0: Scalar, m: int, k: int, *, even: bool) -> AgentState:
+    """Piecewise closed form of the saturated double-integrator orbit.
+
+    The even class drives with +1 for m steps then -1; the odd class is mirrored.
+    `even` is keyword-only: an older `(x0, v0, "odd", m, k)` call fails loudly.
+    """
+    if not 0 <= k <= 2 * m:
+        raise ValueError(f"step {k} outside [0, {2 * m}]")
+    sign = 1 if even else -1
+    if k <= m:
+        x = x0 + k * v0 + sign * Fraction(k * (k - 1), 2)
+        v = v0 + sign * k
+        return AgentState(x, v)
+    xm = x0 + m * v0 + sign * Fraction(m * (m - 1), 2)
+    vm = v0 + sign * m
+    d = k - m
+    x = xm + d * vm - sign * Fraction(d * (d - 1), 2)
+    v = vm - sign * d
+    return AgentState(x, v)
+
+
+def states_equal(a: Sequence[AgentState], b: Sequence[AgentState]) -> bool:
+    """Agentwise `scalars_equal`: bit-exact for rationals, within `FLOAT_TOL` for floats."""
+    return all(scalars_equal(p.x, q.x) and scalars_equal(p.v, q.v) for p, q in zip(a, b))
+
+
+def rollout(g, gains, init, steps, ns=None):
+    """(states, raw inputs, saturated inputs) of the per-agent stepper, tuples of rows."""
+    states, raw_hist, sat_hist = [tuple(init)], [], []
+    for _ in range(steps):
+        raw = control_inputs(g, gains, states[-1])
+        sat = [saturate(u) for u in raw]
+        if ns is None:
+            nxt = tuple(step_di(s, u) for s, u in zip(states[-1], sat))
+        else:
+            nxt = tuple(step_ns(s, u, ns) for s, u in zip(states[-1], sat))
+        states.append(nxt)
+        raw_hist.append(tuple(raw))
+        sat_hist.append(tuple(sat))
+    return tuple(states), tuple(raw_hist), tuple(sat_hist)
+
+
+def simulate(g, gains, init, steps, ns=None) -> Trajectory:
+    """The per-agent run as a trajectory of tuple columns."""
+    return Trajectory(ns, *rollout(g, gains, init, steps, ns))
+
+
+# ---------------------------------------------------------------------------
+# the two layouts of a trajectory
+
+
+def tuple_copy(t: Trajectory) -> Trajectory:
+    return t._replace(states=tuple(t.states), raw_u=tuple(t.raw_u), sat_u=tuple(t.sat_u))
+
+
+def lattice_copy(t: Trajectory) -> Trajectory:
+    """The trajectory t with its rows rebuilt in the row layout of their number
+    kind, as the CSV reader builds them: on exact rows each state row by
+    `Lattice.encode` and each input row by `ratio_row` over the lcm of its
+    denominators, on float rows the values over 1.0.  No lattice is kept for
+    the checks to reuse."""
+    values = [c for row in t.states for s in row for c in s]
+    kind = Lattice if all(map(is_exact, values)) else FloatLattice
+    return t._replace(
+        states=LatticeColumn([kind.encode(row) for row in t.states], kind.decode),
+        raw_u=LatticeColumn([kind.encode_inputs(row) for row in t.raw_u], kind.ratios),
+        sat_u=LatticeColumn([kind.encode_inputs(row) for row in t.sat_u], kind.ratios),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the checks' scalar bodies, on tuple columns
+
+
+def backward_states(t: Trajectory, g: WeightedGraph, gains: GainParams, T: int) -> list[AgentState]:
+    """Invert one period per agent with `inverse_step_*`, confirming each
+    recorded input through `control_inputs`; messages as `verify.backward_states`."""
+    if t.steps < T:
+        raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
+    current = list(t.states[0])
+    for back in range(1, T + 1):
+        sat = t.sat_u[T - back]
+        if t.ns is None:
+            current = [inverse_step_di(s, u) for s, u in zip(current, sat)]
+        else:
+            current = [inverse_step_ns(s, u, t.ns) for s, u in zip(current, sat)]
+        recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
+        for i, (u_used, u_new) in enumerate(zip(sat, recomputed)):
+            if not scalars_equal(u_used, u_new):
+                raise BackwardExtensionError(
+                    f"backward extension inconsistent at time {-back}, agent "
+                    f"{i + 1}: input {u_new} vs recorded {u_used}"
+                )
+    return current
+
+
+def check_periodicity(
+    t: Trajectory,
+    T: int,
+    graph: Optional[WeightedGraph] = None,
+    gains: Optional[GainParams] = None,
+) -> bool:
+    if t.steps < T:
+        raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
+    if not states_equal(t.states[T], t.states[0]):
+        return False
+    exact = all(is_exact(s.x) and is_exact(s.v) for s in t.states[0])
+    if graph is not None and gains is not None and exact:
+        try:
+            before = backward_states(t, graph, gains, T)
+        except BackwardExtensionError:
+            return False
+        return tuple(before) == tuple(t.states[0])
+    return True
+
+
+def check_pattern(t: Trajectory, p: Partition, pattern: PatternSpec) -> PatternReport:
+    T = pattern.period
+    if t.steps < T:
+        raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
+    violations = []
+    even = [i in p.s_even for i in range(t.n)]
+    for k in range(T):
+        up = pattern.sign_at(k, True) > 0
+        for i, u in enumerate(t.raw_u[k]):
+            if not (u >= 1 if even[i] == up else u <= -1):
+                violations.append((k, i, u))
+    return PatternReport(not violations, tuple(violations))
+
+
+def oracle_check_di(t: Trajectory, plan: OrbitPlan) -> bool:
+    """Every state against `closed_form_di`, per agent through `states_equal`."""
+    m = plan.half_period
+    if t.steps < 2 * m:
+        raise ValueError(f"trajectory covers {t.steps} steps, need {2 * m}")
+    even = plan.partition.s_even
+    return all(
+        states_equal([t.states[k][i]], [closed_form_di(s.x, s.v, m, k, even=i in even)])
+        for i, s in enumerate(plan.init)
+        for k in range(2 * m + 1)
+    )
+
+
+def minimal_period(g, gains, init, T_max, ns=None, rollout=None) -> Optional[int]:
+    if T_max < 1:
+        raise ValueError("T_max must be >= 1")
+    t = rollout
+    if t is None or t.steps < T_max or tuple(t.states[0]) != tuple(init):
+        t = simulate(g, gains, init, T_max, ns=ns)
+    return next(
+        (k for k in range(1, T_max + 1) if states_equal(t.states[k], t.states[0])), None
+    )
+
+
+def trajectory_to_csv(t: Trajectory) -> str:
+    """The CSV, value by value through `format_scalar`."""
+    lines = [CSV_HEADER + "\n"]
+    for k, row in enumerate(t.states):
+        if k < t.steps:
+            inputs = zip(map(format_scalar, t.raw_u[k]), map(format_scalar, t.sat_u[k]))
+        else:
+            inputs = repeat(("", ""))
+        for i, s, (u_raw, u_sat) in zip(count(1), row, inputs):
+            lines.append(f"{k},{i},{format_scalar(s.x)},{format_scalar(s.v)},{u_raw},{u_sat}\n")
+    return "".join(lines)
+
+
+def trajectory_consistent(t: Trajectory, g: WeightedGraph, gains: GainParams) -> Optional[dict]:
+    """The first (step, agent) where t differs from its per-agent re-simulation
+    under `scalars_equal`, or None; as the mismatch of `cli._trajectory_consistent`."""
+    resim = simulate(g, gains, t.states[0], t.steps, ns=t.ns)
+    for k in range(t.steps + 1):
+        rows = [(resim.states, t.states)]
+        if k < t.steps:
+            rows += [(resim.raw_u, t.raw_u), (resim.sat_u, t.sat_u)]
+        for i in range(t.n):
+            if not (
+                states_equal([resim.states[k][i]], [t.states[k][i]])
+                and all(scalars_equal(ours[k][i], theirs[k][i]) for ours, theirs in rows[1:])
+            ):
+                return {"step": k, "agent": i + 1}
+    return None

@@ -107,6 +107,22 @@ class TestSynthesizeCmd:
         )
         assert code == EXIT_GATE
 
+    def test_failed_key_inequality_names_its_edge(self, tmp_path, capsys):
+        """Gains on the gate's float boundary: w(alpha - beta)/a rounds to just
+        above -1 on the one cross edge, which the message names 1-based."""
+        graph = tmp_path / "graph.txt"
+        graph.write_text("n 2\n1 2 3.5\n")
+        argv = ["synthesize", str(graph), "--mode", "float", "--model", "ns", "--a", "0.04"]
+        argv += ["--alpha", "1.95", "--beta", "1.9614285714285713"]
+        capsys.readouterr()
+        assert main(argv) == EXIT_GATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: gain gate failed: cross-edge key inequalities fail on 1 of 1 "
+            "cross edges, first on edge (1, 2)\n"
+        )
+
 
 class TestSimulateCmd:
     def test_plan_round_trip_periodic(self, tmp_path):
@@ -1733,29 +1749,37 @@ def test_lattice_is_built_once_per_command(command, base, csv_artifacts, tmp_pat
 def test_only_a_csv_unlike_its_resimulation_is_checked_per_agent(
     base, edit, consistent, csv_artifacts, tmp_path, capsys, monkeypatch
 ):
-    """An exact CSV equal to its re-simulation is checked on the re-simulation's
-    lattice; one that differs is checked on its own tuples, whose inverted
-    period steps back per agent through `inverse_step_*`."""
+    """An exact CSV equal to its re-simulation is compared row by row and
+    checked on the re-simulation's columns and lattice; one that differs is
+    searched agent by agent through `scalars_equal` for its first mismatch,
+    and checked on the columns the reader built, which carry no lattice."""
     argv, text = csv_artifacts[base]
     csv_file = tmp_path / "traj.csv"
     csv_file.write_text(EDITS[edit](text))
-    calls = []
-    for name in ("inverse_step_di", "inverse_step_ns"):
+    checked, compared = [], []
+    real_check, real_equal = verify.check_periodicity, cli.scalars_equal
 
-        def counting(*args, real=getattr(verify, name)):
-            calls.append(args)
-            return real(*args)
+    def recording(t, *args, **kwargs):
+        checked.append(t.states.lattice)
+        return real_check(t, *args, **kwargs)
 
-        monkeypatch.setattr(verify, name, counting)
+    def counting(x, y):
+        compared.append(x)
+        return real_equal(x, y)
+
+    monkeypatch.setattr(verify, "check_periodicity", recording)
+    monkeypatch.setattr(cli, "scalars_equal", counting)
     code, out, _ = _verify_outcome([*argv[:-1], str(csv_file)], capsys)
     report = json.loads(out)
     assert report["consistency"] is consistent
     # the edited step 1 leaves step T equal to step 0, so the inversion runs
     assert report["periodicity"] is True
+    assert len(checked) == 1
     if consistent:
-        assert code == EXIT_OK and not calls
+        assert code == EXIT_OK and checked[0] is not None and not compared
     else:
-        assert code == EXIT_VERIFY and calls
+        assert code == EXIT_VERIFY and checked[0] is None and compared
+        assert report["consistency_first_mismatch"]["step"] == 1
 
 
 @pytest.mark.parametrize("base,mode", [("di", "exact"), ("di-float", "float")])

@@ -7,31 +7,36 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference
 import satorbits.dynamics as dynamics
 from satorbits import (
     AgentState,
     GainParams,
     NsModel,
-    control_inputs,
     normalize_ns,
     parse_graph,
-    saturate,
     simulate,
-    step_di,
-    step_ns,
 )
 from satorbits.dynamics import (
+    FloatLattice,
     Lattice,
     LatticeColumn,
     NormalizationError,
     SimulationOverflowError,
-    inverse_step_di,
-    inverse_step_ns,
-    states_equal,
 )
 from satorbits.synthesis import synthesize_ns
 from satorbits.verify import backward_states, verification_report
 from satorbits.graphs import WeightedGraph
+from reference import (
+    control_inputs,
+    inverse_step_di,
+    inverse_step_ns,
+    rollout,
+    saturate,
+    states_equal,
+    step_di,
+    step_ns,
+)
 from test_graphs import random_connected_edges, random_connected_graph
 
 
@@ -167,40 +172,12 @@ class TestSimulate:
             simulate(graph7, gains_di, reference_init_di, 40)
 
 
-def reference_rollout(g, gains, init, steps, ns=None):
-    """The per-agent Fraction stepper: control_inputs, saturate, step_di/step_ns."""
-    states, raw_hist, sat_hist = [tuple(init)], [], []
-    for _ in range(steps):
-        raw = control_inputs(g, gains, states[-1])
-        sat = [saturate(u) for u in raw]
-        if ns is None:
-            nxt = tuple(step_di(s, u) for s, u in zip(states[-1], sat))
-        else:
-            nxt = tuple(step_ns(s, u, ns) for s, u in zip(states[-1], sat))
-        states.append(nxt)
-        raw_hist.append(tuple(raw))
-        sat_hist.append(tuple(sat))
-    return tuple(states), tuple(raw_hist), tuple(sat_hist)
-
-
 def reference_backward(t, g, gains, T):
     """Per-agent inversion of one period: the state at -T, or the mismatch message."""
-    ns = t.ns
-    current = list(t.states[0])
-    for back in range(1, T + 1):
-        sat = t.sat_u[T - back]
-        if ns is None:
-            current = [inverse_step_di(s, u) for s, u in zip(current, sat)]
-        else:
-            current = [inverse_step_ns(s, u, ns) for s, u in zip(current, sat)]
-        recomputed = [saturate(u) for u in control_inputs(g, gains, current)]
-        for i, (used, new) in enumerate(zip(sat, recomputed)):
-            if used != new:
-                return (
-                    f"backward extension inconsistent at time {-back}, agent "
-                    f"{i + 1}: input {new} vs recorded {used}"
-                )
-    return current
+    try:
+        return reference.backward_states(t, g, gains, T)
+    except ValueError as exc:
+        return str(exc)
 
 
 def kernel_backward(t, g, gains, T):
@@ -229,7 +206,7 @@ class TestLatticeKernel:
 
     def assert_same_orbit(self, g, gains, init, steps, ns=None):
         t = simulate(g, gains, init, steps, ns=ns)
-        states, raw, sat = reference_rollout(g, gains, init, steps, ns)
+        states, raw, sat = rollout(g, gains, init, steps, ns)
         assert t.states == states
         assert t.raw_u == raw
         assert t.sat_u == sat
@@ -322,13 +299,13 @@ class TestLatticeKernel:
             t = self.assert_same_orbit(graph7, gains_ns, init, 16, NsModel(a))
             self.assert_same_inversion(end_anchored(t), graph7, gains_ns, 16)
 
-    def test_float_mode_uses_reference_path(self):
+    def test_float_mode_equals_the_reference_path(self):
         g = parse_graph("1 2 1", mode="float")
         gains = GainParams(0.4, 0.42)
         init = [AgentState(0.0, 0.0), AgentState(5.0, 0.0)]
-        assert Lattice.of(g, gains, None, [0.0, 0.0, 5.0, 0.0]) is None
+        assert type(Lattice.of(g, gains, None, [0.0, 0.0, 5.0, 0.0])) is FloatLattice
         t = simulate(g, gains, init, 6)
-        assert t.states == reference_rollout(g, gains, init, 6)[0]
+        assert t.states == rollout(g, gains, init, 6)[0]
         assert isinstance(t.states[6][0].x, float)
 
     def test_lattice_denominator_is_reduced(self, graph7, gains_di, gains_ns, reference_init_di):

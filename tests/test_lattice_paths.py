@@ -1,9 +1,9 @@
 """Lattice-backed trajectories against their tuple copies.
 
-An exact `simulate` returns `LatticeColumn`s, and the checks take an integer
-path on them; a tuple column, such as a CSV read returns, takes the
-per-agent scalar path.  Both must give the same results and raise the same
-errors.
+`simulate` and the CSV reader return `LatticeColumn`s, and each check has
+one body on them; `reference` holds the per-agent scalar bodies, which take
+the tuple copy of the same trajectory.  Both must give the same results and
+raise the same errors.
 """
 
 from __future__ import annotations
@@ -13,9 +13,13 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import satorbits.dynamics as dynamics
 from satorbits import (
     AgentState,
@@ -38,12 +42,11 @@ from satorbits.cli import (
     trajectory_to_csv,
 )
 from satorbits.dynamics import (
+    FloatLattice,
     Lattice,
     LatticeColumn,
     SimulationOverflowError,
     Trajectory,
-    control_inputs,
-    ratio_row,
     ratios,
 )
 from satorbits.synthesis import OrbitPlan, PatternSpec
@@ -54,8 +57,10 @@ from satorbits.verify import (
     minimal_period,
     oracle_check_di,
 )
-from test_dynamics import reference_rollout
-from test_graphs import random_connected_graph
+from reference import control_inputs, lattice_copy, rollout, tuple_copy
+from satorbits.graphs import WeightedGraph
+from satorbits.scalars import is_exact
+from test_graphs import float_weight, random_connected_edges, random_connected_graph
 
 GRAPH = str(fixture_path("graph7.txt"))
 DI_CFG = str(fixture_path("di.cfg"))
@@ -95,10 +100,6 @@ def random_cases():
         yield g, gains, init, models[trial % len(models)], rng.randint(1, 12)
 
 
-def tuple_copy(t):
-    return t._replace(states=tuple(t.states), raw_u=tuple(t.raw_u), sat_u=tuple(t.sat_u))
-
-
 def outcome(fn, *args, **kwargs):
     """fn's result, or the type and message of what it raised."""
     try:
@@ -107,45 +108,44 @@ def outcome(fn, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
-def all_checks(t, g, gains, plan, T, ns):
-    """Every check that has an integer path, plus the backward check they share."""
+#: the one-body checks and writer of `satorbits`, named as in `reference`
+LIBRARY = SimpleNamespace(
+    check_periodicity=check_periodicity,
+    backward_states=backward_states,
+    check_pattern=check_pattern,
+    oracle_check_di=oracle_check_di,
+    minimal_period=minimal_period,
+    trajectory_to_csv=trajectory_to_csv,
+    trajectory_consistent=lambda t, g, gains: _trajectory_consistent(t, g, gains)[0],
+)
+
+
+def all_checks(checks, t, g, gains, plan, T, ns):
+    """Every check of `checks` (`LIBRARY` or `reference`), plus the backward
+    check they share on an exact run (the library's is exact-only), the CSV
+    writer and the CSV consistency check."""
+    exact = all(is_exact(c) for s in t.states[0] for c in s)
     return {
-        "periodicity": outcome(check_periodicity, t, T, graph=g, gains=gains),
-        "backward": outcome(backward_states, t, g, gains, T),
-        "pattern": outcome(check_pattern, t, plan.partition, plan.pattern),
-        "oracle": outcome(oracle_check_di, t, plan),
+        "periodicity": outcome(checks.check_periodicity, t, T, graph=g, gains=gains),
+        "backward": outcome(checks.backward_states, t, g, gains, T) if exact else None,
+        "pattern": outcome(checks.check_pattern, t, plan.partition, plan.pattern),
+        "oracle": outcome(checks.oracle_check_di, t, plan),
         "minimal_period": outcome(
-            minimal_period, g, gains, t.states[0], t.steps, ns=ns, rollout=t
+            checks.minimal_period, g, gains, t.states[0], t.steps, ns=ns, rollout=t
         ),
         "minimal_period_T": outcome(
-            minimal_period, g, gains, t.states[0], T, ns=ns, rollout=t
+            checks.minimal_period, g, gains, t.states[0], T, ns=ns, rollout=t
         ),
-        "csv": outcome(trajectory_to_csv, t),
-        "consistent": outcome(lambda: _trajectory_consistent(t, g, gains)[0]),
+        "csv": outcome(checks.trajectory_to_csv, t),
+        "consistent": outcome(checks.trajectory_consistent, t, g, gains),
     }
 
 
 def assert_paths_agree(t, g, gains, plan, T, ns):
-    assert isinstance(t.states, LatticeColumn)
-    assert all(isinstance(c, LatticeColumn) for c in (t.raw_u, t.sat_u))
-    assert all_checks(t, g, gains, plan, T, ns) == all_checks(
-        tuple_copy(t), g, gains, plan, T, ns
-    )
-
-
-def lattice_copy(t):
-    """The exact trajectory t with its rows rebuilt as lattice columns: each
-    state row by `Lattice.encode`, each input row by `ratio_row` over the lcm
-    of its denominators, and no lattice kept for the checks to reuse."""
-
-    def inputs(rows):
-        pairs = ([(u.numerator, u.denominator) for u in row] for row in rows)
-        return LatticeColumn([ratio_row(row) for row in pairs], ratios)
-
-    return t._replace(
-        states=LatticeColumn([Lattice.encode(row) for row in t.states], Lattice.decode),
-        raw_u=inputs(t.raw_u),
-        sat_u=inputs(t.sat_u),
+    """Each one-body check on t gives what its `reference` body gives on t's tuple copy."""
+    assert all(isinstance(c, LatticeColumn) for c in (t.states, t.raw_u, t.sat_u))
+    assert all_checks(LIBRARY, t, g, gains, plan, T, ns) == all_checks(
+        reference, tuple_copy(t), g, gains, plan, T, ns
     )
 
 
@@ -248,13 +248,14 @@ def test_stepped_lattice_serves_only_its_own_model(fixture_runs, graph7):
     other = t._replace(ns=NsModel(Fraction(1, 3)))
     assert other.states.lattice.ns == ns != other.ns
     assert outcome(backward_states, other, graph7, plan.gains, 4) == outcome(
-        backward_states, tuple_copy(other), graph7, plan.gains, 4
+        reference.backward_states, tuple_copy(other), graph7, plan.gains, 4
     )
 
 
 @pytest.mark.parametrize("name", ["di", "ns", "halved"])
 def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypatch):
-    """Tuple columns are checked per agent, lattice columns invert on the lattice."""
+    """Tuple columns are checked per agent by the `reference` bodies, which
+    never reach the kernel; lattice columns invert on the lattice."""
     t, plan, _ = fixture_runs[name]
     T = plan.period
     calls = []
@@ -264,11 +265,11 @@ def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypa
         calls.append(args)
         return unstep(self, *args)
 
-    def checks(traj):
+    def checks(traj, checks=LIBRARY):
         return (
-            outcome(check_periodicity, traj, T, graph=graph7, gains=plan.gains),
-            outcome(backward_states, traj, graph7, plan.gains, T),
-            outcome(oracle_check_di, traj, plan),
+            outcome(checks.check_periodicity, traj, T, graph=graph7, gains=plan.gains),
+            outcome(checks.backward_states, traj, graph7, plan.gains, T),
+            outcome(checks.oracle_check_di, traj, plan),
         )
 
     monkeypatch.setattr(Lattice, "unstep", counting)
@@ -288,7 +289,7 @@ def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypa
 
     calls.clear()
     monkeypatch.setattr(Lattice, "unstep", refuse)
-    assert checks(tuple_copy(t)) == expected and not calls
+    assert checks(tuple_copy(t), reference) == expected and not calls
 
 
 @pytest.mark.parametrize("name", ["di", "ns", "mirrored"])
@@ -309,7 +310,7 @@ def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, m
     runs = {
         "own": (t, 0),
         "copy": (lattice_copy(t), T),
-        "raw-tuples": (t._replace(raw_u=tuple(t.raw_u)), T),
+        "raw-copy": (t._replace(raw_u=lattice_copy(t).raw_u), T),
         "raw-bare": (t._replace(raw_u=LatticeColumn(t.raw_u.data, ratios)), T),
     }
     for run, expected in runs.values():
@@ -336,7 +337,7 @@ def test_inverted_period_compares_ticks(name, fixture_runs, graph7, monkeypatch)
 
 def test_on_orbit_checks_pass_on_both_paths(fixture_runs, graph7):
     t, plan, ns = fixture_runs["di"]
-    checks = all_checks(t, graph7, plan.gains, plan, plan.period, ns)
+    checks = all_checks(LIBRARY, t, graph7, plan.gains, plan, plan.period, ns)
     assert checks["periodicity"] is True and checks["oracle"] is True
     assert checks["pattern"].ok and checks["minimal_period"] == 22
     assert checks["consistent"] is None
@@ -374,15 +375,16 @@ class TestLatticeColumn:
         assert hash(t.raw_u) == hash(rows)
         assert t == tuple_copy(t) and tuple_copy(t) == t
 
-    def test_replaced_column_is_read_as_tuples(self, t, graph7, gains_di, partition7):
-        # a tuple column put in place of a lattice one is what every check reads
+    def test_replaced_column_is_read_on_its_own_rows(self, t, graph7, gains_di, partition7):
+        # a column rebuilt from edited rows, put in place of the run's own, is
+        # what every check reads
         bad = edited(t, "raw_u", 1, at(2, lambda u: u + 40))
-        mixed = t._replace(raw_u=bad.raw_u)
-        assert isinstance(mixed.states, LatticeColumn)
+        mixed = t._replace(raw_u=lattice_copy(bad).raw_u)
+        assert mixed.raw_u.lattice is None and mixed.states.lattice is not None
         report = check_pattern(mixed, partition7, PatternSpec(2))
         assert (1, 2, t.raw_u[1][2] + 40) in report.violations
         assert _trajectory_consistent(mixed, graph7, gains_di)[0] == {"step": 1, "agent": 3}
-        assert trajectory_to_csv(mixed) == trajectory_to_csv(bad)
+        assert trajectory_to_csv(mixed) == reference.trajectory_to_csv(bad)
 
     def test_writer_reads_each_input_over_its_own_denominator(self):
         states = LatticeColumn([([1, 2], [0, 0], 1)] * 2, Lattice.decode)
@@ -394,12 +396,21 @@ class TestLatticeColumn:
         )
         text = trajectory_to_csv(t)
         assert text.splitlines()[1:3] == ["0,1,1,0,0.5,0.05", "0,2,2,0,2,1"]
-        assert text == trajectory_to_csv(tuple_copy(t))
+        assert text == reference.trajectory_to_csv(tuple_copy(t))
 
-    def test_float_runs_keep_tuples(self):
+    def test_float_runs_keep_the_row_layout(self):
+        """A float run's rows are its values over 1.0, stepped on the `FloatLattice`."""
         g = parse_graph(fixture_path("graph7.txt").read_text(), mode="float")
-        t = simulate(g, GainParams(0.4, 0.42), [AgentState(float(i), 0.0) for i in range(7)], 3)
-        assert all(type(c) is tuple for c in (t.states, t.raw_u, t.sat_u))
+        gains = GainParams(0.4, 0.42)
+        init = [AgentState(float(i), 0.0) for i in range(7)]
+        t = simulate(g, gains, init, 3)
+        assert type(t.states.lattice) is FloatLattice and t.raw_u.lattice is t.states.lattice
+        assert all(c.kind is FloatLattice for c in (t.states, t.raw_u, t.sat_u))
+        X, V, D = t.states.data[1]
+        assert D == 1.0 and type(D) is float
+        assert tuple(map(AgentState, X, V)) == t.states[1]
+        assert all(E == 1.0 for _, E in t.raw_u.data + t.sat_u.data)
+        assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == rollout(g, gains, init, 3)
 
 
 class TestCanonicalReader:
@@ -423,11 +434,15 @@ class TestCanonicalReader:
             assert math.gcd(D, *X, *V) == 1
 
     def test_reader_ticks_equal_simulate_ticks(self, fixture_runs):
-        """The reader returns the tuple copy of the run that wrote the CSV."""
+        """The reader returns the lattice copy of the run that wrote the CSV:
+        the run's ticks, and its input rows over the lcm of their denominators."""
         for t, _, _ in fixture_runs.values():
             read = trajectory_from_csv(trajectory_to_csv(t), t.ns, "exact")
             assert read == tuple_copy(t)
-            assert all(type(c) is tuple for c in (read.states, read.raw_u, read.sat_u))
+            copy = lattice_copy(t)
+            assert read.states.data == t.states.data == copy.states.data
+            assert (read.raw_u.data, read.sat_u.data) == (copy.raw_u.data, copy.sat_u.data)
+            assert all(c.lattice is None for c in (read.states, read.raw_u, read.sat_u))
 
     def test_reader_ticks_on_random_loops(self):
         for g, gains, init, ns, _ in random_cases():
@@ -487,7 +502,7 @@ def scaled_references(graph7, gains_di, reference_init_di):
     out = {}
     for name, make in INITS.items():
         init = make(reference_init_di)
-        out[name] = init, reference_rollout(graph7, gains_di, init, 250)[0]
+        out[name] = init, rollout(graph7, gains_di, init, 250)[0]
     return out
 
 
@@ -545,7 +560,7 @@ def test_closed_orbit_is_stepped_once(
         t = simulate(graph7, gains, init, steps, ns=ns)
         assert len(steps_taken) == (steps if name == "halved" else T)
         assert _reflected_half(t) == (T // 2 if name in ("ns", "mirrored") else 0)
-        expected = reference_rollout(graph7, gains, init, steps, ns=ns)
+        expected = rollout(graph7, gains, init, steps, ns=ns)
         assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == expected
 
 
@@ -628,11 +643,11 @@ def test_mirrored_runs_equal_the_reference(name, mirrored_cases):
     for steps in range(2 * p + 4):
         t = simulate(g, gains, init, steps, ns=ns)
         assert _reflected_half(t) == (p if steps > p else 0)
-        assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == reference_rollout(
+        assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == rollout(
             g, gains, init, steps, ns=ns
         )
         assert all(math.gcd(D, *X, *V) == 1 for X, V, D in t.states.data)
-        assert trajectory_to_csv(t) == trajectory_to_csv(tuple_copy(t))
+        assert trajectory_to_csv(t) == reference.trajectory_to_csv(tuple_copy(t))
 
 
 def test_reflections_the_writer_takes(graph7, gains_di, reference_init_di):
@@ -663,10 +678,10 @@ def test_reflections_the_writer_takes(graph7, gains_di, reference_init_di):
         assert D == D0 and V == [-v for v in V0]
         assert (len({x + y for x, y in zip(X, X0)}) == 1) == centred
         assert _reflected_half(t) == taken
-        assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == reference_rollout(
+        assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == rollout(
             g, gains, init, 2 * T + 1, ns=ns
         )
-        assert trajectory_to_csv(t) == trajectory_to_csv(tuple_copy(t))
+        assert trajectory_to_csv(t) == reference.trajectory_to_csv(tuple_copy(t))
         if init is unreduced:
             assert t.states.data[2][2] == 6 and t.states.data[5][2] == 2
         if init is off_lattice:
@@ -699,7 +714,7 @@ def test_reflection_off_the_run_is_written_by_value():
     )
     assert dynamics.reflects(ticks[0], ticks[1], None)
     assert _reflected_half(t) == 0
-    assert trajectory_to_csv(t) == trajectory_to_csv(tuple_copy(t))
+    assert trajectory_to_csv(t) == reference.trajectory_to_csv(tuple_copy(t))
     assert "\n1,1,1,-1,2.5,1\n" in trajectory_to_csv(t)
 
 
@@ -709,7 +724,7 @@ def test_cap_trips_at_the_reference_step_on_mirrored_runs(name, mirrored_cases, 
     first step whose reduced state exceeds it, as stepping every tick does:
     in the reflected half, at tick 2p (the start tick) or before."""
     g, gains, init, ns, p = mirrored_cases[name]
-    states = reference_rollout(g, gains, init, 2 * p, ns=ns)[0]
+    states = rollout(g, gains, init, 2 * p, ns=ns)[0]
     bits = [
         max(max(c.numerator.bit_length(), c.denominator.bit_length()) for s in row for c in (s.x, s.v))
         for row in states
@@ -739,9 +754,9 @@ def test_cap_trips_on_the_state_that_closes_the_orbit(
     # shift leaves every input alone): only the start state needs 11 bits
     init = [
         AgentState(s.x - 12, s.v)
-        for s in reference_rollout(graph7, gains_di, reference_init_di, 6)[0][6]
+        for s in rollout(graph7, gains_di, reference_init_di, 6)[0][6]
     ]
-    states = reference_rollout(graph7, gains_di, init, 22)[0]
+    states = rollout(graph7, gains_di, init, 22)[0]
     bits = [
         max(max(c.numerator.bit_length(), c.denominator.bit_length()) for s in row for c in (s.x, s.v))
         for row in states
@@ -886,7 +901,7 @@ def test_class_runs_equal_the_reference(monkeypatch):
             calls.clear()
             steps_taken.clear()
             t = simulate(g, gains, init, 12, ns=ns)
-            assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == reference_rollout(
+            assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == rollout(
                 g, gains, init, 12, ns=ns
             )
             if len(set(init)) != 2:
@@ -920,7 +935,7 @@ def test_cap_trips_at_the_reference_step_on_class_runs(name, class_runs, graph7,
     agent does."""
     gains, init, ns = class_runs[name]
     calls = counted_inputs(monkeypatch)
-    states = reference_rollout(graph7, gains, init, 30, ns=ns)[0]
+    states = rollout(graph7, gains, init, 30, ns=ns)[0]
     assert tuple(simulate(graph7, gains, init, 30, ns=ns).states) == states
     assert len(calls) == (0 if ns else 14)
     bits = [
@@ -951,6 +966,63 @@ def test_class_branch_is_taken_on_the_orbit_only(name, fixture_runs, graph7, mon
     calls = counted_inputs(monkeypatch)
     again = simulate(graph7, plan.gains, init, steps, ns=ns)
     assert len(calls) == (steps if name == "halved" else 0)
-    assert (tuple(again.states), tuple(again.raw_u), tuple(again.sat_u)) == reference_rollout(
+    assert (tuple(again.states), tuple(again.raw_u), tuple(again.sat_u)) == rollout(
         graph7, plan.gains, init, steps, ns=ns
     )
+
+
+# ---------------------------------------------------------------------------
+# Float runs: the `FloatLattice` against the per-agent stepper
+
+
+#: di, and ns with a = 1/2, 0.3, -2/7 and the irrational cos(pi/4)
+FLOAT_MODELS = [None, 0.5, 0.3, -2 / 7, math.sqrt(2) / 2]
+
+
+def float_start(kind, plan, rng):
+    """The synthesized start; it scaled by 5/4; random values; or consensus at
+    zero with one agent at (-0.0, -0.0), whose first tick equals it under `==`
+    but holds +0.0, so the run must not close there."""
+    init = list(plan.init)
+    if kind == "scaled":
+        return [AgentState(s.x * 1.25, s.v * 1.25) for s in init]
+    if kind == "random":
+        return [AgentState(rng.uniform(-9, 9), rng.uniform(-3, 3)) for _ in init]
+    if kind == "negative-zero":
+        zeros = [AgentState(0.0, 0.0)] * len(init)
+        zeros[rng.randrange(len(init))] = AgentState(-0.0, -0.0)
+        return zeros
+    return init
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.sampled_from(FLOAT_MODELS),
+    start=st.sampled_from(["orbit", "scaled", "random", "negative-zero"]),
+)
+def test_float_loop_is_the_per_agent_stepper(n, seed, a, start):
+    """On random float graphs the float loop gives every state, raw and
+    saturated value of the per-agent stepper bit for bit (by `repr`), the
+    writer its CSV, and each check the verdict of its `reference` body."""
+    rng = random.Random(seed)
+    g = WeightedGraph.from_edges(n, random_connected_edges(rng, n, float_weight))
+    ns = None if a is None else NsModel(a)
+    if ns is None:
+        gains = GainParams(0.4, 0.42)
+        plan = synthesize_di(g, gains)
+    else:
+        gains = GainParams(-0.5, 2.0) if a > 0 else GainParams(0.5, -2.0)
+        plan = synthesize_ns(g, ns, gains)
+    init = float_start(start, plan, rng)
+    steps = 2 * plan.period + 3
+    t = simulate(g, gains, init, steps, ns=ns)
+    assert type(t.states.lattice) is FloatLattice
+    ref = reference.simulate(g, gains, init, steps, ns=ns)
+    for ours, theirs in zip((t.states, t.raw_u, t.sat_u), (ref.states, ref.raw_u, ref.sat_u)):
+        assert list(map(repr, ours)) == list(map(repr, theirs))
+    assert trajectory_to_csv(t) == reference.trajectory_to_csv(ref)
+    if start == "negative-zero":
+        assert t.states.data[1] == t.states.data[0] and t.states.data[1] is not t.states.data[0]
+    assert_paths_agree(t, g, gains, plan._replace(init=tuple(init)), plan.period, ns)

@@ -25,15 +25,12 @@ from satorbits import (
     serialize_graph,
     simulate,
     solve_positions,
-    step_di,
-    step_ns,
     synthesize_di,
     synthesize_ns,
-    closed_form_di,
     verification_report,
 )
 from satorbits.cli import plan_to_text
-from satorbits.dynamics import Lattice, _reduced, inverse_step_di, inverse_step_ns
+from satorbits.dynamics import Lattice, _reduced
 from satorbits.synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
@@ -44,6 +41,7 @@ from satorbits.synthesis import (
 )
 
 from conftest import REFERENCE_X0
+from reference import closed_form_di, inverse_step_di, inverse_step_ns, step_di, step_ns
 from test_graphs import random_connected_graph
 
 
@@ -320,6 +318,16 @@ class TestClosedFormDi:
         plan = synthesize_di(g, GainParams(0.4, 0.42))
         assert [s.x for s in plan.init] == [5.5, 0.0, 0.0, 0.0, 5.5, 5.5, 5.5]
         assert all(isinstance(s.x, float) for s in plan.init)
+
+    @pytest.mark.parametrize("m", [None, 12, 15])
+    def test_float_plan_is_all_floats(self, graph7, m):
+        """Positions and velocities of a float plan are floats, also for an
+        even m, whose velocities -+m/2 are whole numbers."""
+        g = parse_graph(serialize_graph(graph7), "float")
+        plan = synthesize_di(g, GainParams(0.4, 0.42), m_override=m)
+        assert all(type(c) is float for s in plan.init for c in s)
+        speed = plan.half_period / 2
+        assert {s.v for s in plan.init} == {-speed, speed}
 
     def test_anchor_out_of_range(self, graph7, gains_di):
         with pytest.raises(ValueError, match="anchor 7 outside"):

@@ -10,7 +10,6 @@ from satorbits import (
     Trajectory,
     check_pattern,
     check_periodicity,
-    closed_form_di,
     make_partition,
     minimal_period,
     oracle_check_di,
@@ -22,6 +21,7 @@ from satorbits import (
 )
 from satorbits.synthesis import PatternSpec
 from satorbits.verify import BackwardExtensionError, backward_states
+from reference import closed_form_di, lattice_copy
 
 
 def F(text):
@@ -81,7 +81,7 @@ class TestBackward:
     def test_inconsistent_inputs_fail_periodicity(self, di_orbit, graph7, gains_di):
         sat = [list(row) for row in di_orbit.sat_u]
         sat[5][4] = Fraction(1, 2)
-        t = di_orbit._replace(sat_u=tuple(map(tuple, sat)))
+        t = lattice_copy(di_orbit._replace(sat_u=tuple(map(tuple, sat))))
         with pytest.raises(BackwardExtensionError, match="agent 5"):
             backward_states(t, graph7, gains_di, 22)
         assert check_periodicity(t, 22, graph=graph7, gains=gains_di) is False
@@ -161,9 +161,10 @@ class TestOracleDi:
 
     @staticmethod
     def _with_state(t, k, i, state):
+        """The lattice copy of t with the state of agent i at step k replaced."""
         states = [list(row) for row in t.states]
         states[k][i] = state
-        return t._replace(states=tuple(map(tuple, states)))
+        return lattice_copy(t._replace(states=tuple(map(tuple, states))))
 
     def test_perturbed_recorded_state_fails(self, graph7, gains_di):
         plan = synthesize_di(graph7, gains_di)
@@ -188,7 +189,7 @@ class TestOracleDi:
             tuple(closed_form_di(s.x, s.v, m, k, even=e) for s, e in zip(init, even))
             for k in range(2 * m + 1)
         )
-        t = Trajectory(None, rows, (), ())
+        t = lattice_copy(Trajectory(None, rows, (), ()))
         assert oracle_check_di(t, plan)
         assert not oracle_check_di(self._with_state(t, m, 3, AgentState(0, 0)), plan)
 
@@ -196,7 +197,7 @@ class TestOracleDi:
             return tuple(AgentState(float(s.x), float(s.v)) for s in states)
 
         float_plan = plan._replace(init=floats(init))
-        float_t = t._replace(states=tuple(floats(row) for row in rows))
+        float_t = lattice_copy(Trajectory(None, tuple(floats(row) for row in rows), (), ()))
         assert oracle_check_di(float_t, float_plan)
         assert not oracle_check_di(
             self._with_state(float_t, m, 3, AgentState(0.0, 0.0)), float_plan
