@@ -22,6 +22,7 @@ from .dynamics import (
     AgentState,
     FloatLattice,
     GainParams,
+    GroupSigns,
     Lattice,
     LatticeColumn,
     NsModel,
@@ -115,7 +116,7 @@ def _parse_init_list(text: str, mode: str) -> tuple[tuple[Scalar, Scalar], ...]:
     for chunk in filter(None, map(str.strip, text.split(";"))):
         parts = chunk.split(",")  # parse_scalar strips each part
         if len(parts) != 2:
-            raise CliError(f"bad init pair {chunk!r} (want 'x,v')")
+            raise CliError(f"bad init pair {quoted(chunk)} (want 'x,v')")
         pairs.append((parse_scalar(parts[0], mode), parse_scalar(parts[1], mode)))
     return tuple(pairs)
 
@@ -144,9 +145,9 @@ def _read_entry(line: str, keys: Sequence[str], values: dict[str, str], where: s
     key, _, value = line.partition("=")
     key = key.strip()
     if key not in keys:
-        raise CliError(f"{where} unknown key {key!r}")
+        raise CliError(f"{where} unknown key {quoted(key)}")
     if key in values:
-        raise CliError(f"{where} repeated key {key!r}")
+        raise CliError(f"{where} repeated key {quoted(key)}")
     values[key] = value.strip()
     return key
 
@@ -173,9 +174,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     mode = raw.get("mode", "exact")
     # a config file's choices are checked here, as argparse checks the flags'
     if model not in ("di", "ns"):
-        raise CliError(f"unknown model {model!r}")
+        raise CliError(f"unknown model {quoted(model)}")
     if mode not in ("exact", "float"):
-        raise CliError(f"unknown mode {mode!r}")
+        raise CliError(f"unknown mode {quoted(mode)}")
     scalar = functools.partial(parse_scalar, mode=mode)
     # each key's reader, in the order the values are read
     readers = {
@@ -269,7 +270,7 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
     except ValueError as exc:
         raise CliError(f"bad plan value: {exc}") from exc
     if model not in ("di", "ns"):
-        raise CliError(f"unknown model {model!r} in plan")
+        raise CliError(f"unknown model {quoted(model)} in plan")
     if model == "di" and a is not None:
         raise CliError(f"plan line {a_line}: a di plan has no a")
     ns = _ns_model(model, a)
@@ -297,24 +298,34 @@ def _row_tails(
     raw: Optional[tuple[list, Scalar]],
     sat: Optional[tuple[list, Scalar]],
     rs: Optional[list[str]],
+    group: Optional[list[int]] = None,
+    pair: Optional[tuple[list, list]] = None,
+    ss: Optional[list[str]] = None,
 ) -> list[str]:
     """The CSV lines of one row without their step, `i,x,v,u_raw,u_sat` per
     agent, in the texts of the row's `kind`; `index` holds the agent texts
-    and `rs` the `u_raw` texts."""
+    and `rs` the `u_raw` texts.  On a tick of the run's class record, `pair`
+    holds its two class states, whose four texts `group` spreads over the
+    agents; `ss`, when given, are the `u_sat` texts."""
     X, V, D = tick
+    if pair is not None:
+        X, V = pair
     # X and V share D, so it is scaled once
     texts = kind.texts(X + V, D)
     xs, vs = texts[: len(X)], texts[len(X) :]
+    if pair is not None:
+        xs, vs = list(map(xs.__getitem__, group)), list(map(vs.__getitem__, group))
     if raw is None:
         return list(map(",".join, zip(index, xs, vs, repeat(""), repeat(""))))
-    (U, E), (S, Es) = raw, sat
-    # a saturated input is +-1; an unsaturated one, left None by the map (no
-    # text is empty), repeats the raw text when it is the raw input's object
-    ss = list(map(dict(zip((Es, -Es), kind.UNIT_TEXTS)).get, S))
-    if not all(ss):
-        for i, text in enumerate(ss):
-            if text is None:
-                ss[i] = rs[i] if S[i] is U[i] and Es is E else kind.texts([S[i]], Es)[0]
+    if ss is None:
+        (U, E), (S, Es) = raw, sat
+        # a saturated input is +-1; an unsaturated one, left None by the map (no
+        # text is empty), repeats the raw text when it is the raw input's object
+        ss = list(map(dict(zip((Es, -Es), kind.UNIT_TEXTS)).get, S))
+        if not all(ss):
+            for i, text in enumerate(ss):
+                if text is None:
+                    ss[i] = rs[i] if S[i] is U[i] and Es is E else kind.texts([S[i]], Es)[0]
     return list(map(",".join, zip(index, xs, vs, rs, ss)))
 
 
@@ -338,7 +349,10 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     the tails of a (tick, raw, sat) row whose objects recur are formatted
     once and kept; step k stamps `k,` before each of its row's n tails.  On
     a run whose tick p reflects its start (`_reflected_half`), the `u_raw`
-    texts of rows p..2p-1 are row k-p's with the sign toggled.  An exact
+    texts of rows p..2p-1 are row k-p's with the sign toggled.  With a class
+    record (`LatticeColumn.classes`), a recorded tick's `x,v` texts are its
+    two class states', and a class step's row signed by group takes its `u_sat`
+    texts from the group's sign.  An exact
     value whose digits exceed Python's limit on converting an integer to
     text (`sys.get_int_max_str_digits()`, 4300 by default) is a usage error,
     raised before the first piece past it.
@@ -352,17 +366,27 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     first_half: list[list[str]] = []  # the u_raw texts of rows 0..p-1
     index = [str(i) for i in range(1, t.n + 1)]
     kind = t.states.kind
+    group, pairs = t.states.classes or (None, None)
+    if pairs is not None:
+        # a class step's saturated rows and their u_sat texts, by S_0 > 0
+        signs = GroupSigns(group)
+        units = kind.UNIT_TEXTS
+        signed = [units[1 - k] for k in group], [units[k] for k in group]
     try:
         for k, (row, key) in enumerate(zip(rows, keys)):
             tails = known.get(key)
             if tails is None:
                 tick, raw, sat = row
-                rs = None
+                rs = ss = None
                 if raw is not None:
                     rs = negated_texts(first_half[k - p]) if p <= k < 2 * p else kind.texts(*raw)
                     if k < p:
                         first_half.append(rs)
-                tails = _row_tails(index, kind, tick, raw, sat, rs)
+                    S, Es = sat
+                    if pairs is not None and pairs[k + 1] is not None and S == signs[Es][S[0] > 0]:
+                        ss = signed[S[0] > 0]
+                pair = pairs[k] if pairs is not None else None
+                tails = _row_tails(index, kind, tick, raw, sat, rs, group, pair, ss)
                 if key in recurring:
                     known[key] = tails
             yield f"{k}," + f"\n{k},".join(tails) + "\n"

@@ -115,6 +115,23 @@ LatticeState = tuple[list[int], list[int], int]
 #: the two groups of a run's start tick, as `Lattice.two_classes` returns them
 Classes = tuple[list[int], list[int], int, int]
 
+#: the two class states of a tick, ([x_0, x_j], [v_0, v_j]) over its D, j
+#: group 1's first agent
+Pair = tuple[list[int], list[int]]
+
+
+class GroupSigns(dict):
+    """`self[E][up]`, built once per E: the row that is E on group 0 and -E on
+    group 1 when `up`, else its negation; a class step saturates as `self[E][U_0 > 0]`."""
+
+    def __init__(self, group: list[int]) -> None:
+        self.group = group
+
+    def __missing__(self, E: int) -> tuple[list[int], list[int]]:
+        low = -E
+        self[E] = rows = [E if k else low for k in self.group], [low if k else E for k in self.group]
+        return rows
+
 
 def _on_groups(X: list[int], V: list[int], group: list[int], j: int) -> bool:
     """Whether X and V are constant on each group, agent 0's values on 0 and agent j's on 1."""
@@ -163,16 +180,22 @@ class LatticeColumn(Sequence):
     and a column equals the tuple of its rows.  `kind` is the loop class
     whose rows these are.  On the states and raw inputs of a `simulate`,
     `lattice` is the loop it stepped on, for checks of that loop and the CSV
-    writer to reuse; it takes no part in `==` or `hash`.
+    writer to reuse.  On the states of a run from a two-class start, `classes`
+    is its class record (group, pairs): each agent's group and each tick's two
+    class states (a `Pair`), or None.  pairs[0] is the start tick's, and pairs[k]
+    for k >= 1 is set exactly when the class step built tick k, so row k-1 of
+    the inputs is dY * c_i, saturated by group (`GroupSigns`).  Neither takes
+    part in `==` or `hash`.
     """
 
-    __slots__ = ("data", "decode", "_rows", "lattice")
+    __slots__ = ("data", "decode", "_rows", "lattice", "classes")
 
     def __init__(self, data: list[tuple], decode: Callable[..., tuple]) -> None:
         self.data = data
         self.decode = decode
         self._rows: list[Optional[tuple]] = [None] * len(data)
         self.lattice: Optional[Lattice] = None
+        self.classes: Optional[tuple[list[int], list[Optional[Pair]]]] = None
 
     def __len__(self) -> int:
         return len(self.data)
@@ -359,25 +382,36 @@ class Lattice:
         return group, signed, min(map(abs, signed)), group.index(1)
 
     def step(
-        self, X: list[int], V: list[int], D: int, classes: Optional[Classes] = None
+        self, X: list[int], V: list[int], D: int,
+        classes: Optional[Classes] = None, pairs: Optional[list[Optional[Pair]]] = None,
     ) -> tuple[LatticeState, list[int], int]:
         """One forward step: the next lattice state and the raw inputs U over E = K*D.
 
         Given the `two_classes` of the run's start tick, a tick constant on each
         group whose inputs all saturate steps its two class states: intra terms
         vanish, so U_i = c_i * dY, dY = Y_j - Y_0 signed by group, and all
-        saturate when the least c_i times |dY| reaches E.  Other ticks take `inputs`."""
+        saturate when the least c_i times |dY| reaches E.  Other ticks take `inputs`.
+        `pairs`, the class record (`LatticeColumn.classes`), ends with this tick's
+        entry, which spares a recorded tick `_on_groups`; the step appends the next's."""
         E = self.K * D
         R = self.R
         if classes is not None:
             group, signed, least, j = classes
-            if _on_groups(X, V, group, j):
-                dY = self.A * (X[j] - X[0]) + self.B * (V[j] - V[0])
+            pair = pairs[-1] if pairs else None
+            if pair is None and _on_groups(X, V, group, j):
+                pair = [X[0], X[j]], [V[0], V[j]]
+            if pair is not None:
+                (x0, xj), (v0, vj) = pair
+                dY = self.A * (xj - x0) + self.B * (vj - v0)
                 if least * abs(dY) >= E:
                     s = D * R if dY > 0 else -D * R
-                    Xn, Vn, DM = self._advance([X[0], X[j]], [V[0], V[j]], [s, -s], D, R)
+                    Xn, Vn, DM = self._advance(*pair, [s, -s], D, R)
+                    if pairs is not None:
+                        pairs.append((Xn, Vn))
                     tick = list(map(Xn.__getitem__, group)), list(map(Vn.__getitem__, group)), DM
                     return tick, list(map(dY.__mul__, signed)), E
+        if pairs is not None:
+            pairs.append(None)
         U = self.inputs(X, V)
         mult = R * self.K if any(-E < u < E for u in U) else R
         DM = D * mult
@@ -517,7 +551,8 @@ def simulate(
     repeats its rows, which are shared by reference instead of stepped.  On
     exact ticks the match compares D first, so a run off the orbit pays one
     int compare per step; a run whose tick p `reflects` its start closes at
-    tick 2p.
+    tick 2p.  A two-class start keeps a class record (`LatticeColumn.classes`):
+    a class-built tick is capped on its two states and saturates by group.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -527,15 +562,27 @@ def simulate(
     lattice = Lattice.of(g, gains, ns, (c for s in init for c in (s.x, s.v)))
     tick = lattice.encode(init)
     classes = lattice.two_classes(tick[0], tick[1]) if steps else None
+    pairs: Optional[list[Optional[Pair]]] = None
+    if classes is not None:
+        j = classes[3]
+        pairs = [([tick[0][0], tick[0][j]], [tick[1][0], tick[1][j]])]
+        signs = GroupSigns(classes[0])
     ticks = [tick]
     raw: list[tuple[list, Scalar]] = []
     sat: list[tuple[list, Scalar]] = []
     period = 0
     for p in range(1, steps + 1):
-        tick, U, E = lattice.step(*tick, classes)
-        lattice.check(*tick)
+        tick, U, E = lattice.step(*tick, classes, pairs)
+        pair = pairs[-1] if pairs else None
+        if pair is None:
+            lattice.check(*tick)
+            S = clamped(U, E)
+        else:
+            # a class-built tick holds its two states' values, and U_0 has dY's sign
+            lattice.check(*pair, tick[2])
+            S = signs[E][U[0] > 0]
         raw.append((U, E))
-        sat.append((clamped(U, E), E))
+        sat.append((S, E))
         if lattice.same(tick, ticks[0]):
             period = p
             break
@@ -546,11 +593,16 @@ def simulate(
         ticks += [ticks[j % period] for j in range(len(ticks), steps + 1)]
         raw += [raw[j % period] for j in range(len(raw), steps)]
         sat += [sat[j % period] for j in range(len(sat), steps)]
+        if pairs is not None:
+            # tick `period` is tick 0 again, but its entry is its own step's
+            pairs += [pairs[1 + (j - 1) % period] for j in range(len(pairs), steps + 1)]
     states = LatticeColumn(ticks, lattice.decode)
     states._rows[0] = init
     raw_u = LatticeColumn(raw, lattice.ratios)
     # raw row k holds the inputs this lattice computed at tick k
     states.lattice = raw_u.lattice = lattice
+    if classes is not None:
+        states.classes = classes[0], pairs
     return Trajectory(lattice.ns, states, raw_u, LatticeColumn(sat, lattice.ratios))
 
 

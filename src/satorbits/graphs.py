@@ -90,6 +90,15 @@ class WeightedGraph(Record, namedtuple("WeightedGraph", "n adjacency")):
         object are checked; `__new__` validates in full only to name a fault.
         """
         edges = list(edges)
+        g = cls._of_positive_edges(n, edges)
+        if all(w > 0 for w in distinct(map(itemgetter(2), edges))):
+            return g
+        return cls(n, g.adjacency)
+
+    @classmethod
+    def _of_positive_edges(cls, n: int, edges: list[tuple[int, int, Scalar]]) -> "WeightedGraph":
+        """`from_edges` without the sign test, for edges whose weights are
+        positive, as `parse_graph` has tested each of them."""
         rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
         for i, j, w in edges:
             if not (0 <= i < n and 0 <= j < n):
@@ -98,7 +107,7 @@ class WeightedGraph(Record, namedtuple("WeightedGraph", "n adjacency")):
             rows[j].append((i, w))
         adjacency = tuple(tuple(sorted(row)) for row in rows)
         repeated = sum(map(len, map(dict, adjacency))) < 2 * len(edges)
-        if n < 1 or repeated or not all(w > 0 for w in distinct(map(itemgetter(2), edges))):
+        if n < 1 or repeated:
             return cls(n, adjacency)
         return tuple.__new__(cls, (n, adjacency))
 
@@ -235,7 +244,8 @@ def _parse_graph(text: str, mode: str) -> WeightedGraph:
         raise GraphFormatError("empty graph document")
     if max_seen > n:
         raise GraphFormatError(f"agent {max_seen} exceeds declared count {n}")
-    return WeightedGraph.from_edges(n, edges)
+    # every weight passed the test above
+    return WeightedGraph._of_positive_edges(n, list(edges))
 
 
 def serialize_graph(g: WeightedGraph) -> str:

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .dynamics import (
     AgentState,
     GainParams,
+    GroupSigns,
     Lattice,
     NsModel,
     Trajectory,
@@ -69,7 +70,10 @@ def backward_states(
     (`t.raw_u.lattice` too) an unstepped tick equal to the recorded tick
     `t.states.data[T - back]` takes its inputs from the raw row the run
     computed there, not from `Lattice.inputs`; and a tick at -T equal to the
-    start tick gives the start row `t.states[0]` itself.
+    start tick gives the start row `t.states[0]` itself.  There, with the
+    run's class record (`LatticeColumn.classes`), a recorded tick after a class
+    step whose saturated row is signed by group unsteps as its two class states,
+    compared with those recorded at the tick before; others unstep per agent.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
@@ -84,14 +88,33 @@ def backward_states(
         return None
     # the run's own lattice recorded its inputs at each of its ticks
     own = t.raw_u.lattice is lattice is t.states.lattice
+    group, pairs = (own and t.states.classes) or (None, None)
+    if pairs is not None:
+        signs, j = GroupSigns(group), group.index(1)
+    pair = pairs[0] if pairs else None  # the class states of the tick in hand, when recorded
     for back in range(1, T + 1):
-        S, Es = t.sat_u.data[T - back]
+        k = T - back
+        S, Es = t.sat_u.data[k]
+        if pair is not None and pairs[k] is not None and pairs[k + 1] is not None:
+            # step k was a class step, so the inputs recorded at tick k saturate
+            # by group with U_0's sign; under that row the tick in hand unsteps
+            # as its two class states
+            U, E = t.raw_u.data[k]
+            if Es == E and S == signs[E][U[0] > 0]:
+                xs, vs, Dk = lattice.unstep(*pair, D, [S[0], S[j]], Es)
+                if (xs, vs) == pairs[k] and Dk == t.states.data[k][2]:
+                    # the tick reached is tick k, whose recorded inputs saturate to S
+                    X, V, D = t.states.data[k]
+                    pair = pairs[k]
+                    continue
         tick = X, V, D = lattice.unstep(X, V, D, S, Es)
-        if own and tick == t.states.data[T - back]:
-            U, E = t.raw_u.data[T - back]
+        recorded = own and tick == t.states.data[k]
+        if recorded:
+            U, E = t.raw_u.data[k]
         else:
             E = lattice.K * D
             U = lattice.inputs(X, V)
+        pair = pairs[k] if recorded and pairs else None
         # sat(u/E) == s/Es; over Es == E (an own run's rows) that is S == clamped(U, E)
         if (S == clamped(U, E)) if Es == E else all(
             s == Es if u >= E else s == -Es if u <= -E else u * Es == s * E

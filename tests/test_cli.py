@@ -1552,6 +1552,45 @@ def test_long_plan_line_off_the_grammar_is_quoted_cut(csv_artifacts, tmp_path, c
     assert len(err) < 300
 
 
+#: (file, line, phrase of the error): a line whose user text is 700 letters,
+#: put in the config file of `synthesize` or the plan file of `verify`
+LONG = "q" * 700
+LONG_TEXT_LINES = {
+    "config-unknown-key": ("config", f"{LONG}=1", "unknown key"),
+    "config-repeated-key": ("config", f"alpha={LONG}", "repeated key 'alpha'"),
+    "config-model": ("config", f"model={LONG}", "unknown model"),
+    "config-mode": ("config", f"mode={LONG}", "unknown mode"),
+    "config-init": ("config", f"init={LONG}", "bad init pair"),
+    "plan-unknown-key": ("plan", f"{LONG}=1", "unknown key"),
+    "plan-repeated-key": ("plan", f"alpha={LONG}", "repeated key 'alpha'"),
+    "plan-model": ("plan", f"model={LONG}", "unknown model"),
+}
+
+
+@pytest.mark.parametrize("place", LONG_TEXT_LINES)
+def test_long_user_text_is_quoted_cut(place, csv_artifacts, tmp_path, capsys):
+    """Each error that quotes a key, a model, a mode or an init pair of the
+    user's quotes at most 40 characters of it: one short `error:` line."""
+    where, line, phrase = LONG_TEXT_LINES[place]
+    key = line.partition("=")[0]
+    argv, _ = csv_artifacts["di"]
+    plan = argv[argv.index("--plan") + 1]
+    cfg, edited = fixture_path("di.cfg"), tmp_path / f"edited-{where}"
+    text = Path(cfg if where == "config" else plan).read_text()
+    if key in ("model", "mode", "init"):
+        # in place of the file's own line, so that no repeated key hides it
+        text = "".join(old for old in text.splitlines(True) if not old.startswith(f"{key}="))
+    edited.write_text(text + line + "\n")
+    if where == "config":
+        argv = ["synthesize", GRAPH, "--config", str(edited)]
+    else:
+        argv = ["verify", GRAPH, "--config", str(cfg), "--plan", str(edited)]
+    code, out, err = _verify_outcome(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 300
+    assert phrase in err and ("..." in err or "repeated" in phrase)
+
+
 @pytest.mark.parametrize("step", [1, 12, 21, 23])
 def test_changed_input_in_either_half_is_named(step, csv_artifacts, tmp_path, capsys):
     """The di CSV (m = 11) writes the raw inputs of steps 11-21 as the

@@ -413,6 +413,21 @@ class TestWeightedGraph:
             assert g == expected and type(g.adjacency) is tuple
             assert all(type(row) is tuple for row in g.adjacency)
 
+    def test_parser_tests_each_weight_once(self, monkeypatch):
+        """`parse_graph` tests each distinct weight for w > 0 as it parses it, and
+        builds its graph without `from_edges`'s second test."""
+        calls = []
+        greater = Fraction.__gt__
+
+        def counting(a, b):
+            calls.append(a)
+            return greater(a, b)
+
+        monkeypatch.setattr(Fraction, "__gt__", counting)
+        g = parse_graph("n 4\n1 2 0.5\n2 3 3/2\n3 4 0.5\n1 4 2\n")
+        assert sorted(calls) == [Fraction(1, 2), Fraction(3, 2), Fraction(2)]
+        assert g == WeightedGraph(4, [[(1, 0.5), (3, 2)], [(0, 0.5), (2, 1.5)], [(1, 1.5), (3, 0.5)], [(0, 2), (2, 0.5)]])
+
     def test_rows_become_tuples(self):
         g = WeightedGraph(2, [[(1, Fraction(1))], [(0, Fraction(1))]])
         assert g == WeightedGraph.from_edges(2, [(1, 0, Fraction(1))])

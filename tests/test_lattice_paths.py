@@ -972,6 +972,222 @@ def test_class_branch_is_taken_on_the_orbit_only(name, fixture_runs, graph7, mon
 
 
 # ---------------------------------------------------------------------------
+# The class record: the two class states of each tick the class step built
+
+
+def without_record(t):
+    """t with its states in a new column that keeps the run's lattice but carries
+    no class record."""
+    states = LatticeColumn(t.states.data, t.states.decode)
+    states.lattice = t.states.lattice
+    return t._replace(states=states)
+
+
+def expanded(group, pair, D):
+    """The states of a tick whose two class states are `pair` over D."""
+    (x0, x1), (v0, v1) = pair
+    states = AgentState(Fraction(x0, D), Fraction(v0, D)), AgentState(Fraction(x1, D), Fraction(v1, D))
+    return tuple(states[k] for k in group)
+
+
+def class_start(kind, plan, rng):
+    """A two-class start on the groups of `plan`'s start: the start itself, it
+    scaled by 5/4 or by 1/2 (an input of the halved di orbit is inside (-1, 1),
+    so such runs step on the CSR sums), or two drawn states."""
+    init = plan.init
+    if kind == "drawn":
+        a = AgentState(Fraction(rng.randint(-40, 40), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), 4))
+        b = AgentState(Fraction(rng.randint(-40, 40), rng.randint(1, 9)), a.v + Fraction(rng.randint(1, 9), 4))
+        return [a if s == init[0] else b for s in init]
+    scale = {"orbit": 1, "scaled": Fraction(5, 4), "halved": Fraction(1, 2)}[kind]
+    return [AgentState(s.x * scale, s.v * scale) for s in init]
+
+
+def assert_record_holds(t, g, gains, ns):
+    """The run equals the per-agent rollout row for row, and its class record
+    names exactly the ticks the class step built, with their two states."""
+    states, raw, sat = rollout(g, gains, t.states[0], t.steps, ns=ns)
+    assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == (states, raw, sat)
+    group, pairs = t.states.classes
+    assert len(pairs) == len(states)
+    for k, pair in enumerate(pairs):
+        if pair is not None:
+            assert expanded(group, pair, t.states.data[k][2]) == states[k]
+        if k:
+            # the class step takes a tick on the groups whose inputs all saturate
+            on_groups = len(set(zip(group, states[k - 1]))) == 2
+            assert (pair is not None) == (on_groups and all(abs(u) >= 1 for u in raw[k - 1]))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.sampled_from([None, NsModel(Fraction(1, 2)), NsModel(Fraction(3, 10))]),
+    kind=st.sampled_from(["orbit", "scaled", "halved", "drawn"]),
+)
+def test_class_record_runs_equal_the_reference(n, seed, ns, kind):
+    """Whole runs from two-class starts, on the orbit and off it, on di and on
+    ns with 2a = 1 and the widening 3/5, equal the per-agent rollout row for
+    row; the record names the class-built ticks; the CSV, with the record and
+    without, is the reference writer's; and the inverted period and the checks
+    give their `reference` bodies' verdicts."""
+    rng = random.Random(seed)
+    # weights of at least 1/2 pass the ns gate for both a
+    g = WeightedGraph.from_edges(
+        n, random_connected_edges(rng, n, lambda rng: Fraction(rng.randint(5, 30), 10))
+    )
+    if ns is None:
+        gains = GainParams(Fraction(2, 5), Fraction(21, 50))
+        plan = synthesize_di(g, gains)
+    else:
+        gains = GainParams(Fraction(-1, 2), Fraction(2))
+        plan = synthesize_ns(g, ns, gains)
+    init = class_start(kind, plan, rng)
+    t = simulate(g, gains, init, 2 * plan.period + 3, ns=ns)
+    pairs = assert_record_holds(t, g, gains, ns)
+    if kind == "orbit":
+        assert all(pair is not None for pair in pairs)
+    text = trajectory_to_csv(t)
+    assert text == trajectory_to_csv(without_record(t)) == reference.trajectory_to_csv(tuple_copy(t))
+    assert_paths_agree(t, g, gains, plan._replace(init=tuple(init)), plan.period, ns)
+
+
+@pytest.mark.parametrize("name", ["ns-3/10", "ns-neg", "di"])
+def test_class_record_of_runs_that_leave_their_groups(name, class_runs, graph7):
+    """Two-class runs off the orbit record every tick they step as two classes,
+    and a run that leaves its groups records none after it, as the CSR sums
+    step it; its CSV is the same without the record."""
+    gains, init, ns = class_runs[name]
+    t = simulate(graph7, gains, init, 30, ns=ns)
+    pairs = assert_record_holds(t, graph7, gains, ns)
+    built = [pair is not None for pair in pairs[1:]]
+    assert built == ([True] * 30 if ns else [True] * 16 + [False] * 14)
+    assert trajectory_to_csv(t) == trajectory_to_csv(without_record(t))
+
+
+def test_record_of_a_loop_closed_by_the_csr_sums():
+    """A two-class start whose loop closes on a step of the CSR sums: each tick
+    that repeats the start is recorded as that step built it, with no states."""
+    g = WeightedGraph.from_edges(2, [(0, 1, Fraction(1))])
+    zero = GainParams(Fraction(0), Fraction(0))
+    ns = NsModel(Fraction(1, 2))  # x' = v, v' = -x + v, of period 6 without inputs
+    init = [AgentState(Fraction(1), Fraction(0)), AgentState(Fraction(0), Fraction(1))]
+    t = simulate(g, zero, init, 19, ns=ns)
+    assert t.states.data[6] is t.states.data[12] is t.states.data[0]
+    pairs = assert_record_holds(t, g, zero, ns)
+    assert pairs[0] is not None and pairs[1:] == [None] * 19
+
+
+def test_runs_of_other_starts_carry_no_record(fixture_runs, graph7, gains_di):
+    """Only a two-class start records: a start of seven states, a run of no
+    steps, a float run and the columns the CSV reader builds carry none."""
+    t, plan, _ = fixture_runs["di"]
+    assert len(set(plan.init)) > 2 and t.states.classes is None
+    mirrored = fixture_runs["mirrored"][0]
+    assert mirrored.states.classes is not None
+    assert mirrored.raw_u.classes is mirrored.sat_u.classes is None
+    assert simulate(graph7, gains_di, mirrored.states[0], 0).states.classes is None
+    floats = [AgentState(float(s.x), float(s.v)) for s in mirrored.states[0]]
+    assert simulate(graph7, gains_di, floats, 4).states.classes is None
+    read = trajectory_from_csv(trajectory_to_csv(mirrored), None, "exact")
+    assert read.states.classes is None
+
+
+@pytest.mark.parametrize("name", ["mirrored", "ns"])
+def test_step_loop_reads_the_record(name, fixture_runs, graph7, monkeypatch):
+    """On the orbit, no tick is tested against the groups after the start, no
+    input row is clamped, and the cap is checked on two states per tick."""
+    t, plan, ns = fixture_runs[name]
+    tested, checked = [], []
+    on_groups, check = dynamics._on_groups, Lattice.check
+
+    def counting_groups(*args):
+        tested.append(1)
+        return on_groups(*args)
+
+    def counting_check(X, V, D):
+        checked.append(len(X))
+        return check(X, V, D)
+
+    def refuse(*args):
+        raise AssertionError("a class step's row was clamped")
+
+    monkeypatch.setattr(dynamics, "_on_groups", counting_groups)
+    monkeypatch.setattr(Lattice, "check", staticmethod(counting_check))
+    monkeypatch.setattr(dynamics, "clamped", refuse)
+    again = simulate(graph7, plan.gains, plan.init, t.steps, ns=ns)
+    # `two_classes` tests the start tick; the run closes at tick T
+    assert tested == [1] and checked == [2] * plan.period
+    assert (tuple(again.states), tuple(again.raw_u), tuple(again.sat_u)) == (
+        tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)
+    )
+
+
+@pytest.mark.parametrize("name", ["mirrored", "ns"])
+def test_inverted_period_unsteps_class_ticks_as_two_states(name, fixture_runs, graph7, monkeypatch):
+    """On its own run each backward step unsteps two class states, and without
+    the record each unsteps every agent, to the same start row."""
+    t, plan, _ = fixture_runs[name]
+    sizes = []
+    unstep = Lattice.unstep
+
+    def counting(self, X, *args):
+        sizes.append(len(X))
+        return unstep(self, X, *args)
+
+    monkeypatch.setattr(Lattice, "unstep", counting)
+    assert backward_states(t, graph7, plan.gains, plan.period) == list(t.states[0])
+    assert sizes == [2] * plan.period
+    sizes.clear()
+    assert backward_states(without_record(t), graph7, plan.gains, plan.period) == list(t.states[0])
+    assert sizes == [graph7.n] * plan.period
+
+
+def sat_edits(t, k, i):
+    """Saturated rows that replace row k of t: agent i's input negated, the
+    whole row negated, and the row over twice its denominator (the same values)."""
+    S, Es = t.sat_u.data[k]
+    one = list(S)
+    one[i] = -one[i]
+    return [(one, Es), ([-s for s in S], Es), ([2 * s for s in S], 2 * Es)]
+
+
+@pytest.fixture(scope="module")
+def class_orbits(fixture_runs, graph7, gains_ns):
+    """(trajectory, plan) of the synthesized di and ns orbits and of the ns
+    orbit with a = 3/10, whose class steps widen D by 5 and reduce it again."""
+    ns = NsModel(Fraction(3, 10))
+    plan = synthesize_ns(graph7, ns, gains_ns)
+    return {
+        "mirrored": fixture_runs["mirrored"][:2],
+        "ns": fixture_runs["ns"][:2],
+        "ns-3/10": (simulate(graph7, gains_ns, plan.init, 8, ns=ns), plan),
+    }
+
+
+@pytest.mark.parametrize("name", ["mirrored", "ns", "ns-3/10"])
+def test_tampered_sat_row_fails_as_per_agent(name, class_orbits, graph7):
+    """A recorded run whose saturated row k is changed, in one agent or in all,
+    is inverted as without the record and as agent by agent: it raises at the
+    same step and agent, and a row over another denominator passes."""
+    t, plan = class_orbits[name]
+    T = plan.period
+    rng = random.Random(25)
+    for k in range(T):
+        for row in sat_edits(t, k, rng.randrange(t.n)):
+            data = list(t.sat_u.data)
+            data[k] = row
+            bad = t._replace(sat_u=LatticeColumn(data, ratios))
+            assert bad.states.classes is t.states.classes
+            got = outcome(backward_states, bad, graph7, plan.gains, T)
+            assert got == outcome(backward_states, without_record(bad), graph7, plan.gains, T)
+            assert got == outcome(reference.backward_states, tuple_copy(bad), graph7, plan.gains, T)
+            assert (got == list(t.states[0])) == (row[1] != t.sat_u.data[k][1])
+
+
+# ---------------------------------------------------------------------------
 # Float runs: the `FloatLattice` against the per-agent stepper
 
 
