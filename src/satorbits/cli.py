@@ -20,9 +20,9 @@ from typing import Iterator, NoReturn, Optional, Sequence
 
 from .dynamics import (
     AgentState,
+    ClassRecord,
     FloatLattice,
     GainParams,
-    GroupSigns,
     Lattice,
     LatticeColumn,
     NsModel,
@@ -298,22 +298,22 @@ def _row_tails(
     raw: Optional[tuple[list, Scalar]],
     sat: Optional[tuple[list, Scalar]],
     rs: Optional[list[str]],
-    group: Optional[list[int]] = None,
-    pair: Optional[tuple[list, list]] = None,
+    classes: Optional[ClassRecord] = None,
     ss: Optional[list[str]] = None,
 ) -> list[str]:
     """The CSV lines of one row without their step, `i,x,v,u_raw,u_sat` per
     agent, in the texts of the row's `kind`; `index` holds the agent texts
-    and `rs` the `u_raw` texts.  On a tick of the run's class record, `pair`
-    holds its two class states, whose four texts `group` spreads over the
-    agents; `ss`, when given, are the `u_sat` texts."""
+    and `rs` the `u_raw` texts.  Given the `ClassRecord` whose groups the tick
+    is on, the four texts of its two class states are spread over the agents
+    by group; `ss`, when given, are the `u_sat` texts."""
     X, V, D = tick
-    if pair is not None:
-        X, V = pair
+    if classes is not None:
+        X, V = [X[0], X[classes.j]], [V[0], V[classes.j]]
     # X and V share D, so it is scaled once
     texts = kind.texts(X + V, D)
     xs, vs = texts[: len(X)], texts[len(X) :]
-    if pair is not None:
+    if classes is not None:
+        group = classes.group
         xs, vs = list(map(xs.__getitem__, group)), list(map(vs.__getitem__, group))
     if raw is None:
         return list(map(",".join, zip(index, xs, vs, repeat(""), repeat(""))))
@@ -349,10 +349,10 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     the tails of a (tick, raw, sat) row whose objects recur are formatted
     once and kept; step k stamps `k,` before each of its row's n tails.  On
     a run whose tick p reflects its start (`_reflected_half`), the `u_raw`
-    texts of rows p..2p-1 are row k-p's with the sign toggled.  With a class
-    record (`LatticeColumn.classes`), a recorded tick's `x,v` texts are its
-    two class states', and a class step's row signed by group takes its `u_sat`
-    texts from the group's sign.  An exact
+    texts of rows p..2p-1 are row k-p's with the sign toggled.  With a
+    `ClassRecord` (`LatticeColumn.classes`), the `x,v` texts of a tick k <= last
+    are its two class states', and the row of a class step k < last that equals
+    its group-signed row takes its `u_sat` texts from the group's sign.  An exact
     value whose digits exceed Python's limit on converting an integer to
     text (`sys.get_int_max_str_digits()`, 4300 by default) is a usage error,
     raised before the first piece past it.
@@ -366,12 +366,12 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     first_half: list[list[str]] = []  # the u_raw texts of rows 0..p-1
     index = [str(i) for i in range(1, t.n + 1)]
     kind = t.states.kind
-    group, pairs = t.states.classes or (None, None)
-    if pairs is not None:
-        # a class step's saturated rows and their u_sat texts, by S_0 > 0
-        signs = GroupSigns(group)
-        units = kind.UNIT_TEXTS
-        signed = [units[1 - k] for k in group], [units[k] for k in group]
+    classes = t.states.classes
+    last = -1
+    if classes is not None:
+        # the u_sat texts of a class step's saturated row, by S_0 > 0
+        last, units = classes.last, kind.UNIT_TEXTS
+        signed = [units[1 - k] for k in classes.group], [units[k] for k in classes.group]
     try:
         for k, (row, key) in enumerate(zip(rows, keys)):
             tails = known.get(key)
@@ -383,10 +383,11 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
                     if k < p:
                         first_half.append(rs)
                     S, Es = sat
-                    if pairs is not None and pairs[k + 1] is not None and S == signs[Es][S[0] > 0]:
+                    # only the rows the run built: a foreign Es adds none to its signs
+                    if k < last and Es in classes.signs and S == classes.signs[Es][S[0] > 0]:
                         ss = signed[S[0] > 0]
-                pair = pairs[k] if pairs is not None else None
-                tails = _row_tails(index, kind, tick, raw, sat, rs, group, pair, ss)
+                record = classes if k <= last else None
+                tails = _row_tails(index, kind, tick, raw, sat, rs, record, ss)
                 if key in recurring:
                     known[key] = tails
             yield f"{k}," + f"\n{k},".join(tails) + "\n"

@@ -112,13 +112,6 @@ _MINUS_ONE = Fraction(-1)
 #: lattice coordinates of a network state: numerators X, V over denominator D
 LatticeState = tuple[list[int], list[int], int]
 
-#: the two groups of a run's start tick, as `Lattice.two_classes` returns them
-Classes = tuple[list[int], list[int], int, int]
-
-#: the two class states of a tick, ([x_0, x_j], [v_0, v_j]) over its D, j
-#: group 1's first agent
-Pair = tuple[list[int], list[int]]
-
 
 class GroupSigns(dict):
     """`self[E][up]`, built once per E: the row that is E on group 0 and -E on
@@ -133,12 +126,18 @@ class GroupSigns(dict):
         return rows
 
 
-def _on_groups(X: list[int], V: list[int], group: list[int], j: int) -> bool:
-    """Whether X and V are constant on each group, agent 0's values on 0 and agent j's on 1."""
-    xs, vs = [X[0], X[j]], [V[0], V[j]]
-    if X[-1] != xs[group[-1]]:  # off the groups, this most often tells in O(1)
-        return False
-    return X == list(map(xs.__getitem__, group)) and V == list(map(vs.__getitem__, group))
+class ClassRecord(
+    Record, namedtuple("ClassRecord", "group j signed least signs last", defaults=(0,))
+):
+    """The two groups of a tick (`Lattice.two_classes`): each agent's `group`
+    (agent 0's is 0), `j` group 1's first agent, so the class states of a tick
+    on the groups are (X[0], V[0]) and (X[j], V[j]), each agent's scaled weight
+    c_i to the other group `signed` (negated in group 1), the `least` |c_i| and
+    the `signs` rows.  In a run, ticks 0..`last` are class-built: each step
+    k < last is a class step, raw row k dY * c_i and saturated row k
+    `signs[E][U_0 > 0]`."""
+
+    __slots__ = ()
 
 
 def _reduced(X: list[int], V: list[int], D: int, widened_by: int) -> LatticeState:
@@ -181,11 +180,7 @@ class LatticeColumn(Sequence):
     whose rows these are.  On the states and raw inputs of a `simulate`,
     `lattice` is the loop it stepped on, for checks of that loop and the CSV
     writer to reuse.  On the states of a run from a two-class start, `classes`
-    is its class record (group, pairs): each agent's group and each tick's two
-    class states (a `Pair`), or None.  pairs[0] is the start tick's, and pairs[k]
-    for k >= 1 is set exactly when the class step built tick k, so row k-1 of
-    the inputs is dY * c_i, saturated by group (`GroupSigns`).  Neither takes
-    part in `==` or `hash`.
+    is its `ClassRecord`.  Neither takes part in `==` or `hash`.
     """
 
     __slots__ = ("data", "decode", "_rows", "lattice", "classes")
@@ -195,7 +190,7 @@ class LatticeColumn(Sequence):
         self.decode = decode
         self._rows: list[Optional[tuple]] = [None] * len(data)
         self.lattice: Optional[Lattice] = None
-        self.classes: Optional[tuple[list[int], list[Optional[Pair]]]] = None
+        self.classes: Optional[ClassRecord] = None
 
     def __len__(self) -> int:
         return len(self.data)
@@ -261,8 +256,9 @@ class Lattice:
     (by K) and, on `ns`, by the denominator R of 2a; after a widening the gcd
     of D and every numerator is divided out, so D stays the lcm of the
     reduced denominators.  A tick of the paper's orbit, one state per class,
-    `step` steps as its `two_classes`.  `graph`, `gains` and `ns` are the loop
-    it was built for.  `weights`, when given, is `_weight_objects(g)`.
+    `class_step` steps as its two class states (`two_classes`).  `graph`,
+    `gains` and `ns` are the loop it was built for.  `weights`, when given, is
+    `_weight_objects(g)`.
 
     The static methods are the row layout's number kind, which
     `FloatLattice` overrides: `encode`/`decode` a tick, `encode_inputs` and
@@ -368,56 +364,51 @@ class Lattice:
             for s, e, d, y in zip(self.starts, self.ends, self.degrees, Y)
         ]
 
-    def two_classes(self, X: list[int], V: list[int]) -> Optional[Classes]:
-        """The groups of a tick of exactly two distinct states, or None: each agent's
-        group (agent 0's is 0), its scaled weight c_i to the other group by prefix
-        sums as in `inputs`, negated in group 1, the least c_i, and agent j, group 1's first."""
+    def two_classes(self, X: list[int], V: list[int]) -> Optional[ClassRecord]:
+        """The `ClassRecord` of a tick of exactly two distinct states, or None; each
+        c_i is summed by prefix sums as in `inputs`."""
         # no tuple per agent: a few thousand new containers set off the cyclic collector
         group = [int(x != X[0] or v != V[0]) for x, v in zip(X, V)]
-        if 1 not in group or not _on_groups(X, V, group, group.index(1)):
+        if 1 not in group:
+            return None
+        j = group.index(1)
+        xs, vs = [X[0], X[j]], [V[0], V[j]]
+        if X != list(map(xs.__getitem__, group)) or V != list(map(vs.__getitem__, group)):
             return None
         acc = list(accumulate(map(mul, self.W, map(group.__getitem__, self.J)), initial=0))
         agents = zip(self.starts, self.ends, self.degrees, group)
         signed = [acc[e] - acc[s] - k * d for s, e, d, k in agents]
-        return group, signed, min(map(abs, signed)), group.index(1)
+        return ClassRecord(group, j, signed, min(map(abs, signed)), GroupSigns(group))
 
-    def step(
-        self, X: list[int], V: list[int], D: int,
-        classes: Optional[Classes] = None, pairs: Optional[list[Optional[Pair]]] = None,
-    ) -> tuple[LatticeState, list[int], int]:
-        """One forward step: the next lattice state and the raw inputs U over E = K*D.
-
-        Given the `two_classes` of the run's start tick, a tick constant on each
-        group whose inputs all saturate steps its two class states: intra terms
-        vanish, so U_i = c_i * dY, dY = Y_j - Y_0 signed by group, and all
-        saturate when the least c_i times |dY| reaches E.  Other ticks take `inputs`.
-        `pairs`, the class record (`LatticeColumn.classes`), ends with this tick's
-        entry, which spares a recorded tick `_on_groups`; the step appends the next's."""
+    def step(self, X: list[int], V: list[int], D: int) -> tuple[LatticeState, list[int], int]:
+        """One forward step: the next lattice state and the raw inputs U over E = K*D."""
         E = self.K * D
         R = self.R
-        if classes is not None:
-            group, signed, least, j = classes
-            pair = pairs[-1] if pairs else None
-            if pair is None and _on_groups(X, V, group, j):
-                pair = [X[0], X[j]], [V[0], V[j]]
-            if pair is not None:
-                (x0, xj), (v0, vj) = pair
-                dY = self.A * (xj - x0) + self.B * (vj - v0)
-                if least * abs(dY) >= E:
-                    s = D * R if dY > 0 else -D * R
-                    Xn, Vn, DM = self._advance(*pair, [s, -s], D, R)
-                    if pairs is not None:
-                        pairs.append((Xn, Vn))
-                    tick = list(map(Xn.__getitem__, group)), list(map(Vn.__getitem__, group)), DM
-                    return tick, list(map(dY.__mul__, signed)), E
-        if pairs is not None:
-            pairs.append(None)
         U = self.inputs(X, V)
         mult = R * self.K if any(-E < u < E for u in U) else R
         DM = D * mult
         # applied input times the new denominator D*mult
         S = [DM if u >= E else -DM if u <= -E else u * R for u in U]
         return self._advance(X, V, S, D, mult), U, E
+
+    def class_step(
+        self, X: list[int], V: list[int], D: int, classes: ClassRecord
+    ) -> Optional[tuple[LatticeState, list[int], int]]:
+        """`step` of a tick on the groups of `classes` as its two class states, or
+        None when an input does not saturate: intra terms vanish, so U_i = c_i * dY,
+        dY = Y_j - Y_0, and all saturate when the least |c_i| times |dY| reaches E."""
+        j = classes.j
+        xs, vs = [X[0], X[j]], [V[0], V[j]]
+        dY = self.A * (xs[1] - xs[0]) + self.B * (vs[1] - vs[0])
+        E = self.K * D
+        if classes.least * abs(dY) < E:
+            return None
+        R = self.R
+        s = D * R if dY > 0 else -D * R
+        Xn, Vn, DM = self._advance(xs, vs, [s, -s], D, R)
+        group = classes.group
+        tick = list(map(Xn.__getitem__, group)), list(map(Vn.__getitem__, group)), DM
+        return tick, list(map(dY.__mul__, classes.signed)), E
 
     def _advance(self, X: list[int], V: list[int], S: list[int], D: int, mult: int) -> LatticeState:
         """The reduced tick over D*mult from X, V over D and applied inputs S over D*mult."""
@@ -434,20 +425,14 @@ class Lattice:
         self, X: list[int], V: list[int], D: int, S: list[int], Es: int
     ) -> LatticeState:
         """Inverse of one step, given the saturated inputs S/Es (Es > 0) it applied."""
-        if S.count(Es) + S.count(-Es) == len(S):
-            # every input is +-1: q = 1, so mult = R and each input is +-D*R
-            mult = self.R
-            DM = D * mult
-            S = list(map({Es: DM, -Es: -DM}.__getitem__, S))
-        else:
-            # S/Es in lowest common terms is (S/c)/q; D*mult is the least
-            # multiple of D that q divides, times R on ns
-            c = math.gcd(Es, *S)
-            q = Es // c
-            mult = self.R * (q // math.gcd(q, D))
-            DM = D * mult
-            f = DM // q
-            S = [s // c * f for s in S]
+        # S/Es in lowest common terms is (S/c)/q; D*mult is the least
+        # multiple of D that q divides, times R on ns
+        c = math.gcd(Es, *S)
+        q = Es // c
+        mult = self.R * (q // math.gcd(q, D))
+        DM = D * mult
+        f = DM // q
+        S = [s // c * f for s in S]
         if self.ns is None:
             Vp = [v * mult - s for v, s in zip(V, S)]
             Xp = [x * mult - v for x, v in zip(X, Vp)]
@@ -551,8 +536,9 @@ def simulate(
     repeats its rows, which are shared by reference instead of stepped.  On
     exact ticks the match compares D first, so a run off the orbit pays one
     int compare per step; a run whose tick p `reflects` its start closes at
-    tick 2p.  A two-class start keeps a class record (`LatticeColumn.classes`):
-    a class-built tick is capped on its two states and saturates by group.
+    tick 2p.  A two-class start keeps its `ClassRecord` (`LatticeColumn.classes`):
+    it takes class steps, capped on the two states and saturated by group, up
+    to the first tick with an unsaturated input, `last`, and the CSR sums after.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -562,25 +548,24 @@ def simulate(
     lattice = Lattice.of(g, gains, ns, (c for s in init for c in (s.x, s.v)))
     tick = lattice.encode(init)
     classes = lattice.two_classes(tick[0], tick[1]) if steps else None
-    pairs: Optional[list[Optional[Pair]]] = None
-    if classes is not None:
-        j = classes[3]
-        pairs = [([tick[0][0], tick[0][j]], [tick[1][0], tick[1][j]])]
-        signs = GroupSigns(classes[0])
     ticks = [tick]
     raw: list[tuple[list, Scalar]] = []
     sat: list[tuple[list, Scalar]] = []
-    period = 0
+    period = last = 0
     for p in range(1, steps + 1):
-        tick, U, E = lattice.step(*tick, classes, pairs)
-        pair = pairs[-1] if pairs else None
-        if pair is None:
+        # the class step is tried only while every step so far took it
+        stepped = last == p - 1 and classes is not None and lattice.class_step(*tick, classes)
+        if not stepped:
+            tick, U, E = lattice.step(*tick)
             lattice.check(*tick)
             S = clamped(U, E)
         else:
             # a class-built tick holds its two states' values, and U_0 has dY's sign
-            lattice.check(*pair, tick[2])
-            S = signs[E][U[0] > 0]
+            tick, U, E = stepped
+            last = p
+            X, V, D = tick
+            lattice.check([X[0], X[classes.j]], [V[0], V[classes.j]], D)
+            S = classes.signs[E][U[0] > 0]
         raw.append((U, E))
         sat.append((S, E))
         if lattice.same(tick, ticks[0]):
@@ -593,16 +578,16 @@ def simulate(
         ticks += [ticks[j % period] for j in range(len(ticks), steps + 1)]
         raw += [raw[j % period] for j in range(len(raw), steps)]
         sat += [sat[j % period] for j in range(len(sat), steps)]
-        if pairs is not None:
-            # tick `period` is tick 0 again, but its entry is its own step's
-            pairs += [pairs[1 + (j - 1) % period] for j in range(len(pairs), steps + 1)]
+        if last == period:
+            # every step repeats a class step
+            last = steps
     states = LatticeColumn(ticks, lattice.decode)
     states._rows[0] = init
     raw_u = LatticeColumn(raw, lattice.ratios)
     # raw row k holds the inputs this lattice computed at tick k
     states.lattice = raw_u.lattice = lattice
     if classes is not None:
-        states.classes = classes[0], pairs
+        states.classes = classes._replace(last=last)
     return Trajectory(lattice.ns, states, raw_u, LatticeColumn(sat, lattice.ratios))
 
 

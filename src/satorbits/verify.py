@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from .dynamics import (
     AgentState,
     GainParams,
-    GroupSigns,
     Lattice,
     NsModel,
     Trajectory,
@@ -66,14 +65,12 @@ def backward_states(
     tick `states.data[0]`, with its integer rows S/Es as they are, decoded
     only to name a mismatch; the lattice is `t.states.lattice` when that was
     built from these graph and gains objects and `t.ns`.  Reduced ticks are
-    equal exactly when the states are, so on the run's own lattice
-    (`t.raw_u.lattice` too) an unstepped tick equal to the recorded tick
-    `t.states.data[T - back]` takes its inputs from the raw row the run
-    computed there, not from `Lattice.inputs`; and a tick at -T equal to the
-    start tick gives the start row `t.states[0]` itself.  There, with the
-    run's class record (`LatticeColumn.classes`), a recorded tick after a class
-    step whose saturated row is signed by group unsteps as its two class states,
-    compared with those recorded at the tick before; others unstep per agent.
+    equal exactly when the states are, so a tick at -T equal to the start
+    tick gives the start row `t.states[0]` itself.  On the run's own lattice
+    (`t.raw_u.lattice` too), the class steps k < last of its `ClassRecord`
+    unstep as two class states while each reaches tick k under the saturated
+    row its raw row gives; every other step unsteps per agent under the
+    inputs `Lattice.inputs` recomputes.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
@@ -87,35 +84,31 @@ def backward_states(
     if not lattice.exact:
         return None
     # the run's own lattice recorded its inputs at each of its ticks
-    own = t.raw_u.lattice is lattice is t.states.lattice
-    group, pairs = (own and t.states.classes) or (None, None)
-    if pairs is not None:
-        signs, j = GroupSigns(group), group.index(1)
-    pair = pairs[0] if pairs else None  # the class states of the tick in hand, when recorded
+    classes = t.states.classes if t.raw_u.lattice is lattice is t.states.lattice else None
+    # the class path holds while the tick in hand is tick k+1 of a class step k
+    on_prefix = classes is not None and T <= classes.last
     for back in range(1, T + 1):
         k = T - back
         S, Es = t.sat_u.data[k]
-        if pair is not None and pairs[k] is not None and pairs[k + 1] is not None:
+        if on_prefix:
             # step k was a class step, so the inputs recorded at tick k saturate
             # by group with U_0's sign; under that row the tick in hand unsteps
-            # as its two class states
+            # as its two class states, and reaching tick k's confirms the row
             U, E = t.raw_u.data[k]
-            if Es == E and S == signs[E][U[0] > 0]:
-                xs, vs, Dk = lattice.unstep(*pair, D, [S[0], S[j]], Es)
-                if (xs, vs) == pairs[k] and Dk == t.states.data[k][2]:
-                    # the tick reached is tick k, whose recorded inputs saturate to S
-                    X, V, D = t.states.data[k]
-                    pair = pairs[k]
-                    continue
-        tick = X, V, D = lattice.unstep(X, V, D, S, Es)
-        recorded = own and tick == t.states.data[k]
-        if recorded:
-            U, E = t.raw_u.data[k]
-        else:
-            E = lattice.K * D
-            U = lattice.inputs(X, V)
-        pair = pairs[k] if recorded and pairs else None
-        # sat(u/E) == s/Es; over Es == E (an own run's rows) that is S == clamped(U, E)
+            tick, j = t.states.data[k], classes.j
+            on_prefix = (
+                Es == E
+                and S == classes.signs[E][U[0] > 0]
+                and lattice.unstep([X[0], X[j]], [V[0], V[j]], D, [S[0], S[j]], Es)
+                == ([tick[0][0], tick[0][j]], [tick[1][0], tick[1][j]], tick[2])
+            )
+            if on_prefix:
+                X, V, D = tick
+                continue
+        X, V, D = lattice.unstep(X, V, D, S, Es)
+        E = lattice.K * D
+        U = lattice.inputs(X, V)
+        # sat(u/E) == s/Es; over Es == E that is S == clamped(U, E)
         if (S == clamped(U, E)) if Es == E else all(
             s == Es if u >= E else s == -Es if u <= -E else u * Es == s * E
             for u, s in zip(U, S)

@@ -294,9 +294,10 @@ def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypa
 
 @pytest.mark.parametrize("name", ["di", "ns", "mirrored"])
 def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, monkeypatch):
-    """On its own on-orbit run the inverted period takes each input row the
-    run recorded and computes none; without the run's lattice on both the
-    states and the raw inputs it computes all T, with the same result."""
+    """On its own on-orbit two-class run the inverted period unsteps the class
+    states under the input rows the run recorded and computes no inputs; on
+    the paper's seven-state di point, and without the run's lattice on both
+    the states and the raw inputs, it computes all T, with the same result."""
     t, plan, _ = fixture_runs[name]
     T = plan.period
     calls = []
@@ -308,7 +309,7 @@ def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, m
 
     monkeypatch.setattr(Lattice, "inputs", counting)
     runs = {
-        "own": (t, 0),
+        "own": (t, T if name == "di" else 0),
         "copy": (lattice_copy(t), T),
         "raw-copy": (t._replace(raw_u=lattice_copy(t).raw_u), T),
         "raw-bare": (t._replace(raw_u=LatticeColumn(t.raw_u.data, ratios)), T),
@@ -531,14 +532,36 @@ def test_overflow_cap_trips_at_reference_step(
         simulate(graph7, gains_di, init, k)
 
 
+def counted_steps(monkeypatch):
+    """A list that gains an entry at each step a run takes: "csr" at each
+    `Lattice.step` call, and at each `Lattice.class_step` call "class" when it
+    steps the tick and "tried" when it declines."""
+    calls = []
+    step, class_step = Lattice.step, Lattice.class_step
+
+    def counting(self, *tick):
+        calls.append("csr")
+        return step(self, *tick)
+
+    def counting_class(self, *args):
+        out = class_step(self, *args)
+        calls.append("tried" if out is None else "class")
+        return out
+
+    monkeypatch.setattr(Lattice, "step", counting)
+    monkeypatch.setattr(Lattice, "class_step", counting_class)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["di", "ns", "halved", "mirrored"])
 def test_closed_orbit_is_stepped_once(
     name, graph7, gains_di, gains_ns, ns_model, reference_init_di, monkeypatch
 ):
     """Once the state returns to its start, the rows repeat without stepping, so
-    a closed orbit takes T steps (the ns orbit 4, the di orbits 22).  The
-    synthesized orbits reflect their start at T/2, the paper's di positions
-    never; off the orbit every step is taken."""
+    a closed orbit takes T steps (the ns orbit 4, the di orbits 22), the
+    synthesized two-class orbits each as a class step.  The synthesized orbits
+    reflect their start at T/2, the paper's di positions never; off the orbit
+    every step is taken."""
     if name == "ns":
         gains, init, ns, T = gains_ns, synthesize_ns(graph7, ns_model, gains_ns).init, ns_model, 4
     else:
@@ -547,18 +570,12 @@ def test_closed_orbit_is_stepped_once(
         init = INITS["halved"](init)
     if name == "mirrored":
         init = synthesize_di(graph7, gains_di).init
-    steps_taken = []
-    step = Lattice.step
-
-    def counting(self, *tick):
-        steps_taken.append(1)
-        return step(self, *tick)
-
-    monkeypatch.setattr(Lattice, "step", counting)
+    steps_taken = counted_steps(monkeypatch)
     for steps in (2 * T, 3 * T + 5):
         steps_taken.clear()
         t = simulate(graph7, gains, init, steps, ns=ns)
-        assert len(steps_taken) == (steps if name == "halved" else T)
+        kind = "class" if name in ("ns", "mirrored") else "csr"
+        assert steps_taken == [kind] * (steps if name == "halved" else T)
         assert _reflected_half(t) == (T // 2 if name in ("ns", "mirrored") else 0)
         expected = rollout(graph7, gains, init, steps, ns=ns)
         assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == expected
@@ -770,7 +787,7 @@ def test_cap_trips_on_the_state_that_closes_the_orbit(
 
 
 # ---------------------------------------------------------------------------
-# Two-class ticks: `Lattice.step` given the `two_classes` of a run's start tick
+# Two-class ticks: `Lattice.class_step` given the `two_classes` of a tick
 
 #: di, and ns with 2a = 1, 3/5 and -4/7 (R = 1, 5 and 7)
 CLASS_MODELS = [None, NsModel(Fraction(1, 2)), NsModel(Fraction(3, 10)), NsModel(Fraction(-2, 7))]
@@ -844,23 +861,28 @@ def class_cases(rng, trials):
 
 
 def test_class_branch_equals_the_csr_step(monkeypatch):
-    """The class branch gives the CSR step's ((X, V, D), U, E) bit for bit, and
-    is taken exactly on a tick constant on each group whose inputs all
-    saturate, as the per-agent `control_inputs` decide it."""
+    """A tick has a class record exactly when it is constant on each of two
+    groups, and the class step, which sums no inputs, gives the CSR step's
+    ((X, V, D), U, E) bit for bit exactly when its inputs all saturate, as the
+    per-agent `control_inputs` decide it; else it declines."""
     calls = counted_inputs(monkeypatch)
     taken = Counter()
     for kind, g, gains, ns, group, start, ticks in class_cases(random.Random(21), 120):
         lattice = Lattice(g, gains, ns)
-        X0, V0, _ = lattice.encode(start)
-        classes = lattice.two_classes(X0, V0)
-        assert classes is not None and classes[0] == group
         for states in ticks:
             tick = lattice.encode(states)
-            calls.clear()
-            assert lattice.step(*tick, classes) == lattice.step(*tick)
-            # the CSR step calls `inputs` once; a branch taken by the first does not
-            branch = len(calls) == 1
+            classes = lattice.two_classes(*tick[:2])
             two_class = len(set(zip(group, states))) == 2
+            assert (classes is not None and classes.group == group) == two_class, kind
+            branch = False
+            if two_class:
+                assert classes.j == group.index(1) and classes.signs.group is classes.group
+                calls.clear()
+                stepped = lattice.class_step(*tick, classes)
+                assert not calls
+                branch = stepped is not None
+                if branch:
+                    assert stepped == lattice.step(*tick)
             saturated = all(abs(u) >= 1 for u in control_inputs(g, gains, states))
             assert branch == (two_class and saturated), kind
             taken[kind if states is start else "off", ns, two_class, branch] += 1
@@ -878,23 +900,18 @@ def test_two_classes_needs_exactly_two_states(graph7, gains_di):
     two = [*one[:6], AgentState(Fraction(1, 3), Fraction(3))]
     assert lattice.two_classes(*lattice.encode(one)[:2]) is None
     assert lattice.two_classes(*lattice.encode(three)[:2]) is None
-    assert lattice.two_classes(*lattice.encode(two)[:2])[0] == [0] * 6 + [1]
+    classes = lattice.two_classes(*lattice.encode(two)[:2])
+    assert classes.group == [0] * 6 + [1] and classes.j == 6 and classes.last == 0
 
 
 def test_class_runs_equal_the_reference(monkeypatch):
     """Whole runs from two-class starts, and from starts of one and of three
     distinct states, equal the per-agent stepper's.  A start of one or three
-    states takes the CSR sums on every tick it steps; some two-class starts
-    take the class branch on some ticks and the CSR sums on others."""
+    states takes the CSR sums on every tick it steps.  A two-class start takes
+    class steps up to the first the class step declines, then the CSR sums to
+    its end, each summing the inputs once; some take both."""
     calls = counted_inputs(monkeypatch)
-    steps_taken = []
-    step = Lattice.step
-
-    def counting(self, *tick):
-        steps_taken.append(1)
-        return step(self, *tick)
-
-    monkeypatch.setattr(Lattice, "step", counting)
+    steps_taken = counted_steps(monkeypatch)
     mixed = 0
     for kind, g, gains, ns, _, start, (_, off, _) in class_cases(random.Random(22), 24):
         for init in (start, off, [start[0]] * g.n):
@@ -904,9 +921,15 @@ def test_class_runs_equal_the_reference(monkeypatch):
             assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == rollout(
                 g, gains, init, 12, ns=ns
             )
+            assert len(calls) == steps_taken.count("csr")
+            built = steps_taken.count("class")
+            rest = steps_taken[built:]
+            assert steps_taken[:built] == ["class"] * built
             if len(set(init)) != 2:
-                assert len(calls) == len(steps_taken)
-            mixed += 0 < len(calls) < len(steps_taken)
+                assert steps_taken == ["csr"] * len(steps_taken)
+            else:
+                assert not rest or rest == ["tried"] + ["csr"] * (len(rest) - 1)
+            mixed += built > 0 and "csr" in rest
     assert mixed
 
 
@@ -956,23 +979,31 @@ def test_cap_trips_at_the_reference_step_on_class_runs(name, class_runs, graph7,
 @pytest.mark.parametrize("name", ["mirrored", "ns", "halved"])
 def test_class_branch_is_taken_on_the_orbit_only(name, fixture_runs, graph7, monkeypatch):
     """A synthesized orbit steps every tick as its two classes and never takes
-    the CSR sums.  The synthesized di start halved is two-class too, but one
-    of its inputs is inside (-1, 1): it takes them on every tick of 250."""
+    the CSR sums; its record's prefix is the whole run.  The synthesized di
+    start halved (the `offorbit_7` benchmark input) is two-class too, but one
+    of its inputs is inside (-1, 1): the class step is tried once, at the
+    start, the record's prefix is tick 0 alone, and the CSR sums step every
+    tick of 250."""
     t, plan, ns = fixture_runs["mirrored" if name == "halved" else name]
     init, steps = plan.init, t.steps
     if name == "halved":
         init, steps = INITS["halved"](init), 250
     assert len(set(init)) == 2
     calls = counted_inputs(monkeypatch)
+    steps_taken = counted_steps(monkeypatch)
     again = simulate(graph7, plan.gains, init, steps, ns=ns)
     assert len(calls) == (steps if name == "halved" else 0)
+    if name == "halved":
+        assert steps_taken == ["tried"] + ["csr"] * steps and again.states.classes.last == 0
+    else:
+        assert steps_taken == ["class"] * plan.period and again.states.classes.last == steps
     assert (tuple(again.states), tuple(again.raw_u), tuple(again.sat_u)) == rollout(
         graph7, plan.gains, init, steps, ns=ns
     )
 
 
 # ---------------------------------------------------------------------------
-# The class record: the two class states of each tick the class step built
+# The class record: the prefix of ticks the class step built from the start
 
 
 def without_record(t):
@@ -983,11 +1014,11 @@ def without_record(t):
     return t._replace(states=states)
 
 
-def expanded(group, pair, D):
-    """The states of a tick whose two class states are `pair` over D."""
-    (x0, x1), (v0, v1) = pair
-    states = AgentState(Fraction(x0, D), Fraction(v0, D)), AgentState(Fraction(x1, D), Fraction(v1, D))
-    return tuple(states[k] for k in group)
+def expanded(classes, tick):
+    """The states of agents 0 and j of a tick, spread over the agents by group."""
+    X, V, D = tick
+    states = [AgentState(Fraction(X[i], D), Fraction(V[i], D)) for i in (0, classes.j)]
+    return tuple(states[k] for k in classes.group)
 
 
 def class_start(kind, plan, rng):
@@ -1004,20 +1035,26 @@ def class_start(kind, plan, rng):
 
 
 def assert_record_holds(t, g, gains, ns):
-    """The run equals the per-agent rollout row for row, and its class record
-    names exactly the ticks the class step built, with their two states."""
+    """The run equals the per-agent rollout row for row, and its class record's
+    prefix, ticks 0..last, is exactly the ticks the class step built from the
+    start, each the expansion of its two class states.  Returns `last`."""
     states, raw, sat = rollout(g, gains, t.states[0], t.steps, ns=ns)
     assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == (states, raw, sat)
-    group, pairs = t.states.classes
-    assert len(pairs) == len(states)
-    for k, pair in enumerate(pairs):
-        if pair is not None:
-            assert expanded(group, pair, t.states.data[k][2]) == states[k]
-        if k:
-            # the class step takes a tick on the groups whose inputs all saturate
-            on_groups = len(set(zip(group, states[k - 1]))) == 2
-            assert (pair is not None) == (on_groups and all(abs(u) >= 1 for u in raw[k - 1]))
-    return pairs
+    classes = t.states.classes
+    group, last = classes.group, classes.last
+    assert group[0] == 0 and classes.j == group.index(1) and 0 <= last <= t.steps
+
+    def class_step(k):
+        # the class step takes a tick on the groups whose inputs all saturate
+        return len(set(zip(group, states[k]))) == 2 and all(abs(u) >= 1 for u in raw[k])
+
+    for k in range(last + 1):
+        assert len(set(zip(group, states[k]))) == 2
+        assert expanded(classes, t.states.data[k]) == states[k]
+    assert all(class_step(k) for k in range(last))
+    # the prefix is maximal: the step from tick last took the CSR sums
+    assert last == t.steps or not class_step(last)
+    return last
 
 
 @settings(max_examples=60, deadline=None)
@@ -1046,9 +1083,9 @@ def test_class_record_runs_equal_the_reference(n, seed, ns, kind):
         plan = synthesize_ns(g, ns, gains)
     init = class_start(kind, plan, rng)
     t = simulate(g, gains, init, 2 * plan.period + 3, ns=ns)
-    pairs = assert_record_holds(t, g, gains, ns)
+    last = assert_record_holds(t, g, gains, ns)
     if kind == "orbit":
-        assert all(pair is not None for pair in pairs)
+        assert last == t.steps
     text = trajectory_to_csv(t)
     assert text == trajectory_to_csv(without_record(t)) == reference.trajectory_to_csv(tuple_copy(t))
     assert_paths_agree(t, g, gains, plan._replace(init=tuple(init)), plan.period, ns)
@@ -1057,27 +1094,50 @@ def test_class_record_runs_equal_the_reference(n, seed, ns, kind):
 @pytest.mark.parametrize("name", ["ns-3/10", "ns-neg", "di"])
 def test_class_record_of_runs_that_leave_their_groups(name, class_runs, graph7):
     """Two-class runs off the orbit record every tick they step as two classes,
-    and a run that leaves its groups records none after it, as the CSR sums
+    and the prefix of a run that leaves its groups ends there, as the CSR sums
     step it; its CSV is the same without the record."""
     gains, init, ns = class_runs[name]
     t = simulate(graph7, gains, init, 30, ns=ns)
-    pairs = assert_record_holds(t, graph7, gains, ns)
-    built = [pair is not None for pair in pairs[1:]]
-    assert built == ([True] * 30 if ns else [True] * 16 + [False] * 14)
+    assert assert_record_holds(t, graph7, gains, ns) == (30 if ns else 16)
     assert trajectory_to_csv(t) == trajectory_to_csv(without_record(t))
 
 
 def test_record_of_a_loop_closed_by_the_csr_sums():
-    """A two-class start whose loop closes on a step of the CSR sums: each tick
-    that repeats the start is recorded as that step built it, with no states."""
+    """A two-class start whose loop closes on steps of the CSR sums records its
+    start tick alone, though every sixth tick repeats it."""
     g = WeightedGraph.from_edges(2, [(0, 1, Fraction(1))])
     zero = GainParams(Fraction(0), Fraction(0))
     ns = NsModel(Fraction(1, 2))  # x' = v, v' = -x + v, of period 6 without inputs
     init = [AgentState(Fraction(1), Fraction(0)), AgentState(Fraction(0), Fraction(1))]
     t = simulate(g, zero, init, 19, ns=ns)
     assert t.states.data[6] is t.states.data[12] is t.states.data[0]
-    pairs = assert_record_holds(t, g, zero, ns)
-    assert pairs[0] is not None and pairs[1:] == [None] * 19
+    assert assert_record_holds(t, g, zero, ns) == 0
+
+
+def test_record_stops_at_the_first_csr_step(monkeypatch):
+    """A 2-agent ns run whose step to tick 28 has an unsaturated input, and whose
+    tick 28 is on its groups with every input saturated again: the record's
+    prefix ends at tick 27, the class step is not tried after it, and the
+    rows, the CSV and every check, the inverted period across the prefix's
+    end too, equal the `reference` ones."""
+    g = WeightedGraph.from_edges(2, [(0, 1, Fraction(4, 5))])
+    ns = NsModel(Fraction(1, 2))
+    gains = GainParams(Fraction(-1, 2), Fraction(2))
+    init = [AgentState(Fraction(10), Fraction(0)), AgentState(Fraction(29), Fraction(3, 2))]
+    steps_taken = counted_steps(monkeypatch)
+    t = simulate(g, gains, init, 40, ns=ns)
+    assert assert_record_holds(t, g, gains, ns) == 27
+    assert steps_taken == ["class"] * 27 + ["tried"] + ["csr"] * 13
+    lattice, tick = t.states.lattice, t.states.data[28]
+    assert lattice.class_step(*tick, lattice.two_classes(*tick[:2])) == lattice.step(*tick)
+    text = trajectory_to_csv(t)
+    assert text == trajectory_to_csv(without_record(t)) == reference.trajectory_to_csv(tuple_copy(t))
+    plan = synthesize_ns(g, ns, gains)._replace(init=tuple(init))
+    assert_paths_agree(t, g, gains, plan, plan.period, ns)
+    for T in (27, 28, 29, 40):
+        assert outcome(backward_states, t, g, gains, T) == outcome(
+            reference.backward_states, tuple_copy(t), g, gains, T
+        )
 
 
 def test_runs_of_other_starts_carry_no_record(fixture_runs, graph7, gains_di):
@@ -1097,15 +1157,16 @@ def test_runs_of_other_starts_carry_no_record(fixture_runs, graph7, gains_di):
 
 @pytest.mark.parametrize("name", ["mirrored", "ns"])
 def test_step_loop_reads_the_record(name, fixture_runs, graph7, monkeypatch):
-    """On the orbit, no tick is tested against the groups after the start, no
-    input row is clamped, and the cap is checked on two states per tick."""
+    """On the orbit only the start tick is tested against the groups, every
+    step is a class step, no input row is clamped, and the cap is checked on
+    two states per tick."""
     t, plan, ns = fixture_runs[name]
     tested, checked = [], []
-    on_groups, check = dynamics._on_groups, Lattice.check
+    two_classes, check = Lattice.two_classes, Lattice.check
 
-    def counting_groups(*args):
+    def counting_groups(self, *args):
         tested.append(1)
-        return on_groups(*args)
+        return two_classes(self, *args)
 
     def counting_check(X, V, D):
         checked.append(len(X))
@@ -1114,12 +1175,14 @@ def test_step_loop_reads_the_record(name, fixture_runs, graph7, monkeypatch):
     def refuse(*args):
         raise AssertionError("a class step's row was clamped")
 
-    monkeypatch.setattr(dynamics, "_on_groups", counting_groups)
+    monkeypatch.setattr(Lattice, "two_classes", counting_groups)
     monkeypatch.setattr(Lattice, "check", staticmethod(counting_check))
     monkeypatch.setattr(dynamics, "clamped", refuse)
+    steps_taken = counted_steps(monkeypatch)
     again = simulate(graph7, plan.gains, plan.init, t.steps, ns=ns)
     # `two_classes` tests the start tick; the run closes at tick T
     assert tested == [1] and checked == [2] * plan.period
+    assert steps_taken == ["class"] * plan.period
     assert (tuple(again.states), tuple(again.raw_u), tuple(again.sat_u)) == (
         tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)
     )

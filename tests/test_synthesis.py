@@ -518,8 +518,8 @@ def general_unstep(lattice, X, V, D, S, Es):
     Es=st.one_of(st.integers(1, 1000), st.integers(1, 10**30)),
 )
 def test_saturated_unstep_is_the_general_one(graph7, gains_di, a, values, signs, D, Es):
-    """A fully saturated row takes `unstep`'s fast path; it gives the tick of
-    the general path, whose values are the per-agent inverse step's."""
+    """A fully saturated row unsteps to the tick of the general form, whose
+    values are the per-agent inverse step's."""
     ns = None if a is None else NsModel(F(a))
     lattice = Lattice(graph7, gains_di, ns)
     X, V = [x for x, _ in values], [v for _, v in values]
