@@ -49,13 +49,14 @@ from .scalars import (
     parse_scalar,
     per_object,
     quoted,
+    ratio_texts,
     scalars_equal,
 )
 from .synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
     OrbitPlan,
-    position_constraints,
+    interval_numerators,
     synthesize_di,
     synthesize_ns,
 )
@@ -574,20 +575,27 @@ def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
         raise CliError(str(exc)) from exc
 
 
-def interval_table(g: WeightedGraph, plan: OrbitPlan) -> str:
+def interval_table(plan: OrbitPlan) -> str:
     """The text `synthesize` writes to stderr for a di plan: m and T, then the
     interval of x_i(0) - x_j(0) on each cross edge.
 
-    Edges of one weight object share their bound objects (see
-    `position_constraints`), so each distinct bound is formatted once.
+    The bounds depend on an edge only through its weight, so each distinct
+    weight object's pair is formatted once: its two `interval_numerators`
+    through `ratio_texts` over their one denominator, or, with a float in it,
+    the two float bounds through `format_scalar`.
     """
-    _, intervals = position_constraints(g, plan.partition, plan.gains, plan.half_period)
-    lowers = per_object(format_scalar, [c.lower for c in intervals])
-    uppers = per_object(format_scalar, [c.upper for c in intervals])
+    numerators = interval_numerators(plan.gains, plan.half_period)
+
+    def texts(w: Scalar) -> list[str]:
+        L, U, D = numerators(w)
+        return [format_scalar(L), format_scalar(U)] if D is None else ratio_texts([L, U], D)
+
+    cross = plan.partition.cross_edges
+    bounds = per_object(texts, [w for _, _, w in cross])
     lines = [f"# m={plan.half_period} T={plan.period}\n"]
     lines += [
-        f"# {lower} <= x_{c.i + 1}(0)-x_{c.j + 1}(0) <= {upper}\n"
-        for c, lower, upper in zip(intervals, lowers, uppers)
+        f"# {lower} <= x_{i + 1}(0)-x_{j + 1}(0) <= {upper}\n"
+        for (i, j, _), (lower, upper) in zip(cross, bounds)
     ]
     return "".join(lines)
 
@@ -598,7 +606,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, cfg.mode)
     plan = _synthesize(g, cfg)
     if plan.model == "di":
-        sys.stderr.write(interval_table(g, plan))
+        sys.stderr.write(interval_table(plan))
     _write_output(plan_to_text(plan), args.output, "plan")
     return EXIT_OK
 

@@ -3,12 +3,12 @@
 All quantities in the library are either `fractions.Fraction` (exact mode,
 the default) or `float` (float mode, used when the rotation parameter of the
 neutrally stable model is irrational).  Text crosses this module through
-one reader and one writer.  `parse_scalar` reads every text through
-`Fraction`, so "0.42" becomes 21/50 in exact mode and every downstream
-inequality is decided without rounding.  `ratio_texts` writes rationals, a
-terminating decimal as the shortest exact decimal and any other value as
-"p/q"; `format_scalar` writes one scalar through it.  Every rational written
-reads back to its value.
+one reader and one writer.  `parse_scalar` reads every text to the value
+`Fraction(str)` gives, so "0.42" becomes 21/50 in exact mode and every
+downstream inequality is decided without rounding.  `ratio_texts` writes
+rationals, a terminating decimal as the shortest exact decimal and any other
+value as "p/q"; `format_scalar` writes one scalar through it.  Every
+rational written reads back to its value.
 
 Tolerance policy: `scalars_equal` is the one equality test.  Rationals are
 compared bit-exactly; a pair with a float in it is equal when it differs by
@@ -73,6 +73,19 @@ def parse_int(text: str) -> int:
         raise ValueError(over_digit_limit(f"integer {quoted(text)}")) from None
 
 
+def _plain_decimal(text: str) -> Optional[Fraction]:
+    """A plain decimal text's value, its digits over a power of ten; None for
+    any other text and for one whose digits pass Python's limit."""
+    head, dot, tail = text.partition(".")
+    digits = head[1:] if head[:1] == "-" else head
+    if not (text.isascii() and digits.isdigit() and (tail.isdigit() or not dot)):
+        return None
+    try:
+        return Fraction(int(head + tail), 10 ** len(tail))
+    except ValueError:
+        return None
+
+
 def parse_scalar(text: str, mode: str = "exact") -> Scalar:
     """Parse a decimal or "p/q" string into a Scalar for the given mode.
 
@@ -80,12 +93,20 @@ def parse_scalar(text: str, mode: str = "exact") -> Scalar:
     text that cannot be read, a number with more digits than Python converts
     from text to an integer (`sys.get_int_max_str_digits()`) and, in float
     mode, a value beyond the float range raise `ScalarFormatError`.
+
+    A plain decimal (ASCII `-?[0-9]+(.[0-9]+)?`, the form `ratio_texts`
+    gives every terminating value) is read as its digits over a power of
+    ten, the value `Fraction(str)` gives, without its regular expression;
+    every other text, and one whose digits pass the limit, goes through
+    `Fraction(str)`.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     text = text.strip()
+    value = _plain_decimal(text)
     try:
-        value = Fraction(text)
+        if value is None:
+            value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         # int() raises the digit limit; Fraction's own error is "Invalid literal ..."
         if str(exc).startswith("Exceeds the limit"):

@@ -5,8 +5,10 @@ worst cross edge, velocities -+m/2 by parity class, and initial positions in
 closed form.  Each cross edge bounds x_i(0) - x_j(0) to an interval centred
 at m/2, so x = m/2 on the even class and 0 on the odd class sits at every
 midpoint, with the most slack; intra edges join agents of one class and get
-equal positions.  `position_constraints` gives the interval table, which
-`synthesize` prints and a chosen m is checked against, and `solve_positions`,
+equal positions.  `interval_numerators` gives each cross edge's bounds as
+two integers over one denominator, which `synthesize` formats as its
+interval table; `position_constraints` gives them as one interval per cross
+edge, which a chosen m is checked against; and `solve_positions`,
 a Bellman-Ford solver for general difference-constraint systems, is kept as
 a standalone tool; synthesis does not call it.
 
@@ -15,9 +17,9 @@ inequalities per cross edge, fixed period 4, closed-form initial states
 +-(1/(2a), -1/(2a)) by class.
 
 Both closed forms are evaluated once per distinct weight object, on integers
-when weight, gains and a are exact: one `Fraction` per bound (`_bounds_of`),
-one integer compare per inequality (`_keys_of`); a float keeps the scalar
-formulas.
+when weight, gains and a are exact: two numerators over A*P per interval
+(`interval_numerators`), one integer compare per inequality (`_keys_of`); a
+float keeps the scalar formulas.
 
 A plan carries its model as `ns`, the `NsModel` or None on di, as a
 `Trajectory` does.
@@ -133,29 +135,29 @@ def _interval_bounds(w: Scalar, gains: GainParams, m: int) -> tuple[Scalar, Scal
     return lower, upper
 
 
-def _bounds_of(gains: GainParams, m: int) -> Callable[[Scalar], tuple[Scalar, Scalar]]:
-    """w -> `_interval_bounds(w, gains, m)`, on integers for exact w and gains.
+def interval_numerators(
+    gains: GainParams, m: int
+) -> Callable[[Scalar], tuple[Scalar, Scalar, int | None]]:
+    """w -> (L, U, D), the bounds of `_interval_bounds(w, gains, m)` as L/D and U/D.
 
     With w = P/q and the gains over one denominator, alpha = A/G and
-    beta = B/G, the bounds are
-    lower = (q*G + (B-A)(m-2)*P) / (A*P) and
-    upper = ((2A(m-1) - B(m-2))*P - q*G) / (A*P),
-    one `Fraction` each; the two m terms are formed once.  A float weight or
-    gain takes `_interval_bounds`, so float bounds keep its rounding.
+    beta = B/G, exact w and gains give the integers
+    L = q*G + (B-A)(m-2)*P, U = (2A(m-1) - B(m-2))*P - q*G and D = A*P;
+    the two m terms are formed once.  A float weight or gain gives
+    `_interval_bounds` itself and D = None, so float bounds keep its rounding.
     """
     if not (is_exact(gains.alpha) and is_exact(gains.beta)):
-        return lambda w: _interval_bounds(w, gains, m)
+        return lambda w: (*_interval_bounds(w, gains, m), None)
     A, B, G = gains.integers()
     lower_m, upper_m = (B - A) * (m - 2), 2 * A * (m - 1) - B * (m - 2)
 
-    def bounds(w: Scalar) -> tuple[Scalar, Scalar]:
+    def numerators(w: Scalar) -> tuple[Scalar, Scalar, int | None]:
         if not is_exact(w):
-            return _interval_bounds(w, gains, m)
+            return (*_interval_bounds(w, gains, m), None)
         P, qG = w.numerator, w.denominator * G
-        AP = A * P
-        return Fraction(qG + lower_m * P, AP), Fraction(upper_m * P - qG, AP)
+        return qG + lower_m * P, upper_m * P - qG, A * P
 
-    return bounds
+    return numerators
 
 
 def position_constraints(
@@ -164,13 +166,19 @@ def position_constraints(
     """Intra-edge equalities and one interval per cross edge for x(0).
 
     The bounds depend on an edge only through its weight, so they are
-    computed once per distinct weight object (`_bounds_of`) and shared by
-    its edges.
+    computed once per distinct weight object, one `Fraction` per exact bound
+    from `interval_numerators`, and shared by its edges.
     """
     if m <= 2:
         raise ValueError("half-period must exceed 2")
+    numerators = interval_numerators(gains, m)
+
+    def bounds_of(w: Scalar) -> tuple[Scalar, Scalar]:
+        L, U, D = numerators(w)
+        return (L, U) if D is None else (Fraction(L, D), Fraction(U, D))
+
     equalities = [(i, j) for i, j, _ in p.intra_edges]
-    bounds = per_object(_bounds_of(gains, m), [w for _, _, w in p.cross_edges])
+    bounds = per_object(bounds_of, [w for _, _, w in p.cross_edges])
     intervals = [
         IntervalConstraint(i, j, lower, upper)
         for (i, j, _), (lower, upper) in zip(p.cross_edges, bounds)

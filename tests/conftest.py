@@ -15,6 +15,17 @@ from satorbits import (
 
 REFERENCE_X0 = ["21", "16.02", "16.02", "15", "20", "21.5", "18"]
 REFERENCE_V0 = ["-5.5", "5.5", "5.5", "5.5", "-5.5", "-5.5", "-5.5"]
+#: the paper's 4-decimal interval table for graph7 at m = 11, by 0-based cross
+#: edge; the (7,3) lower bound is printed truncated (exact value 403/340 =
+#: 1.18529...), so a check at 5e-5 takes it as rounded
+REFERENCE_INTERVALS = {
+    (0, 1): ("2.1167", "8.8833"),
+    (0, 2): ("4.6167", "6.3833"),
+    (0, 3): ("2.5333", "8.4667"),
+    (4, 1): ("1.5370", "9.4630"),
+    (5, 2): ("5.4500", "5.5500"),
+    (6, 2): ("1.1853", "9.8147"),
+}
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,7 @@ from satorbits.graphs import WeightedGraph
 from satorbits.synthesis import InfeasibleConstraintsError, PatternSpec
 from satorbits.verify import backward_states
 
+from conftest import REFERENCE_INTERVALS
 from test_graphs import random_connected_graph
 
 
@@ -61,14 +62,7 @@ def test_criterion_1_half_period(gains_di):
 
 
 def test_criterion_2_interval_table(graph7, partition7, gains_di):
-    reference = {
-        (0, 1): ("2.1167", "8.8833"),
-        (0, 2): ("4.6167", "6.3833"),
-        (0, 3): ("2.5333", "8.4667"),
-        (4, 1): ("1.5370", "9.4630"),
-        (5, 2): ("5.4500", "5.5500"),
-        (6, 2): ("1.1853", "9.8147"),
-    }
+    reference = REFERENCE_INTERVALS
     # the (7,3) lower bound is truncated in the reference table as 1.1852; the exact
     # value 403/340 = 1.18529... rounds to 1.1853, checked at 5e-5 above and
     # against the truncated digits at 1e-4 here

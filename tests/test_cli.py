@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,16 @@ import pytest
 import satorbits.cli as cli
 import satorbits.dynamics as dynamics
 import satorbits.verify as verify
-from satorbits import AgentState, GainParams, fixture_path, simulate
+from satorbits import (
+    AgentState,
+    GainParams,
+    fixture_path,
+    make_partition,
+    parse_graph,
+    position_constraints,
+    simulate,
+    synthesize_di,
+)
 from satorbits.cli import (
     EXIT_GATE,
     EXIT_INFEASIBLE,
@@ -28,14 +38,31 @@ from satorbits.cli import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
+from satorbits.synthesis import _interval_bounds
+
+from conftest import REFERENCE_INTERVALS
 
 GRAPH = str(fixture_path("graph7.txt"))
 DI_CFG = str(fixture_path("di.cfg"))
 NS_CFG = str(fixture_path("ns.cfg"))
+#: a line of the di interval table `synthesize` writes to stderr
+TABLE_LINE = re.compile(r"# (\S+) <= x_(\d+)\(0\)-x_(\d+)\(0\) <= (\S+)")
 
 
 def F(text):
     return Fraction(text)
+
+
+def table_rows(text):
+    """The m, T line of a di interval table and its (i, j, lower, upper) texts."""
+    head, *lines = text.splitlines()
+    rows = [TABLE_LINE.fullmatch(line).groups() for line in lines]
+    return head, [(int(i) - 1, int(j) - 1, lo, hi) for lo, i, j, hi in rows]
+
+
+def float_rows(p, gains, m):
+    """The rows a table with a float in it holds: the repr of each float bound."""
+    return [(i, j, *map(repr, _interval_bounds(w, gains, m))) for i, j, w in p.cross_edges]
 
 
 class TestPartitionCmd:
@@ -83,7 +110,44 @@ class TestSynthesizeCmd:
         assert "T=22" in text and "m=11" in text
         assert "agent 1: x=21, v=-5.5" in text
         err = capsys.readouterr().err
-        assert "5.45" in err and "5.55" in err  # edge (6,3) interval
+        assert "# 5.45 <= x_6(0)-x_3(0) <= 5.55\n" in err
+
+    @staticmethod
+    def table_of(argv, capsys):
+        """m, T and the (i, j, lower text, upper text) lines of the stderr table."""
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        return table_rows(capsys.readouterr().err)
+
+    def test_di_table_is_the_exact_intervals(self, graph7, partition7, gains_di, capsys):
+        """Each exact bound reads back to `position_constraints`' value, and
+        the table reproduces the paper's to its four decimals."""
+        head, rows = self.table_of(["synthesize", GRAPH, "--config", DI_CFG], capsys)
+        assert head == "# m=11 T=22"
+        _, intervals = position_constraints(graph7, partition7, gains_di, 11)
+        assert [(i, j, F(lo), F(hi)) for i, j, lo, hi in rows] == [tuple(c) for c in intervals]
+        assert {(i, j) for i, j, _, _ in rows} == set(REFERENCE_INTERVALS)
+        for i, j, lo, hi in rows:
+            want_lo, want_hi = REFERENCE_INTERVALS[i, j]
+            assert abs(F(lo) - F(want_lo)) < F("0.00005")
+            assert abs(F(hi) - F(want_hi)) < F("0.00005")
+
+    @pytest.mark.parametrize("m", [11, 12])
+    def test_float_di_table_is_the_float_bounds(self, m, capsys):
+        head, rows = self.table_of(
+            ["synthesize", GRAPH, "--config", DI_CFG, "--mode", "float", "--m", str(m)], capsys
+        )
+        assert head == f"# m={m} T={2 * m}"
+        g = parse_graph(Path(GRAPH).read_text(), mode="float")
+        assert rows == float_rows(make_partition(g, 0), GainParams(0.4, 0.42), m)
+
+    def test_exact_gains_with_float_weights_keep_the_float_texts(self, gains_di):
+        """A float weight takes `_interval_bounds` even with exact gains."""
+        g = parse_graph(Path(GRAPH).read_text(), mode="float")
+        plan = synthesize_di(g, gains_di)
+        head, rows = table_rows(cli.interval_table(plan))
+        assert head == "# m=11 T=22"
+        assert rows == float_rows(plan.partition, gains_di, 11)
 
     def test_ns_fixture(self, tmp_path):
         plan_file = tmp_path / "plan.txt"
@@ -769,6 +833,13 @@ def _edited_plan(cfg, old, new):
             "error: infeasible position system: half-period 5 leaves an empty "
             "interval on edge (1, 3); minimum is 11",
             id="synthesize-m-5",
+        ),
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--config", DI_CFG, "--mode", "float", "--m", "5"],
+            EXIT_INFEASIBLE,
+            "error: infeasible position system: half-period 5 leaves an empty "
+            "interval on edge (1, 3); minimum is 11",
+            id="synthesize-m-5-float",
         ),
     ],
 )

@@ -92,6 +92,71 @@ def test_canonical_forms_parse_like_fraction(text):
     assert parse_scalar(text, "float") == float(Fraction(text))
 
 
+#: plain decimal texts: a sign or none, leading zeros, and up to 60 fraction
+#: digits with trailing zeros
+PLAIN_DECIMALS = st.builds(
+    lambda sign, head, tail: sign + head + ("." + tail if tail is not None else ""),
+    st.sampled_from(("", "-")),
+    st.from_regex(r"0{0,3}[0-9]{1,25}", fullmatch=True),
+    st.none() | st.from_regex(r"[0-9]{1,57}0{0,3}", fullmatch=True),
+)
+
+
+@given(PLAIN_DECIMALS)
+def test_plain_decimals_read_as_fraction_reads_them(text):
+    value = parse_scalar(text)
+    assert value == Fraction(text) and type(value) is Fraction
+    assert parse_scalar(text, "float") == float(Fraction(text))
+
+
+@given(st.text(alphabet="0123456789.-+_/e \u0663", max_size=8))
+def test_short_texts_read_as_fraction_reads_them(text):
+    """Texts on and off the plain decimal form, exact mode."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ScalarFormatError):
+            parse_scalar(text)
+    else:
+        value = parse_scalar(text)
+        assert value == expected and type(value) is Fraction
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("1.", Fraction(1)),
+        (".5", Fraction(1, 2)),
+        ("+0.5", Fraction(1, 2)),
+        ("1_0.5", Fraction(21, 2)),
+        ("\u0663.\u0665", Fraction(7, 2)),
+        ("1e3", Fraction(1000)),
+        ("-0.0", Fraction(0)),
+    ],
+)
+def test_near_plain_decimals_read_as_fraction_reads_them(text, value):
+    """Texts just off the plain decimal form, and -0.0: as Fraction(str) reads each."""
+    got = parse_scalar(text)
+    assert got == value and type(got) is Fraction
+    assert repr(parse_scalar(text, "float")) == repr(float(value))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_plain_decimal_past_the_digit_limit_reads_as_fraction_reads_it():
+    """Fraction(str) reads the integer and fraction digits as two integers, so
+    400 digits on each side pass a 640-digit limit that their 800 do not."""
+    text = "-" + "7" * 400 + "." + "3" * 400
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        value = parse_scalar(text)
+        with pytest.raises(ScalarFormatError, match="more than 640 digits"):
+            parse_scalar("7" * 700 + ".5")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert value == Fraction(text)
+
+
 @pytest.mark.parametrize(
     "text",
     ["+3", " 2 ", ".5", "5.", "1e3", "1_0", "٣", "²", "1/0", "-", "", "1.2.3"],

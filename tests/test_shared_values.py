@@ -105,7 +105,7 @@ def test_shared_and_unshared_weights_give_the_same_results(text, texts):
             "W": lattice.W,
             "degrees": lattice.degrees,
             "plans": [plan_to_text(di), plan_to_text(ns)],
-            "table": interval_table(g, di),
+            "table": interval_table(di),
             "reports": reports,
         }
 
@@ -118,14 +118,19 @@ def test_bounds_and_states_are_formatted_once_per_object(monkeypatch):
     g = parse_graph(ring_text(60))
     plan = synthesize_di(g, GAINS_DI)
     formatted = []
-    format_scalar = cli.format_scalar
+    format_scalar, ratio_texts = cli.format_scalar, cli.ratio_texts
 
     def counting(value):
         formatted.append(value)
         return format_scalar(value)
 
+    def counting_texts(N, D):
+        formatted.extend(N)
+        return ratio_texts(N, D)
+
     monkeypatch.setattr(cli, "format_scalar", counting)
-    interval_table(g, plan)
+    monkeypatch.setattr(cli, "ratio_texts", counting_texts)
+    interval_table(plan)
     # a lower and an upper bound per distinct cross-edge weight, no more
     cross = {id(w) for _, _, w in plan.partition.cross_edges}
     assert len(formatted) == 2 * len(cross) < len(plan.partition.cross_edges)

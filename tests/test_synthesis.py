@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import operator
 import random
 from fractions import Fraction
@@ -30,17 +29,17 @@ from satorbits import (
     verification_report,
 )
 from satorbits.cli import plan_to_text
-from satorbits.dynamics import Lattice, _reduced
+from satorbits.dynamics import Lattice
 from satorbits.synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
     IntervalConstraint,
-    _bounds_of,
     _interval_bounds,
     _keys_of,
+    interval_numerators,
 )
 
-from conftest import REFERENCE_X0
+from conftest import REFERENCE_INTERVALS, REFERENCE_X0
 from reference import closed_form_di, inverse_step_di, inverse_step_ns, step_di, step_ns
 from test_graphs import random_connected_graph
 
@@ -133,23 +132,12 @@ class TestPatternSpec:
 
 
 class TestPositionConstraints:
-    # reference 4-decimal bounds; the (7,3) lower bound is printed truncated
-    # (exact value 403/340 = 1.18529...), so it is checked at the next digit
-    REFERENCE = {
-        (0, 1): ("2.1167", "8.8833"),
-        (0, 2): ("4.6167", "6.3833"),
-        (0, 3): ("2.5333", "8.4667"),
-        (4, 1): ("1.5370", "9.4630"),
-        (5, 2): ("5.4500", "5.5500"),
-        (6, 2): ("1.1853", "9.8147"),
-    }
-
     def test_reference_table(self, graph7, partition7, gains_di):
         equalities, intervals = position_constraints(graph7, partition7, gains_di, 11)
         assert equalities == [(1, 2)]
         by_edge = {(c.i, c.j): c for c in intervals}
-        assert set(by_edge) == set(self.REFERENCE)
-        for edge, (lo, hi) in self.REFERENCE.items():
+        assert set(by_edge) == set(REFERENCE_INTERVALS)
+        for edge, (lo, hi) in REFERENCE_INTERVALS.items():
             c = by_edge[edge]
             assert abs(c.lower - F(lo)) < F("0.00005")
             assert abs(c.upper - F(hi)) < F("0.00005")
@@ -460,9 +448,9 @@ NUMERATOR = st.integers(-(10**30), 10**30)
 )
 def test_exact_bounds_are_the_scalar_bounds(w, alpha, beta, m):
     gains = GainParams(alpha, beta)
-    bounds = _bounds_of(gains, m)(w)
-    assert bounds == _interval_bounds(w, gains, m)
-    assert all(type(b) is Fraction for b in bounds)
+    L, U, D = interval_numerators(gains, m)(w)
+    assert all(type(n) is int for n in (L, U, D))
+    assert (Fraction(L, D), Fraction(U, D)) == _interval_bounds(w, gains, m)
 
 
 @given(w=POSITIVE, alpha=SIGNED, beta=SIGNED, a=SIGNED, tight=st.booleans())
@@ -493,42 +481,28 @@ def test_float_weights_keep_the_scalar_formulas(graph7):
         assert [c[1:] for c in checks] == expected
 
 
-def general_unstep(lattice, X, V, D, S, Es):
-    """`Lattice.unstep` by the lowest common terms of S/Es, for any row."""
-    c = math.gcd(Es, *S)
-    q = Es // c
-    mult = lattice.R * (q // math.gcd(q, D))
-    DM = D * mult
-    S = [s // c * (DM // q) for s in S]
-    if lattice.ns is None:
-        Vp = [v * mult - s for v, s in zip(V, S)]
-        Xp = [x * mult - v for x, v in zip(X, Vp)]
-    else:
-        Ph = lattice.P * (mult // lattice.R)
-        Vp = [x * mult for x in X]
-        Xp = [Ph * x + s - v * mult for x, v, s in zip(X, V, S)]
-    return _reduced(Xp, Vp, DM, mult)
+#: an input numerator over Es: saturated at +Es or -Es, or any integer
+INPUT = st.one_of(st.sampled_from("+-"), NUMERATOR)
 
 
 @pytest.mark.parametrize("a", [None, "1/2", "3/10", "-2/7"])
 @given(
     values=st.lists(st.tuples(NUMERATOR, NUMERATOR), min_size=1, max_size=7),
-    signs=st.lists(st.sampled_from((1, -1)), min_size=7, max_size=7),
+    inputs=st.lists(INPUT, min_size=7, max_size=7),
     D=st.one_of(st.integers(1, 1000), st.integers(1, 10**30)),
     Es=st.one_of(st.integers(1, 1000), st.integers(1, 10**30)),
 )
-def test_saturated_unstep_is_the_general_one(graph7, gains_di, a, values, signs, D, Es):
-    """A fully saturated row unsteps to the tick of the general form, whose
-    values are the per-agent inverse step's."""
+def test_unstep_is_the_per_agent_inverse_step(graph7, gains_di, a, values, inputs, D, Es):
+    """`Lattice.unstep` of any input row S/Es, saturated, mixed or neither,
+    gives the per-agent inverse step's states with u = S_i/Es."""
     ns = None if a is None else NsModel(F(a))
     lattice = Lattice(graph7, gains_di, ns)
     X, V = [x for x, _ in values], [v for _, v in values]
-    S = [s * Es for s in signs[: len(X)]]
+    S = [Es if s == "+" else -Es if s == "-" else s for s in inputs[: len(X)]]
     tick = lattice.unstep(X, V, D, S, Es)
-    assert tick == general_unstep(lattice, X, V, D, S, Es)
-    states = [AgentState(F(x) / D, F(v) / D) for x, v in zip(X, V)]
+    states = [AgentState(Fraction(x, D), Fraction(v, D)) for x, v in zip(X, V)]
     if ns is None:
-        states = [inverse_step_di(s, u // Es) for s, u in zip(states, S)]
+        states = [inverse_step_di(s, Fraction(u, Es)) for s, u in zip(states, S)]
     else:
-        states = [inverse_step_ns(s, u // Es, ns) for s, u in zip(states, S)]
+        states = [inverse_step_ns(s, Fraction(u, Es), ns) for s, u in zip(states, S)]
     assert Lattice.decode(*tick) == tuple(states)
