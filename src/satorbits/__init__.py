@@ -18,9 +18,11 @@ from .dynamics import (
     simulate,
 )
 from .graphs import (
+    DistanceClasses,
     Partition,
     WeightedGraph,
     bfs_distances,
+    distance_classes,
     is_connected,
     laplacian,
     make_partition,

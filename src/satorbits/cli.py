@@ -16,7 +16,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import count, repeat
 from pathlib import Path
-from typing import Iterator, NoReturn, Optional, Sequence
+from typing import Callable, Iterator, NoReturn, Optional, Sequence
 
 from .dynamics import (
     AgentState,
@@ -32,10 +32,12 @@ from .dynamics import (
     simulate,
 )
 from .graphs import (
+    DistanceClasses,
     GraphFormatError,
     NotConnectedError,
     Partition,
     WeightedGraph,
+    distance_classes,
     make_partition,
     parse_graph,
 )
@@ -210,6 +212,10 @@ PLAN_KEYS = ("model", "alpha", "beta", "root", "m", "T", "a")
 #: colon and each field, and each field is `key=value` with no blank before "="
 _AGENT_LINE = re.compile(r"agent\s+([0-9]+)\s*:\s*x=([^,]*),\s*v=([^,]*)")
 
+#: an agent line as `plan_to_text` writes it, a whole line; `re` compiles
+#: it on first use
+_WRITTEN_AGENT_LINE = r"^agent ([0-9]+): x=([^,\s]+), v=([^,\s]+)$"
+
 
 def plan_to_text(plan: OrbitPlan) -> str:
     """The plan file; a synthesized plan shares one start state per class, and
@@ -229,17 +235,48 @@ def plan_to_text(plan: OrbitPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _agent_block(
+    text: str, n: int, state_of: Callable[[str, str], AgentState]
+) -> tuple[Optional[tuple[AgentState, ...]], int]:
+    """(the start states, the offset of the first agent line) of a plan whose
+    agent lines all follow its key lines and are as `plan_to_text` writes
+    them, agents 1..n in order and every value readable; (None, 0) for any
+    other text.  The lines are matched in one pass, and `state_of` gives the
+    state of each `(x, v)` text pair."""
+    start = text.find("\nagent ") + 1
+    if not start or "agent" in text[:start]:
+        return None, 0
+    rows = re.compile(_WRITTEN_AGENT_LINE, re.M).findall(text, start)
+    # a match is a whole line, so n matches on n lines, each ended by "\n",
+    # leave no other line
+    if not (len(rows) == n == text.count("\n", start) and text.endswith("\n")):
+        return None, 0
+    indices, xs, vs = zip(*rows)
+    if indices != tuple(map(str, range(1, n + 1))):
+        return None, 0
+    try:
+        return tuple(map(state_of, xs, vs)), start
+    except ValueError:
+        return None, 0
+
+
 def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPlan:
-    """The plan of a plan file; an unknown or repeated key, an agent line off
-    `_AGENT_LINE` and `a` on a di plan are usage errors.  Each distinct value
-    text is parsed once, and the agents of one `(x, v)` text pair share one
-    state, as a synthesized plan shares one per class."""
+    """The plan of a plan file, with the distance classes of `g` from its root.
+
+    Each distinct value text is parsed once, and the agents of one `(x, v)`
+    text pair share one state, as a synthesized plan shares one per class.
+    Agent lines as `plan_to_text` writes them are read as one block
+    (`_agent_block`); every other line, and every agent line of any other
+    text, one at a time.  An unknown or repeated key, an agent line off
+    `_AGENT_LINE` and `a` on a di plan are usage errors.
+    """
     meta: dict[str, str] = {}
     a_line = 0
     init: dict[int, AgentState] = {}
     parse = functools.cache(lambda text: parse_scalar(text, mode))
     state_of = functools.cache(lambda x, v: AgentState(parse(x), parse(v)))
-    for lineno, line in _entries(text):
+    states, start = _agent_block(text, g.n, state_of)
+    for lineno, line in _entries(text if states is None else text[:start]):
         if not line.startswith("agent "):
             if _read_entry(line, PLAN_KEYS, meta, f"plan line {lineno}:") == "a":
                 a_line = lineno
@@ -259,6 +296,8 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
         if idx - 1 in init:
             raise CliError(f"plan line {lineno}: duplicate agent {idx}")
         init[idx - 1] = state
+    if states is None and sorted(init) == list(range(g.n)):
+        states = tuple(init[i] for i in range(g.n))
     try:
         model = meta["model"]
         gains = GainParams(parse_scalar(meta["alpha"], mode), parse_scalar(meta["beta"], mode))
@@ -280,10 +319,10 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
         raise CliError(f"plan has m={m}, T={period}; di needs T = 2m with m >= 1")
     if model == "ns" and (m, period) != (2, 4):
         raise CliError(f"plan has m={m}, T={period}; ns needs m = 2, T = 4")
-    if sorted(init) != list(range(g.n)):
+    if states is None:
         raise CliError(f"plan does not cover all {g.n} agents")
-    states = tuple(init[i] for i in range(g.n))
-    return OrbitPlan(ns=ns, gains=gains, partition=_partition(g, root), half_period=m, init=states)
+    classes = _partition(g, root, split=False)
+    return OrbitPlan(ns=ns, gains=gains, partition=classes, half_period=m, init=states)
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +569,13 @@ def _check_agent(name: str, agent: int, g: WeightedGraph) -> None:
         raise CliError(f"{name} {agent} out of range 1..{g.n}")
 
 
-def _partition(g: WeightedGraph, root: int) -> Partition:
-    """The partition of `g` from the 1-based `root`; a root out of range and a
-    disconnected graph are usage errors."""
+def _partition(g: WeightedGraph, root: int, split: bool = True) -> Partition | DistanceClasses:
+    """The partition of `g` from the 1-based `root`, or with `split` False only
+    its distance classes, all that simulating and verifying read; a root out
+    of range and a disconnected graph are usage errors."""
     _check_agent("root", root, g)
     try:
-        return make_partition(g, root - 1)
+        return (make_partition if split else distance_classes)(g, root - 1)
     except NotConnectedError as exc:
         raise CliError(str(exc)) from exc
 
@@ -728,11 +768,13 @@ def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional
     # a plan read from text shares one state per distinct text pair, so
     # each distinct start state is formatted once
     starts = per_object(lambda s: f"{format_scalar(s.x)},{format_scalar(s.v)},", plan.init)
+    # the rows before the first of step 1, as one block: n lines, each the
+    # step, the agent and its start state, in order
     pos = len(CSV_HEADER) + 1
-    for i, xv in zip(count(1), starts):
-        if not text.startswith(f"0,{i},{xv}", pos):
-            return None
-        pos = text.index("\n", pos) + 1
+    rows = text[pos : text.find("\n1,", pos) + 1 or len(text)].split("\n")
+    heads = [f"0,{i},{xv}" for i, xv in zip(count(1), starts)]
+    if len(rows) != g.n + 1 or not all(map(str.startswith, rows, heads)):
+        return None
     try:
         return simulate(g, plan.gains, plan.init, steps, ns=plan.ns)
     except SimulationOverflowError:

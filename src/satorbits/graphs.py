@@ -1,24 +1,52 @@
 """Undirected weighted communication graphs.
 
 Parsing, connectivity, unweighted BFS distances, the even/odd distance
-partition with its cross/intra edge split and minimum cross-edge weight,
-and the graph Laplacian.  Agents are 0-based internally; the edge-list text
-format is 1-based.
+classes, the partition that adds their cross/intra edge split and minimum
+cross-edge weight, and the graph Laplacian.  Agents are 0-based internally;
+the edge-list text format is 1-based.
+
+A weight's sign and the least of several weights are decided on integers
+when the weights are rational (`_positive`, `_least`), and floats compare
+as they are.
 """
 
 from __future__ import annotations
 
 import gc
+import math
+import re
 import sys
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import compress
-from operator import eq, itemgetter, not_
+from itertools import compress, islice
+from operator import eq, itemgetter, lt, not_
 
 from .records import Record
-from .scalars import Scalar, distinct, format_scalar, over_digit_limit, parse_scalar
+from .scalars import Scalar, distinct, format_scalar, is_exact, over_digit_limit, parse_scalar
+
+#: a document as `serialize_graph` writes it: the agent count, then one
+#: `i j w` line per edge, whose indices are ASCII digits from 1 with no
+#: leading zero, with one blank between fields and "\n" after each line.
+#: `re` compiles it on first use, so importing the module does not.
+_WRITER_FORM = r"n [1-9][0-9]*\n(?:[1-9][0-9]* [1-9][0-9]* \S+\n)*"
+
+
+def _positive(w: Scalar) -> bool:
+    """w > 0, on a rational's numerator (its denominator is positive)."""
+    return w.numerator > 0 if is_exact(w) else w > 0
+
+
+def _least(weights: Iterable[Scalar]) -> Scalar:
+    """The first least of `weights`.  Rationals are ranked by their
+    numerators over the common denominator, and a float among them sends
+    every compare through `min`."""
+    ws = list(weights)
+    if not all(map(is_exact, ws)):
+        return min(ws)
+    common = math.lcm(*(w.denominator for w in ws))
+    return min(ws, key=lambda w: w.numerator * (common // w.denominator))
 
 
 class GraphFormatError(ValueError):
@@ -91,7 +119,7 @@ class WeightedGraph(Record, namedtuple("WeightedGraph", "n adjacency")):
         """
         edges = list(edges)
         g = cls._of_positive_edges(n, edges)
-        if all(w > 0 for w in distinct(map(itemgetter(2), edges))):
+        if all(map(_positive, distinct(map(itemgetter(2), edges)))):
             return g
         return cls(n, g.adjacency)
 
@@ -129,16 +157,27 @@ class WeightedGraph(Record, namedtuple("WeightedGraph", "n adjacency")):
         ]
 
 
+class DistanceClasses(Record, namedtuple("DistanceClasses", "root dist s_even s_odd")):
+    """Even/odd BFS-distance split from the root.
+
+    `dist` is the tuple of distances from `root`, and `s_even`, `s_odd` the
+    frozensets of agents at even and odd distance.  They are all that
+    simulating and verifying a plan read: the plan's root and the class of
+    each agent.
+    """
+
+    __slots__ = ()
+
+
 class Partition(
     Record,
     namedtuple("Partition", "root dist s_even s_odd cross_edges intra_edges a_bar"),
 ):
-    """Even/odd BFS-distance split from the root, with cross-edge data.
+    """The `DistanceClasses` fields, with cross-edge data for synthesis.
 
-    `dist` is the tuple of distances from `root`, and `s_even`, `s_odd` the
-    frozensets of agents at even and odd distance.  `cross_edges` are
-    (even endpoint, odd endpoint, weight) triples, `intra_edges` (i, j,
-    weight) triples within a class, and `a_bar` the least cross-edge weight.
+    `cross_edges` are (even endpoint, odd endpoint, weight) triples,
+    `intra_edges` (i, j, weight) triples within a class, and `a_bar` the
+    least cross-edge weight.
     """
 
     __slots__ = ()
@@ -151,6 +190,8 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
     optional first line "n <count>" declares the agent count.  Blank lines
     and lines starting with '#' are ignored.  Each check runs once over a
     whole column, and a fault is reported at the first line that has one.
+    A document in the writer's form is read by `_read_writer_form`; any
+    other, and any with a fault, by `_parse_graph`.
     """
     # the columns and adjacency rows are many small containers that form no
     # cycle, so the cyclic collector, run as they are allocated, would only
@@ -158,10 +199,67 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _parse_graph(text, mode)
+        g = _read_writer_form(text, mode)
+        return _parse_graph(text, mode) if g is None else g
     finally:
         if enabled:
             gc.enable()
+
+
+def _read_writer_form(text: str, mode: str) -> WeightedGraph | None:
+    """The graph of a document in `_WRITER_FORM` that passes every check, else None.
+
+    One match gates the whole text, one `split` cuts it into tokens, and the
+    index and weight columns are slices of them.  The index texts are looked
+    up in one table of the texts of 1..n, which also bounds them by n, and
+    each distinct weight text is parsed once and must be positive.  Edges in the writer's
+    order (i < j, sorted) hold no repeat and give each row in order; edges
+    in any other order must hold no self-loop or repeat in either direction,
+    and each row is sorted.  The rows are then built with no further check.
+    """
+    if re.fullmatch(_WRITER_FORM, text) is None:
+        return None
+    tokens = text.split()
+    try:
+        n = int(tokens[1])
+    except ValueError:  # more digits than int() reads
+        return None
+    # the table stops at n or at the token count, whichever is less: a count
+    # far past the edges leaves isolated agents and builds no large table
+    size = min(n, len(tokens))
+    agents = dict(zip(map(str, range(1, size + 1)), range(size)))
+    try:
+        I = list(map(agents.__getitem__, tokens[2::3]))
+        J = list(map(agents.__getitem__, tokens[3::3]))
+    except KeyError:  # an index past the table
+        return None
+    W = tokens[4::3]
+    del tokens, agents
+    values: dict[str, Scalar] = dict.fromkeys(W)
+    for weight in values:
+        try:
+            value = parse_scalar(weight, mode)
+        except ValueError:
+            return None
+        if not _positive(value):
+            return None
+        values[weight] = value
+    pairs = list(zip(I, J))
+    ordered = all(map(lt, I, J)) and all(map(lt, pairs, islice(pairs, 1, None)))
+    if not ordered:
+        # a self-loop (i, i) is its own reverse
+        seen = set(pairs)
+        if len(seen) < len(pairs) or not seen.isdisjoint(zip(J, I)):
+            return None
+    del pairs
+    rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+    # in the writer's order, a row's entries i < r come from edges before its
+    # entries j > r, each in increasing order
+    for i, j, w in zip(I, J, map(values.__getitem__, W)):
+        rows[i].append((j, w))
+        rows[j].append((i, w))
+    adjacency = tuple(map(tuple, rows) if ordered else (tuple(sorted(row)) for row in rows))
+    return tuple.__new__(WeightedGraph, (n, adjacency))
 
 
 def _parse_graph(text: str, mode: str) -> WeightedGraph:
@@ -222,7 +320,7 @@ def _parse_graph(text: str, mode: str) -> WeightedGraph:
     for weight in values:
         try:
             values[weight] = parse_scalar(weight, mode)
-            faults[weight] = "" if values[weight] > 0 else "nonpositive weight"
+            faults[weight] = "" if _positive(values[weight]) else "nonpositive weight"
         except ValueError as exc:
             faults[weight] = f"bad weight: {exc}"
     cut(map(faults.get, W), lambda r: faults[W[r]])
@@ -282,11 +380,28 @@ def bfs_distances(g: WeightedGraph, root: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def make_partition(g: WeightedGraph, root: int = 0) -> Partition:
+def distance_classes(g: WeightedGraph, root: int = 0) -> DistanceClasses:
+    """The even/odd classes of BFS distance from `root`.
+
+    A graph that is not connected, and the one-agent graph, which has no
+    cross edge and so no orbit, raise `NotConnectedError`.
+    """
     dist = bfs_distances(g, root)
+    if g.n < 2:
+        # a connected graph of two or more agents has a cross edge: its BFS
+        # tree joins each agent to one a step nearer the root
+        raise NotConnectedError("graph has no cross edges (need at least 2 agents)")
     odd = [d & 1 for d in dist]
     s_even = frozenset(compress(range(g.n), map(not_, odd)))
     s_odd = frozenset(compress(range(g.n), odd))
+    return DistanceClasses(root, dist, s_even, s_odd)
+
+
+def make_partition(g: WeightedGraph, root: int = 0) -> Partition:
+    """The `distance_classes` of `g`, with its edges split into cross and
+    intra edges and `a_bar`, the first least cross weight object."""
+    classes = distance_classes(g, root)
+    odd = [d & 1 for d in classes.dist]
     cross: list[tuple[int, int, Scalar]] = []
     intra: list[tuple[int, int, Scalar]] = []
     for i, row in enumerate(g.adjacency):
@@ -295,12 +410,9 @@ def make_partition(g: WeightedGraph, root: int = 0) -> Partition:
                 # a cross edge runs from its even end to its odd one
                 edge = (j, i, w) if odd[i] > odd[j] else (i, j, w)
                 (intra if odd[i] == odd[j] else cross).append(edge)
-    if not cross:
-        # only possible for the single-agent graph; there is no orbit to build
-        raise NotConnectedError("graph has no cross edges (need at least 2 agents)")
     # the first least of the distinct weight objects is the first least weight
-    a_bar = min(distinct(w for _, _, w in cross))
-    return Partition(root, dist, s_even, s_odd, tuple(cross), tuple(intra), a_bar)
+    a_bar = _least(distinct(w for _, _, w in cross))
+    return Partition(*classes, tuple(cross), tuple(intra), a_bar)
 
 
 def laplacian(g: WeightedGraph) -> list[list[Scalar]]:

@@ -7,8 +7,8 @@ at m/2, so x = m/2 on the even class and 0 on the odd class sits at every
 midpoint, with the most slack; intra edges join agents of one class and get
 equal positions.  `interval_numerators` gives each cross edge's bounds as
 two integers over one denominator, which `synthesize` formats as its
-interval table; `position_constraints` gives them as one interval per cross
-edge, which a chosen m is checked against; and `solve_positions`,
+interval table and checks a chosen m against; `position_constraints` gives
+them as one interval per cross edge; and `solve_positions`,
 a Bellman-Ford solver for general difference-constraint systems, is kept as
 a standalone tool; synthesis does not call it.
 
@@ -82,7 +82,9 @@ class OrbitPlan(Record, namedtuple("OrbitPlan", "ns gains partition half_period 
 
     `ns` is the neutrally stable `NsModel`, None on the double integrator;
     `model` ("di" or "ns") and `a` (None on di) are read from it.  `init` is
-    the tuple of the agents' start `AgentState`s.
+    the tuple of the agents' start `AgentState`s.  `partition` is the
+    `Partition` a plan is synthesized from; a plan read from text holds only
+    its `DistanceClasses`, the fields that simulating and verifying read.
     """
 
     __slots__ = ()
@@ -340,13 +342,16 @@ def synthesize_di(
     if m_override is not None:
         if m_override <= 2:
             raise ValueError("half-period override must exceed 2")
-        _, intervals = position_constraints(g, p, gains, m_override)
-        empty = next((c for c in intervals if c.lower > c.upper), None)
+        # an interval is empty when L/D > U/D, and D = A*P > 0 on exact
+        # weights, so when L > U; float bounds (D None) compare as they are
+        bounds = per_object(interval_numerators(gains, m_override), [w for *_, w in p.cross_edges])
+        empty = next((k for k, (L, U, _) in enumerate(bounds) if L > U), None)
         if empty is not None:
+            i, j, _ = p.cross_edges[empty]
             raise InfeasibleConstraintsError(
                 f"half-period {m_override} leaves an empty interval on edge "
-                f"({empty.i + 1}, {empty.j + 1}); minimum is {m_min}",
-                [empty.i, empty.j],
+                f"({i + 1}, {j + 1}); minimum is {m_min}",
+                [i, j],
             )
         m = m_override
     else:

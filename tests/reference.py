@@ -1,20 +1,24 @@
 """The per-agent reference: the controller, the steppers and the scalar
-bodies of the checks, on trajectories whose columns are tuples of rows.
+bodies of the checks, on trajectories whose columns are tuples of rows; and
+the line-by-line readers of the graph and plan files.
 
 `satorbits` steps and checks every run in the lattice row layout (`Lattice`
 on integers, `FloatLattice` on floats).  These functions do the same agent
 by agent on the scalars themselves, and the differential tests compare the
 two: the kernels bit for bit, and each check's one body with its body here
-on a `tuple_copy` (`test_lattice_paths.assert_paths_agree`).
+on a `tuple_copy` (`test_lattice_paths.assert_paths_agree`).  The readers
+take one line at a time, as the oracles for `parse_graph` and
+`plan_from_text`, which read a text in the writer's form in whole columns.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import count, repeat
 from typing import Optional, Sequence
 
-from satorbits.cli import CSV_HEADER
+from satorbits.cli import CSV_HEADER, CliError
 from satorbits.dynamics import (
     AgentState,
     FloatLattice,
@@ -24,8 +28,24 @@ from satorbits.dynamics import (
     NsModel,
     Trajectory,
 )
-from satorbits.graphs import Partition, WeightedGraph
-from satorbits.scalars import Scalar, format_scalar, is_exact, scalars_equal
+from satorbits.graphs import (
+    DistanceClasses,
+    GraphFormatError,
+    NotConnectedError,
+    Partition,
+    WeightedGraph,
+    make_partition,
+)
+from satorbits.scalars import (
+    Scalar,
+    format_scalar,
+    is_exact,
+    over_digit_limit,
+    parse_int,
+    parse_scalar,
+    quoted,
+    scalars_equal,
+)
 from satorbits.synthesis import OrbitPlan, PatternSpec
 from satorbits.verify import BackwardExtensionError, PatternReport
 
@@ -261,3 +281,159 @@ def trajectory_consistent(t: Trajectory, g: WeightedGraph, gains: GainParams) ->
             ):
                 return {"step": k, "agent": i + 1}
     return None
+
+
+# ---------------------------------------------------------------------------
+# the graph and plan files, line by line
+
+
+def parse_graph_lines(text: str, mode: str = "exact") -> WeightedGraph:
+    """The line-by-line graph reader: each line is checked in turn, in the
+    order of `parse_graph`'s checks, and the graph is built through the
+    validating constructor."""
+    declared_n = None
+    edges: dict[tuple[int, int], Scalar] = {}
+    values: dict[str, Scalar] = {}
+    max_seen = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "n":
+            if declared_n is not None or edges:
+                raise GraphFormatError(f"line {lineno}: stray agent-count line")
+            if len(parts) != 2 or not parts[1].encode().isdigit():
+                raise GraphFormatError(f"line {lineno}: bad agent count")
+            try:
+                declared_n = int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: {over_digit_limit('agent count')}")
+            if declared_n < 1:
+                raise GraphFormatError(f"line {lineno}: bad agent count")
+            continue
+        if len(parts) != 3:
+            raise GraphFormatError(f"line {lineno}: expected 'i j w'")
+        a, b = parts[0], parts[1]
+        if not (a.isascii() and b.isascii() and a.isdigit() and b.isdigit()):
+            raise GraphFormatError(f"line {lineno}: bad agent index")
+        try:
+            i, j = int(a), int(b)
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: {over_digit_limit('agent index')}")
+        if i < 1 or j < 1:
+            raise GraphFormatError(f"line {lineno}: agent indices are 1-based")
+        if i == j:
+            raise GraphFormatError(f"line {lineno}: self-loop on agent {i}")
+        w = values.get(parts[2])
+        if w is None:
+            try:
+                w = parse_scalar(parts[2], mode)
+            except ValueError as exc:
+                raise GraphFormatError(f"line {lineno}: bad weight: {exc}") from exc
+            if w <= 0:
+                raise GraphFormatError(f"line {lineno}: nonpositive weight")
+            values[parts[2]] = w
+        key = (min(i, j) - 1, max(i, j) - 1)
+        if key in edges and edges[key] != w:
+            raise GraphFormatError(f"line {lineno}: conflicting duplicate edge")
+        edges[key] = w
+        max_seen = max(max_seen, i, j)
+    n = declared_n if declared_n is not None else max_seen
+    if n < 1:
+        raise GraphFormatError("empty graph document")
+    if max_seen > n:
+        raise GraphFormatError(f"agent {max_seen} exceeds declared count {n}")
+    rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+    for (i, j), w in edges.items():
+        rows[i].append((j, w))
+        rows[j].append((i, w))
+    return WeightedGraph(n, [sorted(row) for row in rows])
+
+
+PLAN_KEYS = ("model", "alpha", "beta", "root", "m", "T", "a")
+AGENT_LINE = re.compile(r"agent\s+([0-9]+)\s*:\s*x=([^,]*),\s*v=([^,]*)")
+
+
+def plan_from_lines(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPlan:
+    """The line-by-line plan reader: the plan of a plan file, with its classes
+    from `make_partition`, or the `CliError` of its first fault.  Each
+    distinct value text is parsed once, and the agents of one `(x, v)` text
+    pair share one state."""
+    meta: dict[str, str] = {}
+    a_line = 0
+    values: dict[str, Scalar] = {}
+    states: dict[tuple[str, str], AgentState] = {}
+    init: dict[int, AgentState] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"plan line {lineno}:"
+        if not line.startswith("agent "):
+            if "=" not in line:
+                raise CliError(f"{where} expected key=value")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in PLAN_KEYS:
+                raise CliError(f"{where} unknown key {quoted(key)}")
+            if key in meta:
+                raise CliError(f"{where} repeated key {quoted(key)}")
+            meta[key] = value.strip()
+            if key == "a":
+                a_line = lineno
+            continue
+        match = AGENT_LINE.fullmatch(line)
+        if match is None:
+            raise CliError(f"{where} {quoted(line)} is not 'agent <i>: x=<x>, v=<v>'")
+        try:
+            idx = int(match[1])
+        except ValueError:
+            raise CliError(f"{where} {over_digit_limit(f'agent index {quoted(match[1])}')}")
+        pair = match[2], match[3]
+        try:
+            for value in pair:
+                if value not in values:
+                    values[value] = parse_scalar(value, mode)
+        except ValueError as exc:
+            raise CliError(f"{where} {exc}") from exc
+        if pair not in states:
+            states[pair] = AgentState(values[pair[0]], values[pair[1]])
+        if idx - 1 in init:
+            raise CliError(f"{where} duplicate agent {idx}")
+        init[idx - 1] = states[pair]
+    try:
+        model = meta["model"]
+        gains = GainParams(parse_scalar(meta["alpha"], mode), parse_scalar(meta["beta"], mode))
+        root = parse_int(meta.get("root", "1"))
+        m = parse_int(meta["m"])
+        period = parse_int(meta["T"])
+        a = parse_scalar(meta["a"], mode) if "a" in meta else None
+    except KeyError as exc:
+        raise CliError(f"plan file missing field {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"bad plan value: {exc}") from exc
+    if model not in ("di", "ns"):
+        raise CliError(f"unknown model {quoted(model)} in plan")
+    if model == "di" and a is not None:
+        raise CliError(f"plan line {a_line}: a di plan has no a")
+    if model == "ns" and a is None:
+        raise CliError("model=ns requires the rotation parameter a")
+    try:
+        ns = NsModel(a) if model == "ns" else None
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    if model == "di" and (m < 1 or period != 2 * m):
+        raise CliError(f"plan has m={m}, T={period}; di needs T = 2m with m >= 1")
+    if model == "ns" and (m, period) != (2, 4):
+        raise CliError(f"plan has m={m}, T={period}; ns needs m = 2, T = 4")
+    if sorted(init) != list(range(g.n)):
+        raise CliError(f"plan does not cover all {g.n} agents")
+    if not 1 <= root <= g.n:
+        raise CliError(f"root {root} out of range 1..{g.n}")
+    try:
+        p = make_partition(g, root - 1)
+    except NotConnectedError as exc:
+        raise CliError(str(exc)) from exc
+    classes = DistanceClasses(p.root, p.dist, p.s_even, p.s_odd)
+    return OrbitPlan(ns, gains, classes, m, tuple(init[i] for i in range(g.n)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -38,6 +39,7 @@ from satorbits.cli import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
+from satorbits.graphs import DistanceClasses, distance_classes
 from satorbits.synthesis import _interval_bounds
 
 from conftest import REFERENCE_INTERVALS
@@ -853,6 +855,49 @@ def test_plan_and_half_period_errors(argv, code, message, tmp_path, capsys):
 
 
 
+#: (graph text, plan text or None for the fixture's di plan, root edit, error)
+#: for a plan whose classes cannot be built: a disconnected graph, the
+#: one-agent graph, which has no cross edge, and roots out of range
+CLASS_ERRORS = {
+    "disconnected": (
+        "".join(line for line in fixture_path("graph7.txt").read_text().splitlines(True) if line != "3 7 3.4\n"),
+        None, None, "error: agent 7 unreachable from agent 1",
+    ),
+    "one-agent": (
+        "n 1\n",
+        "model=di\nalpha=0.4\nbeta=0.42\nroot=1\nm=11\nT=22\nagent 1: x=0, v=0\n",
+        None, "error: graph has no cross edges (need at least 2 agents)",
+    ),
+    "root-9": (None, None, "root=9", "error: root 9 out of range 1..7"),
+    "root-0": (None, None, "root=0", "error: root 0 out of range 1..7"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("respaced", [False, True], ids=["written", "respaced"])
+@pytest.mark.parametrize("case", CLASS_ERRORS)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_plan_whose_classes_cannot_be_built(command, case, respaced, tmp_path, capsys):
+    """simulate --plan and verify --plan build only the plan's distance classes,
+    with the errors the full partition gave; a plan as written and one off
+    the writer's form, read line by line, fail alike."""
+    graph_text, plan_text, root, message = CLASS_ERRORS[case]
+    graph, plan = tmp_path / "graph.txt", tmp_path / "plan.txt"
+    if plan_text is None:
+        assert main(["synthesize", GRAPH, "--config", DI_CFG, "-o", str(plan)]) == EXIT_OK
+        plan_text = plan.read_text()
+    if root is not None:
+        plan_text = plan_text.replace("root=1\n", root + "\n")
+    if respaced:
+        plan_text = plan_text.replace(": x=", " :  x=")
+    plan.write_text(plan_text)
+    graph.write_text(graph_text or fixture_path("graph7.txt").read_text())
+    capsys.readouterr()
+    assert main([command, str(graph), "--plan", str(plan)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
 @pytest.fixture(scope="module")
 def plans(tmp_path_factory):
     """Exact and float plans of both models on the fixture, by (model, mode)."""
@@ -1207,6 +1252,44 @@ def test_plan_values_are_parsed_once_per_text(graph7, gains_ns, ns_model, monkey
     assert plan_to_text(plan) == text
 
 
+def _benchmark_case(workload, tmp_path, monkeypatch):
+    """Instance 0 of a benchmark workload for seed 1, from `perfbench/workloads.py`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks the module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.make_case(workload, 1, 0, tmp_path, fixture_path("graph7.txt").parent)
+
+
+@pytest.mark.parametrize("source", ["graph7-di", "graph7-ns", "ns_wide"])
+def test_read_plan_holds_the_partitions_classes(source, tmp_path, monkeypatch):
+    """A plan read from text holds the `DistanceClasses` of its root, the
+    `make_partition` fields that `_check_plan_flags`, `check_pattern` and
+    `oracle_check_di` read, and they verify alike."""
+    if source == "ns_wide":
+        case = _benchmark_case(source, tmp_path, monkeypatch)
+        graph, config = str(case.graph), str(case.config)
+    else:
+        graph, config = GRAPH, {"graph7-di": DI_CFG, "graph7-ns": NS_CFG}[source]
+    plan_file = tmp_path / "plan.txt"
+    assert main(["synthesize", graph, "--config", config, "-o", str(plan_file)]) == EXIT_OK
+    g = cli._load_graph(graph, "exact")
+    for root in range(g.n):
+        p = make_partition(g, root)
+        assert distance_classes(g, root) == DistanceClasses(p.root, p.dist, p.s_even, p.s_odd)
+    read = plan_from_text(plan_file.read_text(), g)
+    cfg = cli.build_config(cli.build_parser().parse_args(["verify", graph, "--config", config, "--plan", "p"]))
+    plan = cli._synthesize(g, cfg)
+    assert read.partition == DistanceClasses(*plan.partition[:4])
+    assert (read.ns, read.gains, read.half_period, read.init) == (
+        plan.ns, plan.gains, plan.half_period, plan.init
+    )
+    t = simulate(g, plan.gains, plan.init, 2 * plan.period, ns=plan.ns)
+    assert verify.verification_report(g, read, t) == verify.verification_report(g, plan, t)
+
+
 def test_read_plan_shares_one_state_per_text_pair(graph7, gains_ns, ns_model):
     lines = plan_to_text(cli.synthesize_ns(graph7, ns_model, gains_ns)).splitlines()
     # agent 7 spells its class's x with a blank, so its text pair is its own
@@ -1234,6 +1317,37 @@ def test_replay_formats_each_start_state_once(plans, graph7, monkeypatch, tmp_pa
     # x and v of the two class states
     assert len({id(s) for s in plan.init}) == 2
     assert len(formatted) == 2 * 2
+
+
+def _swap_rows(text, a, b):
+    lines = text.splitlines(True)
+    lines[a], lines[b] = lines[b], lines[a]
+    return "".join(lines)
+
+
+#: edits of the step-0 rows of a CSV that the replay's start guard rejects
+STEP0_EDITS = {
+    "x": lambda text: text.replace("\n0,3,", "\n0,3,1", 1),
+    "v": lambda text: text.replace(",-5.5,", ",-5.25,", 1),
+    "swapped-rows": lambda text: _swap_rows(text, 2, 3),
+    "agent-renumbered": lambda text: text.replace("\n0,7,", "\n0,8,", 1),
+    "row-moved-past-step-1": lambda text: _swap_rows(text, 7, 8),
+    "step": lambda text: text.replace("\n0,2,", "\n00,2,", 1),
+}
+
+
+@pytest.mark.parametrize("edit", STEP0_EDITS)
+def test_replay_guard_compares_the_start_rows(edit, plans, graph7, tmp_path):
+    """`_replay` simulates for a CSV whose step-0 rows, read as one block, are
+    the plan's start states, and for no other."""
+    csv = tmp_path / "traj.csv"
+    assert main(["simulate", GRAPH, "--plan", plans["di", "exact"], "-o", str(csv)]) == EXIT_OK
+    text = csv.read_text()
+    plan = plan_from_text(Path(plans["di", "exact"]).read_text(), graph7)
+    assert cli._replay(text, graph7, plan, "exact") is not None
+    edited = STEP0_EDITS[edit](text)
+    assert edited != text and edited.count("\n") == text.count("\n")
+    assert cli._replay(edited, graph7, plan, "exact") is None
 
 
 @pytest.mark.parametrize("mode,bad", [("exact", "1/0"), ("float", "1e400")])

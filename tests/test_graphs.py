@@ -17,8 +17,11 @@ from satorbits import (
     parse_graph,
     serialize_graph,
 )
+from satorbits import graphs
 from satorbits.graphs import GraphFormatError, NotConnectedError, Partition, WeightedGraph
 from satorbits.scalars import Scalar, parse_scalar
+
+from reference import parse_graph_lines
 
 
 def brute_force_distance(g: WeightedGraph, root: int) -> list[int]:
@@ -66,6 +69,16 @@ def random_connected_edges(
 
 def random_connected_graph(rng: random.Random, n: int) -> WeightedGraph:
     return WeightedGraph.from_edges(n, random_connected_edges(rng, n))
+
+
+def refuse_fraction_compares(monkeypatch) -> None:
+    """Make every order compare of two `Fraction`s fail the test."""
+
+    def refuse(a, b):
+        raise AssertionError(f"compared {a!r} with {b!r} as Fractions")
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, refuse)
 
 
 def dense_matrix(n: int, edges) -> list[list[Scalar]]:
@@ -191,64 +204,6 @@ class TestParse:
             assert parse_graph(serialize_graph(g)) == g
 
 
-def reference_parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
-    """The line-by-line reader the columnar `parse_graph` replaced, as the oracle.
-
-    It checks each line in turn and builds the graph through the validating
-    constructor.
-    """
-    declared_n = None
-    edges: dict[tuple[int, int], Scalar] = {}
-    values: dict[str, Scalar] = {}
-    max_seen = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            if declared_n is not None or edges:
-                raise GraphFormatError(f"line {lineno}: stray agent-count line")
-            if len(parts) != 2 or not parts[1].encode().isdigit() or int(parts[1]) < 1:
-                raise GraphFormatError(f"line {lineno}: bad agent count")
-            declared_n = int(parts[1])
-            continue
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'i j w'")
-        a, b = parts[0], parts[1]
-        if not (a.isascii() and b.isascii() and a.isdigit() and b.isdigit()):
-            raise GraphFormatError(f"line {lineno}: bad agent index")
-        i, j = int(a), int(b)
-        if i < 1 or j < 1:
-            raise GraphFormatError(f"line {lineno}: agent indices are 1-based")
-        if i == j:
-            raise GraphFormatError(f"line {lineno}: self-loop on agent {i}")
-        w = values.get(parts[2])
-        if w is None:
-            try:
-                w = parse_scalar(parts[2], mode)
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: bad weight: {exc}") from exc
-            if w <= 0:
-                raise GraphFormatError(f"line {lineno}: nonpositive weight")
-            values[parts[2]] = w
-        key = (min(i, j) - 1, max(i, j) - 1)
-        if key in edges and edges[key] != w:
-            raise GraphFormatError(f"line {lineno}: conflicting duplicate edge")
-        edges[key] = w
-        max_seen = max(max_seen, i, j)
-    n = declared_n if declared_n is not None else max_seen
-    if n < 1:
-        raise GraphFormatError("empty graph document")
-    if max_seen > n:
-        raise GraphFormatError(f"agent {max_seen} exceeds declared count {n}")
-    rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
-    for (i, j), w in edges.items():
-        rows[i].append((j, w))
-        rows[j].append((i, w))
-    return WeightedGraph(n, [sorted(row) for row in rows])
-
-
 # texts a document draws its tokens from: valid ones more often than not
 COUNTS = ["3", "4", "6", "1", "0", "-2", "²", "٣", "x", "3 4", ""]
 INDICES = ["1", "2", "3", "4", "5", "6", "01", "0", "٣", "²", "-1", "+1", "x"]
@@ -318,7 +273,7 @@ def test_parse_graph_matches_the_line_reader(mode):
     for _ in range(1500):
         text = random_graph_document(rng)
         try:
-            expected = reference_parse_graph(text, mode)
+            expected = parse_graph_lines(text, mode)
         except GraphFormatError as exc:
             with pytest.raises(GraphFormatError) as got:
                 parse_graph(text, mode)
@@ -414,19 +369,24 @@ class TestWeightedGraph:
             assert all(type(row) is tuple for row in g.adjacency)
 
     def test_parser_tests_each_weight_once(self, monkeypatch):
-        """`parse_graph` tests each distinct weight for w > 0 as it parses it, and
-        builds its graph without `from_edges`'s second test."""
-        calls = []
-        greater = Fraction.__gt__
+        """Both readers, the writer's form and a document with a comment line,
+        parse each distinct weight text once and decide its sign on its
+        numerator, with no `Fraction` compare."""
+        expected = WeightedGraph(4, [[(1, 0.5), (3, 2)], [(0, 0.5), (2, 1.5)], [(1, 1.5), (3, 0.5)], [(0, 2), (2, 0.5)]])
+        parsed = []
+        parse_scalar = graphs.parse_scalar
 
-        def counting(a, b):
-            calls.append(a)
-            return greater(a, b)
+        def counting(text, mode="exact"):
+            parsed.append(text)
+            return parse_scalar(text, mode)
 
-        monkeypatch.setattr(Fraction, "__gt__", counting)
-        g = parse_graph("n 4\n1 2 0.5\n2 3 3/2\n3 4 0.5\n1 4 2\n")
-        assert sorted(calls) == [Fraction(1, 2), Fraction(3, 2), Fraction(2)]
-        assert g == WeightedGraph(4, [[(1, 0.5), (3, 2)], [(0, 0.5), (2, 1.5)], [(1, 1.5), (3, 0.5)], [(0, 2), (2, 0.5)]])
+        monkeypatch.setattr(graphs, "parse_scalar", counting)
+        refuse_fraction_compares(monkeypatch)
+        text = "n 4\n1 2 0.5\n2 3 3/2\n3 4 0.5\n1 4 2\n"
+        for document in (text, "# four agents\n" + text):
+            parsed.clear()
+            assert parse_graph(document) == expected
+            assert parsed == ["0.5", "3/2", "2"]
 
     def test_rows_become_tuples(self):
         g = WeightedGraph(2, [[(1, Fraction(1))], [(0, Fraction(1))]])
@@ -585,6 +545,23 @@ def test_partition_matches_the_edge_list_reference():
         assert p.a_bar is ref.a_bar
         weights = [w for *_, w in p.cross_edges + p.intra_edges]
         assert all(map(operator.is_, weights, [w for *_, w in ref.cross_edges + ref.intra_edges]))
+
+
+def test_partition_decides_a_bar_on_integers(monkeypatch):
+    """The first least cross weight object, found with no `Fraction` compare;
+    float weights compare as floats."""
+    rng = random.Random(31)
+    cases = []
+    for k in range(40):
+        n = rng.randint(2, 12)
+        weight = (lambda rng: Fraction(rng.randint(1, 9), rng.choice([2, 3, 10]))) if k % 4 else float_weight
+        g = WeightedGraph.from_edges(n, random_connected_edges(rng, n, weight))
+        root = rng.randrange(n)
+        cases.append((g, root, reference_partition(g, root)))
+    refuse_fraction_compares(monkeypatch)
+    for g, root, ref in cases:
+        p = make_partition(g, root)
+        assert p == ref and p.a_bar is ref.a_bar
 
 
 class TestLaplacian:

@@ -28,6 +28,7 @@ from satorbits import (
     synthesize_ns,
     verification_report,
 )
+from satorbits import fixture_path, synthesis
 from satorbits.cli import plan_to_text
 from satorbits.dynamics import Lattice
 from satorbits.synthesis import (
@@ -241,6 +242,46 @@ class TestSynthesizeDi:
         assert plan.half_period == 15
         t = simulate(graph7, gains_di, plan.init, 30)
         assert t.states[30] == t.states[0]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_infeasible_half_period_names_the_first_empty_interval(self, mode, monkeypatch):
+        """An m below the least half-period fails at the first cross edge whose
+        `position_constraints` interval is empty, decided on the numerators
+        of `interval_numerators` with no interval built."""
+        rng = random.Random(f"infeasible-m-{mode}")
+        text = fixture_path("graph7.txt").read_text()
+        graphs = [parse_graph(text, mode)]
+        for _ in range(10):
+            n = rng.randint(2, 8)
+            # a random tree, each agent joined to an earlier one
+            lines = [f"{k + 1} {rng.randrange(k) + 1} {rng.randint(2, 30) / 10}\n" for k in range(1, n)]
+            graphs.append(parse_graph("".join(lines), mode))
+        gains = GainParams(F("0.4"), F("0.42")) if mode == "exact" else GainParams(0.4, 0.42)
+        cases = []
+        for g in graphs:
+            p = make_partition(g, 0)
+            m_min = min_half_period(gains, p.a_bar)
+            for m in range(3, m_min + 2):
+                _, intervals = position_constraints(g, p, gains, m)
+                cases.append((g, m, m_min, next((c for c in intervals if c.lower > c.upper), None)))
+        assert sum(first is not None for *_, first in cases) >= 10
+
+        def refuse(*args):
+            raise AssertionError("an interval was built")
+
+        monkeypatch.setattr(synthesis, "position_constraints", refuse)
+        monkeypatch.setattr(synthesis, "IntervalConstraint", refuse)
+        for g, m, m_min, first in cases:
+            if first is None:
+                assert synthesize_di(g, gains, m_override=m).half_period == m
+                continue
+            with pytest.raises(InfeasibleConstraintsError) as exc:
+                synthesize_di(g, gains, m_override=m)
+            assert str(exc.value) == (
+                f"half-period {m} leaves an empty interval on edge "
+                f"({first.i + 1}, {first.j + 1}); minimum is {m_min}"
+            )
+            assert exc.value.cycle == [first.i, first.j]
 
     def test_anchor_matches_reference_choice(self, graph7, gains_di):
         plan = synthesize_di(graph7, gains_di, base=F(21), anchor=0)
