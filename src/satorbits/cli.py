@@ -29,6 +29,7 @@ from .dynamics import (
     SimulationOverflowError,
     Trajectory,
     reflects,
+    row_kind,
     simulate,
 )
 from .graphs import (
@@ -44,6 +45,7 @@ from .graphs import (
 from .records import Record
 from .scalars import (
     Scalar,
+    exactly,
     format_scalar,
     negated_texts,
     over_digit_limit,
@@ -333,7 +335,6 @@ CSV_HEADER = "k,agent,x,v,u_raw,u_sat"
 
 def _row_tails(
     index: list[str],
-    kind: type[Lattice],
     tick: tuple[list, list, Scalar],
     raw: Optional[tuple[list, Scalar]],
     sat: Optional[tuple[list, Scalar]],
@@ -342,15 +343,15 @@ def _row_tails(
     ss: Optional[list[str]] = None,
 ) -> list[str]:
     """The CSV lines of one row without their step, `i,x,v,u_raw,u_sat` per
-    agent, in the texts of the row's `kind`; `index` holds the agent texts
-    and `rs` the `u_raw` texts.  Given the `ClassRecord` whose groups the tick
-    is on, the four texts of its two class states are spread over the agents
-    by group; `ss`, when given, are the `u_sat` texts."""
+    agent, each column's in the texts of its `row_kind`; `index` holds the
+    agent texts and `rs` the `u_raw` texts.  Given the `ClassRecord` whose
+    groups the tick is on, the four texts of its two class states are spread
+    over the agents by group; `ss`, when given, are the `u_sat` texts."""
     X, V, D = tick
     if classes is not None:
         X, V = [X[0], X[classes.j]], [V[0], V[classes.j]]
     # X and V share D, so it is scaled once
-    texts = kind.texts(X + V, D)
+    texts = row_kind(tick).texts(X + V, D)
     xs, vs = texts[: len(X)], texts[len(X) :]
     if classes is not None:
         group = classes.group
@@ -359,9 +360,13 @@ def _row_tails(
         return list(map(",".join, zip(index, xs, vs, repeat(""), repeat(""))))
     if ss is None:
         (U, E), (S, Es) = raw, sat
-        # a saturated input is +-1; an unsaturated one, left None by the map (no
-        # text is empty), repeats the raw text when it is the raw input's object
-        ss = list(map(dict(zip((Es, -Es), kind.UNIT_TEXTS)).get, S))
+        # a saturated input is +-1, told by compares, as hashing a Decimal is
+        # dear; an unsaturated one, left None (no text is empty), repeats the
+        # raw text when it is the raw input's object
+        kind = row_kind(sat)
+        up, down = kind.UNIT_TEXTS
+        low = -Es
+        ss = [up if s == Es else down if s == low else None for s in S]
         if not all(ss):
             for i, text in enumerate(ss):
                 if text is None:
@@ -369,6 +374,7 @@ def _row_tails(
     return list(map(",".join, zip(index, xs, vs, rs, ss)))
 
 
+@exactly
 def _reflected_half(t: Trajectory) -> int:
     """The first tick p < t.steps of an exact run's own columns that `reflects` its
     start, or 0: raw rows p..2p-1 then hold the inputs of rows 0..p-1 negated.
@@ -392,10 +398,12 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     texts of rows p..2p-1 are row k-p's with the sign toggled.  With a
     `ClassRecord` (`LatticeColumn.classes`), the `x,v` texts of a tick k <= last
     are its two class states', and the row of a class step k < last that equals
-    its group-signed row takes its `u_sat` texts from the group's sign.  An exact
-    value whose digits exceed Python's limit on converting an integer to
-    text (`sys.get_int_max_str_digits()`, 4300 by default) is a usage error,
-    raised before the first piece past it.
+    its group-signed row takes its `u_sat` texts from the group's sign.  A
+    text that Python could not read back, one of more digits before and after
+    its point than its limit on converting text to an integer
+    (`sys.get_int_max_str_digits()`, 4300 by default), is a usage error,
+    raised before the first piece past it; the integer kind (a p/q run)
+    refuses a value earlier, where `str()` of its scaled numerator does.
     """
     # the last tick has no inputs
     rows = [*zip(t.states.data, t.raw_u.data, t.sat_u.data), (t.states.data[-1], None, None)]
@@ -405,12 +413,11 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     p = _reflected_half(t)
     first_half: list[list[str]] = []  # the u_raw texts of rows 0..p-1
     index = [str(i) for i in range(1, t.n + 1)]
-    kind = t.states.kind
     classes = t.states.classes
     last = -1
     if classes is not None:
         # the u_sat texts of a class step's saturated row, by S_0 > 0
-        last, units = classes.last, kind.UNIT_TEXTS
+        last, units = classes.last, t.states.kind.UNIT_TEXTS
         signed = [units[1 - k] for k in classes.group], [units[k] for k in classes.group]
     try:
         for k, (row, key) in enumerate(zip(rows, keys)):
@@ -419,7 +426,10 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
                 tick, raw, sat = row
                 rs = ss = None
                 if raw is not None:
-                    rs = negated_texts(first_half[k - p]) if p <= k < 2 * p else kind.texts(*raw)
+                    if p <= k < 2 * p:
+                        rs = negated_texts(first_half[k - p])
+                    else:
+                        rs = row_kind(raw).texts(*raw)
                     if k < p:
                         first_half.append(rs)
                     S, Es = sat
@@ -427,11 +437,11 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
                     if k < last and Es in classes.signs and S == classes.signs[Es][S[0] > 0]:
                         ss = signed[S[0] > 0]
                 record = classes if k <= last else None
-                tails = _row_tails(index, kind, tick, raw, sat, rs, record, ss)
+                tails = _row_tails(index, tick, raw, sat, rs, record, ss)
                 if key in recurring:
                     known[key] = tails
             yield f"{k}," + f"\n{k},".join(tails) + "\n"
-    except ValueError as exc:  # only str() of a too-long int raises it here
+    except ValueError as exc:  # only a text past the digit limit raises it here
         raise CliError(
             f"the trajectory holds a value of more than {sys.get_int_max_str_digits()} "
             "digits, beyond Python's limit on converting an integer to text; "
@@ -456,15 +466,19 @@ def _is_csv_of(t: Trajectory, text: str) -> bool:
     return pos == len(text)
 
 
-def trajectory_from_csv(text: str, ns: Optional[NsModel], mode: str) -> Trajectory:
+def trajectory_from_csv(
+    text: str, ns: Optional[NsModel], mode: str, kind: type[Lattice] = Lattice
+) -> Trajectory:
     """Read a CSV written by `trajectory_to_csv` into columns of `mode`'s row layout.
 
     Each (step, agent) pair appears once, agents are numbered 1..n and steps
     run from 0; inputs are required on every step but the last.  Step and
     agent are ASCII integers (`parse_int`), and each value is a `parse_scalar`
     of its text in `mode`: a `Fraction` in exact mode, whose rows are
-    encoded as `Lattice` rows (`encode`, `encode_inputs`), and a float in
-    float mode, whose rows are lists over 1.0.
+    encoded (`encode`, `encode_inputs`) in the exact `kind`, as
+    `DecimalLattice` rows only when every value is a terminating decimal and
+    else as integer `Lattice` rows, and a float in float mode, whose rows
+    are lists over 1.0.
     """
     lines = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines or lines[0][1].strip() != CSV_HEADER:
@@ -474,7 +488,14 @@ def trajectory_from_csv(text: str, ns: Optional[NsModel], mode: str) -> Trajecto
     first_line: dict[int, int] = {}
     # a periodic orbit and its saturated inputs repeat the same few texts, and
     # every step and agent text recurs
-    parse = functools.cache(lambda text: parse_scalar(text, mode))
+    parsed: dict[str, Scalar] = {}
+
+    def parse(text: str) -> Scalar:
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_scalar(text, mode)
+        return value
+
     integer = functools.cache(parse_int)
     for lineno, line in lines[1:]:
         parts = line.split(",")
@@ -513,7 +534,9 @@ def trajectory_from_csv(text: str, ns: Optional[NsModel], mode: str) -> Trajecto
             raise CliError(f"CSV step {k}: missing agents")
         return tuple(src[k][i] for i in range(n))
 
-    kind = Lattice if mode == "exact" else FloatLattice
+    found = Lattice.kind_of(parsed.values())
+    if found is not kind:
+        kind = FloatLattice if found is FloatLattice else Lattice
     ticks = [kind.encode(row(states, k)) for k in steps]
     input_rows = [row(inputs, k) for k in steps[:-1]]
     raw = [kind.encode_inputs([u for u, _ in r]) for r in input_rows]
@@ -716,11 +739,12 @@ def _trajectory_consistent(
 ) -> tuple[Optional[dict], Trajectory]:
     """Recompute the trajectory from its own first state; report first mismatch.
 
-    States, raw inputs and saturated inputs are all compared, row by row and
-    within a differing row agent by agent through `scalars_equal` (bit-exact
-    on rationals, `FLOAT_TOL` on floats).  Returns the mismatch (None if there
-    is none) and the recomputed trajectory; `resim`, a run from t.states[0]
-    of t.steps steps, is used instead of simulating.
+    States, raw inputs and saturated inputs are all compared, row by row, as
+    rows of their kind and then as values, and within a differing row agent
+    by agent through `scalars_equal` (bit-exact on rationals, `FLOAT_TOL` on
+    floats).  Returns the mismatch (None if there is none) and the
+    recomputed trajectory; `resim`, a run from t.states[0] of t.steps steps,
+    is used instead of simulating.
     """
     if resim is None:
         resim = simulate(g, gains, t.states[0], t.steps, ns=t.ns)
@@ -731,7 +755,7 @@ def _trajectory_consistent(
         # equal ticks hold equal states and equal rows agree under
         # `scalars_equal`; only a differing row is searched
         if resim.states.data[k] == t.states.data[k] and all(
-            ours[k] == theirs[k] for ours, theirs in rows[1:]
+            ours.data[k] == theirs.data[k] or ours[k] == theirs[k] for ours, theirs in rows[1:]
         ):
             continue
         for i in range(t.n):
@@ -790,16 +814,17 @@ def _checked_csv(
     holds the replay's values, since format and parse are exact, so it is not
     parsed.  Any other CSV, such as one that starts elsewhere, is read by
     `trajectory_from_csv` and compared by `_trajectory_consistent`, which
-    reuses the replay when its start state and step count are the CSV's.  An
-    exact CSV that equals its re-simulation holds the same values, so the
-    checks read the re-simulation's columns and its lattice; any other CSV is
-    checked on the columns the reader built.
+    reuses the replay when its start state and step count are the CSV's; the
+    reader encodes its rows in the replay's number kind, so that rows are
+    compared whole.  An exact CSV that equals its re-simulation holds the
+    same values, so the checks read the re-simulation's columns and its
+    lattice; any other CSV is checked on the columns the reader built.
     """
     text = _read_text(path, "trajectory")
     resim = _replay(text, g, plan, mode)
     if resim is not None and _is_csv_of(resim, text):
         return resim, None, resim
-    t = trajectory_from_csv(text, plan.ns, mode)
+    t = trajectory_from_csv(text, plan.ns, mode, Lattice if resim is None else resim.states.kind)
     if t.n != g.n:
         raise CliError(f"CSV has {t.n} agents, graph has {g.n}")
     if resim is not None and (resim.steps, resim.states[0]) != (t.steps, t.states[0]):

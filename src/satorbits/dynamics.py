@@ -11,11 +11,13 @@ which `simulate`, `Lattice` and `Trajectory` take and keep as `ns`.
 The controller is diffusive: each agent feeds back weighted sums of
 neighbor-relative positions and velocities, so it vanishes at consensus.
 
-One row layout serves both number kinds: a tick is (X, V, D), numerators
-over one denominator, and an input row (U, E).  An exact run steps on the
-integer `Lattice`; a run with a float in it steps on the `FloatLattice`,
-whose rows hold the values themselves over D = E = 1.0.  `Lattice.of`
-picks the kind, and a `LatticeColumn` holds the rows of either.
+One row layout serves three number kinds: a tick is (X, V, D), numerators
+over one denominator, and an input row (U, E).  An exact run of terminating
+decimals steps on the `DecimalLattice`, whose rows hold the values as
+`Decimal`s over D = E = Decimal(1); any other exact run on the integer
+`Lattice`; a run with a float in it on the `FloatLattice`, whose rows hold
+the values themselves over D = E = 1.0.  `Lattice.of` picks the kind, and a
+`LatticeColumn` holds the rows of any.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import mul
@@ -33,12 +36,16 @@ from .records import Record
 from .scalars import (
     FLOAT_TOL,
     Scalar,
+    decimal_scale,
+    decimal_texts,
     distinct,
+    exactly,
     format_scalar,
     is_exact,
     per_object,
     ratio_texts,
     scalars_equal,
+    to_decimal,
 )
 
 #: bit-length cap on exact numerators/denominators before a run is aborted
@@ -91,8 +98,9 @@ class Trajectory(Record, namedtuple("Trajectory", "ns states raw_u sat_u")):
     """States over steps+1 ticks plus raw and saturated inputs per step.
 
     `ns` is the `NsModel` the run stepped, None on the double integrator.
-    Each column (`states`, `raw_u`, `sat_u`) is a `LatticeColumn`: integer
-    rows on an exact run, rows of floats over 1.0 on a float run.
+    Each column (`states`, `raw_u`, `sat_u`) is a `LatticeColumn`: rows of
+    `Decimal`s over 1 on a run of terminating decimals, integer rows on any
+    other exact run, rows of floats over 1.0 on a float run.
     """
 
     __slots__ = ()
@@ -173,9 +181,10 @@ class LatticeColumn(Sequence):
     """A read-only column of a `Trajectory`, its rows kept in the lattice row layout.
 
     `data[k]` is a tick (X, V, D) or an input row (U, E): U a list of
-    numerators over E > 0, or on a float run the values themselves over
-    E = 1.0.  `decode` turns it into row k, a tuple of `AgentState`s or of
-    scalars, on first access, and the row is cached.  Slices return tuples,
+    numerators over E > 0, or the values themselves over E = 1 on a decimal
+    run and E = 1.0 on a float run.  `decode` turns it into row k, a tuple
+    of `AgentState`s or of scalars (`Fraction`s on an exact run), on first
+    access, and the row is cached.  Slices return tuples,
     and a column equals the tuple of its rows.  `kind` is the loop class
     whose rows these are.  On the states and raw inputs of a `simulate`,
     `lattice` is the loop it stepped on, for checks of that loop and the CSV
@@ -197,8 +206,7 @@ class LatticeColumn(Sequence):
 
     @property
     def kind(self) -> type[Lattice]:
-        """`Lattice` on rows over an integer denominator, `FloatLattice` on rows over 1.0."""
-        return Lattice if is_exact(self.data[0][-1]) else FloatLattice
+        return row_kind(self.data[0])
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -228,18 +236,45 @@ def _weight_objects(g: WeightedGraph) -> dict[int, Scalar]:
     return {id(w): w for nbrs in g.adjacency for _, w in nbrs}
 
 
+def _loop_kind(
+    g: WeightedGraph, gains: GainParams, ns: NsModel | None, values: Iterable[Scalar]
+) -> tuple[type[Lattice], dict[int, Scalar]]:
+    """`Lattice.kind_of` the loop's weights, gains, a and `values`, and `_weight_objects(g)`."""
+    weights = _weight_objects(g)
+    a = () if ns is None else (ns.a,)
+    return Lattice.kind_of(chain(gains, a, weights.values(), distinct(values))), weights
+
+
+def _check_values(values: Iterable[Fraction]) -> None:
+    """Raise `SimulationOverflowError` if a value has a numerator or
+    denominator of more than `MAX_EXACT_BITS` bits."""
+    for c in values:
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_EXACT_BITS:
+            raise SimulationOverflowError(
+                "exact state exceeded the resource cap "
+                f"({MAX_EXACT_BITS} bits); rerun in float mode or fewer steps"
+            )
+
+
 def _check_tick(X: list[int], V: list[int], D: int) -> None:
-    """Raise `SimulationOverflowError` if a value of the tick, reduced, has a
-    numerator or denominator of more than `MAX_EXACT_BITS` bits."""
+    """`_check_values` of the tick's values, reduced."""
     # a reduced value x/D has no more bits than x and D, so the values are
     # reduced only when this bound exceeds the cap
     if max(D, max(X), -min(X), max(V), -min(V)).bit_length() > MAX_EXACT_BITS:
-        for c in map(Fraction, chain(X, V), repeat(D)):
-            if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_EXACT_BITS:
-                raise SimulationOverflowError(
-                    "exact state exceeded the resource cap "
-                    f"({MAX_EXACT_BITS} bits); rerun in float mode or fewer steps"
-                )
+        _check_values(map(Fraction, chain(X, V), repeat(D)))
+
+
+def _check_decimals(X: list[Decimal], V: list[Decimal], D: Decimal) -> None:
+    """`_check_values` of a tick of `Decimal`s, which trips where `_check_tick`
+    of the same values does."""
+    # the exact sum has the least exponent e, and every value is an integer
+    # of at most `digits` digits over 10^-e, below 10^digits <= 2^cap when
+    # digits <= cap * 0.3; only past that are the values reduced
+    s = sum(V, sum(X, _DECIMAL_ZERO))
+    top = max(max(map(Decimal.adjusted, X)), max(map(Decimal.adjusted, V)))
+    digits = top + 1 - min((s - s).adjusted(), 0)
+    if digits > MAX_EXACT_BITS * 3 // 10:
+        _check_values(map(Fraction, chain(X, V)))
 
 
 class Lattice:
@@ -261,10 +296,11 @@ class Lattice:
     `_weight_objects(g)`.
 
     The static methods are the row layout's number kind, which
-    `FloatLattice` overrides: `encode`/`decode` a tick, `encode_inputs` and
-    `ratios` an input row, `texts` a row's CSV texts (`UNIT_TEXTS` those of
-    +-1), `over` a value as a numerator over a tick's D, `equal` the checks'
-    tick compare and `same` the compare that closes a run.
+    `DecimalLattice` and `FloatLattice` override: `encode`/`decode` a tick,
+    `encode_inputs` and `ratios` an input row, `texts` a row's CSV texts
+    (`UNIT_TEXTS` those of +-1), `over` a value as a numerator over a tick's
+    D, `equal` the checks' tick compare, `same` the compare that closes a
+    run and `check` the `MAX_EXACT_BITS` cap.
     """
 
     #: rows of this kind hold integers, which the inverted period and the
@@ -283,33 +319,41 @@ class Lattice:
             weights = _weight_objects(g)
         q_w = math.lcm(*(w.denominator for w in weights.values()))
         # a parsed graph shares one object per distinct weight, scaled once
-        scaled = {key: w.numerator * (q_w // w.denominator) for key, w in weights.items()}
-        self.J = [j for nbrs in g.adjacency for j, _ in nbrs]
-        self.W = [scaled[id(w)] for nbrs in g.adjacency for _, w in nbrs]
-        offsets = list(accumulate(map(len, g.adjacency), initial=0))
-        self.starts, self.ends = offsets[:-1], offsets[1:]
-        self.degrees = [sum(self.W[s:e]) for s, e in zip(self.starts, self.ends)]
+        self._csr(g, {key: w.numerator * (q_w // w.denominator) for key, w in weights.items()})
         self.A, self.B, G = gains.integers()
         self.K = G * q_w
         self.graph, self.gains, self.ns = g, gains, ns
         two_a = 2 * ns.a if ns is not None else 0
         self.P, self.R = two_a.numerator, two_a.denominator
 
+    def _csr(self, g: WeightedGraph, scaled: dict[int, Scalar]) -> None:
+        """The CSR weights of `g`, each weight object's `scaled[id]`, and the degrees."""
+        self.J = [j for nbrs in g.adjacency for j, _ in nbrs]
+        self.W = [scaled[id(w)] for nbrs in g.adjacency for _, w in nbrs]
+        offsets = list(accumulate(map(len, g.adjacency), initial=0))
+        self.starts, self.ends = offsets[:-1], offsets[1:]
+        self.degrees = [sum(self.W[s:e]) for s, e in zip(self.starts, self.ends)]
+
+    @staticmethod
+    def kind_of(values: Iterable[Scalar]) -> type[Lattice]:
+        """The number kind of `values`: `DecimalLattice` when all are terminating
+        decimals (a `Decimal` is one), `Lattice` when all are exact, else
+        `FloatLattice`."""
+        rationals = [c for c in values if not isinstance(c, Decimal)]
+        if not all(map(is_exact, rationals)):
+            return FloatLattice
+        # the lcm of the denominators has their primes
+        if decimal_scale(math.lcm(*(c.denominator for c in rationals))) is None:
+            return Lattice
+        return DecimalLattice
+
     @staticmethod
     def of(
         g: WeightedGraph, gains: GainParams, ns: NsModel | None, values: Iterable[Scalar]
     ) -> Lattice:
-        """This loop in its number kind: a `Lattice` when weights, gains, a and
-        `values` are all exact, else a `FloatLattice`."""
-        weights = _weight_objects(g)
-        exact = (
-            is_exact(gains.alpha)
-            and is_exact(gains.beta)
-            and (ns is None or is_exact(ns.a))
-            and all(map(is_exact, weights.values()))
-            and all(map(is_exact, distinct(values)))
-        )
-        return Lattice(g, gains, ns, weights) if exact else FloatLattice(g, gains, ns)
+        """This loop in the number kind (`kind_of`) of its weights, gains, a and `values`."""
+        kind, weights = _loop_kind(g, gains, ns, values)
+        return kind(g, gains, ns, weights)
 
     @classmethod
     def encode(cls, states: Sequence[tuple[Scalar, Scalar]]) -> LatticeState:
@@ -412,6 +456,12 @@ class Lattice:
 
     def _advance(self, X: list[int], V: list[int], S: list[int], D: int, mult: int) -> LatticeState:
         """The reduced tick over D*mult from X, V over D and applied inputs S over D*mult."""
+        if mult == 1:
+            # nothing widens, so nothing is scaled or reduced; on ns R = 1
+            if self.ns is None:
+                return [x + v for x, v in zip(X, V)], [v + s for v, s in zip(V, S)], D
+            P = self.P
+            return list(V), [P * v - x + s for x, v, s in zip(X, V, S)], D
         if self.ns is None:
             Xn = [(x + v) * mult for x, v in zip(X, V)]
             Vn = [v * mult + s for v, s in zip(V, S)]
@@ -443,6 +493,84 @@ class Lattice:
         return _reduced(Xp, Vp, DM, mult)
 
 
+_DECIMAL_ZERO, _DECIMAL_ONE = Decimal(0), Decimal(1)
+
+
+class DecimalLattice(Lattice):
+    """The exact closed loop of a run of terminating decimals: every weight,
+    gain, a and start value has a denominator 2^a 5^b, and so does every
+    state and input, which sums and products of such values are.
+
+    A tick is (X, V, 1) and an input row (U, 1): the values themselves as
+    `Decimal`s over Decimal(1), so the CSV writer formats them in base ten,
+    with no conversion from binary.  `W`, `A`, `B` and `P` are the weights,
+    gains and 2a as `Decimal`s and K = R = 1, so `inputs` and `_advance` are
+    the `Lattice`'s with mult = 1: no step widens D and no gcd is taken.
+    `decode` and `ratios` give `Fraction`s.  All arithmetic runs in `EXACT`:
+    the constructor enters it, and the lattice's methods are called in it
+    (by `simulate` and the checks, `exactly`).
+
+    Decimal arithmetic costs more than int arithmetic, and pays for itself
+    on the texts of long, distinct values, which CSR steps make.  So a run
+    that class-steps from its start, such as the paper's orbit, whose rows
+    are two short class states and the products dY * c_i, keeps the integer
+    `Lattice`, and `simulate` builds this kind, with no class record, only
+    for a run whose first step is a CSR step.
+    """
+
+    @exactly
+    def __init__(
+        self,
+        g: WeightedGraph,
+        gains: GainParams,
+        ns: NsModel | None,
+        weights: Optional[dict[int, Fraction]] = None,
+    ) -> None:
+        if weights is None:
+            weights = _weight_objects(g)
+        self._csr(g, {key: to_decimal(w) for key, w in weights.items()})
+        self.A, self.B = to_decimal(gains.alpha), to_decimal(gains.beta)
+        self.K = self.R = 1
+        self.P = to_decimal(2 * ns.a) if ns is not None else 0
+        self.graph, self.gains, self.ns = g, gains, ns
+
+    @staticmethod
+    def decode(X: list, V: list, D: Decimal) -> tuple[AgentState, ...]:
+        return tuple(AgentState(Fraction(x), Fraction(v)) for x, v in zip(X, V))
+
+    @staticmethod
+    def encode_inputs(values: Sequence[Scalar]) -> tuple[list[Decimal], Decimal]:
+        return per_object(to_decimal, values), _DECIMAL_ONE
+
+    @staticmethod
+    def ratios(U: list, E: Decimal) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, U))
+
+    texts = staticmethod(decimal_texts)
+    check = staticmethod(_check_decimals)
+
+    def step(self, X: list, V: list, D: Decimal) -> tuple[LatticeState, list, Decimal]:
+        """`Lattice.step` over E = D = 1: no step widens, the inputs it applies
+        are the saturated ones, and the trailing zeros of the new values are
+        dropped (`normalize`), as the integer kind divides out a gcd."""
+        U = self.inputs(X, V)
+        Xn, Vn, _ = self._advance(X, V, clamped(U, D), D, 1)
+        return (list(map(Decimal.normalize, Xn)), list(map(Decimal.normalize, Vn)), D), U, D
+
+    @staticmethod
+    def over(N: Decimal, q: Decimal, D: Decimal) -> Decimal:
+        """N itself: q and D are 1."""
+        return N
+
+    def unstep(self, X: list, V: list, D: Decimal, S: list, Es: Decimal) -> LatticeState:
+        """`Lattice.unstep` over D = Es = 1: the step it inverts took no mult."""
+        if self.ns is None:
+            Vp = [v - s for v, s in zip(V, S)]
+            return [x - v for x, v in zip(X, Vp)], Vp, D
+        P = self.P
+        return [P * x + s - v for x, v, s in zip(X, V, S)], list(X), D
+
+
 class FloatLattice(Lattice):
     """The closed loop of a run with a float in it, in the lattice row layout.
 
@@ -458,7 +586,9 @@ class FloatLattice(Lattice):
     exact = False
     UNIT_TEXTS = ("1.0", "-1.0")
 
-    def __init__(self, g: WeightedGraph, gains: GainParams, ns: NsModel | None) -> None:
+    def __init__(
+        self, g: WeightedGraph, gains: GainParams, ns: NsModel | None, weights: object = None
+    ) -> None:
         self.graph, self.gains, self.ns = g, gains, ns
         self.K = self.R = 1
         self.P = 2 * ns.a if ns is not None else 0
@@ -519,6 +649,16 @@ class FloatLattice(Lattice):
         return U
 
 
+_KINDS = {int: Lattice, Decimal: DecimalLattice, float: FloatLattice}
+
+
+def row_kind(row: tuple) -> type[Lattice]:
+    """The kind of a row by its denominator: `Lattice` over an int,
+    `DecimalLattice` over a `Decimal`, `FloatLattice` over a float."""
+    return _KINDS[type(row[-1])]
+
+
+@exactly
 def simulate(
     g: WeightedGraph,
     gains: GainParams,
@@ -528,9 +668,11 @@ def simulate(
 ) -> Trajectory:
     """Roll the closed-loop network forward, recording raw and saturated inputs.
 
-    The run steps on `Lattice.of` the loop and `init`: a wholly exact run on
-    the integer `Lattice`, any other on the `FloatLattice`.  Its rows are
-    ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E), each
+    The run steps on `Lattice.of` the loop and `init`: a run of terminating
+    decimals on the `DecimalLattice`, unless it takes no step or its first
+    step is a class step (on the integer `Lattice`, which then steps it), any
+    other exact run on the integer `Lattice`, any other on the `FloatLattice`.
+    Its rows are ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E), each
     S_i the raw U_i clamped to +-E.  A tick the loop finds the `same` as the
     first is the start state again: from there on the deterministic loop
     repeats its rows, which are shared by reference instead of stepped.  On
@@ -545,16 +687,23 @@ def simulate(
     init = tuple(init)
     if steps and len(init) != g.n:
         raise ValueError(f"expected {g.n} agent states, got {len(init)}")
-    lattice = Lattice.of(g, gains, ns, (c for s in init for c in (s.x, s.v)))
+    kind, weights = _loop_kind(g, gains, ns, (c for s in init for c in (s.x, s.v)))
+    lattice = (Lattice if kind is DecimalLattice else kind)(g, gains, ns, weights)
     tick = lattice.encode(init)
     classes = lattice.two_classes(tick[0], tick[1]) if steps else None
+    stepped = classes is not None and lattice.class_step(*tick, classes)
+    # a run of terminating decimals class-steps on integers (see DecimalLattice)
+    if kind is DecimalLattice and steps and not stepped:
+        lattice = kind(g, gains, ns, weights)
+        tick, classes = lattice.encode(init), None
     ticks = [tick]
     raw: list[tuple[list, Scalar]] = []
     sat: list[tuple[list, Scalar]] = []
     period = last = 0
     for p in range(1, steps + 1):
-        # the class step is tried only while every step so far took it
-        stepped = last == p - 1 and classes is not None and lattice.class_step(*tick, classes)
+        if p > 1:
+            # the class step is tried only while every step so far took it
+            stepped = last == p - 1 and lattice.class_step(*tick, classes)
         if not stepped:
             tick, U, E = lattice.step(*tick)
             lattice.check(*tick)

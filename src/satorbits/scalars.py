@@ -2,7 +2,9 @@
 
 All quantities in the library are either `fractions.Fraction` (exact mode,
 the default) or `float` (float mode, used when the rotation parameter of the
-neutrally stable model is irrational).  Text crosses this module through
+neutrally stable model is irrational).  Inside the stepping kernel a run of
+terminating decimals holds its values as `decimal.Decimal`s, computed in
+the exact context `EXACT` and given out as `Fraction`s.  Text crosses this module through
 one reader and one writer.  `parse_scalar` reads every text to the value
 `Fraction(str)` gives, so "0.42" becomes 21/50 in exact mode and every
 downstream inequality is decided without rounding.  `ratio_texts` writes
@@ -17,8 +19,22 @@ at most `FLOAT_TOL`, an absolute bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
@@ -36,6 +52,14 @@ _LOG2_5 = 2.321928094887362
 #: the widest denominator of a decimal row whose distinct numerators
 #: `ratio_texts` formats once each
 _MEMO_BITS = 64
+
+#: the context of all `Decimal` arithmetic: the caller's, 28 digits by
+#: default, would round silently; here no sum or product of terminating
+#: decimals is rounded, and one that would be raises
+EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, clamp=0,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
 
 
 class ScalarFormatError(ValueError):
@@ -193,6 +217,52 @@ def ratio_texts(N: list[int], D: int) -> list[str]:
         scale = scales[q]
         texts.append(f"{p}/{q}" if scale is None else _format_decimal(p * scale[1], scale[0]))
     return texts
+
+
+def decimal_texts(N: Sequence[Decimal], D: Decimal) -> list[str]:
+    """The `ratio_texts` text of each `Decimal` n (D is 1): n normalized and
+    written with no exponent, and 0, of either sign, as "0".
+
+    A text of more digits, before and after its point, leading zeros
+    included, than Python converts from text to an integer
+    (`sys.get_int_max_str_digits()`) raises `ValueError`, as `str()` of such
+    an integer does: `parse_scalar` reads a plain decimal as that integer.
+    """
+    # str() of a normalized value writes an exponent only for an integer with
+    # trailing zeros and below 1e-6, and 0 of either sign as "0" or "-0"
+    texts = [
+        t if "E" not in (t := str(n.normalize(EXACT))) and t != "-0" else _fixed_text(n)
+        for n in N
+    ]
+    limit = sys.get_int_max_str_digits()
+    # a text of at most `limit` characters has at most `limit` digits
+    if limit and max(map(len, texts), default=0) > limit:
+        for text in texts:
+            if len(text) - text.startswith("-") - ("." in text) > limit:
+                raise ValueError(f"a text of more than {limit} digits")
+    return texts
+
+
+def _fixed_text(n: Decimal) -> str:
+    return format(n.normalize(EXACT), "f") if n else "0"
+
+
+def to_decimal(value: Fraction) -> Decimal:
+    """The exact `Decimal` of a rational whose denominator is 2^a 5^b."""
+    digits, c = decimal_scale(value.denominator)
+    return Decimal(value.numerator * c).scaleb(-digits, EXACT)
+
+
+def exactly(fn: Callable[..., R]) -> Callable[..., R]:
+    """`fn` run in `EXACT`, whatever the caller's decimal context; the entry
+    points of the kernel, the writer and the checks are so wrapped."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with localcontext(EXACT):
+            return fn(*args, **kwargs)
+
+    return run
 
 
 def negated_texts(texts: Iterable[str]) -> list[str]:

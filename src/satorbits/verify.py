@@ -6,10 +6,12 @@ weaker check.
 
 Every check reads a trajectory's `LatticeColumn`s in their row layout and
 has one body.  What depends on the number kind it takes from the column's
-`kind`: on the integers of an exact run, ticks compare with `==`, and on the
-values of a float run, through `scalars_equal`, within `FLOAT_TOL`.  The
-inverted period is exact-only, and the pattern bounds take no tolerance in
-either kind.  The agent model is the trajectory's or plan's own `ns`.
+`kind`: on the `Decimal`s or integers of an exact run, ticks compare with
+`==`, and on the values of a float run, through `scalars_equal`, within
+`FLOAT_TOL`.  The inverted period is exact-only, and the pattern bounds
+take no tolerance in any kind.  Each check runs in the exact decimal
+context (`scalars.exactly`).  The agent model is the trajectory's or plan's
+own `ns`.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from .dynamics import (
     NsModel,
     Trajectory,
     clamped,
-    ratios,
     simulate,
 )
 from .graphs import Partition, WeightedGraph
 from .records import Record
-from .scalars import Scalar
+from .scalars import Scalar, exactly
 from .synthesis import OrbitPlan, PatternSpec
 
 
@@ -48,6 +49,7 @@ class BackwardExtensionError(ValueError):
     """The recorded inputs do not extend the trajectory one period backward."""
 
 
+@exactly
 def backward_states(
     t: Trajectory,
     g: WeightedGraph,
@@ -61,12 +63,14 @@ def backward_states(
     confirms the controller at the reconstructed state reproduces that input.
     Returns the state at time -T, or None unless the ticks and the loop are
     exact; raises `BackwardExtensionError` at the first input the controller
-    does not reproduce.  The trajectory is inverted on the `Lattice` from its
-    tick `states.data[0]`, with its integer rows S/Es as they are, decoded
-    only to name a mismatch; the lattice is `t.states.lattice` when that was
-    built from these graph and gains objects and `t.ns`.  Reduced ticks are
-    equal exactly when the states are, so a tick at -T equal to the start
-    tick gives the start row `t.states[0]` itself.  On the run's own lattice
+    does not reproduce.  The trajectory is inverted on the `Lattice.of` its
+    loop and start tick `states.data[0]`, with its rows S/Es as they are,
+    decoded only to name a mismatch; a trajectory with a column of another
+    exact kind than the loop's is inverted on the integer `Lattice`, its
+    other columns encoded in it.  The lattice is `t.states.lattice` when that
+    was built from these graph and gains objects and `t.ns`.  Reduced ticks
+    are equal exactly when the states are, so a tick at -T equal to the
+    start tick gives the start row `t.states[0]` itself.  On the run's own lattice
     (`t.raw_u.lattice` too), the class steps k < last of its `ClassRecord`
     unstep as two class states while each reaches tick k under the saturated
     row its raw row gives; every other step unsteps per agent under the
@@ -75,6 +79,7 @@ def backward_states(
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     X, V, D = t.states.data[0]
+    sat_rows = t.sat_u.data
     lattice = t.states.lattice
     # reused only for the graph and gains objects and the model it was built for
     if not (
@@ -83,13 +88,22 @@ def backward_states(
         lattice = Lattice.of(g, gains, t.ns, (D,))
     if not lattice.exact:
         return None
+    if {t.states.kind, t.sat_u.kind} != {type(lattice)}:
+        # columns of another exact kind than the loop's, or of two, are
+        # inverted on the integer kind, which holds every exact value
+        if type(lattice) is not Lattice:
+            lattice = Lattice(g, gains, t.ns)
+        if t.states.kind is not Lattice:
+            X, V, D = lattice.encode(t.states[0])
+        if t.sat_u.kind is not Lattice:
+            sat_rows = list(map(lattice.encode_inputs, t.sat_u))
     # the run's own lattice recorded its inputs at each of its ticks
     classes = t.states.classes if t.raw_u.lattice is lattice is t.states.lattice else None
     # the class path holds while the tick in hand is tick k+1 of a class step k
     on_prefix = classes is not None and T <= classes.last
     for back in range(1, T + 1):
         k = T - back
-        S, Es = t.sat_u.data[k]
+        S, Es = sat_rows[k]
         if on_prefix:
             # step k was a class step, so the inputs recorded at tick k saturate
             # by group with U_0's sign; under that row the tick in hand unsteps
@@ -114,7 +128,7 @@ def backward_states(
             for u, s in zip(U, S)
         ):
             continue
-        sat, recomputed = ratios(S, Es), ratios(clamped(U, E), E)
+        sat, recomputed = lattice.ratios(S, Es), lattice.ratios(clamped(U, E), E)
         i = next(i for i, (used, new) in enumerate(zip(sat, recomputed)) if used != new)
         raise BackwardExtensionError(
             f"backward extension inconsistent at time {-back}, agent "
@@ -176,6 +190,7 @@ def check_pattern(t: Trajectory, p: Partition, pattern: PatternSpec) -> PatternR
     return PatternReport(not violations, tuple(violations))
 
 
+@exactly
 def oracle_check_di(t: Trajectory, plan: OrbitPlan) -> bool:
     """Every recorded state matches the closed form (independent of the stepper).
 
@@ -186,9 +201,9 @@ def oracle_check_di(t: Trajectory, plan: OrbitPlan) -> bool:
     `(x0, v0, class)`, keyed by the identity of the start values: agents that
     share their start state objects but not their class get a form each.
     Each form holds x0 and v0 as numerators over q (`encode_inputs`: the lcm
-    of their denominators on an exact plan, 1.0 on floats), is scaled to the
-    tick's D once per step (`over`), and the tick is compared with those
-    numerators (`equal`).
+    of their denominators on integers, 1 on decimals, 1.0 on floats), is
+    scaled to the tick's D once per step (`over`), and the tick is compared
+    with those numerators (`equal`).
     """
     m = plan.half_period
     if t.steps < 2 * m:
@@ -247,6 +262,7 @@ def minimal_period(
     return next((k for k in range(1, T_max + 1) if equal(ticks[k], ticks[0])), None)
 
 
+@exactly
 def verification_report(
     g: WeightedGraph,
     plan: OrbitPlan,

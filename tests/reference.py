@@ -3,7 +3,8 @@ bodies of the checks, on trajectories whose columns are tuples of rows; and
 the line-by-line readers of the graph and plan files.
 
 `satorbits` steps and checks every run in the lattice row layout (`Lattice`
-on integers, `FloatLattice` on floats).  These functions do the same agent
+on integers, `DecimalLattice` on terminating decimals, `FloatLattice` on
+floats).  These functions do the same agent
 by agent on the scalars themselves, and the differential tests compare the
 two: the kernels bit for bit, and each check's one body with its body here
 on a `tuple_copy` (`test_lattice_paths.assert_paths_agree`).  The readers
@@ -13,6 +14,7 @@ take one line at a time, as the oracles for `parse_graph` and
 
 from __future__ import annotations
 
+import contextlib
 import re
 from fractions import Fraction
 from itertools import count, repeat
@@ -21,6 +23,7 @@ from typing import Optional, Sequence
 from satorbits.cli import CSV_HEADER, CliError
 from satorbits.dynamics import (
     AgentState,
+    DecimalLattice,
     FloatLattice,
     GainParams,
     Lattice,
@@ -167,6 +170,37 @@ def lattice_copy(t: Trajectory) -> Trajectory:
         raw_u=LatticeColumn([kind.encode_inputs(row) for row in t.raw_u], kind.ratios),
         sat_u=LatticeColumn([kind.encode_inputs(row) for row in t.sat_u], kind.ratios),
     )
+
+
+@contextlib.contextmanager
+def integer_kind():
+    """Within it, `simulate` steps every exact run on the integer `Lattice`,
+    a run of terminating decimals too, so that a test can pin the integer
+    kind's rows and steps on the decimal fixtures."""
+    kind_of = Lattice.kind_of
+
+    def integer(values):
+        kind = kind_of(values)
+        return Lattice if kind is DecimalLattice else kind
+
+    Lattice.kind_of = staticmethod(integer)
+    try:
+        yield
+    finally:
+        Lattice.kind_of = staticmethod(kind_of)
+
+
+@contextlib.contextmanager
+def decimal_kind():
+    """Within it, `simulate` steps every run of terminating decimals on the
+    `DecimalLattice`, one whose first step would be a class step too, as no
+    start tick has a class record."""
+    two_classes = Lattice.two_classes
+    Lattice.two_classes = lambda self, X, V: None
+    try:
+        yield
+    finally:
+        Lattice.two_classes = two_classes
 
 
 # ---------------------------------------------------------------------------

@@ -2006,6 +2006,54 @@ def test_only_a_csv_unlike_its_resimulation_is_checked_per_agent(
         assert report["consistency_first_mismatch"]["step"] == 1
 
 
+@pytest.mark.parametrize("edit", ["respelled-1.0", "step-1-v"])
+def test_decimal_csv_read_in_full_is_compared_by_rows(
+    edit, csv_artifacts, tmp_path, capsys, monkeypatch
+):
+    """The CSV of a run on the decimal kind (the halved orbit), read in full,
+    is read into rows of its replay's kind: one whose saturated inputs are
+    re-spelled 1.0, as CI re-spells them, is compared row by row with no value
+    through `scalars_equal`, and an edited one is searched agent by agent only
+    in the row that differs.  Read into integer rows, every state row is
+    searched so, and the report is the same."""
+    argv, text = csv_artifacts["halved"]
+    csv_file = tmp_path / "traj.csv"
+    if edit == "respelled-1.0":
+        csv_file.write_text(re.sub(r",(-?1)$", r",\1.0", text, flags=re.M))
+    else:
+        csv_file.write_text(EDITS[edit](text))
+    argv = [*argv[:-1], str(csv_file)]
+    kinds, compared = [], []
+    read, real_equal = cli.trajectory_from_csv, cli.scalars_equal
+
+    def reading(*args):
+        t = read(*args)
+        kinds.append(t.states.kind)
+        return t
+
+    def counting(x, y):
+        compared.append(x)
+        return real_equal(x, y)
+
+    monkeypatch.setattr(cli, "trajectory_from_csv", reading)
+    monkeypatch.setattr(cli, "scalars_equal", counting)
+    outcome = _verify_outcome(argv, capsys)
+    by_rows = len(compared)
+    assert kinds == [dynamics.DecimalLattice]
+    monkeypatch.setattr(cli, "trajectory_from_csv", lambda text, ns, mode, kind: reading(text, ns, mode))
+    compared.clear()
+    assert _verify_outcome(argv, capsys) == outcome
+    assert kinds == [dynamics.DecimalLattice, dynamics.Lattice]
+    report = json.loads(outcome[1])
+    if edit == "respelled-1.0":
+        assert ",1.0\n" in csv_file.read_text()
+        assert report["consistency"] is True and by_rows == 0 < len(compared)
+    else:
+        assert report["consistency_first_mismatch"] == {"step": 1, "agent": 1}
+        # agent 1's x and v at step 1, against every agent's at step 0 too
+        assert by_rows == 2 < len(compared)
+
+
 @pytest.mark.parametrize("base,mode", [("di", "exact"), ("di-float", "float")])
 def test_only_an_exact_csv_is_checked_on_its_resimulation(base, mode, csv_artifacts, tmp_path):
     """Float values equal within `FLOAT_TOL` need not be the re-simulation's

@@ -1,0 +1,377 @@
+"""Runs of terminating decimals on the `DecimalLattice`.
+
+Its rows hold `Decimal`s, stepped, written and compared in base ten in the
+exact context `scalars.EXACT`, whatever context the caller has set.  Every
+run must equal the per-agent `Fraction` reference and the same run on the
+integer `Lattice`, row for row, byte for byte and verdict for verdict.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import sys
+from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from reference import decimal_kind, integer_kind, tuple_copy
+from satorbits import (
+    AgentState,
+    GainParams,
+    NsModel,
+    fixture_path,
+    simulate,
+    synthesize_di,
+    synthesize_ns,
+    verification_report,
+)
+from satorbits.cli import EXIT_OK, EXIT_USAGE, main, plan_to_text, trajectory_to_csv
+from satorbits.dynamics import DecimalLattice, Lattice
+from satorbits.graphs import WeightedGraph
+from satorbits.scalars import _plain_decimal, decimal_texts, parse_scalar
+from satorbits.verify import backward_states, check_periodicity, oracle_check_di
+from test_graphs import random_connected_edges
+from test_lattice_paths import assert_paths_agree, outcome
+
+GRAPH = str(fixture_path("graph7.txt"))
+DI_CFG = str(fixture_path("di.cfg"))
+NS_CFG = str(fixture_path("ns.cfg"))
+
+#: the contexts a caller may have set: 3 digits, and 28 with no trap, under
+#: which an inexact result would round silently
+HOSTILE = [{"prec": 3}, {"prec": 28, "traps": []}]
+
+
+def halved(init):
+    return tuple(AgentState(s.x / 2, s.v / 2) for s in init)
+
+
+def report_json(g, plan, t):
+    """The `verify` JSON of the checks on t, or what they raised."""
+    return outcome(lambda: json.dumps(verification_report(g, plan, t, rollout=t), default=str))
+
+
+# ---------------------------------------------------------------------------
+# which runs step on the decimal kind
+
+
+def test_simulate_picks_the_decimal_kind_off_the_class_path(graph7, gains_di, reference_init_di):
+    """A run of terminating decimals whose first step is no class step steps
+    on the decimal kind, with no record; the synthesized orbit, whose first
+    step is one, and every run of a p/q value, step on integers."""
+    orbit = synthesize_di(graph7, gains_di).init
+    third = (AgentState(Fraction(1, 3), Fraction(0)),) + orbit[1:]
+    cases = [
+        (reference_init_di, DecimalLattice),
+        (halved(orbit), DecimalLattice),
+        (orbit, Lattice),
+        (third, Lattice),
+    ]
+    for init, kind in cases:
+        t = simulate(graph7, gains_di, init, 30)
+        assert t.states.kind is t.raw_u.kind is t.sat_u.kind is kind
+        assert type(t.states.lattice) is kind
+        assert (t.states.classes is None) == (kind is DecimalLattice or init is third)
+        X, V, D = t.states.data[30]
+        if kind is DecimalLattice:
+            assert D == 1 and type(D) is Decimal and all(type(c) is Decimal for c in X + V)
+            # no Decimal leaves the kernel: rows decode to Fractions
+            assert all(type(c) is Fraction for row in t.states for s in row for c in s)
+            assert all(type(u) is Fraction for row in t.raw_u for u in row)
+    values = [c for s in reference_init_di for c in s]
+    assert type(Lattice.of(graph7, gains_di, None, values)) is DecimalLattice
+    # `backward_states` passes the Decimal D of a decimal tick
+    assert type(Lattice.of(graph7, gains_di, None, (Decimal(1),))) is DecimalLattice
+    assert type(Lattice.of(graph7, gains_di, None, third[0])) is Lattice
+
+
+def test_decimal_run_equals_the_integer_run(graph7, gains_di, reference_init_di):
+    """The decimal kind gives the integer kind's rows, CSV, verify report and
+    inverted period on the paper's positions and their halving."""
+    plan = synthesize_di(graph7, gains_di)._replace(init=reference_init_di)
+    for init in (reference_init_di, halved(reference_init_di)):
+        t = simulate(graph7, gains_di, init, 80)
+        with integer_kind():
+            ints = simulate(graph7, gains_di, init, 80)
+        assert t.states.kind is DecimalLattice and ints.states.kind is Lattice
+        assert tuple_copy(t) == tuple_copy(ints)
+        assert trajectory_to_csv(t) == trajectory_to_csv(ints)
+        run_plan = plan._replace(init=init)
+        assert report_json(graph7, run_plan, t) == report_json(graph7, run_plan, ints)
+
+
+# ---------------------------------------------------------------------------
+# the digit limit of a decimal text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_decimal_text_at_the_digit_limit():
+    """A text of `limit` digits before and after its point, leading zeros
+    counted, is written, and `parse_scalar` reads it back as one integer over
+    a power of ten; one more digit raises, as that integer has too many."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text in ["7" * 640, "-" + "7" * 600 + "." + "5" * 40, "0." + "0" * 638 + "1"]:
+            for longer in (text, text[:-1] + "01" if "." in text else text + "1"):
+                value = Decimal(longer)
+                digits = sum(c.isdigit() for c in longer)
+                if digits <= 640:
+                    assert decimal_texts([value], Decimal(1)) == [longer]
+                    assert _plain_decimal(longer) == parse_scalar(longer) == Fraction(longer)
+                    continue
+                assert digits == 641
+                with pytest.raises(ValueError):
+                    decimal_texts([Decimal(1), value], Decimal(1))
+                assert _plain_decimal(longer) is None
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_simulate_refuses_at_the_first_step_past_the_digit_limit(
+    graph7, gains_di, reference_init_di, tmp_path, capsys
+):
+    """The halved run writes every step whose texts keep within 640 digits,
+    and at the first that does not exits 1 with one line and writes no file."""
+    t = simulate(graph7, gains_di, halved(reference_init_di), 600)
+    assert t.states.kind is DecimalLattice
+    # a run of `steps` steps writes the states of ticks 0..steps and the
+    # inputs of ticks 0..steps-1
+    first = 600
+    for line in trajectory_to_csv(t).splitlines()[1:]:
+        k, _, x, v, u_raw, u_sat = line.split(",")
+        for texts, steps in (((x, v), int(k)), ((u_raw, u_sat), int(k) + 1)):
+            if max(sum(map(str.isdigit, text)) for text in texts) > 640:
+                first = min(first, steps)
+    assert first < 600
+    plan = tmp_path / "plan.txt"
+    plan.write_text(plan_to_text(synthesize_di(graph7, gains_di)._replace(init=t.states[0])))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for steps, code in ((first - 1, EXIT_OK), (first, EXIT_USAGE)):
+            csv_file = tmp_path / f"traj-{steps}.csv"
+            capsys.readouterr()
+            argv = ["simulate", GRAPH, "--config", DI_CFG, "--plan", str(plan)]
+            assert main([*argv, "--steps", str(steps), "-o", str(csv_file)]) == code
+            err = capsys.readouterr().err
+            assert csv_file.exists() == (code == EXIT_OK)
+            if code == EXIT_USAGE:
+                assert err == (
+                    "error: the trajectory holds a value of more than 640 digits, beyond "
+                    "Python's limit on converting an integer to text; use fewer steps or "
+                    "--mode float\n"
+                )
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# ---------------------------------------------------------------------------
+# the caller's decimal context
+
+
+def pipeline_outputs(directory):
+    """Plans, CSVs, verify reports and exit codes of the CLI pipeline: di and
+    ns on their orbits, the halved di orbit (the `offorbit_7` input) for 120
+    steps with its CSV read in full after a re-spelling, and the p/q K3 plan."""
+    directory.mkdir()
+    out = {}
+    plans = {}
+    for name, cfg in (("di", DI_CFG), ("ns", NS_CFG)):
+        plans[name] = directory / f"plan-{name}.txt"
+        out[f"synthesize-{name}"] = main(
+            ["synthesize", GRAPH, "--config", cfg, "-o", str(plans[name])]
+        )
+    half = directory / "plan-half.txt"
+    half.write_text(
+        "".join(
+            line if not line.startswith("agent ") else halved_line(line)
+            for line in plans["di"].read_text().splitlines(keepends=True)
+        )
+    )
+    k3 = directory / "graph-k3.txt"
+    k3.write_text("n 3\n1 2 1\n2 3 1\n1 3 1\n")
+    k3_plan = directory / "plan-k3.txt"
+    k3_plan.write_text(
+        "model=di\nalpha=1/3\nbeta=1/3\nroot=1\nm=3\nT=6\n"
+        "agent 1: x=-1/2, v=-1/3\nagent 2: x=1/2, v=-1/3\nagent 3: x=1/2, v=2/3\n"
+    )
+    runs = {
+        "di": ([GRAPH, "--config", DI_CFG, "--plan", str(plans["di"])], []),
+        "ns": ([GRAPH, "--config", NS_CFG, "--plan", str(plans["ns"])], []),
+        "half": ([GRAPH, "--config", DI_CFG, "--plan", str(half)], ["--steps", "120"]),
+        "k3": ([str(k3), "--plan", str(k3_plan)], ["--steps", "13"]),
+    }
+    for name, (argv, steps) in runs.items():
+        csv_file = directory / f"traj-{name}.csv"
+        out[f"simulate-{name}"] = main(["simulate", *argv, *steps, "-o", str(csv_file)])
+        respelled = directory / f"traj-{name}-respelled.csv"
+        respelled.write_text(
+            csv_file.read_text().replace(",1\n", ",1.0\n").replace(",-1\n", ",-1.0\n")
+        )
+        for which in (csv_file, respelled):
+            out[f"verify-{which.name}"] = verify_json(["verify", *argv, "--csv", str(which)])
+    for path in sorted(directory.iterdir()):
+        out[path.name] = path.read_text()
+    return out
+
+
+def halved_line(line):
+    head, _, rest = line.partition(":")
+    x, v = (Fraction(part.split("=")[1]) / 2 for part in rest.split(","))
+    return f"{head}: x={x}, v={v}\n"
+
+
+def verify_json(argv):
+    """(exit code, stdout) of `verify`."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+def context_state(ctx):
+    return ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps), dict(ctx.flags)
+
+
+@pytest.mark.parametrize("hostile", HOSTILE, ids=["prec-3", "prec-28-no-traps"])
+def test_pipeline_ignores_the_callers_context(hostile, tmp_path):
+    """Under a context of few digits or no traps the CLI pipeline writes the
+    bytes it writes under the default one, and leaves that context as it was."""
+    expected = pipeline_outputs(tmp_path / "default")
+    with localcontext(**hostile) as ctx:
+        before = context_state(ctx)
+        got = pipeline_outputs(tmp_path / "hostile")
+        assert getcontext() is ctx and context_state(ctx) == before
+    assert got == expected
+    assert expected["verify-traj-half.csv"][0] == 4
+    assert json.loads(expected["verify-traj-half-respelled.csv"][1])["consistency"] is True
+
+
+@pytest.mark.parametrize("hostile", HOSTILE, ids=["prec-3", "prec-28-no-traps"])
+def test_library_ignores_the_callers_context(hostile, graph7, gains_di, reference_init_di):
+    """`simulate`, `trajectory_to_csv`, `verification_report` and each check
+    it runs give under a hostile context what they give under the default one."""
+    plan = synthesize_di(graph7, gains_di)
+    cases = [(reference_init_di, 60), (halved(reference_init_di), 250), (plan.init, 44)]
+
+    def results():
+        out = []
+        for init, steps in cases:
+            t = simulate(graph7, gains_di, init, steps)
+            run_plan = plan._replace(init=tuple(init))
+            out.append((tuple_copy(t), trajectory_to_csv(t), report_json(graph7, run_plan, t)))
+            out.append(
+                (
+                    outcome(check_periodicity, t, 22, graph=graph7, gains=gains_di),
+                    outcome(backward_states, t, graph7, gains_di, 22),
+                    outcome(oracle_check_di, t, run_plan),
+                )
+            )
+        return out
+
+    expected = results()
+    with localcontext(**hostile) as ctx:
+        before = context_state(ctx)
+        got = results()
+        assert getcontext() is ctx and context_state(ctx) == before
+    assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# the decimal kind against the reference and the integer kind
+
+
+#: k/10, k/4 and k/8 of at least 1/2, whose reciprocals terminate, so that
+#: the synthesized di positions do too; every one passes the ns gates
+WEIGHTS = sorted(
+    {
+        Fraction(k, d)
+        for d in (10, 4, 8)
+        for k in (1, 2, 4, 5, 8, 10, 16, 20, 25, 32, 40)
+        if Fraction(1, 2) <= Fraction(k, d) <= 5
+    }
+)
+
+
+def decimal_start(start, plan, rng):
+    """The synthesized start, it halved, each agent shifted by k/8, or a
+    shift in which a random set of agents shares agent 0's state."""
+    init = list(plan.init)
+    if start == "halved":
+        return [AgentState(s.x / 2, s.v / 2) for s in init]
+    shifted = [
+        AgentState(s.x + Fraction(rng.randint(-8, 8), 8), s.v + Fraction(rng.randint(-8, 8), 8))
+        for s in init
+    ]
+    if start == "shifted":
+        return shifted
+    if start == "shared":
+        share = rng.sample(range(len(init)), rng.randint(2, len(init)))
+        return [shifted[0] if i in share else s for i, s in enumerate(shifted)]
+    return init
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.sampled_from([None, Fraction(1, 2), Fraction(3, 10), Fraction(1, 4)]),
+    start=st.sampled_from(["orbit", "halved", "shifted", "shared"]),
+    steps=st.integers(0, 60),
+)
+def test_decimal_runs_equal_the_reference_and_the_integer_kind(n, seed, a, start, steps):
+    """On random decimal graphs, the decimal kind's rows decode to the
+    per-agent rollout's, its CSV is the reference writer's and its checks
+    give their reference bodies' verdicts; the run on the integer kind, and
+    the run as `simulate` picks its kind, give the same rows, bytes and
+    verify report."""
+    rng = random.Random(seed)
+    g = WeightedGraph.from_edges(n, random_connected_edges(rng, n, lambda rng: rng.choice(WEIGHTS)))
+    ns = None if a is None else NsModel(a)
+    if ns is None:
+        gains = GainParams(Fraction(2, 5), Fraction(21, 50))
+        plan = synthesize_di(g, gains)
+    else:
+        gains = GainParams(Fraction(-1, 2), Fraction(2))
+        plan = synthesize_ns(g, ns, gains)
+    init = decimal_start(start, plan, rng)
+    plan = plan._replace(init=tuple(init))
+    ref = reference.simulate(g, gains, init, steps, ns=ns)
+    with decimal_kind():
+        decimal = simulate(g, gains, init, steps, ns=ns)
+    with integer_kind():
+        ints = simulate(g, gains, init, steps, ns=ns)
+    default = simulate(g, gains, init, steps, ns=ns)
+    terminating = Lattice.kind_of([c for s in init for c in s]) is DecimalLattice
+    assert (decimal.states.kind is DecimalLattice) == (terminating and steps > 0)
+    assert ints.states.kind is Lattice
+    text = reference.trajectory_to_csv(ref)
+    report = report_json(g, plan, ints)
+    for t in (decimal, ints, default):
+        assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == (ref.states, ref.raw_u, ref.sat_u)
+        assert trajectory_to_csv(t) == text
+        assert report_json(g, plan, t) == report
+    if steps:
+        assert_paths_agree(decimal, g, gains, plan, min(plan.period, steps), ns)
+
+
+def test_agents_that_share_a_state_have_no_input(graph7, gains_di):
+    """At consensus every raw input is 0, of whatever sign the sums leave, and
+    each is written "0", as the reference writes it."""
+    init = [AgentState(Fraction(5, 4), Fraction(-3, 8))] * 7
+    ref = reference.simulate(graph7, gains_di, init, 5)
+    with decimal_kind():
+        t = simulate(graph7, gains_di, init, 5)
+    assert t.states.kind is DecimalLattice
+    assert all(u == 0 for row in t.raw_u for u in row)
+    assert trajectory_to_csv(t) == reference.trajectory_to_csv(ref)
+    assert ",0,0\n" in trajectory_to_csv(t)

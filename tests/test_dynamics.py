@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from satorbits import (
     simulate,
 )
 from satorbits.dynamics import (
+    DecimalLattice,
     FloatLattice,
     Lattice,
     LatticeColumn,
@@ -29,6 +31,7 @@ from satorbits.verify import backward_states, verification_report
 from satorbits.graphs import WeightedGraph
 from reference import (
     control_inputs,
+    integer_kind,
     inverse_step_di,
     inverse_step_ns,
     rollout,
@@ -196,7 +199,7 @@ def end_anchored(t):
     """
     if isinstance(t.states, LatticeColumn):
         ticks = t.states.data
-        states = LatticeColumn([ticks[-1], *ticks[1:]], Lattice.decode)
+        states = LatticeColumn([ticks[-1], *ticks[1:]], t.states.decode)
         return t._replace(states=states)
     return t._replace(states=(t.states[-1],) + t.states[1:])
 
@@ -283,21 +286,28 @@ class TestLatticeKernel:
         assert checked == 2 * len(graphs)
 
     def test_seven_agent_fixture(self, graph7, gains_di, reference_init_di):
-        t = self.assert_same_orbit(graph7, gains_di, reference_init_di, 44)
-        assert self.assert_same_inversion(t, graph7, gains_di, 22) == list(t.states[0])
-        halved = [AgentState(s.x / 2, s.v / 2) for s in reference_init_di]
-        off = self.assert_same_orbit(graph7, gains_di, halved, 60)
-        assert any(abs(u) < 1 for row in off.raw_u for u in row)
-        self.assert_same_inversion(off, graph7, gains_di, 22)
-        self.assert_same_inversion(end_anchored(off), graph7, gains_di, 60)
+        """On the integer kind, and on the decimal kind, on which `simulate`
+        steps these runs of terminating decimals."""
+        for kind in (integer_kind, contextlib.nullcontext):
+            with kind():
+                t = self.assert_same_orbit(graph7, gains_di, reference_init_di, 44)
+                halved = [AgentState(s.x / 2, s.v / 2) for s in reference_init_di]
+                off = self.assert_same_orbit(graph7, gains_di, halved, 60)
+            assert (t.states.kind is DecimalLattice) == (kind is contextlib.nullcontext)
+            assert self.assert_same_inversion(t, graph7, gains_di, 22) == list(t.states[0])
+            assert any(abs(u) < 1 for row in off.raw_u for u in row)
+            self.assert_same_inversion(off, graph7, gains_di, 22)
+            self.assert_same_inversion(end_anchored(off), graph7, gains_di, 60)
 
     def test_seven_agent_ns(self, graph7, gains_ns):
         for a in (F("1/3"), F("-1/3"), F("0.5")):
             init = [
                 AgentState(Fraction(k % 3 - 1), Fraction(1 - k % 2)) for k in range(7)
             ]
-            t = self.assert_same_orbit(graph7, gains_ns, init, 16, NsModel(a))
-            self.assert_same_inversion(end_anchored(t), graph7, gains_ns, 16)
+            for kind in (integer_kind, contextlib.nullcontext):
+                with kind():
+                    t = self.assert_same_orbit(graph7, gains_ns, init, 16, NsModel(a))
+                self.assert_same_inversion(end_anchored(t), graph7, gains_ns, 16)
 
     def test_float_mode_equals_the_reference_path(self):
         g = parse_graph("1 2 1", mode="float")

@@ -8,6 +8,7 @@ raise the same errors.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import random
@@ -42,6 +43,7 @@ from satorbits.cli import (
     trajectory_to_csv,
 )
 from satorbits.dynamics import (
+    DecimalLattice,
     FloatLattice,
     Lattice,
     LatticeColumn,
@@ -57,7 +59,7 @@ from satorbits.verify import (
     minimal_period,
     oracle_check_di,
 )
-from reference import control_inputs, lattice_copy, rollout, tuple_copy
+from reference import control_inputs, integer_kind, lattice_copy, rollout, tuple_copy
 from satorbits.graphs import WeightedGraph
 from satorbits.scalars import is_exact
 from test_graphs import float_weight, random_connected_edges, random_connected_graph
@@ -220,20 +222,38 @@ def test_random_loops_agree():
 @pytest.fixture(scope="module")
 def fixture_runs(graph7, gains_di, gains_ns, ns_model, reference_init_di):
     """(trajectory, plan, ns) for the di.cfg orbit from the paper's positions,
-    its halving, the synthesized di orbit and the ns orbit."""
+    its halving, the synthesized di orbit and the ns orbit, all on the integer
+    `Lattice`; and the first two as `simulate` steps them, on the
+    `DecimalLattice` ("-decimal"), as no first step of theirs is a class step."""
     mirrored = synthesize_di(graph7, gains_di)
     di = mirrored._replace(init=reference_init_di)
     ns = synthesize_ns(graph7, ns_model, gains_ns)
     halved = di._replace(init=tuple(AgentState(s.x / 2, s.v / 2) for s in di.init))
-    return {
-        "di": (simulate(graph7, gains_di, di.init, 44), di, None),
-        "ns": (simulate(graph7, gains_ns, ns.init, 8, ns=ns_model), ns, ns_model),
-        "halved": (simulate(graph7, gains_di, halved.init, 250), halved, None),
-        "mirrored": (simulate(graph7, gains_di, mirrored.init, 44), mirrored, None),
-    }
+    with integer_kind():
+        runs = {
+            "di": (simulate(graph7, gains_di, di.init, 44), di, None),
+            "ns": (simulate(graph7, gains_ns, ns.init, 8, ns=ns_model), ns, ns_model),
+            "halved": (simulate(graph7, gains_di, halved.init, 250), halved, None),
+            "mirrored": (simulate(graph7, gains_di, mirrored.init, 44), mirrored, None),
+        }
+    runs["di-decimal"] = (simulate(graph7, gains_di, di.init, 44), di, None)
+    runs["halved-decimal"] = (simulate(graph7, gains_di, halved.init, 250), halved, None)
+    assert all(
+        (t.states.kind is DecimalLattice) == name.endswith("-decimal")
+        for name, (t, _, _) in runs.items()
+    )
+    return runs
 
 
-@pytest.mark.parametrize("name", ["di", "ns", "halved", "mirrored"])
+#: how a test runs `simulate` on each exact kind: a run of terminating
+#: decimals steps on the integer `Lattice` within the first, and as it
+#: would within the second
+KINDS = (integer_kind, contextlib.nullcontext)
+
+
+@pytest.mark.parametrize(
+    "name", ["di", "ns", "halved", "mirrored", "di-decimal", "halved-decimal"]
+)
 def test_fixture_runs_agree(name, fixture_runs, graph7):
     t, plan, ns = fixture_runs[name]
     assert_paths_agree(t, graph7, plan.gains, plan, plan.period, ns)
@@ -252,14 +272,16 @@ def test_stepped_lattice_serves_only_its_own_model(fixture_runs, graph7):
     )
 
 
-@pytest.mark.parametrize("name", ["di", "ns", "halved"])
+@pytest.mark.parametrize("name", ["di", "ns", "halved", "di-decimal", "halved-decimal"])
 def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypatch):
     """Tuple columns are checked per agent by the `reference` bodies, which
-    never reach the kernel; lattice columns invert on the lattice."""
+    never reach the kernel; lattice columns invert on the lattice of their
+    kind."""
     t, plan, _ = fixture_runs[name]
     T = plan.period
     calls = []
-    unstep = Lattice.unstep
+    kind = t.states.kind
+    unstep = kind.unstep
 
     def counting(self, *args):
         calls.append(args)
@@ -272,9 +294,9 @@ def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypa
             outcome(checks.oracle_check_di, traj, plan),
         )
 
-    monkeypatch.setattr(Lattice, "unstep", counting)
+    monkeypatch.setattr(kind, "unstep", counting)
     expected = checks(t)
-    if name == "halved":
+    if name.startswith("halved"):
         # off the orbit the forward check fails, and the inversion stops at once
         assert expected[1][1].startswith("backward extension inconsistent at time -1,")
         assert len(calls) == 1
@@ -288,11 +310,11 @@ def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypa
         raise AssertionError("a tuple column reached Lattice.unstep")
 
     calls.clear()
-    monkeypatch.setattr(Lattice, "unstep", refuse)
+    monkeypatch.setattr(kind, "unstep", refuse)
     assert checks(tuple_copy(t), reference) == expected and not calls
 
 
-@pytest.mark.parametrize("name", ["di", "ns", "mirrored"])
+@pytest.mark.parametrize("name", ["di", "ns", "mirrored", "di-decimal"])
 def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, monkeypatch):
     """On its own on-orbit two-class run the inverted period unsteps the class
     states under the input rows the run recorded and computes no inputs; on
@@ -309,7 +331,7 @@ def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, m
 
     monkeypatch.setattr(Lattice, "inputs", counting)
     runs = {
-        "own": (t, T if name == "di" else 0),
+        "own": (t, T if name.startswith("di") else 0),
         "copy": (lattice_copy(t), T),
         "raw-copy": (t._replace(raw_u=lattice_copy(t).raw_u), T),
         "raw-bare": (t._replace(raw_u=LatticeColumn(t.raw_u.data, ratios)), T),
@@ -320,7 +342,7 @@ def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, m
         assert len(calls) == expected
 
 
-@pytest.mark.parametrize("name", ["di", "ns"])
+@pytest.mark.parametrize("name", ["di", "ns", "di-decimal"])
 def test_inverted_period_compares_ticks(name, fixture_runs, graph7, monkeypatch):
     """On a lattice run no state is encoded, decoded or compared as `AgentState`s."""
     t, plan, _ = fixture_runs[name]
@@ -328,8 +350,9 @@ def test_inverted_period_compares_ticks(name, fixture_runs, graph7, monkeypatch)
     def refuse(*args):
         raise AssertionError("a state was encoded, decoded or compared")
 
-    monkeypatch.setattr(Lattice, "encode", staticmethod(refuse))
-    monkeypatch.setattr(Lattice, "decode", staticmethod(refuse))
+    for kind in (Lattice, DecimalLattice):
+        monkeypatch.setattr(kind, "encode", staticmethod(refuse))
+        monkeypatch.setattr(kind, "decode", staticmethod(refuse))
     monkeypatch.setattr(AgentState, "__eq__", refuse)
     assert check_periodicity(t, plan.period, graph=graph7, gains=plan.gains) is True
     before = backward_states(t, graph7, plan.gains, plan.period)
@@ -337,17 +360,20 @@ def test_inverted_period_compares_ticks(name, fixture_runs, graph7, monkeypatch)
 
 
 def test_on_orbit_checks_pass_on_both_paths(fixture_runs, graph7):
-    t, plan, ns = fixture_runs["di"]
-    checks = all_checks(LIBRARY, t, graph7, plan.gains, plan, plan.period, ns)
-    assert checks["periodicity"] is True and checks["oracle"] is True
-    assert checks["pattern"].ok and checks["minimal_period"] == 22
-    assert checks["consistent"] is None
+    for name in ("di", "di-decimal"):
+        t, plan, ns = fixture_runs[name]
+        checks = all_checks(LIBRARY, t, graph7, plan.gains, plan, plan.period, ns)
+        assert checks["periodicity"] is True and checks["oracle"] is True
+        assert checks["pattern"].ok and checks["minimal_period"] == 22
+        assert checks["consistent"] is None
 
 
-@pytest.mark.parametrize("name", ["di", "ns", "halved", "mirrored"])
+@pytest.mark.parametrize(
+    "name", ["di", "ns", "halved", "mirrored", "di-decimal", "halved-decimal"]
+)
 def test_csv_bytes_unchanged(name, fixture_runs):
     text = trajectory_to_csv(fixture_runs[name][0])
-    assert hashlib.sha256(text.encode()).hexdigest() == CSV_SHA256[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_SHA256[name.removesuffix("-decimal")]
 
 
 class TestLatticeColumn:
@@ -436,14 +462,26 @@ class TestCanonicalReader:
 
     def test_reader_ticks_equal_simulate_ticks(self, fixture_runs):
         """The reader returns the lattice copy of the run that wrote the CSV:
-        the run's ticks, and its input rows over the lcm of their denominators."""
+        on the integer kind the run's ticks, and its input rows over the lcm
+        of their denominators; given the decimal kind, the decimal run's own
+        rows, which hold the values themselves."""
         for t, _, _ in fixture_runs.values():
-            read = trajectory_from_csv(trajectory_to_csv(t), t.ns, "exact")
+            text = trajectory_to_csv(t)
+            read = trajectory_from_csv(text, t.ns, "exact")
             assert read == tuple_copy(t)
             copy = lattice_copy(t)
-            assert read.states.data == t.states.data == copy.states.data
+            assert read.states.data == copy.states.data
             assert (read.raw_u.data, read.sat_u.data) == (copy.raw_u.data, copy.sat_u.data)
             assert all(c.lattice is None for c in (read.states, read.raw_u, read.sat_u))
+            if t.states.kind is Lattice:
+                assert read.states.data == t.states.data
+                continue
+            read = trajectory_from_csv(text, t.ns, "exact", DecimalLattice)
+            assert all(c.kind is DecimalLattice for c in (read.states, read.raw_u, read.sat_u))
+            assert read == tuple_copy(t)
+            assert (read.states.data, read.raw_u.data, read.sat_u.data) == (
+                t.states.data, t.raw_u.data, t.sat_u.data
+            )
 
     def test_reader_ticks_on_random_loops(self):
         for g, gains, init, ns, _ in random_cases():
@@ -527,33 +565,44 @@ def test_overflow_cap_trips_at_reference_step(
         )
     )
     monkeypatch.setattr(dynamics, "MAX_EXACT_BITS", cap)
-    assert simulate(graph7, gains_di, init, k - 1).steps == k - 1
-    with pytest.raises(SimulationOverflowError):
-        simulate(graph7, gains_di, init, k)
+    # on the integer kind, and on the decimal kind, on which `simulate` steps these runs
+    for kind in KINDS:
+        with kind():
+            assert simulate(graph7, gains_di, init, k - 1).steps == k - 1
+            with pytest.raises(SimulationOverflowError):
+                simulate(graph7, gains_di, init, k)
+    assert k == 1 or simulate(graph7, gains_di, init, k - 1).states.kind is DecimalLattice
 
 
 def counted_steps(monkeypatch):
     """A list that gains an entry at each step a run takes: "csr" at each
-    `Lattice.step` call, and at each `Lattice.class_step` call "class" when it
-    steps the tick and "tried" when it declines."""
+    `Lattice.step` or `DecimalLattice.step` call, and at each
+    `Lattice.class_step` call "class" when it steps the tick and "tried" when
+    it declines."""
     calls = []
-    step, class_step = Lattice.step, Lattice.class_step
+    class_step = Lattice.class_step
 
-    def counting(self, *tick):
-        calls.append("csr")
-        return step(self, *tick)
+    def counting(step):
+        def csr(self, *tick):
+            calls.append("csr")
+            return step(self, *tick)
+
+        return csr
 
     def counting_class(self, *args):
         out = class_step(self, *args)
         calls.append("tried" if out is None else "class")
         return out
 
-    monkeypatch.setattr(Lattice, "step", counting)
+    for kind in (Lattice, DecimalLattice):
+        monkeypatch.setattr(kind, "step", counting(kind.step))
     monkeypatch.setattr(Lattice, "class_step", counting_class)
     return calls
 
 
-@pytest.mark.parametrize("name", ["di", "ns", "halved", "mirrored"])
+@pytest.mark.parametrize(
+    "name", ["di", "ns", "halved", "mirrored", "di-decimal", "halved-decimal"]
+)
 def test_closed_orbit_is_stepped_once(
     name, graph7, gains_di, gains_ns, ns_model, reference_init_di, monkeypatch
 ):
@@ -561,7 +610,10 @@ def test_closed_orbit_is_stepped_once(
     a closed orbit takes T steps (the ns orbit 4, the di orbits 22), the
     synthesized two-class orbits each as a class step.  The synthesized orbits
     reflect their start at T/2, the paper's di positions never; off the orbit
-    every step is taken."""
+    every step is taken.  The runs step on the integer kind, and "-decimal"
+    on the decimal kind, as `simulate` steps the paper's positions."""
+    decimal = name.endswith("-decimal")
+    name = name.removesuffix("-decimal")
     if name == "ns":
         gains, init, ns, T = gains_ns, synthesize_ns(graph7, ns_model, gains_ns).init, ns_model, 4
     else:
@@ -573,7 +625,9 @@ def test_closed_orbit_is_stepped_once(
     steps_taken = counted_steps(monkeypatch)
     for steps in (2 * T, 3 * T + 5):
         steps_taken.clear()
-        t = simulate(graph7, gains, init, steps, ns=ns)
+        with KINDS[decimal]():
+            t = simulate(graph7, gains, init, steps, ns=ns)
+        assert (t.states.kind is DecimalLattice) == decimal
         kind = "class" if name in ("ns", "mirrored") else "csr"
         assert steps_taken == [kind] * (steps if name == "halved" else T)
         assert _reflected_half(t) == (T // 2 if name in ("ns", "mirrored") else 0)
@@ -780,10 +834,12 @@ def test_cap_trips_on_the_state_that_closes_the_orbit(
     ]
     assert states[22] == states[0] and bits[0] == 11 and max(bits[1:22]) == 10
     monkeypatch.setattr(dynamics, "MAX_EXACT_BITS", 10)
-    assert simulate(graph7, gains_di, init, 21).steps == 21
-    for steps in (22, 71):
-        with pytest.raises(SimulationOverflowError):
-            simulate(graph7, gains_di, init, steps)
+    for kind in KINDS:
+        with kind():
+            assert simulate(graph7, gains_di, init, 21).steps == 21
+            for steps in (22, 71):
+                with pytest.raises(SimulationOverflowError):
+                    simulate(graph7, gains_di, init, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -976,25 +1032,30 @@ def test_cap_trips_at_the_reference_step_on_class_runs(name, class_runs, graph7,
             simulate(graph7, gains, init, k, ns=ns)
 
 
-@pytest.mark.parametrize("name", ["mirrored", "ns", "halved"])
+@pytest.mark.parametrize("name", ["mirrored", "ns", "halved", "halved-decimal"])
 def test_class_branch_is_taken_on_the_orbit_only(name, fixture_runs, graph7, monkeypatch):
     """A synthesized orbit steps every tick as its two classes and never takes
     the CSR sums; its record's prefix is the whole run.  The synthesized di
     start halved (the `offorbit_7` benchmark input) is two-class too, but one
     of its inputs is inside (-1, 1): the class step is tried once, at the
-    start, the record's prefix is tick 0 alone, and the CSR sums step every
-    tick of 250."""
-    t, plan, ns = fixture_runs["mirrored" if name == "halved" else name]
+    start, and the CSR sums step every tick of 250.  On the integer kind the
+    record's prefix is tick 0 alone; `simulate` steps such a run on the
+    decimal kind ("halved-decimal"), which keeps no record."""
+    t, plan, ns = fixture_runs["mirrored" if name.startswith("halved") else name]
     init, steps = plan.init, t.steps
-    if name == "halved":
+    if name.startswith("halved"):
         init, steps = INITS["halved"](init), 250
     assert len(set(init)) == 2
     calls = counted_inputs(monkeypatch)
     steps_taken = counted_steps(monkeypatch)
-    again = simulate(graph7, plan.gains, init, steps, ns=ns)
-    assert len(calls) == (steps if name == "halved" else 0)
+    with KINDS[name == "halved-decimal"]():
+        again = simulate(graph7, plan.gains, init, steps, ns=ns)
+    assert len(calls) == (steps if name.startswith("halved") else 0)
     if name == "halved":
         assert steps_taken == ["tried"] + ["csr"] * steps and again.states.classes.last == 0
+    elif name == "halved-decimal":
+        assert steps_taken == ["tried"] + ["csr"] * steps and again.states.classes is None
+        assert again.states.kind is DecimalLattice
     else:
         assert steps_taken == ["class"] * plan.period and again.states.classes.last == steps
     assert (tuple(again.states), tuple(again.raw_u), tuple(again.sat_u)) == rollout(
@@ -1082,13 +1143,24 @@ def test_class_record_runs_equal_the_reference(n, seed, ns, kind):
         gains = GainParams(Fraction(-1, 2), Fraction(2))
         plan = synthesize_ns(g, ns, gains)
     init = class_start(kind, plan, rng)
-    t = simulate(g, gains, init, 2 * plan.period + 3, ns=ns)
+    steps = 2 * plan.period + 3
+    with integer_kind():
+        t = simulate(g, gains, init, steps, ns=ns)
     last = assert_record_holds(t, g, gains, ns)
     if kind == "orbit":
         assert last == t.steps
     text = trajectory_to_csv(t)
     assert text == trajectory_to_csv(without_record(t)) == reference.trajectory_to_csv(tuple_copy(t))
     assert_paths_agree(t, g, gains, plan._replace(init=tuple(init)), plan.period, ns)
+    # `simulate` steps on the decimal kind, with no record, a run whose first
+    # step is no class step, and gives the same rows and CSV
+    u = simulate(g, gains, init, steps, ns=ns)
+    # the weights and gains are terminating decimals, and so is every start
+    # but a drawn one over 7
+    decimal = Lattice.kind_of([c for s in init for c in s]) is DecimalLattice
+    assert (u.states.kind is DecimalLattice) == (u.states.classes is None) == (decimal and last == 0)
+    assert u == t and trajectory_to_csv(u) == text
+    assert_paths_agree(u, g, gains, plan._replace(init=tuple(init)), plan.period, ns)
 
 
 @pytest.mark.parametrize("name", ["ns-3/10", "ns-neg", "di"])
@@ -1109,9 +1181,15 @@ def test_record_of_a_loop_closed_by_the_csr_sums():
     zero = GainParams(Fraction(0), Fraction(0))
     ns = NsModel(Fraction(1, 2))  # x' = v, v' = -x + v, of period 6 without inputs
     init = [AgentState(Fraction(1), Fraction(0)), AgentState(Fraction(0), Fraction(1))]
-    t = simulate(g, zero, init, 19, ns=ns)
-    assert t.states.data[6] is t.states.data[12] is t.states.data[0]
-    assert assert_record_holds(t, g, zero, ns) == 0
+    for kind in KINDS:
+        with kind():
+            t = simulate(g, zero, init, 19, ns=ns)
+        assert t.states.data[6] is t.states.data[12] is t.states.data[0]
+        if t.states.kind is Lattice:
+            assert assert_record_holds(t, g, zero, ns) == 0
+    # the decimal kind, on which `simulate` steps the run, keeps no record
+    assert t.states.kind is DecimalLattice and t.states.classes is None
+    assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == rollout(g, zero, init, 19, ns=ns)
 
 
 def test_record_stops_at_the_first_csr_step(monkeypatch):
