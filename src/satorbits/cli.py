@@ -60,6 +60,7 @@ from .synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
     OrbitPlan,
+    exact_inputs,
     interval_numerators,
     synthesize_di,
     synthesize_ns,
@@ -634,7 +635,7 @@ def _synthesize(g: WeightedGraph, cfg: RunConfig) -> OrbitPlan:
     except InfeasibleConstraintsError as exc:
         raise CliError(f"infeasible position system: {exc}", EXIT_INFEASIBLE) from exc
     except ValueError as exc:
-        # a disconnected graph, or ns start states outside the float range
+        # a disconnected graph, or a float plan outside the float range
         raise CliError(str(exc)) from exc
 
 
@@ -644,14 +645,15 @@ def interval_table(plan: OrbitPlan) -> str:
 
     The bounds depend on an edge only through its weight, so each distinct
     weight object's pair is formatted once: its two `interval_numerators`
-    through `ratio_texts` over their one denominator, or, with a float in it,
-    the two float bounds through `format_scalar`.
+    through `ratio_texts` over their one denominator, or, with a float among
+    the gains and cross weights, the floats nearest them.
     """
     numerators = interval_numerators(plan.gains, plan.half_period)
+    exact = exact_inputs(plan.gains, plan.partition)
 
     def texts(w: Scalar) -> list[str]:
         L, U, D = numerators(w)
-        return [format_scalar(L), format_scalar(U)] if D is None else ratio_texts([L, U], D)
+        return ratio_texts([L, U], D) if exact else [repr(L / D), repr(U / D)]
 
     cross = plan.partition.cross_edges
     bounds = per_object(texts, [w for _, _, w in cross])
@@ -768,17 +770,16 @@ def _trajectory_consistent(
 
 
 def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional[Trajectory]:
-    """The run of the plan for as many steps as an exact CSV claims, or None.
+    """The run from an exact CSV's own step 0 for as many steps as it claims, or None.
 
-    The run starts from the plan's start states, so of the CSV only the
-    header, the `x,v` texts of step 0 and the step of the last line are
-    read.  The text must end in a newline and hold (steps + 1) * n rows, so
-    a forged last step cannot start a long rollout.  None when the text does
-    not fit that layout, when step 0 is not the plan's start in the writer's
-    spelling (such a CSV is not the writer's text of this run, so nothing is
-    simulated for it here), in float mode (whose `repr` and `float` do not
-    round-trip -0.0, inf or nan) and when the run overflows, so that the
-    full reader reports what is wrong first.
+    Of the CSV only the header, its first n rows, step 0 of agents 1..n in
+    order, and the step of the last line are read; the agents of one
+    `(x, v)` text pair share one start state, as in `plan_from_text`.  The
+    text must end in a newline and hold (steps + 1) * n rows, so a forged
+    last step cannot start a long rollout.  None when the text does not fit
+    that layout, in float mode (whose `repr` and `float` do not round-trip
+    -0.0, inf or nan) and when the run overflows, so that the full reader
+    reports what is wrong first.
     """
     if mode != "exact" or not text.startswith(CSV_HEADER + "\n") or not text.endswith("\n"):
         return None
@@ -789,18 +790,20 @@ def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional
         return None
     if steps < 0 or text.count("\n") != (steps + 1) * g.n + 1:
         return None
-    # a plan read from text shares one state per distinct text pair, so
-    # each distinct start state is formatted once
-    starts = per_object(lambda s: f"{format_scalar(s.x)},{format_scalar(s.v)},", plan.init)
-    # the rows before the first of step 1, as one block: n lines, each the
-    # step, the agent and its start state, in order
+    # the rows before the first of step 1, as one block
     pos = len(CSV_HEADER) + 1
-    rows = text[pos : text.find("\n1,", pos) + 1 or len(text)].split("\n")
-    heads = [f"0,{i},{xv}" for i, xv in zip(count(1), starts)]
-    if len(rows) != g.n + 1 or not all(map(str.startswith, rows, heads)):
+    block = text[pos : text.find("\n1,", pos) + 1 or len(text)]
+    rows = [row.split(",", 4) for row in block.split("\n")[:-1]]
+    if [row[:2] for row in rows] != [["0", str(i)] for i in range(1, g.n + 1)]:
+        return None
+    parse = functools.cache(parse_scalar)
+    state_of = functools.cache(lambda x, v: AgentState(parse(x), parse(v)))
+    try:
+        init = [state_of(x, v) for _, _, x, v, _ in rows]
+    except ValueError:  # too few fields, or a value that cannot be read
         return None
     try:
-        return simulate(g, plan.gains, plan.init, steps, ns=plan.ns)
+        return simulate(g, plan.gains, init, steps, ns=plan.ns)
     except SimulationOverflowError:
         return None
 
@@ -810,9 +813,9 @@ def _checked_csv(
 ) -> tuple[Trajectory, Optional[dict], Trajectory]:
     """(trajectory to check, first mismatch, re-simulation) of the CSV at `path`.
 
-    A CSV whose bytes are what `simulate` writes for the plan (`_replay`)
-    holds the replay's values, since format and parse are exact, so it is not
-    parsed.  Any other CSV, such as one that starts elsewhere, is read by
+    A CSV whose bytes are what `simulate` writes for the run from its own
+    step 0 (`_replay`) holds the replay's values, since format and parse are
+    exact, so it is not parsed.  Any other CSV is read by
     `trajectory_from_csv` and compared by `_trajectory_consistent`, which
     reuses the replay when its start state and step count are the CSV's; the
     reader encodes its rows in the replay's number kind, so that rows are
@@ -876,7 +879,12 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are usage errors: a malformed flag, a
     bad choice or a missing subcommand is one `error:` line with exit 1, not
     argparse's usage text and exit 2, the gain gate's code.  `--help` still
-    prints and exits 0."""
+    prints and exits 0.  Any argument that starts "-" or "-." and a digit is a
+    value, as `--alpha -1/2`; argparse alone takes only `-1` and `-1.5` forms."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?[0-9]")
 
     def error(self, message: str) -> NoReturn:
         raise CliError(message)

@@ -76,11 +76,10 @@ class GainParams(Record, namedtuple("GainParams", "alpha beta")):
 
     def integers(self) -> tuple[int, int, int]:
         """(A, B, G) with alpha = A/G and beta = B/G, G the lcm of their
-        denominators; for exact gains only."""
-        alpha, beta = self.alpha, self.beta
-        G = math.lcm(alpha.denominator, beta.denominator)
-        A, B = alpha.numerator * (G // alpha.denominator), beta.numerator * (G // beta.denominator)
-        return A, B, G
+        denominators; a float gain counts as its exact binary value."""
+        (a, p), (b, q) = self.alpha.as_integer_ratio(), self.beta.as_integer_ratio()
+        G = math.lcm(p, q)
+        return a * (G // p), b * (G // q), G
 
 
 class NsModel(Record, namedtuple("NsModel", "a")):

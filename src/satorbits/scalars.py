@@ -99,7 +99,7 @@ def parse_int(text: str) -> int:
 
 def _plain_decimal(text: str) -> Optional[Fraction]:
     """A plain decimal text's value, its digits over a power of ten; None for
-    any other text and for one whose digits pass Python's limit."""
+    any other text.  Past Python's digit limit it raises, as the writer's does."""
     head, dot, tail = text.partition(".")
     digits = head[1:] if head[:1] == "-" else head
     if not (text.isascii() and digits.isdigit() and (tail.isdigit() or not dot)):
@@ -107,7 +107,7 @@ def _plain_decimal(text: str) -> Optional[Fraction]:
     try:
         return Fraction(int(head + tail), 10 ** len(tail))
     except ValueError:
-        return None
+        raise ScalarFormatError(over_digit_limit(f"scalar {quoted(text)}")) from None
 
 
 def parse_scalar(text: str, mode: str = "exact") -> Scalar:
@@ -120,9 +120,9 @@ def parse_scalar(text: str, mode: str = "exact") -> Scalar:
 
     A plain decimal (ASCII `-?[0-9]+(.[0-9]+)?`, the form `ratio_texts`
     gives every terminating value) is read as its digits over a power of
-    ten, the value `Fraction(str)` gives, without its regular expression;
-    every other text, and one whose digits pass the limit, goes through
-    `Fraction(str)`.
+    ten, the value `Fraction(str)` gives, without its regular expression,
+    its digits on both sides of the point counted together against the
+    limit; every other text goes through `Fraction(str)`.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")

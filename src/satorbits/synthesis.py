@@ -16,10 +16,10 @@ Neutrally stable: gate |alpha| <= sgn(a)(beta - a/a_bar), two key
 inequalities per cross edge, fixed period 4, closed-form initial states
 +-(1/(2a), -1/(2a)) by class.
 
-Both closed forms are evaluated once per distinct weight object, on integers
-when weight, gains and a are exact: two numerators over A*P per interval
-(`interval_numerators`), one integer compare per inequality (`_keys_of`); a
-float keeps the scalar formulas.
+Every inequality is decided on integers, once per distinct weight object:
+two numerators over A*P per interval (`interval_numerators`), one compare
+per inequality (`_keys_of`).  A float enters as its exact binary value
+(`as_integer_ratio`); a float plan holds the floats nearest its values.
 
 A plan carries its model as `ns`, the `NsModel` or None on di, as a
 `Trajectory` does.
@@ -28,6 +28,7 @@ A plan carries its model as `ns`, the `NsModel` or None on di, as a
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -112,54 +113,49 @@ class OrbitPlan(Record, namedtuple("OrbitPlan", "ns gains partition half_period 
 
 def check_gains_di(gains: GainParams) -> bool:
     """Gate 0 < alpha < beta < (3/2) alpha, all strict."""
-    return 0 < gains.alpha < gains.beta < Fraction(3, 2) * gains.alpha
+    A, B, _ = gains.integers()
+    return 0 < A < B and 2 * B < 3 * A
 
 
 def min_half_period(gains: GainParams, a_bar: Scalar) -> int:
     """Smallest admissible half-period for the worst cross edge.
 
     m >= (4(alpha-beta) + 2/a_bar) / (3 alpha - 2 beta), floored at 3 so the
-    (m-2) terms in the interval bounds stay positive.
+    (m-2) terms in the interval bounds stay positive; with alpha = A/G,
+    beta = B/G and a_bar = P/q, the ceiling of (4(A-B)P + 2qG) / ((3A-2B)P).
     """
     if not check_gains_di(gains):
         raise GainConditionError(f"gains ({gains.alpha}, {gains.beta}) fail the gate")
-    if a_bar <= 0:
+    P, q = a_bar.as_integer_ratio()
+    if P <= 0:
         raise ValueError("a_bar must be positive")
-    bound = (4 * (gains.alpha - gains.beta) + 2 / a_bar) / (3 * gains.alpha - 2 * gains.beta)
-    return max(3, math.ceil(bound))
+    A, B, G = gains.integers()
+    return max(3, -(-(4 * (A - B) * P + 2 * q * G) // ((3 * A - 2 * B) * P)))
 
 
-def _interval_bounds(w: Scalar, gains: GainParams, m: int) -> tuple[Scalar, Scalar]:
-    lower = (1 / w + (gains.beta - gains.alpha) * (m - 2)) / gains.alpha
-    upper = (
-        2 * gains.alpha * (m - 1) - gains.beta * (m - 2) - 1 / w
-    ) / gains.alpha
-    return lower, upper
-
-
-def interval_numerators(
-    gains: GainParams, m: int
-) -> Callable[[Scalar], tuple[Scalar, Scalar, int | None]]:
-    """w -> (L, U, D), the bounds of `_interval_bounds(w, gains, m)` as L/D and U/D.
+def interval_numerators(gains: GainParams, m: int) -> Callable[[Scalar], tuple[int, int, int]]:
+    """w -> (L, U, D), the cross-edge interval of weight w at half-period m
+    as [L/D, U/D]: lower = (1/w + (beta-alpha)(m-2)) / alpha and
+    upper = (2 alpha (m-1) - beta (m-2) - 1/w) / alpha.
 
     With w = P/q and the gains over one denominator, alpha = A/G and
-    beta = B/G, exact w and gains give the integers
-    L = q*G + (B-A)(m-2)*P, U = (2A(m-1) - B(m-2))*P - q*G and D = A*P;
-    the two m terms are formed once.  A float weight or gain gives
-    `_interval_bounds` itself and D = None, so float bounds keep its rounding.
+    beta = B/G, these are the integers L = q*G + (B-A)(m-2)*P,
+    U = (2A(m-1) - B(m-2))*P - q*G and D = A*P; the two m terms are formed
+    once.
     """
-    if not (is_exact(gains.alpha) and is_exact(gains.beta)):
-        return lambda w: (*_interval_bounds(w, gains, m), None)
     A, B, G = gains.integers()
     lower_m, upper_m = (B - A) * (m - 2), 2 * A * (m - 1) - B * (m - 2)
 
-    def numerators(w: Scalar) -> tuple[Scalar, Scalar, int | None]:
-        if not is_exact(w):
-            return (*_interval_bounds(w, gains, m), None)
-        P, qG = w.numerator, w.denominator * G
-        return qG + lower_m * P, upper_m * P - qG, A * P
+    def numerators(w: Scalar) -> tuple[int, int, int]:
+        P, q = w.as_integer_ratio()
+        return q * G + lower_m * P, upper_m * P - q * G, A * P
 
     return numerators
+
+
+def exact_inputs(gains: GainParams, p: Partition) -> bool:
+    """Whether the gains and every cross weight of `p` are rational."""
+    return all(map(is_exact, (gains.alpha, gains.beta, *distinct(w for *_, w in p.cross_edges))))
 
 
 def position_constraints(
@@ -168,16 +164,18 @@ def position_constraints(
     """Intra-edge equalities and one interval per cross edge for x(0).
 
     The bounds depend on an edge only through its weight, so they are
-    computed once per distinct weight object, one `Fraction` per exact bound
-    from `interval_numerators`, and shared by its edges.
+    computed once per distinct weight object from `interval_numerators`
+    and shared by its edges: each bound a `Fraction`, or with a float among
+    the gains and cross weights the float nearest it.
     """
     if m <= 2:
         raise ValueError("half-period must exceed 2")
     numerators = interval_numerators(gains, m)
+    over = Fraction if exact_inputs(gains, p) else operator.truediv
 
     def bounds_of(w: Scalar) -> tuple[Scalar, Scalar]:
         L, U, D = numerators(w)
-        return (L, U) if D is None else (Fraction(L, D), Fraction(U, D))
+        return over(L, D), over(U, D)
 
     equalities = [(i, j) for i, j, _ in p.intra_edges]
     bounds = per_object(bounds_of, [w for _, _, w in p.cross_edges])
@@ -330,7 +328,8 @@ def synthesize_di(
     Positions are m/2 on the even class and 0 on the odd class, shifted so
     that `anchor` (by default the odd class, the minimum) sits at `base`.
     Positions and velocities are Fractions when the gains and cross-edge
-    weights are exact, and floats otherwise.
+    weights are exact, and otherwise the floats nearest them; a float plan
+    whose m leaves the float range raises ValueError.
     """
     if not check_gains_di(gains):
         raise GainConditionError(
@@ -342,8 +341,7 @@ def synthesize_di(
     if m_override is not None:
         if m_override <= 2:
             raise ValueError("half-period override must exceed 2")
-        # an interval is empty when L/D > U/D, and D = A*P > 0 on exact
-        # weights, so when L > U; float bounds (D None) compare as they are
+        # an interval is empty when L/D > U/D, and D = A*P > 0, so when L > U
         bounds = per_object(interval_numerators(gains, m_override), [w for *_, w in p.cross_edges])
         empty = next((k for k, (L, U, _) in enumerate(bounds) if L > U), None)
         if empty is not None:
@@ -360,14 +358,18 @@ def synthesize_di(
 
     if anchor is not None and not 0 <= anchor < g.n:
         raise ValueError(f"anchor {anchor} outside 0..{g.n - 1}")
-    weights = distinct(w for _, _, w in p.cross_edges)
-    exact = all(is_exact(c) for c in (gains.alpha, gains.beta, *weights))
-    half = Fraction(m, 2) if exact else m / 2
-    base = base if exact else float(base)
+    half, base = Fraction(m, 2), Fraction(base)
     if anchor is not None and anchor in p.s_even:
         even, odd = base, base - half
     else:
         even, odd = base + half, base
+    if not exact_inputs(gains, p):
+        # the floats nearest the states; the interval table's bounds lie in (0, m)
+        try:
+            even, odd, half, _ = map(float, (even, odd, half, m))
+        except OverflowError:
+            bits = m.bit_length()
+            raise ValueError(f"half-period of {bits} bits outside the float range") from None
     # one start state per class, shared by its agents: v(0) = -m/2 on S_e, +m/2 on S_o
     states = {True: AgentState(even, -half), False: AgentState(odd, half)}
     init = tuple(states[i in p.s_even] for i in range(g.n))
@@ -378,15 +380,16 @@ def synthesize_di(
 # neutrally stable
 
 
-def _sgn(value: Scalar) -> int:
-    return (value > 0) - (value < 0)
-
-
 def check_gains_ns(model: NsModel, gains: GainParams, a_bar: Scalar) -> bool:
-    """Gate |alpha| <= sgn(a) (beta - a/a_bar)."""
-    if a_bar <= 0:
+    """Gate |alpha| <= sgn(a) (beta - a/a_bar): with alpha = A/G, beta = B/G,
+    a = a_n/a_d and a_bar = P/q, times G*a_d*P*|a_n| > 0,
+    |A*a_n|*a_d*P <= a_n*(B*a_d*P - a_n*q*G)."""
+    P, q = a_bar.as_integer_ratio()
+    if P <= 0:
         raise ValueError("a_bar must be positive")
-    return abs(gains.alpha) <= _sgn(model.a) * (gains.beta - model.a / a_bar)
+    A, B, G = gains.integers()
+    a_n, a_d = model.a.as_integer_ratio()
+    return abs(A * a_n) * a_d * P <= a_n * (B * a_d * P - a_n * q * G)
 
 
 def init_states_ns(model: NsModel, p: Partition) -> list[AgentState]:
@@ -407,27 +410,17 @@ def init_states_ns(model: NsModel, p: Partition) -> list[AgentState]:
 def _keys_of(a: Scalar, gains: GainParams) -> Callable[[Scalar], tuple[bool, bool]]:
     """w -> (w*f/a <= -1 for f = alpha-beta, then for f = -alpha-beta).
 
-    With a = a_n/a_d, the gains over one denominator G and f = F/G, an exact
-    weight w = P/q gives w*f/a <= -1 as the integer compare
-    P*F*a_d*sgn(a_n) <= -q*G*|a_n|.  A float weight, gain or a takes
-    `w*f/a` as it stands.
+    With a = a_n/a_d, the gains over one denominator G and f = F/G, a
+    weight w = P/q gives w*f/a <= -1, times q*G*a_n**2 > 0, as the integer
+    compare P*F*a_d*a_n <= -q*G*a_n**2.
     """
-    alpha, beta = gains.alpha, gains.beta
-    first, second = alpha - beta, -alpha - beta
-
-    def scalar(w: Scalar) -> tuple[bool, bool]:
-        return w * first / a <= -1, w * second / a <= -1
-
-    if not (is_exact(a) and is_exact(alpha) and is_exact(beta)):
-        return scalar
     A, B, G = gains.integers()
-    scale = a.denominator * _sgn(a)
-    F1, F2, K = (A - B) * scale, (-A - B) * scale, G * abs(a.numerator)
+    a_n, a_d = a.as_integer_ratio()
+    F1, F2, K = (A - B) * a_d * a_n, (-A - B) * a_d * a_n, G * a_n * a_n
 
     def keys(w: Scalar) -> tuple[bool, bool]:
-        if not is_exact(w):
-            return scalar(w)
-        P, bound = w.numerator, -w.denominator * K
+        P, q = w.as_integer_ratio()
+        bound = -q * K
         return P * F1 <= bound, P * F2 <= bound
 
     return keys
@@ -448,20 +441,13 @@ def key_inequalities_ns(
 def synthesize_ns(
     g: WeightedGraph, model: NsModel, gains: GainParams, root: int = 0
 ) -> OrbitPlan:
-    """Build the fixed period-4 orbit plan for the neutrally stable network."""
+    """Build the fixed period-4 orbit plan for the neutrally stable network;
+    the gate on the least cross weight implies both key inequalities."""
     p = make_partition(g, root)
     if not check_gains_ns(model, gains, p.a_bar):
         raise GainConditionError(
             f"gains (alpha={gains.alpha}, beta={gains.beta}) violate "
             f"|alpha| <= sgn(a)(beta - a/a_bar) with a={model.a}, a_bar={p.a_bar}"
-        )
-    checks = key_inequalities_ns(g, p, model, gains)
-    bad = [edge for edge, first, second in checks if not (first and second)]
-    if bad:
-        i, j = bad[0]
-        raise GainConditionError(
-            f"cross-edge key inequalities fail on {len(bad)} of {len(checks)} cross "
-            f"edges, first on edge ({i + 1}, {j + 1})"
         )
     init = tuple(init_states_ns(model, p))
     return OrbitPlan(ns=model, gains=gains, partition=p, half_period=2, init=init)

@@ -10,11 +10,14 @@ two: the kernels bit for bit, and each check's one body with its body here
 on a `tuple_copy` (`test_lattice_paths.assert_paths_agree`).  The readers
 take one line at a time, as the oracles for `parse_graph` and
 `plan_from_text`, which read a text in the writer's form in whole columns.
+The synthesis conditions are written here as the paper gives them, the
+oracles of `synthesis`' integer closed forms.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import re
 from fractions import Fraction
 from itertools import count, repeat
@@ -121,6 +124,42 @@ def closed_form_di(x0: Scalar, v0: Scalar, m: int, k: int, *, even: bool) -> Age
     x = xm + d * vm - sign * Fraction(d * (d - 1), 2)
     v = vm - sign * d
     return AgentState(x, v)
+
+
+# ---------------------------------------------------------------------------
+# the synthesis conditions, as the paper writes them, on scalars: exact on
+# `Fraction`s, the oracles of `synthesis`' integer closed forms
+
+
+def gate_di(gains: GainParams) -> bool:
+    """0 < alpha < beta < (3/2) alpha."""
+    return 0 < gains.alpha < gains.beta < Fraction(3, 2) * gains.alpha
+
+
+def min_half_period(gains: GainParams, a_bar: Scalar) -> int:
+    """max(3, ceil((4(alpha-beta) + 2/a_bar) / (3 alpha - 2 beta)))."""
+    alpha, beta = gains
+    return max(3, math.ceil((4 * (alpha - beta) + 2 / a_bar) / (3 * alpha - 2 * beta)))
+
+
+def interval_bounds(w: Scalar, gains: GainParams, m: int) -> tuple[Scalar, Scalar]:
+    """The interval of x_i(0) - x_j(0) on a cross edge of weight w."""
+    alpha, beta = gains
+    lower = (1 / w + (beta - alpha) * (m - 2)) / alpha
+    upper = (2 * alpha * (m - 1) - beta * (m - 2) - 1 / w) / alpha
+    return lower, upper
+
+
+def gate_ns(a: Scalar, gains: GainParams, a_bar: Scalar) -> bool:
+    """|alpha| <= sgn(a) (beta - a/a_bar)."""
+    sign = (a > 0) - (a < 0)
+    return abs(gains.alpha) <= sign * (gains.beta - a / a_bar)
+
+
+def key_inequalities(w: Scalar, a: Scalar, gains: GainParams) -> tuple[bool, bool]:
+    """w (alpha-beta)/a <= -1 and w (-alpha-beta)/a <= -1."""
+    alpha, beta = gains
+    return w * (alpha - beta) / a <= -1, w * (-alpha - beta) / a <= -1
 
 
 def states_equal(a: Sequence[AgentState], b: Sequence[AgentState]) -> bool:

@@ -35,7 +35,7 @@ from satorbits import (
 from satorbits.cli import EXIT_OK, EXIT_USAGE, main, plan_to_text, trajectory_to_csv
 from satorbits.dynamics import DecimalLattice, Lattice
 from satorbits.graphs import WeightedGraph
-from satorbits.scalars import _plain_decimal, decimal_texts, parse_scalar
+from satorbits.scalars import ScalarFormatError, _plain_decimal, decimal_texts, parse_scalar
 from satorbits.verify import backward_states, check_periodicity, oracle_check_di
 from test_graphs import random_connected_edges
 from test_lattice_paths import assert_paths_agree, outcome
@@ -115,22 +115,25 @@ def test_decimal_run_equals_the_integer_run(graph7, gains_di, reference_init_di)
 def test_decimal_text_at_the_digit_limit():
     """A text of `limit` digits before and after its point, leading zeros
     counted, is written, and `parse_scalar` reads it back as one integer over
-    a power of ten; one more digit raises, as that integer has too many."""
+    a power of ten; one more digit raises in both, as that integer has too
+    many."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        for text in ["7" * 640, "-" + "7" * 600 + "." + "5" * 40, "0." + "0" * 638 + "1"]:
-            for longer in (text, text[:-1] + "01" if "." in text else text + "1"):
-                value = Decimal(longer)
-                digits = sum(c.isdigit() for c in longer)
-                if digits <= 640:
-                    assert decimal_texts([value], Decimal(1)) == [longer]
-                    assert _plain_decimal(longer) == parse_scalar(longer) == Fraction(longer)
-                    continue
-                assert digits == 641
-                with pytest.raises(ValueError):
-                    decimal_texts([Decimal(1), value], Decimal(1))
-                assert _plain_decimal(longer) is None
+        texts = ["7" * 640, "-" + "7" * 600 + "." + "5" * 40, "0." + "0" * 638 + "1"]
+        longer = [text[:-1] + "01" if "." in text else text + "1" for text in texts]
+        for text in texts + longer + ["0." + "0" * 639 + "1", "7" * 600 + "." + "5" * 41]:
+            value = Decimal(text)
+            digits = sum(c.isdigit() for c in text)
+            if digits <= 640:
+                assert decimal_texts([value], Decimal(1)) == [text]
+                assert _plain_decimal(text) == parse_scalar(text) == Fraction(text)
+                continue
+            assert digits == 641
+            with pytest.raises(ValueError):
+                decimal_texts([Decimal(1), value], Decimal(1))
+            with pytest.raises(ScalarFormatError, match="more than 640 digits"):
+                parse_scalar(text)
     finally:
         sys.set_int_max_str_digits(limit)
 

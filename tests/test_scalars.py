@@ -14,7 +14,9 @@ from satorbits.scalars import (
     decimal_scale,
     format_scalar,
     negated_texts,
+    over_digit_limit,
     parse_scalar,
+    quoted,
     ratio_texts,
 )
 
@@ -142,19 +144,24 @@ def test_near_plain_decimals_read_as_fraction_reads_them(text, value):
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
-def test_plain_decimal_past_the_digit_limit_reads_as_fraction_reads_it():
-    """Fraction(str) reads the integer and fraction digits as two integers, so
-    400 digits on each side pass a 640-digit limit that their 800 do not."""
+def test_plain_decimal_past_the_digit_limit_is_refused():
+    """The digits of a plain decimal, before and after its point together,
+    count against the limit, as the writer counts them, though Fraction(str)
+    reads 400 digits on each side as two integers within a 640-digit limit;
+    a "p/q" text still reads as Fraction(str) reads it."""
     text = "-" + "7" * 400 + "." + "3" * 400
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        value = parse_scalar(text)
-        with pytest.raises(ScalarFormatError, match="more than 640 digits"):
-            parse_scalar("7" * 700 + ".5")
+        for plain in (text, "7" * 700 + ".5"):
+            with pytest.raises(ScalarFormatError) as exc:
+                parse_scalar(plain)
+            assert str(exc.value) == over_digit_limit(f"scalar {quoted(plain)}")
+        ratio = "7" * 400 + "/" + "3" * 400
+        value = parse_scalar(ratio)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert value == Fraction(text)
+    assert value == Fraction(ratio)
 
 
 @pytest.mark.parametrize(

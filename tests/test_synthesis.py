@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satorbits import (
@@ -35,18 +36,31 @@ from satorbits.synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
     IntervalConstraint,
-    _interval_bounds,
     _keys_of,
     interval_numerators,
 )
 
 from conftest import REFERENCE_INTERVALS, REFERENCE_X0
-from reference import closed_form_di, inverse_step_di, inverse_step_ns, step_di, step_ns
+import reference
+from reference import (
+    closed_form_di,
+    interval_bounds,
+    inverse_step_di,
+    inverse_step_ns,
+    step_di,
+    step_ns,
+)
 from test_graphs import random_connected_graph
 
 
 def F(text):
     return Fraction(text)
+
+
+def bounds(w, gains, m):
+    """The interval of `interval_numerators` as two `Fraction`s."""
+    L, U, D = interval_numerators(gains, m)(w)
+    return Fraction(L, D), Fraction(U, D)
 
 
 class TestGateDi:
@@ -149,7 +163,7 @@ class TestPositionConstraints:
 
     def test_interval_centered_at_half_period(self, gains_di):
         for m in (3, 7, 11):
-            lo, hi = _interval_bounds(F("0.9"), gains_di, m)
+            lo, hi = bounds(F("0.9"), gains_di, m)
             assert lo + hi == m
 
     def test_width_monotone_in_m(self):
@@ -162,7 +176,7 @@ class TestPositionConstraints:
             w = Fraction(rng.randint(2, 30), 10)
             widths = []
             for m in range(3, 12):
-                lo, hi = _interval_bounds(w, gains, m)
+                lo, hi = bounds(w, gains, m)
                 widths.append(hi - lo)
             assert all(b > a for a, b in zip(widths, widths[1:]))
 
@@ -491,35 +505,117 @@ def test_exact_bounds_are_the_scalar_bounds(w, alpha, beta, m):
     gains = GainParams(alpha, beta)
     L, U, D = interval_numerators(gains, m)(w)
     assert all(type(n) is int for n in (L, U, D))
-    assert (Fraction(L, D), Fraction(U, D)) == _interval_bounds(w, gains, m)
+    assert (Fraction(L, D), Fraction(U, D)) == interval_bounds(w, gains, m)
 
 
 @given(w=POSITIVE, alpha=SIGNED, beta=SIGNED, a=SIGNED, tight=st.booleans())
 def test_exact_key_inequalities_are_the_scalar_ones(w, alpha, beta, a, tight):
     """`_keys_of` on integers against w*f/a <= -1, for a of either sign and,
     when `tight`, an `a` that puts the first key exactly at -1."""
-    first, second = alpha - beta, -alpha - beta
+    first = alpha - beta
     if tight and first:
         a = -w * first
-    assert _keys_of(a, GainParams(alpha, beta))(w) == (w * first / a <= -1, w * second / a <= -1)
+    gains = GainParams(alpha, beta)
+    assert _keys_of(a, gains)(w) == reference.key_inequalities(w, a, gains)
 
 
-def test_float_weights_keep_the_scalar_formulas(graph7):
-    """Float weights, with float or exact gains, give `_interval_bounds` and
-    `w*f/a` bit for bit."""
+def test_float_weights_give_the_floats_nearest_the_exact_bounds(graph7):
+    """Float weights, with float or exact gains, give the float nearest each
+    exact bound, and the key inequalities of their exact binary values."""
     g = parse_graph(serialize_graph(graph7), mode="float")
     p = make_partition(g, 0)
     cross = [w for _, _, w in p.cross_edges]
     for gains in (GainParams(0.4, 0.42), GainParams(F("0.4"), F("0.42"))):
+        exact = GainParams(*map(Fraction, gains))
         _, intervals = position_constraints(g, p, gains, 11)
         got = [(c.lower, c.upper) for c in intervals]
-        assert got == [_interval_bounds(w, gains, 11) for w in cross]
+        nearest = [tuple(map(float, interval_bounds(Fraction(w), exact, 11))) for w in cross]
+        assert got == nearest
         assert all(type(b) is float for bounds in got for b in bounds)
+    # 0.4 and 0.42 are not binary fractions, and float arithmetic rounded
+    # the lower bound of x_1 - x_2 below the float nearest its exact value
+    assert interval_bounds(cross[0], GainParams(0.4, 0.42), 11)[0] == 2.1166666666666654
+    assert position_constraints(g, p, GainParams(0.4, 0.42), 11)[1][0].lower == 2.116666666666666
     for a, gains in ((0.5, GainParams(-0.5, 2.0)), (F("0.5"), GainParams(F("-0.5"), F(2)))):
-        first, second = gains.alpha - gains.beta, -gains.alpha - gains.beta
+        exact = GainParams(*map(Fraction, gains))
         checks = key_inequalities_ns(g, p, NsModel(a), gains)
-        expected = [(w * first / a <= -1, w * second / a <= -1) for w in cross]
+        expected = [reference.key_inequalities(Fraction(w), Fraction(a), exact) for w in cross]
         assert [c[1:] for c in checks] == expected
+
+
+#: finite positive floats of every magnitude, subnormals included
+MAGNITUDE = st.floats(min_value=5e-324, max_value=1.7e308)
+#: beta over alpha: inside the di gate, and on and next to its 3/2 edge
+RATIO = st.one_of(
+    st.floats(min_value=1.0, max_value=1.5),
+    st.sampled_from([1.5, math.nextafter(1.5, 0), math.nextafter(1.5, 2), 1.05, 1.35]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=MAGNITUDE, ratio=RATIO, a_bar=MAGNITUDE, step=st.integers(-2, 2))
+def test_float_di_decisions_are_the_exact_ones(alpha, ratio, a_bar, step):
+    """On float gains and weight the di gate, m_min and the `--m` empty
+    interval check take the decisions of the same inputs' exact binary
+    values, computed as the paper writes them on `Fraction`s."""
+    assume(math.isfinite(alpha * ratio))
+    gains = GainParams(alpha, alpha * ratio)
+    exact = GainParams(*map(Fraction, gains))
+    assert check_gains_di(gains) == reference.gate_di(exact)
+    if not reference.gate_di(exact):
+        return
+    m_min = reference.min_half_period(exact, Fraction(a_bar))
+    assert min_half_period(gains, a_bar) == m_min
+    m = max(3, m_min + step)
+    lower, upper = interval_bounds(Fraction(a_bar), exact, m)
+    g = parse_graph(f"1 2 {a_bar!r}\n", "float")
+    try:
+        plan = synthesize_di(g, gains, m_override=m)
+    except InfeasibleConstraintsError:
+        assert lower > upper
+    except ValueError as exc:  # a half-period past the float range
+        assert lower <= upper and "outside the float range" in str(exc)
+        assert m > 1.7e308
+    else:
+        assert lower <= upper and plan.half_period == m
+        assert plan.init[0].v == -float(Fraction(m, 2))
+
+
+#: a of either sign in (-1, 1), subnormal to next to 1
+ROTATION = st.builds(
+    operator.mul,
+    st.sampled_from((1, -1)),
+    st.one_of(st.floats(min_value=5e-324, max_value=math.nextafter(1, 0)), st.just(0.5)),
+)
+SIGNED_FLOAT = st.builds(operator.mul, st.sampled_from((1.0, -1.0)), MAGNITUDE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=ROTATION,
+    alpha=SIGNED_FLOAT,
+    beta=SIGNED_FLOAT,
+    a_bar=MAGNITUDE,
+    w=MAGNITUDE,
+    tight=st.booleans(),
+)
+def test_float_ns_decisions_are_the_exact_ones(a, alpha, beta, a_bar, w, tight):
+    """On float a, gains and weights the ns gate and both key inequalities
+    take the decisions of the same inputs' exact binary values; `tight`
+    puts beta where the float arithmetic of the gate lands on its edge."""
+    if tight:
+        beta = abs(alpha) / (1 if a > 0 else -1) + a / a_bar
+    assume(math.isfinite(beta))
+    gains = GainParams(alpha, beta)
+    exact = GainParams(*map(Fraction, gains))
+    a_exact, w_exact = Fraction(a), Fraction(w)
+    gate = check_gains_ns(NsModel(a), gains, a_bar)
+    assert gate == reference.gate_ns(a_exact, exact, Fraction(a_bar))
+    keys = _keys_of(a, gains)(w)
+    assert keys == reference.key_inequalities(w_exact, a_exact, exact)
+    # the gate on the least cross weight implies both keys on every cross edge
+    if gate and w >= a_bar:
+        assert keys == (True, True)
 
 
 #: an input numerator over Es: saturated at +Es or -Es, or any integer
