@@ -53,7 +53,8 @@ MAX_EXACT_BITS = 1 << 20
 
 
 class SimulationOverflowError(RuntimeError):
-    """Exact-mode state grew beyond the resource cap."""
+    """Exact-mode state grew beyond the resource cap, or a float one left
+    the float range."""
 
 
 class NormalizationError(ValueError):
@@ -578,8 +579,10 @@ class FloatLattice(Lattice):
     per agent in adjacency order, from the int 0, one `w*(x_j - x_i)` term
     at a time, so every value is the per-agent stepper's bit for bit.
     `step` and `_advance` are the `Lattice`'s with K = R = 1: E = D = 1.0,
-    mult = 1 and P = 2a.  The exact-only parts stay off: no two-class step,
-    whose prefix sums would reorder the float sums, and no inverted period.
+    mult = 1 and P = 2a, and a step whose tick or raw inputs hold an inf or
+    a nan raises `SimulationOverflowError`.  The exact-only parts stay off:
+    no two-class step, whose prefix sums would reorder the float sums, and
+    no inverted period.
     """
 
     exact = False
@@ -635,6 +638,14 @@ class FloatLattice(Lattice):
 
     def two_classes(self, X: list, V: list) -> None:
         return None
+
+    def step(self, X: list, V: list, D: float) -> tuple[LatticeState, list, float]:
+        tick, U, E = super().step(X, V, D)
+        if not all(map(math.isfinite, chain(tick[0], tick[1], U))):
+            raise SimulationOverflowError(
+                "float state or input left the float range (inf or nan); rerun in exact mode"
+            )
+        return tick, U, E
 
     def inputs(self, X: list, V: list) -> list:
         alpha, beta = self.gains

@@ -15,13 +15,12 @@ from __future__ import annotations
 import gc
 import math
 import re
-import sys
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import compress, islice
-from operator import eq, itemgetter, lt, not_
+from operator import lt, not_
 
 from .records import Record
 from .scalars import Scalar, distinct, format_scalar, is_exact, over_digit_limit, parse_scalar
@@ -111,33 +110,15 @@ class WeightedGraph(Record, namedtuple("WeightedGraph", "n adjacency")):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, Scalar]]) -> "WeightedGraph":
-        """The graph on agents 0..n-1 with each (i, j, w) an undirected edge.
-
-        The rows are built symmetric and sorted, so only the range, repeated
-        neighbors (a repeated edge or a self-loop) and the sign of each weight
-        object are checked; `__new__` validates in full only to name a fault.
-        """
-        edges = list(edges)
-        g = cls._of_positive_edges(n, edges)
-        if all(map(_positive, distinct(map(itemgetter(2), edges)))):
-            return g
-        return cls(n, g.adjacency)
-
-    @classmethod
-    def _of_positive_edges(cls, n: int, edges: list[tuple[int, int, Scalar]]) -> "WeightedGraph":
-        """`from_edges` without the sign test, for edges whose weights are
-        positive, as `parse_graph` has tested each of them."""
+        """The graph on agents 0..n-1 with each (i, j, w) an undirected edge,
+        checked by `__new__`."""
         rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
         for i, j, w in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphFormatError(f"edge ({i + 1}, {j + 1}) outside agents 1..{n}")
             rows[i].append((j, w))
             rows[j].append((i, w))
-        adjacency = tuple(tuple(sorted(row)) for row in rows)
-        repeated = sum(map(len, map(dict, adjacency))) < 2 * len(edges)
-        if n < 1 or repeated:
-            return cls(n, adjacency)
-        return tuple.__new__(cls, (n, adjacency))
+        return cls(n, map(sorted, rows))
 
     def weight(self, i: int, j: int) -> Scalar:
         """The weight of edge (i, j), or 0 when i and j are not neighbors."""
@@ -188,14 +169,13 @@ def parse_graph(text: str, mode: str = "exact") -> WeightedGraph:
 
     Lines are "i j w" with 1-based agent indices and positive weight; an
     optional first line "n <count>" declares the agent count.  Blank lines
-    and lines starting with '#' are ignored.  Each check runs once over a
-    whole column, and a fault is reported at the first line that has one.
-    A document in the writer's form is read by `_read_writer_form`; any
-    other, and any with a fault, by `_parse_graph`.
+    and lines starting with '#' are ignored.  A fault is reported at the
+    first line that has one.  A document in the writer's form is read by
+    `_read_writer_form`; any other, and any with a fault, by `_parse_graph`.
     """
-    # the columns and adjacency rows are many small containers that form no
-    # cycle, so the cyclic collector, run as they are allocated, would only
-    # walk them again and again; it is paused and left as it was found
+    # the tokens, edges and adjacency rows are many small containers that
+    # form no cycle, so the cyclic collector, run as they are allocated, would
+    # only walk them again and again; it is paused and left as it was found
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -263,87 +243,86 @@ def _read_writer_form(text: str, mode: str) -> WeightedGraph | None:
 
 
 def _parse_graph(text: str, mode: str) -> WeightedGraph:
-    rows = list(map(str.split, text.splitlines()))
-    linenos: Sequence[int] = range(1, len(rows) + 1)
-    if "#" in text or not all(rows):
-        linenos = [no for no, parts in zip(linenos, rows) if parts and parts[0][0] != "#"]
-        rows = [rows[no - 1] for no in linenos]
+    """The graph of any document, one line at a time.
+
+    Each line's checks run in turn (agent-count line, three fields, ASCII
+    indices, digit limit, 1-based, self-loop, weight, conflicting duplicate),
+    and the first fault raises with its line number.  Each distinct index
+    text and weight text is read once, through `agents` and `values`; an
+    edge given again must have an equal weight, and keeps the object of its
+    last line.
+    """
     declared_n: int | None = None
-    if rows and rows[0][0] == "n":
-        # str.isdigit admits digits such as "²" that int() rejects
-        count = rows[0][1] if len(rows[0]) == 2 and rows[0][1].encode().isdigit() else "0"
-        try:
-            declared_n = int(count)
-        except ValueError:  # more digits than int() reads
-            fault = over_digit_limit("agent count")
-            raise GraphFormatError(f"line {linenos[0]}: {fault}") from None
-        if declared_n < 1:
-            raise GraphFormatError(f"line {linenos[0]}: bad agent count")
-        rows, linenos = rows[1:], linenos[1:]
-    # each check reads rows[:k], the rows that pass every check before it, and
-    # cuts k to its first fault: so the fault last found is the first line's
-    k, fault = len(rows), ""
-
-    def cut(flags: Iterable[object], message: Callable[[int], str]) -> None:
-        nonlocal k, fault
-        r = next(compress(range(k), flags), k)
-        if r < k:
-            k, fault = r, message(r)
-
-    if set(map(len, rows)) - {3} or "n" in map(itemgetter(0), rows):
-        cut(
-            (parts[0] == "n" or len(parts) != 3 for parts in rows),
-            lambda r: "stray agent-count line" if rows[r][0] == "n" else "expected 'i j w'",
-        )
-    I, J, W = map(list, zip(*rows[:k])) if k else ([], [], [])
-    # ASCII digits only, as for the agent count: int() reads any Unicode digit
-    digits = "".join(I) + "".join(J)
-    if not (digits.isascii() and digits.isdigit()):
-        cut((not (i + j).isascii() or not (i + j).isdigit() for i, j in zip(I, J)),
-            lambda r: "bad agent index")
-        del I[k:], J[k:]
-    try:  # each index text is read once, as its 0-based agent
-        agents = {index: int(index) - 1 for index in {*I, *J}}
-    except ValueError:  # an index with more digits than int() reads
-        limit = sys.get_int_max_str_digits()
-        cut((max(len(i), len(j)) > limit for i, j in zip(I, J)),
-            lambda r: over_digit_limit("agent index"))
-        del I[k:], J[k:]
-        agents = {index: int(index) - 1 for index in {*I, *J}}
-    I, J = list(map(agents.__getitem__, I)), list(map(agents.__getitem__, J))
-    if -1 in agents.values():
-        cut((i < 0 or j < 0 for i, j in zip(I, J)), lambda r: "agent indices are 1-based")
-    cut(map(eq, I, J), lambda r: f"self-loop on agent {I[r] + 1}")
-    # each distinct weight text is parsed once, and its rows share the value
-    values: dict[str, Scalar] = dict.fromkeys(W[:k])
-    faults: dict[str, str] = {}
-    for weight in values:
-        try:
-            values[weight] = parse_scalar(weight, mode)
-            faults[weight] = "" if _positive(values[weight]) else "nonpositive weight"
-        except ValueError as exc:
-            faults[weight] = f"bad weight: {exc}"
-    cut(map(faults.get, W), lambda r: faults[W[r]])
-    del I[k:], J[k:]
-    edges: Iterable[tuple[int, int, Scalar]] = zip(I, J, map(values.get, W))
-    pairs = set(zip(I, J))
-    if len(pairs) < k or not pairs.isdisjoint(zip(J, I)):
-        # an edge given more than once keeps its last weight, which must equal its first
-        keys, ws = list(zip(map(min, I, J), map(max, I, J))), list(map(values.get, W[:k]))
-        first: dict[tuple[int, int], Scalar] = {}
-        cut((first.setdefault(key, w) != w for key, w in zip(keys, ws)),
-            lambda r: "conflicting duplicate edge")
-        edges = [(i, j, w) for (i, j), w in dict(zip(keys, ws)).items()]
-    if fault:
-        raise GraphFormatError(f"line {linenos[k]}: {fault}")
-    max_seen = max(I + J, default=-1) + 1
+    agents: dict[str, int] = {}
+    values: dict[str, Scalar] = {}
+    edges: dict[tuple[int, int], Scalar] = {}
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            parts = line.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if parts[0] == "n":
+                if declared_n is not None or edges:
+                    raise GraphFormatError("stray agent-count line")
+                # str.isdigit admits digits such as "²" that int() rejects
+                if len(parts) != 2 or not parts[1].encode().isdigit():
+                    raise GraphFormatError("bad agent count")
+                try:
+                    declared_n = int(parts[1])
+                except ValueError:  # more digits than int() reads
+                    raise GraphFormatError(over_digit_limit("agent count")) from None
+                if declared_n < 1:
+                    raise GraphFormatError("bad agent count")
+                continue
+            if len(parts) != 3:
+                raise GraphFormatError("expected 'i j w'")
+            a, b, weight = parts
+            if a not in agents or b not in agents:
+                # ASCII digits only, as for the agent count: int() reads any
+                # Unicode digit; both are tested before either is read
+                if not ((a + b).isascii() and (a + b).isdigit()):
+                    raise GraphFormatError("bad agent index")
+                try:
+                    for index in (a, b):
+                        if index not in agents:
+                            agents[index] = int(index) - 1
+                except ValueError:  # more digits than int() reads
+                    raise GraphFormatError(over_digit_limit("agent index")) from None
+            i, j = agents[a], agents[b]
+            if i < 0 or j < 0:
+                raise GraphFormatError("agent indices are 1-based")
+            if i == j:
+                raise GraphFormatError(f"self-loop on agent {i + 1}")
+            w = values.get(weight)
+            if w is None:
+                try:
+                    w = parse_scalar(weight, mode)
+                except ValueError as exc:
+                    raise GraphFormatError(f"bad weight: {exc}") from None
+                if not _positive(w):
+                    raise GraphFormatError("nonpositive weight")
+                values[weight] = w
+            key = (i, j) if i < j else (j, i)
+            first = edges.setdefault(key, w)
+            if first is not w:
+                if first != w:
+                    raise GraphFormatError("conflicting duplicate edge")
+                edges[key] = w
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
+    # every index text read belongs to an edge, since a fault raises
+    max_seen = max(agents.values(), default=-1) + 1
     n = declared_n if declared_n is not None else max_seen
     if n < 1:
         raise GraphFormatError("empty graph document")
     if max_seen > n:
         raise GraphFormatError(f"agent {max_seen} exceeds declared count {n}")
-    # every weight passed the test above
-    return WeightedGraph._of_positive_edges(n, list(edges))
+    rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+    for (i, j), w in edges.items():
+        rows[i].append((j, w))
+        rows[j].append((i, w))
+    # symmetric, sorted, with no repeat or self-loop, and every weight positive
+    return tuple.__new__(WeightedGraph, (n, tuple(tuple(sorted(row)) for row in rows)))
 
 
 def serialize_graph(g: WeightedGraph) -> str:

@@ -749,6 +749,90 @@ def test_float_gains_near_the_largest_float_take_the_exact_half_period(tmp_path,
     assert err.splitlines()[0] == "# m=3 T=6"
 
 
+def test_float_run_that_leaves_the_float_range_is_one_error_line(tmp_path, capsys):
+    """The m=3 plan of gains near the largest float: its first inputs are
+    inf - inf, so simulate and verify stop with one error line, and no CSV
+    of nan fields is written."""
+    plan, csv = tmp_path / "plan.txt", tmp_path / "traj.csv"
+    args = [GRAPH, "--config", DI_CFG, "--mode", "float"]
+    gains = ["--alpha", "1e308", "--beta", "1.2e308"]
+    assert main(["synthesize", *args, *gains, "-o", str(plan)]) == EXIT_OK
+    message = "error: float state or input left the float range (inf or nan); rerun in exact mode\n"
+    for command in (["simulate", *args, "--plan", str(plan), "-o", str(csv)],
+                    ["verify", *args, "--plan", str(plan)]):  # fmt: skip
+        assert _verify_outcome(command, capsys) == (EXIT_USAGE, "", message)
+    assert not csv.exists()
+
+
+def _verify_di_csv(edit, off_orbit=False):
+    """argv factory: verify --csv of the run of the di fixture plan, or of
+    `_off_orbit_plan`, its CSV text put through `edit`."""
+
+    def argv(tmp_path):
+        plan, csv = tmp_path / "plan.txt", tmp_path / "traj.csv"
+        if off_orbit:
+            _off_orbit_plan(tmp_path)
+        else:
+            main(["synthesize", GRAPH, "--config", DI_CFG, "-o", str(plan)])
+        main(["simulate", GRAPH, "--config", DI_CFG, "--plan", str(plan), "-o", str(csv)])
+        csv.write_text(edit(csv.read_text()))
+        return ["verify", GRAPH, "--config", DI_CFG, "--plan", str(plan), "--csv", str(csv)]
+
+    return argv
+
+
+def _drop_a_field(text):
+    lines = text.split("\n")
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "argv,low_cap,message",
+    [
+        pytest.param(
+            _verify_di_csv(lambda text: "step" + text[1:]), False,
+            "CSV must start with header 'k,agent,x,v,u_raw,u_sat'", id="csv-header",
+        ),
+        pytest.param(
+            _verify_di_csv(_drop_a_field), False, "CSV line 3: expected 6 fields",
+            id="csv-fields",
+        ),
+        pytest.param(
+            _verify_di_csv(lambda text: text.split("\n")[0] + "\n"), False,
+            "CSV contains no rows", id="csv-no-rows",
+        ),
+        # written under the default cap and verified under a low one: the
+        # replay overflows and gives way to the full reader, whose
+        # re-simulation overflows too
+        pytest.param(
+            _verify_di_csv(lambda text: text, off_orbit=True), True,
+            "exact state exceeded the resource cap", id="replay-overflow",
+        ),
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH], False, "alpha and beta are required",
+            id="no-gains",
+        ),
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--model", "ns", "--alpha", "-1/2", "--beta", "2"],
+            False, "model=ns requires the rotation parameter a", id="ns-without-a",
+        ),
+        pytest.param(
+            lambda tmp: ["simulate", GRAPH, "--config", DI_CFG, "--init", "1,0; 2,0"], False,
+            "init override has 2 agents, graph has 7", id="init-count",
+        ),
+    ],
+)  # fmt: skip
+def test_usage_error_is_one_error_line(argv, low_cap, message, tmp_path, capsys, monkeypatch):
+    args = argv(tmp_path)
+    if low_cap:
+        monkeypatch.setattr(dynamics, "MAX_EXACT_BITS", 8)
+    code, out, err = _verify_outcome(args, capsys)
+    [line] = err.splitlines()
+    assert code == EXIT_USAGE and out == ""
+    assert line.startswith(f"error: {message}")
+
+
 #: float texts at the ends of the float range: subnormal, the least normal,
 #: near the largest, and any finite positive float
 EXTREME = st.one_of(

@@ -149,6 +149,9 @@ class TestParse:
     def test_malformed_line(self):
         with pytest.raises(GraphFormatError):
             parse_graph("1 2")
+        # an agent count after an edge
+        with pytest.raises(GraphFormatError, match="^line 2: stray agent-count line$"):
+            parse_graph("1 2 1\nn 2")
 
     # "²" and "٣" pass str.isdigit, and int() rejects the first and reads the second
     @pytest.mark.parametrize("count", ["²", "٣", "0", "-2", "3 4", ""])
@@ -156,8 +159,16 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="^line 2: bad agent count$"):
             parse_graph(f"# header\nn {count}\n1 2 1.0")
 
-    # "٣" passes str.isdigit and int() reads it as 3; only ASCII digits are indices
-    @pytest.mark.parametrize("line", ["٣ 1 1.0", "1 ٣ 1.0", "² 1 1.0", "-1 2 1.0", "+1 2 1.0"])
+    # "٣" passes str.isdigit and int() reads it as 3; only ASCII digits are
+    # indices, and both are tested before either is read, so an index past
+    # the digit limit before a "٣" is a bad index too
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "٣ 1 1.0", "1 ٣ 1.0", "² 1 1.0", "-1 2 1.0", "+1 2 1.0",
+            pytest.param(f"{'1' * 5000} ٣ 1.0", id="past-the-digit-limit-then-arabic-three"),
+        ],
+    )  # fmt: skip
     def test_bad_agent_index(self, line):
         with pytest.raises(GraphFormatError, match="^line 2: bad agent index$"):
             parse_graph(f"n 3\n{line}\n2 3 1")
@@ -188,6 +199,9 @@ class TestParse:
     def test_consistent_duplicate_allowed(self):
         g = parse_graph("1 2 1.0\n2 1 1.0")
         assert g.weight(0, 1) == 1
+        # the repeat keeps its own weight object, the one edge (2, 3) shares
+        g = parse_graph("1 2 1\n2 1 1.0\n2 3 1.0")
+        assert g.weight(0, 1) is g.weight(1, 0) is g.weight(1, 2)
 
     def test_unmentioned_agents_are_isolated(self):
         g = parse_graph("n 4\n1 2 1.0")
@@ -201,7 +215,12 @@ class TestParse:
         rng = random.Random(7)
         for _ in range(20):
             g = random_connected_graph(rng, rng.randint(2, 8))
-            assert parse_graph(serialize_graph(g)) == g
+            text = serialize_graph(g)
+            assert parse_graph(text) == g
+            # twins off the writer's form: CRLF, tabs, and no count line
+            # (the graph is connected, so its last agent is on an edge)
+            for twin in text.replace("\n", "\r\n"), text.replace(" ", "\t"), text.split("\n", 1)[1]:
+                assert parse_graph(twin) == g, twin
 
 
 # texts a document draws its tokens from: valid ones more often than not
