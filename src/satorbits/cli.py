@@ -672,6 +672,15 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     plan = _synthesize(g, cfg)
     if plan.model == "di":
         sys.stderr.write(interval_table(plan))
+    if cfg.mode == "float":
+        # synthesis decides on exact values; a float plan's own run may still overflow
+        try:
+            simulate(g, plan.gains, plan.init, 1, ns=plan.ns)
+        except SimulationOverflowError:
+            sys.stderr.write(
+                "# the float run of this plan leaves the float range at step 1; "
+                "simulate it in exact mode\n"
+            )
     _write_output(plan_to_text(plan), args.output, "plan")
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import WeightedGraph
@@ -264,16 +264,26 @@ def _check_tick(X: list[int], V: list[int], D: int) -> None:
         _check_values(map(Fraction, chain(X, V), repeat(D)))
 
 
+def _fraction_digits(values: Iterable[Decimal]) -> int:
+    """Minus the least exponent of `values` and 0, the exponent of their exact sum."""
+    s = sum(values, _DECIMAL_ZERO)
+    return -(s - s).adjusted()
+
+
+def _decimal_digits(X: list[Decimal], V: list[Decimal]) -> int:
+    """A bound on the digits of each value of a tick as an integer over
+    10^`_fraction_digits`; the top exponent counts as 0 at least, as a
+    normalized zero's is."""
+    top = max(0, max(map(Decimal.adjusted, X)), max(map(Decimal.adjusted, V)))
+    return top + 1 + _fraction_digits(chain(X, V))
+
+
 def _check_decimals(X: list[Decimal], V: list[Decimal], D: Decimal) -> None:
     """`_check_values` of a tick of `Decimal`s, which trips where `_check_tick`
     of the same values does."""
-    # the exact sum has the least exponent e, and every value is an integer
-    # of at most `digits` digits over 10^-e, below 10^digits <= 2^cap when
-    # digits <= cap * 0.3; only past that are the values reduced
-    s = sum(V, sum(X, _DECIMAL_ZERO))
-    top = max(max(map(Decimal.adjusted, X)), max(map(Decimal.adjusted, V)))
-    digits = top + 1 - min((s - s).adjusted(), 0)
-    if digits > MAX_EXACT_BITS * 3 // 10:
+    # every value is below 10^digits <= 2^cap when digits <= cap * 0.3; only
+    # past that are the values reduced
+    if _decimal_digits(X, V) > MAX_EXACT_BITS * 3 // 10:
         _check_values(map(Fraction, chain(X, V)))
 
 
@@ -300,7 +310,8 @@ class Lattice:
     `encode_inputs` and `ratios` an input row, `texts` a row's CSV texts
     (`UNIT_TEXTS` those of +-1), `over` a value as a numerator over a tick's
     D, `equal` the checks' tick compare, `same` the compare that closes a
-    run and `check` the `MAX_EXACT_BITS` cap.
+    run, `check` the `MAX_EXACT_BITS` cap and `horizon` the last step of a
+    run on which `check` cannot trip.
     """
 
     #: rows of this kind hold integers, which the inverted period and the
@@ -394,19 +405,21 @@ class Lattice:
     same = equal
     check = staticmethod(_check_tick)
 
+    def horizon(self, X: list[int], V: list[int], D: int) -> int:
+        """0: the integer kind's `check`, one max/min pass, runs on every step."""
+        return 0
+
     def inputs(self, X: list[int], V: list[int]) -> list[int]:
         """Raw-input numerators U over E = K*D: sum_j w_ij (Y_j - Y_i), Y = A*X + B*V.
 
         `acc` holds the prefix sums of w_ij Y_j over the CSR edges, built by
-        `accumulate` in C, so agent i's neighbour sum is acc[ends[i]] - acc[starts[i]].
+        `accumulate` in C, so agent i's neighbour sum is acc[ends[i]] - acc[starts[i]];
+        every sum is an operator `map`, for both exact kinds.
         """
-        A, B = self.A, self.B
-        Y = [A * x + B * v for x, v in zip(X, V)]
+        Y = list(map(add, map(self.A.__mul__, X), map(self.B.__mul__, V)))
         acc = list(accumulate(map(mul, self.W, map(Y.__getitem__, self.J)), initial=0))
-        return [
-            acc[e] - acc[s] - d * y
-            for s, e, d, y in zip(self.starts, self.ends, self.degrees, Y)
-        ]
+        sums = map(sub, map(acc.__getitem__, self.ends), map(acc.__getitem__, self.starts))
+        return list(map(sub, sums, map(mul, self.degrees, Y)))
 
     def two_classes(self, X: list[int], V: list[int]) -> Optional[ClassRecord]:
         """The `ClassRecord` of a tick of exactly two distinct states, or None; each
@@ -424,8 +437,9 @@ class Lattice:
         signed = [acc[e] - acc[s] - k * d for s, e, d, k in agents]
         return ClassRecord(group, j, signed, min(map(abs, signed)), GroupSigns(group))
 
-    def step(self, X: list[int], V: list[int], D: int) -> tuple[LatticeState, list[int], int]:
-        """One forward step: the next lattice state and the raw inputs U over E = K*D."""
+    def step(self, X: list[int], V: list[int], D: int) -> tuple[LatticeState, list, int, list]:
+        """One forward step: the next lattice state, the raw inputs U over E = K*D
+        and the saturated ones over E (`clamped`), which a run records."""
         E = self.K * D
         R = self.R
         U = self.inputs(X, V)
@@ -433,14 +447,15 @@ class Lattice:
         DM = D * mult
         # applied input times the new denominator D*mult
         S = [DM if u >= E else -DM if u <= -E else u * R for u in U]
-        return self._advance(X, V, S, D, mult), U, E
+        return self._advance(X, V, S, D, mult), U, E, clamped(U, E)
 
     def class_step(
         self, X: list[int], V: list[int], D: int, classes: ClassRecord
-    ) -> Optional[tuple[LatticeState, list[int], int]]:
+    ) -> Optional[tuple[LatticeState, list[int], int, list[int]]]:
         """`step` of a tick on the groups of `classes` as its two class states, or
         None when an input does not saturate: intra terms vanish, so U_i = c_i * dY,
-        dY = Y_j - Y_0, and all saturate when the least |c_i| times |dY| reaches E."""
+        dY = Y_j - Y_0, and all saturate when the least |c_i| times |dY| reaches E;
+        the saturated row is `signs[E][U_0 > 0]`, U_0 having dY's sign."""
         j = classes.j
         xs, vs = [X[0], X[j]], [V[0], V[j]]
         dY = self.A * (xs[1] - xs[0]) + self.B * (vs[1] - vs[0])
@@ -452,16 +467,15 @@ class Lattice:
         Xn, Vn, DM = self._advance(xs, vs, [s, -s], D, R)
         group = classes.group
         tick = list(map(Xn.__getitem__, group)), list(map(Vn.__getitem__, group)), DM
-        return tick, list(map(dY.__mul__, classes.signed)), E
+        return tick, list(map(dY.__mul__, classes.signed)), E, classes.signs[E][dY > 0]
 
     def _advance(self, X: list[int], V: list[int], S: list[int], D: int, mult: int) -> LatticeState:
         """The reduced tick over D*mult from X, V over D and applied inputs S over D*mult."""
         if mult == 1:
             # nothing widens, so nothing is scaled or reduced; on ns R = 1
             if self.ns is None:
-                return [x + v for x, v in zip(X, V)], [v + s for v, s in zip(V, S)], D
-            P = self.P
-            return list(V), [P * v - x + s for x, v, s in zip(X, V, S)], D
+                return list(map(add, X, V)), list(map(add, V, S)), D
+            return list(V), list(map(add, map(sub, map(self.P.__mul__, V), X), S)), D
         if self.ns is None:
             Xn = [(x + v) * mult for x, v in zip(X, V)]
             Vn = [v * mult + s for v, s in zip(V, S)]
@@ -506,6 +520,9 @@ class DecimalLattice(Lattice):
     with no conversion from binary.  `W`, `A`, `B` and `P` are the weights,
     gains and 2a as `Decimal`s and K = R = 1, so `inputs` and `_advance` are
     the `Lattice`'s with mult = 1: no step widens D and no gcd is taken.
+    Every value is normalized where it is made: `step` drops the trailing
+    zeros of the states and raw inputs it makes, and `encode` writes a value
+    with none after its point, so `decimal_texts` writes a row by `str`.
     `decode` and `ratios` give `Fraction`s.  All arithmetic runs in `EXACT`:
     the constructor enters it, and the lattice's methods are called in it
     (by `simulate` and the checks, `exactly`).
@@ -549,13 +566,31 @@ class DecimalLattice(Lattice):
     texts = staticmethod(decimal_texts)
     check = staticmethod(_check_decimals)
 
-    def step(self, X: list, V: list, D: Decimal) -> tuple[LatticeState, list, Decimal]:
+    def step(self, X: list, V: list, D: Decimal) -> tuple[LatticeState, list, Decimal, list]:
         """`Lattice.step` over E = D = 1: no step widens, the inputs it applies
-        are the saturated ones, and the trailing zeros of the new values are
-        dropped (`normalize`), as the integer kind divides out a gcd."""
-        U = self.inputs(X, V)
-        Xn, Vn, _ = self._advance(X, V, clamped(U, D), D, 1)
-        return (list(map(Decimal.normalize, Xn)), list(map(Decimal.normalize, Vn)), D), U, D
+        are the saturated ones it records, and the trailing zeros of the raw
+        inputs and new states are dropped (`normalize`), as the integer kind
+        divides out a gcd."""
+        U = list(map(Decimal.normalize, self.inputs(X, V)))
+        S = clamped(U, D)
+        Xn, Vn, _ = self._advance(X, V, S, D, 1)
+        return (list(map(Decimal.normalize, Xn)), list(map(Decimal.normalize, Vn)), D), U, D, S
+
+    def horizon(self, X: list, V: list, D: Decimal) -> int:
+        """The last step of a run from the tick (X, V, D) on which `check` cannot trip."""
+        first, per_step = self.digit_bound(X, V)
+        return (MAX_EXACT_BITS * 3 // 10 - first) // per_step
+
+    def digit_bound(self, X: list, V: list) -> tuple[int, int]:
+        """(first, per_step): `_decimal_digits` of tick p of a run from (X, V) is at
+        most first + p * per_step.  As |u_i| <= 2 deg_i (|alpha| + |beta|) max |value|,
+        a step multiplies the largest |value| by at most c = 2 + |2a| + 2 (largest
+        deg_i)(|alpha| + |beta|) < 10^(c.adjusted() + 1), and lowers the least exponent
+        by at most those of the weights, gains and 2a."""
+        A, B, P = self.A, self.B, self.P
+        c = 2 + abs(P) + 2 * max(self.degrees) * (abs(A) + abs(B))
+        drop = _fraction_digits(self.W) + _fraction_digits((A, B)) + _fraction_digits((P,))
+        return _decimal_digits(X, V), c.adjusted() + 1 + drop
 
     @staticmethod
     def over(N: Decimal, q: Decimal, D: Decimal) -> Decimal:
@@ -578,9 +613,10 @@ class FloatLattice(Lattice):
     over 1.0.  `inputs` sums u_i = alpha * sum w (x_j - x_i) + beta * sum w (v_j - v_i)
     per agent in adjacency order, from the int 0, one `w*(x_j - x_i)` term
     at a time, so every value is the per-agent stepper's bit for bit.
-    `step` and `_advance` are the `Lattice`'s with K = R = 1: E = D = 1.0,
-    mult = 1 and P = 2a, and a step whose tick or raw inputs hold an inf or
-    a nan raises `SimulationOverflowError`.  The exact-only parts stay off:
+    K = R = 1: `step` applies the saturated inputs over E = D = 1.0 that it
+    records through the `Lattice`'s `_advance` with mult = 1 and P = 2a, and a
+    step whose tick or raw inputs hold an inf or a nan raises
+    `SimulationOverflowError`.  The exact-only parts stay off:
     no two-class step, whose prefix sums would reorder the float sums, and
     no inverted period.
     """
@@ -639,13 +675,15 @@ class FloatLattice(Lattice):
     def two_classes(self, X: list, V: list) -> None:
         return None
 
-    def step(self, X: list, V: list, D: float) -> tuple[LatticeState, list, float]:
-        tick, U, E = super().step(X, V, D)
+    def step(self, X: list, V: list, D: float) -> tuple[LatticeState, list, float, list]:
+        U = self.inputs(X, V)
+        S = clamped(U, D)
+        tick = self._advance(X, V, S, D, 1)
         if not all(map(math.isfinite, chain(tick[0], tick[1], U))):
             raise SimulationOverflowError(
                 "float state or input left the float range (inf or nan); rerun in exact mode"
             )
-        return tick, U, E
+        return tick, U, D, S
 
     def inputs(self, X: list, V: list) -> list:
         alpha, beta = self.gains
@@ -682,15 +720,18 @@ def simulate(
     decimals on the `DecimalLattice`, unless it takes no step or its first
     step is a class step (on the integer `Lattice`, which then steps it), any
     other exact run on the integer `Lattice`, any other on the `FloatLattice`.
-    Its rows are ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E), each
-    S_i the raw U_i clamped to +-E.  A tick the loop finds the `same` as the
-    first is the start state again: from there on the deterministic loop
-    repeats its rows, which are shared by reference instead of stepped.  On
-    exact ticks the match compares D first, so a run off the orbit pays one
-    int compare per step; a run whose tick p `reflects` its start closes at
-    tick 2p.  A two-class start keeps its `ClassRecord` (`LatticeColumn.classes`):
-    it takes class steps, capped on the two states and saturated by group, up
-    to the first tick with an unsaturated input, `last`, and the CSR sums after.
+    Its rows are ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E),
+    each S_i the raw U_i clamped to +-E, as each step gives them.  The cap is
+    decided once per run: `check` runs only on the ticks past the `horizon` of
+    the start tick, so a run stops where checking every tick stops it.  A tick
+    the loop finds the `same` as the first is the start state again: from
+    there on the deterministic loop repeats its rows, which are shared by
+    reference instead of stepped.  On exact ticks the match compares D first,
+    so a run off the orbit pays one int compare per step; a run whose tick p
+    `reflects` its start closes at tick 2p.  A two-class start keeps its
+    `ClassRecord` (`LatticeColumn.classes`): it takes class steps, capped on
+    the two states and saturated by group, up to the first tick with an
+    unsaturated input, `last`, and the CSR sums after.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -706,6 +747,7 @@ def simulate(
     if kind is DecimalLattice and steps and not stepped:
         lattice = kind(g, gains, ns, weights)
         tick, classes = lattice.encode(init), None
+    horizon = lattice.horizon(*tick) if steps else 0
     ticks = [tick]
     raw: list[tuple[list, Scalar]] = []
     sat: list[tuple[list, Scalar]] = []
@@ -715,16 +757,15 @@ def simulate(
             # the class step is tried only while every step so far took it
             stepped = last == p - 1 and lattice.class_step(*tick, classes)
         if not stepped:
-            tick, U, E = lattice.step(*tick)
-            lattice.check(*tick)
-            S = clamped(U, E)
+            tick, U, E, S = lattice.step(*tick)
+            if p > horizon:
+                lattice.check(*tick)
         else:
-            # a class-built tick holds its two states' values, and U_0 has dY's sign
-            tick, U, E = stepped
+            # a class-built tick holds its two states' values
+            tick, U, E, S = stepped
             last = p
             X, V, D = tick
             lattice.check([X[0], X[classes.j]], [V[0], V[classes.j]], D)
-            S = classes.signs[E][U[0] > 0]
         raw.append((U, E))
         sat.append((S, E))
         if lattice.same(tick, ticks[0]):

@@ -223,17 +223,20 @@ def decimal_texts(N: Sequence[Decimal], D: Decimal) -> list[str]:
     """The `ratio_texts` text of each `Decimal` n (D is 1): n normalized and
     written with no exponent, and 0, of either sign, as "0".
 
+    Each n must have no trailing zero after its point, as no value the
+    decimal kind makes has: its `str` is then its text, and only a row that
+    holds an exponent or "-0" is written value by value.
+
     A text of more digits, before and after its point, leading zeros
     included, than Python converts from text to an integer
     (`sys.get_int_max_str_digits()`) raises `ValueError`, as `str()` of such
     an integer does: `parse_scalar` reads a plain decimal as that integer.
     """
+    texts = list(map(str, N))
     # str() of a normalized value writes an exponent only for an integer with
     # trailing zeros and below 1e-6, and 0 of either sign as "0" or "-0"
-    texts = [
-        t if "E" not in (t := str(n.normalize(EXACT))) and t != "-0" else _fixed_text(n)
-        for n in N
-    ]
+    if "-0" in texts or "E" in "".join(texts):
+        texts = [format(n.normalize(EXACT), "f") if n else "0" for n in N]
     limit = sys.get_int_max_str_digits()
     # a text of at most `limit` characters has at most `limit` digits
     if limit and max(map(len, texts), default=0) > limit:
@@ -241,10 +244,6 @@ def decimal_texts(N: Sequence[Decimal], D: Decimal) -> list[str]:
             if len(text) - text.startswith("-") - ("." in text) > limit:
                 raise ValueError(f"a text of more than {limit} digits")
     return texts
-
-
-def _fixed_text(n: Decimal) -> str:
-    return format(n.normalize(EXACT), "f") if n else "0"
 
 
 def to_decimal(value: Fraction) -> Decimal:

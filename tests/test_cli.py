@@ -751,12 +751,21 @@ def test_float_gains_near_the_largest_float_take_the_exact_half_period(tmp_path,
 
 def test_float_run_that_leaves_the_float_range_is_one_error_line(tmp_path, capsys):
     """The m=3 plan of gains near the largest float: its first inputs are
-    inf - inf, so simulate and verify stop with one error line, and no CSV
-    of nan fields is written."""
+    inf - inf, so synthesize notes it after the interval table, and simulate
+    and verify stop with one error line, and no CSV of nan fields is written."""
     plan, csv = tmp_path / "plan.txt", tmp_path / "traj.csv"
     args = [GRAPH, "--config", DI_CFG, "--mode", "float"]
     gains = ["--alpha", "1e308", "--beta", "1.2e308"]
+    capsys.readouterr()
     assert main(["synthesize", *args, *gains, "-o", str(plan)]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "# m=3 T=6" and all(line.startswith("# ") for line in err)
+    assert err[-1] == (
+        "# the float run of this plan leaves the float range at step 1; simulate it in exact mode"
+    )
+    # a float plan whose run stays in range gets no note
+    assert main(["synthesize", *args, "-o", str(tmp_path / "plan-ok.txt")]) == EXIT_OK
+    assert "float range" not in capsys.readouterr().err
     message = "error: float state or input left the float range (inf or nan); rerun in exact mode\n"
     for command in (["simulate", *args, "--plan", str(plan), "-o", str(csv)],
                     ["verify", *args, "--plan", str(plan)]):  # fmt: skip

@@ -32,10 +32,17 @@ from satorbits import (
     synthesize_ns,
     verification_report,
 )
+from satorbits import dynamics
 from satorbits.cli import EXIT_OK, EXIT_USAGE, main, plan_to_text, trajectory_to_csv
-from satorbits.dynamics import DecimalLattice, Lattice
+from satorbits.dynamics import DecimalLattice, Lattice, SimulationOverflowError, _decimal_digits
 from satorbits.graphs import WeightedGraph
-from satorbits.scalars import ScalarFormatError, _plain_decimal, decimal_texts, parse_scalar
+from satorbits.scalars import (
+    EXACT,
+    ScalarFormatError,
+    _plain_decimal,
+    decimal_texts,
+    parse_scalar,
+)
 from satorbits.verify import backward_states, check_periodicity, oracle_check_di
 from test_graphs import random_connected_edges
 from test_lattice_paths import assert_paths_agree, outcome
@@ -105,6 +112,25 @@ def test_decimal_run_equals_the_integer_run(graph7, gains_di, reference_init_di)
         assert trajectory_to_csv(t) == trajectory_to_csv(ints)
         run_plan = plan._replace(init=init)
         assert report_json(graph7, run_plan, t) == report_json(graph7, run_plan, ints)
+
+
+# ---------------------------------------------------------------------------
+# the texts of a row: `str` of each normalized value, but for exponents and -0
+
+
+def test_decimal_texts_of_exponents_and_negative_zero():
+    """A normalized value that `str` writes with an exponent, and -0, take
+    the fixed-point text; a row that mixes them with plain values writes
+    each value as alone."""
+    one = Decimal(1)
+    cases = {Decimal("1E+2"): "100", Decimal("1E-7"): "0.0000001", Decimal("-0"): "0"}
+    for value, text in cases.items():
+        assert decimal_texts([value], one) == [text]
+    plain = [Decimal("-2.5"), Decimal("0.125"), Decimal(30), Decimal(0)]
+    row = [plain[0], *cases, plain[1], Decimal("-1E+3"), *plain[2:]]
+    expected = ["-2.5", *cases.values(), "0.125", "-1000", "30", "0"]
+    assert decimal_texts(row, one) == expected
+    assert decimal_texts(plain, one) == ["-2.5", "0.125", "30", "0"]
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +349,9 @@ def decimal_start(start, plan, rng):
     return init
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 8),
-    seed=st.integers(0, 2**32 - 1),
-    a=st.sampled_from([None, Fraction(1, 2), Fraction(3, 10), Fraction(1, 4)]),
-    start=st.sampled_from(["orbit", "halved", "shifted", "shared"]),
-    steps=st.integers(0, 60),
-)
-def test_decimal_runs_equal_the_reference_and_the_integer_kind(n, seed, a, start, steps):
-    """On random decimal graphs, the decimal kind's rows decode to the
-    per-agent rollout's, its CSV is the reference writer's and its checks
-    give their reference bodies' verdicts; the run on the integer kind, and
-    the run as `simulate` picks its kind, give the same rows, bytes and
-    verify report."""
+def decimal_case(n, seed, a, start):
+    """(graph, gains, model, plan, start states) of a random decimal graph of
+    n agents, the plan synthesized on it and its start put through `decimal_start`."""
     rng = random.Random(seed)
     g = WeightedGraph.from_edges(n, random_connected_edges(rng, n, lambda rng: rng.choice(WEIGHTS)))
     ns = None if a is None else NsModel(a)
@@ -347,10 +362,38 @@ def test_decimal_runs_equal_the_reference_and_the_integer_kind(n, seed, a, start
         gains = GainParams(Fraction(-1, 2), Fraction(2))
         plan = synthesize_ns(g, ns, gains)
     init = decimal_start(start, plan, rng)
-    plan = plan._replace(init=tuple(init))
+    return g, gains, ns, plan._replace(init=tuple(init)), init
+
+
+def normalized(value):
+    return value.as_tuple() == value.normalize(EXACT).as_tuple()
+
+
+decimal_cases = given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.sampled_from([None, Fraction(1, 2), Fraction(3, 10), Fraction(1, 4)]),
+    start=st.sampled_from(["orbit", "halved", "shifted", "shared"]),
+    steps=st.integers(0, 60),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@decimal_cases
+def test_decimal_runs_equal_the_reference_and_the_integer_kind(n, seed, a, start, steps):
+    """On random decimal graphs, the decimal kind's rows decode to the
+    per-agent rollout's, its CSV is the reference writer's and its checks
+    give their reference bodies' verdicts; the run on the integer kind, and
+    the run as `simulate` picks its kind, give the same rows, bytes and
+    verify report.  Every state and raw input the decimal kind makes is
+    normalized, as its writer requires."""
+    g, gains, ns, plan, init = decimal_case(n, seed, a, start)
     ref = reference.simulate(g, gains, init, steps, ns=ns)
     with decimal_kind():
         decimal = simulate(g, gains, init, steps, ns=ns)
+    if decimal.states.kind is DecimalLattice:
+        made = [c for X, V, _ in decimal.states.data[1:] for c in X + V]
+        assert all(map(normalized, made + [u for U, _ in decimal.raw_u.data for u in U]))
     with integer_kind():
         ints = simulate(g, gains, init, steps, ns=ns)
     default = simulate(g, gains, init, steps, ns=ns)
@@ -365,6 +408,62 @@ def test_decimal_runs_equal_the_reference_and_the_integer_kind(n, seed, a, start
         assert report_json(g, plan, t) == report
     if steps:
         assert_paths_agree(decimal, g, gains, plan, min(plan.period, steps), ns)
+
+
+@settings(max_examples=40, deadline=None)
+@decimal_cases
+def test_digit_bound_holds_up_to_the_horizon(n, seed, a, start, steps):
+    """On the decimal kind's runs of the differential property, the digits
+    `_check_decimals` reads off tick p are at most `digit_bound`'s first +
+    p * per_step at every tick up to the `horizon`, which is where that bound
+    first exceeds the cap's digits."""
+    g, gains, ns, _, init = decimal_case(n, seed, a, start)
+    with decimal_kind():
+        t = simulate(g, gains, init, steps, ns=ns)
+    if t.states.kind is not DecimalLattice:
+        return
+    lattice, ticks = t.states.lattice, t.states.data
+    with localcontext(EXACT):
+        first, per_step = lattice.digit_bound(*ticks[0][:2])
+        horizon = lattice.horizon(*ticks[0])
+        assert first + horizon * per_step <= dynamics.MAX_EXACT_BITS * 3 // 10
+        assert first + (horizon + 1) * per_step > dynamics.MAX_EXACT_BITS * 3 // 10
+        for p, (X, V, _) in enumerate(ticks):
+            assert p <= horizon and _decimal_digits(X, V) <= first + p * per_step
+
+
+def test_cap_is_checked_past_the_horizon_only(graph7, gains_di, reference_init_di, monkeypatch):
+    """With a cap whose horizon ends mid-run, the halved run checks its first
+    tick at step horizon + 1, and raises on the step where a run that checks
+    every tick raises."""
+    init = halved(reference_init_di)
+    ticks = simulate(graph7, gains_di, init, 100).states.data
+    monkeypatch.setattr(dynamics, "MAX_EXACT_BITS", 340)
+    lattice = DecimalLattice(graph7, gains_di, None)
+    with localcontext(EXACT):
+        horizon = lattice.horizon(*lattice.encode(init))
+    checked = []
+    check = DecimalLattice.check
+
+    def counting_check(X, V, D):
+        checked.append((X, V, D))
+        return check(X, V, D)
+
+    monkeypatch.setattr(DecimalLattice, "check", staticmethod(counting_check))
+
+    def raising_step():
+        checked.clear()
+        with pytest.raises(SimulationOverflowError):
+            simulate(graph7, gains_di, init, 600)
+        return len(checked)
+
+    raised = horizon + raising_step()
+    first = checked[0]
+    monkeypatch.setattr(DecimalLattice, "horizon", lambda self, X, V, D: 0)
+    assert raising_step() == raised
+    assert 0 < horizon < raised - 1
+    # the first tick checked is tick horizon + 1 of the run
+    assert first == ticks[horizon + 1]
 
 
 def test_agents_that_share_a_state_have_no_input(graph7, gains_di):

@@ -325,7 +325,7 @@ class TestLatticeKernel:
             X, V, D = lattice.encode(halved)
             widened = 0
             for _ in range(30):
-                (X, V, D), U, E = lattice.step(X, V, D)
+                (X, V, D), U, E, _ = lattice.step(X, V, D)
                 widened += any(-E < u < E for u in U) or ns is not None
                 assert math.gcd(D, *X, *V) == 1
             assert widened

@@ -919,8 +919,8 @@ def class_cases(rng, trials):
 def test_class_branch_equals_the_csr_step(monkeypatch):
     """A tick has a class record exactly when it is constant on each of two
     groups, and the class step, which sums no inputs, gives the CSR step's
-    ((X, V, D), U, E) bit for bit exactly when its inputs all saturate, as the
-    per-agent `control_inputs` decide it; else it declines."""
+    ((X, V, D), U, E, S) bit for bit exactly when its inputs all saturate, as
+    the per-agent `control_inputs` decide it; else it declines."""
     calls = counted_inputs(monkeypatch)
     taken = Counter()
     for kind, g, gains, ns, group, start, ticks in class_cases(random.Random(21), 120):
