@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or I/O error, 2 gain gate failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -28,7 +29,6 @@ from .dynamics import (
     NsModel,
     SimulationOverflowError,
     Trajectory,
-    reflects,
     row_kind,
     simulate,
 )
@@ -45,7 +45,6 @@ from .graphs import (
 from .records import Record
 from .scalars import (
     Scalar,
-    exactly,
     format_scalar,
     negated_texts,
     over_digit_limit,
@@ -195,6 +194,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise CliError(f"bad config value: {exc}") from exc
     return RunConfig(model=model, mode=mode, **values)
+
+
+@contextlib.contextmanager
+def _within_digit_limit(what: str, hint: str = "") -> Iterator[None]:
+    """Turn a `ValueError` of the block into one usage error naming `what`; in
+    each block this wraps, only a text of more digits than Python converts an
+    integer to (`sys.get_int_max_str_digits()`, 4300 by default) raises one."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(
+            f"the {what} holds a value of more than {sys.get_int_max_str_digits()} "
+            f"digits, beyond Python's limit on converting an integer to text{hint}"
+        ) from exc
 
 
 def _load_graph(path: str, mode: str) -> WeightedGraph:
@@ -375,19 +388,6 @@ def _row_tails(
     return list(map(",".join, zip(index, xs, vs, rs, ss)))
 
 
-@exactly
-def _reflected_half(t: Trajectory) -> int:
-    """The first tick p < t.steps of an exact run's own columns that `reflects` its
-    start, or 0: raw rows p..2p-1 then hold the inputs of rows 0..p-1 negated.
-    A float run is never taken: in floats (c - x_j) - (c - x_i) need not be
-    -(x_j - x_i) bit for bit."""
-    lattice = t.states.lattice
-    if lattice is None or not lattice.exact or t.raw_u.lattice is not lattice:
-        return 0
-    ticks = t.states.data
-    return next((p for p in range(1, t.steps) if reflects(ticks[0], ticks[p], t.ns)), 0)
-
-
 def _csv_pieces(t: Trajectory) -> Iterator[str]:
     """The text of `trajectory_to_csv(t)` after its header, one piece per step,
     formatted from the rows of its columns.
@@ -395,8 +395,8 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     A closed orbit shares its repeated rows by reference (see `simulate`), so
     the tails of a (tick, raw, sat) row whose objects recur are formatted
     once and kept; step k stamps `k,` before each of its row's n tails.  On
-    a run whose tick p reflects its start (`_reflected_half`), the `u_raw`
-    texts of rows p..2p-1 are row k-p's with the sign toggled.  With a
+    a run whose tick p reflects its start (`LatticeColumn.reflected`), the
+    `u_raw` texts of rows p..2p-1 are row k-p's with the sign toggled.  With a
     `ClassRecord` (`LatticeColumn.classes`), the `x,v` texts of a tick k <= last
     are its two class states', and the row of a class step k < last that equals
     its group-signed row takes its `u_sat` texts from the group's sign.  A
@@ -411,7 +411,7 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     keys = [tuple(map(id, row)) for row in rows]
     recurring = {key for key, uses in Counter(keys).items() if uses > 1}
     known: dict[tuple, list[str]] = {}
-    p = _reflected_half(t)
+    p = t.raw_u.reflected
     first_half: list[list[str]] = []  # the u_raw texts of rows 0..p-1
     index = [str(i) for i in range(1, t.n + 1)]
     classes = t.states.classes
@@ -420,7 +420,7 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
         # the u_sat texts of a class step's saturated row, by S_0 > 0
         last, units = classes.last, t.states.kind.UNIT_TEXTS
         signed = [units[1 - k] for k in classes.group], [units[k] for k in classes.group]
-    try:
+    with _within_digit_limit("trajectory", "; use fewer steps or --mode float"):
         for k, (row, key) in enumerate(zip(rows, keys)):
             tails = known.get(key)
             if tails is None:
@@ -442,12 +442,6 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
                 if key in recurring:
                     known[key] = tails
             yield f"{k}," + f"\n{k},".join(tails) + "\n"
-    except ValueError as exc:  # only a text past the digit limit raises it here
-        raise CliError(
-            f"the trajectory holds a value of more than {sys.get_int_max_str_digits()} "
-            "digits, beyond Python's limit on converting an integer to text; "
-            "use fewer steps or --mode float"
-        ) from exc
 
 
 def trajectory_to_csv(t: Trajectory) -> str:
@@ -670,8 +664,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg.validate()
     g = _load_graph(args.graph, cfg.mode)
     plan = _synthesize(g, cfg)
-    if plan.model == "di":
-        sys.stderr.write(interval_table(plan))
+    with _within_digit_limit("plan"):
+        table = interval_table(plan) if plan.model == "di" else ""
+        text = plan_to_text(plan)
+    sys.stderr.write(table)
     if cfg.mode == "float":
         # synthesis decides on exact values; a float plan's own run may still overflow
         try:
@@ -681,7 +677,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
                 "# the float run of this plan leaves the float range at step 1; "
                 "simulate it in exact mode\n"
             )
-    _write_output(plan_to_text(plan), args.output, "plan")
+    _write_output(text, args.output, "plan")
     return EXIT_OK
 
 
@@ -742,23 +738,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trajectory_consistent(
-    t: Trajectory,
-    g: WeightedGraph,
-    gains: GainParams,
-    resim: Optional[Trajectory] = None,
-) -> tuple[Optional[dict], Trajectory]:
-    """Recompute the trajectory from its own first state; report first mismatch.
+def _trajectory_consistent(t: Trajectory, resim: Trajectory) -> Optional[dict]:
+    """The first mismatch of `t` against `resim`, its re-simulation, or None.
 
     States, raw inputs and saturated inputs are all compared, row by row, as
     rows of their kind and then as values, and within a differing row agent
     by agent through `scalars_equal` (bit-exact on rationals, `FLOAT_TOL` on
-    floats).  Returns the mismatch (None if there is none) and the
-    recomputed trajectory; `resim`, a run from t.states[0] of t.steps steps,
-    is used instead of simulating.
+    floats).
     """
-    if resim is None:
-        resim = simulate(g, gains, t.states[0], t.steps, ns=t.ns)
     for k in range(t.steps + 1):
         rows = [(resim.states, t.states)]
         if k < t.steps:
@@ -774,8 +761,8 @@ def _trajectory_consistent(
                 all(map(scalars_equal, resim.states[k][i], t.states[k][i]))
                 and all(scalars_equal(ours[k][i], theirs[k][i]) for ours, theirs in rows[1:])
             ):
-                return {"step": k, "agent": i + 1}, resim
-    return None, resim
+                return {"step": k, "agent": i + 1}
+    return None
 
 
 def _replay(text: str, g: WeightedGraph, plan: OrbitPlan, mode: str) -> Optional[Trajectory]:
@@ -825,12 +812,14 @@ def _checked_csv(
     A CSV whose bytes are what `simulate` writes for the run from its own
     step 0 (`_replay`) holds the replay's values, since format and parse are
     exact, so it is not parsed.  Any other CSV is read by
-    `trajectory_from_csv` and compared by `_trajectory_consistent`, which
-    reuses the replay when its start state and step count are the CSV's; the
-    reader encodes its rows in the replay's number kind, so that rows are
-    compared whole.  An exact CSV that equals its re-simulation holds the
-    same values, so the checks read the re-simulation's columns and its
-    lattice; any other CSV is checked on the columns the reader built.
+    `trajectory_from_csv` and compared by `_trajectory_consistent` with the
+    replay when its start state and step count are the CSV's (a U+2028 splits
+    a line for the reader but not for the replay's count), else with a run
+    from the CSV's own step 0; the reader encodes its rows in the replay's
+    number kind, so that rows are compared whole.  An exact CSV that equals
+    its re-simulation holds the same values, so the checks read the
+    re-simulation's columns and its lattice; any other CSV is checked on the
+    columns the reader built.
     """
     text = _read_text(path, "trajectory")
     resim = _replay(text, g, plan, mode)
@@ -839,12 +828,12 @@ def _checked_csv(
     t = trajectory_from_csv(text, plan.ns, mode, Lattice if resim is None else resim.states.kind)
     if t.n != g.n:
         raise CliError(f"CSV has {t.n} agents, graph has {g.n}")
-    if resim is not None and (resim.steps, resim.states[0]) != (t.steps, t.states[0]):
-        resim = None
-    mismatch, rollout = _trajectory_consistent(t, g, plan.gains, resim)
+    if resim is None or (resim.steps, resim.states[0]) != (t.steps, t.states[0]):
+        resim = simulate(g, plan.gains, t.states[0], t.steps, ns=plan.ns)
+    mismatch = _trajectory_consistent(t, resim)
     if mismatch is None and mode == "exact":
-        return rollout, None, rollout
-    return t, mismatch, rollout
+        return resim, None, resim
+    return t, mismatch, resim
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -866,7 +855,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         t = simulate(g, plan.gains, plan.init, 2 * plan.period, ns=plan.ns)
         report["consistency"] = True
         rollout = t
-    report.update(verification_report(g, plan, t, rollout=rollout))
+    # the checks' own errors are ruled out above, so only the report's texts raise
+    with _within_digit_limit("report"):
+        report.update(verification_report(g, plan, t, rollout=rollout))
     report["ok"] = report["ok"] and report["consistency"]
     print(json.dumps(report, indent=2, default=str))
     return EXIT_OK if report["ok"] else EXIT_VERIFY

@@ -186,13 +186,14 @@ class LatticeColumn(Sequence):
     of `AgentState`s or of scalars (`Fraction`s on an exact run), on first
     access, and the row is cached.  Slices return tuples,
     and a column equals the tuple of its rows.  `kind` is the loop class
-    whose rows these are.  On the states and raw inputs of a `simulate`,
-    `lattice` is the loop it stepped on, for checks of that loop and the CSV
-    writer to reuse.  On the states of a run from a two-class start, `classes`
-    is its `ClassRecord`.  Neither takes part in `==` or `hash`.
+    whose rows these are.  On the states of a `simulate`, `lattice` is the
+    loop it stepped on, for its checks to reuse, and on a two-class start's
+    `classes` is its `ClassRecord`; on the raw inputs of an exact one,
+    `reflected` is the first tick p < steps that `reflects` tick 0, else 0:
+    raw rows p..2p-1 are rows 0..p-1 negated.  None takes part in `==` or `hash`.
     """
 
-    __slots__ = ("data", "decode", "_rows", "lattice", "classes")
+    __slots__ = ("data", "decode", "_rows", "lattice", "classes", "reflected")
 
     def __init__(self, data: list[tuple], decode: Callable[..., tuple]) -> None:
         self.data = data
@@ -200,6 +201,7 @@ class LatticeColumn(Sequence):
         self._rows: list[Optional[tuple]] = [None] * len(data)
         self.lattice: Optional[Lattice] = None
         self.classes: Optional[ClassRecord] = None
+        self.reflected = 0
 
     def __len__(self) -> int:
         return len(self.data)
@@ -728,7 +730,8 @@ def simulate(
     there on the deterministic loop repeats its rows, which are shared by
     reference instead of stepped.  On exact ticks the match compares D first,
     so a run off the orbit pays one int compare per step; a run whose tick p
-    `reflects` its start closes at tick 2p.  A two-class start keeps its
+    `reflects` its start closes at tick 2p, and on an exact run its raw inputs
+    record p (`LatticeColumn.reflected`).  A two-class start keeps its
     `ClassRecord` (`LatticeColumn.classes`): it takes class steps, capped on
     the two states and saturated by group, up to the first tick with an
     unsaturated input, `last`, and the CSR sums after.
@@ -784,8 +787,10 @@ def simulate(
     states = LatticeColumn(ticks, lattice.decode)
     states._rows[0] = init
     raw_u = LatticeColumn(raw, lattice.ratios)
-    # raw row k holds the inputs this lattice computed at tick k
-    states.lattice = raw_u.lattice = lattice
+    if lattice.exact:
+        # in floats (c - x_j) - (c - x_i) need not be -(x_j - x_i) bit for bit
+        raw_u.reflected = next((p for p in range(1, steps) if reflects(ticks[0], ticks[p], ns)), 0)
+    states.lattice = lattice
     if classes is not None:
         states.classes = classes._replace(last=last)
     return Trajectory(lattice.ns, states, raw_u, LatticeColumn(sat, lattice.ratios))

@@ -70,11 +70,11 @@ def backward_states(
     other columns encoded in it.  The lattice is `t.states.lattice` when that
     was built from these graph and gains objects and `t.ns`.  Reduced ticks
     are equal exactly when the states are, so a tick at -T equal to the
-    start tick gives the start row `t.states[0]` itself.  On the run's own lattice
-    (`t.raw_u.lattice` too), the class steps k < last of its `ClassRecord`
-    unstep as two class states while each reaches tick k under the saturated
-    row its raw row gives; every other step unsteps per agent under the
-    inputs `Lattice.inputs` recomputes.
+    start tick gives the start row `t.states[0]` itself.  On the run's own
+    lattice, the class steps k < last of its `ClassRecord` unstep as two class
+    states while each reaches tick k under the saturated row that tick k's two
+    class states give, decided as `Lattice.class_step` decides it; every
+    other step unsteps per agent under the inputs `Lattice.inputs` recomputes.
     """
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
@@ -97,24 +97,27 @@ def backward_states(
             X, V, D = lattice.encode(t.states[0])
         if t.sat_u.kind is not Lattice:
             sat_rows = list(map(lattice.encode_inputs, t.sat_u))
-    # the run's own lattice recorded its inputs at each of its ticks
-    classes = t.states.classes if t.raw_u.lattice is lattice is t.states.lattice else None
+    # the run's own lattice built ticks 0..last on the groups of its record
+    classes = t.states.classes if lattice is t.states.lattice else None
     # the class path holds while the tick in hand is tick k+1 of a class step k
     on_prefix = classes is not None and T <= classes.last
     for back in range(1, T + 1):
         k = T - back
         S, Es = sat_rows[k]
         if on_prefix:
-            # step k was a class step, so the inputs recorded at tick k saturate
-            # by group with U_0's sign; under that row the tick in hand unsteps
+            # tick k's class states saturate every input by group with dY's sign
+            # (as `class_step` decides); under that row the tick in hand unsteps
             # as its two class states, and reaching tick k's confirms the row
-            U, E = t.raw_u.data[k]
             tick, j = t.states.data[k], classes.j
+            xs, vs = [tick[0][0], tick[0][j]], [tick[1][0], tick[1][j]]
+            dY = lattice.A * (xs[1] - xs[0]) + lattice.B * (vs[1] - vs[0])
+            E = lattice.K * tick[2]
             on_prefix = (
                 Es == E
-                and S == classes.signs[E][U[0] > 0]
+                and classes.least * abs(dY) >= E
+                and S == classes.signs[E][dY > 0]
                 and lattice.unstep([X[0], X[j]], [V[0], V[j]], D, [S[0], S[j]], Es)
-                == ([tick[0][0], tick[0][j]], [tick[1][0], tick[1][j]], tick[2])
+                == (xs, vs, tick[2])
             )
             if on_prefix:
                 X, V, D = tick

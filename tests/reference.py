@@ -188,6 +188,30 @@ def simulate(g, gains, init, steps, ns=None) -> Trajectory:
     return Trajectory(ns, *rollout(g, gains, init, steps, ns))
 
 
+def reflected_half(t: Trajectory) -> int:
+    """The first tick p < t.steps of an exact run whose states are R_c of the
+    start's, (c - x, -v) with one c for every agent (c = 0 on ns), over the
+    lcm of the start's reduced denominators as the integer kind's reduced
+    ticks are; else 0, and 0 on a float run.  Read from the decoded states."""
+    start = t.states[0]
+    if not all(is_exact(c) for s in start for c in s):
+        return 0
+
+    def denominator(row):
+        return math.lcm(*(c.denominator for s in row for c in s))
+
+    for p in range(1, t.steps):
+        row = t.states[p]
+        c = row[0].x + start[0].x
+        if (
+            (t.ns is None or c == 0)
+            and all(s.x == c - s0.x and s.v == -s0.v for s, s0 in zip(row, start))
+            and denominator(row) == denominator(start)
+        ):
+            return p
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # the two layouts of a trajectory
 

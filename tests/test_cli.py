@@ -958,6 +958,12 @@ def _edited_plan(cfg, old, new):
             id="duplicate-agent",
         ),
         pytest.param(
+            _edited_plan(DI_CFG, "alpha=0.4", "# no alpha"),
+            EXIT_USAGE,
+            "error: plan file missing field 'alpha'",
+            id="no-alpha",
+        ),
+        pytest.param(
             _edited_plan(DI_CFG, "agent 1: x=21, v=-5.5", "agent 1: x=21, v=-5.5, foo=3, junk"),
             EXIT_USAGE,
             "error: plan line 7: 'agent 1: x=21, v=-5.5, foo=3, junk' "
@@ -1850,6 +1856,81 @@ def test_value_beyond_the_digit_limit_is_one_error_line(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def _tiny_weight_graph(tmp_path):
+    """The graph `n 2` / `1 2 1e-4400`."""
+    path = tmp_path / "tiny.txt"
+    path.write_text("n 2\n1 2 1e-4400\n")
+    return str(path)
+
+
+def _tiny_start_plan(tmp_path):
+    """A di plan (m=11, T=22) with agent 1 at x=1e-4299, v=0 and the rest at 0."""
+    path = tmp_path / "tiny-plan.txt"
+    agents = [f"agent {i}: x={'1e-4299' if i == 1 else 0}, v=0\n" for i in range(1, 8)]
+    path.write_text("model=di\nalpha=0.4\nbeta=0.42\nroot=1\nm=11\nT=22\n" + "".join(agents))
+    return str(path)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--config", DI_CFG, "--base", "1e-4400"],
+            "plan",
+            id="plan-base-small",
+        ),
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--config", DI_CFG, "--base", "1e4400"],
+            "plan",
+            id="plan-base-large",
+        ),
+        pytest.param(
+            lambda tmp: [
+                "synthesize", GRAPH, "--config", DI_CFG,
+                "--alpha", "1e-4400", "--beta", "1.05e-4400",
+            ],
+            "plan",
+            id="interval-table",
+        ),
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--config", NS_CFG, "--a", "1e-4400"],
+            "plan",
+            id="ns-plan",
+        ),
+        pytest.param(
+            lambda tmp: ["synthesize", _tiny_weight_graph(tmp), "--config", DI_CFG],
+            "plan",
+            id="graph-weight",
+        ),
+        pytest.param(
+            lambda tmp: ["verify", GRAPH, "--config", DI_CFG, "--plan", _tiny_start_plan(tmp)],
+            "report",
+            id="verify-report",
+        ),
+    ],
+)
+def test_text_past_the_digit_limit_outside_the_writer_is_one_error_line(
+    argv, what, tmp_path, capsys
+):
+    """Under Python's default limit of 4300 digits, a plan, an interval table
+    or a verify report that holds a longer value text is one error line, as
+    the CSV writer's, with nothing written."""
+    args = argv(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        outcome = _verify_outcome(args, capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert outcome == (
+        EXIT_USAGE,
+        "",
+        f"error: the {what} holds a value of more than 4300 digits, beyond Python's "
+        "limit on converting an integer to text\n",
+    )
+
+
 def _digits_in_csv(argv, text, tmp_path, big):
     """verify --csv argv for the CSV with x of line 41 set to `big`, and that line."""
     lines = text.splitlines(keepends=True)
@@ -2306,6 +2387,37 @@ def test_only_an_exact_csv_is_checked_on_its_resimulation(base, mode, csv_artifa
     t, mismatch, rollout = cli._checked_csv(str(csv_file), g, plan, mode)
     assert mismatch is None
     assert (t is rollout) is (mode == "exact")
+
+
+@pytest.mark.parametrize(
+    "base,edit,runs",
+    [
+        ("di", EDITS["canonical"], 1),
+        ("di", EDITS["respelled"], 1),
+        ("di-45", _joined_by_line_separator, 2),
+    ],
+    ids=["writer", "respelled", "line-separator"],
+)
+def test_checked_csv_simulates_in_one_place(base, edit, runs, csv_artifacts, tmp_path, monkeypatch):
+    """`_checked_csv` re-simulates a CSV once: the replay serves the writer's
+    bytes and a respelled CSV, and only a CSV whose replay has another step
+    count than the full reader's is run again, from the reader's step 0."""
+    argv, text = csv_artifacts[base]
+    csv_file = tmp_path / "traj.csv"
+    csv_file.write_text(edit(text))
+    g = cli._load_graph(GRAPH, "exact")
+    plan = plan_from_text(Path(argv[argv.index("--plan") + 1]).read_text(), g)
+    calls = []
+    real = cli.simulate
+
+    def counting(g, gains, init, steps, ns=None):
+        calls.append(steps)
+        return real(g, gains, init, steps, ns=ns)
+
+    monkeypatch.setattr(cli, "simulate", counting)
+    t, mismatch, rollout = cli._checked_csv(str(csv_file), g, plan, "exact")
+    assert mismatch is None and t is rollout
+    assert len(calls) == runs and calls[-1] == t.steps
 
 
 @pytest.mark.parametrize("a", ["0.3", "0.7071067811865476"])

@@ -519,3 +519,27 @@ class TestNormalizeNsExact:
             normalize_ns([0, 1, -1, 1], [0, 1])
         with pytest.raises(NormalizationError, match="2 entries"):
             normalize_ns([[0, 1], [-1, 1]], [0, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda g, gains, init: simulate(g, gains, init, -1), ValueError, "steps must be >= 0"),
+        (
+            lambda g, gains, init: simulate(g, gains, init[:-1], 2),
+            ValueError,
+            "expected 7 agent states, got 6",
+        ),
+        (
+            lambda g, gains, init: normalize_ns(3, [0, 1]),
+            NormalizationError,
+            "system matrix must be 2x2",
+        ),
+    ],
+    ids=["negative-steps", "agent-count", "matrix-not-iterable"],
+)
+def test_library_argument_errors(call, error, message, graph7, gains_di, reference_init_di):
+    """A bad argument to `simulate` or `normalize_ns` raises with its message."""
+    with pytest.raises(error) as exc:
+        call(graph7, gains_di, reference_init_di)
+    assert str(exc.value) == message

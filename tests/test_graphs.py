@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import operator
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -609,3 +610,19 @@ class TestLaplacian:
             for i in range(g.n):
                 for j in range(g.n):
                     assert lap[i][j] == lap[j][i]
+
+
+@pytest.mark.parametrize("edges", ["", "1 2 1\n"], ids=["no-edges", "one-edge"])
+def test_writer_form_count_past_the_digit_limit_is_read_by_lines(edges):
+    """A count past the digit limit in the writer's form is left by the bulk
+    reader to the line reader, which names the limit at line 1."""
+    limit = sys.get_int_max_str_digits()
+    text = f"n {'1' * (limit + 1)}\n{edges}"
+    assert re.fullmatch(graphs._WRITER_FORM, text)
+    assert graphs._read_writer_form(text, "exact") is None
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == (
+        f"line 1: agent count has more than {limit} digits, "
+        "beyond Python's limit on converting text to an integer"
+    )

@@ -35,7 +35,6 @@ from satorbits import (
 )
 from satorbits.cli import (
     EXIT_OK,
-    _reflected_half,
     _trajectory_consistent,
     main,
     plan_from_text,
@@ -118,7 +117,9 @@ LIBRARY = SimpleNamespace(
     oracle_check_di=oracle_check_di,
     minimal_period=minimal_period,
     trajectory_to_csv=trajectory_to_csv,
-    trajectory_consistent=lambda t, g, gains: _trajectory_consistent(t, g, gains)[0],
+    trajectory_consistent=lambda t, g, gains: _trajectory_consistent(
+        t, simulate(g, gains, t.states[0], t.steps, ns=t.ns)
+    ),
 )
 
 
@@ -317,9 +318,10 @@ def test_tuple_columns_take_the_scalar_path(name, fixture_runs, graph7, monkeypa
 @pytest.mark.parametrize("name", ["di", "ns", "mirrored", "di-decimal"])
 def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, monkeypatch):
     """On its own on-orbit two-class run the inverted period unsteps the class
-    states under the input rows the run recorded and computes no inputs; on
-    the paper's seven-state di point, and without the run's lattice on both
-    the states and the raw inputs, it computes all T, with the same result."""
+    states under the saturated rows their class states give and computes no
+    inputs, whatever raw-input column the run carries; on the paper's
+    seven-state di point, and without the run's lattice on its states, it
+    computes all T, with the same result."""
     t, plan, _ = fixture_runs[name]
     T = plan.period
     calls = []
@@ -330,11 +332,12 @@ def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, m
         return inputs(self, X, V)
 
     monkeypatch.setattr(Lattice, "inputs", counting)
+    own = T if name.startswith("di") else 0
     runs = {
-        "own": (t, T if name.startswith("di") else 0),
+        "own": (t, own),
         "copy": (lattice_copy(t), T),
-        "raw-copy": (t._replace(raw_u=lattice_copy(t).raw_u), T),
-        "raw-bare": (t._replace(raw_u=LatticeColumn(t.raw_u.data, ratios)), T),
+        "raw-copy": (t._replace(raw_u=lattice_copy(t).raw_u), own),
+        "raw-bare": (t._replace(raw_u=LatticeColumn(t.raw_u.data, ratios)), own),
     }
     for run, expected in runs.values():
         calls.clear()
@@ -407,10 +410,11 @@ class TestLatticeColumn:
         # what every check reads
         bad = edited(t, "raw_u", 1, at(2, lambda u: u + 40))
         mixed = t._replace(raw_u=lattice_copy(bad).raw_u)
-        assert mixed.raw_u.lattice is None and mixed.states.lattice is not None
+        assert mixed.states.lattice is not None
         report = check_pattern(mixed, partition7, PatternSpec(2))
         assert (1, 2, t.raw_u[1][2] + 40) in report.violations
-        assert _trajectory_consistent(mixed, graph7, gains_di)[0] == {"step": 1, "agent": 3}
+        resim = simulate(graph7, gains_di, t.states[0], t.steps)
+        assert _trajectory_consistent(mixed, resim) == {"step": 1, "agent": 3}
         assert trajectory_to_csv(mixed) == reference.trajectory_to_csv(bad)
 
     def test_writer_reads_each_input_over_its_own_denominator(self):
@@ -431,7 +435,7 @@ class TestLatticeColumn:
         gains = GainParams(0.4, 0.42)
         init = [AgentState(float(i), 0.0) for i in range(7)]
         t = simulate(g, gains, init, 3)
-        assert type(t.states.lattice) is FloatLattice and t.raw_u.lattice is t.states.lattice
+        assert type(t.states.lattice) is FloatLattice and t.raw_u.reflected == 0
         assert all(c.kind is FloatLattice for c in (t.states, t.raw_u, t.sat_u))
         X, V, D = t.states.data[1]
         assert D == 1.0 and type(D) is float
@@ -630,7 +634,7 @@ def test_closed_orbit_is_stepped_once(
         assert (t.states.kind is DecimalLattice) == decimal
         kind = "class" if name in ("ns", "mirrored") else "csr"
         assert steps_taken == [kind] * (steps if name == "halved" else T)
-        assert _reflected_half(t) == (T // 2 if name in ("ns", "mirrored") else 0)
+        assert t.raw_u.reflected == (T // 2 if name in ("ns", "mirrored") else 0)
         expected = rollout(graph7, gains, init, steps, ns=ns)
         assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == expected
 
@@ -713,12 +717,26 @@ def test_mirrored_runs_equal_the_reference(name, mirrored_cases):
     g, gains, init, ns, p = mirrored_cases[name]
     for steps in range(2 * p + 4):
         t = simulate(g, gains, init, steps, ns=ns)
-        assert _reflected_half(t) == (p if steps > p else 0)
+        assert t.raw_u.reflected == (p if steps > p else 0)
         assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == rollout(
             g, gains, init, steps, ns=ns
         )
         assert all(math.gcd(D, *X, *V) == 1 for X, V, D in t.states.data)
         assert trajectory_to_csv(t) == reference.trajectory_to_csv(tuple_copy(t))
+
+
+@pytest.mark.parametrize("name", MIRRORED)
+def test_simulate_records_the_reflected_half(name, mirrored_cases):
+    """The tick `simulate` records on its raw inputs is the first one whose
+    decoded states are R_c of the start's, for every step count from 0 to
+    2p + 3; a float run from the same start records none."""
+    g, gains, init, ns, p = mirrored_cases[name]
+    for steps in range(2 * p + 4):
+        t = simulate(g, gains, init, steps, ns=ns)
+        assert t.raw_u.reflected == reference.reflected_half(t) == (p if steps > p else 0)
+    floats = [AgentState(float(s.x), float(s.v)) for s in init]
+    t = simulate(g, gains, floats, 2 * p + 3, ns=ns)
+    assert t.states.kind is FloatLattice and t.raw_u.reflected == 0
 
 
 def test_reflections_the_writer_takes(graph7, gains_di, reference_init_di):
@@ -748,7 +766,7 @@ def test_reflections_the_writer_takes(graph7, gains_di, reference_init_di):
         (X0, V0, D0), (X, V, D) = t.states.data[0], t.states.data[p]
         assert D == D0 and V == [-v for v in V0]
         assert (len({x + y for x, y in zip(X, X0)}) == 1) == centred
-        assert _reflected_half(t) == taken
+        assert t.raw_u.reflected == reference.reflected_half(t) == taken
         assert (tuple(t.states), tuple(t.raw_u), tuple(t.sat_u)) == rollout(
             g, gains, init, 2 * T + 1, ns=ns
         )
@@ -773,8 +791,8 @@ def test_reflects_needs_every_condition():
 
 def test_reflection_off_the_run_is_written_by_value():
     """A hand-built trajectory whose tick 1 reflects tick 0 but whose raw rows
-    are not the loop's (its columns carry no `Lattice`) is written value by
-    value: row 1's raw inputs are not row 0's negated."""
+    are not the loop's (its raw column records no reflection) is written value
+    by value: row 1's raw inputs are not row 0's negated."""
     ticks = [([0, 1], [1, 2], 1), ([1, 0], [-1, -2], 1), ([0, 1], [1, 2], 1)]
     raw = [([1, 3], 2), ([5, 7], 2)]
     t = Trajectory(
@@ -784,7 +802,7 @@ def test_reflection_off_the_run_is_written_by_value():
         LatticeColumn([(dynamics.clamped(U, E), E) for U, E in raw], ratios),
     )
     assert dynamics.reflects(ticks[0], ticks[1], None)
-    assert _reflected_half(t) == 0
+    assert t.raw_u.reflected == 0
     assert trajectory_to_csv(t) == reference.trajectory_to_csv(tuple_copy(t))
     assert "\n1,1,1,-1,2.5,1\n" in trajectory_to_csv(t)
 
@@ -1286,13 +1304,79 @@ def test_inverted_period_unsteps_class_ticks_as_two_states(name, fixture_runs, g
     assert sizes == [graph7.n] * plan.period
 
 
+class UnreadColumn(LatticeColumn):
+    """A raw-input column whose rows fail the test when read."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        pass
+
+    @property
+    def data(self):
+        pytest.fail("a raw-input row was read")
+
+
+@pytest.mark.parametrize("name", ["mirrored", "ns", "ns-3/10"])
+def test_inverted_period_reads_no_raw_row_on_the_class_path(
+    name, class_orbits, graph7, monkeypatch
+):
+    """The class path decides each class step's saturated row from tick k's two
+    class states, so a run whose raw-input column cannot be read still takes
+    all T class steps and computes no inputs."""
+    t, plan = class_orbits[name]
+    sizes, computed = [], []
+    unstep, inputs = Lattice.unstep, Lattice.inputs
+
+    def counting_unstep(self, X, *args):
+        sizes.append(len(X))
+        return unstep(self, X, *args)
+
+    def counting_inputs(self, X, V):
+        computed.append(X)
+        return inputs(self, X, V)
+
+    monkeypatch.setattr(Lattice, "unstep", counting_unstep)
+    monkeypatch.setattr(Lattice, "inputs", counting_inputs)
+    unread = t._replace(raw_u=UnreadColumn())
+    assert backward_states(unread, graph7, plan.gains, plan.period) == list(t.states[0])
+    assert sizes == [2] * plan.period and not computed
+
+
+def test_class_path_tests_that_every_input_saturates(class_orbits, graph7):
+    """The synthesized di orbit checked under gains of a twentieth of its own,
+    with the same denominators, on a lattice and class record of those gains:
+    its rows are group-signed and its class states unstep along them, but the
+    controller at tick T-1 saturates no input, so the inversion leaves the
+    class path and raises as agent by agent."""
+    t, plan = class_orbits["mirrored"]
+    T = plan.period
+    weak = GainParams(Fraction(1, 50), Fraction(1, 50))
+    lattice = Lattice(graph7, weak, None)
+    assert lattice.K == t.states.lattice.K
+    states = LatticeColumn(t.states.data, t.states.decode)
+    states.lattice = lattice
+    states.classes = lattice.two_classes(*t.states.data[0][:2])._replace(last=T)
+    forged = t._replace(states=states)
+    got = outcome(backward_states, forged, graph7, weak, T)
+    assert got[0] == "BackwardExtensionError" and "at time -1," in got[1]
+    assert got == outcome(reference.backward_states, tuple_copy(forged), graph7, weak, T)
+
+
 def sat_edits(t, k, i):
     """Saturated rows that replace row k of t: agent i's input negated, the
-    whole row negated, and the row over twice its denominator (the same values)."""
+    whole row negated, every agent given agent 0's sign, so that the other
+    group takes its sign, and the row over twice its denominator (the same
+    values)."""
     S, Es = t.sat_u.data[k]
     one = list(S)
     one[i] = -one[i]
-    return [(one, Es), ([-s for s in S], Es), ([2 * s for s in S], 2 * Es)]
+    return [
+        (one, Es),
+        ([-s for s in S], Es),
+        ([S[0]] * len(S), Es),
+        ([2 * s for s in S], 2 * Es),
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -1310,9 +1394,10 @@ def class_orbits(fixture_runs, graph7, gains_ns):
 
 @pytest.mark.parametrize("name", ["mirrored", "ns", "ns-3/10"])
 def test_tampered_sat_row_fails_as_per_agent(name, class_orbits, graph7):
-    """A recorded run whose saturated row k is changed, in one agent or in all,
-    is inverted as without the record and as agent by agent: it raises at the
-    same step and agent, and a row over another denominator passes."""
+    """A recorded run whose saturated row k is changed, in one agent, in all,
+    or in one group flipped to the other's sign, is inverted as without the
+    record and as agent by agent: it raises at the same step and agent, and a
+    row over another denominator passes."""
     t, plan = class_orbits[name]
     T = plan.period
     rng = random.Random(25)

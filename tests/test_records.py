@@ -115,12 +115,14 @@ def test_agent_model_is_the_ns_field():
 def test_trajectory_lattice_takes_no_part_in_eq_hash_or_repr(graph7, gains_di):
     init = [AgentState(F(0), F(0))] * graph7.n
     t = simulate(graph7, gains_di, init, 3)
-    # the states and the raw inputs, which the inverted period reuses, keep it
-    assert t.states.lattice is not None and t.raw_u.lattice is t.states.lattice
-    assert t.sat_u.lattice is None
+    # the states, whose lattice the inverted period reuses, keep it
+    assert t.states.lattice is not None
+    assert t.raw_u.lattice is None and t.sat_u.lattice is None
     bare = LatticeColumn(t.states.data, t.states.decode)
     bare_raw = LatticeColumn(t.raw_u.data, t.raw_u.decode)
     assert bare.lattice is None and bare_raw.lattice is None
+    # consensus at 0 reflects itself at tick 1; a column built by hand records none
+    assert t.raw_u.reflected == 1 and bare_raw.reflected == 0
     assert t.states == bare and hash(t.states) == hash(bare) and repr(t.states) == repr(bare)
     assert t.raw_u == bare_raw and hash(t.raw_u) == hash(bare_raw)
     copy = t._replace(states=bare, raw_u=bare_raw)

@@ -277,3 +277,11 @@ def test_number_beyond_the_digit_limit_names_the_limit(text):
         f"scalar '{text[:37]}...' has more than 640 digits, "
         "beyond Python's limit on converting text to an integer"
     )
+
+
+@pytest.mark.parametrize("mode", ["fixed", "Exact", ""])
+def test_unknown_mode_is_refused(mode):
+    """`parse_scalar` reads in "exact" or "float" mode only."""
+    with pytest.raises(ValueError) as exc:
+        parse_scalar("1", mode)
+    assert str(exc.value) == f"unknown mode {mode!r}"

@@ -643,3 +643,28 @@ def test_unstep_is_the_per_agent_inverse_step(graph7, gains_di, a, values, input
     else:
         states = [inverse_step_ns(s, Fraction(u, Es), ns) for s, u in zip(states, S)]
     assert Lattice.decode(*tick) == tuple(states)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda g, gains: min_half_period(gains, Fraction(0)), "a_bar must be positive"),
+        (lambda g, gains: min_half_period(gains, Fraction(-1)), "a_bar must be positive"),
+        (
+            lambda g, gains: check_gains_ns(
+                NsModel(Fraction(1, 2)), GainParams(Fraction(-1, 2), Fraction(2)), Fraction(0)
+            ),
+            "a_bar must be positive",
+        ),
+        (
+            lambda g, gains: synthesize_di(g, gains, m_override=2),
+            "half-period override must exceed 2",
+        ),
+    ],
+    ids=["m-min-zero", "m-min-negative", "ns-gate-zero", "m-override-2"],
+)
+def test_library_argument_errors(call, message, graph7, gains_di):
+    """A nonpositive a_bar and a half-period override of 2 are refused."""
+    with pytest.raises(ValueError) as exc:
+        call(graph7, gains_di)
+    assert str(exc.value) == message

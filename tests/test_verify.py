@@ -280,3 +280,21 @@ class TestReport:
         t = simulate(graph7, gains_ns, plan.init, 8, ns=ns_model)
         report = verification_report(graph7, plan, t)
         assert report["ok"] and report["minimal_period"] == 4
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda g, gains, init: backward_states(simulate(g, gains, init, 3), g, gains, 4),
+            "trajectory covers 3 steps, need 4",
+        ),
+        (lambda g, gains, init: minimal_period(g, gains, init, 0), "T_max must be >= 1"),
+    ],
+    ids=["backward-short", "minimal-period-zero"],
+)
+def test_library_argument_errors(call, message, graph7, gains_di, reference_init_di):
+    """An inversion longer than the trajectory and an empty period search are refused."""
+    with pytest.raises(ValueError) as exc:
+        call(graph7, gains_di, reference_init_di)
+    assert str(exc.value) == message
