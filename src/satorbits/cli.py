@@ -15,13 +15,12 @@ import re
 import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .dynamics import (
     AgentState,
-    ClassRecord,
     FloatLattice,
     GainParams,
     Lattice,
@@ -347,64 +346,41 @@ def plan_from_text(text: str, g: WeightedGraph, mode: str = "exact") -> OrbitPla
 CSV_HEADER = "k,agent,x,v,u_raw,u_sat"
 
 
-def _row_tails(
-    index: list[str],
-    tick: tuple[list, list, Scalar],
-    raw: Optional[tuple[list, Scalar]],
-    sat: Optional[tuple[list, Scalar]],
-    rs: Optional[list[str]],
-    classes: Optional[ClassRecord] = None,
-    ss: Optional[list[str]] = None,
-) -> list[str]:
-    """The CSV lines of one row without their step, `i,x,v,u_raw,u_sat` per
-    agent, each column's in the texts of its `row_kind`; `index` holds the
-    agent texts and `rs` the `u_raw` texts.  Given the `ClassRecord` whose
-    groups the tick is on, the four texts of its two class states are spread
-    over the agents by group; `ss`, when given, are the `u_sat` texts."""
-    X, V, D = tick
-    if classes is not None:
-        X, V = [X[0], X[classes.j]], [V[0], V[classes.j]]
-    # X and V share D, so it is scaled once
-    texts = row_kind(tick).texts(X + V, D)
-    xs, vs = texts[: len(X)], texts[len(X) :]
-    if classes is not None:
-        group = classes.group
-        xs, vs = list(map(xs.__getitem__, group)), list(map(vs.__getitem__, group))
-    if raw is None:
-        return list(map(",".join, zip(index, xs, vs, repeat(""), repeat(""))))
-    if ss is None:
-        (U, E), (S, Es) = raw, sat
-        # a saturated input is +-1, told by compares, as hashing a Decimal is
-        # dear; an unsaturated one, left None (no text is empty), repeats the
-        # raw text when it is the raw input's object
-        kind = row_kind(sat)
-        up, down = kind.UNIT_TEXTS
-        low = -Es
-        ss = [up if s == Es else down if s == low else None for s in S]
-        if not all(ss):
-            for i, text in enumerate(ss):
-                if text is None:
-                    ss[i] = rs[i] if S[i] is U[i] and Es is E else kind.texts([S[i]], Es)[0]
-    return list(map(",".join, zip(index, xs, vs, rs, ss)))
+#: the values (rows times agents) in a block of CSR rows (see `_csv_pieces`)
+CSV_BLOCK = 256
+
+
+def _sat_texts(kind: type[Lattice], S: list, Es: Scalar, U: Iterable, rs: list[str]) -> list[str]:
+    """The `u_sat` texts of S over Es: the `u_raw` text in `rs` where S holds, as `clamped`
+    shares it, the raw input's object in `U`, else told by value (hashing a Decimal is dear)."""
+    up, down = kind.UNIT_TEXTS
+    low = -Es
+    return [
+        r if s is u else up if s == Es else down if s == low else kind.texts([s], Es)[0]
+        for s, u, r in zip(S, U, rs)
+    ]
 
 
 def _csv_pieces(t: Trajectory) -> Iterator[str]:
-    """The text of `trajectory_to_csv(t)` after its header, one piece per step,
-    formatted from the rows of its columns.
+    """The text of `trajectory_to_csv(t)` after its header, one piece per step:
+    step k stamps `k,` before each of its row's n tails `i,x,v,u_raw,u_sat`.
 
     A closed orbit shares its repeated rows by reference (see `simulate`), so
     the tails of a (tick, raw, sat) row whose objects recur are formatted
-    once and kept; step k stamps `k,` before each of its row's n tails.  On
-    a run whose tick p reflects its start (`LatticeColumn.reflected`), the
-    `u_raw` texts of rows p..2p-1 are row k-p's with the sign toggled.  With a
-    `ClassRecord` (`LatticeColumn.classes`), the `x,v` texts of a tick k <= last
-    are its two class states', and the row of a class step k < last that equals
-    its group-signed row takes its `u_sat` texts from the group's sign.  A
-    text that Python could not read back, one of more digits before and after
-    its point than its limit on converting text to an integer
-    (`sys.get_int_max_str_digits()`, 4300 by default), is a usage error,
-    raised before the first piece past it; the integer kind (a p/q run)
-    refuses a value earlier, where `str()` of its scaled numerator does.
+    once and kept.  On a run whose tick p reflects its start
+    (`LatticeColumn.reflected`), the `u_raw` texts of rows p..2p-1 are row
+    k-p's with the sign toggled.  With a `ClassRecord` (`LatticeColumn.classes`),
+    the `x,v` texts of a tick k <= last are its two class states', and the
+    row of a class step k < last that equals its group-signed row takes its
+    `u_sat` texts from the group's sign.  Those rows, and an integer run's,
+    each over its own D, are formatted one at a time; the CSR rows, the other
+    rows with inputs of a decimal or float run, whose texts read no D, in
+    blocks of `CSV_BLOCK` values, one `texts` call per column.  A text of more
+    digits before and after its point than Python converts from text to an
+    integer (`sys.get_int_max_str_digits()`, 4300 by default) is a usage
+    error, raised before the first piece past it (a block that holds one is
+    formatted again row by row); an integer (p/q) run refuses a value where
+    `str()` of its scaled numerator does.
     """
     # the last tick has no inputs
     rows = [*zip(t.states.data, t.raw_u.data, t.sat_u.data), (t.states.data[-1], None, None)]
@@ -413,35 +389,80 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     known: dict[tuple, list[str]] = {}
     p = t.raw_u.reflected
     first_half: list[list[str]] = []  # the u_raw texts of rows 0..p-1
-    index = [str(i) for i in range(1, t.n + 1)]
+    n = t.n
+    index = [str(i) for i in range(1, n + 1)]
     classes = t.states.classes
     last = -1
     if classes is not None:
         # the u_sat texts of a class step's saturated row, by S_0 > 0
         last, units = classes.last, t.states.kind.UNIT_TEXTS
         signed = [units[1 - k] for k in classes.group], [units[k] for k in classes.group]
+    kinds = {column.kind for column in (t.states, t.raw_u, t.sat_u) if column.data}
+    kind = kinds.pop() if len(kinds) == 1 and Lattice not in kinds else None
+
+    def row_texts(k: int) -> tuple[list[str], ...]:
+        """The x, v, u_raw and u_sat texts of row k."""
+        tick, raw, sat = rows[k]
+        X, V, D = tick
+        if k <= last:
+            X, V = [X[0], X[classes.j]], [V[0], V[classes.j]]
+        # X and V share D, so it is scaled once
+        texts = row_kind(tick).texts(X + V, D)
+        xs, vs = texts[: len(X)], texts[len(X) :]
+        if k <= last:
+            group = classes.group
+            xs, vs = list(map(xs.__getitem__, group)), list(map(vs.__getitem__, group))
+        if raw is None:
+            return xs, vs, [""] * n, [""] * n
+        rs = negated_texts(first_half[k - p]) if p <= k < 2 * p else row_kind(raw).texts(*raw)
+        if k < p:
+            first_half.append(rs)
+        (U, E), (S, Es) = raw, sat
+        # only the rows the run built: a foreign Es adds none to its signs
+        if k < last and Es in classes.signs and S == classes.signs[Es][S[0] > 0]:
+            return xs, vs, rs, signed[S[0] > 0]
+        # an integer input is its numerator over E alone
+        return xs, vs, rs, _sat_texts(row_kind(sat), S, Es, U if Es is E else repeat(None), rs)
+
+    def block_texts(ks: list[int]) -> tuple[list[str], ...]:
+        """The x, v, u_raw and u_sat texts of the CSR rows ks, a column at a time."""
+        (X, V, D), (U, E), (S, Es) = (zip(*column) for column in zip(*map(rows.__getitem__, ks)))
+        X, V, U, S = (list(chain.from_iterable(column)) for column in (X, V, U, S))
+        rs = kind.texts(U, E[0])
+        return kind.texts(X, D[0]), kind.texts(V, D[0]), rs, _sat_texts(kind, S, Es[0], U, rs)
+
+    def pieces(ks: list[int]) -> Iterator[str]:
+        """The pieces of the CSR rows ks, their tails joined in one pass."""
+        try:
+            blocks = [(ks, block_texts(ks))]
+        except ValueError:
+            # a text past the digit limit: row by row, up to the row that holds it
+            blocks = (([k], block_texts([k])) for k in ks)
+        for part, columns in blocks:
+            tails = list(map(",".join, zip(index * len(part), *columns)))
+            for j, k in enumerate(part):
+                yield f"{k}," + f"\n{k},".join(tails[j * n : (j + 1) * n]) + "\n"
+
+    block: list[int] = []
     with _within_digit_limit("trajectory", "; use fewer steps or --mode float"):
-        for k, (row, key) in enumerate(zip(rows, keys)):
+        for k, key in enumerate(keys):
+            csr = kind and last < k < t.steps and k >= 2 * p and key not in recurring
+            if block and (not csr or len(block) * n >= CSV_BLOCK):
+                yield from pieces(block)
+                block = []
+            if csr:
+                block.append(k)
+                continue
+            # a one-step row joins its tails here: a generator per row costs
+            # the class-built rows of an orbit 4-5% of the writer
             tails = known.get(key)
             if tails is None:
-                tick, raw, sat = row
-                rs = ss = None
-                if raw is not None:
-                    if p <= k < 2 * p:
-                        rs = negated_texts(first_half[k - p])
-                    else:
-                        rs = row_kind(raw).texts(*raw)
-                    if k < p:
-                        first_half.append(rs)
-                    S, Es = sat
-                    # only the rows the run built: a foreign Es adds none to its signs
-                    if k < last and Es in classes.signs and S == classes.signs[Es][S[0] > 0]:
-                        ss = signed[S[0] > 0]
-                record = classes if k <= last else None
-                tails = _row_tails(index, tick, raw, sat, rs, record, ss)
+                tails = list(map(",".join, zip(index, *row_texts(k))))
                 if key in recurring:
                     known[key] = tails
             yield f"{k}," + f"\n{k},".join(tails) + "\n"
+        if block:
+            yield from pieces(block)
 
 
 def trajectory_to_csv(t: Trajectory) -> str:
@@ -566,19 +587,21 @@ def _fmt_set(agents) -> str:
 def cmd_partition(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.mode or "exact")
     p = _partition(g, 1 if args.root is None else args.root)
-    print(f"S_e = {_fmt_set(p.s_even)}")
-    print(f"S_o = {_fmt_set(p.s_odd)}")
-    print("distances:", " ".join(f"{i + 1}:{d}" for i, d in enumerate(p.dist)))
-    print(
-        "cross edges:",
-        " ".join(f"({i + 1},{j + 1})w={format_scalar(w)}" for i, j, w in p.cross_edges),
-    )
-    print(
-        "intra edges:",
-        " ".join(f"({i + 1},{j + 1})w={format_scalar(w)}" for i, j, w in p.intra_edges)
-        or "none",
-    )
-    print(f"a_bar = {format_scalar(p.a_bar)}")
+
+    def edges(listed: list) -> str:
+        return " ".join(f"({i + 1},{j + 1})w={format_scalar(w)}" for i, j, w in listed)
+
+    # every line is formatted before the first is printed
+    with _within_digit_limit("partition"):
+        lines = [
+            f"S_e = {_fmt_set(p.s_even)}",
+            f"S_o = {_fmt_set(p.s_odd)}",
+            "distances: " + " ".join(f"{i + 1}:{d}" for i, d in enumerate(p.dist)),
+            "cross edges: " + edges(p.cross_edges),
+            "intra edges: " + (edges(p.intra_edges) or "none"),
+            f"a_bar = {format_scalar(p.a_bar)}",
+        ]
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -224,8 +224,8 @@ def decimal_texts(N: Sequence[Decimal], D: Decimal) -> list[str]:
     written with no exponent, and 0, of either sign, as "0".
 
     Each n must have no trailing zero after its point, as no value the
-    decimal kind makes has: its `str` is then its text, and only a row that
-    holds an exponent or "-0" is written value by value.
+    decimal kind makes has: its `str` is then its text, but for a value
+    whose `str` holds an exponent or reads "-0", which is written again alone.
 
     A text of more digits, before and after its point, leading zeros
     included, than Python converts from text to an integer
@@ -236,7 +236,9 @@ def decimal_texts(N: Sequence[Decimal], D: Decimal) -> list[str]:
     # str() of a normalized value writes an exponent only for an integer with
     # trailing zeros and below 1e-6, and 0 of either sign as "0" or "-0"
     if "-0" in texts or "E" in "".join(texts):
-        texts = [format(n.normalize(EXACT), "f") if n else "0" for n in N]
+        for i, text in enumerate(texts):
+            if "E" in text or text == "-0":
+                texts[i] = format(N[i].normalize(EXACT), "f") if N[i] else "0"
     limit = sys.get_int_max_str_digits()
     # a text of at most `limit` characters has at most `limit` digits
     if limit and max(map(len, texts), default=0) > limit:

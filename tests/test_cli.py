@@ -1863,6 +1863,13 @@ def _tiny_weight_graph(tmp_path):
     return str(path)
 
 
+def _long_weight_graph(tmp_path):
+    """The graph `n 2` / `1 2 1e4400`, whose one weight is 4401 digits long."""
+    path = tmp_path / "long.txt"
+    path.write_text("n 2\n1 2 1e4400\n")
+    return str(path)
+
+
 def _tiny_start_plan(tmp_path):
     """A di plan (m=11, T=22) with agent 1 at x=1e-4299, v=0 and the rest at 0."""
     path = tmp_path / "tiny-plan.txt"
@@ -1908,14 +1915,19 @@ def _tiny_start_plan(tmp_path):
             "report",
             id="verify-report",
         ),
+        pytest.param(
+            lambda tmp: ["partition", _long_weight_graph(tmp)],
+            "partition",
+            id="partition",
+        ),
     ],
 )
 def test_text_past_the_digit_limit_outside_the_writer_is_one_error_line(
     argv, what, tmp_path, capsys
 ):
-    """Under Python's default limit of 4300 digits, a plan, an interval table
-    or a verify report that holds a longer value text is one error line, as
-    the CSV writer's, with nothing written."""
+    """Under Python's default limit of 4300 digits, a plan, an interval table,
+    a verify report or a partition that holds a longer value text is one
+    error line, as the CSV writer's, with nothing written."""
     args = argv(tmp_path)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)

@@ -9,6 +9,7 @@ integer `Lattice`, row for row, byte for byte and verdict for verdict.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import random
@@ -17,7 +18,7 @@ from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -32,9 +33,27 @@ from satorbits import (
     synthesize_ns,
     verification_report,
 )
-from satorbits import dynamics
-from satorbits.cli import EXIT_OK, EXIT_USAGE, main, plan_to_text, trajectory_to_csv
-from satorbits.dynamics import DecimalLattice, Lattice, SimulationOverflowError, _decimal_digits
+from satorbits import cli, dynamics
+from satorbits.cli import (
+    EXIT_OK,
+    EXIT_USAGE,
+    CliError,
+    _csv_pieces,
+    _is_csv_of,
+    main,
+    plan_to_text,
+    trajectory_from_csv,
+    trajectory_to_csv,
+)
+from satorbits.dynamics import (
+    DecimalLattice,
+    FloatLattice,
+    Lattice,
+    LatticeColumn,
+    SimulationOverflowError,
+    Trajectory,
+    _decimal_digits,
+)
 from satorbits.graphs import WeightedGraph
 from satorbits.scalars import (
     EXACT,
@@ -120,17 +139,24 @@ def test_decimal_run_equals_the_integer_run(graph7, gains_di, reference_init_di)
 
 def test_decimal_texts_of_exponents_and_negative_zero():
     """A normalized value that `str` writes with an exponent, and -0, take
-    the fixed-point text; a row that mixes them with plain values writes
-    each value as alone."""
+    the fixed-point text; in a row that mixes them with plain values, only
+    they are written again, and each value is written as alone."""
     one = Decimal(1)
     cases = {Decimal("1E+2"): "100", Decimal("1E-7"): "0.0000001", Decimal("-0"): "0"}
     for value, text in cases.items():
         assert decimal_texts([value], one) == [text]
-    plain = [Decimal("-2.5"), Decimal("0.125"), Decimal(30), Decimal(0)]
+    plain = [Unformatted("-2.5"), Unformatted("0.125"), Unformatted(30), Unformatted(0)]
     row = [plain[0], *cases, plain[1], Decimal("-1E+3"), *plain[2:]]
     expected = ["-2.5", *cases.values(), "0.125", "-1000", "30", "0"]
     assert decimal_texts(row, one) == expected
     assert decimal_texts(plain, one) == ["-2.5", "0.125", "30", "0"]
+
+
+class Unformatted(Decimal):
+    """A `Decimal` whose `str` is its text: `decimal_texts` must not normalize it."""
+
+    def normalize(self, context=None):
+        raise AssertionError(f"{self} was written again")
 
 
 # ---------------------------------------------------------------------------
@@ -477,3 +503,157 @@ def test_agents_that_share_a_state_have_no_input(graph7, gains_di):
     assert all(u == 0 for row in t.raw_u for u in row)
     assert trajectory_to_csv(t) == reference.trajectory_to_csv(ref)
     assert ",0,0\n" in trajectory_to_csv(t)
+
+
+# ---------------------------------------------------------------------------
+# the writer's blocks of CSR rows
+
+
+#: per kind, values whose normalized `str` or `repr` has an exponent or a
+#: sign on 0: integers with trailing zeros, values below 1e-6 and -0
+EDGE_VALUES = {
+    DecimalLattice: [
+        Decimal("1E+2"), Decimal("-3E+5"), Decimal("1E-7"), Decimal("-2.5E-9"), Decimal("-0"),
+    ],
+    FloatLattice: [1e22, -3e16, 1e-07, -2.5e-09, -0.0],
+}
+
+
+def with_values(t, edits):
+    """t in new columns of its rows' kind, each row copied once per object,
+    so that its repeats and the raw input objects its saturated row holds
+    stay shared, with the entries `edits` names set to `EDGE_VALUES`; the
+    new columns record no reflection and no class record."""
+    kind = t.states.kind
+    columns = []
+    for column, decode in zip(t[1:], (kind.decode, kind.ratios, kind.ratios)):
+        copies = {}
+        rows = [
+            copies.setdefault(id(row), (*map(list, row[:-1]), row[-1])) for row in column.data
+        ]
+        columns.append(LatticeColumn(rows, decode))
+    for which, k, entry, value in edits:
+        rows = columns[which].data
+        if rows:
+            parts = rows[k % len(rows)][:-1]
+            parts[entry // t.n % len(parts)][entry % t.n] = EDGE_VALUES[kind][value]
+    return Trajectory(t.ns, *columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.sampled_from([None, Fraction(1, 2), Fraction(3, 10), Fraction(1, 4)]),
+    start=st.sampled_from(["halved", "shifted", "shared"]),
+    steps=st.integers(1, 40),
+    mode=st.sampled_from(["exact", "float"]),
+    block=st.integers(1, 24),
+    edits=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 99), st.integers(0, 15), st.integers(0, 4)),
+        max_size=8,
+    ),
+)
+def test_block_writer_equals_the_reference_writer(n, seed, a, start, steps, mode, block, edits):
+    """With blocks of a few values, so that runs cross block boundaries, the
+    CSV of a decimal or float run off the orbit is the reference writer's,
+    value by value through `format_scalar`, and so is the CSV of the run with
+    values set whose normalized text has an exponent or reads -0, in its
+    states, its raw inputs and its saturated inputs; `_is_csv_of` takes
+    each.  A decimal CSV read back by `trajectory_from_csv`, whose saturated
+    values are not the raw input objects, writes the same bytes."""
+    g, gains, ns, _, init = decimal_case(n, seed, a, start)
+    if mode == "float":
+        gains = GainParams(float(gains.alpha), float(gains.beta))
+        init = [AgentState(float(s.x), float(s.v)) for s in init]
+    t = simulate(g, gains, init, steps, ns=ns)
+    # a start of two classes may class-step on integers
+    assume(t.states.kind is (FloatLattice if mode == "float" else DecimalLattice))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "CSV_BLOCK", block)
+        for run in (t, with_values(t, edits)):
+            text = reference.trajectory_to_csv(run)
+            assert trajectory_to_csv(run) == text
+            assert _is_csv_of(run, text)
+            if run.states.kind is not DecimalLattice:
+                continue
+            back = trajectory_from_csv(text, ns, "exact", DecimalLattice)
+            assert back.states.kind is DecimalLattice
+            assert not any(
+                s is u for (S, _), (U, _) in zip(back.sat_u.data, back.raw_u.data) for s, u in zip(S, U)
+            )
+            assert trajectory_to_csv(back) == text
+
+
+def digits(piece):
+    """The most digits of a value text in the CSV text `piece`."""
+    return max(sum(map(str.isdigit, text)) for text in piece.replace("\n", ",").split(","))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_writer_yields_every_piece_before_the_first_past_the_digit_limit(
+    graph7, gains_di, reference_init_di, monkeypatch
+):
+    """Under a limit of 640 digits, `_csv_pieces` of the halved run yields
+    every piece before the first that holds a longer text and then raises,
+    whether that piece starts a block, lies inside one or is a block alone."""
+    t = simulate(graph7, gains_di, halved(reference_init_di), 600)
+    pieces = list(_csv_pieces(t))
+    first = next(k for k, piece in enumerate(pieces) if digits(piece) > 640)
+    assert 0 < first < 600 and digits(pieces[first - 1]) <= 640
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for rows in (1, 10, first, first + 1, cli.CSV_BLOCK // 7):
+            monkeypatch.setattr(cli, "CSV_BLOCK", 7 * rows)
+            written = []
+            with pytest.raises(CliError, match="more than 640 digits"):
+                written.extend(_csv_pieces(t))
+            assert written == pieces[:first]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_csv_compare_stops_in_the_first_block_that_differs(
+    graph7, gains_di, reference_init_di, monkeypatch
+):
+    """`_is_csv_of` of a CSV that differs at step 0 formats one block, its x, v
+    and u_raw columns, and then returns False; the CSV itself takes every
+    block of the 250 CSR rows and the last row."""
+    t = simulate(graph7, gains_di, halved(reference_init_di), 250)
+    text = trajectory_to_csv(t)
+    monkeypatch.setattr(cli, "CSV_BLOCK", 70)
+    calls = []
+    texts = DecimalLattice.texts
+    monkeypatch.setattr(
+        DecimalLattice, "texts", staticmethod(lambda N, D: calls.append(len(N)) or texts(N, D))
+    )
+    assert _is_csv_of(t, text)
+    assert calls == [70] * 75 + [14]
+    calls.clear()
+    lines = text.splitlines(keepends=True)
+    lines[1] = lines[1].replace("0,1,", "0,1,9", 1)
+    assert not _is_csv_of(t, "".join(lines))
+    assert calls == [70] * 3
+
+
+def test_writer_leaves_no_reference_cycle(graph7, gains_di, reference_init_di):
+    """Writing and comparing the CSV of a run of blocks, of the class-built
+    orbit and of a float run leaves nothing for the cyclic collector, which
+    a process running many commands would otherwise carry from one to the next."""
+    orbit = synthesize_di(graph7, gains_di).init
+    floats = [AgentState(float(s.x), float(s.v)) for s in reference_init_di]
+    runs = [
+        simulate(graph7, gains_di, halved(reference_init_di), 250),
+        simulate(graph7, gains_di, orbit, 44),
+        simulate(graph7, GainParams(0.4, 0.42), floats, 30),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for t in runs:
+            text = trajectory_to_csv(t)
+            assert _is_csv_of(t, text) and not _is_csv_of(t, text.replace("\n0,1,", "\n0,1,9", 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
