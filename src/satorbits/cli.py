@@ -367,15 +367,19 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
 
     A closed orbit shares its repeated rows by reference (see `simulate`), so
     the tails of a (tick, raw, sat) row whose objects recur are formatted
-    once and kept.  On a run whose tick p reflects its start
-    (`LatticeColumn.reflected`), the `u_raw` texts of rows p..2p-1 are row
-    k-p's with the sign toggled.  With a `ClassRecord` (`LatticeColumn.classes`),
-    the `x,v` texts of a tick k <= last are its two class states', and the
-    row of a class step k < last that equals its group-signed row takes its
-    `u_sat` texts from the group's sign.  Those rows, and an integer run's,
-    each over its own D, are formatted one at a time; the CSR rows, the other
-    rows with inputs of a decimal or float run, whose texts read no D, in
-    blocks of `CSV_BLOCK` values, one `texts` call per column.  A text of more
+    once and kept.  With a `ClassRecord` (`LatticeColumn.classes`), a tick
+    k <= last is written by class: one `x,v` text per class state, spread by
+    group.  A class step's raw row is dY times each agent's signed weight c_i,
+    so each distinct c_i is a slot, and a row k < last that is the spread of
+    its slots' values (one list compare, which an edited row fails) formats
+    one value per slot; a class step's row that equals its group-signed row
+    takes its `u_sat` texts from the group's sign.  On a run whose tick p
+    reflects its start (`LatticeColumn.reflected`), the `u_raw` texts of
+    rows p..2p-1 are row k-p's, per slot or per agent, with the sign
+    toggled.  Those rows, and an integer run's, each over its own D, are
+    formatted one at a time; the CSR rows, the other rows with inputs of a
+    decimal or float run, whose texts read no D, in blocks of `CSV_BLOCK`
+    values, one `texts` call per column.  A text of more
     digits before and after its point than Python converts from text to an
     integer (`sys.get_int_max_str_digits()`, 4300 by default) is a usage
     error, raised before the first piece past it (a block that holds one is
@@ -388,7 +392,8 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     recurring = {key for key, uses in Counter(keys).items() if uses > 1}
     known: dict[tuple, list[str]] = {}
     p = t.raw_u.reflected
-    first_half: list[list[str]] = []  # the u_raw texts of rows 0..p-1
+    # the u_raw texts of rows 0..p-1, and the slot of each agent when per slot
+    first_half: list[tuple[list[str], Optional[list[int]]]] = []
     n = t.n
     index = [str(i) for i in range(1, n + 1)]
     classes = t.states.classes
@@ -397,32 +402,46 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
         # the u_sat texts of a class step's saturated row, by S_0 > 0
         last, units = classes.last, t.states.kind.UNIT_TEXTS
         signed = [units[1 - k] for k in classes.group], [units[k] for k in classes.group]
+        # each distinct c_i's slot, numbered in one pass, and an agent of each slot
+        slots: dict[int, int] = {}
+        slot = [slots.setdefault(c, len(slots)) for c in classes.signed]
+        agents = list(dict(zip(slot, range(n))).values())
     kinds = {column.kind for column in (t.states, t.raw_u, t.sat_u) if column.data}
     kind = kinds.pop() if len(kinds) == 1 and Lattice not in kinds else None
 
     def row_texts(k: int) -> tuple[list[str], ...]:
-        """The x, v, u_raw and u_sat texts of row k."""
+        """The x and v (one x,v column on a class-built tick), u_raw and u_sat texts of row k."""
         tick, raw, sat = rows[k]
         X, V, D = tick
         if k <= last:
-            X, V = [X[0], X[classes.j]], [V[0], V[classes.j]]
-        # X and V share D, so it is scaled once
-        texts = row_kind(tick).texts(X + V, D)
-        xs, vs = texts[: len(X)], texts[len(X) :]
-        if k <= last:
-            group = classes.group
-            xs, vs = list(map(xs.__getitem__, group)), list(map(vs.__getitem__, group))
+            j = classes.j
+            x0, x1, v0, v1 = row_kind(tick).texts([X[0], X[j], V[0], V[j]], D)
+            pairs = [f"{x0},{v0}", f"{x1},{v1}"]
+            states = (list(map(pairs.__getitem__, classes.group)),)
+        else:
+            # X and V share D, so it is scaled once
+            texts = row_kind(tick).texts(X + V, D)
+            states = texts[:n], texts[n:]
         if raw is None:
-            return xs, vs, [""] * n, [""] * n
-        rs = negated_texts(first_half[k - p]) if p <= k < 2 * p else row_kind(raw).texts(*raw)
-        if k < p:
-            first_half.append(rs)
+            return *states, [""] * n, [""] * n
         (U, E), (S, Es) = raw, sat
+        if p <= k < 2 * p:
+            rs, by = first_half[k - p]
+            rs = negated_texts(rs)
+        else:
+            values = list(map(U.__getitem__, agents)) if k < last else None
+            # a class step's row dY * c_i holds one value per slot, unless it was edited
+            by = slot if values and list(map(values.__getitem__, slot)) == U else None
+            rs = row_kind(raw).texts(U if by is None else values, E)
+        if k < p:
+            first_half.append((rs, by))
+        if by is not None:
+            rs = list(map(rs.__getitem__, by))
         # only the rows the run built: a foreign Es adds none to its signs
         if k < last and Es in classes.signs and S == classes.signs[Es][S[0] > 0]:
-            return xs, vs, rs, signed[S[0] > 0]
+            return *states, rs, signed[S[0] > 0]
         # an integer input is its numerator over E alone
-        return xs, vs, rs, _sat_texts(row_kind(sat), S, Es, U if Es is E else repeat(None), rs)
+        return *states, rs, _sat_texts(row_kind(sat), S, Es, U if Es is E else repeat(None), rs)
 
     def block_texts(ks: list[int]) -> tuple[list[str], ...]:
         """The x, v, u_raw and u_sat texts of the CSR rows ks, a column at a time."""

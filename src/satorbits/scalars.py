@@ -8,9 +8,9 @@ the exact context `EXACT` and given out as `Fraction`s.  Text crosses this modul
 one reader and one writer.  `parse_scalar` reads every text to the value
 `Fraction(str)` gives, so "0.42" becomes 21/50 in exact mode and every
 downstream inequality is decided without rounding.  `ratio_texts` writes
-rationals, a terminating decimal as the shortest exact decimal and any other
-value as "p/q"; `format_scalar` writes one scalar through it.  Every
-rational written reads back to its value.
+rationals, each value it is given, a terminating decimal as the shortest
+exact decimal and any other value as "p/q"; `format_scalar` writes one
+scalar through it.  Every rational written reads back to its value.
 
 Tolerance policy: `scalars_equal` is the one equality test.  Rationals are
 compared bit-exactly; a pair with a float in it is equal when it differs by
@@ -48,10 +48,6 @@ FLOAT_TOL = 1e-9
 
 #: log2(5), to guess the power of five in a denominator from its bit length
 _LOG2_5 = 2.321928094887362
-
-#: the widest denominator of a decimal row whose distinct numerators
-#: `ratio_texts` formats once each
-_MEMO_BITS = 64
 
 #: the context of all `Decimal` arithmetic: the caller's, 28 digits by
 #: default, would round silently; here no sum or product of terminating
@@ -190,22 +186,14 @@ def ratio_texts(N: list[int], D: int) -> list[str]:
 
     When D = 2^a 5^b every value is n times one fixed power of 2 or 5 over
     10**digits, and dropping trailing zeros reduces it, so no gcd is taken.
-    A row over a small D (at most `_MEMO_BITS` bits) whose distinct
-    numerators are at most half its values formats each of them once, as
-    on an orbit's state rows, which hold a value or two per class.  Hashing
-    an int is not free, so a row of mostly distinct values, such as the raw
-    inputs of a small graph or any row over a wide D off the orbit, formats
-    every value.  Otherwise each value is reduced by its gcd with D.
+    Otherwise each value is reduced by its gcd with D.  Every value is
+    formatted, repeats too: the CSV writer passes a class-built row's
+    distinct values alone (see `cli._csv_pieces`).
     """
     scale = decimal_scale(D)
     if scale is not None:
         digits, c = scale
-        memo = dict.fromkeys(N) if D.bit_length() <= _MEMO_BITS else None
-        if memo is None or 2 * len(memo) > len(N):
-            return [_format_decimal(n * c, digits) for n in N]
-        for n in memo:
-            memo[n] = _format_decimal(n * c, digits)
-        return list(map(memo.__getitem__, N))
+        return [_format_decimal(n * c, digits) for n in N]
     texts = []
     # the values of a row share a few reduced denominators
     scales: dict[int, Optional[tuple[int, int]]] = {}

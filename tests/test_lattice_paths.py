@@ -35,6 +35,7 @@ from satorbits import (
 )
 from satorbits.cli import (
     EXIT_OK,
+    _csv_pieces,
     _trajectory_consistent,
     main,
     plan_from_text,
@@ -1411,6 +1412,106 @@ def test_tampered_sat_row_fails_as_per_agent(name, class_orbits, graph7):
             assert got == outcome(backward_states, without_record(bad), graph7, plan.gains, T)
             assert got == outcome(reference.backward_states, tuple_copy(bad), graph7, plan.gains, T)
             assert (got == list(t.states[0])) == (row[1] != t.sat_u.data[k][1])
+
+
+# ---------------------------------------------------------------------------
+# Shared class weights: graphs whose agents share their signed weights c_i
+
+
+def one_weight_graph(n, pairs):
+    """The graph on n agents with an edge of weight 1 on each 0-based pair."""
+    one = Fraction(1)
+    return WeightedGraph.from_edges(n, [(i, j, one) for i, j in pairs])
+
+
+#: every weight 1: on the 12-ring each c_i is +-2 (2 slots), on the 4x5 grid
+#: +-2, +-3 or +-4 (6 slots)
+SHARED_WEIGHTS = {
+    "ring": one_weight_graph(12, [(i, (i + 1) % 12) for i in range(12)]),
+    "grid": one_weight_graph(
+        20, [(i, i + 1) for i in range(20) if i % 5 < 4] + [(i, i + 5) for i in range(15)]
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def shared_weight_runs(gains_di, gains_ns, ns_model):
+    """(trajectory, graph, plan, ns) on each graph of `SHARED_WEIGHTS` and each
+    model: the synthesized orbit over 2T + 3 steps ("-orbit"), whose rows p..2p-1
+    reflect rows 0..p-1, and a two-class start that leaves the class path at
+    tick 7 ("-off"): the orbit's start scaled by 5/4 on di, two drawn states
+    on ns."""
+    runs = {}
+    for name, g in SHARED_WEIGHTS.items():
+        for model, gains, ns in (("di", gains_di, None), ("ns", gains_ns, ns_model)):
+            plan = synthesize_di(g, gains) if ns is None else synthesize_ns(g, ns, gains)
+            if ns is None:
+                off = [AgentState(s.x * Fraction(5, 4), s.v * Fraction(5, 4)) for s in plan.init]
+            else:
+                a, b = AgentState(Fraction(2), Fraction(-5, 4)), AgentState(Fraction(-3, 4), Fraction(2))
+                off = [a if s == plan.init[0] else b for s in plan.init]
+            for kind, init in (("orbit", plan.init), ("off", off)):
+                t = simulate(g, gains, init, 2 * plan.period + 3, ns=ns)
+                runs[f"{name}-{model}-{kind}"] = (t, g, plan._replace(init=tuple(init)), ns)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "name", [f"{g}-{m}-{k}" for g in SHARED_WEIGHTS for m in ("di", "ns") for k in ("orbit", "off")]
+)
+def test_shared_weight_runs_agree(name, shared_weight_runs):
+    """Runs whose class rows hold a value per slot: the CSV, with the record and
+    without, is the reference writer's, and so is every edited copy's, a raw
+    row of a class step edited under the states column that keeps its record
+    too, on one agent (no longer its slots' spread) or on all (still one)."""
+    t, g, plan, ns = shared_weight_runs[name]
+    classes = t.states.classes
+    assert len(set(classes.signed)) == (2 if name.startswith("ring") else 6)
+    if name.endswith("orbit"):
+        assert classes.last == t.steps and t.raw_u.reflected == plan.period // 2
+    else:
+        assert classes.last == 7 < t.steps
+    text = trajectory_to_csv(t)
+    assert text == trajectory_to_csv(without_record(t)) == reference.trajectory_to_csv(tuple_copy(t))
+    assert_paths_agree(t, g, plan.gains, plan, plan.period, ns)
+    assert_edits_agree(t, g, plan.gains, plan, plan.period, ns, random.Random(name))
+    for edit in (at(0, lambda u: u + Fraction(1, 10)), lambda row: [2 * u for u in row]):
+        bad = edited(t, "raw_u", 1, edit)
+        own = t._replace(raw_u=lattice_copy(bad).raw_u)
+        assert own.states.classes is classes
+        assert trajectory_to_csv(own) == reference.trajectory_to_csv(bad) != text
+
+
+@pytest.mark.parametrize("model", ["di", "ns"])
+def test_writer_formats_a_class_row_per_slot(model, shared_weight_runs, monkeypatch):
+    """The values each step of the ring's orbit formats: a class-built tick its
+    two class states' x and v (4), a stepped class row one u_raw value per
+    slot (2), a reflected row none, a repeated row nothing; and a raw row
+    that is not its slots' spread, under the states column that keeps its
+    record, formats each of the n = 12 agents' values."""
+    t, _, plan, _ = shared_weight_runs[f"ring-{model}-orbit"]
+    sizes = []
+    texts = Lattice.texts
+    monkeypatch.setattr(Lattice, "texts", staticmethod(lambda N, D: sizes.append(len(N)) or texts(N, D)))
+
+    def per_step(t):
+        steps = []
+        for _ in _csv_pieces(t):
+            steps.append(sizes[:])
+            sizes.clear()
+        return steps
+
+    T = plan.period
+    p = t.raw_u.reflected
+    assert p == T // 2 and t.steps == 2 * T + 3
+    # rows T.. repeat rows 0..; the last tick has no inputs
+    assert per_step(t) == [[4, 2]] * p + [[4]] * p + [[]] * (T + 3) + [[4]]
+    bad = edited(t, "raw_u", 1, at(0, lambda u: u + Fraction(1, 10)))
+    own = t._replace(raw_u=lattice_copy(bad).raw_u)
+    # the new column's rows are its own objects, and record no reflection
+    expected = [[4, 2]] * (2 * T + 3) + [[4]]
+    expected[1] = [4, 12]
+    assert per_step(own) == expected
 
 
 # ---------------------------------------------------------------------------

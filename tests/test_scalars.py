@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 import sys
 from fractions import Fraction
 
@@ -8,10 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import satorbits.scalars as scalars
 from satorbits.scalars import (
     ScalarFormatError,
-    decimal_scale,
     format_scalar,
     negated_texts,
     over_digit_limit,
@@ -188,36 +185,6 @@ def test_ratio_texts_match_format_scalar(D):
     assert ratio_texts(N, D) == [format_scalar(Fraction(n, D)) for n in N]
 
 
-@pytest.mark.parametrize("D", [10, 2**5 * 5**9, 2**63, 2**64, 2**64 * 5, 10**40])
-def test_row_memo_gives_each_value_its_own_text(D, monkeypatch):
-    """On random rows, the distinct numerators of a row over a D of at most 64
-    bits are formatted once each when they are at most half the row; every
-    other row formats each value.  The texts are those of formatting each
-    value alone, for negative, zero, trailing-zero and over-64-bit numerators."""
-    digits, c = decimal_scale(D)
-    calls = []
-    format_decimal = scalars._format_decimal
-
-    def counting(n, digits):
-        calls.append(n)
-        return format_decimal(n, digits)
-
-    monkeypatch.setattr(scalars, "_format_decimal", counting)
-    rng = random.Random(D)
-    for _ in range(40):
-        pool = [0, rng.randint(-D, D), -rng.randint(1, 10**25), 10 ** rng.randint(1, 30)]
-        pool += [rng.randint(-(2**90), 2**90) * 10 ** rng.randint(0, 5) for _ in range(3)]
-        size = rng.randint(1, 30)
-        wide = [rng.randint(-(2**90), 2**90) for _ in range(size)]
-        for N in ([rng.choice(pool) for _ in range(size)], wide):
-            calls.clear()
-            texts = ratio_texts(N, D)
-            assert texts == [format_decimal(n * c, digits) for n in N]
-            assert texts == [reference_format(Fraction(n, D)) for n in N]
-            memo = D.bit_length() <= 64 and 2 * len(set(N)) <= len(N)
-            assert len(calls) == (len(set(N)) if memo else len(N))
-
-
 @given(
     values=st.lists(
         st.one_of(st.integers(-1000, 1000), st.integers(-(2**130), 2**130)), min_size=1, max_size=12
@@ -229,8 +196,7 @@ def test_row_memo_gives_each_value_its_own_text(D, monkeypatch):
 )
 def test_negated_texts_are_the_texts_of_the_negated_values(values, copies, twos, fives, other):
     """Toggling the sign of each text gives the texts of the negated row: on
-    decimal rows with the memo on (repeats over a D of at most 64 bits) and
-    off (distinct values or a wider D), and on rows over any other D."""
+    decimal rows, with repeats and without, and on rows over any other D."""
     N = values * copies
     D = 2**twos * 5**fives * other
     assert negated_texts(ratio_texts(N, D)) == ratio_texts([-n for n in N], D)
