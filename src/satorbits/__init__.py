@@ -23,11 +23,8 @@ from .graphs import (
     WeightedGraph,
     bfs_distances,
     distance_classes,
-    is_connected,
-    laplacian,
     make_partition,
     parse_graph,
-    serialize_graph,
 )
 from .synthesis import (
     GainConditionError,
@@ -38,9 +35,7 @@ from .synthesis import (
     check_gains_di,
     check_gains_ns,
     init_states_ns,
-    key_inequalities_ns,
     min_half_period,
-    position_constraints,
     solve_positions,
     synthesize_di,
     synthesize_ns,

@@ -1,8 +1,8 @@
 """Undirected weighted communication graphs.
 
-Parsing, connectivity, unweighted BFS distances, the even/odd distance
-classes, the partition that adds their cross/intra edge split and minimum
-cross-edge weight, and the graph Laplacian.  Agents are 0-based internally;
+Parsing, unweighted BFS distances, which also decide connectivity, the
+even/odd distance classes, and the partition that adds their cross/intra
+edge split and minimum cross-edge weight.  Agents are 0-based internally;
 the edge-list text format is 1-based.
 
 A weight's sign and the least of several weights are decided on integers
@@ -18,16 +18,16 @@ import re
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import compress, islice
 from operator import lt, not_
 
 from .records import Record
-from .scalars import Scalar, distinct, format_scalar, is_exact, over_digit_limit, parse_scalar
+from .scalars import Scalar, distinct, is_exact, over_digit_limit, parse_scalar
 
-#: a document as `serialize_graph` writes it: the agent count, then one
-#: `i j w` line per edge, whose indices are ASCII digits from 1 with no
-#: leading zero, with one blank between fields and "\n" after each line.
+#: a document in the writer's form, as a program writes one (the benchmark's
+#: graphs are): the agent count, then one `i j w` line per edge, whose
+#: indices are ASCII digits from 1 with no leading zero, with one blank
+#: between fields and "\n" after each line.
 #: `re` compiles it on first use, so importing the module does not.
 _WRITER_FORM = r"n [1-9][0-9]*\n(?:[1-9][0-9]* [1-9][0-9]* \S+\n)*"
 
@@ -119,23 +119,6 @@ class WeightedGraph(Record, namedtuple("WeightedGraph", "n adjacency")):
             rows[i].append((j, w))
             rows[j].append((i, w))
         return cls(n, map(sorted, rows))
-
-    def weight(self, i: int, j: int) -> Scalar:
-        """The weight of edge (i, j), or 0 when i and j are not neighbors."""
-        nbrs = self.adjacency[i]
-        k = bisect_left(nbrs, (j,))
-        if k < len(nbrs) and nbrs[k][0] == j:
-            return nbrs[k][1]
-        return Fraction(0)
-
-    def neighbors(self, i: int) -> list[int]:
-        return [j for j, _ in self.adjacency[i]]
-
-    def edges(self) -> list[tuple[int, int, Scalar]]:
-        """Edges as (i, j, weight) with i < j, sorted."""
-        return [
-            (i, j, w) for i, nbrs in enumerate(self.adjacency) for j, w in nbrs if j > i
-        ]
 
 
 class DistanceClasses(Record, namedtuple("DistanceClasses", "root dist s_even s_odd")):
@@ -325,22 +308,6 @@ def _parse_graph(text: str, mode: str) -> WeightedGraph:
     return tuple.__new__(WeightedGraph, (n, tuple(tuple(sorted(row)) for row in rows)))
 
 
-def serialize_graph(g: WeightedGraph) -> str:
-    """Deterministic inverse of parse_graph on the edge multiset."""
-    lines = [f"n {g.n}"]
-    for i, j, w in g.edges():
-        lines.append(f"{i + 1} {j + 1} {format_scalar(w)}")
-    return "\n".join(lines) + "\n"
-
-
-def is_connected(g: WeightedGraph) -> bool:
-    try:
-        bfs_distances(g, 0)
-    except NotConnectedError:
-        return False
-    return True
-
-
 def bfs_distances(g: WeightedGraph, root: int) -> tuple[int, ...]:
     """Minimum edge count from root to every agent (unweighted)."""
     dist = [-1] * g.n
@@ -385,23 +352,10 @@ def make_partition(g: WeightedGraph, root: int = 0) -> Partition:
     intra: list[tuple[int, int, Scalar]] = []
     for i, row in enumerate(g.adjacency):
         for j, w in row:
-            if j > i:  # each edge once, in the order of edges()
+            if j > i:  # each edge once, by (i, j)
                 # a cross edge runs from its even end to its odd one
                 edge = (j, i, w) if odd[i] > odd[j] else (i, j, w)
                 (intra if odd[i] == odd[j] else cross).append(edge)
     # the first least of the distinct weight objects is the first least weight
     a_bar = _least(distinct(w for _, _, w in cross))
     return Partition(*classes, tuple(cross), tuple(intra), a_bar)
-
-
-def laplacian(g: WeightedGraph) -> list[list[Scalar]]:
-    """L = D - A; rows sum to zero exactly in exact mode."""
-    zero = Fraction(0)  # a non-edge, as `weight` returns it
-    lap = [[zero] * g.n for _ in range(g.n)]
-    for i, nbrs in enumerate(g.adjacency):
-        degree = zero
-        for j, w in nbrs:
-            lap[i][j] = -w
-            degree = degree + w
-        lap[i][i] = degree
-    return lap

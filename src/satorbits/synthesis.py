@@ -7,19 +7,19 @@ at m/2, so x = m/2 on the even class and 0 on the odd class sits at every
 midpoint, with the most slack; intra edges join agents of one class and get
 equal positions.  `interval_numerators` gives each cross edge's bounds as
 two integers over one denominator, which `synthesize` formats as its
-interval table and checks a chosen m against; `position_constraints` gives
-them as one interval per cross edge; and `solve_positions`,
-a Bellman-Ford solver for general difference-constraint systems, is kept as
+interval table and checks a chosen m against.  `solve_positions`, a
+Bellman-Ford solver for general difference-constraint systems, is kept as
 a standalone tool; synthesis does not call it.
 
-Neutrally stable: gate |alpha| <= sgn(a)(beta - a/a_bar), two key
-inequalities per cross edge, fixed period 4, closed-form initial states
-+-(1/(2a), -1/(2a)) by class.
+Neutrally stable: gate |alpha| <= sgn(a)(beta - a/a_bar), fixed period 4,
+closed-form initial states +-(1/(2a), -1/(2a)) by class.  The gate on the
+least cross weight implies the two key inequalities of every cross edge,
+so they are not decided apart.
 
-Every inequality is decided on integers, once per distinct weight object:
-two numerators over A*P per interval (`interval_numerators`), one compare
-per inequality (`_keys_of`).  A float enters as its exact binary value
-(`as_integer_ratio`); a float plan holds the floats nearest its values.
+Every inequality is decided on integers; the di intervals once per distinct
+weight object, as two numerators over A*P (`interval_numerators`).  A float
+enters as its exact binary value (`as_integer_ratio`); a float plan holds
+the floats nearest its values.
 
 A plan carries its model as `ns`, the `NsModel` or None on di, as a
 `Trajectory` does.
@@ -28,7 +28,6 @@ A plan carries its model as `ns`, the `NsModel` or None on di, as a
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -156,34 +155,6 @@ def interval_numerators(gains: GainParams, m: int) -> Callable[[Scalar], tuple[i
 def exact_inputs(gains: GainParams, p: Partition) -> bool:
     """Whether the gains and every cross weight of `p` are rational."""
     return all(map(is_exact, (gains.alpha, gains.beta, *distinct(w for *_, w in p.cross_edges))))
-
-
-def position_constraints(
-    g: WeightedGraph, p: Partition, gains: GainParams, m: int
-) -> tuple[list[tuple[int, int]], list[IntervalConstraint]]:
-    """Intra-edge equalities and one interval per cross edge for x(0).
-
-    The bounds depend on an edge only through its weight, so they are
-    computed once per distinct weight object from `interval_numerators`
-    and shared by its edges: each bound a `Fraction`, or with a float among
-    the gains and cross weights the float nearest it.
-    """
-    if m <= 2:
-        raise ValueError("half-period must exceed 2")
-    numerators = interval_numerators(gains, m)
-    over = Fraction if exact_inputs(gains, p) else operator.truediv
-
-    def bounds_of(w: Scalar) -> tuple[Scalar, Scalar]:
-        L, U, D = numerators(w)
-        return over(L, D), over(U, D)
-
-    equalities = [(i, j) for i, j, _ in p.intra_edges]
-    bounds = per_object(bounds_of, [w for _, _, w in p.cross_edges])
-    intervals = [
-        IntervalConstraint(i, j, lower, upper)
-        for (i, j, _), (lower, upper) in zip(p.cross_edges, bounds)
-    ]
-    return equalities, intervals
 
 
 class _UnionFind:
@@ -405,37 +376,6 @@ def init_states_ns(model: NsModel, p: Partition) -> list[AgentState]:
     even = AgentState(half, -half)
     odd = -even  # one object per class
     return [even if i in p.s_even else odd for i in range(len(p.dist))]
-
-
-def _keys_of(a: Scalar, gains: GainParams) -> Callable[[Scalar], tuple[bool, bool]]:
-    """w -> (w*f/a <= -1 for f = alpha-beta, then for f = -alpha-beta).
-
-    With a = a_n/a_d, the gains over one denominator G and f = F/G, a
-    weight w = P/q gives w*f/a <= -1, times q*G*a_n**2 > 0, as the integer
-    compare P*F*a_d*a_n <= -q*G*a_n**2.
-    """
-    A, B, G = gains.integers()
-    a_n, a_d = a.as_integer_ratio()
-    F1, F2, K = (A - B) * a_d * a_n, (-A - B) * a_d * a_n, G * a_n * a_n
-
-    def keys(w: Scalar) -> tuple[bool, bool]:
-        P, q = w.as_integer_ratio()
-        bound = -q * K
-        return P * F1 <= bound, P * F2 <= bound
-
-    return keys
-
-
-def key_inequalities_ns(
-    g: WeightedGraph, p: Partition, model: NsModel, gains: GainParams
-) -> list[tuple[tuple[int, int], bool, bool]]:
-    """Per cross edge: a_ij(alpha-beta)/a <= -1 and a_ij(-alpha-beta)/a <= -1.
-
-    Both depend on an edge only through its weight, so they are decided once
-    per distinct weight object (`_keys_of`).
-    """
-    checks = per_object(_keys_of(model.a, gains), [w for _, _, w in p.cross_edges])
-    return [((i, j), *check) for (i, j, _), check in zip(p.cross_edges, checks)]
 
 
 def synthesize_ns(

@@ -9,7 +9,8 @@ by agent on the scalars themselves, and the differential tests compare the
 two: the kernels bit for bit, and each check's one body with its body here
 on a `tuple_copy` (`test_lattice_paths.assert_paths_agree`).  The readers
 take one line at a time, as the oracles for `parse_graph` and
-`plan_from_text`, which read a text in the writer's form in whole columns.
+`plan_from_text`, which read a text in the writer's form in whole columns;
+`serialize_graph` writes a graph in that form.
 The synthesis conditions are written here as the paper gives them, the
 oracles of `synthesis`' integer closed forms.
 """
@@ -382,6 +383,18 @@ def trajectory_consistent(t: Trajectory, g: WeightedGraph, gains: GainParams) ->
 
 # ---------------------------------------------------------------------------
 # the graph and plan files, line by line
+
+
+def edges(g: WeightedGraph) -> list[tuple[int, int, Scalar]]:
+    """The edges of `g` as (i, j, weight) with i < j, sorted."""
+    return [(i, j, w) for i, row in enumerate(g.adjacency) for j, w in row if j > i]
+
+
+def serialize_graph(g: WeightedGraph) -> str:
+    """`g` in the writer's form that `parse_graph` reads in bulk: the agent
+    count, then one `i j w` line per edge in `edges` order."""
+    lines = [f"n {g.n}"] + [f"{i + 1} {j + 1} {format_scalar(w)}" for i, j, w in edges(g)]
+    return "\n".join(lines) + "\n"
 
 
 def parse_graph_lines(text: str, mode: str = "exact") -> WeightedGraph:

@@ -24,16 +24,16 @@ from satorbits import (
     minimal_period,
     normalize_ns,
     oracle_check_di,
-    position_constraints,
     simulate,
     synthesize_di,
     synthesize_ns,
 )
 from satorbits.graphs import WeightedGraph
-from satorbits.synthesis import InfeasibleConstraintsError, PatternSpec
+from satorbits.synthesis import InfeasibleConstraintsError, PatternSpec, interval_numerators
 from satorbits.verify import backward_states
 
 from conftest import REFERENCE_INTERVALS
+from reference import interval_bounds
 from test_graphs import random_connected_graph
 
 
@@ -61,22 +61,27 @@ def test_criterion_1_half_period(gains_di):
     report(1, f"min half-period is 11 in {elapsed * 1e6:.0f} us", ok and elapsed < 1e-3)
 
 
-def test_criterion_2_interval_table(graph7, partition7, gains_di):
-    reference = REFERENCE_INTERVALS
+def test_criterion_2_interval_table(partition7, gains_di):
+    # the bounds of the `synthesize` table: two numerators over one
+    # denominator per cross edge
+    def intervals():
+        numerators = interval_numerators(gains_di, 11)
+        return {(i, j): numerators(w) for i, j, w in partition7.cross_edges}
+
+    by_edge = {edge: (Fraction(L, D), Fraction(U, D)) for edge, (L, U, D) in intervals().items()}
+    ok = all(
+        by_edge[i, j] == interval_bounds(w, gains_di, 11) for i, j, w in partition7.cross_edges
+    )
+    ok = ok and set(by_edge) == set(REFERENCE_INTERVALS)
+    for edge, (lo, hi) in REFERENCE_INTERVALS.items():
+        lower, upper = by_edge[edge]
+        ok = ok and abs(lower - F(lo)) < F("0.00005")
+        ok = ok and abs(upper - F(hi)) < F("0.00005")
     # the (7,3) lower bound is truncated in the reference table as 1.1852; the exact
     # value 403/340 = 1.18529... rounds to 1.1853, checked at 5e-5 above and
     # against the truncated digits at 1e-4 here
-    _, intervals = position_constraints(graph7, partition7, gains_di, 11)
-    by_edge = {(c.i, c.j): c for c in intervals}
-    ok = set(by_edge) == set(reference)
-    for edge, (lo, hi) in reference.items():
-        c = by_edge[edge]
-        ok = ok and abs(c.lower - F(lo)) < F("0.00005")
-        ok = ok and abs(c.upper - F(hi)) < F("0.00005")
-    ok = ok and abs(by_edge[(6, 2)].lower - F("1.1852")) < F("0.0001")
-    elapsed = best_time(
-        lambda: position_constraints(graph7, partition7, gains_di, 11)
-    )
+    ok = ok and abs(by_edge[(6, 2)][0] - F("1.1852")) < F("0.0001")
+    elapsed = best_time(intervals)
     report(2, f"all six intervals reproduced in {elapsed * 1e6:.0f} us", ok and elapsed < 1e-3)
 
 

@@ -27,7 +27,6 @@ from satorbits import (
     fixture_path,
     make_partition,
     parse_graph,
-    position_constraints,
     simulate,
     synthesize_di,
 )
@@ -44,6 +43,7 @@ from satorbits.cli import (
     trajectory_to_csv,
 )
 from satorbits.graphs import DistanceClasses, distance_classes
+from satorbits.synthesis import interval_numerators
 
 from conftest import REFERENCE_INTERVALS
 from reference import interval_bounds
@@ -130,13 +130,19 @@ class TestSynthesizeCmd:
         assert main(argv) == EXIT_OK
         return table_rows(capsys.readouterr().err)
 
-    def test_di_table_is_the_exact_intervals(self, graph7, partition7, gains_di, capsys):
-        """Each exact bound reads back to `position_constraints`' value, and
-        the table reproduces the paper's to its four decimals."""
+    def test_di_table_is_the_exact_intervals(self, partition7, gains_di, capsys):
+        """Each exact bound reads back to the value of its source,
+        `interval_numerators`, which is the paper's interval of its weight,
+        and the table reproduces the paper's to its four decimals."""
         head, rows = self.table_of(["synthesize", GRAPH, "--config", DI_CFG], capsys)
         assert head == "# m=11 T=22"
-        _, intervals = position_constraints(graph7, partition7, gains_di, 11)
-        assert [(i, j, F(lo), F(hi)) for i, j, lo, hi in rows] == [tuple(c) for c in intervals]
+        numerators = interval_numerators(gains_di, 11)
+        intervals = []
+        for i, j, w in partition7.cross_edges:
+            L, U, D = numerators(w)
+            assert (Fraction(L, D), Fraction(U, D)) == interval_bounds(w, gains_di, 11)
+            intervals.append((i, j, Fraction(L, D), Fraction(U, D)))
+        assert [(i, j, F(lo), F(hi)) for i, j, lo, hi in rows] == intervals
         assert {(i, j) for i, j, _, _ in rows} == set(REFERENCE_INTERVALS)
         for i, j, lo, hi in rows:
             want_lo, want_hi = REFERENCE_INTERVALS[i, j]

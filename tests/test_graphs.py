@@ -9,20 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from satorbits import (
-    bfs_distances,
-    fixture_path,
-    is_connected,
-    laplacian,
-    make_partition,
-    parse_graph,
-    serialize_graph,
-)
+from satorbits import bfs_distances, distance_classes, fixture_path, make_partition, parse_graph
 from satorbits import graphs
 from satorbits.graphs import GraphFormatError, NotConnectedError, Partition, WeightedGraph
 from satorbits.scalars import Scalar, parse_scalar
 
-from reference import parse_graph_lines
+from reference import edges, parse_graph_lines, serialize_graph
 
 
 def brute_force_distance(g: WeightedGraph, root: int) -> list[int]:
@@ -31,7 +23,7 @@ def brute_force_distance(g: WeightedGraph, root: int) -> list[int]:
     best[root] = 0
 
     def walk(node: int, visited: set[int], length: int) -> None:
-        for j in g.neighbors(node):
+        for j, _ in g.adjacency[node]:
             if j in visited:
                 continue
             if best[j] is None or length + 1 < best[j]:
@@ -90,25 +82,10 @@ def dense_matrix(n: int, edges) -> list[list[Scalar]]:
     return w
 
 
-def dense_laplacian(w: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Reference L = D - A, summed over the full row in index order."""
-    n = len(w)
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        degree = Fraction(0)
-        for j in range(n):
-            if j != i:
-                lap[i][j] = -w[i][j]
-                degree = degree + w[i][j]
-        lap[i][i] = degree
-    return lap
-
-
 class TestParse:
     def test_single_edge(self):
         g = parse_graph("n 2\n1 2 1.5")
-        assert g.n == 2
-        assert g.weight(0, 1) == g.weight(1, 0) == Fraction("1.5")
+        assert g.adjacency == (((1, Fraction("1.5")),), ((0, Fraction("1.5")),))
 
     def test_reference_graph_weights(self, graph7):
         expected = {
@@ -120,7 +97,7 @@ class TestParse:
             (2, 5): "0.5",
             (2, 6): "3.4",
         }
-        assert {(i, j): w for i, j, w in graph7.edges()} == {
+        assert {(i, j): w for i, j, w in edges(graph7)} == {
             k: Fraction(v) for k, v in expected.items()
         }
 
@@ -141,7 +118,7 @@ class TestParse:
                 gains_di.beta - gains_di.alpha
             ) * (m - 2)
             recovered = 1 / inv
-            assert abs(recovered - graph7.weight(i, j)) < Fraction("0.001")
+            assert abs(recovered - dict(graph7.adjacency[i])[j]) < Fraction("0.001")
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError, match="self-loop"):
@@ -199,15 +176,17 @@ class TestParse:
 
     def test_consistent_duplicate_allowed(self):
         g = parse_graph("1 2 1.0\n2 1 1.0")
-        assert g.weight(0, 1) == 1
+        assert g.adjacency == (((1, 1),), ((0, 1),))
         # the repeat keeps its own weight object, the one edge (2, 3) shares
         g = parse_graph("1 2 1\n2 1 1.0\n2 3 1.0")
-        assert g.weight(0, 1) is g.weight(1, 0) is g.weight(1, 2)
+        ((_, w12),), ((_, w21), (_, w23)), _ = g.adjacency
+        assert w12 is w21 is w23
 
     def test_unmentioned_agents_are_isolated(self):
         g = parse_graph("n 4\n1 2 1.0")
-        assert g.neighbors(2) == [] and g.neighbors(3) == []
-        assert not is_connected(g)
+        assert g.adjacency[2] == g.adjacency[3] == ()
+        with pytest.raises(NotConnectedError, match="^agent 3 unreachable from agent 1$"):
+            distance_classes(g)
 
     def test_serialize_round_trip(self, graph7):
         assert parse_graph(serialize_graph(graph7)) == graph7
@@ -315,13 +294,13 @@ class TestWeightedGraph:
         rng = random.Random(11)
         for _ in range(20):
             n = rng.randint(1, 9)
-            edges = random_connected_edges(rng, n)
-            g = WeightedGraph.from_edges(n, edges)
-            w = dense_matrix(n, edges)
+            edge_list = random_connected_edges(rng, n)
+            g = WeightedGraph.from_edges(n, edge_list)
+            w = dense_matrix(n, edge_list)
             assert g.adjacency == tuple(
                 tuple((j, wij) for j, wij in enumerate(row) if wij > 0) for row in w
             )
-            assert g.edges() == [
+            assert edges(g) == [
                 (i, j, w[i][j]) for i in range(n) for j in range(i + 1, n) if w[i][j] > 0
             ]
 
@@ -428,17 +407,11 @@ class TestWeightedGraph:
         for n, edges in cases:
             g = WeightedGraph.from_edges(n, edges)
             w = dense_matrix(n, edges)
-            assert g.edges() == [
-                (i, j, w[i][j]) for i in range(n) for j in range(i + 1, n) if w[i][j] != 0
+            rows = [[(j, wij) for j, wij in enumerate(row) if wij != 0] for row in w]
+            assert [list(row) for row in g.adjacency] == rows
+            assert [type(wij) for row in g.adjacency for _, wij in row] == [
+                type(wij) for row in rows for _, wij in row
             ]
-            for i in range(n):
-                assert g.neighbors(i) == [j for j in range(n) if w[i][j] != 0]
-                for j in range(n):
-                    assert g.weight(i, j) == w[i][j]
-                    assert type(g.weight(i, j)) is type(w[i][j])
-            lap, ref = laplacian(g), dense_laplacian(w)
-            assert lap == ref
-            assert [list(map(type, row)) for row in lap] == [list(map(type, row)) for row in ref]
             text = serialize_graph(g)
             assert parse_graph(text, mode) == g
             assert serialize_graph(parse_graph(text, mode)) == text
@@ -458,13 +431,19 @@ class TestWeightedGraph:
 
 class TestConnectivity:
     def test_reference_graph_connected(self, graph7):
-        assert is_connected(graph7)
+        classes = distance_classes(graph7)
+        assert classes.s_even | classes.s_odd == set(range(graph7.n))
 
     def test_disconnected_pair(self):
-        assert not is_connected(parse_graph("n 2\n# no edges"))
+        with pytest.raises(NotConnectedError, match="^agent 2 unreachable from agent 1$"):
+            distance_classes(parse_graph("n 2\n# no edges"))
 
     def test_single_node(self):
-        assert is_connected(parse_graph("n 1"))
+        # connected, but with no cross edge, so no orbit
+        g = parse_graph("n 1")
+        assert bfs_distances(g, 0) == (0,)
+        with pytest.raises(NotConnectedError, match="no cross edges"):
+            distance_classes(g)
 
 
 class TestBfs:
@@ -524,7 +503,7 @@ class TestPartition:
             for i in range(g.n):
                 assert (i in p.s_even) == (p.dist[i] % 2 == 0)
             touched = set()
-            for i, j, _ in g.edges():
+            for i, j, _ in edges(g):
                 assert abs(p.dist[i] - p.dist[j]) <= 1
             for i, j, _ in p.intra_edges:
                 assert p.dist[i] == p.dist[j]
@@ -536,13 +515,13 @@ class TestPartition:
 
 
 def reference_partition(g: WeightedGraph, root: int) -> Partition:
-    """The partition through `edges()` and set lookups, as the oracle for
+    """The partition through `edges` and set lookups, as the oracle for
     `make_partition`'s walk over the rows."""
     dist = bfs_distances(g, root)
     s_even = frozenset(i for i in range(g.n) if dist[i] % 2 == 0)
     s_odd = frozenset(i for i in range(g.n) if dist[i] % 2 == 1)
     cross, intra = [], []
-    for i, j, w in g.edges():
+    for i, j, w in edges(g):
         if (i in s_even) == (j in s_even):
             intra.append((i, j, w))
         else:
@@ -582,34 +561,6 @@ def test_partition_decides_a_bar_on_integers(monkeypatch):
     for g, root, ref in cases:
         p = make_partition(g, root)
         assert p == ref and p.a_bar is ref.a_bar
-
-
-class TestLaplacian:
-    def test_single_edge(self):
-        g = parse_graph("1 2 1.5")
-        w = Fraction("1.5")
-        assert laplacian(g) == [[w, -w], [-w, w]]
-
-    def test_empty_graph(self):
-        g = parse_graph("n 3")
-        assert laplacian(g) == [[0] * 3 for _ in range(3)]
-
-    def test_reference_graph_row6(self, graph7):
-        lap = laplacian(graph7)
-        assert lap[5][5] == Fraction("0.5")
-        assert lap[5][2] == Fraction("-0.5")
-        assert all(lap[5][j] == 0 for j in (0, 1, 3, 4, 6))
-
-    def test_rows_annihilate_ones(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            g = random_connected_graph(rng, rng.randint(2, 8))
-            lap = laplacian(g)
-            for row in lap:
-                assert sum(row) == 0
-            for i in range(g.n):
-                for j in range(g.n):
-                    assert lap[i][j] == lap[j][i]
 
 
 @pytest.mark.parametrize("edges", ["", "1 2 1\n"], ids=["no-edges", "one-edge"])

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from satorbits import cli, graphs
 from satorbits.dynamics import AgentState, GainParams, NsModel
-from satorbits.graphs import GraphFormatError, WeightedGraph, make_partition, serialize_graph
+from satorbits.graphs import GraphFormatError, WeightedGraph, make_partition
 from satorbits.synthesis import OrbitPlan
 
-from reference import parse_graph_lines, plan_from_lines
+from reference import parse_graph_lines, plan_from_lines, serialize_graph
 
 #: weight and start-value texts; equal values under other spellings are
 #: parsed to distinct objects

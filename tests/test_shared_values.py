@@ -20,12 +20,11 @@ from satorbits import (
     GainParams,
     NsModel,
     Trajectory,
+    check_gains_ns,
     fixture_path,
-    key_inequalities_ns,
     make_partition,
     oracle_check_di,
     parse_graph,
-    position_constraints,
     simulate,
     synthesize_di,
     synthesize_ns,
@@ -35,9 +34,10 @@ from satorbits.cli import EXIT_VERIFY, interval_table, main, plan_to_text
 from satorbits.dynamics import Lattice
 from satorbits.graphs import GraphFormatError, WeightedGraph
 from satorbits.scalars import per_object
+from satorbits.synthesis import interval_numerators
 
 import reference
-from reference import closed_form_di, lattice_copy
+from reference import closed_form_di, edges, lattice_copy
 
 GRAPH = str(fixture_path("graph7.txt"))
 DI_CFG = str(fixture_path("di.cfg"))
@@ -58,11 +58,11 @@ def ring_text(n: int) -> str:
 
 def unshared(g: WeightedGraph) -> WeightedGraph:
     """The same graph with a new weight object on every edge."""
-    return WeightedGraph.from_edges(g.n, [(i, j, Fraction(w)) for i, j, w in g.edges()])
+    return WeightedGraph.from_edges(g.n, [(i, j, Fraction(w)) for i, j, w in edges(g)])
 
 
 def distinct_weights(g: WeightedGraph) -> int:
-    return len({id(w) for _, _, w in g.edges()})
+    return len({id(w) for _, _, w in edges(g)})
 
 
 def test_per_object_calls_once_per_object_in_first_order():
@@ -85,9 +85,9 @@ def test_per_object_calls_once_per_object_in_first_order():
 def test_shared_and_unshared_weights_give_the_same_results(text, texts):
     shared = parse_graph(text)
     fresh = unshared(shared)
-    assert shared.edges() == fresh.edges()
+    assert edges(shared) == edges(fresh)
     assert distinct_weights(shared) == texts
-    assert distinct_weights(fresh) == len(fresh.edges())
+    assert distinct_weights(fresh) == len(edges(fresh))
 
     def outputs(g: WeightedGraph) -> dict:
         p = make_partition(g, 0)
@@ -98,10 +98,11 @@ def test_shared_and_unshared_weights_give_the_same_results(text, texts):
             verification_report(g, plan, simulate(g, plan.gains, plan.init, 2 * plan.period, model))
             for plan, model in ((di, None), (ns, NS))
         ]
+        cross = [w for *_, w in p.cross_edges]
         return {
             "a_bar": p.a_bar,
-            "positions": position_constraints(g, p, GAINS_DI, di.half_period),
-            "keys": key_inequalities_ns(g, p, NS, GAINS_NS),
+            "positions": list(map(interval_numerators(GAINS_DI, di.half_period), cross)),
+            "keys": [check_gains_ns(NS, GAINS_NS, w) for w in cross],
             "W": lattice.W,
             "degrees": lattice.degrees,
             "plans": [plan_to_text(di), plan_to_text(ns)],

@@ -17,12 +17,9 @@ from satorbits import (
     check_gains_di,
     check_gains_ns,
     init_states_ns,
-    key_inequalities_ns,
     make_partition,
     min_half_period,
     parse_graph,
-    position_constraints,
-    serialize_graph,
     simulate,
     solve_positions,
     synthesize_di,
@@ -30,13 +27,13 @@ from satorbits import (
     verification_report,
 )
 from satorbits import fixture_path, synthesis
-from satorbits.cli import plan_to_text
+from satorbits.cli import interval_table, plan_to_text
 from satorbits.dynamics import Lattice
+from satorbits.graphs import WeightedGraph
 from satorbits.synthesis import (
     GainConditionError,
     InfeasibleConstraintsError,
     IntervalConstraint,
-    _keys_of,
     interval_numerators,
 )
 
@@ -47,6 +44,7 @@ from reference import (
     interval_bounds,
     inverse_step_di,
     inverse_step_ns,
+    serialize_graph,
     step_di,
     step_ns,
 )
@@ -147,19 +145,14 @@ class TestPatternSpec:
 
 
 class TestPositionConstraints:
-    def test_reference_table(self, graph7, partition7, gains_di):
-        equalities, intervals = position_constraints(graph7, partition7, gains_di, 11)
-        assert equalities == [(1, 2)]
-        by_edge = {(c.i, c.j): c for c in intervals}
+    def test_reference_table(self, partition7, gains_di):
+        assert [(i, j) for i, j, _ in partition7.intra_edges] == [(1, 2)]
+        by_edge = {(i, j): bounds(w, gains_di, 11) for i, j, w in partition7.cross_edges}
         assert set(by_edge) == set(REFERENCE_INTERVALS)
         for edge, (lo, hi) in REFERENCE_INTERVALS.items():
-            c = by_edge[edge]
-            assert abs(c.lower - F(lo)) < F("0.00005")
-            assert abs(c.upper - F(hi)) < F("0.00005")
-
-    def test_rejects_small_m(self, graph7, partition7, gains_di):
-        with pytest.raises(ValueError):
-            position_constraints(graph7, partition7, gains_di, 2)
+            lower, upper = by_edge[edge]
+            assert abs(lower - F(lo)) < F("0.00005")
+            assert abs(upper - F(hi)) < F("0.00005")
 
     def test_interval_centered_at_half_period(self, gains_di):
         for m in (3, 7, 11):
@@ -196,7 +189,11 @@ class TestSolvePositions:
     def test_reference_fixture_feasible_and_reference_point_valid(
         self, graph7, partition7, gains_di
     ):
-        equalities, intervals = position_constraints(graph7, partition7, gains_di, 11)
+        equalities = [(i, j) for i, j, _ in partition7.intra_edges]
+        intervals = [
+            IntervalConstraint(i, j, *interval_bounds(w, gains_di, 11))
+            for i, j, w in partition7.cross_edges
+        ]
         x = solve_positions(graph7.n, equalities, intervals)
         expected = [F(v) for v in REFERENCE_X0]
         for sol in (x, expected):
@@ -260,8 +257,8 @@ class TestSynthesizeDi:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_infeasible_half_period_names_the_first_empty_interval(self, mode, monkeypatch):
         """An m below the least half-period fails at the first cross edge whose
-        `position_constraints` interval is empty, decided on the numerators
-        of `interval_numerators` with no interval built."""
+        interval, on the exact binary values of its inputs, is empty, decided
+        on the numerators of `interval_numerators` with no interval built."""
         rng = random.Random(f"infeasible-m-{mode}")
         text = fixture_path("graph7.txt").read_text()
         graphs = [parse_graph(text, mode)]
@@ -271,19 +268,23 @@ class TestSynthesizeDi:
             lines = [f"{k + 1} {rng.randrange(k) + 1} {rng.randint(2, 30) / 10}\n" for k in range(1, n)]
             graphs.append(parse_graph("".join(lines), mode))
         gains = GainParams(F("0.4"), F("0.42")) if mode == "exact" else GainParams(0.4, 0.42)
+        exact = GainParams(*map(Fraction, gains))
         cases = []
         for g in graphs:
             p = make_partition(g, 0)
             m_min = min_half_period(gains, p.a_bar)
             for m in range(3, m_min + 2):
-                _, intervals = position_constraints(g, p, gains, m)
-                cases.append((g, m, m_min, next((c for c in intervals if c.lower > c.upper), None)))
+                empty = (
+                    (i, j)
+                    for i, j, w in p.cross_edges
+                    if operator.gt(*interval_bounds(Fraction(w), exact, m))
+                )
+                cases.append((g, m, m_min, next(empty, None)))
         assert sum(first is not None for *_, first in cases) >= 10
 
         def refuse(*args):
             raise AssertionError("an interval was built")
 
-        monkeypatch.setattr(synthesis, "position_constraints", refuse)
         monkeypatch.setattr(synthesis, "IntervalConstraint", refuse)
         for g, m, m_min, first in cases:
             if first is None:
@@ -291,11 +292,12 @@ class TestSynthesizeDi:
                 continue
             with pytest.raises(InfeasibleConstraintsError) as exc:
                 synthesize_di(g, gains, m_override=m)
+            i, j = first
             assert str(exc.value) == (
                 f"half-period {m} leaves an empty interval on edge "
-                f"({first.i + 1}, {first.j + 1}); minimum is {m_min}"
+                f"({i + 1}, {j + 1}); minimum is {m_min}"
             )
-            assert exc.value.cycle == [first.i, first.j]
+            assert exc.value.cycle == [i, j]
 
     def test_anchor_matches_reference_choice(self, graph7, gains_di):
         plan = synthesize_di(graph7, gains_di, base=F(21), anchor=0)
@@ -334,10 +336,9 @@ class TestClosedFormDi:
             assert all(isinstance(v, Fraction) for v in x)
             assert {x[i] for i in p.s_even} == {F(m) / 2}
             assert {x[i] for i in p.s_odd} == {0}
-            equalities, intervals = position_constraints(g, p, gains, m)
-            for c in intervals:
-                assert x[c.i] - x[c.j] == (c.lower + c.upper) / 2
-            for i, j in equalities:
+            for i, j, w in p.cross_edges:
+                assert x[i] - x[j] == sum(interval_bounds(w, gains, m)) / 2
+            for i, j, _ in p.intra_edges:
                 assert x[i] == x[j]
             t = simulate(g, gains, plan.init, 2 * plan.period)
             assert verification_report(g, plan, t, rollout=t)["ok"]
@@ -433,34 +434,60 @@ class TestInitStatesNs:
             assert s[1] == pytest.approx(-1 / (2 * a))
 
 
+def accepted_keys(g, model, gains):
+    """The paper's two key inequalities on each cross edge of `g`, decided
+    on the exact binary values of the inputs, or None when `synthesize_ns`
+    refuses the gains.  A float start state past the float range is no
+    refusal: its plan is cut short after the gate."""
+    exact, a = GainParams(*map(Fraction, gains)), Fraction(model.a)
+    try:
+        p = synthesize_ns(g, model, gains).partition
+    except GainConditionError:
+        return None
+    except ValueError as exc:
+        assert "outside the float range" in str(exc)
+        p = make_partition(g, 0)
+    return [reference.key_inequalities(Fraction(w), a, exact) for *_, w in p.cross_edges]
+
+
 class TestKeyInequalitiesNs:
+    """`synthesize_ns` decides only the gate on the least cross weight; the
+    gate implies both key inequalities on every cross edge."""
+
     def test_reference_fixture(self, graph7, partition7, ns_model, gains_ns):
-        checks = key_inequalities_ns(graph7, partition7, ns_model, gains_ns)
-        assert all(first and second for _, first, second in checks)
-        by_edge = {edge: (first, second) for edge, first, second in checks}
-        assert by_edge[(5, 2)] == (True, True)  # 0.5*(-2.5)/0.5 and 0.5*(-1.5)/0.5
+        # on (6, 3), of the least weight 0.5: 0.5*(-2.5)/0.5 and 0.5*(-1.5)/0.5
+        keys = accepted_keys(graph7, ns_model, gains_ns)
+        assert keys == [(True, True)] * len(partition7.cross_edges)
 
     def test_tiny_weight_fails(self, ns_model, gains_ns):
+        """A weight that fails both keys fails the gate."""
         g = parse_graph("1 2 0.01")
-        p = make_partition(g, 0)
-        checks = key_inequalities_ns(g, p, ns_model, gains_ns)
-        assert all(not first and not second for _, first, second in checks)
+        assert reference.key_inequalities(F("0.01"), ns_model.a, gains_ns) == (False, False)
+        assert accepted_keys(g, ns_model, gains_ns) is None
 
     def test_gate_implies_key_inequalities(self):
         rng = random.Random(31)
-        for _ in range(50):
-            g = random_connected_graph(rng, rng.randint(2, 8))
-            p = make_partition(g, 0)
-            sign = rng.choice((1, -1))
-            a = sign * Fraction(rng.randint(10, 90), 100)
-            alpha = Fraction(rng.randint(-100, 100), 100)
-            margin = Fraction(rng.randint(0, 50), 100)
-            beta = a / p.a_bar + sign * (abs(alpha) + margin)
-            model = NsModel(a)
-            gains = GainParams(alpha, beta)
-            assert check_gains_ns(model, gains, p.a_bar)
-            checks = key_inequalities_ns(g, p, model, gains)
-            assert all(first and second for _, first, second in checks)
+        for mode in ("exact", "float"):
+            accepted = 0
+            for _ in range(50):
+                g = random_connected_graph(rng, rng.randint(2, 8))
+                p = make_partition(g, 0)
+                sign = rng.choice((1, -1))
+                a = sign * Fraction(rng.randint(10, 90), 100)
+                alpha = Fraction(rng.randint(-100, 100), 100)
+                margin = Fraction(rng.randint(0, 50), 100)
+                beta = a / p.a_bar + sign * (abs(alpha) + margin)
+                model, gains = NsModel(a), GainParams(alpha, beta)
+                if mode == "float":
+                    g = parse_graph(serialize_graph(g), "float")
+                    model, gains = NsModel(float(a)), GainParams(float(alpha), float(beta))
+                keys = accepted_keys(g, model, gains)
+                # an exact gate on its edge holds; rounding may move a float one off it
+                assert keys is not None or (mode == "float" and margin == 0)
+                if keys is not None:
+                    accepted += 1
+                    assert set(keys) == {(True, True)}
+            assert accepted >= 45
 
 
 class TestSynthesizeNs:
@@ -508,39 +535,24 @@ def test_exact_bounds_are_the_scalar_bounds(w, alpha, beta, m):
     assert (Fraction(L, D), Fraction(U, D)) == interval_bounds(w, gains, m)
 
 
-@given(w=POSITIVE, alpha=SIGNED, beta=SIGNED, a=SIGNED, tight=st.booleans())
-def test_exact_key_inequalities_are_the_scalar_ones(w, alpha, beta, a, tight):
-    """`_keys_of` on integers against w*f/a <= -1, for a of either sign and,
-    when `tight`, an `a` that puts the first key exactly at -1."""
-    first = alpha - beta
-    if tight and first:
-        a = -w * first
-    gains = GainParams(alpha, beta)
-    assert _keys_of(a, gains)(w) == reference.key_inequalities(w, a, gains)
-
-
 def test_float_weights_give_the_floats_nearest_the_exact_bounds(graph7):
-    """Float weights, with float or exact gains, give the float nearest each
-    exact bound, and the key inequalities of their exact binary values."""
+    """Float weights, with float or exact gains, give the interval table the
+    float nearest each exact bound."""
     g = parse_graph(serialize_graph(graph7), mode="float")
-    p = make_partition(g, 0)
-    cross = [w for _, _, w in p.cross_edges]
+    cross = [w for _, _, w in make_partition(g, 0).cross_edges]
     for gains in (GainParams(0.4, 0.42), GainParams(F("0.4"), F("0.42"))):
         exact = GainParams(*map(Fraction, gains))
-        _, intervals = position_constraints(g, p, gains, 11)
-        got = [(c.lower, c.upper) for c in intervals]
-        nearest = [tuple(map(float, interval_bounds(Fraction(w), exact, 11))) for w in cross]
+        _, *lines = interval_table(synthesize_di(g, gains)).splitlines()
+        got = [(line.split()[1], line.split()[-1]) for line in lines]
+        nearest = [
+            tuple(repr(float(b)) for b in interval_bounds(Fraction(w), exact, 11)) for w in cross
+        ]
         assert got == nearest
-        assert all(type(b) is float for bounds in got for b in bounds)
     # 0.4 and 0.42 are not binary fractions, and float arithmetic rounded
     # the lower bound of x_1 - x_2 below the float nearest its exact value
     assert interval_bounds(cross[0], GainParams(0.4, 0.42), 11)[0] == 2.1166666666666654
-    assert position_constraints(g, p, GainParams(0.4, 0.42), 11)[1][0].lower == 2.116666666666666
-    for a, gains in ((0.5, GainParams(-0.5, 2.0)), (F("0.5"), GainParams(F("-0.5"), F(2)))):
-        exact = GainParams(*map(Fraction, gains))
-        checks = key_inequalities_ns(g, p, NsModel(a), gains)
-        expected = [reference.key_inequalities(Fraction(w), Fraction(a), exact) for w in cross]
-        assert [c[1:] for c in checks] == expected
+    table = interval_table(synthesize_di(g, GainParams(0.4, 0.42)))
+    assert table.splitlines()[1].startswith("# 2.116666666666666 <= x_1(0)-x_2(0) <= ")
 
 
 #: finite positive floats of every magnitude, subnormals included
@@ -600,22 +612,28 @@ SIGNED_FLOAT = st.builds(operator.mul, st.sampled_from((1.0, -1.0)), MAGNITUDE)
     tight=st.booleans(),
 )
 def test_float_ns_decisions_are_the_exact_ones(a, alpha, beta, a_bar, w, tight):
-    """On float a, gains and weights the ns gate and both key inequalities
-    take the decisions of the same inputs' exact binary values; `tight`
-    puts beta where the float arithmetic of the gate lands on its edge."""
+    """On float a, gains and weights the ns gate takes the decision of the
+    same inputs' exact binary values, and a two-edge path that
+    `synthesize_ns` accepts, on the floats or on their exact values, meets
+    both key inequalities on each edge; `tight` puts beta where the float
+    arithmetic of the gate lands on its edge."""
     if tight:
         beta = abs(alpha) / (1 if a > 0 else -1) + a / a_bar
     assume(math.isfinite(beta))
     gains = GainParams(alpha, beta)
     exact = GainParams(*map(Fraction, gains))
-    a_exact, w_exact = Fraction(a), Fraction(w)
+    a_exact, a_bar_exact, w_exact = Fraction(a), Fraction(a_bar), Fraction(w)
     gate = check_gains_ns(NsModel(a), gains, a_bar)
-    assert gate == reference.gate_ns(a_exact, exact, Fraction(a_bar))
-    keys = _keys_of(a, gains)(w)
-    assert keys == reference.key_inequalities(w_exact, a_exact, exact)
-    # the gate on the least cross weight implies both keys on every cross edge
-    if gate and w >= a_bar:
-        assert keys == (True, True)
+    assert gate == reference.gate_ns(a_exact, exact, a_bar_exact)
+    least = min(a_bar_exact, w_exact)
+    for weights, model, mode_gains in (
+        ((a_bar, w), NsModel(a), gains),
+        ((a_bar_exact, w_exact), NsModel(a_exact), exact),
+    ):
+        g = WeightedGraph.from_edges(3, [(0, 1, weights[0]), (1, 2, weights[1])])
+        keys = accepted_keys(g, model, mode_gains)
+        assert (keys is not None) == reference.gate_ns(a_exact, exact, least)
+        assert keys is None or keys == [(True, True)] * 2
 
 
 #: an input numerator over Es: saturated at +Es or -Es, or any integer
