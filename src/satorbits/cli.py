@@ -28,7 +28,6 @@ from .dynamics import (
     NsModel,
     SimulationOverflowError,
     Trajectory,
-    row_kind,
     simulate,
 )
 from .graphs import (
@@ -363,7 +362,8 @@ def _sat_texts(kind: type[Lattice], S: list, Es: Scalar, U: Iterable, rs: list[s
 
 def _csv_pieces(t: Trajectory) -> Iterator[str]:
     """The text of `trajectory_to_csv(t)` after its header, one piece per step:
-    step k stamps `k,` before each of its row's n tails `i,x,v,u_raw,u_sat`.
+    step k stamps `k,` before each of its row's n tails `i,x,v,u_raw,u_sat`,
+    formatted in the run's one number kind, `t.states.kind`.
 
     A closed orbit shares its repeated rows by reference (see `simulate`), so
     the tails of a (tick, raw, sat) row whose objects recur are formatted
@@ -397,17 +397,16 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     n = t.n
     index = [str(i) for i in range(1, n + 1)]
     classes = t.states.classes
+    kind = t.states.kind
     last = -1
     if classes is not None:
         # the u_sat texts of a class step's saturated row, by S_0 > 0
-        last, units = classes.last, t.states.kind.UNIT_TEXTS
+        last, units = classes.last, kind.UNIT_TEXTS
         signed = [units[1 - k] for k in classes.group], [units[k] for k in classes.group]
         # each distinct c_i's slot, numbered in one pass, and an agent of each slot
         slots: dict[int, int] = {}
         slot = [slots.setdefault(c, len(slots)) for c in classes.signed]
         agents = list(dict(zip(slot, range(n))).values())
-    kinds = {column.kind for column in (t.states, t.raw_u, t.sat_u) if column.data}
-    kind = kinds.pop() if len(kinds) == 1 and Lattice not in kinds else None
 
     def row_texts(k: int) -> tuple[list[str], ...]:
         """The x and v (one x,v column on a class-built tick), u_raw and u_sat texts of row k."""
@@ -415,12 +414,12 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
         X, V, D = tick
         if k <= last:
             j = classes.j
-            x0, x1, v0, v1 = row_kind(tick).texts([X[0], X[j], V[0], V[j]], D)
+            x0, x1, v0, v1 = kind.texts([X[0], X[j], V[0], V[j]], D)
             pairs = [f"{x0},{v0}", f"{x1},{v1}"]
             states = (list(map(pairs.__getitem__, classes.group)),)
         else:
             # X and V share D, so it is scaled once
-            texts = row_kind(tick).texts(X + V, D)
+            texts = kind.texts(X + V, D)
             states = texts[:n], texts[n:]
         if raw is None:
             return *states, [""] * n, [""] * n
@@ -432,7 +431,7 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
             values = list(map(U.__getitem__, agents)) if k < last else None
             # a class step's row dY * c_i holds one value per slot, unless it was edited
             by = slot if values and list(map(values.__getitem__, slot)) == U else None
-            rs = row_kind(raw).texts(U if by is None else values, E)
+            rs = kind.texts(U if by is None else values, E)
         if k < p:
             first_half.append((rs, by))
         if by is not None:
@@ -441,7 +440,7 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
         if k < last and Es in classes.signs and S == classes.signs[Es][S[0] > 0]:
             return *states, rs, signed[S[0] > 0]
         # an integer input is its numerator over E alone
-        return *states, rs, _sat_texts(row_kind(sat), S, Es, U if Es is E else repeat(None), rs)
+        return *states, rs, _sat_texts(kind, S, Es, U if Es is E else repeat(None), rs)
 
     def block_texts(ks: list[int]) -> tuple[list[str], ...]:
         """The x, v, u_raw and u_sat texts of the CSR rows ks, a column at a time."""
@@ -465,7 +464,7 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
     block: list[int] = []
     with _within_digit_limit("trajectory", "; use fewer steps or --mode float"):
         for k, key in enumerate(keys):
-            csr = kind and last < k < t.steps and k >= 2 * p and key not in recurring
+            csr = kind is not Lattice and last < k < t.steps and k >= 2 * p and key not in recurring
             if block and (not csr or len(block) * n >= CSV_BLOCK):
                 yield from pieces(block)
                 block = []
@@ -480,8 +479,6 @@ def _csv_pieces(t: Trajectory) -> Iterator[str]:
                 if key in recurring:
                     known[key] = tails
             yield f"{k}," + f"\n{k},".join(tails) + "\n"
-        if block:
-            yield from pieces(block)
 
 
 def trajectory_to_csv(t: Trajectory) -> str:
@@ -490,9 +487,7 @@ def trajectory_to_csv(t: Trajectory) -> str:
 
 def _is_csv_of(t: Trajectory, text: str) -> bool:
     """Whether `text` is `trajectory_to_csv(t)`, compared one piece (a lattice step) at a
-    time as it is written, up to the first that differs."""
-    if not text.startswith(CSV_HEADER + "\n"):
-        return False
+    time as it is written, up to the first that differs; `text` starts with the header."""
     pos = len(CSV_HEADER) + 1
     for piece in _csv_pieces(t):
         if not text.startswith(piece, pos):

@@ -16,8 +16,9 @@ over one denominator, and an input row (U, E).  An exact run of terminating
 decimals steps on the `DecimalLattice`, whose rows hold the values as
 `Decimal`s over D = E = Decimal(1); any other exact run on the integer
 `Lattice`; a run with a float in it on the `FloatLattice`, whose rows hold
-the values themselves over D = E = 1.0.  `Lattice.of` picks the kind, and a
-`LatticeColumn` holds the rows of any.
+the values themselves over D = E = 1.0.  The kind is decided where the rows
+are made (`simulate`, the CSV reader), a `LatticeColumn` holds the rows of
+any, and the three columns of a `Trajectory` hold one.
 """
 
 from __future__ import annotations
@@ -100,10 +101,20 @@ class Trajectory(Record, namedtuple("Trajectory", "ns states raw_u sat_u")):
     `ns` is the `NsModel` the run stepped, None on the double integrator.
     Each column (`states`, `raw_u`, `sat_u`) is a `LatticeColumn`: rows of
     `Decimal`s over 1 on a run of terminating decimals, integer rows on any
-    other exact run, rows of floats over 1.0 on a float run.
+    other exact run, rows of floats over 1.0 on a float run.  The columns
+    that hold rows are of one kind, which the checks and the CSV writer read
+    from `states.kind`; columns of two kinds raise `ValueError`.
     """
 
     __slots__ = ()
+
+    def __new__(cls, ns: NsModel | None, states, raw_u, sat_u) -> "Trajectory":
+        columns = (states, raw_u, sat_u)
+        kinds = {c.kind for c in columns if isinstance(c, LatticeColumn) and len(c)}
+        if len(kinds) > 1:
+            names = " and ".join(sorted(k.__name__ for k in kinds))
+            raise ValueError(f"trajectory columns hold rows of two number kinds: {names}")
+        return super().__new__(cls, ns, *columns)
 
     @property
     def steps(self) -> int:
@@ -186,7 +197,9 @@ class LatticeColumn(Sequence):
     of `AgentState`s or of scalars (`Fraction`s on an exact run), on first
     access, and the row is cached.  Slices return tuples,
     and a column equals the tuple of its rows.  `kind` is the loop class
-    whose rows these are.  On the states of a `simulate`, `lattice` is the
+    whose rows these are, by the type of a row's denominator: `Lattice`
+    over an int, `DecimalLattice` over a `Decimal`, `FloatLattice` over a
+    float.  On the states of a `simulate`, `lattice` is the
     loop it stepped on, for its checks to reuse, and on a two-class start's
     `classes` is its `ClassRecord`; on the raw inputs of an exact one,
     `reflected` is the first tick p < steps that `reflects` tick 0, else 0:
@@ -208,7 +221,7 @@ class LatticeColumn(Sequence):
 
     @property
     def kind(self) -> type[Lattice]:
-        return row_kind(self.data[0])
+        return _KINDS[type(self.data[0][-1])]
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -236,15 +249,6 @@ class LatticeColumn(Sequence):
 def _weight_objects(g: WeightedGraph) -> dict[int, Scalar]:
     """The distinct weight objects of `g`, keyed by `id` (see `scalars.per_object`)."""
     return {id(w): w for nbrs in g.adjacency for _, w in nbrs}
-
-
-def _loop_kind(
-    g: WeightedGraph, gains: GainParams, ns: NsModel | None, values: Iterable[Scalar]
-) -> tuple[type[Lattice], dict[int, Scalar]]:
-    """`Lattice.kind_of` the loop's weights, gains, a and `values`, and `_weight_objects(g)`."""
-    weights = _weight_objects(g)
-    a = () if ns is None else (ns.a,)
-    return Lattice.kind_of(chain(gains, a, weights.values(), distinct(values))), weights
 
 
 def _check_values(values: Iterable[Fraction]) -> None:
@@ -359,14 +363,6 @@ class Lattice:
         if decimal_scale(math.lcm(*(c.denominator for c in rationals))) is None:
             return Lattice
         return DecimalLattice
-
-    @staticmethod
-    def of(
-        g: WeightedGraph, gains: GainParams, ns: NsModel | None, values: Iterable[Scalar]
-    ) -> Lattice:
-        """This loop in the number kind (`kind_of`) of its weights, gains, a and `values`."""
-        kind, weights = _loop_kind(g, gains, ns, values)
-        return kind(g, gains, ns, weights)
 
     @classmethod
     def encode(cls, states: Sequence[tuple[Scalar, Scalar]]) -> LatticeState:
@@ -702,12 +698,6 @@ class FloatLattice(Lattice):
 _KINDS = {int: Lattice, Decimal: DecimalLattice, float: FloatLattice}
 
 
-def row_kind(row: tuple) -> type[Lattice]:
-    """The kind of a row by its denominator: `Lattice` over an int,
-    `DecimalLattice` over a `Decimal`, `FloatLattice` over a float."""
-    return _KINDS[type(row[-1])]
-
-
 @exactly
 def simulate(
     g: WeightedGraph,
@@ -718,10 +708,12 @@ def simulate(
 ) -> Trajectory:
     """Roll the closed-loop network forward, recording raw and saturated inputs.
 
-    The run steps on `Lattice.of` the loop and `init`: a run of terminating
-    decimals on the `DecimalLattice`, unless it takes no step or its first
-    step is a class step (on the integer `Lattice`, which then steps it), any
-    other exact run on the integer `Lattice`, any other on the `FloatLattice`.
+    The run steps all three columns on one lattice, of the `Lattice.kind_of`
+    the loop's weights, gains, a and `init`: a run of terminating decimals on
+    the `DecimalLattice`, unless it takes no step or its first step is a class
+    step (on the integer `Lattice`, which then steps it), any other exact run
+    on the integer `Lattice`, any other on the `FloatLattice`.  A start of
+    other than `g.n` states raises `ValueError`, at every step count.
     Its rows are ticks (X, V, D), raw inputs (U, E) and saturated inputs (S, E),
     each S_i the raw U_i clamped to +-E, as each step gives them.  The cap is
     decided once per run: `check` runs only on the ticks past the `horizon` of
@@ -739,9 +731,11 @@ def simulate(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     init = tuple(init)
-    if steps and len(init) != g.n:
+    if len(init) != g.n:
         raise ValueError(f"expected {g.n} agent states, got {len(init)}")
-    kind, weights = _loop_kind(g, gains, ns, (c for s in init for c in (s.x, s.v)))
+    weights = _weight_objects(g)
+    a = () if ns is None else (ns.a,)
+    kind = Lattice.kind_of(chain(gains, a, weights.values(), distinct(c for s in init for c in s)))
     lattice = (Lattice if kind is DecimalLattice else kind)(g, gains, ns, weights)
     tick = lattice.encode(init)
     classes = lattice.two_classes(tick[0], tick[1]) if steps else None

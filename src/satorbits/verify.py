@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from .dynamics import (
     AgentState,
     GainParams,
-    Lattice,
     NsModel,
     Trajectory,
     clamped,
@@ -63,12 +62,13 @@ def backward_states(
     confirms the controller at the reconstructed state reproduces that input.
     Returns the state at time -T, or None unless the ticks and the loop are
     exact; raises `BackwardExtensionError` at the first input the controller
-    does not reproduce.  The trajectory is inverted on the `Lattice.of` its
-    loop and start tick `states.data[0]`, with its rows S/Es as they are,
-    decoded only to name a mismatch; a trajectory with a column of another
-    exact kind than the loop's is inverted on the integer `Lattice`, its
-    other columns encoded in it.  The lattice is `t.states.lattice` when that
-    was built from these graph and gains objects and `t.ns`.  Reduced ticks
+    does not reproduce.  The trajectory is inverted on its loop in its own
+    number kind, `t.states.kind`, which all its columns hold, with its rows
+    S/Es as they are, decoded only to name a mismatch; a loop that kind
+    cannot hold (a float in an exact kind's loop, a value other than a
+    terminating decimal in the decimal kind's) raises `ValueError`.  The
+    lattice is `t.states.lattice` when that was built from these graph and
+    gains objects and `t.ns`, else one built for them.  Reduced ticks
     are equal exactly when the states are, so a tick at -T equal to the
     start tick gives the start row `t.states[0]` itself.  On the run's own
     lattice, the class steps k < last of its `ClassRecord` unstep as two class
@@ -79,31 +79,25 @@ def backward_states(
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     X, V, D = t.states.data[0]
-    sat_rows = t.sat_u.data
     lattice = t.states.lattice
     # reused only for the graph and gains objects and the model it was built for
     if not (
         lattice is not None and lattice.graph is g and lattice.gains is gains and lattice.ns == t.ns
     ):
-        lattice = Lattice.of(g, gains, t.ns, (D,))
+        try:
+            lattice = t.states.kind(g, gains, t.ns)
+        except (AttributeError, TypeError) as exc:
+            kind = t.states.kind.__name__
+            raise ValueError(f"the loop's weights, gains or a do not fit {kind} rows") from exc
     if not lattice.exact:
         return None
-    if {t.states.kind, t.sat_u.kind} != {type(lattice)}:
-        # columns of another exact kind than the loop's, or of two, are
-        # inverted on the integer kind, which holds every exact value
-        if type(lattice) is not Lattice:
-            lattice = Lattice(g, gains, t.ns)
-        if t.states.kind is not Lattice:
-            X, V, D = lattice.encode(t.states[0])
-        if t.sat_u.kind is not Lattice:
-            sat_rows = list(map(lattice.encode_inputs, t.sat_u))
     # the run's own lattice built ticks 0..last on the groups of its record
     classes = t.states.classes if lattice is t.states.lattice else None
     # the class path holds while the tick in hand is tick k+1 of a class step k
     on_prefix = classes is not None and T <= classes.last
     for back in range(1, T + 1):
         k = T - back
-        S, Es = sat_rows[k]
+        S, Es = t.sat_u.data[k]
         if on_prefix:
             # tick k's class states saturate every input by group with dY's sign
             # (as `class_step` decides); under that row the tick in hand unsteps

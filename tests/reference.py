@@ -221,14 +221,15 @@ def tuple_copy(t: Trajectory) -> Trajectory:
     return t._replace(states=tuple(t.states), raw_u=tuple(t.raw_u), sat_u=tuple(t.sat_u))
 
 
-def lattice_copy(t: Trajectory) -> Trajectory:
-    """The trajectory t with its rows rebuilt in the row layout of their number
-    kind, as the CSV reader builds them: on exact rows each state row by
-    `Lattice.encode` and each input row by `ratio_row` over the lcm of its
-    denominators, on float rows the values over 1.0.  No lattice is kept for
-    the checks to reuse."""
-    values = [c for row in t.states for s in row for c in s]
-    kind = Lattice if all(map(is_exact, values)) else FloatLattice
+def lattice_copy(t: Trajectory, kind: Optional[type[Lattice]] = None) -> Trajectory:
+    """The trajectory t with its rows rebuilt in the row layout of `kind`, by
+    default of their number kind as the CSV reader builds them: on exact rows
+    each state row by `Lattice.encode` and each input row by `ratio_row` over
+    the lcm of its denominators, on float rows the values over 1.0.  No
+    lattice is kept for the checks to reuse."""
+    if kind is None:
+        values = [c for row in t.states for s in row for c in s]
+        kind = Lattice if all(map(is_exact, values)) else FloatLattice
     return t._replace(
         states=LatticeColumn([kind.encode(row) for row in t.states], kind.decode),
         raw_u=LatticeColumn([kind.encode_inputs(row) for row in t.raw_u], kind.ratios),

@@ -810,6 +810,10 @@ def _drop_a_field(text):
             "CSV must start with header 'k,agent,x,v,u_raw,u_sat'", id="csv-header",
         ),
         pytest.param(
+            _verify_di_csv(lambda text: ""), False,
+            "CSV must start with header 'k,agent,x,v,u_raw,u_sat'", id="csv-empty",
+        ),
+        pytest.param(
             _verify_di_csv(_drop_a_field), False, "CSV line 3: expected 6 fields",
             id="csv-fields",
         ),
@@ -827,6 +831,11 @@ def _drop_a_field(text):
         pytest.param(
             lambda tmp: ["synthesize", GRAPH], False, "alpha and beta are required",
             id="no-gains",
+        ),
+        # 1-based, as the user gave it, not the library's 0-based agent
+        pytest.param(
+            lambda tmp: ["synthesize", GRAPH, "--config", DI_CFG, "--anchor", "99"], False,
+            "anchor 99 out of range 1..7", id="anchor-out-of-range",
         ),
         pytest.param(
             lambda tmp: ["synthesize", GRAPH, "--model", "ns", "--alpha", "-1/2", "--beta", "2"],

@@ -111,11 +111,11 @@ def test_simulate_picks_the_decimal_kind_off_the_class_path(graph7, gains_di, re
             # no Decimal leaves the kernel: rows decode to Fractions
             assert all(type(c) is Fraction for row in t.states for s in row for c in s)
             assert all(type(u) is Fraction for row in t.raw_u for u in row)
-    values = [c for s in reference_init_di for c in s]
-    assert type(Lattice.of(graph7, gains_di, None, values)) is DecimalLattice
-    # `backward_states` passes the Decimal D of a decimal tick
-    assert type(Lattice.of(graph7, gains_di, None, (Decimal(1),))) is DecimalLattice
-    assert type(Lattice.of(graph7, gains_di, None, third[0])) is Lattice
+    loop = [*gains_di, *(w for nbrs in graph7.adjacency for _, w in nbrs)]
+    assert Lattice.kind_of(loop + [c for s in reference_init_di for c in s]) is DecimalLattice
+    assert Lattice.kind_of(loop + list(third[0])) is Lattice
+    # a run that takes no step keeps the integer kind
+    assert simulate(graph7, gains_di, reference_init_di, 0).states.kind is Lattice
 
 
 def test_decimal_run_equals_the_integer_run(graph7, gains_di, reference_init_di):

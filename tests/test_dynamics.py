@@ -313,10 +313,16 @@ class TestLatticeKernel:
         g = parse_graph("1 2 1", mode="float")
         gains = GainParams(0.4, 0.42)
         init = [AgentState(0.0, 0.0), AgentState(5.0, 0.0)]
-        assert type(Lattice.of(g, gains, None, [0.0, 0.0, 5.0, 0.0])) is FloatLattice
         t = simulate(g, gains, init, 6)
+        assert t.states.kind is FloatLattice and type(t.states.lattice) is FloatLattice
         assert t.states == rollout(g, gains, init, 6)[0]
         assert isinstance(t.states[6][0].x, float)
+
+    def test_over_is_none_off_the_denominator(self):
+        """N/q as a numerator over D, or None when no integer over D is N/q."""
+        assert Lattice.over(1, 3, 1) is None
+        assert Lattice.over(1, 3, 6) == 2
+        assert Lattice.over(-5, 2, 4) == -10
 
     def test_lattice_denominator_is_reduced(self, graph7, gains_di, gains_ns, reference_init_di):
         halved = [AgentState(s.x / 2, s.v / 2) for s in reference_init_di]
@@ -517,6 +523,8 @@ class TestNormalizeNsExact:
             normalize_ns([[0, 1, 0], [-1, 1, 0], [0, 0, 1]], [0, 1, 0])
         with pytest.raises(NormalizationError, match="2x2"):
             normalize_ns([0, 1, -1, 1], [0, 1])
+        with pytest.raises(NormalizationError, match="2x2"):
+            normalize_ns([[0, 1, 0], [-1, 1, 0]], [0, 1])
         with pytest.raises(NormalizationError, match="2 entries"):
             normalize_ns([[0, 1], [-1, 1]], [0, 1, 0])
 
@@ -531,12 +539,17 @@ class TestNormalizeNsExact:
             "expected 7 agent states, got 6",
         ),
         (
+            lambda g, gains, init: simulate(g, gains, init[:-1], 0),
+            ValueError,
+            "expected 7 agent states, got 6",
+        ),
+        (
             lambda g, gains, init: normalize_ns(3, [0, 1]),
             NormalizationError,
             "system matrix must be 2x2",
         ),
     ],
-    ids=["negative-steps", "agent-count", "matrix-not-iterable"],
+    ids=["negative-steps", "agent-count", "agent-count-no-steps", "matrix-not-iterable"],
 )
 def test_library_argument_errors(call, error, message, graph7, gains_di, reference_init_di):
     """A bad argument to `simulate` or `normalize_ns` raises with its message."""

@@ -172,32 +172,34 @@ def at(i, change):
 
 
 def one_value_edits(t, T, rng):
-    """(column, step, row edit) for each way the checks must notice a change."""
+    """(column, step, row edit) for each way the checks must notice a change:
+    a value moved by a third, or by an eighth on a run of terminating
+    decimals, whose kind holds no third."""
     k, k_in = rng.randrange(min(T, t.steps) + 1), rng.randrange(min(T, t.steps))
     i = rng.randrange(t.n)
-    third = Fraction(1, 3)
+    delta = Fraction(1, 8 if t.states.kind is DecimalLattice else 3)
     return [
-        ("states", k, at(i, lambda s: AgentState(s.x + third, s.v))),
-        ("states", k, at(i, lambda s: AgentState(s.x, s.v + third))),
+        ("states", k, at(i, lambda s: AgentState(s.x + delta, s.v))),
+        ("states", k, at(i, lambda s: AgentState(s.x, s.v + delta))),
         # the same numerators over twice the denominator
         ("states", T, lambda row: [AgentState(s.x / 2, s.v / 2) for s in row]),
-        ("raw_u", k_in, at(i, lambda u: u + third)),
+        ("raw_u", k_in, at(i, lambda u: u + delta)),
         # exactly on the pattern's bound, which u >= 1 / u <= -1 admits
         ("raw_u", k_in, at(i, lambda u: 1 if u > 0 else -1)),
-        ("sat_u", k_in, at(i, lambda u: u + third)),
+        ("sat_u", k_in, at(i, lambda u: u + delta)),
     ]
 
 
 def assert_edits_agree(t, g, gains, plan, T, ns, rng):
     """Each edit, rebuilt as lattice columns, agrees with its tuple form, both
-    alone and as the one column replaced in the run t itself, whose other
-    columns keep the lattice it stepped on."""
+    alone and as the one column, rebuilt in the run's own kind, replaced in
+    the run t itself, whose other columns keep the lattice it stepped on."""
     for column, k, edit in one_value_edits(t, T, rng):
         bad = edited(t, column, k, edit)
         lattice = lattice_copy(bad)
         assert tuple_copy(lattice) == bad
         assert_paths_agree(lattice, g, gains, plan, T, ns)
-        own = t._replace(**{column: getattr(lattice, column)})
+        own = t._replace(**{column: getattr(lattice_copy(bad, t.states.kind), column)})
         assert tuple_copy(own) == bad
         assert_paths_agree(own, g, gains, plan, T, ns)
 
@@ -261,6 +263,22 @@ def test_fixture_runs_agree(name, fixture_runs, graph7):
     assert_paths_agree(t, graph7, plan.gains, plan, plan.period, ns)
     assert_edits_agree(t, graph7, plan.gains, plan, plan.period, ns, random.Random(name))
     assert_paths_agree(lattice_copy(t), graph7, plan.gains, plan, plan.period, ns)
+
+
+def test_loop_the_runs_kind_cannot_hold_is_refused(fixture_runs, graph7):
+    """A run is inverted in its own kind: a decimal run checked under gains of
+    thirds, and an integer run on the float graph, raise `ValueError` rather
+    than invert rows of one kind on a loop of another."""
+    floats = parse_graph(fixture_path("graph7.txt").read_text(), mode="float")
+    thirds = GainParams(Fraction(1, 3), Fraction(1, 3))
+    cases = [
+        ("di-decimal", graph7, thirds, "DecimalLattice"),
+        ("di", floats, fixture_runs["di"][1].gains, "Lattice"),
+    ]
+    for name, g, gains, kind in cases:
+        t, plan, _ = fixture_runs[name]
+        with pytest.raises(ValueError, match=f"do not fit {kind} rows"):
+            check_periodicity(t, plan.period, graph=g, gains=gains)
 
 
 def test_stepped_lattice_serves_only_its_own_model(fixture_runs, graph7):
@@ -337,7 +355,7 @@ def test_inverted_period_reads_the_runs_own_inputs(name, fixture_runs, graph7, m
     runs = {
         "own": (t, own),
         "copy": (lattice_copy(t), T),
-        "raw-copy": (t._replace(raw_u=lattice_copy(t).raw_u), own),
+        "raw-copy": (t._replace(raw_u=lattice_copy(t, t.states.kind).raw_u), own),
         "raw-bare": (t._replace(raw_u=LatticeColumn(t.raw_u.data, ratios)), own),
     }
     for run, expected in runs.values():
@@ -410,13 +428,28 @@ class TestLatticeColumn:
         # a column rebuilt from edited rows, put in place of the run's own, is
         # what every check reads
         bad = edited(t, "raw_u", 1, at(2, lambda u: u + 40))
-        mixed = t._replace(raw_u=lattice_copy(bad).raw_u)
-        assert mixed.states.lattice is not None
-        report = check_pattern(mixed, partition7, PatternSpec(2))
+        own = t._replace(raw_u=lattice_copy(bad, t.states.kind).raw_u)
+        assert own.states.lattice is not None and own.raw_u.kind is DecimalLattice
+        report = check_pattern(own, partition7, PatternSpec(2))
         assert (1, 2, t.raw_u[1][2] + 40) in report.violations
         resim = simulate(graph7, gains_di, t.states[0], t.steps)
-        assert _trajectory_consistent(mixed, resim) == {"step": 1, "agent": 3}
-        assert trajectory_to_csv(mixed) == reference.trajectory_to_csv(bad)
+        assert _trajectory_consistent(own, resim) == {"step": 1, "agent": 3}
+        assert trajectory_to_csv(own) == reference.trajectory_to_csv(bad)
+
+    def test_columns_of_two_kinds_are_refused(self, t):
+        """A trajectory, or a `_replace` of one column, whose columns hold rows
+        of two number kinds raises."""
+        integer = lattice_copy(t)
+        assert t.states.kind is DecimalLattice and integer.raw_u.kind is Lattice
+        with pytest.raises(ValueError, match="two number kinds: DecimalLattice and Lattice"):
+            Trajectory(t.ns, t.states, integer.raw_u, t.sat_u)
+        for column in ("states", "raw_u", "sat_u"):
+            with pytest.raises(ValueError, match="two number kinds"):
+                t._replace(**{column: getattr(integer, column)})
+        # tuple columns and an empty column hold no rows of a kind
+        assert Trajectory(None, integer.states, (), ()).steps == 5
+        empty = LatticeColumn([], ratios)
+        assert t._replace(raw_u=empty, sat_u=empty).raw_u is empty
 
     def test_writer_reads_each_input_over_its_own_denominator(self):
         states = LatticeColumn([([1, 2], [0, 0], 1)] * 2, Lattice.decode)
@@ -1287,8 +1320,9 @@ def test_step_loop_reads_the_record(name, fixture_runs, graph7, monkeypatch):
 
 @pytest.mark.parametrize("name", ["mirrored", "ns"])
 def test_inverted_period_unsteps_class_ticks_as_two_states(name, fixture_runs, graph7, monkeypatch):
-    """On its own run each backward step unsteps two class states, and without
-    the record each unsteps every agent, to the same start row."""
+    """On its own run each backward step unsteps two class states; without the
+    record, and on a lattice rebuilt for gains equal to the run's but another
+    object, which has no record, each unsteps every agent, to the same start row."""
     t, plan, _ = fixture_runs[name]
     sizes = []
     unstep = Lattice.unstep
@@ -1300,18 +1334,26 @@ def test_inverted_period_unsteps_class_ticks_as_two_states(name, fixture_runs, g
     monkeypatch.setattr(Lattice, "unstep", counting)
     assert backward_states(t, graph7, plan.gains, plan.period) == list(t.states[0])
     assert sizes == [2] * plan.period
-    sizes.clear()
-    assert backward_states(without_record(t), graph7, plan.gains, plan.period) == list(t.states[0])
-    assert sizes == [graph7.n] * plan.period
+    for run, gains in ((without_record(t), plan.gains), (t, GainParams(*plan.gains))):
+        sizes.clear()
+        assert backward_states(run, graph7, gains, plan.period) == list(t.states[0])
+        assert sizes == [graph7.n] * plan.period
 
 
 class UnreadColumn(LatticeColumn):
-    """A raw-input column whose rows fail the test when read."""
+    """A raw-input column of `steps` rows of `kind` whose rows fail the test when read."""
 
-    __slots__ = ()
+    __slots__ = ("_kind", "_steps")
 
-    def __init__(self) -> None:
-        pass
+    def __init__(self, kind, steps) -> None:
+        self._kind, self._steps = kind, steps
+
+    def __len__(self) -> int:
+        return self._steps
+
+    @property
+    def kind(self):
+        return self._kind
 
     @property
     def data(self):
@@ -1339,7 +1381,7 @@ def test_inverted_period_reads_no_raw_row_on_the_class_path(
 
     monkeypatch.setattr(Lattice, "unstep", counting_unstep)
     monkeypatch.setattr(Lattice, "inputs", counting_inputs)
-    unread = t._replace(raw_u=UnreadColumn())
+    unread = t._replace(raw_u=UnreadColumn(t.states.kind, t.steps))
     assert backward_states(unread, graph7, plan.gains, plan.period) == list(t.states[0])
     assert sizes == [2] * plan.period and not computed
 
