@@ -102,19 +102,17 @@ class Trajectory(Record, namedtuple("Trajectory", "ns states raw_u sat_u")):
     Each column (`states`, `raw_u`, `sat_u`) is a `LatticeColumn`: rows of
     `Decimal`s over 1 on a run of terminating decimals, integer rows on any
     other exact run, rows of floats over 1.0 on a float run.  The columns
-    that hold rows are of one kind, which the checks and the CSV writer read
-    from `states.kind`; columns of two kinds raise `ValueError`.
+    hold one kind, `states.kind`; columns of two raise `ValueError`.
     """
 
     __slots__ = ()
 
     def __new__(cls, ns: NsModel | None, states, raw_u, sat_u) -> "Trajectory":
-        columns = (states, raw_u, sat_u)
-        kinds = {c.kind for c in columns if isinstance(c, LatticeColumn) and len(c)}
+        kinds = {c.kind for c in (states, raw_u, sat_u) if isinstance(c, LatticeColumn) and len(c)}
         if len(kinds) > 1:
             names = " and ".join(sorted(k.__name__ for k in kinds))
             raise ValueError(f"trajectory columns hold rows of two number kinds: {names}")
-        return super().__new__(cls, ns, *columns)
+        return super().__new__(cls, ns, states, raw_u, sat_u)
 
     @property
     def steps(self) -> int:
@@ -195,15 +193,14 @@ class LatticeColumn(Sequence):
     numerators over E > 0, or the values themselves over E = 1 on a decimal
     run and E = 1.0 on a float run.  `decode` turns it into row k, a tuple
     of `AgentState`s or of scalars (`Fraction`s on an exact run), on first
-    access, and the row is cached.  Slices return tuples,
-    and a column equals the tuple of its rows.  `kind` is the loop class
-    whose rows these are, by the type of a row's denominator: `Lattice`
-    over an int, `DecimalLattice` over a `Decimal`, `FloatLattice` over a
-    float.  On the states of a `simulate`, `lattice` is the
-    loop it stepped on, for its checks to reuse, and on a two-class start's
-    `classes` is its `ClassRecord`; on the raw inputs of an exact one,
-    `reflected` is the first tick p < steps that `reflects` tick 0, else 0:
-    raw rows p..2p-1 are rows 0..p-1 negated.  None takes part in `==` or `hash`.
+    access, and the row is cached.  Slices return tuples, and a column
+    equals the tuple of its rows.  `kind` is the loop class whose rows these
+    are, by a row's denominator: `Lattice` over an int, `DecimalLattice` over
+    a `Decimal`, `FloatLattice` over a float.  On the states of a `simulate`,
+    `lattice` is the loop it stepped on, for its checks to reuse, and on a
+    two-class start's `classes` is its `ClassRecord`; on the raw inputs of an
+    exact one, `reflected` is the first tick p < steps that `reflects` tick 0,
+    else 0: raw rows p..2p-1 are rows 0..p-1 negated.  None takes part in `==` or `hash`.
     """
 
     __slots__ = ("data", "decode", "_rows", "lattice", "classes", "reflected")

@@ -17,13 +17,17 @@ own `ns`.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 from typing import Optional, Sequence
 
 from .dynamics import (
     AgentState,
+    DecimalLattice,
     GainParams,
+    Lattice,
     NsModel,
     Trajectory,
+    _weight_objects,
     clamped,
     simulate,
 )
@@ -63,12 +67,12 @@ def backward_states(
     Returns the state at time -T, or None unless the ticks and the loop are
     exact; raises `BackwardExtensionError` at the first input the controller
     does not reproduce.  The trajectory is inverted on its loop in its own
-    number kind, `t.states.kind`, which all its columns hold, with its rows
-    S/Es as they are, decoded only to name a mismatch; a loop that kind
-    cannot hold (a float in an exact kind's loop, a value other than a
-    terminating decimal in the decimal kind's) raises `ValueError`.  The
-    lattice is `t.states.lattice` when that was built from these graph and
-    gains objects and `t.ns`, else one built for them.  Reduced ticks
+    number kind, `t.states.kind`, with its rows S/Es as they are, decoded
+    only to name a mismatch: on `t.states.lattice` when that was built from
+    these graph and gains objects and `t.ns`, else on one built for them, of
+    `Lattice.kind_of` the loop's weights, gains and a.  A decimal run whose
+    loop holds another exact value is inverted on the integer `Lattice`, its
+    start tick and rows S/Es encoded in it.  Reduced ticks
     are equal exactly when the states are, so a tick at -T equal to the
     start tick gives the start row `t.states[0]` itself.  On the run's own
     lattice, the class steps k < last of its `ClassRecord` unstep as two class
@@ -79,25 +83,29 @@ def backward_states(
     if t.steps < T:
         raise ValueError(f"trajectory covers {t.steps} steps, need {T}")
     X, V, D = t.states.data[0]
+    sat_rows = t.sat_u.data
     lattice = t.states.lattice
     # reused only for the graph and gains objects and the model it was built for
     if not (
         lattice is not None and lattice.graph is g and lattice.gains is gains and lattice.ns == t.ns
     ):
-        try:
-            lattice = t.states.kind(g, gains, t.ns)
-        except (AttributeError, TypeError) as exc:
-            kind = t.states.kind.__name__
-            raise ValueError(f"the loop's weights, gains or a do not fit {kind} rows") from exc
+        weights = _weight_objects(g)
+        a = () if t.ns is None else (t.ns.a,)
+        kind = Lattice.kind_of(chain(gains, a, weights.values(), (D,)))
+        lattice = (t.states.kind if kind is DecimalLattice else kind)(g, gains, t.ns, weights)
     if not lattice.exact:
         return None
+    if type(lattice) is not t.states.kind:
+        # a decimal run under a loop of other exact values, on the integer kind
+        X, V, D = lattice.encode(t.states[0])
+        sat_rows = list(map(lattice.encode_inputs, t.sat_u))
     # the run's own lattice built ticks 0..last on the groups of its record
     classes = t.states.classes if lattice is t.states.lattice else None
     # the class path holds while the tick in hand is tick k+1 of a class step k
     on_prefix = classes is not None and T <= classes.last
     for back in range(1, T + 1):
         k = T - back
-        S, Es = t.sat_u.data[k]
+        S, Es = sat_rows[k]
         if on_prefix:
             # tick k's class states saturate every input by group with dY's sign
             # (as `class_step` decides); under that row the tick in hand unsteps

@@ -171,13 +171,11 @@ def at(i, change):
     return edit
 
 
-def one_value_edits(t, T, rng):
-    """(column, step, row edit) for each way the checks must notice a change:
-    a value moved by a third, or by an eighth on a run of terminating
-    decimals, whose kind holds no third."""
+def one_value_edits(t, T, rng, delta=Fraction(1, 3)):
+    """(column, step, row edit) for each way the checks must notice a change,
+    a value moved by `delta` among them."""
     k, k_in = rng.randrange(min(T, t.steps) + 1), rng.randrange(min(T, t.steps))
     i = rng.randrange(t.n)
-    delta = Fraction(1, 8 if t.states.kind is DecimalLattice else 3)
     return [
         ("states", k, at(i, lambda s: AgentState(s.x + delta, s.v))),
         ("states", k, at(i, lambda s: AgentState(s.x, s.v + delta))),
@@ -192,13 +190,20 @@ def one_value_edits(t, T, rng):
 
 def assert_edits_agree(t, g, gains, plan, T, ns, rng):
     """Each edit, rebuilt as lattice columns, agrees with its tuple form, both
-    alone and as the one column, rebuilt in the run's own kind, replaced in
-    the run t itself, whose other columns keep the lattice it stepped on."""
-    for column, k, edit in one_value_edits(t, T, rng):
+    alone and as the one column replaced in the run t itself, whose other
+    columns keep the lattice it stepped on.  The replaced column is rebuilt
+    in the run's own kind: a run of terminating decimals, whose kind holds
+    no third, takes edits of its own for it, by an eighth."""
+    edits = one_value_edits(t, T, rng)
+    for column, k, edit in edits:
         bad = edited(t, column, k, edit)
         lattice = lattice_copy(bad)
         assert tuple_copy(lattice) == bad
         assert_paths_agree(lattice, g, gains, plan, T, ns)
+    if t.states.kind is DecimalLattice:
+        edits = one_value_edits(t, T, rng, Fraction(1, 8))
+    for column, k, edit in edits:
+        bad = edited(t, column, k, edit)
         own = t._replace(**{column: getattr(lattice_copy(bad, t.states.kind), column)})
         assert tuple_copy(own) == bad
         assert_paths_agree(own, g, gains, plan, T, ns)
@@ -265,20 +270,33 @@ def test_fixture_runs_agree(name, fixture_runs, graph7):
     assert_paths_agree(lattice_copy(t), graph7, plan.gains, plan, plan.period, ns)
 
 
-def test_loop_the_runs_kind_cannot_hold_is_refused(fixture_runs, graph7):
-    """A run is inverted in its own kind: a decimal run checked under gains of
-    thirds, and an integer run on the float graph, raise `ValueError` rather
-    than invert rows of one kind on a loop of another."""
-    floats = parse_graph(fixture_path("graph7.txt").read_text(), mode="float")
+def test_run_is_inverted_under_a_loop_of_another_kind(fixture_runs, graph7, monkeypatch):
+    """A decimal run checked under gains of thirds, which its kind cannot
+    hold, is inverted on the integer `Lattice`, its start tick and saturated
+    rows encoded in it, as its tuple copy is; under gains equal to its own
+    but another object, on a rebuilt `DecimalLattice`.  An exact run on the
+    float graph is not inverted, and its periodicity is the tick compare."""
+    kinds = []
+    for kind in (Lattice, DecimalLattice):
+
+        def recording(self, *args, unstep=kind.unstep):
+            kinds.append(type(self))
+            return unstep(self, *args)
+
+        monkeypatch.setattr(kind, "unstep", recording)
+    t, plan, _ = fixture_runs["di-decimal"]
     thirds = GainParams(Fraction(1, 3), Fraction(1, 3))
-    cases = [
-        ("di-decimal", graph7, thirds, "DecimalLattice"),
-        ("di", floats, fixture_runs["di"][1].gains, "Lattice"),
-    ]
-    for name, g, gains, kind in cases:
+    for gains, kind in ((thirds, Lattice), (GainParams(*plan.gains), DecimalLattice)):
+        kinds.clear()
+        assert outcome(backward_states, t, graph7, gains, plan.period) == outcome(
+            reference.backward_states, tuple_copy(t), graph7, gains, plan.period
+        )
+        assert kinds and set(kinds) == {kind}
+    floats = parse_graph(fixture_path("graph7.txt").read_text(), mode="float")
+    for name in ("di", "di-decimal"):
         t, plan, _ = fixture_runs[name]
-        with pytest.raises(ValueError, match=f"do not fit {kind} rows"):
-            check_periodicity(t, plan.period, graph=g, gains=gains)
+        assert backward_states(t, floats, plan.gains, plan.period) is None
+        assert check_periodicity(t, plan.period, graph=floats, gains=plan.gains)
 
 
 def test_stepped_lattice_serves_only_its_own_model(fixture_runs, graph7):
